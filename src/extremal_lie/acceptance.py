@@ -60,15 +60,13 @@ def _result(number, name, passed, detail, t0):
             "seconds": round(time.time() - t0, 1)}
 
 
-def criterion_1(rng, shared, quick=False):
+def criterion_1(rng, shared):
     """Abstract presentation dimensions over the rationals."""
     t0 = time.time()
     cases = (("D", 5, 45), ("B", 5, 36), ("A", 5, 24),
              ("C", 4, 10), ("C", 6, 21))
     got = []
     for family, n, want in cases:
-        if quick and n >= 7:
-            continue
         L = build_L0(build_family_graph(family, n), QQ)
         got.append((family, n, L.dim, want))
     passed = all(d == w for _, _, d, w in got)
@@ -76,7 +74,7 @@ def criterion_1(rng, shared, quick=False):
     return _result(1, "presentation dimensions", passed, detail, t0)
 
 
-def criterion_2(rng, shared, quick=False):
+def criterion_2(rng, shared):
     """Matrix realization closure dimensions over GF(p)."""
     t0 = time.time()
     got = []
@@ -88,7 +86,7 @@ def criterion_2(rng, shared, quick=False):
     return _result(2, "realization dimensions", passed, detail, t0)
 
 
-def criterion_3(rng, shared, quick=False):
+def criterion_3(rng, shared):
     """Commutation pattern equals the family graph; every generator is
     extremal with a full certificate."""
     t0 = time.time()
@@ -107,7 +105,7 @@ def criterion_3(rng, shared, quick=False):
     return _result(3, "graph realization", not bad, detail, t0)
 
 
-def criterion_4(rng, shared, quick=False):
+def criterion_4(rng, shared):
     """Catalog images have full rank and span 100 random monomials."""
     t0 = time.time()
     bad = []
@@ -131,7 +129,7 @@ def criterion_4(rng, shared, quick=False):
     return _result(4, "catalog basis", not bad, detail, t0)
 
 
-def criterion_5(rng, shared, quick=False):
+def criterion_5(rng, shared):
     """100 sampled instances each of P1, P2, P5, AS and SM in the
     special linear (sl_5) and even orthogonal (o_10) realizations."""
     t0 = time.time()
@@ -187,7 +185,7 @@ def _random_siegel_line(rng, form, pool):
     return line
 
 
-def criterion_6(rng, shared, quick=False):
+def criterion_6(rng, shared):
     """Geometric and algebraic pair classifications agree; the
     symplectic algebra has no Heisenberg pairs; the crossing-line
     construction yields Heisenberg pairs in both orthogonal types."""
@@ -249,7 +247,7 @@ def criterion_6(rng, shared, quick=False):
     return _result(6, "pair classification", not bad, detail, t0)
 
 
-def criterion_7(rng, shared, quick=False):
+def criterion_7(rng, shared):
     """exp(t ad T_{u,v}) T_{w,x} = T_{w + t T w, x + t T x} on 100
     random instances."""
     t0 = time.time()
@@ -269,7 +267,7 @@ def criterion_7(rng, shared, quick=False):
                    f"{passed}/100", t0)
 
 
-def criterion_8(rng, shared, quick=False):
+def criterion_8(rng, shared):
     """Triangle normalisation contract on 50 random triples in sl_5,
     plus the pipeline instance with its recorded shift s = alpha/4."""
     t0 = time.time()
@@ -326,7 +324,7 @@ def criterion_8(rng, shared, quick=False):
     return _result(8, "triangle normalisation", not bad, detail, t0)
 
 
-def criterion_9(rng, shared, quick=False):
+def criterion_9(rng, shared):
     """Isomorphism matching: two parameter pairs in each of the two
     parametrised families, and conjugated copies of the others."""
     t0 = time.time()
@@ -361,7 +359,7 @@ def criterion_9(rng, shared, quick=False):
     return _result(9, "isomorphism matching", not bad, detail, t0)
 
 
-def criterion_10(rng, shared, quick=False):
+def criterion_10(rng, shared):
     """Parameter solver round trips and the special branch."""
     t0 = time.time()
     F = shared["field"]
@@ -407,15 +405,9 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
             criterion_9, criterion_10)
 
 
-def run_all(seed=0, quick=False, only=None):
-    """Run the acceptance criteria in order; `only` restricts to a set
-    of criterion numbers.  Returns the list of result dicts."""
+def run_all(seed=0):
+    """Run the acceptance criteria in order; returns the list of result
+    dicts."""
     rng = random.Random(seed)
     shared = {"field": _field()}
-    results = []
-    for fn in CRITERIA:
-        number = int(fn.__name__.rsplit("_", 1)[1])
-        if only is not None and number not in only:
-            continue
-        results.append(fn(rng, shared, quick=quick))
-    return results
+    return [fn(rng, shared) for fn in CRITERIA]

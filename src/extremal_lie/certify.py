@@ -21,11 +21,12 @@ then does the pipeline fail with a diagnostic.
 
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 from . import linalg
 from .fields import (NoSquareRoot, QuadraticExtension, lift_element, QQ)
-from .graphs import build_family_graph, catalog, expected_catalog_size
+from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
+                     expected_catalog_size)
 from .presentation import evaluate_monomial
 from .extremal import (extremal_form_value, is_extremal, fixtriangle,
                        check_premet, HypothesisFailed)
@@ -196,16 +197,20 @@ def _lift_pair(ctx, gens, radicand):
     return ctx.lift(ext), [linalg.lift_matrix(g, ext) for g in gens]
 
 
-def normalize_generators(family, ctx, gens, max_lifts=2):
+#: quadratic extensions the normalisation may adjoin before giving up
+MAX_LIFTS = 2
+
+
+def normalize_generators(family, ctx, gens):
     """Bring the generators into the canonical gauge of the family.
 
     Returns (ctx, gens) over the original field or a quadratic-extension
     tower of it.  Raises NormalizationFailed if square roots are still
-    missing after `max_lifts` extensions, HypothesisFailed if a triangle
+    missing after MAX_LIFTS extensions, HypothesisFailed if a triangle
     hypothesis fails, ConditionViolated on a zero scaling value."""
     recipe = {"D": _normalize_D, "B": _normalize_B,
               "A": _normalize_A, "C": _normalize_C}[family]
-    for _ in range(max_lifts + 1):
+    for _ in range(MAX_LIFTS + 1):
         try:
             return recipe(ctx, list(gens))
         except NoSquareRoot as exc:
@@ -213,7 +218,7 @@ def normalize_generators(family, ctx, gens, max_lifts=2):
                 raise NormalizationFailed(str(exc)) from exc
             ctx, gens = _lift_pair(ctx, gens, exc.element)
     raise NormalizationFailed(
-        f"square roots missing after {max_lifts} quadratic extensions")
+        f"square roots missing after {MAX_LIFTS} quadratic extensions")
 
 
 def _chain_scale(ctx, gens, i, target):
@@ -452,16 +457,7 @@ class CertReport:
     verdict: str
 
     def to_dict(self):
-        return {
-            "family": self.family, "n": self.n, "field": self.field,
-            "params": self.params, "extremal": self.extremal,
-            "graph_match": self.graph_match, "dim": self.dim,
-            "dim_expected": self.dim_expected,
-            "catalog_rank": self.catalog_rank,
-            "spanning_samples": self.spanning_samples, "psi": self.psi,
-            "genericity": self.genericity, "identities": self.identities,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -524,11 +520,10 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
     checks = [all(extremal_flags), graph_ok, closure.dim == expected,
               catalog_rank == expected, passed == tried,
               all(c["passed"] == c["tried"] for c in id_counts.values())]
-    param_names = {"D": ("alpha", "beta"), "B": ("gamma",),
-                   "A": (), "C": ()}[family]
     return CertReport(
         family=family, n=n, field=str(field),
-        params={k: str(field(v)) for k, v in zip(param_names, params)},
+        params={k: str(field(v))
+                for k, v in zip(FAMILY_PARAMS[family], params)},
         extremal=extremal_flags, graph_match=graph_ok,
         dim=closure.dim, dim_expected=expected, catalog_rank=catalog_rank,
         spanning_samples=spanning,
@@ -718,8 +713,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     # the composed correspondence b1_i -> phi_i must intertwine brackets
     _verify_table(ctx1, b1, span_b1, phi, "composed map")
 
-    param_names = {"D": ("alpha", "beta"), "B": ("gamma",),
-                   "A": (), "C": ()}[family]
+    param_names = FAMILY_PARAMS[family]
     return MatchCertificate(
         family=family, n=n, field=str(top),
         params1={k: str(v) for k, v in zip(param_names, params1)},

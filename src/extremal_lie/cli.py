@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import acceptance, certify
 from .extremal import is_extremal
 from .fields import PrimeField, QQ
-from .graphs import (BoundsViolation, build_family_graph, catalog_to_text,
+from .graphs import (FAMILY_PARAMS, BoundsViolation, build_family_graph,
                      expected_catalog_size, graph_from_edges)
 from .presentation import TruncatedAtCap, build_L0
 from .realizations import InvalidParameters, build_generators, lie_closure
@@ -76,7 +76,7 @@ def parse_edges(text):
 
 def collect_params(args):
     """The family parameter tuple from the optional flags, in order."""
-    names = {"D": ("alpha", "beta"), "B": ("gamma",)}.get(args.family, ())
+    names = FAMILY_PARAMS[args.family]
     params = []
     for name in names:
         value = getattr(args, name, None)
@@ -117,7 +117,7 @@ def cmd_present(args):
                     "error: present needs --family/--n or --edges")
             graph = build_family_graph(args.family, args.n)
             expected = expected_catalog_size(args.family, args.n)
-    except BoundsViolation as exc:
+    except ValueError as exc:  # BoundsViolation or an edge outside 1..n
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -199,7 +199,7 @@ def cmd_realize(args):
 
 
 def parse_match_spec(family, text):
-    names = {"D": ("alpha", "beta"), "B": ("gamma",)}.get(family, ())
+    names = FAMILY_PARAMS[family]
     given = {}
     for part in text.split(","):
         if "=" not in part:
@@ -265,7 +265,7 @@ def cmd_certify(args):
 
 
 def cmd_selftest(args):
-    results = acceptance.run_all(seed=args.seed, quick=args.quick)
+    results = acceptance.run_all(seed=args.seed)
     width = max(len(r["name"]) for r in results)
     for r in results:
         status = "pass" if r["passed"] else "FAIL"
@@ -286,8 +286,11 @@ def _add_common(sub):
     sub.add_argument("--field", nargs="+", default=["rationals"],
                      metavar="FIELD",
                      help="rationals (default) or: gf <p>")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--output", help="write the report to a file")
+
+
+def _add_format(sub):
+    sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _add_params(sub):
@@ -305,6 +308,7 @@ def build_parser():
 
     p = subs.add_parser("present", help="build the graded presentation")
     _add_common(p)
+    _add_format(p)
     p.add_argument("--edges", help="custom graph, e.g. 1-2,2-3")
     p.add_argument("--structure",
                    help="export structure constants to a file")
@@ -312,6 +316,7 @@ def build_parser():
 
     p = subs.add_parser("realize", help="build the matrix realization")
     _add_common(p)
+    _add_format(p)
     _add_params(p)
     p.set_defaults(func=cmd_realize)
 
@@ -321,12 +326,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--match-against", metavar="PARAMS",
                    help="second parameter choice, e.g. alpha=4,beta=8")
-    p.set_defaults(func=cmd_certify, format="json")
+    p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true",
-                   help="skip the large abstract builds")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -19,7 +19,7 @@ adapter methods added there) and the matrix closures in
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import NoSquareRoot
+from .linalg import bracket_closure
 
 
 class NotExtremal(ValueError):
@@ -66,12 +66,6 @@ class ExtremalCertificate:
     on every basis element of the context."""
     values: list = dc_field(default_factory=list)
 
-    def functional(self, coords):
-        s = None
-        for c, v in zip(coords, self.values):
-            s = c * v if s is None else s + c * v
-        return s
-
 
 def is_extremal(ctx, x):
     """(True, certificate) if [x,[x,b]] stays on the line through x for
@@ -103,46 +97,23 @@ def exp_ad(ctx, t, a, y):
 # pair classification
 # ---------------------------------------------------------------------------
 
-PAIR_KINDS = ("Proportional", "Abelian2", "Heisenberg", "Sl2")
-
 #: dimension of the subalgebra generated by the pair, per kind
 PAIR_CLOSURE_DIM = {"Proportional": 1, "Abelian2": 2,
                     "Heisenberg": 3, "Sl2": 3}
 
 
-def subalgebra_closure_dim(ctx, elements, max_rounds=None):
+def subalgebra_closure_dim(ctx, elements):
     """Dimension of the Lie subalgebra generated by the elements."""
-    from .linalg import SpanSolver
-    flat0 = ctx.flatten(elements[0])
-    ss = SpanSolver(ctx.field, len(flat0))
-    basis = []
-    for e in elements:
-        if ss.add(ctx.flatten(e)):
-            basis.append(e)
-    frontier = list(basis)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
-        new = []
-        for u in frontier:
-            for v in list(basis):
-                w = ctx.bracket(u, v)
-                if ss.add(ctx.flatten(w)):
-                    basis.append(w)
-                    new.append(w)
-        frontier = new
-    return ss.rank
+    return len(bracket_closure(elements, ctx.bracket, ctx.flatten,
+                               ctx.field))
 
 
 def classify_pair(ctx, x, y):
     """Algebraic classification of a pair of extremal elements.
 
-    Returns one of PAIR_KINDS.  Cross-validates the answer against the
-    dimension of the subalgebra generated by the pair."""
-    fx = ctx.flatten(x)
-    fy = ctx.flatten(y)
+    Returns one of the keys of PAIR_CLOSURE_DIM.  Cross-validates the
+    answer against the dimension of the subalgebra generated by the
+    pair."""
     try:
         proportionality(ctx, x, y)
         kind = "Proportional"
@@ -242,8 +213,10 @@ def fixtriangle(ctx, x, y, z, targets):
     fxzh = extremal_form_value(ctx, xh, z)
     # by construction: f(xh,y) = f(x,y), f(xh,[y,z]) = 0, and
     # f(xh,z) = f(x,z) - f(x,[y,z])^2 / (2 f(x,y) f(y,z)) != 0
-    assert extremal_form_value(ctx, xh, ctx.bracket(y, z)).is_zero()
-    assert not fxzh.is_zero()
+    if not extremal_form_value(ctx, xh, yz).is_zero():
+        raise AssertionError("f(x',[y,z]) != 0 after the shift")
+    if fxzh.is_zero():
+        raise AssertionError("f(x',z) = 0 after the shift")
 
     cx = (pi * rho * fyz) / (sigma * fxy * fxzh)
     cy = (pi * sigma * fxzh) / (rho * fxy * fyz)
@@ -270,8 +243,12 @@ def fixtriangle(ctx, x, y, z, targets):
             "sign pattern off in exactly one place; targets unreachable "
             f"(product mismatch): got ({a},{b},{c}) want {targets}")
 
-    assert extremal_form_value(ctx, xt, yt) == pi
-    assert extremal_form_value(ctx, xt, zt) == rho
-    assert extremal_form_value(ctx, yt, zt) == sigma
-    assert extremal_form_value(ctx, xt, ctx.bracket(yt, zt)).is_zero()
+    if extremal_form_value(ctx, xt, yt) != pi:
+        raise AssertionError("f(x',y') misses its target")
+    if extremal_form_value(ctx, xt, zt) != rho:
+        raise AssertionError("f(x',z') misses its target")
+    if extremal_form_value(ctx, yt, zt) != sigma:
+        raise AssertionError("f(y',z') misses its target")
+    if not extremal_form_value(ctx, xt, ctx.bracket(yt, zt)).is_zero():
+        raise AssertionError("f(x',[y',z']) != 0")
     return xt, yt, zt, TriangleTranscript(s, (rx, ry, rz), negated)

@@ -168,7 +168,7 @@ class FieldElement:
         return self.v == other.v
 
     def __hash__(self):
-        return hash((id(self.field), repr(self.v)))
+        return hash(self.v)
 
     def __bool__(self):
         return not self.field.is_zero(self.v)

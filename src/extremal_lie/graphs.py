@@ -26,6 +26,8 @@ class BoundsViolation(ValueError):
 
 
 FAMILY_MIN_N = {"A": 4, "B": 5, "C": 2, "D": 5}
+#: names of the realization parameters each family takes, in order
+FAMILY_PARAMS = {"A": (), "B": ("gamma",), "C": (), "D": ("alpha", "beta")}
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,6 @@ class SimpleGraph:
 
     def sorted_edges(self):
         return sorted(tuple(sorted(e)) for e in self.edges)
-
-    def __eq__(self, other):
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
 
 def graph_from_edges(n, edges):
@@ -108,23 +104,6 @@ def arrow_up_zigzag(j, i):
     for k in range(j - 1, i, -1):
         out.extend((k, k + 1))
     out.append(i)
-    return out
-
-
-def arrow_down_zigzag(i, j):
-    """The mirror pattern i, i-1, i+1, i, i+2, i+1, ..., j-1, j-2, j.
-
-    Requires i <= j; for i == j it is just (i,).  Provided for
-    completeness; the catalogs only use :func:`arrow_up_zigzag`.
-    """
-    if i > j:
-        raise ValueError(f"bad zigzag range {i}..{j}")
-    if i == j:
-        return [i]
-    out = [i, i - 1]
-    for k in range(i, j - 1):
-        out.extend((k + 1, k))
-    out.append(j)
     return out
 
 

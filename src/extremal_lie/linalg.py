@@ -2,23 +2,15 @@
 
 Vectors are lists of FieldElement, matrices are lists of rows.  All
 pivoting is deterministic (leftmost pivot column, first nonzero row), so
-reduced forms, kernels and span tests are reproducible bit for bit.
+reduced forms, solutions and span tests are reproducible bit for bit.
 """
 
-from .fields import FieldElement, lift_element
+from .fields import lift_element
 
 
 def zeros(field, rows, cols):
     z = field.zero
     return [[z] * cols for _ in range(rows)]
-
-
-def identity(field, n):
-    m = zeros(field, n, n)
-    one = field.one
-    for i in range(n):
-        m[i][i] = one
-    return m
 
 
 def mat_add(a, b):
@@ -138,16 +130,8 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
-def unflatten(v, rows, cols):
-    return [v[i * cols:(i + 1) * cols] for i in range(rows)]
-
-
 def lift_matrix(a, field):
     return [[lift_element(x, field) for x in row] for row in a]
-
-
-def lift_vector(v, field):
-    return [lift_element(x, field) for x in v]
 
 
 def rref(matrix):
@@ -190,29 +174,6 @@ def rref(matrix):
     return m, pivots, r
 
 
-def kernel(matrix, field=None):
-    """Deterministic basis of the right kernel {v : matrix @ v = 0}.
-
-    One basis vector per free column, with 1 in the free position and the
-    RREF back-substitution values in the pivot positions.
-    """
-    if not matrix:
-        return []
-    red, pivots, rank = rref(matrix)
-    n_cols = len(matrix[0])
-    field = field or matrix[0][0].field
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [field.zero] * n_cols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def solve(matrix, rhs):
     """One exact solution of matrix @ x = rhs, or None if inconsistent.
 
@@ -234,9 +195,10 @@ def solve(matrix, rhs):
 class SpanSolver:
     """Incremental span membership / coordinate solver.
 
-    Maintains an echelon basis of the span of the added vectors together
-    with the expression of each echelon row in terms of the originals, so
-    `coords` recovers exact coordinates with respect to the added vectors.
+    Maintains an echelon basis of the span of the accepted vectors (those
+    `add` found independent) together with the expression of each echelon
+    row in terms of them, so `coords` recovers exact coordinates with
+    respect to the accepted vectors, in the order they were added.
     """
 
     def __init__(self, field, ambient_dim):
@@ -244,48 +206,70 @@ class SpanSolver:
         self.ambient_dim = ambient_dim
         self.rows = []        # echelon rows (normalised leading 1)
         self.lead = []        # leading column of each row
-        self.expr = []        # expression of each row in original vectors
-        self.count = 0
+        self.expr = []        # expression of each row in accepted vectors
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, v, e):
-        """Reduce v against current rows, tracking expression e."""
+    def _reduce(self, v, e=None):
+        """Reduce v against current rows, tracking expression e if given."""
         for row, lc, ex in zip(self.rows, self.lead, self.expr):
             c = v[lc]
             if not c.is_zero():
                 v = [a - c * b for a, b in zip(v, row)]
-                e = [a - c * b for a, b in zip(e, ex)]
+                if e is not None:
+                    e = [a - c * b for a, b in zip(e, ex)]
         return v, e
 
     def add(self, v):
         """Add a vector; returns True if it increased the rank."""
-        e = [self.field.zero] * self.count + [self.field.one]
-        for ex in self.expr:
-            ex.append(self.field.zero)
-        self.count += 1
-        v, e = self._reduce(list(v), e)
+        zero = self.field.zero
+        v, e = self._reduce(list(v), [zero] * self.rank)
         for lc, x in enumerate(v):
             if not x.is_zero():
                 inv = x.inv()
+                for ex in self.expr:
+                    ex.append(zero)
                 self.rows.append([inv * a for a in v])
                 self.lead.append(lc)
-                self.expr.append([inv * a for a in e])
+                self.expr.append([inv * a for a in e] + [inv])
                 return True
         return False
 
     def contains(self, v):
-        v, _ = self._reduce(list(v), [self.field.zero] * self.count)
+        v, _ = self._reduce(list(v))
         return all(x.is_zero() for x in v)
 
     def coords(self, v):
-        """Coordinates of v with respect to the added vectors (free
-        coordinates of dependent vectors are zero), or None if v is not in
-        the span."""
-        e = [self.field.zero] * self.count
-        v, e = self._reduce(list(v), e)
+        """Coordinates of v with respect to the accepted vectors (`rank`
+        of them), or None if v is not in the span."""
+        v, e = self._reduce(list(v), [self.field.zero] * self.rank)
         if not all(x.is_zero() for x in v):
             return None
         return [-x for x in e]
+
+
+def bracket_closure(generators, bracket, flatten, field):
+    """Basis of the span of `generators` closed under `bracket`: the
+    independent generators in order, then round by round every
+    independent bracket [g, v] of a generator g with an element v new in
+    the previous round.
+
+    The subalgebra generated by a set is spanned by the right-nested
+    brackets [g_{i_k}, [..., [g_{i_2}, g_{i_1}]]] (Jacobi rewrites any
+    bracket monomial into such terms), so it suffices to bracket the
+    generators against the current frontier."""
+    span = SpanSolver(field, len(flatten(generators[0])))
+    basis = [g for g in generators if span.add(flatten(g))]
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for g in generators:
+            for v in frontier:
+                w = bracket(g, v)
+                if span.add(flatten(w)):
+                    new.append(w)
+        basis.extend(new)
+        frontier = new
+    return basis

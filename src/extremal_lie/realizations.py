@@ -14,7 +14,8 @@ machinery.
 """
 
 from . import linalg
-from .fields import QuadraticExtension, NoSquareRoot, lift_element
+from .extremal import extremal_form_value
+from .fields import NoSquareRoot, lift_element
 from .linalg import (SpanSolver, mat_bracket, mat_mul, mat_vec, mat_eq,
                      mat_is_zero, trace, zeros)
 
@@ -173,7 +174,7 @@ def generators_C(n, field):
     return mats, (form, vecs)
 
 
-def derive_special_vector(n, beta, kappa, field, alpha=None, force_c=None):
+def derive_special_vector(n, beta, field, alpha, force_c=None):
     """The auxiliary vector t with, writing B for the hyperbolic form on
     F^{2n} and u_i, v_i for the family-D line vectors (v_1 taken without
     its t-component):
@@ -187,16 +188,12 @@ def derive_special_vector(n, beta, kappa, field, alpha=None, force_c=None):
     isotropy condition cuts that down to (at most) two solutions.  Each
     solution makes the completed line vectors (v_1 = f_1 + f_2 + alpha*t)
     degenerate for exactly one value of alpha (for even n these are
-    alpha = -kappa and alpha = +kappa; for odd n one solution fails only
-    at the excluded alpha = -2 and the other exactly at alpha = 2), so
-    when alpha is given we return the first solution, in the canonical
-    root order of the field, whose line vectors span all of F^{2n} --
-    only then is the generated algebra the full o_{2n}.  Without alpha
-    the first isotropic solution is returned.
-
-    `kappa` (a square root of 1 + beta) certifies that the caller works
-    in a field where the even-rank solution exists; the solution itself
-    is recomputed here from the quadratic."""
+    alpha = -kappa and alpha = +kappa, kappa a square root of 1 + beta;
+    for odd n one solution fails only at the excluded alpha = -2 and the
+    other exactly at alpha = 2), so we return the first solution, in the
+    canonical root order of the field, whose line vectors span all of
+    F^{2n} -- only then is the generated algebra the full o_{2n}.
+    `force_c` instead fixes B(t, v_3) and only checks isotropy."""
     form = orthogonal_form_even(field, n)
     us, vs = _d_line_vectors(n, beta, field)
     rows, rhs0, rhs1 = [], [], []
@@ -242,8 +239,6 @@ def derive_special_vector(n, beta, kappa, field, alpha=None, force_c=None):
             roots.append((-q1 - s) / (2 * q2))
     for c in roots:
         t = linalg.vec_add(t0, linalg.vec_scale(tdir, c))
-        if alpha is None:
-            return t
         solver = SpanSolver(field, 2 * n)
         for w in us:
             solver.add(w)
@@ -306,8 +301,7 @@ def generators_D(n, field, alpha, beta, force_special_c=None):
         raise InvalidParameters("lambda*(2 - beta + lambda*beta) = 1")
     form = orthogonal_form_even(field, n)
     us, vs = _d_line_vectors(n, beta, field)
-    t = derive_special_vector(n, beta, kappa, field, alpha=alpha,
-                              force_c=force_special_c)
+    t = derive_special_vector(n, beta, field, alpha, force_special_c)
     vs[0] = linalg.vec_add(vs[0], linalg.vec_scale(t, alpha))
     lines = list(zip(us, vs))
     mats = [siegel(form, u, v) for u, v in lines]
@@ -371,12 +365,11 @@ class MatrixLieAlgebra:
     c * trace(a b), with c calibrated against the extremal functional of
     the first generator (and verified on a second value)."""
 
-    def __init__(self, field, ambient_dim, basis, generators, span):
+    def __init__(self, field, ambient_dim, basis, generators):
         self.field = field
         self.ambient_dim = ambient_dim
         self._basis = basis
         self.generators_list = generators
-        self.span = span
         self.dim = len(basis)
         self._form_scale = None
 
@@ -411,18 +404,6 @@ class MatrixLieAlgebra:
     def basis(self):
         return self._basis
 
-    def generator(self, i):
-        return self.generators_list[i - 1]
-
-    def generators(self):
-        return list(self.generators_list)
-
-    def contains(self, a):
-        return self.span.contains(self.flatten(a))
-
-    def coords(self, a):
-        return self.span.coords(self.flatten(a))
-
     def from_coords(self, coords):
         out = self.zero()
         for c, b in zip(coords, self._basis):
@@ -437,7 +418,6 @@ class MatrixLieAlgebra:
         return self._form_scale * trace(mat_mul(a, b))
 
     def _calibrate_form(self):
-        from .extremal import extremal_form_value
         x = self.generators_list[0]
         for b in self._basis:
             t = trace(mat_mul(x, b))
@@ -455,25 +435,13 @@ class MatrixLieAlgebra:
                 raise RuntimeError("trace form calibration inconsistent")
         return c
 
-    def structure_constants(self):
-        table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = self.coords(self.bracket(self._basis[i], self._basis[j]))
-                entries = {k: v for k, v in enumerate(w) if not v.is_zero()}
-                if entries:
-                    table[(i, j)] = entries
-        return table
-
     def lift(self, field):
         """The same algebra with all entries lifted into `field` (which
         must extend the current field by quadratic steps)."""
-        basis = [linalg.lift_matrix(b, field) for b in self._basis]
-        gens = [linalg.lift_matrix(g, field) for g in self.generators_list]
-        span = SpanSolver(field, self.ambient_dim ** 2)
-        for b in basis:
-            span.add(linalg.flatten(b))
-        out = MatrixLieAlgebra(field, self.ambient_dim, basis, gens, span)
+        out = MatrixLieAlgebra(
+            field, self.ambient_dim,
+            [linalg.lift_matrix(b, field) for b in self._basis],
+            [linalg.lift_matrix(g, field) for g in self.generators_list])
         if self._form_scale is not None:
             out._form_scale = lift_element(self._form_scale, field)
         return out
@@ -483,27 +451,10 @@ def lie_closure(generators, field=None):
     """Close a list of matrices under the bracket; returns a
     MatrixLieAlgebra whose basis is the deterministic closure basis."""
     field = field or generators[0][0][0].field
-    ambient = len(generators[0])
-    span = SpanSolver(field, ambient * ambient)
-    basis = []
-    for g in generators:
-        if span.add(linalg.flatten(g)):
-            basis.append(g)
-    # The subalgebra generated by a set is spanned by the right-nested
-    # brackets [g_{i_k}, [..., [g_{i_2}, g_{i_1}]]] (Jacobi rewrites any
-    # bracket monomial into such terms), so it suffices to bracket the
-    # generators against the current frontier.
-    frontier = list(basis)
-    while frontier:
-        new = []
-        for g in generators:
-            for v in frontier:
-                w = mat_bracket(g, v)
-                if span.add(linalg.flatten(w)):
-                    basis.append(w)
-                    new.append(w)
-        frontier = new
-    return MatrixLieAlgebra(field, ambient, basis, list(generators), span)
+    basis = linalg.bracket_closure(generators, mat_bracket, linalg.flatten,
+                                   field)
+    return MatrixLieAlgebra(field, len(generators[0]), basis,
+                            list(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +470,6 @@ def classify_transvection_pair(x, h, y, k):
     * exactly one of h(y), k(x) vanishes       -> Heisenberg
     * neither vanishes                          -> Sl2
     """
-    field = x[0].field
     same_line = _dependent(x, y)
     same_kernel = _dependent(h, k)
     if same_line and same_kernel:
@@ -555,11 +505,7 @@ def classify_siegel_pair(form, line1, line2):
     """
     u1, v1 = line1
     u2, v2 = line2
-    field = u1[0].field
-    ss = SpanSolver(field, len(u1))
-    ss.add(u1)
-    ss.add(v1)
-    sub = SpanSolver(field, len(u1))
+    sub = SpanSolver(u1[0].field, len(u1))
     for w in (u1, v1, u2, v2):
         sub.add(w)
     if sub.rank == 2:

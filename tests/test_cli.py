@@ -45,6 +45,11 @@ def test_present_bad_family_n(capsys):
     assert code == 2 and "parameter error" in err
 
 
+def test_present_bad_custom_edge(capsys):
+    code, _, err = run(capsys, "present", "--edges", "1-2,2-5", "--n", "3")
+    assert code == 2 and "parameter error" in err
+
+
 def test_realize_pass(capsys):
     code, out, _ = run(capsys, "realize", "--family", "C", "--n", "6",
                        "--field", "gf", "2147483629")

@@ -8,6 +8,8 @@ from extremal_lie.extremal import (HypothesisFailed, NotProportional,
                                    is_extremal, proportionality,
                                    subalgebra_closure_dim)
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField
+from extremal_lie.graphs import build_family_graph
+from extremal_lie.presentation import build_L0
 from extremal_lie.realizations import (build_generators, lie_closure,
                                        transvection)
 
@@ -88,6 +90,19 @@ def test_subalgebra_closure_dims(sl5):
     y = transvection(e(1), e(0))
     assert subalgebra_closure_dim(alg, [x]) == 1
     assert subalgebra_closure_dim(alg, [x, y]) == 3
+
+
+@pytest.mark.parametrize("family,n,params", [
+    ("A", 5, ()), ("C", 6, ()), ("B", 5, (1,))])
+def test_subalgebra_closure_dim_matches_lie_closure(family, n, params):
+    mats, _ = build_generators(family, n, F, tuple(F(p) for p in params))
+    alg = lie_closure(mats, F)
+    assert subalgebra_closure_dim(alg, mats) == alg.dim
+
+
+def test_subalgebra_closure_dim_on_graded_algebra():
+    L = build_L0(build_family_graph("C", 4), F)
+    assert subalgebra_closure_dim(L, L.generators()) == L.dim == 10
 
 
 def test_check_premet_all_identities(sl5):

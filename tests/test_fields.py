@@ -100,3 +100,13 @@ def test_field_equality_and_zero(F):
     assert F.zero.is_zero()
     assert not F.one.is_zero()
     assert bool(F.one) and not bool(F.zero)
+
+
+def test_hash_agrees_with_equality():
+    x, y = PrimeField(DEFAULT_PRIME)(3), PrimeField(DEFAULT_PRIME)(3)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    base = PrimeField(DEFAULT_PRIME)
+    d = next(k for k in range(2, 50) if not base(k).has_sqrt())
+    a = QuadraticExtension(PrimeField(DEFAULT_PRIME), d)((3, 5))
+    b = QuadraticExtension(PrimeField(DEFAULT_PRIME), d)((3, 5))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1

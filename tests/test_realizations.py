@@ -3,7 +3,8 @@ import random
 import pytest
 
 from extremal_lie import linalg
-from extremal_lie.fields import DEFAULT_PRIME, PrimeField
+from extremal_lie.fields import (DEFAULT_PRIME, PrimeField,
+                                 QuadraticExtension, lift_element)
 from extremal_lie.realizations import (InvalidParameters, NotIsotropic,
                                        basis_vector, build_generators,
                                        classify_siegel_pair,
@@ -138,3 +139,19 @@ def test_lie_closure_basis_is_deterministic():
     a1 = lie_closure(mats, F)
     a2 = lie_closure(mats, F)
     assert all(linalg.mat_eq(x, y) for x, y in zip(a1.basis(), a2.basis()))
+
+
+def test_lift_keeps_dim_basis_order_and_form_scale():
+    mats, _ = build_generators("A", 5, F)
+    alg = lie_closure(mats, F)
+    x, y = alg.basis()[0], alg.basis()[5]
+    fxy = alg.form(x, y)  # calibrates the form scale
+    E = QuadraticExtension(F, next(k for k in range(2, 50)
+                                   if not F(k).has_sqrt()))
+    lifted = alg.lift(E)
+    assert lifted.dim == alg.dim
+    assert all(linalg.mat_eq(b, linalg.lift_matrix(a, E))
+               for a, b in zip(alg.basis(), lifted.basis()))
+    assert lifted._form_scale == lift_element(alg._form_scale, E)
+    assert lifted.form(linalg.lift_matrix(x, E),
+                       linalg.lift_matrix(y, E)) == lift_element(fxy, E)
