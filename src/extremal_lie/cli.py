@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import acceptance, certify
 from .extremal import is_extremal
-from .fields import PrimeField, QQ
+from .fields import NotInvertible, PrimeField, QQ
 from .graphs import (FAMILY_PARAMS, BoundsViolation, build_family_graph,
                      expected_catalog_size, graph_from_edges)
 from .presentation import TruncatedAtCap, build_L0
@@ -58,7 +58,14 @@ def make_field(tokens):
 
 
 def field_elem(field, fr):
-    return field(fr.numerator) / field(fr.denominator)
+    """The rational `fr` in `field`; InvalidParameters when its
+    denominator vanishes there."""
+    try:
+        return field(fr.numerator) / field(fr.denominator)
+    except NotInvertible:
+        raise InvalidParameters(
+            f"{fr} has no value in {field}: its denominator vanishes "
+            f"there") from None
 
 
 def parse_edges(text):
@@ -82,12 +89,12 @@ def collect_params(args):
         value = getattr(args, name, None)
         if value is None:
             raise UsageError(
-                f"error: family {args.family} needs --{name}")
+                f"family {args.family} needs --{name}")
         params.append(value)
     for name in ("alpha", "beta", "gamma"):
         if name not in names and getattr(args, name, None) is not None:
             raise UsageError(
-                f"error: family {args.family} does not take --{name}")
+                f"family {args.family} does not take --{name}")
     return tuple(params)
 
 
@@ -108,13 +115,13 @@ def cmd_present(args):
     try:
         if args.edges:
             edges = parse_edges(args.edges)
-            n = args.n or max(max(e) for e in edges)
+            n = args.n if args.n is not None else max(max(e) for e in edges)
             graph = graph_from_edges(n, edges)
             expected = None
         else:
-            if not args.family or not args.n:
+            if not args.family or args.n is None:
                 raise UsageError(
-                    "error: present needs --family/--n or --edges")
+                    "present needs --family/--n or --edges")
             graph = build_family_graph(args.family, args.n)
             expected = expected_catalog_size(args.family, args.n)
     except ValueError as exc:  # BoundsViolation or an edge outside 1..n
@@ -155,8 +162,8 @@ def _format_matrix(mat):
 
 def cmd_realize(args):
     field = make_field(args.field)
-    if not args.family or not args.n:
-        raise UsageError("error: realize needs --family and --n")
+    if not args.family or args.n is None:
+        raise UsageError("realize needs --family and --n")
     params = collect_params(args)
     try:
         mats, _ = build_generators(
@@ -203,27 +210,29 @@ def parse_match_spec(family, text):
     given = {}
     for part in text.split(","):
         if "=" not in part:
-            raise UsageError(f"error: bad --match-against entry {part!r}")
+            raise UsageError(f"bad --match-against entry {part!r}")
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in names:
             raise UsageError(
-                f"error: family {family} does not take parameter {key!r}")
+                f"family {family} does not take parameter {key!r}")
         given[key] = rational(value.strip())
     missing = [k for k in names if k not in given]
     if missing:
         raise UsageError(
-            f"error: --match-against missing {', '.join(missing)}")
+            f"--match-against missing {', '.join(missing)}")
     return tuple(given[k] for k in names)
 
 
 def cmd_certify(args):
     field = make_field(args.field)
-    if not args.family or not args.n:
-        raise UsageError("error: certify needs --family and --n")
+    if not args.family or args.n is None:
+        raise UsageError("certify needs --family and --n")
     params = collect_params(args)
-    fparams = tuple(field_elem(field, p) for p in params)
+    other = (parse_match_spec(args.family, args.match_against)
+             if args.match_against else None)
     try:
+        fparams = tuple(field_elem(field, p) for p in params)
         report = certify.certify_family(
             args.family, args.n, fparams, field=field, seed=args.seed)
     except (InvalidParameters, BoundsViolation) as exc:
@@ -234,8 +243,7 @@ def cmd_certify(args):
         return 1
     out = report.to_dict()
 
-    if args.match_against:
-        other = parse_match_spec(args.family, args.match_against)
+    if other is not None:
         try:
             mats1, _ = build_generators(args.family, args.n, field, fparams)
             mats2, _ = build_generators(

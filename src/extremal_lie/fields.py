@@ -18,9 +18,19 @@ the field:
 Square roots are deterministic: of the two roots ``r`` and ``-r`` the one
 with the smaller canonical sort key is returned, so repeated runs (and both
 sides of a comparison) always agree.
+
+``FieldElement`` is the type at every API edge.  Inner loops of the
+linear algebra run on payloads instead, through one kernel per field:
+
+* ``axpy(v, c, row)`` sets ``v -= c*row`` in place, where ``v`` and
+  ``row`` are sparse vectors ``{index: payload}`` that store no zero
+  payload and ``c`` is a payload.  Entries of ``v`` that become zero
+  are deleted, so ``v`` keeps storing no zeros and is the zero vector
+  exactly when it is empty.
 """
 
 from fractions import Fraction
+from functools import cached_property
 import math
 
 try:  # pragma: no cover - exercised implicitly
@@ -200,11 +210,11 @@ class Field:
     def is_zero(self, v):
         raise NotImplementedError
 
-    @property
+    @cached_property
     def zero(self):
         return self(0)
 
-    @property
+    @cached_property
     def one(self):
         return self(1)
 
@@ -239,6 +249,16 @@ class RationalField(Field):
 
     def neg(self, a):
         return -a
+
+    def axpy(self, v, c, row):
+        if not c:
+            return
+        for k, b in row.items():
+            x = v.get(k, 0) - c * b
+            if x:
+                v[k] = x
+            else:
+                del v[k]
 
     def is_zero(self, v):
         return v == 0
@@ -328,6 +348,20 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.p
 
+    def axpy(self, v, c, row):
+        # an index absent from v gets -c*b != 0, so `del` only ever
+        # removes an entry that was there
+        if not c:
+            return
+        p = self.p
+        nc = p - c
+        for k, b in row.items():
+            x = (v.get(k, 0) + nc * b) % p
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+
     def is_zero(self, v):
         return v == 0
 
@@ -399,6 +433,8 @@ class QuadraticExtension(Field):
             raise ValueError(f"{d} is already a square in {base}")
         self.base = base
         self.d = d.v
+        if isinstance(base, PrimeField):
+            self.axpy = self._axpy_prime_base
 
     def same(self, other):
         return (isinstance(other, QuadraticExtension)
@@ -441,6 +477,37 @@ class QuadraticExtension(Field):
     def neg(self, x):
         b = self.base
         return (b.neg(x[0]), b.neg(x[1]))
+
+    def axpy(self, v, c, row):
+        if self.is_zero(c):
+            return
+        sub, mul, is_zero, zero = self.sub, self.mul, self.is_zero, self.zero.v
+        for k, b in row.items():
+            x = sub(v.get(k, zero), mul(c, b))
+            if is_zero(x):
+                del v[k]
+            else:
+                v[k] = x
+
+    def _axpy_prime_base(self, v, c, row):
+        """`axpy` over GF(p)(sqrt(d)) with the pair product written out:
+        a - c*b = (a0 - c0 b0 - c1 d b1, a1 - c0 b1 - c1 b0) mod p."""
+        c0, c1 = c
+        if not (c0 or c1):
+            return
+        p = self.base.p
+        c1d = c1 * self.d % p
+        for k, (b0, b1) in row.items():
+            a = v.get(k)
+            if a is None:
+                v[k] = ((-c0 * b0 - c1d * b1) % p, (-c0 * b1 - c1 * b0) % p)
+                continue
+            x0 = (a[0] - c0 * b0 - c1d * b1) % p
+            x1 = (a[1] - c0 * b1 - c1 * b0) % p
+            if x0 or x1:
+                v[k] = (x0, x1)
+            else:
+                del v[k]
 
     def div(self, x, y):
         b = self.base

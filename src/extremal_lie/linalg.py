@@ -1,11 +1,18 @@
 """Exact linear algebra over the fields in :mod:`extremal_lie.fields`.
 
-Vectors are lists of FieldElement, matrices are lists of rows.  All
-pivoting is deterministic (leftmost pivot column, first nonzero row), so
-reduced forms, solutions and span tests are reproducible bit for bit.
+Vectors and matrices cross the API as FieldElements: a vector is a list
+of FieldElement, a matrix a list of rows.  All pivoting is deterministic
+(leftmost pivot column, first nonzero row), so reduced forms, solutions
+and span tests are reproducible bit for bit.
+
+The hot loops (`SpanSolver`, `mat_mul`, `mat_bracket`) convert their
+inputs once with `sparse` and then work on sparse payload vectors
+``{index: payload}`` through the field's ``axpy(v, c, row)`` kernel,
+which sets ``v -= c*row`` in place and deletes entries that become zero
+(see :mod:`extremal_lie.fields`).
 """
 
-from .fields import lift_element
+from .fields import DescriptorMismatch, FieldElement, lift_element
 
 
 def zeros(field, rows, cols):
@@ -29,24 +36,37 @@ def mat_neg(a):
     return [[-x for x in row] for row in a]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0])
-    field = a[0][0].field
+def sparse(field, vec):
+    """The sparse payload vector {index: payload} of a FieldElement
+    vector.  Raises DescriptorMismatch on an element of another field."""
+    zero = field.zero.v
+    out = {}
+    for i, x in enumerate(vec):
+        if x.field is not field and not field.same(x.field):
+            raise DescriptorMismatch(
+                f"cannot combine elements of {field} and {x.field}")
+        if x.v != zero:
+            out[i] = x.v
+    return out
+
+
+def _dense(field, v, length):
+    """The FieldElement vector of a sparse payload vector."""
     zero = field.zero
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            c = arow[t]
-            if c.is_zero():
-                continue
-            brow = b[t]
-            for j in range(m):
-                e = brow[j]
-                if not e.is_zero():
-                    orow[j] = orow[j] + c * e
+    return [FieldElement(field, v[j]) if j in v else zero
+            for j in range(length)]
+
+
+def mat_mul(a, b):
+    field = a[0][0].field
+    neg, axpy = field.neg, field.axpy
+    brows = [sparse(field, row) for row in b]
+    out = []
+    for row in a:
+        acc = {}
+        for t, x in sparse(field, row).items():
+            axpy(acc, neg(x), brows[t])
+        out.append(_dense(field, acc, len(b[0])))
     return out
 
 
@@ -64,7 +84,20 @@ def mat_vec(a, v):
 
 
 def mat_bracket(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """ab - ba, each row accumulated in one sparse vector."""
+    field = a[0][0].field
+    neg, axpy = field.neg, field.axpy
+    arows = [sparse(field, row) for row in a]
+    brows = [sparse(field, row) for row in b]
+    out = []
+    for arow, brow in zip(arows, brows):
+        acc = {}
+        for t, x in arow.items():
+            axpy(acc, neg(x), brows[t])
+        for t, x in brow.items():
+            axpy(acc, x, arows[t])
+        out.append(_dense(field, acc, len(b[0])))
+    return out
 
 
 def transpose(a):
@@ -199,6 +232,9 @@ class SpanSolver:
     `add` found independent) together with the expression of each echelon
     row in terms of them, so `coords` recovers exact coordinates with
     respect to the accepted vectors, in the order they were added.
+
+    Rows and expressions are sparse payload vectors; a row's leading
+    column is its smallest index and holds the payload one.
     """
 
     def __init__(self, field, ambient_dim):
@@ -213,41 +249,47 @@ class SpanSolver:
         return len(self.rows)
 
     def _reduce(self, v, e=None):
-        """Reduce v against current rows, tracking expression e if given."""
+        """Reduce the sparse v in place against the rows, tracking the
+        sparse expression e alongside if given."""
+        axpy = self.field.axpy
         for row, lc, ex in zip(self.rows, self.lead, self.expr):
-            c = v[lc]
-            if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, row)]
+            c = v.get(lc)
+            if c is not None:
+                axpy(v, c, row)
                 if e is not None:
-                    e = [a - c * b for a, b in zip(e, ex)]
-        return v, e
+                    axpy(e, c, ex)
 
     def add(self, v):
         """Add a vector; returns True if it increased the rank."""
-        zero = self.field.zero
-        v, e = self._reduce(list(v), [zero] * self.rank)
-        for lc, x in enumerate(v):
-            if not x.is_zero():
-                inv = x.inv()
-                for ex in self.expr:
-                    ex.append(zero)
-                self.rows.append([inv * a for a in v])
-                self.lead.append(lc)
-                self.expr.append([inv * a for a in e] + [inv])
-                return True
-        return False
+        field = self.field
+        v, e = sparse(field, v), {}
+        self._reduce(v, e)
+        if not v:
+            return False
+        lc = min(v)
+        inv = field.div(field.one.v, v[lc])
+        mul = field.mul
+        e[self.rank] = field.one.v
+        self.rows.append({k: mul(inv, x) for k, x in v.items()})
+        self.lead.append(lc)
+        self.expr.append({k: mul(inv, x) for k, x in e.items()})
+        return True
 
     def contains(self, v):
-        v, _ = self._reduce(list(v))
-        return all(x.is_zero() for x in v)
+        v = sparse(self.field, v)
+        self._reduce(v)
+        return not v
 
     def coords(self, v):
         """Coordinates of v with respect to the accepted vectors (`rank`
         of them), or None if v is not in the span."""
-        v, e = self._reduce(list(v), [self.field.zero] * self.rank)
-        if not all(x.is_zero() for x in v):
+        field = self.field
+        v, e = sparse(field, v), {}
+        self._reduce(v, e)
+        if v:
             return None
-        return [-x for x in e]
+        return _dense(field, {k: field.neg(x) for k, x in e.items()},
+                      self.rank)
 
 
 def bracket_closure(generators, bracket, flatten, field):

@@ -1,0 +1,49 @@
+"""Fields shared by the kernel differential tests, and seeded random
+elements and sparse payload vectors over them."""
+
+from fractions import Fraction
+
+import pytest
+
+from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, PrimeField,
+                                 QuadraticExtension, QQ)
+
+
+def _fields():
+    gf = PrimeField(DEFAULT_PRIME)
+    d = next(k for k in range(2, 50) if not gf(k).has_sqrt())
+    gf2 = QuadraticExtension(gf, d)
+    # base-field elements are all squares in GF(p^2), so the second
+    # radicand involves the adjoined root
+    e = next(v for v in (gf2.root * k + 1 for k in range(1, 80))
+             if not v.has_sqrt())
+    return {"QQ": QQ, "GF(p)": gf, "GF(p)(rt d)": gf2,
+            "GF(p)(rt d)(rt e)": QuadraticExtension(gf2, e),
+            "QQ(rt 2)": QuadraticExtension(QQ, 2)}
+
+
+KERNEL_FIELDS = _fields()
+
+
+@pytest.fixture(params=list(KERNEL_FIELDS))
+def kernel_field(request):
+    return KERNEL_FIELDS[request.param]
+
+
+def random_payload(field, rng, zero_rate=0.3):
+    """A payload of `field`; zero with probability about `zero_rate`,
+    and small numerators and denominators otherwise."""
+    if rng.random() < zero_rate:
+        return field.zero.v
+    if isinstance(field, QuadraticExtension):
+        return (random_payload(field.base, rng, 0.3),
+                random_payload(field.base, rng, 0.3))
+    return field.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+
+def random_element(field, rng, zero_rate=0.3):
+    return FieldElement(field, random_payload(field, rng, zero_rate))
+
+
+def random_vector(field, rng, length, zero_rate=0.5):
+    return [random_element(field, rng, zero_rate) for _ in range(length)]

@@ -5,6 +5,7 @@ import pytest
 from extremal_lie import certify
 from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
+                                  StructureMismatch,
                                   certify_family, check_genericity,
                                   graph_realization_check,
                                   long_monomial_indices, match_algebras,
@@ -163,3 +164,59 @@ def test_match_rejects_dimension_mismatch(b5):
     other, others = closure_of("D", 5, (2, 3))
     with pytest.raises(FormMismatch):
         match_algebras(alg, mats, other, others, "B")
+
+
+@pytest.fixture(scope="module")
+def a4_table():
+    """A4 (dim 15) with its catalog basis and the span of that basis."""
+    alg, mats = closure_of("A", 4)
+    basis = certify._catalog_images("A", 4, alg, mats)
+    return alg, basis, certify._basis_span(alg, basis)
+
+
+def _first_bad_pair(alg, basis, span, target):
+    """The first pair (i, j) where a_i -> target_i fails to intertwine
+    the brackets, found with FieldElement matrix arithmetic."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            c = span.coords(alg.flatten(alg.bracket(basis[i], basis[j])))
+            rhs = alg.zero()
+            for k, ck in enumerate(c):
+                rhs = alg.add(rhs, alg.scale(target[k], ck))
+            if not alg.eq(alg.bracket(target[i], target[j]), rhs):
+                return i, j
+    return None
+
+
+def test_verify_table_counts_pairs(a4_table):
+    alg, basis, span = a4_table
+    pairs = certify._verify_table(alg, basis, span,
+                                  [(basis, "self"), (list(basis), "copy")])
+    assert pairs == len(basis) * (len(basis) - 1) // 2 == 105
+
+
+@pytest.mark.parametrize("change", ["swap", "double"])
+def test_verify_table_rejects_a_changed_target(a4_table, change):
+    alg, basis, span = a4_table
+    target = list(basis)
+    if change == "swap":
+        target[3], target[7] = target[7], target[3]
+    else:
+        target[5] = alg.scale(target[5], F(2))
+    pair = _first_bad_pair(alg, basis, span, target)
+    assert pair is not None
+    with pytest.raises(StructureMismatch) as info:
+        certify._verify_table(alg, basis, span,
+                              [(basis, "self"), (target, change)])
+    assert str(info.value) == (
+        f"{change}: bracket tables differ at pair ({pair[0]},{pair[1]})")
+
+
+def test_verify_table_rejects_a_bracket_outside_the_span(a4_table):
+    alg, basis, _ = a4_table
+    generators = basis[:4]
+    span = certify._basis_span(alg, generators)
+    with pytest.raises(StructureMismatch,
+                       match="^first: bracket leaves the span$"):
+        certify._verify_table(alg, generators, span,
+                              [(generators, "first"), (generators, "second")])

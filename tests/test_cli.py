@@ -128,3 +128,37 @@ def test_output_file(capsys, tmp_path):
                        "--output", str(path))
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("realize", "--family", "B", "--n", "5", "--gamma", "1/7",
+     "--field", "gf", "7"),
+    ("certify", "--family", "B", "--n", "5", "--gamma", "1/7",
+     "--field", "gf", "7"),
+    ("certify", "--family", "B", "--n", "5", "--gamma", "1",
+     "--field", "gf", "7", "--match-against", "gamma=1/7"),
+])
+def test_parameter_denominator_divisible_by_p(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "parameter error" in err and "1/7" in err
+
+
+@pytest.mark.parametrize("command", ["realize", "certify"])
+def test_n_zero_is_a_bounds_error(capsys, command):
+    code, _, err = run(capsys, command, "--family", "C", "--n", "0")
+    assert code == 2 and "parameter error" in err
+    assert "needs --family and --n" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("realize", "--family", "B", "--n", "5"),
+    ("realize", "--n", "5"),
+    ("certify", "--family", "B", "--n", "5", "--gamma", "1",
+     "--match-against", "alpha=2"),
+    ("certify", "--family", "B", "--n", "5", "--gamma", "1",
+     "--match-against", "gamma"),
+])
+def test_usage_errors_have_one_prefix(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "error: error:" not in err

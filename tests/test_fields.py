@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import KERNEL_FIELDS, random_element, random_vector
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
                                  NoSquareRoot, NotInvertible, PrimeField,
                                  QuadraticExtension, QQ, lift_element)
@@ -110,3 +113,38 @@ def test_hash_agrees_with_equality():
     a = QuadraticExtension(PrimeField(DEFAULT_PRIME), d)((3, 5))
     b = QuadraticExtension(PrimeField(DEFAULT_PRIME), d)((3, 5))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def _sparse(vec):
+    return {i: x.v for i, x in enumerate(vec) if not x.is_zero()}
+
+
+def _axpy_cases(field, seed, trials=200, length=8):
+    """(v, c, row, expected) with v, row sparse payload vectors and the
+    expected v - c*row computed entry by entry on FieldElements; every
+    third index of v is set to cancel exactly."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        a = random_vector(field, rng, length)
+        b = random_vector(field, rng, length)
+        c = random_element(field, rng, zero_rate=0.1)
+        for k in range(0, length, 3):
+            a[k] = c * b[k]
+        yield (_sparse(a), c.v, _sparse(b),
+               _sparse([x - c * y for x, y in zip(a, b)]))
+
+
+def test_axpy_agrees_with_element_arithmetic(kernel_field):
+    for v, c, row, want in _axpy_cases(kernel_field, seed=7):
+        kernel_field.axpy(v, c, row)
+        assert v == want
+        assert all(not kernel_field.is_zero(x) for x in v.values())
+
+
+def test_prime_base_axpy_agrees_with_generic():
+    E = KERNEL_FIELDS["GF(p)(rt d)"]
+    for v, c, row, want in _axpy_cases(E, seed=8):
+        generic = dict(v)
+        QuadraticExtension.axpy(E, generic, c, row)
+        E.axpy(v, c, row)
+        assert v == generic == want

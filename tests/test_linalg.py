@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from conftest import random_element, random_vector
 from extremal_lie import linalg
-from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
+from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
+                                 PrimeField, QQ)
 
 
 @pytest.fixture
@@ -88,13 +90,24 @@ def test_span_solver_coords_skip_rejected_vectors(F):
     assert linalg.vec_eq(rebuilt, target)
 
 
+def _reference_mul(a, b):
+    """The FieldElement triple loop."""
+    zero = a[0][0].field.zero
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _reference_bracket(a, b):
+    ab, ba = _reference_mul(a, b), _reference_mul(b, a)
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+
+
 def test_matrix_helpers(F):
     a = [[F(1), F(2)], [F(3), F(4)]]
     b = [[F(0), F(1)], [F(1), F(0)]]
     assert linalg.trace(a) == F(5)
     br = linalg.mat_bracket(a, b)
-    assert linalg.mat_eq(
-        br, linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a)))
+    assert linalg.mat_eq(br, _reference_bracket(a, b))
 
 
 def test_lift_matrix_preserves_products(F):
@@ -105,3 +118,71 @@ def test_lift_matrix_preserves_products(F):
     la = linalg.lift_matrix(a, E)
     assert linalg.mat_eq(linalg.mat_mul(la, la),
                          linalg.lift_matrix(linalg.mat_mul(a, a), E))
+
+
+def test_mat_mul_and_bracket_match_reference(kernel_field):
+    rng = random.Random(11)
+    for _ in range(25):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = [random_vector(kernel_field, rng, k) for _ in range(n)]
+        b = [random_vector(kernel_field, rng, m) for _ in range(k)]
+        assert linalg.mat_mul(a, b) == _reference_mul(a, b)
+        c = [random_vector(kernel_field, rng, n) for _ in range(n)]
+        d = [random_vector(kernel_field, rng, n) for _ in range(n)]
+        assert linalg.mat_bracket(c, d) == _reference_bracket(c, d)
+        # commuting arguments: every row of the bracket cancels exactly
+        s = random_element(kernel_field, rng, zero_rate=0)
+        assert linalg.mat_is_zero(
+            linalg.mat_bracket(c, linalg.mat_scale(c, s)))
+
+
+def _combination(field, coeffs, vectors, length):
+    out = [field.zero] * length
+    for c, v in zip(coeffs, vectors):
+        out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
+def test_span_solver_round_trip(kernel_field):
+    """add/contains/coords against rref ranks, with dependent vectors
+    offered between the independent ones."""
+    F, dim = kernel_field, 6
+    rng = random.Random(13)
+    ss = linalg.SpanSolver(F, dim)
+    accepted = []
+    for _ in range(16):
+        if accepted and rng.random() < 0.4:
+            coeffs = [random_element(F, rng) for _ in accepted]
+            offered = _combination(F, coeffs, accepted, dim)
+        else:
+            offered = random_vector(F, rng, dim)
+        independent = linalg.rref(accepted + [offered])[2] > len(accepted)
+        assert ss.add(offered) == independent
+        if independent:
+            accepted.append(offered)
+        assert ss.rank == len(accepted)
+        coeffs = [random_element(F, rng) for _ in accepted]
+        target = _combination(F, coeffs, accepted, dim)
+        assert ss.contains(target)
+        assert ss.coords(target) == coeffs
+        other = random_vector(F, rng, dim, zero_rate=0.2)
+        inside = linalg.rref(accepted + [other])[2] == len(accepted)
+        assert ss.contains(other) == inside
+        assert (ss.coords(other) is not None) == inside
+
+
+def test_mixed_fields_raise(F):
+    G = PrimeField(101)
+    ss = linalg.SpanSolver(F, 2)
+    assert ss.add([F(1), F(2)])
+    for vec in ([G(1), G(0)], [F(0), G(1)]):
+        with pytest.raises(DescriptorMismatch):
+            ss.add(vec)
+        with pytest.raises(DescriptorMismatch):
+            ss.coords(vec)
+    a = [[F(1), F(2)], [F(0), F(1)]]
+    b = [[G(1), G(0)], [G(3), G(1)]]
+    with pytest.raises(DescriptorMismatch):
+        linalg.mat_bracket(a, b)
+    with pytest.raises(DescriptorMismatch):
+        linalg.mat_bracket(b, a)
