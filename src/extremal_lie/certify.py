@@ -407,7 +407,7 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
     Q3a: the pairing of Q3 against f(u, .), with the right side fully
          expanded into form values.
     """
-    br, sc = ctx.bracket, ctx.scale
+    br = ctx.bracket
     half = ctx.field.one / 2
     m1 = br(xk, br(xl, br(xm, br(xk, t))))
     m2 = br(xk, br(xm, br(xl, br(xk, t))))
@@ -415,9 +415,8 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
     fk_yt = extremal_form_value(ctx, xk, br(y, t))
     fk_t = extremal_form_value(ctx, xk, t)
     fk_y = extremal_form_value(ctx, xk, y)
-    rhs = sc(ctx.sub(sc(xk, fk_yt),
-                     ctx.add(sc(br(xk, y), fk_t), sc(br(xk, t), fk_y))),
-             half)
+    rhs = ctx.lincomb([(half * fk_yt, xk), (-half * fk_t, br(xk, y)),
+                       (-half * fk_y, br(xk, t))])
     q3 = ctx.eq(ctx.sub(m1, m2), rhs)
     lhs_a = ctx.form(u, m1) - ctx.form(u, m2)
     rhs_a = half * (fk_yt * ctx.form(u, xk)
@@ -427,12 +426,10 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
 
 
 def _random_element(ctx, rng):
-    out = ctx.zero()
-    for b in ctx.basis():
-        c = ctx.field(rng.randint(-3, 3))
-        if not c.is_zero():
-            out = ctx.add(out, ctx.scale(b, c))
-    return out
+    """A basis combination with coefficients in [-3, 3]: exactly `dim`
+    draws from rng."""
+    return ctx.from_coords([ctx.field(rng.randint(-3, 3))
+                            for _ in range(ctx.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +710,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         if coords is None:
             raise StructureMismatch("model closures do not coincide")
         glue.append(coords)
-    phi = []
-    for coords in glue:
-        acc = ctx2.zero()
-        for k, ck in enumerate(coords):
-            if not ck.is_zero():
-                acc = ctx2.add(acc, ctx2.scale(b2[k], ck))
-        phi.append(acc)
+    phi = [ctx2.lincomb(list(zip(coords, b2))) for coords in glue]
 
     # side 1 against its standard model, and the composed correspondence
     # b1_i -> phi_i, from one bracket and one coordinate solve per pair

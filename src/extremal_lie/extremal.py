@@ -6,6 +6,8 @@ All functions work on a *Lie context*: an object with
 * ``field``            -- the scalar field,
 * ``bracket(a, b)``    -- the Lie bracket of two elements,
 * ``add/sub/scale/neg``-- linear operations on elements,
+* ``lincomb(terms)``   -- the linear combination sum c*a over the terms
+  (c, a), built in one pass on sparse payloads,
 * ``is_zero(a)``, ``eq(a, b)``,
 * ``flatten(a)``       -- coordinates of an element as a list,
 * ``basis()``          -- a spanning basis (for certificates),
@@ -19,7 +21,8 @@ adapter methods added there) and the matrix closures in
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import bracket_closure
+from .fields import FieldElement
+from .linalg import bracket_closure, sparse
 
 
 class NotExtremal(ValueError):
@@ -35,20 +38,24 @@ class HypothesisFailed(ValueError):
 
 
 def proportionality(ctx, x, w):
-    """The scalar t with w = t*x, for nonzero x.  Raises NotProportional."""
-    fx = ctx.flatten(x)
-    fw = ctx.flatten(w)
-    t = None
-    for a, b in zip(fx, fw):
-        if not a.is_zero():
-            t = b / a
-            break
-    if t is None:
+    """The scalar t with w = t*x, for nonzero x.  Raises NotProportional,
+    and DescriptorMismatch on an entry outside ctx.field."""
+    field = ctx.field
+    fx = sparse(field, ctx.flatten(x))
+    fw = sparse(field, ctx.flatten(w))
+    if not fx:
         raise ValueError("x is zero")
-    for a, b in zip(fx, fw):
-        if not (b - t * a).is_zero():
-            raise NotProportional("element is not a multiple of x")
-    return t
+    k, a = next(iter(fx.items()))
+    t = field.div(fw.get(k, field.zero.v), a)
+    # t*a vanishes only for t = 0, so w = t*x means equal supports
+    mul = field.mul
+    if field.is_zero(t):
+        ok = not fw
+    else:
+        ok = fw == {j: mul(t, v) for j, v in fx.items()}
+    if not ok:
+        raise NotProportional("element is not a multiple of x")
+    return FieldElement(field, t)
 
 
 def extremal_form_value(ctx, x, y):
@@ -88,9 +95,9 @@ def exp_ad(ctx, t, a, y):
     aaay = ctx.bracket(a, aay)
     if not ctx.is_zero(aaay):
         raise HypothesisFailed("(ad a)^3 does not vanish on y")
-    half = ctx.field.one / 2
-    return ctx.add(y, ctx.add(ctx.scale(ay, t),
-                              ctx.scale(aay, t * t * half)))
+    one = ctx.field.one
+    half = one / 2
+    return ctx.lincomb([(one, y), (t, ay), (t * t * half, aay)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +152,7 @@ def check_premet(ctx, x, y, z):
     AS: f(x, [y,z]) = f([x,y], z)    (associativity of the form)
     SM: f(y, z) = f(z, y)            (symmetry of the form)
     """
-    br, sc, add, sub = ctx.bracket, ctx.scale, ctx.add, ctx.sub
+    br, sc = ctx.bracket, ctx.scale
     two = ctx.field.one * 2
     fxy = extremal_form_value(ctx, x, y)
     fxz = extremal_form_value(ctx, x, z)
@@ -155,12 +162,12 @@ def check_premet(ctx, x, y, z):
     xz = br(x, z)
 
     lhs1 = sc(br(xy, xz), two)
-    rhs1 = add(sc(x, fxyz), sub(sc(xy, fxz), sc(xz, fxy)))
+    rhs1 = ctx.lincomb([(fxyz, x), (fxz, xy), (-fxy, xz)])
     p1 = ctx.eq(lhs1, rhs1)
 
     yxz = br(y, xz)
     lhs2 = sc(br(x, yxz), two)
-    rhs2 = sub(sc(x, fxyz), add(sc(xy, fxz), sc(xz, fxy)))
+    rhs2 = ctx.lincomb([(fxyz, x), (-fxz, xy), (-fxy, xz)])
     p2 = ctx.eq(lhs2, rhs2)
 
     p5 = (extremal_form_value(ctx, x, yxz) + fxz * fxy).is_zero()

@@ -5,11 +5,12 @@ of FieldElement, a matrix a list of rows.  All pivoting is deterministic
 (leftmost pivot column, first nonzero row), so reduced forms, solutions
 and span tests are reproducible bit for bit.
 
-The hot loops (`SpanSolver`, `mat_mul`, `mat_bracket`) convert their
-inputs once with `sparse` and then work on sparse payload vectors
-``{index: payload}`` through the field's ``axpy(v, c, row)`` kernel,
-which sets ``v -= c*row`` in place and deletes entries that become zero
-(see :mod:`extremal_lie.fields`).
+The hot loops (`SpanSolver`, `mat_mul`, `mat_bracket`, the linear
+combination `mat_lincomb` and the trace form `trace_product`) convert
+their inputs once with `sparse` and then work on sparse payload vectors
+``{index: payload}``, mostly through the field's ``axpy(v, c, row)``
+kernel, which sets ``v -= c*row`` in place and deletes entries that
+become zero (see :mod:`extremal_lie.fields`).
 """
 
 from .fields import DescriptorMismatch, FieldElement, lift_element
@@ -50,7 +51,7 @@ def sparse(field, vec):
     return out
 
 
-def _dense(field, v, length):
+def dense(field, v, length):
     """The FieldElement vector of a sparse payload vector."""
     zero = field.zero
     return [FieldElement(field, v[j]) if j in v else zero
@@ -66,7 +67,28 @@ def mat_mul(a, b):
         acc = {}
         for t, x in sparse(field, row).items():
             axpy(acc, neg(x), brows[t])
-        out.append(_dense(field, acc, len(b[0])))
+        out.append(dense(field, acc, len(b[0])))
+    return out
+
+
+def mat_lincomb(field, terms, size):
+    """The size x size matrix sum c*m over the terms (c, rows), where c
+    is a FieldElement or int and rows are the sparse payload rows
+    (`sparse`) of m.  Raises DescriptorMismatch on a coefficient of
+    another field."""
+    neg, axpy, is_zero = field.neg, field.axpy, field.is_zero
+    scaled = []
+    for c, rows in terms:
+        c = field(c).v
+        if not is_zero(c):
+            scaled.append((neg(c), rows))
+    out = []
+    for i in range(size):
+        acc = {}
+        for nc, rows in scaled:
+            if rows[i]:
+                axpy(acc, nc, rows[i])
+        out.append(dense(field, acc, size))
     return out
 
 
@@ -96,7 +118,7 @@ def mat_bracket(a, b):
             axpy(acc, neg(x), brows[t])
         for t, x in brow.items():
             axpy(acc, x, arows[t])
-        out.append(_dense(field, acc, len(b[0])))
+        out.append(dense(field, acc, len(b[0])))
     return out
 
 
@@ -109,6 +131,21 @@ def trace(a):
     for i in range(1, len(a)):
         s = s + a[i][i]
     return s
+
+
+def trace_product(a, b):
+    """trace(ab), summed over the nonzero entries a_ik b_ki only, without
+    forming the product."""
+    field = a[0][0].field
+    add, mul = field.add, field.mul
+    brows = [sparse(field, row) for row in b]
+    s = field.zero.v
+    for i, row in enumerate(a):
+        for k, x in sparse(field, row).items():
+            y = brows[k].get(i)
+            if y is not None:
+                s = add(s, mul(x, y))
+    return FieldElement(field, s)
 
 
 def mat_eq(a, b):
@@ -234,7 +271,9 @@ class SpanSolver:
     respect to the accepted vectors, in the order they were added.
 
     Rows and expressions are sparse payload vectors; a row's leading
-    column is its smallest index and holds the payload one.
+    column is its smallest index and holds the payload one.  Every
+    vector offered must have `ambient_dim` entries (ValueError
+    otherwise).
     """
 
     def __init__(self, field, ambient_dim):
@@ -247,6 +286,12 @@ class SpanSolver:
     @property
     def rank(self):
         return len(self.rows)
+
+    def _sparse(self, v):
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(v)} offered to a span "
+                             f"in dimension {self.ambient_dim}")
+        return sparse(self.field, v)
 
     def _reduce(self, v, e=None):
         """Reduce the sparse v in place against the rows, tracking the
@@ -262,7 +307,7 @@ class SpanSolver:
     def add(self, v):
         """Add a vector; returns True if it increased the rank."""
         field = self.field
-        v, e = sparse(field, v), {}
+        v, e = self._sparse(v), {}
         self._reduce(v, e)
         if not v:
             return False
@@ -276,7 +321,7 @@ class SpanSolver:
         return True
 
     def contains(self, v):
-        v = sparse(self.field, v)
+        v = self._sparse(v)
         self._reduce(v)
         return not v
 
@@ -284,12 +329,12 @@ class SpanSolver:
         """Coordinates of v with respect to the accepted vectors (`rank`
         of them), or None if v is not in the span."""
         field = self.field
-        v, e = sparse(field, v), {}
+        v, e = self._sparse(v), {}
         self._reduce(v, e)
         if v:
             return None
-        return _dense(field, {k: field.neg(x) for k, x in e.items()},
-                      self.rank)
+        return dense(field, {k: field.neg(x) for k, x in e.items()},
+                     self.rank)
 
 
 def bracket_closure(generators, bracket, flatten, field):

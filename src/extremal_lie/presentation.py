@@ -204,6 +204,15 @@ class GradedLieAlgebra:
     def add(self, u, v):
         return linalg.vec_add(u, v)
 
+    def lincomb(self, terms):
+        """sum c*u over the terms (c, u)."""
+        field = self.field
+        neg, axpy = field.neg, field.axpy
+        acc = {}
+        for c, u in terms:
+            axpy(acc, neg(field(c).v), linalg.sparse(field, u))
+        return linalg.dense(field, acc, self.dim)
+
     def sub(self, u, v):
         return linalg.vec_sub(u, v)
 

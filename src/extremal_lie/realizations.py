@@ -13,11 +13,13 @@ in a :class:`MatrixLieAlgebra` context usable by the generic extremal
 machinery.
 """
 
+from functools import cached_property
+
 from . import linalg
 from .extremal import extremal_form_value
 from .fields import NoSquareRoot, lift_element
-from .linalg import (SpanSolver, mat_bracket, mat_mul, mat_vec, mat_eq,
-                     mat_is_zero, trace, zeros)
+from .linalg import (SpanSolver, mat_bracket, mat_eq, mat_is_zero,
+                     mat_lincomb, mat_vec, sparse, trace_product, zeros)
 
 
 class InvalidParameters(ValueError):
@@ -380,6 +382,13 @@ class MatrixLieAlgebra:
     def add(self, a, b):
         return linalg.mat_add(a, b)
 
+    def lincomb(self, terms):
+        """sum c*m over the terms (c, m); a zero c skips converting m."""
+        field = self.field
+        return mat_lincomb(
+            field, [(c, [sparse(field, row) for row in m])
+                    for c, m in terms if c], self.ambient_dim)
+
     def sub(self, a, b):
         return linalg.mat_sub(a, b)
 
@@ -404,23 +413,29 @@ class MatrixLieAlgebra:
     def basis(self):
         return self._basis
 
+    @cached_property
+    def _sparse_basis(self):
+        field = self.field
+        return [[sparse(field, row) for row in b] for b in self._basis]
+
     def from_coords(self, coords):
-        out = self.zero()
-        for c, b in zip(coords, self._basis):
-            if not c.is_zero():
-                out = self.add(out, self.scale(b, c))
-        return out
+        """sum c_i b_i over the basis; needs exactly `dim` coordinates."""
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates for an algebra "
+                             f"of dimension {self.dim}")
+        return mat_lincomb(self.field, list(zip(coords, self._sparse_basis)),
+                           self.ambient_dim)
 
     def form(self, a, b):
         """The associative symmetric extremal form, c * trace(ab)."""
         if self._form_scale is None:
             self._form_scale = self._calibrate_form()
-        return self._form_scale * trace(mat_mul(a, b))
+        return self._form_scale * trace_product(a, b)
 
     def _calibrate_form(self):
         x = self.generators_list[0]
         for b in self._basis:
-            t = trace(mat_mul(x, b))
+            t = trace_product(x, b)
             if not t.is_zero():
                 c = extremal_form_value(self, x, b) / t
                 break
@@ -431,7 +446,7 @@ class MatrixLieAlgebra:
         y = self.generators_list[-1]
         for b in self._basis:
             want = extremal_form_value(self, y, b)
-            if want != c * trace(mat_mul(y, b)):
+            if want != c * trace_product(y, b):
                 raise RuntimeError("trace form calibration inconsistent")
         return c
 

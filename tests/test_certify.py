@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -220,3 +221,14 @@ def test_verify_table_rejects_a_bracket_outside_the_span(a4_table):
                        match="^first: bracket leaves the span$"):
         certify._verify_table(alg, generators, span,
                               [(generators, "first"), (generators, "second")])
+
+
+def test_random_element_draws_exactly_dim_values(b5):
+    alg, _ = b5
+    rng, ref = random.Random(5), random.Random(5)
+    x = certify._random_element(alg, rng)
+    want = alg.zero()
+    for b in alg.basis():
+        want = alg.add(want, alg.scale(b, F(ref.randint(-3, 3))))
+    assert rng.random() == ref.random()
+    assert alg.eq(x, want)

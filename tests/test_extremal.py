@@ -2,16 +2,18 @@ import random
 
 import pytest
 
+from conftest import random_element, random_vector
 from extremal_lie.extremal import (HypothesisFailed, NotProportional,
                                    check_premet, classify_pair, exp_ad,
                                    extremal_form_value, fixtriangle,
                                    is_extremal, proportionality,
                                    subalgebra_closure_dim)
-from extremal_lie.fields import DEFAULT_PRIME, PrimeField
+from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
+                                 FieldElement, PrimeField)
 from extremal_lie.graphs import build_family_graph
 from extremal_lie.presentation import build_L0
-from extremal_lie.realizations import (build_generators, lie_closure,
-                                       transvection)
+from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
+                                       lie_closure, transvection)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -42,6 +44,49 @@ def test_proportionality(sl5):
     assert proportionality(alg, mats[0], alg.zero()) == F(0)
     with pytest.raises(NotProportional):
         proportionality(alg, mats[0], mats[1])
+    G = PrimeField(101)
+    other = [[G(x.v) for x in row] for row in mats[0]]
+    for x, w in ((mats[0], other), (other, mats[0])):
+        with pytest.raises(DescriptorMismatch):
+            proportionality(alg, x, w)
+
+
+def _reference_proportionality(x, w):
+    """The FieldElement scan over flattened x and w."""
+    t = next((b / a for a, b in zip(x, w) if not a.is_zero()), None)
+    if t is None:
+        raise ValueError("x is zero")
+    if any(not (b - t * a).is_zero() for a, b in zip(x, w)):
+        raise NotProportional("element is not a multiple of x")
+    return t
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_proportionality_matches_reference(kernel_field):
+    K, n = kernel_field, 3
+    ctx = MatrixLieAlgebra(K, n, [], [])
+    rng = random.Random(29)
+    for _ in range(40):
+        x = [random_vector(K, rng, n) for _ in range(n)]
+        w = ctx.scale(x, random_element(K, rng))
+        moved = [list(row) for row in w]
+        i, j = rng.randrange(n), rng.randrange(n)
+        moved[i][j] = moved[i][j] + K.one
+        other = [random_vector(K, rng, n) for _ in range(n)]
+        for x_, w_ in ((x, w), (x, moved), (x, other), (x, ctx.zero()),
+                       (ctx.zero(), w)):
+            got = _outcome(proportionality, ctx, x_, w_)
+            want = _outcome(_reference_proportionality, ctx.flatten(x_),
+                            ctx.flatten(w_))
+            assert got == want
+            if isinstance(want, FieldElement):
+                assert got.field is K
 
 
 def test_extremal_form_against_calibrated_trace(sl5):

@@ -186,3 +186,63 @@ def test_mixed_fields_raise(F):
         linalg.mat_bracket(a, b)
     with pytest.raises(DescriptorMismatch):
         linalg.mat_bracket(b, a)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DescriptorMismatch):
+            linalg.trace_product(x, y)
+    rows = [linalg.sparse(F, row) for row in a]
+    with pytest.raises(DescriptorMismatch):
+        linalg.mat_lincomb(F, [(G(2), rows)], 2)
+
+
+def _fold(field, terms, size):
+    """sum c*m by the dense add/scale fold."""
+    out = linalg.zeros(field, size, size)
+    for c, m in terms:
+        out = linalg.mat_add(out, linalg.mat_scale(m, c))
+    return out
+
+
+def _sparse_rows(field, m):
+    return [linalg.sparse(field, row) for row in m]
+
+
+def test_mat_lincomb_matches_fold(kernel_field):
+    F = kernel_field
+    rng = random.Random(17)
+    for _ in range(20):
+        size = rng.randint(1, 5)
+        mats = [[random_vector(F, rng, size) for _ in range(size)]
+                for _ in range(rng.randint(1, 4))]
+        # a zero coefficient, and a term that cancels the first one
+        terms = [(random_element(F, rng), m) for m in mats]
+        terms += [(F.zero, mats[0]), (-terms[0][0], mats[0])]
+        got = linalg.mat_lincomb(
+            F, [(c, _sparse_rows(F, m)) for c, m in terms], size)
+        assert got == _fold(F, terms, size)
+    zero = linalg.zeros(F, 3, 3)
+    assert linalg.mat_lincomb(F, [], 3) == zero
+    m = [random_vector(F, rng, 3, zero_rate=0) for _ in range(3)]
+    c = random_element(F, rng, zero_rate=0)
+    rows = _sparse_rows(F, m)
+    assert linalg.mat_lincomb(F, [(c, rows), (-c, rows)], 3) == zero
+
+
+def test_trace_product_matches_trace_of_product(kernel_field):
+    F = kernel_field
+    rng = random.Random(19)
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        a = [random_vector(F, rng, n) for _ in range(n)]
+        b = [random_vector(F, rng, n) for _ in range(n)]
+        assert (linalg.trace_product(a, b)
+                == linalg.trace(linalg.mat_mul(a, b)))
+
+
+def test_span_solver_rejects_a_vector_of_the_wrong_length(F):
+    ss = linalg.SpanSolver(F, 3)
+    assert ss.add([F(1), F(0), F(2)])
+    for bad in ([F(1), F(0)], [F(1), F(0), F(2), F(0)]):
+        for method in (ss.add, ss.contains, ss.coords):
+            with pytest.raises(ValueError):
+                method(bad)
+    assert ss.rank == 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import random_element, random_vector
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import build_family_graph, graph_from_edges
 from extremal_lie.presentation import (TruncatedAtCap, build_L0,
@@ -85,3 +86,22 @@ def test_structure_constants_antisymmetry_consistency():
         bji = L.pair_bracket(j, i)
         assert bij == entries
         assert all(bji[k] == -v for k, v in entries.items())
+
+
+def test_lincomb_matches_add_scale_fold(kernel_field):
+    F = kernel_field
+    L = build_L0(build_family_graph("A", 4), F)
+    rng = random.Random(23)
+    for _ in range(10):
+        vecs = [random_vector(F, rng, L.dim)
+                for _ in range(rng.randint(1, 4))]
+        # a zero coefficient, and a term that cancels the first one
+        terms = [(random_element(F, rng), v) for v in vecs]
+        terms += [(F.zero, vecs[0]), (-terms[0][0], vecs[0])]
+        want = L.zero()
+        for c, v in terms:
+            want = L.add(want, L.scale(v, c))
+        assert L.lincomb(terms) == want
+    assert L.lincomb([]) == L.zero()
+    v = random_vector(F, rng, L.dim, zero_rate=0)
+    assert L.lincomb([(F(3), v), (F(-3), v)]) == L.zero()

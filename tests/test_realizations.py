@@ -155,3 +155,23 @@ def test_lift_keeps_dim_basis_order_and_form_scale():
     assert lifted._form_scale == lift_element(alg._form_scale, E)
     assert lifted.form(linalg.lift_matrix(x, E),
                        linalg.lift_matrix(y, E)) == lift_element(fxy, E)
+
+
+def test_from_coords_needs_one_coordinate_per_basis_element():
+    mats, _ = build_generators("A", 4, F)
+    alg = lie_closure(mats, F)
+    coords = [F(k % 5 - 2) for k in range(alg.dim)]
+    want = alg.zero()
+    for c, b in zip(coords, alg.basis()):
+        want = alg.add(want, alg.scale(b, c))
+    got = alg.from_coords(coords)
+    assert linalg.mat_eq(got, want)
+    E = QuadraticExtension(F, next(k for k in range(2, 50)
+                                   if not F(k).has_sqrt()))
+    lifted = alg.lift(E)
+    assert linalg.mat_eq(
+        lifted.from_coords([lift_element(c, E) for c in coords]),
+        linalg.lift_matrix(got, E))
+    for bad in (coords[:-1], coords + [F(1)], []):
+        with pytest.raises(ValueError):
+            alg.from_coords(bad)
