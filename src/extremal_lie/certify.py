@@ -409,19 +409,21 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
     """
     br = ctx.bracket
     half = ctx.field.one / 2
-    m1 = br(xk, br(xl, br(xm, br(xk, t))))
-    m2 = br(xk, br(xm, br(xl, br(xk, t))))
+    xk_t = br(xk, t)
+    m1 = br(xk, br(xl, br(xm, xk_t)))
+    m2 = br(xk, br(xm, br(xl, xk_t)))
     y = br(xl, xm)
+    xk_y = br(xk, y)
     fk_yt = extremal_form_value(ctx, xk, br(y, t))
     fk_t = extremal_form_value(ctx, xk, t)
     fk_y = extremal_form_value(ctx, xk, y)
-    rhs = ctx.lincomb([(half * fk_yt, xk), (-half * fk_t, br(xk, y)),
-                       (-half * fk_y, br(xk, t))])
+    rhs = ctx.lincomb([(half * fk_yt, xk), (-half * fk_t, xk_y),
+                       (-half * fk_y, xk_t)])
     q3 = ctx.eq(ctx.sub(m1, m2), rhs)
     lhs_a = ctx.form(u, m1) - ctx.form(u, m2)
     rhs_a = half * (fk_yt * ctx.form(u, xk)
-                    - fk_t * ctx.form(u, br(xk, y))
-                    - fk_y * ctx.form(u, br(xk, t)))
+                    - fk_t * ctx.form(u, xk_y)
+                    - fk_y * ctx.form(u, xk_t))
     return {"Q3": q3, "Q3a": lhs_a == rhs_a}
 
 

@@ -11,6 +11,11 @@ their inputs once with `sparse` and then work on sparse payload vectors
 ``{index: payload}``, mostly through the field's ``axpy(v, c, row)``
 kernel, which sets ``v -= c*row`` in place and deletes entries that
 become zero (see :mod:`extremal_lie.fields`).
+
+Row reduction has one kernel, `echelon`, which takes sparse payload rows
+and returns their reduced row echelon form.  Its forward pass is the
+reduction `SpanSolver` runs (`_reduce`); `rref` and `solve` are its
+FieldElement wrappers, and `presentation.build_L0` calls it directly.
 """
 
 from .fields import DescriptorMismatch, FieldElement, lift_element
@@ -204,44 +209,75 @@ def lift_matrix(a, field):
     return [[lift_element(x, field) for x in row] for row in a]
 
 
-def rref(matrix):
-    """Reduced row echelon form.
+def _reduce(axpy, v, rows, leads, e=None, exprs=()):
+    """Reduce the sparse v in place against semi-echelon rows: row k
+    holds the payload one at its lead leads[k] and is zero at the leads
+    of the rows before it.  With e given, apply the same steps to e
+    through the matching exprs."""
+    if e is None:
+        for row, lc in zip(rows, leads):
+            c = v.get(lc)
+            if c is not None:
+                axpy(v, c, row)
+        return
+    for row, lc, ex in zip(rows, leads, exprs):
+        c = v.get(lc)
+        if c is not None:
+            axpy(v, c, row)
+            axpy(e, c, ex)
 
-    Returns (reduced, pivot_cols, rank).  The input is not modified.
-    Deterministic: pivots are chosen leftmost-column-first, first nonzero
-    row within the column.
-    """
-    m = [list(row) for row in matrix]
-    if not m:
-        return [], [], 0
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for i in range(r, n_rows):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
-        prow = m[r]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if f.is_zero():
-                continue
-            row = m[i]
-            m[i] = [x - f * y for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots, r
+
+def _scaled(field, v, c):
+    """The sparse v times the payload c."""
+    mul = field.mul
+    return {k: mul(c, x) for k, x in v.items()}
+
+
+def echelon(field, rows):
+    """The reduced row echelon form of the sparse payload rows (which are
+    not modified): (reduced, pivots), the nonzero reduced rows in pivot
+    order and their pivot columns, ascending.
+
+    Each row is reduced against the rows kept so far and kept, scaled to
+    a leading one at its smallest column, if anything is left (a
+    semi-echelon form); back substitution, from the rightmost pivot
+    leftwards, then clears every pivot column of the other rows.  The
+    reduced row echelon form of a row space is unique, so the result
+    does not depend on the elimination order."""
+    axpy, div, one = field.axpy, field.div, field.one.v
+    kept, leads = [], []
+    for v in rows:
+        v = dict(v)
+        _reduce(axpy, v, kept, leads)
+        if v:
+            lc = min(v)
+            kept.append(_scaled(field, v, div(one, v[lc])))
+            leads.append(lc)
+    order = sorted(range(len(kept)), key=leads.__getitem__, reverse=True)
+    done = {}
+    for r in order:
+        row, lc = kept[r], leads[r]
+        for pc in [k for k in row if k in done]:
+            axpy(row, row[pc], done[pc])
+        done[lc] = row
+    pivots = sorted(done)
+    return [done[pc] for pc in pivots], pivots
+
+
+def rref(matrix):
+    """Reduced row echelon form of a FieldElement matrix.
+
+    Returns (reduced, pivot_cols, rank): the `echelon` rows as
+    FieldElement rows, padded with zero rows to the input's row count.
+    The input is not modified."""
+    if not matrix or not matrix[0]:
+        return [list(row) for row in matrix], [], 0
+    field = matrix[0][0].field
+    n_cols = len(matrix[0])
+    reduced, pivots = echelon(field, [sparse(field, row) for row in matrix])
+    out = [dense(field, row, n_cols) for row in reduced]
+    out += [[field.zero] * n_cols for _ in range(len(matrix) - len(out))]
+    return out, pivots, len(pivots)
 
 
 def solve(matrix, rhs):
@@ -249,17 +285,14 @@ def solve(matrix, rhs):
 
     Free variables are set to zero (deterministic particular solution).
     """
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots, rank = rref(aug)
     field = rhs[0].field
+    n_cols = len(matrix[0]) if matrix else 0
+    aug = [sparse(field, list(row) + [b]) for row, b in zip(matrix, rhs)]
+    reduced, pivots = echelon(field, aug)
     if n_cols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    x = [field.zero] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n_cols]
-    return x
+    return dense(field, {pc: row[n_cols] for pc, row in zip(pivots, reduced)
+                         if n_cols in row}, n_cols)
 
 
 class SpanSolver:
@@ -293,36 +326,24 @@ class SpanSolver:
                              f"in dimension {self.ambient_dim}")
         return sparse(self.field, v)
 
-    def _reduce(self, v, e=None):
-        """Reduce the sparse v in place against the rows, tracking the
-        sparse expression e alongside if given."""
-        axpy = self.field.axpy
-        for row, lc, ex in zip(self.rows, self.lead, self.expr):
-            c = v.get(lc)
-            if c is not None:
-                axpy(v, c, row)
-                if e is not None:
-                    axpy(e, c, ex)
-
     def add(self, v):
         """Add a vector; returns True if it increased the rank."""
         field = self.field
         v, e = self._sparse(v), {}
-        self._reduce(v, e)
+        _reduce(field.axpy, v, self.rows, self.lead, e, self.expr)
         if not v:
             return False
         lc = min(v)
         inv = field.div(field.one.v, v[lc])
-        mul = field.mul
         e[self.rank] = field.one.v
-        self.rows.append({k: mul(inv, x) for k, x in v.items()})
+        self.rows.append(_scaled(field, v, inv))
         self.lead.append(lc)
-        self.expr.append({k: mul(inv, x) for k, x in e.items()})
+        self.expr.append(_scaled(field, e, inv))
         return True
 
     def contains(self, v):
         v = self._sparse(v)
-        self._reduce(v)
+        _reduce(self.field.axpy, v, self.rows, self.lead)
         return not v
 
     def coords(self, v):
@@ -330,7 +351,7 @@ class SpanSolver:
         of them), or None if v is not in the span."""
         field = self.field
         v, e = self._sparse(v), {}
-        self._reduce(v, e)
+        _reduce(field.axpy, v, self.rows, self.lead, e, self.expr)
         if v:
             return None
         return dense(field, {k: field.neg(x) for k, x in e.items()},

@@ -19,13 +19,19 @@ relations are imposed from
   (recursing through the monomial witness of c); this is what forces
   antisymmetry and Jacobi consistency among higher-degree elements.
 
-A deterministic echelon computation then selects the surviving
-candidates; every basis element is labelled by a bracket monomial in the
-generators that witnesses it.
+The relations are sparse payload rows (``{column: payload}``, see
+:mod:`extremal_lie.linalg`), and the exact echelon kernel
+`linalg.echelon` selects the surviving candidates: the free columns of
+the reduced row echelon form, which is unique, so the basis does not
+depend on how the rows are eliminated.  Every basis element is labelled
+by a bracket monomial in the generators that witnesses it.  All the
+bracket machinery works on payloads; FieldElements appear only at the
+API edge (`GradedLieAlgebra.pair_bracket`, `structure_constants`,
+`bracket` and the element vectors).
 """
 
 from . import linalg
-from .linalg import rref
+from .fields import FieldElement
 
 
 class TruncatedAtCap(RuntimeError):
@@ -57,8 +63,13 @@ class GradedLieAlgebra:
     every label of degree >= 2 arises as (i,) + label' with label' the
     witness of a lower-degree basis element.
 
-    Internally brackets of basis pairs are sparse dicts {index: coeff},
-    computed by the comb recursion through witnesses and memoised.
+    Internally everything is a sparse payload vector {index: payload}
+    (see :mod:`extremal_lie.linalg`) over absolute basis indices,
+    combined through the field's ``axpy``: the left multiplications
+    ``leftmult[d-1][i-1][b]`` = [x_i, basis element b of degree d], and
+    the brackets of basis pairs, computed by the comb recursion through
+    witnesses and memoised in ``_pair_cache``.  `pair_bracket`,
+    `structure_constants` and `bracket` return FieldElements.
     """
 
     def __init__(self, graph, field):
@@ -69,7 +80,7 @@ class GradedLieAlgebra:
         self.labels = [(i,) for i in range(1, n + 1)]
         self.offsets = [0]
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self.leftmult = []      # leftmult[d-1][i-1]: deg d coords -> d+1
+        self.leftmult = []      # leftmult[d-1][i-1][b]: sparse, degree d+1
         self.truncated = False
         self._pair_cache = {}
 
@@ -80,18 +91,19 @@ class GradedLieAlgebra:
     # -- construction internals -------------------------------------------
     def _degree2_leftmult(self, edges):
         n = self.graph.n
-        one, zero = self.field.one, self.field.zero
-        edge_index = {e: idx for idx, e in enumerate(edges)}
+        one = self.field.one.v
+        minus_one = self.field.neg(one)
+        edge_index = {e: n + idx for idx, e in enumerate(edges)}
         lm = []
         for i in range(1, n + 1):
-            mat = []
+            cols = []
             for c in range(1, n + 1):
-                col = [zero] * len(edges)
+                col = {}
                 if c != i and self.graph.has_edge(i, c):
                     e = (min(i, c), max(i, c))
-                    col[edge_index[e]] = one if i < c else -one
-                mat.append(col)
-            lm.append(mat)
+                    col[edge_index[e]] = one if i < c else minus_one
+                cols.append(col)
+            lm.append(cols)
         return lm
 
     def _append_degree(self, new_labels, lm_new):
@@ -139,66 +151,68 @@ class GradedLieAlgebra:
         start = self.offsets[d - 1]
         return start, start + self.degrees[d - 1]
 
-    # -- sparse bracket machinery -----------------------------------------
+    # -- sparse payload bracket machinery ----------------------------------
     def _apply_gen_sparse(self, i, svec):
-        """[x_i, v] for a sparse homogeneous vector of degree d < top."""
+        """[x_i, v] for a sparse homogeneous payload vector v of degree
+        d < top."""
+        neg, axpy = self.field.neg, self.field.axpy
         out = {}
         for b, c in svec.items():
             d = self.degree_of(b)
-            if d >= self.top_degree:
-                continue
-            start = self.offsets[d - 1]
-            nstart = self.offsets[d]
-            col = self.leftmult[d - 1][i - 1][b - start]
-            for r, y in enumerate(col):
-                if not y.is_zero():
-                    k = nstart + r
-                    out[k] = out.get(k, self.field.zero) + c * y
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            if d < self.top_degree:
+                axpy(out, neg(c), self.leftmult[d - 1][i - 1][
+                    b - self.offsets[d - 1]])
+        return out
 
-    def pair_bracket(self, a, b):
-        """Sparse bracket of basis elements a, b (zero beyond top degree)."""
+    def _pair(self, a, b):
+        """Sparse payload bracket of basis elements a, b (zero beyond the
+        top degree), memoised.  Callers must not modify the result."""
         key = (a, b)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
+        one = self.field.one.v
         da, db = self.degree_of(a), self.degree_of(b)
         if da + db > self.top_degree:
             out = {}
         elif da == 1:
-            out = self._apply_gen_sparse(self.labels[a][0], {b: self.field.one})
+            out = self._apply_gen_sparse(self.labels[a][0], {b: one})
         else:
             # a = [x_k, a']: [[x_k,a'], b] = [x_k, [a',b]] - [a', [x_k,b]]
             k = self.labels[a][0]
             ap = self.label_index[self.labels[a][1:]]
-            t1 = self._apply_gen_sparse(k, self.pair_bracket(ap, b))
-            t2 = self.sparse_bracket_with(ap, self._apply_gen_sparse(
-                k, {b: self.field.one}))
-            out = _sparse_sub(t1, t2, self.field)
+            out = self._apply_gen_sparse(k, self._pair(ap, b))
+            self.field.axpy(out, one, self.sparse_bracket_with(
+                ap, self._apply_gen_sparse(k, {b: one})))
         self._pair_cache[key] = out
-        self._pair_cache[(b, a)] = {k: -v for k, v in out.items()}
+        neg = self.field.neg
+        self._pair_cache[(b, a)] = {c: neg(x) for c, x in out.items()}
         return out
 
     def sparse_bracket_with(self, a, svec):
-        """[basis a, sparse vector]."""
+        """[basis a, sparse payload vector]."""
+        neg, axpy = self.field.neg, self.field.axpy
         out = {}
         for b, c in svec.items():
-            for k, y in self.pair_bracket(a, b).items():
-                out[k] = out.get(k, self.field.zero) + c * y
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            axpy(out, neg(c), self._pair(a, b))
+        return out
+
+    def pair_bracket(self, a, b):
+        """Bracket of basis elements a, b as {k: FieldElement}, nonzero
+        entries only (empty beyond the top degree)."""
+        field = self.field
+        return {k: FieldElement(field, v) for k, v in self._pair(a, b).items()}
 
     # -- dense public bracket ----------------------------------------------
     def bracket(self, u, v):
-        out = self.zero()
-        nz_u = [i for i, x in enumerate(u) if not x.is_zero()]
-        nz_v = [j for j, x in enumerate(v) if not x.is_zero()]
-        for i in nz_u:
-            ci = u[i]
-            for j in nz_v:
-                c = ci * v[j]
-                for k, y in self.pair_bracket(i, j).items():
-                    out[k] = out[k] + c * y
-        return out
+        field = self.field
+        neg, mul, axpy = field.neg, field.mul, field.axpy
+        su, sv = linalg.sparse(field, u), linalg.sparse(field, v)
+        out = {}
+        for i, ci in su.items():
+            for j, cj in sv.items():
+                axpy(out, neg(mul(ci, cj)), self._pair(i, j))
+        return linalg.dense(field, out, self.dim)
 
     # -- Lie context interface (see extremal_lie.extremal) -----------------
     def add(self, u, v):
@@ -249,29 +263,33 @@ class GradedLieAlgebra:
     def structure_constants_text(self):
         """Export: one line "i j k coeff" per nonzero c_{ij}^k (i < j,
         0-based indices, exact coefficient literal)."""
+        fmt = self.field.format
         lines = []
-        for (i, j), entries in sorted(self.structure_constants().items()):
-            for k in sorted(entries):
-                lines.append(f"{i} {j} {k} {entries[k]}")
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                entries = self._pair(i, j)
+                for k in sorted(entries):
+                    lines.append(f"{i} {j} {k} {fmt(entries[k])}")
         return "\n".join(lines) + "\n"
-
-
-def _sparse_sub(a, b, field):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, field.zero) - v
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def build_L0(graph, field, cap=None):
     """Construct the graded algebra for the given generator graph over the
     given field.  Raises TruncatedAtCap if the construction is still
-    producing new basis elements at the degree cap (default 2n - 1)."""
+    producing new basis elements at the degree cap (default 2n - 1).
+
+    The relations of each degree are sparse payload rows over the
+    candidate columns (i - 1) * m + b, standing for x_i tensor the b-th
+    basis element of the current top degree (m of them); `linalg.echelon`
+    reduces them, and its free columns are the new basis elements."""
     n = graph.n
     if cap is None:
         cap = 2 * n - 3 + 2
     L = GradedLieAlgebra(graph, field)
-    zero, one = field.zero, field.one
+    axpy, neg = field.axpy, field.neg
+    one = field.one.v
+    # axpy(row, c, w) sets row -= c*w: row += sign*w passes -sign
+    signs = {1: neg(one), -1: one}
 
     while L.degrees[-1] > 0:
         degree = L.top_degree              # current top established degree
@@ -286,9 +304,7 @@ def build_L0(graph, field, cap=None):
         def embed(i, svec, row, sign):
             """row += sign * (x_i tensor svec), svec sparse of degree d."""
             base = (i - 1) * m_cur - cur_start
-            for b, c in svec.items():
-                col = base + b
-                row[col] = row[col] + (c if sign == 1 else -c)
+            axpy(row, signs[sign], {base + b: c for b, c in svec.items()})
 
         def cand_expand(u, w, row, sign):
             """row += sign * [basis u, sparse w] where the total degree is
@@ -303,16 +319,16 @@ def build_L0(graph, field, cap=None):
             embed(k, L.sparse_bracket_with(up, w), row, sign)
             cand_expand(up, L._apply_gen_sparse(k, w), row, -sign)
 
-        def gen_bracket(i, c):
-            """[x_i, basis c] for c of degree d-1, sparse in degree d."""
-            return L._apply_gen_sparse(i, {c: one})
+        # gen_bracket[i-1][c - prev_start] = [x_i, basis c], c of degree
+        # d-1, sparse in degree d
+        gen_bracket = L.leftmult[degree - 2]
 
         relations = []
         # extremality relations first: [x_i, [x_i, c]]
         for i in range(1, n + 1):
             for c in range(prev_start, prev_stop):
-                row = [zero] * ncand
-                embed(i, gen_bracket(i, c), row, 1)
+                row = {}
+                embed(i, gen_bracket[i - 1][c - prev_start], row, 1)
                 relations.append(row)
         # Jacobi relations: [x_i,[x_j,c]] - [x_j,[x_i,c]] - [[x_i,x_j],c]
         for i in range(1, n + 1):
@@ -320,15 +336,15 @@ def build_L0(graph, field, cap=None):
                 edge = graph.has_edge(i, j)
                 eidx = L.label_index.get((i, j)) if edge else None
                 for c in range(prev_start, prev_stop):
-                    row = [zero] * ncand
-                    embed(i, gen_bracket(j, c), row, 1)
-                    embed(j, gen_bracket(i, c), row, -1)
+                    row = {}
+                    embed(i, gen_bracket[j - 1][c - prev_start], row, 1)
+                    embed(j, gen_bracket[i - 1][c - prev_start], row, -1)
                     if edge:
                         # [[x_i,x_j],c] = -[c, [x_i,x_j]], expanded through
                         # the witness of c (nontrivial once deg c >= 2)
                         cand_expand(c, {eidx: one}, row, 1)
                     relations.append(row)
-        red, pivots, rank = rref(relations)
+        red, pivots = linalg.echelon(field, relations)
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncand) if c not in pivot_set]
 
@@ -338,13 +354,14 @@ def build_L0(graph, field, cap=None):
             b = col % m_cur
             new_labels.append((i,) + L.labels[cur_start + b])
 
-        col_coords = {}
-        for kk, col in enumerate(free_cols):
-            vec = [zero] * len(free_cols)
-            vec[kk] = one
-            col_coords[col] = vec
-        for r, pc in enumerate(pivots):
-            col_coords[pc] = [-red[r][c] for c in free_cols]
+        # column (x_i tensor b) of the candidates in the new basis, whose
+        # kk-th element (free column kk) gets index new_start + kk
+        new_start = cur_start + m_cur
+        position = {col: new_start + kk for kk, col in enumerate(free_cols)}
+        col_coords = {col: {k: one} for col, k in position.items()}
+        for row, pc in zip(red, pivots):
+            col_coords[pc] = {position[c]: neg(x) for c, x in row.items()
+                              if c != pc}
 
         lm_new = []
         for i in range(1, n + 1):

@@ -232,3 +232,21 @@ def test_random_element_draws_exactly_dim_values(b5):
         want = alg.add(want, alg.scale(b, F(ref.randint(-3, 3))))
     assert rng.random() == ref.random()
     assert alg.eq(x, want)
+
+
+def test_quartic_identities_bracket_each_product_once(monkeypatch):
+    """Q3/Q3a need 10 direct brackets and 3 extremal form values of 2
+    brackets each: 16 calls.  [xk, t] and [xk, y] are built once each
+    (computing them at each use made 20 calls)."""
+    alg, mats = closure_of("A", 4)
+    alg.form(mats[0], mats[1])      # calibrate the form before counting
+    rng = random.Random(3)
+    t, u = certify._random_element(alg, rng), certify._random_element(alg, rng)
+    calls = []
+    bracket = alg.bracket
+    monkeypatch.setattr(alg, "bracket",
+                        lambda a, b: calls.append((a, b)) or bracket(a, b))
+    flags = certify.check_quartic_identities(alg, mats[0], mats[1], mats[2],
+                                             t, u)
+    assert flags == {"Q3": True, "Q3a": True}
+    assert len(calls) == 16

@@ -246,3 +246,86 @@ def test_span_solver_rejects_a_vector_of_the_wrong_length(F):
             with pytest.raises(ValueError):
                 method(bad)
     assert ss.rank == 1
+
+
+def _reference_rref(matrix):
+    """Dense FieldElement Gauss-Jordan: leftmost pivot column, first
+    nonzero row within it."""
+    m = [list(row) for row in matrix]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if not m[i][c].is_zero()),
+                  None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots, r
+
+
+def _echelon_cases(F, rng):
+    """Random matrices of every shape the kernel meets: full and
+    deficient rank, repeated rows, rows that are combinations of
+    earlier ones, zero rows and an all-zero matrix."""
+    cases = [[[F.zero] * 4 for _ in range(3)], [[F.zero] * 3]]
+    for _ in range(20):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = [random_vector(F, rng, cols) for _ in range(rows)]
+        if rng.random() < 0.5:
+            m.append(list(m[0]))
+        if len(m) > 2:
+            coeffs = [random_element(F, rng) for _ in m[:2]]
+            m.insert(rng.randrange(len(m) + 1),
+                     _combination(F, coeffs, m[:2], cols))
+        if rng.random() < 0.3:
+            m.append([F.zero] * cols)
+        cases.append(m)
+    return cases
+
+
+def test_echelon_matches_dense_gauss_jordan(kernel_field):
+    F = kernel_field
+    assert linalg.echelon(F, []) == ([], [])
+    for m in _echelon_cases(F, random.Random(29)):
+        want, want_pivots, rank = _reference_rref(m)
+        rows = [linalg.sparse(F, row) for row in m]
+        copies = [dict(row) for row in rows]
+        reduced, pivots = linalg.echelon(F, rows)
+        assert rows == copies                 # the input is not modified
+        assert pivots == want_pivots
+        assert reduced == [linalg.sparse(F, row) for row in want[:rank]]
+        assert linalg.rref(m) == (want, want_pivots, rank)
+
+
+def test_rref_and_solve_wrapper_shapes(kernel_field):
+    F = kernel_field
+    assert linalg.rref([]) == ([], [], 0)
+    m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1)]]
+    red, pivots, rank = linalg.rref(m)
+    assert len(red) == 3 and all(len(row) == 3 for row in red)
+    assert (pivots, rank) == ([0, 2], 2)
+    assert red[2] == [F.zero] * 3
+    # rows 1 and 2 of m force x0 + 2 x1 + 3 x2 = 1 and = 1/2
+    assert linalg.solve(m, [F(1), F(1), F(0)]) is None
+    # free x1 is set to zero: x = (1, 0, 0)
+    assert linalg.solve(m, [F(1), F(2), F(0)]) == [F(1), F.zero, F.zero]
+    rng = random.Random(31)
+    for m in _echelon_cases(F, rng):
+        x = random_vector(F, rng, len(m[0]))
+        rhs = linalg.mat_vec(m, x)
+        got = linalg.solve(m, rhs)
+        assert got is not None and len(got) == len(m[0])
+        assert linalg.vec_eq(linalg.mat_vec(m, got), rhs)
+        red, pivots, rank = _reference_rref([row + [b]
+                                             for row, b in zip(m, rhs)])
+        want = [F.zero] * len(m[0])
+        for r, pc in enumerate(pivots):
+            want[pc] = red[r][-1]
+        assert got == want

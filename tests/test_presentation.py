@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_element, random_vector
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
-from extremal_lie.graphs import build_family_graph, graph_from_edges
+from extremal_lie.graphs import (build_family_graph, expected_catalog_size,
+                                 graph_from_edges)
 from extremal_lie.presentation import (TruncatedAtCap, build_L0,
                                        evaluate_monomial)
 
@@ -105,3 +107,28 @@ def test_lincomb_matches_add_scale_fold(kernel_field):
     assert L.lincomb([]) == L.zero()
     v = random_vector(F, rng, L.dim, zero_rate=0)
     assert L.lincomb([(F(3), v), (F(-3), v)]) == L.zero()
+
+
+@pytest.mark.parametrize("family", "ABCD")
+@pytest.mark.parametrize("n", [5, 6])
+def test_prime_field_presentation_is_the_rational_one_mod_p(family, n):
+    """Graded nilpotent-quotient cross-check: over GF(p) the graded
+    profile, the basis monomials and every structure constant are those
+    over Q reduced mod p."""
+    graph = build_family_graph(family, n)
+    L = build_L0(graph, QQ)
+    text = L.structure_constants_text()
+    lines = [line.split() for line in text.splitlines()]
+    for p in (DEFAULT_PRIME, 10007):
+        F = PrimeField(p)
+        M = build_L0(graph, F)
+        assert (M.degrees, M.labels) == (L.degrees, L.labels)
+        want = [f"{i} {j} {k} {F(Fraction(c))}" for i, j, k, c in lines
+                if F(Fraction(c))]
+        assert M.structure_constants_text().splitlines() == want
+
+
+@pytest.mark.parametrize("family", "DBAC")
+def test_presentation_at_n_12_has_the_catalog_dimension(family):
+    L = build_L0(build_family_graph(family, 12), QQ)
+    assert L.dim == expected_catalog_size(family, 12)

@@ -1,7 +1,7 @@
-"""The seed-0 outputs of the benchmark's certify-gfp and match-gfp2 jobs
-must match the sha256 digests in perfbench/reference.json: certification
-reports and match certificates stay bit-identical.  The benchmark files
-are only read."""
+"""The seed-0 outputs of the benchmark's present-qq, certify-gfp and
+match-gfp2 jobs must match the sha256 digests in perfbench/reference.json:
+structure-constant tables, certification reports and match certificates
+stay bit-identical.  The benchmark files are only read."""
 
 import importlib.util
 from pathlib import Path
@@ -24,7 +24,7 @@ def _load_workloads():
 workloads = _load_workloads()
 FIELD = lib.PrimeField(lib.DEFAULT_PRIME)
 CASES = [pytest.param(name, job, id=f"{name}/{job.id}")
-         for name in ("certify-gfp", "match-gfp2")
+         for name in ("present-qq", "certify-gfp", "match-gfp2")
          for job in workloads.make_jobs(name, workloads.DEFAULT_SEED, lib,
                                         FIELD)]
 
