@@ -93,12 +93,13 @@ def criterion_3(rng, shared):
     bad = []
     for family, n, params, _ in REALIZATION_CASES:
         alg, mats, _ = _closure(shared, family, n, params)
+        certs = [is_extremal(alg, g) for g in mats]
         ok, witnesses = certify.graph_realization_check(
-            alg, mats, build_family_graph(family, n))
+            alg, mats, build_family_graph(family, n),
+            [flag for flag, _ in certs])
         if not ok:
             bad.append(f"{family}{n}: {witnesses}")
-        for i, g in enumerate(mats, start=1):
-            flag, cert = is_extremal(alg, g)
+        for i, (flag, cert) in enumerate(certs, start=1):
             if not flag or cert is None or len(cert.values) != alg.dim:
                 bad.append(f"{family}{n}: generator {i} certificate")
     detail = "; ".join(bad) if bad else f"{len(REALIZATION_CASES)} cases"

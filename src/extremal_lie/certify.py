@@ -13,6 +13,19 @@ this module
   an explicit basis correspondence whose bracket tables are verified
   on every pair of basis elements.
 
+The bracket tables are structure constants on the catalog bases (see
+`_catalog_table`).  A catalog is tail-closed, every monomial being
+[x_k, b'] with b' in the catalog too, so a table follows from the left
+multiplications by the generators: a unit vector when (k,) + label(b)
+is a catalog label, otherwise one matrix bracket and one exact
+coordinate solve, which fails if the span is not closed.  Every other
+pair comes from the comb recursion of `presentation.MonomialTable`,
+[[x_k, b'], c] = [x_k, [b', c]] - [b', [x_k, c]], which is the Jacobi
+identity and so exact for matrix commutators.  With independent bases,
+a_i -> b_i is an isomorphism exactly when the two tables agree on every
+pair, and the composed correspondence is checked on the tables through
+the glue matrix, with no matrix bracket at all.
+
 All computation is exact.  Square roots needed by the normalisation
 are taken in the working field when possible; otherwise the whole
 computation is lifted to a quadratic extension and retried, and only
@@ -27,7 +40,7 @@ from . import linalg
 from .fields import (NoSquareRoot, QuadraticExtension, lift_element, QQ)
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
-from .presentation import evaluate_monomial
+from .presentation import MonomialTable, evaluate_monomial
 from .extremal import (extremal_form_value, is_extremal, fixtriangle,
                        check_premet, HypothesisFailed)
 from .realizations import (lie_closure, build_generators, InvalidParameters,
@@ -120,9 +133,10 @@ def psi(family, ctx, gens):
 # graph and genericity checks
 # ---------------------------------------------------------------------------
 
-def graph_realization_check(ctx, gens, graph):
+def graph_realization_check(ctx, gens, graph, extremal):
     """Adjacency must coincide with non-commutation, and every generator
-    must be extremal in the closure.  Returns (flag, witnesses)."""
+    must be extremal in the closure: `extremal` holds the flag
+    `is_extremal` gave each generator.  Returns (flag, witnesses)."""
     n = len(gens)
     witnesses = []
     if graph.n != n:
@@ -133,8 +147,7 @@ def graph_realization_check(ctx, gens, graph):
             if commutes == graph.has_edge(i, j):
                 kind = "commuting edge" if commutes else "non-commuting non-edge"
                 witnesses.append(f"{kind} {{{i},{j}}}")
-    for i, g in enumerate(gens, start=1):
-        ok, _ = is_extremal(ctx, g)
+    for i, ok in enumerate(extremal, start=1):
         if not ok:
             witnesses.append(f"generator {i} not extremal")
     return not witnesses, witnesses
@@ -471,7 +484,8 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
     graph = build_family_graph(family, n)
 
     extremal_flags = [is_extremal(closure, g)[0] for g in mats]
-    graph_ok, _ = graph_realization_check(closure, mats, graph)
+    graph_ok, _ = graph_realization_check(closure, mats, graph,
+                                          extremal_flags)
     expected = expected_catalog_size(family, n)
 
     entries = catalog(family, n)
@@ -607,11 +621,6 @@ def _rebuild_model(family, n, fld, target_psi):
         "no solved parameter candidate reproduces the normalized form values")
 
 
-def _catalog_images(family, n, ctx, gens):
-    return [evaluate_monomial(ctx.bracket, gens, e.indices)
-            for e in catalog(family, n)]
-
-
 def _basis_span(ctx, images):
     span = linalg.SpanSolver(ctx.field, ctx.ambient_dim ** 2)
     for img in images:
@@ -620,36 +629,86 @@ def _basis_span(ctx, images):
     return span
 
 
-def _verify_table(ctx, basis_a, span_a, targets):
-    """Check that a_i -> b_i intertwines the brackets for every target
-    (basis_b, label): for every pair, [b_i, b_j] = sum_k c_k b_k with c
-    the coordinates of [a_i, a_j], computed once per pair for all
-    targets.  Returns the number of pairs checked."""
+def _catalog_table(ctx, gens, labels, name):
+    """The basis of tail-closed bracket monomials `labels` in the
+    generators and its structure-constant table.
+
+    Returns (images, span, table): the matrices images[b], each label
+    (k,) + label' built as exactly [x_k, image of label']; the
+    `SpanSolver` of the images, in order; and the `MonomialTable` whose
+    left multiplications are [x_k, b] in that basis.  A left
+    multiplication whose monomial (k,) + label(b) is a label is a unit
+    vector and needs no bracket; every other one is one matrix bracket
+    and one coordinate solve, n * dim brackets in all with the images.
+    Raises StructureMismatch "catalog images are dependent", or
+    "<name>: bracket leaves the span" when [x_k, b] is outside it."""
     field = ctx.field
-    axpy = field.axpy
-    sparse_targets = [
-        (basis_b, [linalg.sparse(field, ctx.flatten(b)) for b in basis_b],
-         label)
-        for basis_b, label in targets]
+    one = field.one.v
+    table = MonomialTable(field, labels, [[] for _ in gens])
+    index = table.label_index
+    images = [None] * len(labels)
+    for b in sorted(range(len(labels)), key=lambda b: len(labels[b])):
+        k, *tail = labels[b]
+        images[b] = (ctx.bracket(gens[k - 1], images[index[tuple(tail)]])
+                     if tail else gens[k - 1])
+    span = _basis_span(ctx, images)
+    for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
+        for b, lab in enumerate(labels):
+            hit = index.get((k,) + lab)
+            if hit is None:
+                col = span.sparse_coords(
+                    ctx.flatten(ctx.bracket(g, images[b])))
+                if col is None:
+                    raise StructureMismatch(f"{name}: bracket leaves the span")
+            else:
+                col = {hit: one}
+            lm.append(col)
+    return images, span, table
+
+
+def _check_pair(label, t_a, t_b, i, j):
+    if t_a.pair(i, j) != t_b.pair(i, j):
+        raise StructureMismatch(
+            f"{label}: bracket tables differ at pair ({i},{j})")
+
+
+def _compare_tables(label, t_a, t_b):
+    """Equality of two tables on every pair i < j, in order.  For two
+    independent bases a and b, a_i -> b_i is an isomorphism exactly when
+    their tables agree.  Returns the number of pairs checked."""
     pairs = 0
-    for i in range(len(basis_a)):
-        for j in range(i + 1, len(basis_a)):
-            c = span_a.coords(ctx.flatten(ctx.bracket(basis_a[i],
-                                                      basis_a[j])))
-            if c is None:
+    for i in range(t_a.dim):
+        for j in range(i + 1, t_a.dim):
+            _check_pair(label, t_a, t_b, i, j)
+            pairs += 1
+    return pairs
+
+
+def _check_side_1(t_b1, t_c1, t_b2, glue):
+    """Side 1 against its model, T(b1) = T(c1), and the composed
+    correspondence b1_i -> phi_i = sum_a G_ia b2_a, G the sparse payload
+    glue rows, pair by pair in order.  The composed map intertwines the
+    brackets at (i, j) when, in b2-coordinates,
+
+        sum_{a,b} G_ia G_jb T(b2)_ab = sum_k T(b1)_ij^k G_k,
+
+    which needs no matrix bracket.  Returns the number of pairs."""
+    axpy = t_b1.field.axpy
+    pairs = 0
+    for i in range(t_b1.dim - 1):
+        # [b2_b, phi_i] for every b, once per i
+        ad_i = [t_b2.bracket_with(b, glue[i]) for b in range(t_b2.dim)]
+        for j in range(i + 1, t_b1.dim):
+            _check_pair("side 1 vs model", t_b1, t_c1, i, j)
+            # w = [phi_i, phi_j] - sum_k T(b1)_ij^k phi_k (axpy subtracts)
+            w = {}
+            for b, g in glue[j].items():
+                axpy(w, g, ad_i[b])
+            for k, c in t_b1.pair(i, j).items():
+                axpy(w, c, glue[k])
+            if w:
                 raise StructureMismatch(
-                    f"{targets[0][1]}: bracket leaves the span")
-            nonzero = [(k, ck.v) for k, ck in enumerate(c)
-                       if not ck.is_zero()]
-            for basis_b, rows_b, label in sparse_targets:
-                # w = [b_i, b_j] - sum_k c_k b_k must vanish exactly
-                w = linalg.sparse(field, ctx.flatten(
-                    ctx.bracket(basis_b[i], basis_b[j])))
-                for k, ck in nonzero:
-                    axpy(w, ck, rows_b[k])
-                if w:
-                    raise StructureMismatch(
-                        f"{label}: bracket tables differ at pair ({i},{j})")
+                    f"composed map: bracket tables differ at pair ({i},{j})")
             pairs += 1
     return pairs
 
@@ -657,8 +716,9 @@ def _verify_table(ctx, basis_a, span_a, targets):
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph are
     isomorphic: normalise both, recover standard parameters, rebuild the
-    standard model for each side, and verify the composed catalog-basis
-    correspondence on every pair of basis elements."""
+    standard model for each side, and compare the structure-constant
+    tables of the catalog bases, and the composed basis correspondence,
+    on every pair of basis elements."""
     n = len(gens1)
     if len(gens2) != n or alg1.dim != alg2.dim:
         raise FormMismatch("realizations have different dimensions")
@@ -692,32 +752,33 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     mctx1, m1 = _to_field(mctx1, m1, top)
     mctx2, m2 = _to_field(mctx2, m2, top)
 
-    b1 = _catalog_images(family, n, ctx1, g1)
-    b2 = _catalog_images(family, n, ctx2, g2)
-    c1 = _catalog_images(family, n, mctx1, m1)
-    c2 = _catalog_images(family, n, mctx2, m2)
-    span_b1 = _basis_span(ctx1, b1)
-    span_b2 = _basis_span(ctx2, b2)
-    span_c2 = _basis_span(mctx2, c2)
+    labels = [e.indices for e in catalog(family, n)]
+    _, _, t_b1 = _catalog_table(ctx1, g1, labels, "side 1 vs model")
+    _, _, t_b2 = _catalog_table(ctx2, g2, labels, "side 2 vs model")
+    c1, _, t_c1 = _catalog_table(mctx1, m1, labels, "side 1 vs model")
+    _, span_c2, t_c2 = _catalog_table(mctx2, m2, labels, "side 2 vs model")
+    # what follows reads the tables, c1 and span_c2 only: dropping the
+    # matrix algebras, and model 2's table once compared, lowers the
+    # peak memory
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
 
     # side 2 against its standard model
-    _verify_table(ctx2, b2, span_b2, [(c2, "side 2 vs model")])
+    _compare_tables("side 2 vs model", t_b2, t_c2)
 
     # glue through the common model algebra: both model closures are
     # the same matrix algebra, so expressing model-1 basis elements in
     # the model-2 catalog basis is the identity map of that algebra
     glue = []
     for img in c1:
-        coords = span_c2.coords(mctx2.flatten(img))
+        coords = span_c2.coords(linalg.flatten(img))
         if coords is None:
             raise StructureMismatch("model closures do not coincide")
         glue.append(coords)
-    phi = [ctx2.lincomb(list(zip(coords, b2))) for coords in glue]
+    del t_c2, c1, span_c2
 
-    # side 1 against its standard model, and the composed correspondence
-    # b1_i -> phi_i, from one bracket and one coordinate solve per pair
-    pairs = _verify_table(ctx1, b1, span_b1,
-                          [(c1, "side 1 vs model"), (phi, "composed map")])
+    # side 1 against its standard model, and the composed map
+    pairs = _check_side_1(t_b1, t_c1, t_b2,
+                          [linalg.sparse(top, coords) for coords in glue])
 
     param_names = FAMILY_PARAMS[family]
     return MatchCertificate(

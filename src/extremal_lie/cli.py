@@ -174,8 +174,9 @@ def cmd_realize(args):
         return 2
     alg = lie_closure(mats, field)
     graph = build_family_graph(args.family, args.n)
-    graph_ok, witnesses = certify.graph_realization_check(alg, mats, graph)
     extremal = [is_extremal(alg, g)[0] for g in mats]
+    graph_ok, witnesses = certify.graph_realization_check(alg, mats, graph,
+                                                          extremal)
     expected = expected_catalog_size(args.family, args.n)
 
     if args.format == "json":

@@ -349,13 +349,18 @@ class SpanSolver:
     def coords(self, v):
         """Coordinates of v with respect to the accepted vectors (`rank`
         of them), or None if v is not in the span."""
+        c = self.sparse_coords(v)
+        return None if c is None else dense(self.field, c, self.rank)
+
+    def sparse_coords(self, v):
+        """`coords` as a sparse payload vector {k: payload}, or None."""
         field = self.field
         v, e = self._sparse(v), {}
         _reduce(field.axpy, v, self.rows, self.lead, e, self.expr)
         if v:
             return None
-        return dense(field, {k: field.neg(x) for k, x in e.items()},
-                     self.rank)
+        neg = field.neg
+        return {k: neg(x) for k, x in e.items()}
 
 
 def bracket_closure(generators, bracket, flatten, field):

@@ -19,16 +19,26 @@ relations are imposed from
   (recursing through the monomial witness of c); this is what forces
   antisymmetry and Jacobi consistency among higher-degree elements.
 
+Every basis element is labelled by a bracket monomial in the generators
+that witnesses it, and the algebra is a `MonomialTable`: structure
+constants on a tail-closed monomial basis, derived from the left
+multiplications by the generators through the comb recursion.  The same
+table kernel gives `certify` the structure constants of a catalog basis
+of a matrix algebra; the graded degree cutoff (`_vanishes`) is the only
+difference.
+
 The relations are sparse payload rows (``{column: payload}``, see
-:mod:`extremal_lie.linalg`), and the exact echelon kernel
-`linalg.echelon` selects the surviving candidates: the free columns of
-the reduced row echelon form, which is unique, so the basis does not
-depend on how the rows are eliminated.  Every basis element is labelled
-by a bracket monomial in the generators that witnesses it.  All the
-bracket machinery works on payloads; FieldElements appear only at the
-API edge (`GradedLieAlgebra.pair_bracket`, `structure_constants`,
-`bracket` and the element vectors).
+:mod:`extremal_lie.linalg`), written by the table itself (see
+`build_L0`), and the exact echelon kernel `linalg.echelon` selects the
+surviving candidates: the free columns of the reduced row echelon form,
+which is unique, so the basis does not depend on how the rows are
+eliminated.  All the bracket machinery works on payloads; FieldElements
+appear only at the API edge (`MonomialTable.pair_bracket`,
+`GradedLieAlgebra.structure_constants`, `bracket` and the element
+vectors).
 """
+
+from itertools import islice
 
 from . import linalg
 from .fields import FieldElement
@@ -54,74 +64,153 @@ def evaluate_monomial(bracket, generators, indices):
     return acc
 
 
-class GradedLieAlgebra:
+class MonomialTable:
+    """Structure constants on a basis of bracket monomials, from the left
+    multiplications by the generators.
+
+    ``labels[b]`` is the monomial (i_k, ..., i_1) that basis element b
+    stands for, [x_{i_k}, [..., [x_{i_2}, x_{i_1}]]].  The basis is
+    tail-closed: every label of length >= 2 is (k,) + label' with label'
+    a label too, so b = [x_k, b'] for the element b' of label'.
+    ``leftmult[k-1][b]`` is [x_k, b] as a sparse payload vector
+    ``{index: payload}`` over the basis (see :mod:`extremal_lie.linalg`).
+
+    The bracket of two basis elements follows by the comb recursion
+    through the label of the first,
+
+        [[x_k, b'], c] = [x_k, [b', c]] - [b', [x_k, c]],
+
+    which is the Jacobi identity, so the table is exact for every Lie
+    algebra the left multiplications come from.  `pair` memoises it in
+    ``_pair_cache``; `pair_bracket` returns FieldElements.
+    """
+
+    def __init__(self, field, labels, leftmult):
+        self.field = field
+        self.labels = []
+        self.label_index = {}
+        self.leftmult = leftmult
+        self._pair_cache = {}
+        self._add_labels(labels)
+
+    def _add_labels(self, labels):
+        for lab in labels:
+            self.label_index[lab] = len(self.labels)
+            self.labels.append(lab)
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    def _vanishes(self, a, b):
+        """Whether [a, b] is zero for degree reasons alone (never, unless
+        a subclass knows a grading)."""
+        return False
+
+    def left_mult(self, k, svec):
+        """[x_k, v] for a sparse payload vector v."""
+        neg, axpy = self.field.neg, self.field.axpy
+        lm = self.leftmult[k - 1]
+        out = {}
+        for b, c in svec.items():
+            axpy(out, neg(c), lm[b])
+        return out
+
+    def pair(self, a, b):
+        """Sparse payload bracket of basis elements a, b, memoised.
+        Callers must not modify the result."""
+        key = (a, b)
+        cached = self._pair_cache.get(key)
+        if cached is not None:
+            return cached
+        one = self.field.one.v
+        lab = self.labels[a]
+        if self._vanishes(a, b):
+            out = {}
+        elif len(lab) == 1:
+            out = self.leftmult[lab[0] - 1][b]
+        else:
+            # a = [x_k, a']: [[x_k,a'], b] = [x_k, [a',b]] - [a', [x_k,b]]
+            k = lab[0]
+            ap = self.label_index[lab[1:]]
+            out = self.left_mult(k, self.pair(ap, b))
+            self.field.axpy(out, one, self.bracket_with(
+                ap, self.leftmult[k - 1][b]))
+        self._pair_cache[key] = out
+        neg = self.field.neg
+        self._pair_cache[(b, a)] = {c: neg(x) for c, x in out.items()}
+        return out
+
+    def bracket_with(self, a, svec):
+        """[basis a, sparse payload vector]."""
+        neg, axpy = self.field.neg, self.field.axpy
+        out = {}
+        for b, c in svec.items():
+            axpy(out, neg(c), self.pair(a, b))
+        return out
+
+    def pair_bracket(self, a, b):
+        """Bracket of basis elements a, b as {k: FieldElement}, nonzero
+        entries only."""
+        field = self.field
+        return {k: FieldElement(field, v) for k, v in self.pair(a, b).items()}
+
+
+def _degree2_leftmult(graph, field):
+    """[x_i, x_c] for all generators i, c: the degree-2 basis has one
+    element per edge {i < j}, witness (i, j), at index n + its rank."""
+    n = graph.n
+    one = field.one.v
+    minus_one = field.neg(one)
+    edge_index = {e: n + idx for idx, e in enumerate(graph.sorted_edges())}
+    lm = []
+    for i in range(1, n + 1):
+        cols = []
+        for c in range(1, n + 1):
+            col = {}
+            if c != i and graph.has_edge(i, c):
+                e = (min(i, c), max(i, c))
+                col[edge_index[e]] = one if i < c else minus_one
+            cols.append(col)
+        lm.append(cols)
+    return lm
+
+
+class GradedLieAlgebra(MonomialTable):
     """A graded Lie algebra built degree by degree.
 
     Elements are coordinate vectors (lists of FieldElement) over the
-    concatenated graded basis.  Basis labels are bracket monomials
-    (i_k, ..., i_1) meaning [x_{i_k}, [..., [x_{i_2}, x_{i_1}]]];
-    every label of degree >= 2 arises as (i,) + label' with label' the
-    witness of a lower-degree basis element.
-
-    Internally everything is a sparse payload vector {index: payload}
-    (see :mod:`extremal_lie.linalg`) over absolute basis indices,
-    combined through the field's ``axpy``: the left multiplications
-    ``leftmult[d-1][i-1][b]`` = [x_i, basis element b of degree d], and
-    the brackets of basis pairs, computed by the comb recursion through
-    witnesses and memoised in ``_pair_cache``.  `pair_bracket`,
+    concatenated graded basis.  The basis is a `MonomialTable` whose
+    labels have the degree of their length; every label of degree >= 2
+    arises as (i,) + label' with label' the witness of a lower-degree
+    basis element.  A bracket whose degree exceeds the top degree, the
+    length of ``degrees``, vanishes (`_vanishes`).  `pair_bracket`,
     `structure_constants` and `bracket` return FieldElements.
     """
 
     def __init__(self, graph, field):
-        self.graph = graph
-        self.field = field
         n = graph.n
-        self.degrees = [n]
-        self.labels = [(i,) for i in range(1, n + 1)]
-        self.offsets = [0]
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self.leftmult = []      # leftmult[d-1][i-1][b]: sparse, degree d+1
-        self.truncated = False
-        self._pair_cache = {}
-
-        # degree 2: one basis element per edge {i < j}, witness (i, j)
         edges = graph.sorted_edges()
-        self._append_degree(list(edges), self._degree2_leftmult(edges))
+        super().__init__(field, [(i,) for i in range(1, n + 1)] + list(edges),
+                         _degree2_leftmult(graph, field))
+        self.graph = graph
+        self.degrees = [n, len(edges)]
+        self.offsets = [0, n]
 
-    # -- construction internals -------------------------------------------
-    def _degree2_leftmult(self, edges):
-        n = self.graph.n
-        one = self.field.one.v
-        minus_one = self.field.neg(one)
-        edge_index = {e: n + idx for idx, e in enumerate(edges)}
-        lm = []
-        for i in range(1, n + 1):
-            cols = []
-            for c in range(1, n + 1):
-                col = {}
-                if c != i and self.graph.has_edge(i, c):
-                    e = (min(i, c), max(i, c))
-                    col[edge_index[e]] = one if i < c else minus_one
-                cols.append(col)
-            lm.append(cols)
-        return lm
-
-    def _append_degree(self, new_labels, lm_new):
+    def _append_degree(self, new_labels):
+        """Add the next degree, once the left multiplications of the
+        current top degree are known."""
         self.offsets.append(self.offsets[-1] + self.degrees[-1])
         self.degrees.append(len(new_labels))
-        for lab in new_labels:
-            self.label_index[lab] = len(self.labels)
-            self.labels.append(lab)
-        self.leftmult.append(lm_new)
+        self._add_labels(new_labels)
+
+    def _vanishes(self, a, b):
+        return len(self.labels[a]) + len(self.labels[b]) > len(self.degrees)
 
     # -- basic element API -------------------------------------------------
     @property
     def n(self):
         return self.graph.n
-
-    @property
-    def dim(self):
-        return len(self.labels)
 
     @property
     def top_degree(self):
@@ -144,64 +233,9 @@ class GradedLieAlgebra:
     def basis(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
-    def degree_of(self, idx):
-        return len(self.labels[idx])
-
     def degree_slice(self, d):
         start = self.offsets[d - 1]
         return start, start + self.degrees[d - 1]
-
-    # -- sparse payload bracket machinery ----------------------------------
-    def _apply_gen_sparse(self, i, svec):
-        """[x_i, v] for a sparse homogeneous payload vector v of degree
-        d < top."""
-        neg, axpy = self.field.neg, self.field.axpy
-        out = {}
-        for b, c in svec.items():
-            d = self.degree_of(b)
-            if d < self.top_degree:
-                axpy(out, neg(c), self.leftmult[d - 1][i - 1][
-                    b - self.offsets[d - 1]])
-        return out
-
-    def _pair(self, a, b):
-        """Sparse payload bracket of basis elements a, b (zero beyond the
-        top degree), memoised.  Callers must not modify the result."""
-        key = (a, b)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        one = self.field.one.v
-        da, db = self.degree_of(a), self.degree_of(b)
-        if da + db > self.top_degree:
-            out = {}
-        elif da == 1:
-            out = self._apply_gen_sparse(self.labels[a][0], {b: one})
-        else:
-            # a = [x_k, a']: [[x_k,a'], b] = [x_k, [a',b]] - [a', [x_k,b]]
-            k = self.labels[a][0]
-            ap = self.label_index[self.labels[a][1:]]
-            out = self._apply_gen_sparse(k, self._pair(ap, b))
-            self.field.axpy(out, one, self.sparse_bracket_with(
-                ap, self._apply_gen_sparse(k, {b: one})))
-        self._pair_cache[key] = out
-        neg = self.field.neg
-        self._pair_cache[(b, a)] = {c: neg(x) for c, x in out.items()}
-        return out
-
-    def sparse_bracket_with(self, a, svec):
-        """[basis a, sparse payload vector]."""
-        neg, axpy = self.field.neg, self.field.axpy
-        out = {}
-        for b, c in svec.items():
-            axpy(out, neg(c), self._pair(a, b))
-        return out
-
-    def pair_bracket(self, a, b):
-        """Bracket of basis elements a, b as {k: FieldElement}, nonzero
-        entries only (empty beyond the top degree)."""
-        field = self.field
-        return {k: FieldElement(field, v) for k, v in self._pair(a, b).items()}
 
     # -- dense public bracket ----------------------------------------------
     def bracket(self, u, v):
@@ -211,7 +245,7 @@ class GradedLieAlgebra:
         out = {}
         for i, ci in su.items():
             for j, cj in sv.items():
-                axpy(out, neg(mul(ci, cj)), self._pair(i, j))
+                axpy(out, neg(mul(ci, cj)), self.pair(i, j))
         return linalg.dense(field, out, self.dim)
 
     # -- Lie context interface (see extremal_lie.extremal) -----------------
@@ -267,7 +301,7 @@ class GradedLieAlgebra:
         lines = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                entries = self._pair(i, j)
+                entries = self.pair(i, j)
                 for k in sorted(entries):
                     lines.append(f"{i} {j} {k} {fmt(entries[k])}")
         return "\n".join(lines) + "\n"
@@ -278,18 +312,24 @@ def build_L0(graph, field, cap=None):
     given field.  Raises TruncatedAtCap if the construction is still
     producing new basis elements at the degree cap (default 2n - 1).
 
-    The relations of each degree are sparse payload rows over the
-    candidate columns (i - 1) * m + b, standing for x_i tensor the b-th
-    basis element of the current top degree (m of them); `linalg.echelon`
-    reduces them, and its free columns are the new basis elements."""
+    The candidates of the next degree are the products x_i * b over the
+    basis elements b of the current top degree (m of them), at column
+    (i - 1) * m + b.  While the relations of that degree are written,
+    the candidates stand in for it: the left multiplication [x_i, b] is
+    provisionally the candidate column (at index dim + column, past the
+    basis) and brackets reach one degree further, so the table's own
+    left multiplications and comb recursion write every relation as a
+    sparse payload row over the candidates.  `linalg.echelon` reduces
+    the rows; its free columns are the new basis elements, and every
+    provisional bracket is then rewritten in the new basis."""
     n = graph.n
     if cap is None:
         cap = 2 * n - 3 + 2
     L = GradedLieAlgebra(graph, field)
     axpy, neg = field.axpy, field.neg
     one = field.one.v
-    # axpy(row, c, w) sets row -= c*w: row += sign*w passes -sign
-    signs = {1: neg(one), -1: one}
+    minus_one = neg(one)
+    lm, cache = L.leftmult, L._pair_cache
 
     while L.degrees[-1] > 0:
         degree = L.top_degree              # current top established degree
@@ -298,55 +338,38 @@ def build_L0(graph, field, cap=None):
                 f"graded construction still growing at degree cap {cap}")
         m_cur = L.degrees[-1]
         cur_start = L.offsets[-1]
+        new_start = cur_start + m_cur
         prev_start, prev_stop = L.degree_slice(degree - 1)
         ncand = n * m_cur
-
-        def embed(i, svec, row, sign):
-            """row += sign * (x_i tensor svec), svec sparse of degree d."""
-            base = (i - 1) * m_cur - cur_start
-            axpy(row, signs[sign], {base + b: c for b, c in svec.items()})
-
-        def cand_expand(u, w, row, sign):
-            """row += sign * [basis u, sparse w] where the total degree is
-            degree+1, expanded through u's witness down to generators."""
-            lab = L.labels[u]
-            if len(lab) == 1:
-                embed(lab[0], w, row, sign)
-                return
-            k = lab[0]
-            up = L.label_index[lab[1:]]
-            # [u, w] = [x_k, [u', w]] - [u', [x_k, w]]
-            embed(k, L.sparse_bracket_with(up, w), row, sign)
-            cand_expand(up, L._apply_gen_sparse(k, w), row, -sign)
-
-        # gen_bracket[i-1][c - prev_start] = [x_i, basis c], c of degree
-        # d-1, sparse in degree d
-        gen_bracket = L.leftmult[degree - 2]
+        # provisionally [x_i, b] is candidate column (i-1)*m_cur + b, at
+        # index new_start + column, and brackets reach degree + 1
+        for i in range(n):
+            lm[i].extend({new_start + i * m_cur + b: one}
+                         for b in range(m_cur))
+        L.degrees.append(ncand)
+        memo_start = len(cache)
 
         relations = []
         # extremality relations first: [x_i, [x_i, c]]
         for i in range(1, n + 1):
             for c in range(prev_start, prev_stop):
-                row = {}
-                embed(i, gen_bracket[i - 1][c - prev_start], row, 1)
-                relations.append(row)
-        # Jacobi relations: [x_i,[x_j,c]] - [x_j,[x_i,c]] - [[x_i,x_j],c]
+                relations.append(L.left_mult(i, lm[i - 1][c]))
+        # Jacobi relations: [x_i,[x_j,c]] - [x_j,[x_i,c]] - [[x_i,x_j],c],
+        # the last term -[c, [x_i,x_j]] expanded through the witness of c
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                edge = graph.has_edge(i, j)
-                eidx = L.label_index.get((i, j)) if edge else None
+                eidx = (L.label_index.get((i, j)) if graph.has_edge(i, j)
+                        else None)
                 for c in range(prev_start, prev_stop):
-                    row = {}
-                    embed(i, gen_bracket[j - 1][c - prev_start], row, 1)
-                    embed(j, gen_bracket[i - 1][c - prev_start], row, -1)
-                    if edge:
-                        # [[x_i,x_j],c] = -[c, [x_i,x_j]], expanded through
-                        # the witness of c (nontrivial once deg c >= 2)
-                        cand_expand(c, {eidx: one}, row, 1)
+                    row = L.left_mult(i, lm[j - 1][c])
+                    axpy(row, one, L.left_mult(j, lm[i - 1][c]))
+                    if eidx is not None:
+                        axpy(row, minus_one, L.pair(c, eidx))
                     relations.append(row)
+        L.degrees.pop()
         red, pivots = linalg.echelon(field, relations)
         pivot_set = set(pivots)
-        free_cols = [c for c in range(ncand) if c not in pivot_set]
+        free_cols = [c for c in range(ncand) if new_start + c not in pivot_set]
 
         new_labels = []
         for col in free_cols:
@@ -354,23 +377,29 @@ def build_L0(graph, field, cap=None):
             b = col % m_cur
             new_labels.append((i,) + L.labels[cur_start + b])
 
-        # column (x_i tensor b) of the candidates in the new basis, whose
+        # candidate column index -> its coordinates in the new basis, whose
         # kk-th element (free column kk) gets index new_start + kk
-        new_start = cur_start + m_cur
-        position = {col: new_start + kk for kk, col in enumerate(free_cols)}
+        position = {new_start + col: new_start + kk
+                    for kk, col in enumerate(free_cols)}
         col_coords = {col: {k: one} for col, k in position.items()}
         for row, pc in zip(red, pivots):
             col_coords[pc] = {position[c]: neg(x) for c, x in row.items()
                               if c != pc}
+        # rewrite the provisional left multiplications, and the memoised
+        # brackets of degree + 1, in the new basis
+        for i in range(n):
+            for b in range(m_cur):
+                lm[i][cur_start + b] = col_coords[new_start + i * m_cur + b]
+        for key, vec in list(islice(cache.items(), memo_start, None)):
+            if vec and next(iter(vec)) >= new_start:
+                out = {}
+                for c, x in vec.items():
+                    axpy(out, neg(x), col_coords[c])
+                cache[key] = out
+        L._append_degree(new_labels)
 
-        lm_new = []
-        for i in range(1, n + 1):
-            lm_new.append([col_coords[(i - 1) * m_cur + b]
-                           for b in range(m_cur)])
-        L._append_degree(new_labels, lm_new)
-
-    # drop the trailing zero degree
+    # drop the trailing zero degree (the top degree's left
+    # multiplications, all zero, stay)
     L.degrees.pop()
     L.offsets.pop()
-    L.leftmult.pop()
     return L

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from extremal_lie import certify
+from conftest import KERNEL_FIELDS
+from extremal_lie import certify, linalg
 from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
                                   StructureMismatch,
@@ -13,11 +15,13 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
 from extremal_lie.extremal import extremal_form_value
-from extremal_lie.fields import DEFAULT_PRIME, PrimeField
-from extremal_lie.graphs import build_family_graph
+from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField
+from extremal_lie.graphs import (build_family_graph, catalog,
+                                 expected_catalog_size)
 from extremal_lie.realizations import build_generators, lie_closure
 
 F = PrimeField(DEFAULT_PRIME)
+GF2 = KERNEL_FIELDS["GF(p)(rt d)"]
 
 
 def closure_of(family, n, params=()):
@@ -66,12 +70,28 @@ def test_psi_family_c():
 
 def test_graph_realization_check_reports_witnesses(b5):
     alg, mats = b5
+    flags = [True] * len(mats)
     ok, witnesses = graph_realization_check(
-        alg, mats, build_family_graph("B", 5))
+        alg, mats, build_family_graph("B", 5), flags)
     assert ok and witnesses == []
     bad_ok, bad_witnesses = graph_realization_check(
-        alg, mats, build_family_graph("D", 5))
+        alg, mats, build_family_graph("D", 5), flags)
     assert not bad_ok and bad_witnesses
+    flags[3] = False
+    assert graph_realization_check(
+        alg, mats, build_family_graph("B", 5), flags) == (
+            False, ["generator 4 not extremal"])
+
+
+def test_certify_family_runs_is_extremal_once_per_generator(monkeypatch):
+    calls = []
+    is_extremal = certify.is_extremal
+    monkeypatch.setattr(certify, "is_extremal",
+                        lambda ctx, x: calls.append(x) or is_extremal(ctx, x))
+    report = certify_family("A", 4, (), field=F, seed=0,
+                            identity_samples=2, spanning_samples=2)
+    assert report.extremal == [True] * 4 and report.graph_match
+    assert len(calls) == 4
 
 
 def test_check_genericity_flags(d5):
@@ -167,12 +187,13 @@ def test_match_rejects_dimension_mismatch(b5):
         match_algebras(alg, mats, other, others, "B")
 
 
-@pytest.fixture(scope="module")
-def a4_table():
-    """A4 (dim 15) with its catalog basis and the span of that basis."""
-    alg, mats = closure_of("A", 4)
-    basis = certify._catalog_images("A", 4, alg, mats)
-    return alg, basis, certify._basis_span(alg, basis)
+def labels_of(family, n):
+    return [e.indices for e in catalog(family, n)]
+
+
+def table_of(family, n, alg, mats, name="self"):
+    """(images, span, table) of the catalog basis the generators build."""
+    return certify._catalog_table(alg, mats, labels_of(family, n), name)
 
 
 def _first_bad_pair(alg, basis, span, target):
@@ -189,38 +210,142 @@ def _first_bad_pair(alg, basis, span, target):
     return None
 
 
-def test_verify_table_counts_pairs(a4_table):
-    alg, basis, span = a4_table
-    pairs = certify._verify_table(alg, basis, span,
-                                  [(basis, "self"), (list(basis), "copy")])
-    assert pairs == len(basis) * (len(basis) - 1) // 2 == 105
+def test_catalog_tables_agree_on_every_pair():
+    alg, mats = closure_of("A", 4)
+    _, _, table = table_of("A", 4, alg, mats)
+    _, _, again = table_of("A", 4, alg, list(mats))
+    assert certify._compare_tables("copy", table, again) == 105
+    identity = [{i: F.one.v} for i in range(table.dim)]
+    assert certify._check_side_1(table, again, table, identity) == 105
 
 
 @pytest.mark.parametrize("change", ["swap", "double"])
-def test_verify_table_rejects_a_changed_target(a4_table, change):
-    alg, basis, span = a4_table
-    target = list(basis)
+def test_catalog_table_rejects_changed_generators(b5, change):
+    """Generators 4 and 5 swapped, or generator 2 doubled, on the target
+    side: the induced catalog images stay a basis of the closure, and
+    the tables first differ where the brackets first stop matching."""
+    alg, mats = b5
+    basis, span, table = table_of("B", 5, alg, mats)
+    target = list(mats)
     if change == "swap":
-        target[3], target[7] = target[7], target[3]
+        target[3], target[4] = target[4], target[3]
     else:
-        target[5] = alg.scale(target[5], F(2))
-    pair = _first_bad_pair(alg, basis, span, target)
+        target[1] = alg.scale(target[1], F(2))
+    images, _, changed = table_of("B", 5, alg, target, change)
+    pair = _first_bad_pair(alg, basis, span, images)
     assert pair is not None
     with pytest.raises(StructureMismatch) as info:
-        certify._verify_table(alg, basis, span,
-                              [(basis, "self"), (target, change)])
+        certify._compare_tables(change, table, changed)
     assert str(info.value) == (
         f"{change}: bracket tables differ at pair ({pair[0]},{pair[1]})")
 
 
-def test_verify_table_rejects_a_bracket_outside_the_span(a4_table):
-    alg, basis, _ = a4_table
-    generators = basis[:4]
-    span = certify._basis_span(alg, generators)
+def test_catalog_table_rejects_a_bracket_outside_the_span(b5):
+    alg, mats = b5
     with pytest.raises(StructureMismatch,
                        match="^first: bracket leaves the span$"):
-        certify._verify_table(alg, generators, span,
-                              [(generators, "first"), (generators, "second")])
+        certify._catalog_table(alg, mats, [(i,) for i in range(1, 6)],
+                               "first")
+
+
+def test_composed_map_rejects_a_perturbed_glue_row(b5):
+    alg, mats = b5
+    basis, span, table = table_of("B", 5, alg, mats)
+    glue = [{i: F.one.v} for i in range(table.dim)]
+    glue[7] = {7: F.one.v, 2: F(3).v}
+    phi = [alg.lincomb([(FieldElement(F, c), basis[a])
+                        for a, c in row.items()]) for row in glue]
+    pair = _first_bad_pair(alg, basis, span, phi)
+    assert pair is not None
+    with pytest.raises(StructureMismatch) as info:
+        certify._check_side_1(table, table, table, glue)
+    assert str(info.value) == (
+        f"composed map: bracket tables differ at pair ({pair[0]},{pair[1]})")
+
+
+def realization(family, n, field, params=()):
+    """Closure and generators over GF(p), lifted to `field` if it is a
+    quadratic extension of it."""
+    mats, _ = build_generators(family, n, F, tuple(F(p) for p in params))
+    alg = lie_closure(mats, F)
+    if field is F:
+        return alg, mats
+    return alg.lift(field), [linalg.lift_matrix(m, field) for m in mats]
+
+
+def assert_table_matches_brackets(family, n, alg, mats, pairs=None):
+    images, span, table = table_of(family, n, alg, mats)
+    if pairs is None:
+        pairs = [(i, j) for i in range(table.dim)
+                 for j in range(i + 1, table.dim)]
+    for i, j in pairs:
+        direct = span.coords(alg.flatten(alg.bracket(images[i], images[j])))
+        assert direct is not None
+        assert {k: c for k, c in enumerate(direct) if not c.is_zero()} == \
+            table.pair_bracket(i, j), (i, j)
+
+
+CASES_N5 = [("A", 5, ()), ("B", 5, (1,)), ("C", 6, ()), ("D", 5, (2, 3))]
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["GF(p)", "GF(p^2)"])
+@pytest.mark.parametrize("family,n,params", CASES_N5,
+                         ids=[f"{f}{n}" for f, n, _ in CASES_N5])
+def test_catalog_table_matches_direct_brackets(family, n, params, lift):
+    alg, mats = realization(family, n, GF2 if lift else F, params)
+    assert_table_matches_brackets(family, n, alg, mats)
+
+
+PARAMS = {"A": [()], "C": [()], "B": [(1,), (2,), (3,)],
+          "D": [(2, 3), (4, 8)]}
+
+
+@st.composite
+def table_cases(draw):
+    family = draw(st.sampled_from("ABCD"))
+    lo = {"A": 4, "B": 5, "C": 4, "D": 5}[family]
+    n = draw(st.sampled_from([m for m in range(lo, 7)
+                              if family != "C" or m % 2 == 0]))
+    params = draw(st.sampled_from(PARAMS[family]))
+    dim = expected_catalog_size(family, n)
+    pairs = draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                    st.integers(0, dim - 1)),
+                          min_size=1, max_size=25))
+    return family, n, params, draw(st.booleans()), pairs
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(table_cases())
+def test_catalog_table_property_against_direct_brackets(case):
+    family, n, params, lift, pairs = case
+    alg, mats = realization(family, n, GF2 if lift else F, params)
+    assert_table_matches_brackets(family, n, alg, mats, pairs)
+
+
+def test_catalog_table_brackets_n_times_dim(d5, monkeypatch):
+    """The images and the left multiplications take at most n * dim
+    matrix brackets in all (225 for D5), not one per pair (990); the
+    pairs themselves are bracket-free."""
+    alg, mats = d5
+    calls = []
+    bracket = alg.bracket
+    monkeypatch.setattr(alg, "bracket",
+                        lambda a, b: calls.append(1) or bracket(a, b))
+    _, _, table = table_of("D", 5, alg, mats)
+    certify._compare_tables("self", table, table)
+    assert len(calls) <= 5 * 45
+
+
+@pytest.mark.parametrize("family,n,params1,params2",
+                         [("B", 7, (1,), (2,)), ("D", 6, (2, 3), (4, 8))],
+                         ids=["B7", "D6"])
+def test_match_at_scale(family, n, params1, params2):
+    alg1, mats1 = closure_of(family, n, params1)
+    alg2, mats2 = closure_of(family, n, params2)
+    cert = match_algebras(alg1, mats1, alg2, mats2, family)
+    dim = expected_catalog_size(family, n)
+    assert cert.verdict == "pass" and cert.dim == dim
+    assert cert.pairs_checked == dim * (dim - 1) // 2
 
 
 def test_random_element_draws_exactly_dim_values(b5):
