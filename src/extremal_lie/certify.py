@@ -206,8 +206,7 @@ def check_genericity(family, ctx, gens, params=None):
 # ---------------------------------------------------------------------------
 
 def _lift_pair(ctx, gens, radicand):
-    ext = QuadraticExtension(ctx.field, radicand)
-    return ctx.lift(ext), [linalg.lift_matrix(g, ext) for g in gens]
+    return _to_field(ctx, gens, QuadraticExtension(ctx.field, radicand))
 
 
 #: quadratic extensions the normalisation may adjoin before giving up
@@ -223,6 +222,7 @@ def normalize_generators(family, ctx, gens):
     hypothesis fails, ConditionViolated on a zero scaling value."""
     recipe = {"D": _normalize_D, "B": _normalize_B,
               "A": _normalize_A, "C": _normalize_C}[family]
+    gens = [ctx.element(g) for g in gens]
     for _ in range(MAX_LIFTS + 1):
         try:
             return recipe(ctx, list(gens))
@@ -239,7 +239,7 @@ def _chain_scale(ctx, gens, i, target):
     val = extremal_form_value(ctx, gens[i - 2], gens[i - 1])
     if val.is_zero():
         raise ConditionViolated(f"f(x_{i-1}, x_{i}) = 0")
-    gens[i - 1] = ctx.scale(gens[i - 1], target / val)
+    gens[i - 1] = ctx.lincomb([(target / val, gens[i - 1])])
 
 
 def _normalize_D(ctx, g):
@@ -264,7 +264,7 @@ def _normalize_B(ctx, g):
     cross = extremal_form_value(ctx, g[n - 3], g[n - 1])
     if cross.is_zero():
         raise ConditionViolated(f"f(x_{n-2}, x_{n}) = 0")
-    g[n - 1] = ctx.scale(g[n - 1], F(2) / cross)
+    g[n - 1] = ctx.lincomb([(F(2) / cross, g[n - 1])])
     return ctx, g
 
 
@@ -430,9 +430,8 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
     fk_yt = extremal_form_value(ctx, xk, br(y, t))
     fk_t = extremal_form_value(ctx, xk, t)
     fk_y = extremal_form_value(ctx, xk, y)
-    rhs = ctx.lincomb([(half * fk_yt, xk), (-half * fk_t, xk_y),
-                       (-half * fk_y, xk_t)])
-    q3 = ctx.eq(ctx.sub(m1, m2), rhs)
+    q3 = ctx.is_zero(ctx.lincomb([(1, m1), (-1, m2), (-half * fk_yt, xk),
+                                  (half * fk_t, xk_y), (half * fk_y, xk_t)]))
     lhs_a = ctx.form(u, m1) - ctx.form(u, m2)
     rhs_a = half * (fk_yt * ctx.form(u, xk)
                     - fk_t * ctx.form(u, xk_y)
@@ -481,6 +480,7 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
     rng = random.Random(seed)
     mats, _ = build_generators(family, n, field, params)
     closure = lie_closure(mats, field)
+    mats = closure.generators_list
     graph = build_family_graph(family, n)
 
     extremal_flags = [is_extremal(closure, g)[0] for g in mats]
@@ -489,19 +489,21 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
     expected = expected_catalog_size(family, n)
 
     entries = catalog(family, n)
-    span = linalg.SpanSolver(field, closure.ambient_dim ** 2)
+    span = linalg.SpanSolver(field, closure.vector_dim)
     for e in entries:
         img = evaluate_monomial(closure.bracket, mats, e.indices)
-        span.add(closure.flatten(img))
+        span.add(closure.vector(img))
     catalog_rank = span.rank
 
     tried = passed = 0
     for _ in range(spanning_samples):
         k = rng.randint(1, 2 * n - 3)
-        idx = tuple(rng.randint(1, n) for _ in range(k))
+        # tuple() of a list, not of a generator: sized once, it leaves
+        # no resized tuples piling up in CPython's per-size free lists
+        idx = tuple([rng.randint(1, n) for _ in range(k)])
         img = evaluate_monomial(closure.bracket, mats, idx)
         tried += 1
-        if span.contains(closure.flatten(img)):
+        if span.contains(closure.vector(img)):
             passed += 1
     spanning = {"tried": tried, "passed": passed}
 
@@ -567,7 +569,8 @@ class MatchCertificate:
 def _to_field(ctx, gens, fld):
     if ctx.field.same(fld):
         return ctx, gens
-    return ctx.lift(fld), [linalg.lift_matrix(g, fld) for g in gens]
+    return ctx.lift(fld), [linalg.lift_rows(ctx.field, ctx.element(g), fld)
+                           for g in gens]
 
 
 def _psi_in(vec, fld):
@@ -614,7 +617,7 @@ def _rebuild_model(family, n, fld, target_psi):
             # f_long while flipping f_short
             flipped = list(mg)
             for i in (n - 3, n - 2, n - 1):
-                flipped[i] = mctx.neg(flipped[i])
+                flipped[i] = mctx.lincomb([(-1, flipped[i])])
             if target == psi(family, mctx, flipped):
                 return cand, mctx, flipped
     raise FormMismatch(
@@ -622,9 +625,9 @@ def _rebuild_model(family, n, fld, target_psi):
 
 
 def _basis_span(ctx, images):
-    span = linalg.SpanSolver(ctx.field, ctx.ambient_dim ** 2)
+    span = linalg.SpanSolver(ctx.field, ctx.vector_dim)
     for img in images:
-        if not span.add(ctx.flatten(img)):
+        if not span.add(ctx.vector(img)):
             raise StructureMismatch("catalog images are dependent")
     return span
 
@@ -657,7 +660,7 @@ def _catalog_table(ctx, gens, labels, name):
             hit = index.get((k,) + lab)
             if hit is None:
                 col = span.sparse_coords(
-                    ctx.flatten(ctx.bracket(g, images[b])))
+                    ctx.vector(ctx.bracket(g, images[b])))
                 if col is None:
                     raise StructureMismatch(f"{name}: bracket leaves the span")
             else:
@@ -770,7 +773,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     # the model-2 catalog basis is the identity map of that algebra
     glue = []
     for img in c1:
-        coords = span_c2.coords(linalg.flatten(img))
+        coords = span_c2.coords(linalg.mat_vector(img))
         if coords is None:
             raise StructureMismatch("model closures do not coincide")
         glue.append(coords)

@@ -173,9 +173,10 @@ def cmd_realize(args):
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     alg = lie_closure(mats, field)
+    gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
-    extremal = [is_extremal(alg, g)[0] for g in mats]
-    graph_ok, witnesses = certify.graph_realization_check(alg, mats, graph,
+    extremal = [is_extremal(alg, g)[0] for g in gens]
+    graph_ok, witnesses = certify.graph_realization_check(alg, gens, graph,
                                                           extremal)
     expected = expected_catalog_size(args.family, args.n)
 

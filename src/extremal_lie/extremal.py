@@ -1,28 +1,50 @@
 """Extremal elements, the extremal form, pair classification and the
 exponential / triangle-normalisation machinery.
 
-All functions work on a *Lie context*: an object with
-
-* ``field``            -- the scalar field,
-* ``bracket(a, b)``    -- the Lie bracket of two elements,
-* ``add/sub/scale/neg``-- linear operations on elements,
-* ``lincomb(terms)``   -- the linear combination sum c*a over the terms
-  (c, a), built in one pass on sparse payloads,
-* ``is_zero(a)``, ``eq(a, b)``,
-* ``flatten(a)``       -- coordinates of an element as a list,
-* ``basis()``          -- a spanning basis (for certificates),
-* ``form(a, b)``       -- the associative symmetric form (may be the zero
-  form for the degenerate algebras L(Gamma, 0)).
-
-Both :class:`~extremal_lie.presentation.GradedLieAlgebra` (via the
-adapter methods added there) and the matrix closures in
-:mod:`extremal_lie.realizations` provide this interface.
+All functions work on a *Lie context*, an object with the members of
+the `LieContext` protocol.  Both
+:class:`~extremal_lie.presentation.GradedLieAlgebra` (payload vectors
+over its basis) and :class:`~extremal_lie.realizations.MatrixLieAlgebra`
+(payload matrix rows) are Lie contexts.
 """
 
 from dataclasses import dataclass, field as dc_field
+from typing import Protocol
 
 from .fields import FieldElement
-from .linalg import bracket_closure, sparse
+from .linalg import bracket_closure
+
+
+class LieContext(Protocol):
+    """A Lie algebra over ``field`` whose elements are sparse payloads in
+    a representation of its own.  `element` takes FieldElement data in
+    (an element passes unchanged), `external` gives it out, and every
+    member that takes an element accepts both.  `lincomb(terms)` is
+    sum c*a over the terms (c, a), c a FieldElement or an int.
+    `vector(a)` gives the coordinates of a as a sparse payload vector
+    ``{index: payload}``, not to be modified, in a space of dimension
+    ``vector_dim``.  `basis()` spans the algebra; `form` is the
+    associative symmetric form, a FieldElement (the zero form for the
+    degenerate algebras L(Gamma, 0))."""
+
+    field: object
+    vector_dim: int
+
+    def element(self, x): ...
+
+    def external(self, a): ...
+
+    def bracket(self, a, b): ...
+
+    def lincomb(self, terms): ...
+
+    def is_zero(self, a): ...
+
+    def vector(self, a): ...
+
+    def basis(self): ...
+
+    def form(self, a, b): ...
 
 
 class NotExtremal(ValueError):
@@ -39,10 +61,10 @@ class HypothesisFailed(ValueError):
 
 def proportionality(ctx, x, w):
     """The scalar t with w = t*x, for nonzero x.  Raises NotProportional,
-    and DescriptorMismatch on an entry outside ctx.field."""
+    and DescriptorMismatch on FieldElement data outside ctx.field."""
     field = ctx.field
-    fx = sparse(field, ctx.flatten(x))
-    fw = sparse(field, ctx.flatten(w))
+    fx = ctx.vector(x)
+    fw = ctx.vector(w)
     if not fx:
         raise ValueError("x is zero")
     k, a = next(iter(fx.items()))
@@ -77,6 +99,7 @@ class ExtremalCertificate:
 def is_extremal(ctx, x):
     """(True, certificate) if [x,[x,b]] stays on the line through x for
     every basis element b; (False, None) otherwise."""
+    x = ctx.element(x)
     values = []
     for b in ctx.basis():
         w = ctx.bracket(x, ctx.bracket(x, b))
@@ -90,6 +113,7 @@ def is_extremal(ctx, x):
 def exp_ad(ctx, t, a, y):
     """exp(t ad a) applied to y, for extremal (sandwich-free) a:
     y + t [a,y] + t^2/2 [a,[a,y]].  Verifies (ad a)^3 y = 0."""
+    a = ctx.element(a)
     ay = ctx.bracket(a, y)
     aay = ctx.bracket(a, ay)
     aaay = ctx.bracket(a, aay)
@@ -111,8 +135,9 @@ PAIR_CLOSURE_DIM = {"Proportional": 1, "Abelian2": 2,
 
 def subalgebra_closure_dim(ctx, elements):
     """Dimension of the Lie subalgebra generated by the elements."""
-    return len(bracket_closure(elements, ctx.bracket, ctx.flatten,
-                               ctx.field))
+    return len(bracket_closure(ctx.field,
+                               [ctx.element(e) for e in elements],
+                               ctx.bracket, ctx.vector, ctx.vector_dim))
 
 
 def classify_pair(ctx, x, y):
@@ -121,6 +146,7 @@ def classify_pair(ctx, x, y):
     Returns one of the keys of PAIR_CLOSURE_DIM.  Cross-validates the
     answer against the dimension of the subalgebra generated by the
     pair."""
+    x, y = ctx.element(x), ctx.element(y)
     try:
         proportionality(ctx, x, y)
         kind = "Proportional"
@@ -152,8 +178,7 @@ def check_premet(ctx, x, y, z):
     AS: f(x, [y,z]) = f([x,y], z)    (associativity of the form)
     SM: f(y, z) = f(z, y)            (symmetry of the form)
     """
-    br, sc = ctx.bracket, ctx.scale
-    two = ctx.field.one * 2
+    br = ctx.bracket
     fxy = extremal_form_value(ctx, x, y)
     fxz = extremal_form_value(ctx, x, z)
     yz = br(y, z)
@@ -161,14 +186,12 @@ def check_premet(ctx, x, y, z):
     xy = br(x, y)
     xz = br(x, z)
 
-    lhs1 = sc(br(xy, xz), two)
-    rhs1 = ctx.lincomb([(fxyz, x), (fxz, xy), (-fxy, xz)])
-    p1 = ctx.eq(lhs1, rhs1)
+    p1 = ctx.is_zero(ctx.lincomb([(2, br(xy, xz)), (-fxyz, x), (-fxz, xy),
+                                  (fxy, xz)]))
 
     yxz = br(y, xz)
-    lhs2 = sc(br(x, yxz), two)
-    rhs2 = ctx.lincomb([(fxyz, x), (-fxz, xy), (-fxy, xz)])
-    p2 = ctx.eq(lhs2, rhs2)
+    p2 = ctx.is_zero(ctx.lincomb([(2, br(x, yxz)), (-fxyz, x), (fxz, xy),
+                                  (fxy, xz)]))
 
     p5 = (extremal_form_value(ctx, x, yxz) + fxz * fxy).is_zero()
 
@@ -229,9 +252,9 @@ def fixtriangle(ctx, x, y, z, targets):
     cy = (pi * sigma * fxzh) / (rho * fxy * fyz)
     cz = (rho * sigma * fxy) / (pi * fxzh * fyz)
     rx, ry, rz = cx.sqrt(), cy.sqrt(), cz.sqrt()
-    xt = ctx.scale(xh, rx)
-    yt = ctx.scale(y, ry)
-    zt = ctx.scale(z, rz)
+    xt = ctx.lincomb([(rx, xh)])
+    yt = ctx.lincomb([(ry, y)])
+    zt = ctx.lincomb([(rz, z)])
 
     a = extremal_form_value(ctx, xt, yt)
     b = extremal_form_value(ctx, xt, zt)
@@ -240,11 +263,11 @@ def fixtriangle(ctx, x, y, z, targets):
     negated = ""
     if sum(wrong) == 2:
         if wrong[0] and wrong[1]:
-            xt, negated = ctx.neg(xt), "x"
+            xt, negated = ctx.lincomb([(-1, xt)]), "x"
         elif wrong[0] and wrong[2]:
-            yt, negated = ctx.neg(yt), "y"
+            yt, negated = ctx.lincomb([(-1, yt)]), "y"
         else:
-            zt, negated = ctx.neg(zt), "z"
+            zt, negated = ctx.lincomb([(-1, zt)]), "z"
     elif sum(wrong) != 0:
         raise AssertionError(
             "sign pattern off in exactly one place; targets unreachable "

@@ -1,21 +1,33 @@
 """Exact linear algebra over the fields in :mod:`extremal_lie.fields`.
 
-Vectors and matrices cross the API as FieldElements: a vector is a list
-of FieldElement, a matrix a list of rows.  All pivoting is deterministic
-(leftmost pivot column, first nonzero row), so reduced forms, solutions
-and span tests are reproducible bit for bit.
-
-The hot loops (`SpanSolver`, `mat_mul`, `mat_bracket`, the linear
-combination `mat_lincomb` and the trace form `trace_product`) convert
-their inputs once with `sparse` and then work on sparse payload vectors
-``{index: payload}``, mostly through the field's ``axpy(v, c, row)``
-kernel, which sets ``v -= c*row`` in place and deletes entries that
-become zero (see :mod:`extremal_lie.fields`).
+The kernels work on payloads, the raw values inside FieldElements: a
+vector is a sparse payload vector ``{index: payload}`` holding its
+nonzero entries only, and an N x N matrix is a tuple of N sparse payload
+rows ``({col: payload}, ...)``, the element type of the matrix Lie
+context (`realizations.MatrixLieAlgebra`).  Most loops go through the
+field's ``axpy(v, c, row)`` kernel, which sets ``v -= c*row`` in place
+and deletes entries that become zero (see :mod:`extremal_lie.fields`).
+The matrix kernels are the bracket `mat_bracket`, the linear
+combination `mat_lincomb`, the trace form `trace_product`, the
+row-major flattening `mat_vector` and the field lift `lift_rows`;
+`bracket_closure` grows the Lie span of a set of elements.  All
+pivoting is deterministic (leftmost pivot column, first nonzero row),
+so reduced forms, solutions and span tests are reproducible bit for bit.
 
 Row reduction has one kernel, `echelon`, which takes sparse payload rows
 and returns their reduced row echelon form.  Its forward pass is the
 reduction `SpanSolver` runs (`_reduce`); `rref` and `solve` are its
 FieldElement wrappers, and `presentation.build_L0` calls it directly.
+
+FieldElement vectors (lists) and matrices (lists of rows) remain at the
+edge only.  `sparse` and `dense` convert between the two forms; they
+serve `rref`, `solve`, `SpanSolver` (FieldElement input and the output
+of `coords`), the Lie contexts' `element` and `external`, and the glue
+rows of `certify.match_algebras`.  The realization
+builders in :mod:`extremal_lie.realizations` assemble the generating
+matrices from vectors and bilinear forms with the FieldElement helpers
+`zeros`, `mat_vec`, `transpose`, `dot`, `vec_add`, `vec_sub` and
+`vec_scale`.
 """
 
 from .fields import DescriptorMismatch, FieldElement, lift_element
@@ -24,22 +36,6 @@ from .fields import DescriptorMismatch, FieldElement, lift_element
 def zeros(field, rows, cols):
     z = field.zero
     return [[z] * cols for _ in range(rows)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def sparse(field, vec):
@@ -63,38 +59,38 @@ def dense(field, v, length):
             for j in range(length)]
 
 
-def mat_mul(a, b):
-    field = a[0][0].field
+def mat_bracket(field, a, b):
+    """ab - ba of two matrices given as payload rows, each row
+    accumulated in one sparse vector."""
     neg, axpy = field.neg, field.axpy
-    brows = [sparse(field, row) for row in b]
     out = []
-    for row in a:
+    for arow, brow in zip(a, b):
         acc = {}
-        for t, x in sparse(field, row).items():
-            axpy(acc, neg(x), brows[t])
-        out.append(dense(field, acc, len(b[0])))
-    return out
+        for t, x in arow.items():
+            if b[t]:
+                axpy(acc, neg(x), b[t])
+        for t, x in brow.items():
+            if a[t]:
+                axpy(acc, x, a[t])
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_lincomb(field, terms, size):
-    """The size x size matrix sum c*m over the terms (c, rows), where c
-    is a FieldElement or int and rows are the sparse payload rows
-    (`sparse`) of m.  Raises DescriptorMismatch on a coefficient of
-    another field."""
+    """The size x size matrix sum c*m over the terms (c, m), where c is
+    a FieldElement or int and m is given as payload rows.  Raises
+    DescriptorMismatch on a coefficient of another field."""
     neg, axpy, is_zero = field.neg, field.axpy, field.is_zero
-    scaled = []
+    out = [{} for _ in range(size)]
     for c, rows in terms:
         c = field(c).v
-        if not is_zero(c):
-            scaled.append((neg(c), rows))
-    out = []
-    for i in range(size):
-        acc = {}
-        for nc, rows in scaled:
-            if rows[i]:
-                axpy(acc, nc, rows[i])
-        out.append(dense(field, acc, size))
-    return out
+        if is_zero(c):
+            continue
+        nc = neg(c)
+        for acc, row in zip(out, rows):
+            if row:
+                axpy(acc, nc, row)
+    return tuple(out)
 
 
 def mat_vec(a, v):
@@ -110,63 +106,35 @@ def mat_vec(a, v):
     return out
 
 
-def mat_bracket(a, b):
-    """ab - ba, each row accumulated in one sparse vector."""
-    field = a[0][0].field
-    neg, axpy = field.neg, field.axpy
-    arows = [sparse(field, row) for row in a]
-    brows = [sparse(field, row) for row in b]
-    out = []
-    for arow, brow in zip(arows, brows):
-        acc = {}
-        for t, x in arow.items():
-            axpy(acc, neg(x), brows[t])
-        for t, x in brow.items():
-            axpy(acc, x, arows[t])
-        out.append(dense(field, acc, len(b[0])))
-    return out
+def mat_vector(a):
+    """The row-major sparse payload vector {i*N + j: payload} of an
+    N x N matrix given as payload rows."""
+    n = len(a)
+    return {i * n + j: x for i, row in enumerate(a) for j, x in row.items()}
+
+
+def lift_rows(field, a, target):
+    """The payload rows a over `field` re-expressed in `target`, which
+    must be reachable from it by quadratic extensions (`lift_element`)."""
+    return tuple([{j: lift_element(FieldElement(field, x), target).v
+                   for j, x in row.items()} for row in a])
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def trace(a):
-    s = a[0][0]
-    for i in range(1, len(a)):
-        s = s + a[i][i]
-    return s
-
-
-def trace_product(a, b):
-    """trace(ab), summed over the nonzero entries a_ik b_ki only, without
-    forming the product."""
-    field = a[0][0].field
+def trace_product(field, a, b):
+    """trace(ab) of two matrices given as payload rows, summed over the
+    nonzero entries a_ik b_ki only, without forming the product."""
     add, mul = field.add, field.mul
-    brows = [sparse(field, row) for row in b]
     s = field.zero.v
     for i, row in enumerate(a):
-        for k, x in sparse(field, row).items():
-            y = brows[k].get(i)
+        for k, x in row.items():
+            y = b[k].get(i)
             if y is not None:
                 s = add(s, mul(x, y))
     return FieldElement(field, s)
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not (x - y).is_zero():
-                return False
-    return True
-
-
-def mat_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
 
 
 def vec_add(u, v):
@@ -181,32 +149,12 @@ def vec_scale(u, c):
     return [c * x for x in u]
 
 
-def vec_neg(u):
-    return [-x for x in u]
-
-
-def vec_is_zero(u):
-    return all(x.is_zero() for x in u)
-
-
-def vec_eq(u, v):
-    return len(u) == len(v) and all((x - y).is_zero() for x, y in zip(u, v))
-
-
 def dot(u, v):
     s = u[0].field.zero
     for x, y in zip(u, v):
         if not x.is_zero() and not y.is_zero():
             s = s + x * y
     return s
-
-
-def flatten(a):
-    return [x for row in a for x in row]
-
-
-def lift_matrix(a, field):
-    return [[lift_element(x, field) for x in row] for row in a]
 
 
 def _reduce(axpy, v, rows, leads, e=None, exprs=()):
@@ -304,9 +252,11 @@ class SpanSolver:
     respect to the accepted vectors, in the order they were added.
 
     Rows and expressions are sparse payload vectors; a row's leading
-    column is its smallest index and holds the payload one.  Every
-    vector offered must have `ambient_dim` entries (ValueError
-    otherwise).
+    column is its smallest index and holds the payload one.  A vector is
+    offered as a sparse payload vector, which is not modified, or as a
+    FieldElement vector; it must lie in the coordinate space of
+    dimension `ambient_dim` (ValueError on a key outside
+    range(ambient_dim) or on a list of another length).
     """
 
     def __init__(self, field, ambient_dim):
@@ -321,9 +271,16 @@ class SpanSolver:
         return len(self.rows)
 
     def _sparse(self, v):
-        if len(v) != self.ambient_dim:
+        """A sparse payload copy of v, to reduce in place."""
+        dim = self.ambient_dim
+        if isinstance(v, dict):
+            if v and (min(v) < 0 or max(v) >= dim):
+                raise ValueError(f"payload vector with a key outside "
+                                 f"range({dim}) offered to a span")
+            return dict(v)
+        if len(v) != dim:
             raise ValueError(f"vector of length {len(v)} offered to a span "
-                             f"in dimension {self.ambient_dim}")
+                             f"in dimension {dim}")
         return sparse(self.field, v)
 
     def add(self, v):
@@ -363,25 +320,26 @@ class SpanSolver:
         return {k: neg(x) for k, x in e.items()}
 
 
-def bracket_closure(generators, bracket, flatten, field):
+def bracket_closure(field, generators, bracket, vector, vector_dim):
     """Basis of the span of `generators` closed under `bracket`: the
     independent generators in order, then round by round every
     independent bracket [g, v] of a generator g with an element v new in
-    the previous round.
+    the previous round.  `vector` gives the sparse payload coordinates
+    of an element, in a space of dimension `vector_dim`.
 
     The subalgebra generated by a set is spanned by the right-nested
     brackets [g_{i_k}, [..., [g_{i_2}, g_{i_1}]]] (Jacobi rewrites any
     bracket monomial into such terms), so it suffices to bracket the
     generators against the current frontier."""
-    span = SpanSolver(field, len(flatten(generators[0])))
-    basis = [g for g in generators if span.add(flatten(g))]
+    span = SpanSolver(field, vector_dim)
+    basis = [g for g in generators if span.add(vector(g))]
     frontier = list(basis)
     while frontier:
         new = []
         for g in generators:
             for v in frontier:
                 w = bracket(g, v)
-                if span.add(flatten(w)):
+                if span.add(vector(w)):
                     new.append(w)
         basis.extend(new)
         frontier = new

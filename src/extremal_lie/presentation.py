@@ -34,8 +34,7 @@ surviving candidates: the free columns of the reduced row echelon form,
 which is unique, so the basis does not depend on how the rows are
 eliminated.  All the bracket machinery works on payloads; FieldElements
 appear only at the API edge (`MonomialTable.pair_bracket`,
-`GradedLieAlgebra.structure_constants`, `bracket` and the element
-vectors).
+`GradedLieAlgebra.structure_constants`, `element` and `external`).
 """
 
 from itertools import islice
@@ -179,13 +178,14 @@ def _degree2_leftmult(graph, field):
 class GradedLieAlgebra(MonomialTable):
     """A graded Lie algebra built degree by degree.
 
-    Elements are coordinate vectors (lists of FieldElement) over the
-    concatenated graded basis.  The basis is a `MonomialTable` whose
+    Elements are sparse payload vectors ``{index: payload}`` over the
+    concatenated graded basis (`element` converts FieldElement vectors,
+    `external` gives them out).  The basis is a `MonomialTable` whose
     labels have the degree of their length; every label of degree >= 2
     arises as (i,) + label' with label' the witness of a lower-degree
     basis element.  A bracket whose degree exceeds the top degree, the
-    length of ``degrees``, vanishes (`_vanishes`).  `pair_bracket`,
-    `structure_constants` and `bracket` return FieldElements.
+    length of ``degrees``, vanishes (`_vanishes`).  `pair_bracket` and
+    `structure_constants` return FieldElements.
     """
 
     def __init__(self, graph, field):
@@ -216,13 +216,12 @@ class GradedLieAlgebra(MonomialTable):
     def top_degree(self):
         return len(self.degrees)
 
-    def zero(self):
-        return [self.field.zero] * self.dim
+    @property
+    def vector_dim(self):
+        return self.dim
 
     def basis_element(self, idx):
-        v = self.zero()
-        v[idx] = self.field.one
-        return v
+        return {idx: self.field.one.v}
 
     def generator(self, i):
         return self.basis_element(i - 1)
@@ -237,20 +236,30 @@ class GradedLieAlgebra(MonomialTable):
         start = self.offsets[d - 1]
         return start, start + self.degrees[d - 1]
 
-    # -- dense public bracket ----------------------------------------------
+    # -- Lie context interface (see extremal_lie.extremal.LieContext) ------
+    def element(self, x):
+        """x as a sparse payload vector: a payload vector unchanged, a
+        FieldElement vector of length `dim` converted."""
+        if isinstance(x, dict):
+            return x
+        if len(x) != self.dim:
+            raise ValueError(f"vector of length {len(x)} for an algebra "
+                             f"of dimension {self.dim}")
+        return linalg.sparse(self.field, x)
+
+    def external(self, u):
+        """u as a FieldElement vector."""
+        return linalg.dense(self.field, self.element(u), self.dim)
+
     def bracket(self, u, v):
         field = self.field
         neg, mul, axpy = field.neg, field.mul, field.axpy
-        su, sv = linalg.sparse(field, u), linalg.sparse(field, v)
+        sv = self.element(v)
         out = {}
-        for i, ci in su.items():
+        for i, ci in self.element(u).items():
             for j, cj in sv.items():
                 axpy(out, neg(mul(ci, cj)), self.pair(i, j))
-        return linalg.dense(field, out, self.dim)
-
-    # -- Lie context interface (see extremal_lie.extremal) -----------------
-    def add(self, u, v):
-        return linalg.vec_add(u, v)
+        return out
 
     def lincomb(self, terms):
         """sum c*u over the terms (c, u)."""
@@ -258,26 +267,14 @@ class GradedLieAlgebra(MonomialTable):
         neg, axpy = field.neg, field.axpy
         acc = {}
         for c, u in terms:
-            axpy(acc, neg(field(c).v), linalg.sparse(field, u))
-        return linalg.dense(field, acc, self.dim)
-
-    def sub(self, u, v):
-        return linalg.vec_sub(u, v)
-
-    def scale(self, u, c):
-        return linalg.vec_scale(u, c)
-
-    def neg(self, u):
-        return linalg.vec_neg(u)
+            axpy(acc, neg(field(c).v), self.element(u))
+        return acc
 
     def is_zero(self, u):
-        return linalg.vec_is_zero(u)
+        return not self.element(u)
 
-    def eq(self, u, v):
-        return linalg.vec_eq(u, v)
-
-    def flatten(self, u):
-        return u
+    def vector(self, u):
+        return self.element(u)
 
     def form(self, u, v):
         """The extremal form of L(Gamma, 0) is identically zero."""

@@ -10,16 +10,15 @@ transvections and Siegel elements.
 
 :func:`lie_closure` grows the Lie span of a generating set and wraps it
 in a :class:`MatrixLieAlgebra` context usable by the generic extremal
-machinery.
+machinery.  The builders work on FieldElement vectors and matrices;
+the context converts each generator once into sparse payload rows.
 """
-
-from functools import cached_property
 
 from . import linalg
 from .extremal import extremal_form_value
 from .fields import NoSquareRoot, lift_element
-from .linalg import (SpanSolver, mat_bracket, mat_eq, mat_is_zero,
-                     mat_lincomb, mat_vec, sparse, trace_product, zeros)
+from .linalg import (SpanSolver, dense, lift_rows, mat_bracket, mat_lincomb,
+                     mat_vec, mat_vector, sparse, trace_product, zeros)
 
 
 class InvalidParameters(ValueError):
@@ -45,9 +44,6 @@ class BilinearForm:
 
     def apply(self, u, v):
         return linalg.dot(u, mat_vec(self.gram, v))
-
-    def lift(self, field):
-        return BilinearForm(linalg.lift_matrix(self.gram, field))
 
 
 def symplectic_form(field, m):
@@ -361,81 +357,87 @@ def build_generators(family, n, field, params=()):
 # ---------------------------------------------------------------------------
 
 class MatrixLieAlgebra:
-    """The Lie span of a set of matrices, as a Lie context.
+    """The Lie span of a set of N x N matrices, as a Lie context.
 
-    Elements are ambient matrices.  The associative symmetric form is
-    c * trace(a b), with c calibrated against the extremal functional of
-    the first generator (and verified on a second value)."""
+    Elements are tuples of N sparse payload rows ``({col: payload}, ...)``
+    (see :mod:`extremal_lie.linalg`); `element` takes FieldElement
+    matrices in and `external` gives them out.  The associative
+    symmetric form is c * trace(a b), with c calibrated against the
+    extremal functional of the first generator (and verified on a second
+    value).  A `lift` lifts its basis only when the basis is first
+    needed."""
 
     def __init__(self, field, ambient_dim, basis, generators):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._basis = basis
-        self.generators_list = generators
-        self.dim = len(basis)
+        self.vector_dim = ambient_dim * ambient_dim
+        self._basis = [self.element(b) for b in basis]
+        self.generators_list = [self.element(g) for g in generators]
+        self.dim = len(self._basis)
         self._form_scale = None
+        self._unlifted = None   # (field, basis) of a basis not lifted yet
 
-    # -- context interface -------------------------------------------------
+    # -- context interface (see extremal_lie.extremal.LieContext) ----------
+    def element(self, x):
+        """x as payload rows: payload rows unchanged, a FieldElement
+        matrix converted (DescriptorMismatch on an entry of another
+        field)."""
+        if type(x) is tuple:
+            return x
+        field = self.field
+        return tuple([sparse(field, row) for row in x])
+
+    def external(self, a):
+        """a as a FieldElement matrix."""
+        field, n = self.field, self.ambient_dim
+        return [dense(field, row, n) for row in self.element(a)]
+
     def bracket(self, a, b):
-        return mat_bracket(a, b)
-
-    def add(self, a, b):
-        return linalg.mat_add(a, b)
+        return mat_bracket(self.field, self.element(a), self.element(b))
 
     def lincomb(self, terms):
-        """sum c*m over the terms (c, m); a zero c skips converting m."""
-        field = self.field
-        return mat_lincomb(
-            field, [(c, [sparse(field, row) for row in m])
-                    for c, m in terms if c], self.ambient_dim)
-
-    def sub(self, a, b):
-        return linalg.mat_sub(a, b)
-
-    def scale(self, a, c):
-        return linalg.mat_scale(a, c)
-
-    def neg(self, a):
-        return linalg.mat_neg(a)
+        """sum c*m over the terms (c, m)."""
+        element = self.element
+        return mat_lincomb(self.field, [(c, element(m)) for c, m in terms],
+                           self.ambient_dim)
 
     def is_zero(self, a):
-        return mat_is_zero(a)
+        return not any(self.element(a))
 
-    def eq(self, a, b):
-        return mat_eq(a, b)
-
-    def flatten(self, a):
-        return linalg.flatten(a)
-
-    def zero(self):
-        return zeros(self.field, self.ambient_dim, self.ambient_dim)
+    def vector(self, a):
+        """The row-major sparse payload vector {i*N + j: payload}."""
+        return mat_vector(self.element(a))
 
     def basis(self):
+        if self._unlifted is not None:
+            self._basis = self._lift_basis()
+            self._unlifted = None
         return self._basis
 
-    @cached_property
-    def _sparse_basis(self):
-        field = self.field
-        return [[sparse(field, row) for row in b] for b in self._basis]
+    def _lift_basis(self):
+        source, basis = self._unlifted
+        return [lift_rows(source, b, self.field) for b in basis]
 
     def from_coords(self, coords):
         """sum c_i b_i over the basis; needs exactly `dim` coordinates."""
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for an algebra "
                              f"of dimension {self.dim}")
-        return mat_lincomb(self.field, list(zip(coords, self._sparse_basis)),
+        return mat_lincomb(self.field, list(zip(coords, self.basis())),
                            self.ambient_dim)
 
     def form(self, a, b):
         """The associative symmetric extremal form, c * trace(ab)."""
         if self._form_scale is None:
             self._form_scale = self._calibrate_form()
-        return self._form_scale * trace_product(a, b)
+        return self._form_scale * trace_product(
+            self.field, self.element(a), self.element(b))
 
     def _calibrate_form(self):
+        field = self.field
         x = self.generators_list[0]
-        for b in self._basis:
-            t = trace_product(x, b)
+        for b in self.basis():
+            t = trace_product(field, x, b)
             if not t.is_zero():
                 c = extremal_form_value(self, x, b) / t
                 break
@@ -444,32 +446,42 @@ class MatrixLieAlgebra:
                                "orthogonal to the whole algebra")
         # verify against a second extremal generator on all basis elements
         y = self.generators_list[-1]
-        for b in self._basis:
+        for b in self.basis():
             want = extremal_form_value(self, y, b)
-            if want != c * trace_product(y, b):
+            if want != c * trace_product(field, y, b):
                 raise RuntimeError("trace form calibration inconsistent")
         return c
 
     def lift(self, field):
         """The same algebra with all entries lifted into `field` (which
-        must extend the current field by quadratic steps)."""
+        must extend the current field by quadratic steps).  The
+        generators and the form scale are lifted at once, the basis on
+        its first use."""
         out = MatrixLieAlgebra(
-            field, self.ambient_dim,
-            [linalg.lift_matrix(b, field) for b in self._basis],
-            [linalg.lift_matrix(g, field) for g in self.generators_list])
+            field, self.ambient_dim, [],
+            [lift_rows(self.field, g, field) for g in self.generators_list])
+        out.dim = self.dim
+        out._unlifted = self._unlifted or (self.field, self._basis)
         if self._form_scale is not None:
             out._form_scale = lift_element(self._form_scale, field)
         return out
 
 
 def lie_closure(generators, field=None):
-    """Close a list of matrices under the bracket; returns a
-    MatrixLieAlgebra whose basis is the deterministic closure basis."""
-    field = field or generators[0][0][0].field
-    basis = linalg.bracket_closure(generators, mat_bracket, linalg.flatten,
-                                   field)
-    return MatrixLieAlgebra(field, len(generators[0]), basis,
-                            list(generators))
+    """Close a list of matrices (FieldElement matrices or payload rows)
+    under the bracket; returns a MatrixLieAlgebra whose basis is the
+    deterministic closure basis.  Payload generators need `field`."""
+    if field is None:
+        row = generators[0][0]
+        if isinstance(row, dict):
+            raise ValueError("lie_closure needs the field of payload "
+                             "generators")
+        field = row[0].field
+    n = len(generators[0])
+    gens = MatrixLieAlgebra(field, n, [], generators)
+    basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,
+                                   gens.vector, gens.vector_dim)
+    return MatrixLieAlgebra(field, n, basis, gens.generators_list)
 
 
 # ---------------------------------------------------------------------------

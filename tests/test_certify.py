@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_FIELDS
-from extremal_lie import certify, linalg
+from extremal_lie import certify
 from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
                                   StructureMismatch,
@@ -18,7 +18,8 @@ from extremal_lie.extremal import extremal_form_value
 from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
-from extremal_lie.realizations import build_generators, lie_closure
+from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
+                                       lie_closure)
 
 F = PrimeField(DEFAULT_PRIME)
 GF2 = KERNEL_FIELDS["GF(p)(rt d)"]
@@ -196,16 +197,25 @@ def table_of(family, n, alg, mats, name="self"):
     return certify._catalog_table(alg, mats, labels_of(family, n), name)
 
 
+def _dense_fold(alg, terms):
+    """sum c*m over the terms (c, m) with FieldElement matrix
+    arithmetic."""
+    n = alg.ambient_dim
+    out = [[alg.field.zero] * n for _ in range(n)]
+    for c, m in terms:
+        out = [[x + c * y for x, y in zip(r, s)]
+               for r, s in zip(out, alg.external(m))]
+    return out
+
+
 def _first_bad_pair(alg, basis, span, target):
     """The first pair (i, j) where a_i -> target_i fails to intertwine
     the brackets, found with FieldElement matrix arithmetic."""
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            c = span.coords(alg.flatten(alg.bracket(basis[i], basis[j])))
-            rhs = alg.zero()
-            for k, ck in enumerate(c):
-                rhs = alg.add(rhs, alg.scale(target[k], ck))
-            if not alg.eq(alg.bracket(target[i], target[j]), rhs):
+            c = span.coords(alg.vector(alg.bracket(basis[i], basis[j])))
+            rhs = _dense_fold(alg, zip(c, target))
+            if alg.external(alg.bracket(target[i], target[j])) != rhs:
                 return i, j
     return None
 
@@ -230,7 +240,7 @@ def test_catalog_table_rejects_changed_generators(b5, change):
     if change == "swap":
         target[3], target[4] = target[4], target[3]
     else:
-        target[1] = alg.scale(target[1], F(2))
+        target[1] = alg.lincomb([(F(2), target[1])])
     images, _, changed = table_of("B", 5, alg, target, change)
     pair = _first_bad_pair(alg, basis, span, images)
     assert pair is not None
@@ -270,7 +280,8 @@ def realization(family, n, field, params=()):
     alg = lie_closure(mats, F)
     if field is F:
         return alg, mats
-    return alg.lift(field), [linalg.lift_matrix(m, field) for m in mats]
+    lifted = alg.lift(field)
+    return lifted, lifted.generators_list
 
 
 def assert_table_matches_brackets(family, n, alg, mats, pairs=None):
@@ -279,7 +290,7 @@ def assert_table_matches_brackets(family, n, alg, mats, pairs=None):
         pairs = [(i, j) for i in range(table.dim)
                  for j in range(i + 1, table.dim)]
     for i, j in pairs:
-        direct = span.coords(alg.flatten(alg.bracket(images[i], images[j])))
+        direct = span.coords(alg.vector(alg.bracket(images[i], images[j])))
         assert direct is not None
         assert {k: c for k, c in enumerate(direct) if not c.is_zero()} == \
             table.pair_bracket(i, j), (i, j)
@@ -352,11 +363,10 @@ def test_random_element_draws_exactly_dim_values(b5):
     alg, _ = b5
     rng, ref = random.Random(5), random.Random(5)
     x = certify._random_element(alg, rng)
-    want = alg.zero()
-    for b in alg.basis():
-        want = alg.add(want, alg.scale(b, F(ref.randint(-3, 3))))
+    want = _dense_fold(alg, [(F(ref.randint(-3, 3)), b)
+                             for b in alg.basis()])
     assert rng.random() == ref.random()
-    assert alg.eq(x, want)
+    assert alg.external(x) == want
 
 
 def test_quartic_identities_bracket_each_product_once(monkeypatch):
@@ -375,3 +385,20 @@ def test_quartic_identities_bracket_each_product_once(monkeypatch):
                                              t, u)
     assert flags == {"Q3": True, "Q3a": True}
     assert len(calls) == 16
+
+
+def test_match_lifts_generators_but_no_basis_element(monkeypatch):
+    """A B5 gamma 1 vs 2 match ends over GF(p^2): its contexts are lifted,
+    but after normalisation only generators, brackets and coordinate
+    vectors are used, so no closure basis is ever lifted."""
+    lifts, basis_lifts = [], []
+    lift, lift_basis = MatrixLieAlgebra.lift, MatrixLieAlgebra._lift_basis
+    monkeypatch.setattr(MatrixLieAlgebra, "lift",
+                        lambda alg, field: lifts.append(1) or lift(alg, field))
+    monkeypatch.setattr(MatrixLieAlgebra, "_lift_basis",
+                        lambda alg: basis_lifts.append(1) or lift_basis(alg))
+    alg1, mats1 = closure_of("B", 5, (1,))
+    alg2, mats2 = closure_of("B", 5, (2,))
+    cert = match_algebras(alg1, mats1, alg2, mats2, "B")
+    assert cert.verdict == "pass" and "rt" in cert.field
+    assert lifts and not basis_lifts

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, random_vector
+from conftest import KERNEL_FIELDS, random_element, random_vector
 from extremal_lie import linalg
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
-                                 PrimeField, QQ)
+                                 FieldElement, PrimeField, QQ,
+                                 QuadraticExtension)
+from extremal_lie.realizations import MatrixLieAlgebra
 
 
 @pytest.fixture
@@ -32,7 +36,7 @@ def test_solve_consistent_and_inconsistent(F):
     x = [F(rng.randint(-9, 9)) for _ in range(4)]
     rhs = linalg.mat_vec(m, x)
     got = linalg.solve(m, rhs)
-    assert got is not None and linalg.vec_eq(linalg.mat_vec(m, got), rhs)
+    assert got is not None and linalg.mat_vec(m, got) == rhs
     singular = [[F(1), F(2)], [F(2), F(4)]]
     assert linalg.solve(singular, [F(0), F(1)]) is None
 
@@ -66,7 +70,7 @@ def test_span_solver_coords_reconstruct(F):
     rebuilt = [F(0)] * 6
     for c, v in zip(coords, added):
         rebuilt = linalg.vec_add(rebuilt, linalg.vec_scale(v, c))
-    assert linalg.vec_eq(rebuilt, target)
+    assert rebuilt == target
     assert ss.coords([F(0)] * 5 + [F(1)]) is None or ss.rank == 6
 
 
@@ -87,7 +91,17 @@ def test_span_solver_coords_skip_rejected_vectors(F):
     rebuilt = [F(0)] * 4
     for c, x in zip(coords, (u, v, w)):
         rebuilt = linalg.vec_add(rebuilt, linalg.vec_scale(x, c))
-    assert linalg.vec_eq(rebuilt, target)
+    assert rebuilt == target
+
+
+def _rows(field, m):
+    """The payload rows of a FieldElement matrix."""
+    return tuple(linalg.sparse(field, row) for row in m)
+
+
+def _matrix(field, rows):
+    """The FieldElement matrix of payload rows."""
+    return [linalg.dense(field, row, len(rows)) for row in rows]
 
 
 def _reference_mul(a, b):
@@ -105,9 +119,10 @@ def _reference_bracket(a, b):
 def test_matrix_helpers(F):
     a = [[F(1), F(2)], [F(3), F(4)]]
     b = [[F(0), F(1)], [F(1), F(0)]]
-    assert linalg.trace(a) == F(5)
-    br = linalg.mat_bracket(a, b)
-    assert linalg.mat_eq(br, _reference_bracket(a, b))
+    one = [[F(1), F(0)], [F(0), F(1)]]
+    assert linalg.trace_product(F, _rows(F, a), _rows(F, one)) == F(5)
+    br = linalg.mat_bracket(F, _rows(F, a), _rows(F, b))
+    assert br == _rows(F, _reference_bracket(a, b))
 
 
 def test_lift_matrix_preserves_products(F):
@@ -115,25 +130,25 @@ def test_lift_matrix_preserves_products(F):
     d = next(F(k) for k in range(2, 50) if not F(k).has_sqrt())
     E = QuadraticExtension(F, d)
     a = [[F(1), F(2)], [F(3), F(4)]]
-    la = linalg.lift_matrix(a, E)
-    assert linalg.mat_eq(linalg.mat_mul(la, la),
-                         linalg.lift_matrix(linalg.mat_mul(a, a), E))
+    la = _matrix(E, linalg.lift_rows(F, _rows(F, a), E))
+    assert _rows(E, _reference_mul(la, la)) == \
+        linalg.lift_rows(F, _rows(F, _reference_mul(a, a)), E)
 
 
 def test_mat_mul_and_bracket_match_reference(kernel_field):
+    K = kernel_field
     rng = random.Random(11)
     for _ in range(25):
-        n, k, m = (rng.randint(1, 5) for _ in range(3))
-        a = [random_vector(kernel_field, rng, k) for _ in range(n)]
-        b = [random_vector(kernel_field, rng, m) for _ in range(k)]
-        assert linalg.mat_mul(a, b) == _reference_mul(a, b)
-        c = [random_vector(kernel_field, rng, n) for _ in range(n)]
-        d = [random_vector(kernel_field, rng, n) for _ in range(n)]
-        assert linalg.mat_bracket(c, d) == _reference_bracket(c, d)
+        n = rng.randint(1, 5)
+        c = [random_vector(K, rng, n) for _ in range(n)]
+        d = [random_vector(K, rng, n) for _ in range(n)]
+        assert linalg.mat_bracket(K, _rows(K, c), _rows(K, d)) == \
+            _rows(K, _reference_bracket(c, d))
         # commuting arguments: every row of the bracket cancels exactly
-        s = random_element(kernel_field, rng, zero_rate=0)
-        assert linalg.mat_is_zero(
-            linalg.mat_bracket(c, linalg.mat_scale(c, s)))
+        s = random_element(K, rng, zero_rate=0)
+        rows = _rows(K, c)
+        assert not any(linalg.mat_bracket(
+            K, rows, linalg.mat_lincomb(K, [(s, rows)], n)))
 
 
 def _combination(field, coeffs, vectors, length):
@@ -182,28 +197,27 @@ def test_mixed_fields_raise(F):
             ss.coords(vec)
     a = [[F(1), F(2)], [F(0), F(1)]]
     b = [[G(1), G(0)], [G(3), G(1)]]
+    # the payload kernels (bracket, trace form) take matrices in through
+    # a context's `element`, which checks every entry
+    ctx = MatrixLieAlgebra(F, 2, [], [])
     with pytest.raises(DescriptorMismatch):
-        linalg.mat_bracket(a, b)
+        ctx.bracket(a, b)
     with pytest.raises(DescriptorMismatch):
-        linalg.mat_bracket(b, a)
-    for x, y in ((a, b), (b, a)):
+        ctx.bracket(b, a)
+    for x in (b, [[F(1), F(2)], [G(0), F(1)]]):
         with pytest.raises(DescriptorMismatch):
-            linalg.trace_product(x, y)
-    rows = [linalg.sparse(F, row) for row in a]
+            ctx.element(x)
+    rows = _rows(F, a)
     with pytest.raises(DescriptorMismatch):
         linalg.mat_lincomb(F, [(G(2), rows)], 2)
 
 
 def _fold(field, terms, size):
-    """sum c*m by the dense add/scale fold."""
-    out = linalg.zeros(field, size, size)
+    """sum c*m by the dense FieldElement fold."""
+    out = [[field.zero] * size for _ in range(size)]
     for c, m in terms:
-        out = linalg.mat_add(out, linalg.mat_scale(m, c))
+        out = [[x + c * y for x, y in zip(r, s)] for r, s in zip(out, m)]
     return out
-
-
-def _sparse_rows(field, m):
-    return [linalg.sparse(field, row) for row in m]
 
 
 def test_mat_lincomb_matches_fold(kernel_field):
@@ -217,13 +231,13 @@ def test_mat_lincomb_matches_fold(kernel_field):
         terms = [(random_element(F, rng), m) for m in mats]
         terms += [(F.zero, mats[0]), (-terms[0][0], mats[0])]
         got = linalg.mat_lincomb(
-            F, [(c, _sparse_rows(F, m)) for c, m in terms], size)
-        assert got == _fold(F, terms, size)
-    zero = linalg.zeros(F, 3, 3)
+            F, [(c, _rows(F, m)) for c, m in terms], size)
+        assert got == _rows(F, _fold(F, terms, size))
+    zero = _rows(F, [[F.zero] * 3 for _ in range(3)])
     assert linalg.mat_lincomb(F, [], 3) == zero
     m = [random_vector(F, rng, 3, zero_rate=0) for _ in range(3)]
     c = random_element(F, rng, zero_rate=0)
-    rows = _sparse_rows(F, m)
+    rows = _rows(F, m)
     assert linalg.mat_lincomb(F, [(c, rows), (-c, rows)], 3) == zero
 
 
@@ -234,8 +248,9 @@ def test_trace_product_matches_trace_of_product(kernel_field):
         n = rng.randint(1, 5)
         a = [random_vector(F, rng, n) for _ in range(n)]
         b = [random_vector(F, rng, n) for _ in range(n)]
-        assert (linalg.trace_product(a, b)
-                == linalg.trace(linalg.mat_mul(a, b)))
+        ab = _reference_mul(a, b)
+        assert (linalg.trace_product(F, _rows(F, a), _rows(F, b))
+                == sum((ab[i][i] for i in range(n)), F.zero))
 
 
 def test_span_solver_rejects_a_vector_of_the_wrong_length(F):
@@ -246,6 +261,18 @@ def test_span_solver_rejects_a_vector_of_the_wrong_length(F):
             with pytest.raises(ValueError):
                 method(bad)
     assert ss.rank == 1
+
+
+def test_span_solver_rejects_a_payload_key_outside_the_space(F):
+    ss = linalg.SpanSolver(F, 3)
+    assert ss.add({0: F.one.v, 2: F(2).v})
+    for bad in ({3: F.one.v}, {-1: F.one.v}, {1: F.one.v, 7: F.one.v}):
+        for method in (ss.add, ss.contains, ss.coords):
+            with pytest.raises(ValueError):
+                method(bad)
+    assert ss.rank == 1
+    v = {1: F.one.v}
+    assert ss.add(v) and v == {1: F.one.v}     # the input is not modified
 
 
 def _reference_rref(matrix):
@@ -322,10 +349,97 @@ def test_rref_and_solve_wrapper_shapes(kernel_field):
         rhs = linalg.mat_vec(m, x)
         got = linalg.solve(m, rhs)
         assert got is not None and len(got) == len(m[0])
-        assert linalg.vec_eq(linalg.mat_vec(m, got), rhs)
+        assert linalg.mat_vec(m, got) == rhs
         red, pivots, rank = _reference_rref([row + [b]
                                              for row, b in zip(m, rhs)])
         want = [F.zero] * len(m[0])
         for r, pc in enumerate(pivots):
             want[pc] = red[r][-1]
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# property tests of the payload matrix kernels
+# ---------------------------------------------------------------------------
+
+def _payloads(field):
+    """Payloads of `field` with small numerators and denominators."""
+    if isinstance(field, QuadraticExtension):
+        base = _payloads(field.base)
+        return st.tuples(base, base)
+    return st.builds(lambda a, b: field.coerce(Fraction(a, b)),
+                     st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def payload_matrices(draw, field, count):
+    """(n, matrices): `count` random sparse n x n payload matrices over
+    `field`, n <= 7."""
+    n = draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, n - 1), _payloads(field),
+                          max_size=n)
+    mats = []
+    for _ in range(count):
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+        mats.append(tuple({j: v for j, v in r.items()
+                           if not field.is_zero(v)} for r in rows))
+    return n, mats
+
+
+PROPERTY = settings(max_examples=15, deadline=None, database=None,
+                    derandomize=True)
+FIELD_NAMES = pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+
+
+@FIELD_NAMES
+@PROPERTY
+@given(data=st.data())
+def test_mat_bracket_property_against_dense_reference(name, data):
+    K = KERNEL_FIELDS[name]
+    n, (a, b) = data.draw(payload_matrices(K, 2))
+    assert linalg.mat_bracket(K, a, b) == _rows(
+        K, _reference_bracket(_matrix(K, a), _matrix(K, b)))
+
+
+@FIELD_NAMES
+@PROPERTY
+@given(data=st.data())
+def test_mat_bracket_property_antisymmetry_and_jacobi(name, data):
+    K = KERNEL_FIELDS[name]
+    n, (a, b, c) = data.draw(payload_matrices(K, 3))
+    br = lambda x, y: linalg.mat_bracket(K, x, y)
+    assert not any(linalg.mat_lincomb(K, [(1, br(a, b)), (1, br(b, a))], n))
+    assert not any(linalg.mat_lincomb(
+        K, [(1, br(a, br(b, c))), (1, br(b, br(c, a))),
+            (1, br(c, br(a, b)))], n))
+
+
+@FIELD_NAMES
+@PROPERTY
+@given(data=st.data())
+def test_mat_lincomb_property_against_dense_fold(name, data):
+    K = KERNEL_FIELDS[name]
+    n, mats = data.draw(payload_matrices(K, 3))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=3,
+                                max_size=3))
+    terms = [(K(c), m) for c, m in zip(coeffs, mats)]
+    assert linalg.mat_lincomb(K, terms, n) == _rows(
+        K, _fold(K, [(c, _matrix(K, m)) for c, m in terms], n))
+
+
+@FIELD_NAMES
+@PROPERTY
+@given(data=st.data())
+def test_matrix_context_edge_property(name, data):
+    """external(element(m)) == m, and `vector` is the row-major
+    flattening."""
+    K = KERNEL_FIELDS[name]
+    n, (a,) = data.draw(payload_matrices(K, 1))
+    ctx = MatrixLieAlgebra(K, n, [], [])
+    m = _matrix(K, a)
+    assert ctx.element(m) == a
+    assert ctx.external(ctx.element(m)) == m
+    assert ctx.element(a) is a
+    assert ctx.vector(m) == linalg.sparse(K, [x for row in m for x in row])
+    assert all(isinstance(x, FieldElement) and x.field is K
+               for row in ctx.external(a) for x in row)

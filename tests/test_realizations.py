@@ -62,8 +62,7 @@ def test_siegel_matrices_preserve_the_form():
         y = [F(rng.randint(-5, 5)) for _ in range(8)]
         assert (form.apply(linalg.mat_vec(T, x), y)
                 + form.apply(x, linalg.mat_vec(T, y))).is_zero()
-    assert linalg.vec_eq(siegel_apply(form, u, v, e(5)),
-                         linalg.mat_vec(T, e(5)))
+    assert siegel_apply(form, u, v, e(5)) == linalg.mat_vec(T, e(5))
 
 
 def test_siegel_requires_isotropic_line():
@@ -138,7 +137,13 @@ def test_lie_closure_basis_is_deterministic():
     mats, _ = build_generators("A", 5, F)
     a1 = lie_closure(mats, F)
     a2 = lie_closure(mats, F)
-    assert all(linalg.mat_eq(x, y) for x, y in zip(a1.basis(), a2.basis()))
+    assert all(x == y for x, y in zip(a1.basis(), a2.basis()))
+
+
+def _lift(alg, a, field):
+    """The FieldElement matrix of the element a of alg, lifted into
+    `field`."""
+    return [[lift_element(x, field) for x in row] for row in alg.external(a)]
 
 
 def test_lift_keeps_dim_basis_order_and_form_scale():
@@ -150,28 +155,36 @@ def test_lift_keeps_dim_basis_order_and_form_scale():
                                    if not F(k).has_sqrt()))
     lifted = alg.lift(E)
     assert lifted.dim == alg.dim
-    assert all(linalg.mat_eq(b, linalg.lift_matrix(a, E))
+    assert all(b == lifted.element(_lift(alg, a, E))
                for a, b in zip(alg.basis(), lifted.basis()))
     assert lifted._form_scale == lift_element(alg._form_scale, E)
-    assert lifted.form(linalg.lift_matrix(x, E),
-                       linalg.lift_matrix(y, E)) == lift_element(fxy, E)
+    assert lifted.form(_lift(alg, x, E),
+                       _lift(alg, y, E)) == lift_element(fxy, E)
 
 
 def test_from_coords_needs_one_coordinate_per_basis_element():
     mats, _ = build_generators("A", 4, F)
     alg = lie_closure(mats, F)
     coords = [F(k % 5 - 2) for k in range(alg.dim)]
-    want = alg.zero()
+    want = [[F.zero] * 4 for _ in range(4)]
     for c, b in zip(coords, alg.basis()):
-        want = alg.add(want, alg.scale(b, c))
+        want = [[x + c * y for x, y in zip(r, s)]
+                for r, s in zip(want, alg.external(b))]
     got = alg.from_coords(coords)
-    assert linalg.mat_eq(got, want)
+    assert alg.external(got) == want
     E = QuadraticExtension(F, next(k for k in range(2, 50)
                                    if not F(k).has_sqrt()))
     lifted = alg.lift(E)
-    assert linalg.mat_eq(
-        lifted.from_coords([lift_element(c, E) for c in coords]),
-        linalg.lift_matrix(got, E))
+    assert lifted.from_coords([lift_element(c, E) for c in coords]) == \
+        lifted.element(_lift(alg, got, E))
     for bad in (coords[:-1], coords + [F(1)], []):
         with pytest.raises(ValueError):
             alg.from_coords(bad)
+
+
+def test_lie_closure_of_payload_generators_needs_the_field():
+    mats, _ = build_generators("A", 4, F)
+    alg = lie_closure(mats, F)
+    assert lie_closure(alg.generators_list, F).basis() == alg.basis()
+    with pytest.raises(ValueError, match="field"):
+        lie_closure(alg.generators_list)
