@@ -122,7 +122,7 @@ def criterion_4(rng, shared):
             bad.append(f"{family}{n}: rank {span.rank} != {want}")
         for _ in range(100):
             k = rng.randint(1, 2 * n - 3)
-            idx = tuple(rng.randint(1, n) for _ in range(k))
+            idx = tuple([rng.randint(1, n) for _ in range(k)])
             img = evaluate_monomial(alg.bracket, mats, idx)
             if not span.contains(alg.vector(img)):
                 bad.append(f"{family}{n}: monomial {idx} outside span")

@@ -442,8 +442,7 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
 def _random_element(ctx, rng):
     """A basis combination with coefficients in [-3, 3]: exactly `dim`
     draws from rng."""
-    return ctx.from_coords([ctx.field(rng.randint(-3, 3))
-                            for _ in range(ctx.dim)])
+    return ctx.from_coords([rng.randint(-3, 3) for _ in range(ctx.dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,24 @@ context (`realizations.MatrixLieAlgebra`).  Most loops go through the
 field's ``axpy(v, c, row)`` kernel, which sets ``v -= c*row`` in place
 and deletes entries that become zero (see :mod:`extremal_lie.fields`).
 The matrix kernels are the bracket `mat_bracket`, the linear
-combination `mat_lincomb`, the trace form `trace_product`, the
-row-major flattening `mat_vector` and the field lift `lift_rows`;
-`bracket_closure` grows the Lie span of a set of elements.  All
+combinations `mat_lincomb` and `basis_lincomb` (of one fixed basis, as
+`MatrixLieAlgebra.from_coords` needs), the trace form `trace_product`,
+the row-major flattening `mat_vector` and the field lift `lift_rows`;
+`bracket_closure` grows the Lie span of a set of elements.
+
+Over GF(p) `mat_bracket` and `basis_lincomb` run on packed rows
+instead of `axpy`: a row of residues becomes one Python int holding a
+slot of w bits per column, an output row is a sum of (residue) x
+(packed row) multiply-adds done by C big-int arithmetic, and one
+unpack reads it back with one ``% p`` per slot.  A slot summing T
+products of residues holds at most T*(p-1)^2, so the slot width
+w = (T*(p-1)^2).bit_length() keeps every slot below 2^w and the sums
+exact; a subtracted term is written with p - x, so no slot borrows.
+The bracket sums T = 2N terms per slot for N x N matrices and
+`basis_lincomb` T = m for a basis of m matrices.  Rationals stay on
+`axpy` because fractions cannot be packed, and quadratic extensions
+because their brackets are sparse: a packed GF(p^2) bracket made the
+isomorphism matching that ends over GF(p^2) slower.  All
 pivoting is deterministic (leftmost pivot column, first nonzero row),
 so reduced forms, solutions and span tests are reproducible bit for bit.
 
@@ -30,7 +45,8 @@ matrices from vectors and bilinear forms with the FieldElement helpers
 `vec_scale`.
 """
 
-from .fields import DescriptorMismatch, FieldElement, lift_element
+from .fields import (DescriptorMismatch, FieldElement, PrimeField,
+                     lift_element)
 
 
 def zeros(field, rows, cols):
@@ -60,8 +76,11 @@ def dense(field, v, length):
 
 
 def mat_bracket(field, a, b):
-    """ab - ba of two matrices given as payload rows, each row
-    accumulated in one sparse vector."""
+    """ab - ba of two matrices given as payload rows.  Over GF(p) each
+    output row is a sum of packed rows (`_packed_bracket`); over other
+    fields it is accumulated in one sparse vector through `axpy`."""
+    if isinstance(field, PrimeField):
+        return _packed_bracket(field.p, a, b)
     neg, axpy = field.neg, field.axpy
     out = []
     for arow, brow in zip(a, b):
@@ -81,15 +100,97 @@ def mat_lincomb(field, terms, size):
     a FieldElement or int and m is given as payload rows.  Raises
     DescriptorMismatch on a coefficient of another field."""
     neg, axpy, is_zero = field.neg, field.axpy, field.is_zero
+    payload = field.payload
     out = [{} for _ in range(size)]
     for c, rows in terms:
-        c = field(c).v
+        c = payload(c)
         if is_zero(c):
             continue
         nc = neg(c)
         for acc, row in zip(out, rows):
             if row:
                 axpy(acc, nc, row)
+    return tuple(out)
+
+
+def basis_lincomb(field, basis, size):
+    """The map from coordinates (c_1, ..., c_m) to the size x size
+    matrix sum c_i basis_i, for a fixed list of m matrices given as
+    payload rows.  Each coordinate (a FieldElement or int) is coerced
+    once; DescriptorMismatch on one of another field.  Over GF(p) the
+    basis is packed once, one int per matrix over its row-major
+    positions, so a combination is m big-int multiply-adds and one
+    unpack."""
+    if not isinstance(field, PrimeField):
+        return lambda coords: mat_lincomb(field, list(zip(coords, basis)),
+                                          size)
+    p, payload = field.p, field.payload
+    w = _slot_width(p, len(basis))
+    packed = [_pack(mat_vector(m), w) for m in basis]
+
+    def combine(coords):
+        s = 0
+        for c, m in zip(coords, packed):
+            s += payload(c) * m
+        return _unpack_rows(s, w, p, size)
+    return combine
+
+
+# ---------------------------------------------------------------------------
+# packed GF(p) rows: slot k of the int sum x_k * 2^(k*w) holds the
+# residue x_k (see the module docstring for the slot-width rule)
+# ---------------------------------------------------------------------------
+
+def _slot_width(p, terms):
+    """Bits per slot for a packed sum of `terms` residue products."""
+    return (terms * (p - 1) ** 2).bit_length()
+
+
+def _pack(v, w):
+    """The sparse residue vector v as one int with slot width w."""
+    s = 0
+    for k, x in v.items():
+        s += x << (k * w)
+    return s
+
+
+def _unpack(s, w, p):
+    """The sparse residue vector of the packed int s: every slot reduced
+    mod p, zeros dropped."""
+    mask = (1 << w) - 1
+    out, k = {}, 0
+    while s:
+        x = (s & mask) % p
+        if x:
+            out[k] = x
+        s >>= w
+        k += 1
+    return out
+
+
+def _unpack_rows(s, w, p, n):
+    """The n payload rows of a packed row-major n x n matrix."""
+    span = n * w
+    mask = (1 << span) - 1
+    return tuple([_unpack(s >> (i * span) & mask, w, p) for i in range(n)])
+
+
+def _packed_bracket(p, a, b):
+    """`mat_bracket` over GF(p): row i of ab - ba is
+    sum_t a_it * (row t of b) + sum_t (p - b_it) * (row t of a), at most
+    2N packed terms for N x N matrices."""
+    n = len(a)
+    w = _slot_width(p, 2 * n)
+    pa = [_pack(row, w) if row else 0 for row in a]
+    pb = [_pack(row, w) if row else 0 for row in b]
+    out = []
+    for arow, brow in zip(a, b):
+        s = 0
+        for t, x in arow.items():
+            s += x * pb[t]
+        for t, x in brow.items():
+            s += (p - x) * pa[t]
+        out.append(_unpack(s, w, p))
     return tuple(out)
 
 

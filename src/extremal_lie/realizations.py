@@ -17,8 +17,9 @@ the context converts each generator once into sparse payload rows.
 from . import linalg
 from .extremal import extremal_form_value
 from .fields import NoSquareRoot, lift_element
-from .linalg import (SpanSolver, dense, lift_rows, mat_bracket, mat_lincomb,
-                     mat_vec, mat_vector, sparse, trace_product, zeros)
+from .linalg import (SpanSolver, basis_lincomb, dense, lift_rows,
+                     mat_bracket, mat_lincomb, mat_vec, mat_vector, sparse,
+                     trace_product, zeros)
 
 
 class InvalidParameters(ValueError):
@@ -376,6 +377,7 @@ class MatrixLieAlgebra:
         self.dim = len(self._basis)
         self._form_scale = None
         self._unlifted = None   # (field, basis) of a basis not lifted yet
+        self._combine = None    # linalg.basis_lincomb of the basis
 
     # -- context interface (see extremal_lie.extremal.LieContext) ----------
     def element(self, x):
@@ -423,8 +425,10 @@ class MatrixLieAlgebra:
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for an algebra "
                              f"of dimension {self.dim}")
-        return mat_lincomb(self.field, list(zip(coords, self.basis())),
-                           self.ambient_dim)
+        if self._combine is None:
+            self._combine = basis_lincomb(self.field, self.basis(),
+                                          self.ambient_dim)
+        return self._combine(coords)
 
     def form(self, a, b):
         """The associative symmetric extremal form, c * trace(ab)."""

@@ -165,6 +165,16 @@ def test_certify_family_report_schema():
     assert json.loads(report.to_json()) == d
 
 
+@pytest.mark.parametrize("family,params", [("D", (2, 3)), ("B", (1,))])
+def test_certify_family_at_n8(family, params):
+    """The first rung of the scale ladder past the benchmark's n = 5, 6:
+    N = 16 for D8 and 15 for B8, the widest packed bracket slots."""
+    report = certify_family(family, 8, params, field=F, seed=0)
+    want = expected_catalog_size(family, 8)
+    assert report.verdict == "pass"
+    assert report.dim == report.catalog_rank == want
+
+
 def test_certify_family_deterministic():
     r1 = certify_family("C", 6, (), field=F, seed=3,
                         identity_samples=5, spanning_samples=10)

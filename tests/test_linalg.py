@@ -9,7 +9,8 @@ from extremal_lie import linalg
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
                                  FieldElement, PrimeField, QQ,
                                  QuadraticExtension)
-from extremal_lie.realizations import MatrixLieAlgebra
+from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
+                                       lie_closure)
 
 
 @pytest.fixture
@@ -220,6 +221,44 @@ def _fold(field, terms, size):
     return out
 
 
+PACKED_PRIMES = {"GF(5)": PrimeField(5), "GF(p)": PrimeField(DEFAULT_PRIME),
+                 "GF(2^61-1)": PrimeField(2 ** 61 - 1)}
+
+
+@pytest.mark.parametrize("name", list(PACKED_PRIMES))
+def test_packed_kernels_at_the_slot_width_bound(name):
+    """Entries p - 1 throughout, so the packed slots hold sums of
+    products (p-1)*(p-1): a 16 x 16 bracket (up to 2N = 32 terms per
+    slot) and every coordinate p - 1 on a D8 basis (dim terms), against
+    the dense FieldElement reference; then the slot-width rule at its
+    bound, T such products in every slot."""
+    K = PACKED_PRIMES[name]
+    p, n = K.p, 16
+    top = K(p - 1)
+    full = [[top] * n for _ in range(n)]
+    ones = [[K.one] * n for _ in range(n)]
+    tri = [[top if j >= i else K.one for j in range(n)] for i in range(n)]
+    for a, b in ((full, full), (full, ones), (ones, full), (full, tri),
+                 (tri, full)):
+        assert linalg.mat_bracket(K, _rows(K, a), _rows(K, b)) == \
+            _rows(K, _reference_bracket(a, b))
+    mats, _ = build_generators("D", 8, K, (K(2), K(3)))
+    alg = lie_closure(mats, K)
+    coords = [top] * alg.dim
+    want = _fold(K, [(c, alg.external(b))
+                     for c, b in zip(coords, alg.basis())], n)
+    assert alg.from_coords(coords) == _rows(K, want)
+    assert alg.from_coords([p - 1] * alg.dim) == _rows(K, want)
+    for terms in (1, 2 * n, alg.dim):
+        w = linalg._slot_width(p, terms)
+        row = linalg._pack({k: p - 1 for k in range(n)}, w)
+        assert linalg._unpack((p - 1) * terms * row, w, p) == \
+            {k: terms * (p - 1) ** 2 % p for k in range(n)
+             if terms % p}
+    with pytest.raises(DescriptorMismatch):
+        alg.from_coords([PrimeField(101)(1)] + coords[1:])
+
+
 def test_mat_lincomb_matches_fold(kernel_field):
     F = kernel_field
     rng = random.Random(17)
@@ -388,14 +427,19 @@ def payload_matrices(draw, field, count):
 
 PROPERTY = settings(max_examples=15, deadline=None, database=None,
                     derandomize=True)
-FIELD_NAMES = pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+# the shared kernel fields plus the smallest and a 61-bit prime, whose
+# packed GF(p) slots are the narrowest and the widest; every drawn
+# denominator (1..4) is invertible mod 5
+PROPERTY_FIELDS = {**KERNEL_FIELDS, "GF(5)": PrimeField(5),
+                   "GF(2^61-1)": PrimeField(2 ** 61 - 1)}
+FIELD_NAMES = pytest.mark.parametrize("name", list(PROPERTY_FIELDS))
 
 
 @FIELD_NAMES
 @PROPERTY
 @given(data=st.data())
 def test_mat_bracket_property_against_dense_reference(name, data):
-    K = KERNEL_FIELDS[name]
+    K = PROPERTY_FIELDS[name]
     n, (a, b) = data.draw(payload_matrices(K, 2))
     assert linalg.mat_bracket(K, a, b) == _rows(
         K, _reference_bracket(_matrix(K, a), _matrix(K, b)))
@@ -405,7 +449,7 @@ def test_mat_bracket_property_against_dense_reference(name, data):
 @PROPERTY
 @given(data=st.data())
 def test_mat_bracket_property_antisymmetry_and_jacobi(name, data):
-    K = KERNEL_FIELDS[name]
+    K = PROPERTY_FIELDS[name]
     n, (a, b, c) = data.draw(payload_matrices(K, 3))
     br = lambda x, y: linalg.mat_bracket(K, x, y)
     assert not any(linalg.mat_lincomb(K, [(1, br(a, b)), (1, br(b, a))], n))
@@ -418,7 +462,7 @@ def test_mat_bracket_property_antisymmetry_and_jacobi(name, data):
 @PROPERTY
 @given(data=st.data())
 def test_mat_lincomb_property_against_dense_fold(name, data):
-    K = KERNEL_FIELDS[name]
+    K = PROPERTY_FIELDS[name]
     n, mats = data.draw(payload_matrices(K, 3))
     coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=3,
                                 max_size=3))
@@ -433,7 +477,7 @@ def test_mat_lincomb_property_against_dense_fold(name, data):
 def test_matrix_context_edge_property(name, data):
     """external(element(m)) == m, and `vector` is the row-major
     flattening."""
-    K = KERNEL_FIELDS[name]
+    K = PROPERTY_FIELDS[name]
     n, (a,) = data.draw(payload_matrices(K, 1))
     ctx = MatrixLieAlgebra(K, n, [], [])
     m = _matrix(K, a)
