@@ -10,7 +10,8 @@ Four commands:
   optionally matching against a second parameter choice;
 * ``selftest`` -- run the acceptance suite.
 
-Exit codes: 0 on success, 1 when a check fails, 2 on usage or
+Exit codes: 0 on success, 1 when a check fails or standard output is
+closed early (a broken pipe, which is not reported), 2 on usage or
 parameter errors.  All numeric literals are exact rationals ("p/q");
 the environment variable EXTREMAL_LIE_SEED overrides ``--seed``.
 """
@@ -354,10 +355,20 @@ def main(argv=None):
         except ValueError:
             parser.error(f"EXTREMAL_LIE_SEED is not an integer: {env_seed!r}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a reader that went away (`| head`) raises
+        # BrokenPipeError inside this block and not at interpreter exit
+        sys.stdout.flush()
+        return code
     except (UsageError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: point it at
+        # devnull so that flush cannot fail, and exit quietly with 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,12 +8,24 @@ normalisation steps requires several independent square roots.
 Elements are lightweight wrappers around a payload whose type depends on
 the field:
 
-* ``RationalField``    -- payload is a rational number (``gmpy2.mpq`` when
-  available, else ``fractions.Fraction``),
+* ``RationalField``    -- payload is an ``int`` when the value is
+  integral and a rational ``_RAT`` (``gmpy2.mpq`` when available, else
+  ``fractions.Fraction``) otherwise; never a ``float`` or ``bool``,
 * ``PrimeField(p)``    -- payload is an ``int`` in ``[0, p)``, ``p`` an odd
   prime,
 * ``QuadraticExtension(base, d)`` -- payload is a pair ``(a, b)`` of base
   payloads representing ``a + b*sqrt(d)``.
+
+Rational payloads are ints wherever the value is integral: the graded
+presentations and the Chevalley-type realizations have integral
+structure constants, and int arithmetic skips the ``Fraction``
+machinery entirely.  ``coerce`` turns an integral value into an ``int``
+(``True`` into ``1``), ``div`` returns an ``int`` for two ints that
+divide exactly and ``_RAT`` for every other quotient, and ``sqrt``
+an ``int`` for an integral root.  Sums and products are left as Python
+computes them, so an integral ``_RAT`` can still arise (1/2 + 1/2);
+that is harmless, since equal values of the two types compare and
+hash equal and give the same ``format`` and ``sort_key``.
 
 Square roots are deterministic: of the two roots ``r`` and ``-r`` the one
 with the smaller canonical sort key is returned, so repeated runs (and both
@@ -244,9 +256,10 @@ class RationalField(Field):
         return isinstance(other, RationalField)
 
     def coerce(self, value):
-        if isinstance(value, str):
-            return _RAT(Fraction(value))
-        return _RAT(value)
+        if isinstance(value, int):
+            return int(value)  # a bool becomes 0 or 1
+        value = _RAT(Fraction(value) if isinstance(value, str) else value)
+        return int(value.numerator) if value.denominator == 1 else value
 
     def add(self, a, b):
         return a + b
@@ -260,6 +273,9 @@ class RationalField(Field):
     def div(self, a, b):
         if b == 0:
             raise NotInvertible("division by zero")
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return _RAT(a, b) if r else q
         return a / b
 
     def neg(self, a):
@@ -285,7 +301,7 @@ class RationalField(Field):
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn != num or rd * rd != den:
             raise NoSquareRoot(f"{v} is not a square in Q")
-        return _RAT(rn, rd)
+        return rn if rd == 1 else _RAT(rn, rd)
 
     def sort_key(self, v):
         return (0, v.numerator * v.denominator, v.numerator, v.denominator)

@@ -33,6 +33,10 @@ Row reduction has one kernel, `echelon`, which takes sparse payload rows
 and returns their reduced row echelon form.  Its forward pass is the
 reduction `SpanSolver` runs (`_reduce`); `rref` and `solve` are its
 FieldElement wrappers, and `presentation.build_L0` calls it directly.
+A zero row costs O(1): `echelon` drops empty input rows before it
+copies them, and `_reduce` stops scanning the kept rows as soon as the
+vector it reduces is empty.  Most relation rows of the graded
+presentation are empty or reduce to zero.
 
 FieldElement vectors (lists) and matrices (lists of rows) remain at the
 edge only.  `sparse` and `dense` convert between the two forms; they
@@ -262,18 +266,25 @@ def _reduce(axpy, v, rows, leads, e=None, exprs=()):
     """Reduce the sparse v in place against semi-echelon rows: row k
     holds the payload one at its lead leads[k] and is zero at the leads
     of the rows before it.  With e given, apply the same steps to e
-    through the matching exprs."""
+    through the matching exprs.  Once v is empty no row applies, so
+    the scan stops there: a zero vector costs O(1)."""
+    if not v:
+        return
     if e is None:
         for row, lc in zip(rows, leads):
             c = v.get(lc)
             if c is not None:
                 axpy(v, c, row)
+                if not v:
+                    return
         return
     for row, lc, ex in zip(rows, leads, exprs):
         c = v.get(lc)
         if c is not None:
             axpy(v, c, row)
             axpy(e, c, ex)
+            if not v:
+                return
 
 
 def _scaled(field, v, c):
@@ -296,6 +307,8 @@ def echelon(field, rows):
     axpy, div, one = field.axpy, field.div, field.one.v
     kept, leads = [], []
     for v in rows:
+        if not v:
+            continue
         v = dict(v)
         _reduce(axpy, v, kept, leads)
         if v:

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
 from extremal_lie.extremal import extremal_form_value
-from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField
+from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField, QQ
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
 from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
@@ -412,3 +413,21 @@ def test_match_lifts_generators_but_no_basis_element(monkeypatch):
     cert = match_algebras(alg1, mats1, alg2, mats2, "B")
     assert cert.verdict == "pass" and "rt" in cert.field
     assert lifts and not basis_lifts
+
+
+@pytest.mark.parametrize("family,n,params",
+                         [("A", 6, ()), ("C", 6, ()), ("B", 6, (1,))])
+def test_certify_family_rationals_agree_with_prime_field(family, n, params):
+    """The realizations have integral structure constants, so the report
+    over Q reduces mod p to the report over GF(p)."""
+    over_q = certify_family(family, n, tuple(QQ(p) for p in params), QQ,
+                            seed=0)
+    over_p = certify_family(family, n, tuple(F(p) for p in params), F,
+                            seed=0)
+    assert over_q.verdict == over_p.verdict == "pass"
+    assert over_q.dim == over_p.dim
+    assert over_q.catalog_rank == over_p.catalog_rank
+    assert (over_q.field, over_p.field) == (str(QQ), str(F))
+    assert len(over_q.psi) == len(over_p.psi)
+    assert [F.coerce(Fraction(v)) for v in over_q.psi] == \
+        [int(v) for v in over_p.psi]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,26 @@ def test_usage_errors_have_one_prefix(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "error: error:" not in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["present", "--edges", "1-2"],
+    ["present", "--family", "D", "--n", "9", "--format", "json"]],
+    ids=["buffered", "large"])
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that goes away before the report is written (as in
+    `| head`) gives exit status 1 and nothing on stderr.  The read end
+    is closed before the child writes anything, so every write fails,
+    both the one of a small report (at the final flush) and that of a
+    large one (inside `print`)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-m", "extremal_lie.cli",
+                             *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

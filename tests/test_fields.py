@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_FIELDS, random_element, random_vector
-from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
-                                 NoSquareRoot, NotInvertible, PrimeField,
-                                 QuadraticExtension, QQ, lift_element)
+from extremal_lie.fields import (_RAT, DEFAULT_PRIME, DescriptorMismatch,
+                                 FieldElement, NoSquareRoot, NotInvertible,
+                                 PrimeField, QuadraticExtension, QQ,
+                                 lift_element)
 
 
 @pytest.fixture
@@ -148,3 +151,79 @@ def test_prime_base_axpy_agrees_with_generic():
         QuadraticExtension.axpy(E, generic, c, row)
         E.axpy(v, c, row)
         assert v == generic == want
+
+
+# ---------------------------------------------------------------------------
+# rational payloads: an int when integral, `_RAT` otherwise, mixed freely
+# ---------------------------------------------------------------------------
+
+_SMALL = st.integers(-50, 50)
+# ints, integral rationals and non-integral rationals
+QQ_PAYLOADS = st.one_of(
+    _SMALL, _SMALL.map(_RAT),
+    st.builds(_RAT, _SMALL, st.integers(2, 9)).filter(
+        lambda x: x.denominator != 1))
+QQ_PROPERTY = settings(max_examples=200, deadline=None, database=None,
+                       derandomize=True)
+
+
+@QQ_PROPERTY
+@given(QQ_PAYLOADS, QQ_PAYLOADS)
+def test_rational_payload_arithmetic_matches_fractions(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert Fraction(QQ.add(a, b)) == fa + fb
+    assert Fraction(QQ.sub(a, b)) == fa - fb
+    assert Fraction(QQ.mul(a, b)) == fa * fb
+    assert Fraction(QQ.neg(a)) == -fa
+    if b:
+        q = QQ.div(a, b)
+        assert Fraction(q) == fa / fb
+        assert type(q) in (int, _RAT)
+        if type(a) is int and type(b) is int and (fa / fb).denominator == 1:
+            assert type(q) is int
+    else:
+        with pytest.raises(NotInvertible):
+            QQ.div(a, b)
+
+
+@QQ_PROPERTY
+@given(st.dictionaries(st.integers(0, 5), QQ_PAYLOADS, max_size=6),
+       QQ_PAYLOADS,
+       st.dictionaries(st.integers(0, 5), QQ_PAYLOADS, max_size=6))
+def test_rational_axpy_matches_fractions(v, c, row):
+    v = {k: x for k, x in v.items() if x}
+    row = {k: x for k, x in row.items() if x}
+    want = {k: Fraction(v.get(k, 0)) - Fraction(c) * Fraction(row.get(k, 0))
+            for k in set(v) | set(row)}
+    QQ.axpy(v, c, row)
+    assert v == {k: x for k, x in want.items() if x}
+    assert all(x for x in v.values())
+
+
+@QQ_PROPERTY
+@given(QQ_PAYLOADS)
+def test_rational_coerce_keeps_integral_values_as_ints(x):
+    v = QQ.coerce(x)
+    assert v == x and type(v) in (int, _RAT)
+    assert (type(v) is int) == (Fraction(x).denominator == 1)
+    assert QQ.coerce(str(Fraction(x))) == v
+
+
+@QQ_PROPERTY
+@given(_SMALL)
+def test_integral_payload_types_are_interchangeable(n):
+    a, b = FieldElement(QQ, n), FieldElement(QQ, _RAT(n))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert str(a) == str(b) and a.sort_key() == b.sort_key()
+
+
+def test_rational_coerce_and_roots_give_ints():
+    assert type(QQ(True).v) is int and QQ(True).v == 1
+    assert type(QQ(False).v) is int and QQ(False).v == 0
+    six_thirds = QQ("6/3").v
+    assert six_thirds == 2 and type(six_thirds) is int
+    assert type(QQ(Fraction(8, 4)).v) is int
+    assert type(QQ(9).sqrt().v) is int and QQ(9).sqrt() == QQ(3)
+    assert type(QQ("9/4").sqrt().v) is _RAT
+    assert type((QQ(6) / QQ(3)).v) is int
+    assert (QQ(1) / QQ(2)).v == _RAT(1, 2)

@@ -487,3 +487,37 @@ def test_matrix_context_edge_property(name, data):
     assert ctx.vector(m) == linalg.sparse(K, [x for row in m for x in row])
     assert all(isinstance(x, FieldElement) and x.field is K
                for row in ctx.external(a) for x in row)
+
+
+def test_echelon_and_span_solver_skip_empty_rows(kernel_field):
+    F = kernel_field
+    rng = random.Random(37)
+    for m in _echelon_cases(F, rng):
+        rows = [linalg.sparse(F, row) for row in m]
+        nonempty = [row for row in rows if row]
+        mixed = []
+        for row in rows:
+            mixed += [{}] * rng.randint(0, 2) + [row]
+        mixed.append({})
+        assert linalg.echelon(F, mixed) == linalg.echelon(F, nonempty)
+        ss = linalg.SpanSolver(F, len(m[0]))
+        for row in rows:
+            ss.add(row)
+        rank = ss.rank
+        assert not ss.add({}) and ss.rank == rank
+        assert ss.contains({})
+        assert ss.sparse_coords({}) == {}
+    assert linalg.echelon(F, [{}, {}]) == ([], [])
+
+
+def test_reduce_stops_scanning_once_the_vector_is_zero(F):
+    def rows_then_fail(rows):
+        yield from rows
+        raise AssertionError("scanned past a zero vector")
+
+    one = F.one.v
+    linalg._reduce(F.axpy, {}, rows_then_fail([]), rows_then_fail([]))
+    v, e = {0: 3}, {}
+    linalg._reduce(F.axpy, v, rows_then_fail([{0: one}]),
+                   rows_then_fail([0]), e, rows_then_fail([{0: one}]))
+    assert v == {} and e == {0: F.neg(3)}
