@@ -26,6 +26,18 @@ a_i -> b_i is an isomorphism exactly when the two tables agree on every
 pair, and the composed correspondence is checked on the tables through
 the glue matrix, with no matrix bracket at all.
 
+A side is checked against its standard model by building the model's
+table with the side's table as the predicted coordinates: a predicted
+column is kept only when the residual [x_k, c_b] - sum_j T_kb^j c_j is
+exactly zero, and any other column is solved for.  The model table is
+therefore the one the solves alone would give.  Since a table's pairs
+are a function of its labels and left multiplications, equal left
+multiplications prove the tables equal on every pair, which is the same
+statement the pair-by-pair comparison makes; the comparison still runs,
+with its first differing pair, whenever they differ.  The model is
+never closed: its catalog images, independent and closed under every
+generator, span the closure and so prove its dimension.
+
 All computation is exact.  Square roots needed by the normalisation
 are taken in the working field when possible; otherwise the whole
 computation is lifted to a quadratic extension and retried, and only
@@ -43,8 +55,8 @@ from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
 from .presentation import MonomialTable, evaluate_monomial
 from .extremal import (extremal_form_value, is_extremal, fixtriangle,
                        check_premet, HypothesisFailed)
-from .realizations import (lie_closure, build_generators, InvalidParameters,
-                           generators_D, generators_B)
+from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
+                           InvalidParameters, generators_D, generators_B)
 
 
 class CertifyError(Exception):
@@ -580,7 +592,13 @@ def _psi_in(vec, fld):
 def _rebuild_model(family, n, fld, target_psi):
     """Standard generators over `fld` whose canonical gauge reproduces
     `target_psi`; returns (params, ctx, gens) in a possibly larger
-    field.  Raises FormMismatch if no solved parameter candidate does."""
+    field, `ctx` holding the generators only.  Raises FormMismatch if no
+    solved parameter candidate does.
+
+    No candidate is closed here.  The model's catalog table
+    (`_catalog_table`) finds its images independent and closed under
+    every generator, so they span the closure, of dimension the catalog
+    size; otherwise it raises StructureMismatch."""
     if family == "B":
         flong = target_psi.values[-1]
         candidates = [(solve_param_B(flong, n),)]
@@ -600,11 +618,10 @@ def _rebuild_model(family, n, fld, target_psi):
                 mats, _ = generators_D(n, fld, cand[0], cand[1])
         except InvalidParameters:
             continue
-        closure = lie_closure(mats, fld)
-        if closure.dim != expected_catalog_size(family, n):
-            continue
+        # normalisation and psi need brackets and combinations only
+        ctx = MatrixLieAlgebra(fld, len(mats[0]), [], mats)
         try:
-            mctx, mg = normalize_generators(family, closure, mats)
+            mctx, mg = normalize_generators(family, ctx, mats)
         except (NormalizationFailed, HypothesisFailed, ConditionViolated):
             continue
         target = _psi_in(target_psi, mctx.field)
@@ -623,15 +640,23 @@ def _rebuild_model(family, n, fld, target_psi):
         "no solved parameter candidate reproduces the normalized form values")
 
 
-def _basis_span(ctx, images):
-    span = linalg.SpanSolver(ctx.field, ctx.vector_dim)
-    for img in images:
-        if not span.add(ctx.vector(img)):
+def _basis_span(field, vector_dim, vectors):
+    span = linalg.SpanSolver(field, vector_dim)
+    for v in vectors:
+        if not span.add(v):
             raise StructureMismatch("catalog images are dependent")
     return span
 
 
-def _catalog_table(ctx, gens, labels, name):
+def _predicts(axpy, v, col, vectors):
+    """Whether v = sum_j col[j] vectors[j] exactly."""
+    w = dict(v)
+    for j, c in col.items():
+        axpy(w, c, vectors[j])
+    return not w
+
+
+def _catalog_table(ctx, gens, labels, name, expect=None):
     """The basis of tail-closed bracket monomials `labels` in the
     generators and its structure-constant table.
 
@@ -641,8 +666,15 @@ def _catalog_table(ctx, gens, labels, name):
     left multiplications are [x_k, b] in that basis.  A left
     multiplication whose monomial (k,) + label(b) is a label is a unit
     vector and needs no bracket; every other one is one matrix bracket
-    and one coordinate solve, n * dim brackets in all with the images.
-    Raises StructureMismatch "catalog images are dependent", or
+    and its coordinates, n * dim brackets in all with the images.
+
+    `expect`, a table on the same labels (the side a model is compared
+    with), predicts the coordinates: its column is taken when the
+    residual [x_k, b] - sum_j column_j images[j] is exactly zero, which
+    makes it the column, coordinates in the independent images being
+    unique.  Any other column comes from a coordinate solve, so the
+    table, and any error, are those of the solve alone.  Raises
+    StructureMismatch "catalog images are dependent", or
     "<name>: bracket leaves the span" when [x_k, b] is outside it."""
     field = ctx.field
     one = field.one.v
@@ -653,19 +685,32 @@ def _catalog_table(ctx, gens, labels, name):
         k, *tail = labels[b]
         images[b] = (ctx.bracket(gens[k - 1], images[index[tuple(tail)]])
                      if tail else gens[k - 1])
-    span = _basis_span(ctx, images)
+    vectors = [ctx.vector(img) for img in images]
+    span = _basis_span(field, ctx.vector_dim, vectors)
     for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
+        guess = None if expect is None else expect.leftmult[k - 1]
         for b, lab in enumerate(labels):
             hit = index.get((k,) + lab)
-            if hit is None:
-                col = span.sparse_coords(
-                    ctx.vector(ctx.bracket(g, images[b])))
+            if hit is not None:
+                lm.append({hit: one})
+                continue
+            v = ctx.vector(ctx.bracket(g, images[b]))
+            if guess is not None and _predicts(field.axpy, v, guess[b],
+                                               vectors):
+                col = guess[b]
+            else:
+                col = span.sparse_coords(v)
                 if col is None:
                     raise StructureMismatch(f"{name}: bracket leaves the span")
-            else:
-                col = {hit: one}
             lm.append(col)
     return images, span, table
+
+
+def _same_leftmult(t_a, t_b):
+    """Whether the tables have equal labels and left multiplications.
+    `MonomialTable.pair` is a function of these alone, so such tables
+    agree on every pair."""
+    return t_a.labels == t_b.labels and t_a.leftmult == t_b.leftmult
 
 
 def _check_pair(label, t_a, t_b, i, j):
@@ -677,7 +722,10 @@ def _check_pair(label, t_a, t_b, i, j):
 def _compare_tables(label, t_a, t_b):
     """Equality of two tables on every pair i < j, in order.  For two
     independent bases a and b, a_i -> b_i is an isomorphism exactly when
-    their tables agree.  Returns the number of pairs checked."""
+    their tables agree.  Tables with the same left multiplications agree
+    without a pair being formed.  Returns the number of pairs checked."""
+    if _same_leftmult(t_a, t_b):
+        return t_a.dim * (t_a.dim - 1) // 2
     pairs = 0
     for i in range(t_a.dim):
         for j in range(i + 1, t_a.dim):
@@ -689,19 +737,22 @@ def _compare_tables(label, t_a, t_b):
 def _check_side_1(t_b1, t_c1, t_b2, glue):
     """Side 1 against its model, T(b1) = T(c1), and the composed
     correspondence b1_i -> phi_i = sum_a G_ia b2_a, G the sparse payload
-    glue rows, pair by pair in order.  The composed map intertwines the
-    brackets at (i, j) when, in b2-coordinates,
+    glue rows, pair by pair in order.  T(b1) = T(c1) holds at once when
+    the left multiplications agree (`_compare_tables`).  The composed
+    map intertwines the brackets at (i, j) when, in b2-coordinates,
 
         sum_{a,b} G_ia G_jb T(b2)_ab = sum_k T(b1)_ij^k G_k,
 
     which needs no matrix bracket.  Returns the number of pairs."""
     axpy = t_b1.field.axpy
+    scan = not _same_leftmult(t_b1, t_c1)
     pairs = 0
     for i in range(t_b1.dim - 1):
         # [b2_b, phi_i] for every b, once per i
         ad_i = [t_b2.bracket_with(b, glue[i]) for b in range(t_b2.dim)]
         for j in range(i + 1, t_b1.dim):
-            _check_pair("side 1 vs model", t_b1, t_c1, i, j)
+            if scan:
+                _check_pair("side 1 vs model", t_b1, t_c1, i, j)
             # w = [phi_i, phi_j] - sum_k T(b1)_ij^k phi_k (axpy subtracts)
             w = {}
             for b, g in glue[j].items():
@@ -757,8 +808,11 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     labels = [e.indices for e in catalog(family, n)]
     _, _, t_b1 = _catalog_table(ctx1, g1, labels, "side 1 vs model")
     _, _, t_b2 = _catalog_table(ctx2, g2, labels, "side 2 vs model")
-    c1, _, t_c1 = _catalog_table(mctx1, m1, labels, "side 1 vs model")
-    _, span_c2, t_c2 = _catalog_table(mctx2, m2, labels, "side 2 vs model")
+    # each model's coordinates are predicted by its side's table
+    c1, _, t_c1 = _catalog_table(mctx1, m1, labels, "side 1 vs model",
+                                 expect=t_b1)
+    _, span_c2, t_c2 = _catalog_table(mctx2, m2, labels, "side 2 vs model",
+                                      expect=t_b2)
     # what follows reads the tables, c1 and span_c2 only: dropping the
     # matrix algebras, and model 2's table once compared, lowers the
     # peak memory

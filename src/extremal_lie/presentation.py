@@ -281,14 +281,25 @@ class GradedLieAlgebra(MonomialTable):
         return self.field.zero
 
     # -- structure constants and export ------------------------------------
+    def _live_pairs(self):
+        """The pairs (i, j), i < j, in order, whose degrees sum to at most
+        the top degree: every other bracket vanishes (`_vanishes`).  The
+        basis is ordered by degree, so j runs to the end of degree
+        top - deg(i)."""
+        top = self.top_degree
+        for i in range(self.dim):
+            d = top - len(self.labels[i])
+            stop = self.degree_slice(d)[1] if d >= 1 else 0
+            for j in range(i + 1, stop):
+                yield i, j
+
     def structure_constants(self):
         """{(i, j): {k: coeff}} for i < j with nonzero bracket."""
         table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                entries = self.pair_bracket(i, j)
-                if entries:
-                    table[(i, j)] = entries
+        for i, j in self._live_pairs():
+            entries = self.pair_bracket(i, j)
+            if entries:
+                table[(i, j)] = entries
         return table
 
     def structure_constants_text(self):
@@ -296,11 +307,10 @@ class GradedLieAlgebra(MonomialTable):
         0-based indices, exact coefficient literal)."""
         fmt = self.field.format
         lines = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                entries = self.pair(i, j)
-                for k in sorted(entries):
-                    lines.append(f"{i} {j} {k} {fmt(entries[k])}")
+        for i, j in self._live_pairs():
+            entries = self.pair(i, j)
+            for k in sorted(entries):
+                lines.append(f"{i} {j} {k} {fmt(entries[k])}")
         return "\n".join(lines) + "\n"
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_FIELDS
-from extremal_lie import certify
+from extremal_lie import certify, linalg
 from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
                                   StructureMismatch,
@@ -19,6 +19,7 @@ from extremal_lie.extremal import extremal_form_value
 from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField, QQ
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
+from extremal_lie.presentation import MonomialTable
 from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
                                        lie_closure)
 
@@ -359,8 +360,9 @@ def test_catalog_table_brackets_n_times_dim(d5, monkeypatch):
 
 
 @pytest.mark.parametrize("family,n,params1,params2",
-                         [("B", 7, (1,), (2,)), ("D", 6, (2, 3), (4, 8))],
-                         ids=["B7", "D6"])
+                         [("B", 7, (1,), (2,)), ("D", 6, (2, 3), (4, 8)),
+                          ("B", 8, (1,), (2,))],
+                         ids=["B7", "D6", "B8"])
 def test_match_at_scale(family, n, params1, params2):
     alg1, mats1 = closure_of(family, n, params1)
     alg2, mats2 = closure_of(family, n, params2)
@@ -368,6 +370,90 @@ def test_match_at_scale(family, n, params1, params2):
     dim = expected_catalog_size(family, n)
     assert cert.verdict == "pass" and cert.dim == dim
     assert cert.pairs_checked == dim * (dim - 1) // 2
+
+
+#: a reordering of the generators whose catalog images stay independent;
+#: for A, C and D it is a graph automorphism that keeps the table
+PERMUTED = {"A": [1, 0, 2, 3, 4], "B": [0, 1, 2, 4, 3],
+            "C": [5, 4, 3, 2, 1, 0], "D": [0, 1, 2, 4, 3]}
+
+
+@pytest.mark.parametrize("source", ["same", "permuted", "doubled"])
+@pytest.mark.parametrize("lift", [False, True], ids=["GF(p)", "GF(p^2)"])
+@pytest.mark.parametrize("family,n,params", CASES_N5,
+                         ids=[f"{f}{n}" for f, n, _ in CASES_N5])
+def test_catalog_table_predicted_by_an_expected_table(
+        family, n, params, lift, source, monkeypatch):
+    """An expected table changes no column of the solved table, whether
+    it is the table itself or that of reordered or rescaled generators;
+    only a column it predicts wrongly needs a coordinate solve."""
+    alg, mats = realization(family, n, GF2 if lift else F, params)
+    _, _, solved = table_of(family, n, alg, mats)
+    other = list(mats)
+    if source == "permuted":
+        other = [mats[i] for i in PERMUTED[family]]
+    elif source == "doubled":
+        other[1] = alg.lincomb([(2, other[1])])
+    _, _, expect = table_of(family, n, alg, other)
+    if source == "doubled" or (source, family) == ("permuted", "B"):
+        assert expect.leftmult != solved.leftmult
+    solves = []
+    sparse_coords = linalg.SpanSolver.sparse_coords
+    monkeypatch.setattr(linalg.SpanSolver, "sparse_coords",
+                        lambda span, v: solves.append(1)
+                        or sparse_coords(span, v))
+    _, _, table = certify._catalog_table(alg, mats, labels_of(family, n),
+                                         "predicted", expect=expect)
+    assert table.leftmult == solved.leftmult
+    assert bool(solves) == (expect.leftmult != solved.leftmult)
+
+
+def test_equal_left_multiplications_form_no_pair(monkeypatch):
+    """Tables with equal left multiplications agree on every pair without
+    a pair being formed; the composed map still forms its pairs."""
+    alg, mats = closure_of("A", 4)
+    _, _, table = table_of("A", 4, alg, mats)
+    _, _, again = table_of("A", 4, alg, list(mats))
+    calls = []
+    pair = MonomialTable.pair
+    monkeypatch.setattr(MonomialTable, "pair",
+                        lambda t, a, b: calls.append(t) or pair(t, a, b))
+    assert certify._compare_tables("copy", table, again) == 105
+    assert not calls
+    identity = [{i: F.one.v} for i in range(table.dim)]
+    assert certify._check_side_1(table, again, table, identity) == 105
+    assert calls and again not in calls
+
+
+@pytest.mark.parametrize("family,params1,params2",
+                         [("B", (1,), (2,)), ("D", (2, 3), (4, 8))],
+                         ids=["B5", "D5"])
+def test_match_closes_no_model(family, params1, params2, monkeypatch):
+    alg1, mats1 = closure_of(family, 5, params1)
+    alg2, mats2 = closure_of(family, 5, params2)
+    closures = []
+    monkeypatch.setattr(certify, "lie_closure",
+                        lambda *a, **k: closures.append(1) or
+                        lie_closure(*a, **k))
+    cert = match_algebras(alg1, mats1, alg2, mats2, family)
+    assert cert.verdict == "pass" and not closures
+
+
+@pytest.mark.parametrize("family,n,params",
+                         [(f, n, p) for f, ps in (("B", [(1,), (2,)]),
+                                                  ("D", [(2, 3), (4, 8)]))
+                          for n in (5, 6) for p in ps],
+                         ids=lambda v: str(v))
+def test_rebuilt_models_close_to_the_catalog_dimension(family, n, params):
+    """The standard model rebuilt from a side's form values, which is no
+    longer closed while it is rebuilt, generates an algebra of the
+    catalog dimension."""
+    alg, mats = closure_of(family, n, params)
+    ctx, gens = normalize_generators(family, alg, mats)
+    _, mctx, model = certify._rebuild_model(family, n, ctx.field,
+                                            psi(family, ctx, gens))
+    closure = lie_closure(model, mctx.field)
+    assert closure.dim == expected_catalog_size(family, n)
 
 
 def test_random_element_draws_exactly_dim_values(b5):

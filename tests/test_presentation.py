@@ -132,3 +132,24 @@ def test_prime_field_presentation_is_the_rational_one_mod_p(family, n):
 def test_presentation_at_n_12_has_the_catalog_dimension(family):
     L = build_L0(build_family_graph(family, 12), QQ)
     assert L.dim == expected_catalog_size(family, 12)
+
+
+@pytest.mark.parametrize("family,n", [("D", 6), ("B", 6), ("A", 7)])
+def test_structure_constants_skip_pairs_vanishing_by_degree(family, n):
+    """The export visits only pairs whose degrees sum to at most the top
+    degree, caches no other pair, and gives the all-pairs table."""
+    L = build_L0(build_family_graph(family, n), QQ)
+    before = set(L._pair_cache)
+    table = L.structure_constants()
+    top = L.top_degree
+    added = set(L._pair_cache) - before
+    assert added
+    assert all(len(L.labels[a]) + len(L.labels[b]) <= top
+               for a, b in added)
+    every_pair = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            entries = L.pair_bracket(i, j)
+            if entries:
+                every_pair[(i, j)] = entries
+    assert table == every_pair
