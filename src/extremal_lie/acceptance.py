@@ -114,9 +114,9 @@ def criterion_4(rng, shared):
     for family, n, params, _ in REALIZATION_CASES:
         alg, mats, _ = _closure(shared, family, n, params)
         span = linalg.SpanSolver(alg.field, alg.vector_dim)
-        for e in catalog(family, n):
-            span.add(alg.vector(
-                evaluate_monomial(alg.bracket, mats, e.indices)))
+        for img in certify._catalog_images(
+                alg, mats, [e.indices for e in catalog(family, n)]):
+            span.add(alg.vector(img))
         want = expected_catalog_size(family, n)
         if span.rank != want:
             bad.append(f"{family}{n}: rank {span.rank} != {want}")

@@ -23,20 +23,23 @@ pair comes from the comb recursion of `presentation.MonomialTable`,
 [[x_k, b'], c] = [x_k, [b', c]] - [b', [x_k, c]], which is the Jacobi
 identity and so exact for matrix commutators.  With independent bases,
 a_i -> b_i is an isomorphism exactly when the two tables agree on every
-pair, and the composed correspondence is checked on the tables through
-the glue matrix, with no matrix bracket at all.
+pair.
 
-A side is checked against its standard model by building the model's
-table with the side's table as the predicted coordinates: a predicted
-column is kept only when the residual [x_k, c_b] - sum_j T_kb^j c_j is
-exactly zero, and any other column is solved for.  The model table is
-therefore the one the solves alone would give.  Since a table's pairs
-are a function of its labels and left multiplications, equal left
-multiplications prove the tables equal on every pair, which is the same
-statement the pair-by-pair comparison makes; the comparison still runs,
-with its first differing pair, whenever they differ.  The model is
-never closed: its catalog images, independent and closed under every
-generator, span the closure and so prove its dimension.
+A match builds three tables: T(b1) and T(b2) of the sides and T(c2) of
+model 2.  Side 2 against its model proves T(b2) = T(c2).  The composed
+map b1_i -> sum_a G_ia b2_a, checked on the tables through the glue
+matrix G of model 1's images c1 in the basis c2, proves T(b1) is T(b2)
+in the basis G gives.  G is invertible, the c1 being independent and in
+the closed span of as many c2, so T(c1) is T(c2) in that basis too and
+T(b1) = T(c1) follows: side 1 needs no check against its model, nor
+model 1 a table.
+
+Model 2's table takes side 2's column wherever the residual
+[x_k, c_b] - sum_j T_kb^j c_j is exactly zero and solves for any other
+column, so it is the table the solves alone would give, and equal left
+multiplications prove the tables equal on every pair without a pair
+scan.  No model is closed: model 2's independent images, closed under
+every generator, span its closure and prove its dimension.
 
 All computation is exact.  Square roots needed by the normalisation
 are taken in the working field when possible; otherwise the whole
@@ -499,10 +502,9 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
                                           extremal_flags)
     expected = expected_catalog_size(family, n)
 
-    entries = catalog(family, n)
     span = linalg.SpanSolver(field, closure.vector_dim)
-    for e in entries:
-        img = evaluate_monomial(closure.bracket, mats, e.indices)
+    for img in _catalog_images(closure, mats,
+                               [e.indices for e in catalog(family, n)]):
         span.add(closure.vector(img))
     catalog_rank = span.rank
 
@@ -595,10 +597,10 @@ def _rebuild_model(family, n, fld, target_psi):
     field, `ctx` holding the generators only.  Raises FormMismatch if no
     solved parameter candidate does.
 
-    No candidate is closed here.  The model's catalog table
+    No candidate is closed here.  Model 2's catalog table
     (`_catalog_table`) finds its images independent and closed under
     every generator, so they span the closure, of dimension the catalog
-    size; otherwise it raises StructureMismatch."""
+    size, as model 1's images do; otherwise it raises StructureMismatch."""
     if family == "B":
         flong = target_psi.values[-1]
         candidates = [(solve_param_B(flong, n),)]
@@ -656,17 +658,30 @@ def _predicts(axpy, v, col, vectors):
     return not w
 
 
+def _catalog_images(ctx, gens, labels):
+    """The matrices of the tail-closed bracket monomials `labels` in the
+    generators, in order: a label (k,) is x_k, and a label (k,) + label'
+    is built as exactly [x_k, image of label'], one matrix bracket."""
+    index = {lab: b for b, lab in enumerate(labels)}
+    images = [None] * len(labels)
+    for b in sorted(range(len(labels)), key=lambda b: len(labels[b])):
+        k, *tail = labels[b]
+        images[b] = (ctx.bracket(gens[k - 1], images[index[tuple(tail)]])
+                     if tail else gens[k - 1])
+    return images
+
+
 def _catalog_table(ctx, gens, labels, name, expect=None):
     """The basis of tail-closed bracket monomials `labels` in the
     generators and its structure-constant table.
 
-    Returns (images, span, table): the matrices images[b], each label
-    (k,) + label' built as exactly [x_k, image of label']; the
-    `SpanSolver` of the images, in order; and the `MonomialTable` whose
-    left multiplications are [x_k, b] in that basis.  A left
-    multiplication whose monomial (k,) + label(b) is a label is a unit
-    vector and needs no bracket; every other one is one matrix bracket
-    and its coordinates, n * dim brackets in all with the images.
+    Returns (images, span, table): the matrices images[b]
+    (`_catalog_images`), the `SpanSolver` of the images, in order, and
+    the `MonomialTable` whose left multiplications are [x_k, b] in that
+    basis.  A left multiplication whose monomial (k,) + label(b) is a
+    label is a unit vector and needs no bracket; every other one is one
+    matrix bracket and its coordinates, n * dim brackets in all with the
+    images.
 
     `expect`, a table on the same labels (the side a model is compared
     with), predicts the coordinates: its column is taken when the
@@ -680,11 +695,7 @@ def _catalog_table(ctx, gens, labels, name, expect=None):
     one = field.one.v
     table = MonomialTable(field, labels, [[] for _ in gens])
     index = table.label_index
-    images = [None] * len(labels)
-    for b in sorted(range(len(labels)), key=lambda b: len(labels[b])):
-        k, *tail = labels[b]
-        images[b] = (ctx.bracket(gens[k - 1], images[index[tuple(tail)]])
-                     if tail else gens[k - 1])
+    images = _catalog_images(ctx, gens, labels)
     vectors = [ctx.vector(img) for img in images]
     span = _basis_span(field, ctx.vector_dim, vectors)
     for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
@@ -706,53 +717,39 @@ def _catalog_table(ctx, gens, labels, name, expect=None):
     return images, span, table
 
 
-def _same_leftmult(t_a, t_b):
-    """Whether the tables have equal labels and left multiplications.
-    `MonomialTable.pair` is a function of these alone, so such tables
-    agree on every pair."""
-    return t_a.labels == t_b.labels and t_a.leftmult == t_b.leftmult
-
-
-def _check_pair(label, t_a, t_b, i, j):
-    if t_a.pair(i, j) != t_b.pair(i, j):
-        raise StructureMismatch(
-            f"{label}: bracket tables differ at pair ({i},{j})")
-
-
 def _compare_tables(label, t_a, t_b):
     """Equality of two tables on every pair i < j, in order.  For two
     independent bases a and b, a_i -> b_i is an isomorphism exactly when
-    their tables agree.  Tables with the same left multiplications agree
-    without a pair being formed.  Returns the number of pairs checked."""
-    if _same_leftmult(t_a, t_b):
+    their tables agree.  `MonomialTable.pair` is a function of the labels
+    and left multiplications alone, so tables on which these are equal
+    agree without a pair being formed.  Returns the number of pairs
+    checked."""
+    if t_a.labels == t_b.labels and t_a.leftmult == t_b.leftmult:
         return t_a.dim * (t_a.dim - 1) // 2
     pairs = 0
     for i in range(t_a.dim):
         for j in range(i + 1, t_a.dim):
-            _check_pair(label, t_a, t_b, i, j)
+            if t_a.pair(i, j) != t_b.pair(i, j):
+                raise StructureMismatch(
+                    f"{label}: bracket tables differ at pair ({i},{j})")
             pairs += 1
     return pairs
 
 
-def _check_side_1(t_b1, t_c1, t_b2, glue):
-    """Side 1 against its model, T(b1) = T(c1), and the composed
-    correspondence b1_i -> phi_i = sum_a G_ia b2_a, G the sparse payload
-    glue rows, pair by pair in order.  T(b1) = T(c1) holds at once when
-    the left multiplications agree (`_compare_tables`).  The composed
-    map intertwines the brackets at (i, j) when, in b2-coordinates,
+def _check_composed_map(t_b1, t_b2, glue):
+    """The composed correspondence b1_i -> phi_i = sum_a G_ia b2_a, G the
+    sparse payload glue rows, pair by pair in order.  It intertwines the
+    brackets at (i, j) when, in b2-coordinates,
 
         sum_{a,b} G_ia G_jb T(b2)_ab = sum_k T(b1)_ij^k G_k,
 
     which needs no matrix bracket.  Returns the number of pairs."""
     axpy = t_b1.field.axpy
-    scan = not _same_leftmult(t_b1, t_c1)
     pairs = 0
     for i in range(t_b1.dim - 1):
         # [b2_b, phi_i] for every b, once per i
         ad_i = [t_b2.bracket_with(b, glue[i]) for b in range(t_b2.dim)]
         for j in range(i + 1, t_b1.dim):
-            if scan:
-                _check_pair("side 1 vs model", t_b1, t_c1, i, j)
             # w = [phi_i, phi_j] - sum_k T(b1)_ij^k phi_k (axpy subtracts)
             w = {}
             for b, g in glue[j].items():
@@ -769,12 +766,13 @@ def _check_side_1(t_b1, t_c1, t_b2, glue):
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph are
     isomorphic: normalise both, recover standard parameters, rebuild the
-    standard model for each side, and compare the structure-constant
-    tables of the catalog bases, and the composed basis correspondence,
+    standard model for each side, compare side 2's structure-constant
+    table with its model's, and check the composed basis correspondence
     on every pair of basis elements."""
     n = len(gens1)
     if len(gens2) != n or alg1.dim != alg2.dim:
         raise FormMismatch("realizations have different dimensions")
+    labels = [e.indices for e in catalog(family, n)]
 
     ctx1, g1 = normalize_generators(family, alg1, gens1)
     ctx2, g2 = _to_field(alg2, gens2, ctx1.field)
@@ -805,12 +803,12 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     mctx1, m1 = _to_field(mctx1, m1, top)
     mctx2, m2 = _to_field(mctx2, m2, top)
 
-    labels = [e.indices for e in catalog(family, n)]
     _, _, t_b1 = _catalog_table(ctx1, g1, labels, "side 1 vs model")
     _, _, t_b2 = _catalog_table(ctx2, g2, labels, "side 2 vs model")
-    # each model's coordinates are predicted by its side's table
-    c1, _, t_c1 = _catalog_table(mctx1, m1, labels, "side 1 vs model",
-                                 expect=t_b1)
+    # model 1 needs no table, only independent catalog images
+    c1 = [mctx1.vector(img) for img in _catalog_images(mctx1, m1, labels)]
+    _basis_span(top, mctx1.vector_dim, c1)
+    # model 2's coordinates are predicted by its side's table
     _, span_c2, t_c2 = _catalog_table(mctx2, m2, labels, "side 2 vs model",
                                       expect=t_b2)
     # what follows reads the tables, c1 and span_c2 only: dropping the
@@ -818,23 +816,25 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     # peak memory
     del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
 
-    # side 2 against its standard model
+    # side 2 against its standard model: T(b2) = T(c2)
     _compare_tables("side 2 vs model", t_b2, t_c2)
 
-    # glue through the common model algebra: both model closures are
-    # the same matrix algebra, so expressing model-1 basis elements in
-    # the model-2 catalog basis is the identity map of that algebra
+    # glue through the common model algebra: model 1's images, in model
+    # 2's closed span and as many as its basis, are a basis of it, so
+    # the glue matrix G of their coordinates is invertible and T(c1) is
+    # T(c2) in the basis G gives
     glue = []
-    for img in c1:
-        coords = span_c2.coords(linalg.mat_vector(img))
+    for v in c1:
+        coords = span_c2.coords(v)
         if coords is None:
             raise StructureMismatch("model closures do not coincide")
         glue.append(coords)
     del t_c2, c1, span_c2
 
-    # side 1 against its standard model, and the composed map
-    pairs = _check_side_1(t_b1, t_c1, t_b2,
-                          [linalg.sparse(top, coords) for coords in glue])
+    # the composed map: T(b1) is T(b2) in the basis G gives, which with
+    # T(b2) = T(c2) proves T(b1) = T(c1), side 1 against its model
+    pairs = _check_composed_map(
+        t_b1, t_b2, [linalg.sparse(top, coords) for coords in glue])
 
     param_names = FAMILY_PARAMS[family]
     return MatchCertificate(

@@ -49,17 +49,23 @@ class SimpleGraph:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
 
+def check_family_n(family, n):
+    """Raise ValueError for an unknown family and BoundsViolation for an
+    n below the family's minimum."""
+    lo = FAMILY_MIN_N.get(family)
+    if lo is None:
+        raise ValueError(f"unknown family {family!r}")
+    if n < lo:
+        raise BoundsViolation(f"family {family} needs n >= {lo}, got {n}")
+
+
 def graph_from_edges(n, edges):
     return SimpleGraph(n, frozenset(frozenset(e) for e in edges))
 
 
 def build_family_graph(family, n):
     """The generator graph of the given family on 1..n."""
-    lo = FAMILY_MIN_N.get(family)
-    if lo is None:
-        raise ValueError(f"unknown family {family!r}")
-    if n < lo:
-        raise BoundsViolation(f"family {family} needs n >= {lo}, got {n}")
+    check_family_n(family, n)
     path = [(i, i + 1) for i in range(1, n)]
     if family == "C":
         edges = path
@@ -223,11 +229,7 @@ def _catalog_C(n):
 
 def catalog(family, n):
     """The spanning-monomial catalog for the family at rank n."""
-    lo = FAMILY_MIN_N.get(family)
-    if lo is None:
-        raise ValueError(f"unknown family {family!r}")
-    if n < lo:
-        raise BoundsViolation(f"family {family} needs n >= {lo}, got {n}")
+    check_family_n(family, n)
     return {"A": _catalog_A, "B": _catalog_B, "C": _catalog_C,
             "D": _catalog_D}[family](n)
 
@@ -238,7 +240,3 @@ def expected_catalog_size(family, n):
             "B": 2 * n * n - 3 * n + 1,
             "C": n * (n + 1) // 2,
             "D": 2 * n * n - n}[family]
-
-
-def catalog_to_text(entries):
-    return "\n".join(e.text() for e in entries) + "\n"

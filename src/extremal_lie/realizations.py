@@ -17,6 +17,7 @@ the context converts each generator once into sparse payload rows.
 from . import linalg
 from .extremal import extremal_form_value
 from .fields import NoSquareRoot, lift_element
+from .graphs import check_family_n
 from .linalg import (SpanSolver, basis_lincomb, dense, lift_rows,
                      mat_bracket, mat_lincomb, mat_vec, mat_vector, sparse,
                      trace_product, zeros)
@@ -138,8 +139,6 @@ def generators_A(n, field):
     x_1 = e_1 - e_2, h_1 = f_1 + f_2;
     x_i = e_{i-1} + e_i, h_i = f_{i-1} - f_i for 1 < i <= n.
     Returns (matrices, (xs, hs))."""
-    if n < 2:
-        raise InvalidParameters("need n >= 2")
     one = field.one
     xs, hs = [], []
     e = lambda i, c=one: basis_vector(field, n, i - 1, c)
@@ -158,8 +157,8 @@ def generators_C(n, field):
     """Symplectic transvection generators in sp_n (n even):
     x_{2l-1} = e_l (1 <= l <= n/2), x_{2l} = e_{l+n/2} + e_{l+n/2+1}
     (1 <= l < n/2), x_n = e_n.  Returns (matrices, (form, vectors))."""
-    if n < 2 or n % 2:
-        raise InvalidParameters("need even n >= 2")
+    if n % 2:
+        raise InvalidParameters("need even n")
     m = n // 2
     form = symplectic_form(field, m)
     e = lambda i: basis_vector(field, n, i - 1)
@@ -281,8 +280,6 @@ def generators_D(n, field, alpha, beta, force_special_c=None):
     -alpha*kappa/((alpha+2)(1+beta+kappa)) (n even) to satisfy
     lambda*(2 - beta + lambda*beta) != 1.
     Returns (matrices, (form, lines)) with lines the (u_i, v_i) pairs."""
-    if n < 5:
-        raise InvalidParameters("need n >= 5")
     alpha = field(alpha)
     beta = field(beta)
     if ((alpha + 2) * beta * (beta + 1)).is_zero():
@@ -311,8 +308,6 @@ def generators_B(n, field, gamma):
     """Siegel generators T_{u_i, v_i} in o_{2n-1} (odd orthogonal form
     on F^{2(n-1)+1}).  Requires gamma * (gamma + 1) != 0.
     Returns (matrices, (form, lines))."""
-    if n < 5:
-        raise InvalidParameters("need n >= 5")
     gamma = field(gamma)
     if (gamma * (gamma + 1)).is_zero():
         raise InvalidParameters("gamma * (gamma+1) must be nonzero")
@@ -341,16 +336,16 @@ def generators_B(n, field, gamma):
 
 def build_generators(family, n, field, params=()):
     """Uniform entry point.  params: () for A/C, (gamma,) for B,
-    (alpha, beta) for D.  Returns (matrices, extra)."""
+    (alpha, beta) for D.  Returns (matrices, extra); raises as
+    `graphs.check_family_n` first."""
+    check_family_n(family, n)
     if family == "A":
         return generators_A(n, field)
     if family == "C":
         return generators_C(n, field)
     if family == "B":
         return generators_B(n, field, *params)
-    if family == "D":
-        return generators_D(n, field, *params)
-    raise ValueError(f"unknown family {family!r}")
+    return generators_D(n, field, *params)
 
 
 # ---------------------------------------------------------------------------

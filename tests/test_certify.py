@@ -238,7 +238,7 @@ def test_catalog_tables_agree_on_every_pair():
     _, _, again = table_of("A", 4, alg, list(mats))
     assert certify._compare_tables("copy", table, again) == 105
     identity = [{i: F.one.v} for i in range(table.dim)]
-    assert certify._check_side_1(table, again, table, identity) == 105
+    assert certify._check_composed_map(table, again, identity) == 105
 
 
 @pytest.mark.parametrize("change", ["swap", "double"])
@@ -280,7 +280,7 @@ def test_composed_map_rejects_a_perturbed_glue_row(b5):
     pair = _first_bad_pair(alg, basis, span, phi)
     assert pair is not None
     with pytest.raises(StructureMismatch) as info:
-        certify._check_side_1(table, table, table, glue)
+        certify._check_composed_map(table, table, glue)
     assert str(info.value) == (
         f"composed map: bracket tables differ at pair ({pair[0]},{pair[1]})")
 
@@ -410,7 +410,8 @@ def test_catalog_table_predicted_by_an_expected_table(
 
 def test_equal_left_multiplications_form_no_pair(monkeypatch):
     """Tables with equal left multiplications agree on every pair without
-    a pair being formed; the composed map still forms its pairs."""
+    a pair being formed; the composed map still forms the pairs of side
+    1's table."""
     alg, mats = closure_of("A", 4)
     _, _, table = table_of("A", 4, alg, mats)
     _, _, again = table_of("A", 4, alg, list(mats))
@@ -421,8 +422,8 @@ def test_equal_left_multiplications_form_no_pair(monkeypatch):
     assert certify._compare_tables("copy", table, again) == 105
     assert not calls
     identity = [{i: F.one.v} for i in range(table.dim)]
-    assert certify._check_side_1(table, again, table, identity) == 105
-    assert calls and again not in calls
+    assert certify._check_composed_map(table, again, identity) == 105
+    assert calls and table in calls
 
 
 @pytest.mark.parametrize("family,params1,params2",
@@ -517,3 +518,117 @@ def test_certify_family_rationals_agree_with_prime_field(family, n, params):
     assert len(over_q.psi) == len(over_p.psi)
     assert [F.coerce(Fraction(v)) for v in over_q.psi] == \
         [int(v) for v in over_p.psi]
+
+
+def test_match_builds_three_catalog_tables(monkeypatch):
+    """Both sides and model 2 get a table; model 1 needs only its catalog
+    images (one table fewer than a check of side 1 against its model)."""
+    calls = []
+    catalog_table = certify._catalog_table
+    monkeypatch.setattr(certify, "_catalog_table",
+                        lambda *a, **k: calls.append(1) or
+                        catalog_table(*a, **k))
+    alg1, mats1 = closure_of("B", 5, (1,))
+    alg2, mats2 = closure_of("B", 5, (2,))
+    assert match_algebras(alg1, mats1, alg2, mats2, "B").verdict == "pass"
+    assert len(calls) == 3
+
+
+def _wrong_models(monkeypatch, sides):
+    """Make `_rebuild_model` return the standard B5 model of gamma = 2,
+    the other parameter, for the first `sides` calls (side 1, then side
+    2), and match B5 gamma = 1 with itself."""
+    alg, mats = closure_of("B", 5, (1,))
+    other_alg, other_mats = closure_of("B", 5, (2,))
+    ctx, gens = normalize_generators("B", other_alg, other_mats)
+    other = psi("B", ctx, gens)
+    rebuild = certify._rebuild_model
+    calls = []
+
+    def wrong(family, n, fld, target):
+        calls.append(1)
+        if len(calls) <= sides:
+            target = certify._psi_in(other, fld)
+        return rebuild(family, n, fld, target)
+
+    monkeypatch.setattr(certify, "_rebuild_model", wrong)
+    return alg, mats
+
+
+def test_a_wrong_model_for_both_sides_fails_side_2(monkeypatch):
+    """The models agree with each other, so the composed map holds; only
+    side 2 against its model can fail."""
+    alg, mats = _wrong_models(monkeypatch, 2)
+    with pytest.raises(StructureMismatch, match="^side 2 vs model: "):
+        match_algebras(alg, mats, alg, mats, "B")
+
+
+def test_a_wrong_model_for_side_1_fails_the_composed_map(monkeypatch):
+    """Side 2 matches its model, so only the composed map can find that
+    side 1 does not match its model."""
+    alg, mats = _wrong_models(monkeypatch, 1)
+    with pytest.raises(StructureMismatch, match="^composed map: "):
+        match_algebras(alg, mats, alg, mats, "B")
+
+
+def test_dependent_model_images_are_refused(monkeypatch):
+    """Model 1's images must be independent for the glue matrix to be
+    invertible.  With zero generators every glue row is zero and the
+    composed map holds, so only that check refuses such a model."""
+    alg, mats = closure_of("B", 5, (1,))
+    rebuild = certify._rebuild_model
+    calls = []
+
+    def degenerate(*args):
+        params, ctx, gens = rebuild(*args)
+        calls.append(1)
+        if len(calls) == 1:
+            gens = [ctx.lincomb([(0, g)]) for g in gens]
+        return params, ctx, gens
+
+    monkeypatch.setattr(certify, "_rebuild_model", degenerate)
+    with pytest.raises(StructureMismatch,
+                       match="^catalog images are dependent$"):
+        match_algebras(alg, mats, alg, mats, "B")
+
+
+def _conjugated(family, n, params, seed=0):
+    """The generators and their conjugates P g P^-1 by a random
+    invertible P over GF(p): an isomorphic realization in other
+    coordinates."""
+    mats, _ = build_generators(family, n, F, tuple(F(p) for p in params))
+    size = len(mats[0])
+    rng = random.Random(seed)
+    while True:
+        p = [[F(rng.randrange(F.p)) for _ in range(size)]
+             for _ in range(size)]
+        unit = [[F(int(i == j)) for j in range(size)] for i in range(size)]
+        reduced, pivots, _ = linalg.rref([r + u for r, u in zip(p, unit)])
+        if pivots == list(range(size)):
+            break
+    p_inv = [row[size:] for row in reduced]
+
+    def mul(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(size)), F.zero)
+                 for j in range(size)] for i in range(size)]
+
+    return mats, [mul(mul(p, m), p_inv) for m in mats]
+
+
+CONJUGATED = [
+    ("A", 5, ()), ("B", 5, (1,)), ("D", 5, (2, 3)),
+    pytest.param("C", 6, (), marks=pytest.mark.xfail(
+        strict=True, raises=StructureMismatch,
+        reason="ROADMAP item 1: an A or C side is its own model, so "
+               "side 1 must lie in side 2's matrix span"))]
+
+
+@pytest.mark.parametrize("family,n,params", CONJUGATED,
+                         ids=["A5", "B5", "D5", "C6"])
+def test_match_a_randomly_conjugated_realization(family, n, params):
+    mats, conj = _conjugated(family, n, params)
+    cert = match_algebras(lie_closure(mats, F), mats, lie_closure(conj, F),
+                          conj, family)
+    dim = expected_catalog_size(family, n)
+    assert cert.verdict == "pass"
+    assert cert.pairs_checked == dim * (dim - 1) // 2

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from extremal_lie.cli import main
+from extremal_lie.graphs import FAMILY_MIN_N
 
 
 def run(capsys, *argv):
@@ -152,6 +153,22 @@ def test_n_zero_is_a_bounds_error(capsys, command):
     code, _, err = run(capsys, command, "--family", "C", "--n", "0")
     assert code == 2 and "parameter error" in err
     assert "needs --family and --n" not in err
+
+
+PARAMS = {"A": (), "B": ("--gamma", "1"), "C": (),
+          "D": ("--alpha", "2", "--beta", "3")}
+
+
+@pytest.mark.parametrize("command", ["present", "realize", "certify"])
+@pytest.mark.parametrize("family,n", [(f, n) for f, lo in FAMILY_MIN_N.items()
+                                      for n in (0, lo - 1)])
+def test_n_below_the_family_minimum_is_a_parameter_error(
+        capsys, command, family, n):
+    params = () if command == "present" else PARAMS[family]
+    code, _, err = run(capsys, command, "--family", family, "--n", str(n),
+                       *params)
+    assert code == 2 and "parameter error" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,8 @@
 import pytest
 
-from extremal_lie.graphs import (BoundsViolation, CatalogEntry,
-                                 build_family_graph, catalog,
-                                 catalog_to_text, expected_catalog_size,
-                                 graph_from_edges)
+from extremal_lie.graphs import (FAMILY_MIN_N, BoundsViolation,
+                                 CatalogEntry, build_family_graph, catalog,
+                                 expected_catalog_size, graph_from_edges)
 
 
 def test_family_graph_edge_counts():
@@ -51,10 +50,13 @@ def test_catalog_matches_expected_size(family, n):
         assert all(1 <= i <= n for i in e.indices)
 
 
-def test_catalog_to_text_lists_every_entry():
-    entries = catalog("A", 5)
-    text = catalog_to_text(entries)
-    assert len(text.strip().splitlines()) == len(entries)
+@pytest.mark.parametrize("family,n", [(f, n) for f, lo in FAMILY_MIN_N.items()
+                                      for n in range(lo, 13)])
+def test_catalog_is_tail_closed(family, n):
+    """Every catalog label (k,) + tail has its tail among the labels, so
+    each image is one bracket [x_k, image of the tail]."""
+    labels = {e.indices for e in catalog(family, n)}
+    assert all(lab[1:] in labels for lab in labels if len(lab) > 1)
 
 
 def test_graph_from_edges():
