@@ -219,6 +219,8 @@ def parse_match_spec(family, text):
         if key not in names:
             raise UsageError(
                 f"family {family} does not take parameter {key!r}")
+        if key in given:
+            raise UsageError(f"--match-against repeats {key!r}")
         given[key] = rational(value.strip())
     missing = [k for k in names if k not in given]
     if missing:

@@ -361,8 +361,9 @@ def test_catalog_table_brackets_n_times_dim(d5, monkeypatch):
 
 @pytest.mark.parametrize("family,n,params1,params2",
                          [("B", 7, (1,), (2,)), ("D", 6, (2, 3), (4, 8)),
-                          ("B", 8, (1,), (2,))],
-                         ids=["B7", "D6", "B8"])
+                          ("B", 8, (1,), (2,)), ("D", 7, (2, 3), (4, 8)),
+                          ("D", 8, (2, 3), (4, 8))],
+                         ids=["B7", "D6", "B8", "D7", "D8"])
 def test_match_at_scale(family, n, params1, params2):
     alg1, mats1 = closure_of(family, n, params1)
     alg2, mats2 = closure_of(family, n, params2)
@@ -410,8 +411,8 @@ def test_catalog_table_predicted_by_an_expected_table(
 
 def test_equal_left_multiplications_form_no_pair(monkeypatch):
     """Tables with equal left multiplications agree on every pair without
-    a pair being formed; the composed map still forms the pairs of side
-    1's table."""
+    a pair being formed, and the composed map, checked on the generator
+    products, forms no pair of side 1's table either."""
     alg, mats = closure_of("A", 4)
     _, _, table = table_of("A", 4, alg, mats)
     _, _, again = table_of("A", 4, alg, list(mats))
@@ -423,7 +424,100 @@ def test_equal_left_multiplications_form_no_pair(monkeypatch):
     assert not calls
     identity = [{i: F.one.v} for i in range(table.dim)]
     assert certify._check_composed_map(table, again, identity) == 105
-    assert calls and table in calls
+    assert table not in calls
+
+
+def test_composed_map_brackets_n_times_dim(b5, monkeypatch):
+    """A passing composed map makes n * dim `bracket_with` calls on side
+    2's table (5 * 36 for B5), one per generator and basis element, not
+    one per ordered pair (1260); side 2's pairs are formed beforehand so
+    that only the check's calls count."""
+    alg, mats = b5
+    _, _, table = table_of("B", 5, alg, mats)
+    _, _, again = table_of("B", 5, alg, list(mats))
+    for i in range(again.dim):
+        for j in range(again.dim):
+            again.pair(i, j)
+    calls = []
+    bracket_with = MonomialTable.bracket_with
+    monkeypatch.setattr(MonomialTable, "bracket_with",
+                        lambda t, a, v: calls.append(t)
+                        or bracket_with(t, a, v))
+    identity = [{i: F.one.v} for i in range(table.dim)]
+    dim = table.dim
+    assert certify._check_composed_map(table, again, identity) == \
+        dim * (dim - 1) // 2
+    assert len(calls) == 5 * dim and table not in calls
+
+
+def _scan_verdict(t_b1, t_b2, glue):
+    """The full pair scan's verdict: None, or its first-bad-pair
+    message."""
+    try:
+        certify._scan_composed_map(t_b1, t_b2, glue)
+    except StructureMismatch as exc:
+        return str(exc)
+    return None
+
+
+SMALL = [("A", 4), ("B", 5), ("C", 4), ("D", 5)]
+
+
+def _glue_cases():
+    """(family, n, glue): for A4, B5, C4 and D5 the identity glue, the
+    identity glue onto the table of the `PERMUTED` generators, and the
+    glue of the `PERMUTED` relabelling (the catalog images of the
+    reordered generators in the basis of the others); and every
+    single-row perturbation {i: 1, (i+5) % dim: 3} of the B5 identity
+    glue, generator rows included."""
+    cases = [(f, n, kind) for f, n in SMALL
+             for kind in ("identity", "permuted", "relabelled")]
+    dim = expected_catalog_size("B", 5)
+    return cases + [("B", 5, row) for row in range(dim)]
+
+
+@pytest.fixture(scope="module")
+def glue_tables():
+    """For each family of `SMALL` over GF(p): the catalog table, the
+    table of the reordered generators, and the relabelling glue."""
+    out = {}
+    for family, n in SMALL:
+        params = {"B": (1,), "D": (2, 3)}.get(family, ())
+        alg, mats = closure_of(family, n, params)
+        _, span, table = table_of(family, n, alg, mats)
+        order = (PERMUTED[family][:n] if family != "C"
+                 else list(range(n - 1, -1, -1)))
+        images, _, permuted = table_of(family, n, alg,
+                                       [mats[i] for i in order])
+        relabel = [span.sparse_coords(alg.vector(img)) for img in images]
+        out[family] = table, permuted, relabel
+    return out
+
+
+@pytest.mark.parametrize("family,n,kind", _glue_cases(),
+                         ids=[f"{f}{n}-{k}" for f, n, k in _glue_cases()])
+def test_composed_map_agrees_with_the_pair_scan(glue_tables, family, n,
+                                                kind):
+    """The generator-product check passes exactly when the pair scan
+    finds no bad pair, and otherwise raises the scan's message."""
+    table, permuted, relabel = glue_tables[family]
+    dim = table.dim
+    one = F.one.v
+    t_b2, glue = table, [{i: one} for i in range(dim)]
+    if kind == "permuted":
+        t_b2 = permuted
+    elif kind == "relabelled":
+        glue = relabel
+    elif kind != "identity":
+        glue[kind] = {kind: one, (kind + 5) % dim: F(3).v}
+    expected = _scan_verdict(table, t_b2, glue)
+    if expected is None:
+        assert certify._check_composed_map(table, t_b2, glue) == \
+            dim * (dim - 1) // 2
+    else:
+        with pytest.raises(StructureMismatch) as info:
+            certify._check_composed_map(table, t_b2, glue)
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("family,params1,params2",

@@ -126,6 +126,16 @@ def test_certify_match_against_bad_key(capsys):
     assert code == 2
 
 
+def test_certify_match_against_repeated_key(capsys):
+    """A key given twice is refused rather than silently taking the last
+    value."""
+    code, out, err = run(capsys, "certify", "--family", "B", "--n", "5",
+                         "--gamma", "1", "--field", "gf", "101",
+                         "--match-against", "gamma=2,gamma=3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "repeats 'gamma'" in err
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "certify", "--family", "C", "--n", "4",
