@@ -25,11 +25,13 @@ identity and so exact for matrix commutators.  With independent bases,
 a_i -> b_i is an isomorphism exactly when the two tables agree on every
 pair.
 
-A match builds three tables: T(b1) and T(b2) of the sides and T(c2) of
-model 2.  Side 2 against its model proves T(b2) = T(c2).  The composed
-map b1_i -> sum_a G_ia b2_a, checked on the tables through the glue
-matrix G of model 1's images c1 in the basis c2, proves T(b1) is T(b2)
-in the basis G gives.  G is invertible, the c1 being independent and in
+A match builds two tables, T(b1) and T(b2) of the sides, and runs two
+checks on the n * dim generator products.  Side 2 against its model
+(`_check_model`) finds the left multiplications of T(b2) on model 2's
+catalog images c2, which proves T(b2) = T(c2) with no T(c2) built.  The
+composed map b1_i -> sum_a G_ia b2_a, checked on the tables through the
+glue matrix G of model 1's images c1 in the basis c2, proves T(b1) is
+T(b2) in the basis G gives.  G is invertible, the c1 being independent and in
 the closed span of as many c2, so T(c1) is T(c2) in that basis too and
 T(b1) = T(c1) follows: side 1 needs no check against its model, nor
 model 1 a table.  The composed map is checked on the n * dim products
@@ -39,12 +41,8 @@ generate the basis, so that proves it on every pair.  Its failure
 message, naming the first bad pair, comes from a pair scan that runs
 only once a generator product has failed.
 
-Model 2's table takes side 2's column wherever the residual
-[x_k, c_b] - sum_j T_kb^j c_j is exactly zero and solves for any other
-column, so it is the table the solves alone would give, and equal left
-multiplications prove the tables equal on every pair without a pair
-scan.  No model is closed: model 2's independent images, closed under
-every generator, span its closure and prove its dimension.
+No model is closed: model 2's independent images, closed under every
+generator, span its closure and prove its dimension.
 
 All computation is exact.  Square roots needed by the normalisation
 are taken in the working field when possible; otherwise the whole
@@ -119,6 +117,8 @@ class PsiVector:
                 f"form values, got {len(self.values)}")
 
     def __eq__(self, other):
+        if not isinstance(other, PsiVector):
+            return NotImplemented
         return (self.family == other.family and self.n == other.n
                 and all(a == b for a, b in zip(self.values, other.values)))
 
@@ -602,10 +602,10 @@ def _rebuild_model(family, n, fld, target_psi):
     field, `ctx` holding the generators only.  Raises FormMismatch if no
     solved parameter candidate does.
 
-    No candidate is closed here.  Model 2's catalog table
-    (`_catalog_table`) finds its images independent and closed under
-    every generator, so they span the closure, of dimension the catalog
-    size, as model 1's images do; otherwise it raises StructureMismatch."""
+    No candidate is closed here.  The side 2 check (`_check_model`)
+    finds model 2's catalog images independent and closed under every
+    generator, so they span the closure, of dimension the catalog size,
+    as model 1's images do; otherwise it raises StructureMismatch."""
     if family == "B":
         flong = target_psi.values[-1]
         candidates = [(solve_param_B(flong, n),)]
@@ -655,14 +655,6 @@ def _basis_span(field, vector_dim, vectors):
     return span
 
 
-def _predicts(axpy, v, col, vectors):
-    """Whether v = sum_j col[j] vectors[j] exactly."""
-    w = dict(v)
-    for j, c in col.items():
-        axpy(w, c, vectors[j])
-    return not w
-
-
 def _catalog_images(ctx, gens, labels):
     """The matrices of the tail-closed bracket monomials `labels` in the
     generators, in order: a label (k,) is x_k, and a label (k,) + label'
@@ -676,7 +668,7 @@ def _catalog_images(ctx, gens, labels):
     return images
 
 
-def _catalog_table(ctx, gens, labels, name, expect=None):
+def _catalog_table(ctx, gens, labels, name):
     """The basis of tail-closed bracket monomials `labels` in the
     generators and its structure-constant table.
 
@@ -686,59 +678,61 @@ def _catalog_table(ctx, gens, labels, name, expect=None):
     basis.  A left multiplication whose monomial (k,) + label(b) is a
     label is a unit vector and needs no bracket; every other one is one
     matrix bracket and its coordinates, n * dim brackets in all with the
-    images.
-
-    `expect`, a table on the same labels (the side a model is compared
-    with), predicts the coordinates: its column is taken when the
-    residual [x_k, b] - sum_j column_j images[j] is exactly zero, which
-    makes it the column, coordinates in the independent images being
-    unique.  Any other column comes from a coordinate solve, so the
-    table, and any error, are those of the solve alone.  Raises
-    StructureMismatch "catalog images are dependent", or
+    images.  Raises StructureMismatch "catalog images are dependent", or
     "<name>: bracket leaves the span" when [x_k, b] is outside it."""
     field = ctx.field
     one = field.one.v
     table = MonomialTable(field, labels, [[] for _ in gens])
     index = table.label_index
     images = _catalog_images(ctx, gens, labels)
-    vectors = [ctx.vector(img) for img in images]
-    span = _basis_span(field, ctx.vector_dim, vectors)
+    span = _basis_span(field, ctx.vector_dim,
+                       [ctx.vector(img) for img in images])
     for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
-        guess = None if expect is None else expect.leftmult[k - 1]
         for b, lab in enumerate(labels):
             hit = index.get((k,) + lab)
             if hit is not None:
                 lm.append({hit: one})
                 continue
-            v = ctx.vector(ctx.bracket(g, images[b]))
-            if guess is not None and _predicts(field.axpy, v, guess[b],
-                                               vectors):
-                col = guess[b]
-            else:
-                col = span.sparse_coords(v)
-                if col is None:
-                    raise StructureMismatch(f"{name}: bracket leaves the span")
+            col = span.sparse_coords(ctx.vector(ctx.bracket(g, images[b])))
+            if col is None:
+                raise StructureMismatch(f"{name}: bracket leaves the span")
             lm.append(col)
     return images, span, table
 
 
-def _compare_tables(label, t_a, t_b):
-    """Equality of two tables on every pair i < j, in order.  For two
-    independent bases a and b, a_i -> b_i is an isomorphism exactly when
-    their tables agree.  `MonomialTable.pair` is a function of the labels
-    and left multiplications alone, so tables on which these are equal
-    agree without a pair being formed.  Returns the number of pairs
-    checked."""
-    if t_a.labels == t_b.labels and t_a.leftmult == t_b.leftmult:
-        return t_a.dim * (t_a.dim - 1) // 2
-    pairs = 0
-    for i in range(t_a.dim):
-        for j in range(i + 1, t_a.dim):
-            if t_a.pair(i, j) != t_b.pair(i, j):
+def _check_model(ctx, gens, table, name):
+    """The model's catalog images c have the left multiplications of
+    `table`: [x_k, c_b] - sum_j table.leftmult[k-1][b]_j c_j = 0 exactly
+    for every generator product, in order.  At a unit product, (k,) +
+    label(b) a label, [x_k, c_b] is c_hit, so it needs no bracket: the
+    column must be {hit: 1}.  Coordinates in independent images being
+    unique, the model's table has the same left multiplications, and so,
+    `MonomialTable.pair` being a function of those and the labels, it
+    equals `table` on every pair.  Returns the `SpanSolver` of the
+    images, which, closed under every generator, span the closure.
+    Raises StructureMismatch "catalog images are dependent", or "<name>:
+    bracket tables differ at generator product (k,b)"."""
+    field = ctx.field
+    axpy, unit = field.axpy, field.one.v
+    images = _catalog_images(ctx, gens, table.labels)
+    vectors = [ctx.vector(img) for img in images]
+    span = _basis_span(field, ctx.vector_dim, vectors)
+    for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
+        for b, lab in enumerate(table.labels):
+            hit = table.label_index.get((k,) + lab)
+            if hit is not None:
+                ok = lm[b] == {hit: unit}
+            else:
+                # w = [x_k, c_b] - sum_j T_kb^j c_j (axpy subtracts)
+                w = ctx.vector(ctx.bracket(g, images[b]))
+                for j, c in lm[b].items():
+                    axpy(w, c, vectors[j])
+                ok = not w
+            if not ok:
                 raise StructureMismatch(
-                    f"{label}: bracket tables differ at pair ({i},{j})")
-            pairs += 1
-    return pairs
+                    f"{name}: bracket tables differ at generator product "
+                    f"({k},{b})")
+    return span
 
 
 def _check_composed_map(t_b1, t_b2, glue):
@@ -805,10 +799,10 @@ def _scan_composed_map(t_b1, t_b2, glue):
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph are
     isomorphic: normalise both, recover standard parameters, rebuild the
-    standard model for each side, compare side 2's structure-constant
-    table with its model's, and check the composed basis correspondence
-    on the generator products, which proves it on every pair of basis
-    elements."""
+    standard model for each side, check side 2's structure-constant
+    table on its model's generator products, and check the composed
+    basis correspondence on the generator products; each proves its
+    tables equal on every pair of basis elements."""
     n = len(gens1)
     if len(gens2) != n or alg1.dim != alg2.dim:
         raise FormMismatch("realizations have different dimensions")
@@ -848,33 +842,24 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     # model 1 needs no table, only independent catalog images
     c1 = [mctx1.vector(img) for img in _catalog_images(mctx1, m1, labels)]
     _basis_span(top, mctx1.vector_dim, c1)
-    # model 2's coordinates are predicted by its side's table
-    _, span_c2, t_c2 = _catalog_table(mctx2, m2, labels, "side 2 vs model",
-                                      expect=t_b2)
-    # what follows reads the tables, c1 and span_c2 only: dropping the
-    # matrix algebras, and model 2's table once compared, lowers the
-    # peak memory
-    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
-
     # side 2 against its standard model: T(b2) = T(c2)
-    _compare_tables("side 2 vs model", t_b2, t_c2)
+    span_c2 = _check_model(mctx2, m2, t_b2, "side 2 vs model")
+    # what follows reads the tables, c1 and span_c2 only: dropping the
+    # matrix algebras lowers the peak memory
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
 
     # glue through the common model algebra: model 1's images, in model
     # 2's closed span and as many as its basis, are a basis of it, so
     # the glue matrix G of their coordinates is invertible and T(c1) is
     # T(c2) in the basis G gives
-    glue = []
-    for v in c1:
-        coords = span_c2.coords(v)
-        if coords is None:
-            raise StructureMismatch("model closures do not coincide")
-        glue.append(coords)
-    del t_c2, c1, span_c2
+    glue = [span_c2.sparse_coords(v) for v in c1]
+    if None in glue:
+        raise StructureMismatch("model closures do not coincide")
+    del c1, span_c2
 
     # the composed map: T(b1) is T(b2) in the basis G gives, which with
     # T(b2) = T(c2) proves T(b1) = T(c1), side 1 against its model
-    pairs = _check_composed_map(
-        t_b1, t_b2, [linalg.sparse(top, coords) for coords in glue])
+    pairs = _check_composed_map(t_b1, t_b2, glue)
 
     param_names = FAMILY_PARAMS[family]
     return MatchCertificate(
@@ -884,6 +869,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         psi1=[str(v) for v in psi1.values],
         psi2=[str(v) for v in psi2.values],
         dim=alg1.dim,
-        basis_map=[[str(v) for v in row] for row in glue],
+        basis_map=[[str(v) for v in linalg.dense(top, row, len(labels))]
+                   for row in glue],
         pairs_checked=pairs,
         verdict="pass")

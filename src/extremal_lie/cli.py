@@ -99,10 +99,18 @@ def collect_params(args):
     return tuple(params)
 
 
+def write_file(path, text):
+    """Write `text` to `path`; UsageError if that fails."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def emit(args, text):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        write_file(args.output, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -152,8 +160,7 @@ def cmd_present(args):
     else:
         emit(args, "\n".join(lines))
     if args.structure:
-        with open(args.structure, "w") as fh:
-            fh.write(L.structure_constants_text())
+        write_file(args.structure, L.structure_constants_text())
     return 0 if expected is None or L.dim == expected else 1
 
 
@@ -235,7 +242,7 @@ def cmd_certify(args):
         raise UsageError("certify needs --family and --n")
     params = collect_params(args)
     other = (parse_match_spec(args.family, args.match_against)
-             if args.match_against else None)
+             if args.match_against is not None else None)
     try:
         fparams = tuple(field_elem(field, p) for p in params)
         report = certify.certify_family(

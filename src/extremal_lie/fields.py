@@ -191,8 +191,8 @@ class FieldElement:
 
     # -- comparison / hashing / display -----------------------------------
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field(other)
+        # an element equals only elements of its own field: no hash of
+        # an element of GF(p) agrees with every int it would equal
         if not isinstance(other, FieldElement):
             return NotImplemented
         if not self.field.same(other.field):

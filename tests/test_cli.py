@@ -136,6 +136,27 @@ def test_certify_match_against_repeated_key(capsys):
     assert err.startswith("error: ") and "repeats 'gamma'" in err
 
 
+def test_certify_empty_match_against_is_refused(capsys):
+    """An empty --match-against is a malformed spec, not an absent one."""
+    code, out, err = run(capsys, "certify", "--family", "A", "--n", "5",
+                         "--field", "gf", "101", "--match-against", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--match-against" in err
+
+
+@pytest.mark.parametrize("argv,target", [
+    (("present", "--edges", "1-2", "--structure"), "missing/sc.txt"),
+    (("present", "--family", "A", "--n", "4", "--output"), "missing/x"),
+    (("certify", "--family", "C", "--n", "4", "--field", "gf", "101",
+      "--output"), "."),
+], ids=["structure", "present-output", "output-directory"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, target):
+    path = str(tmp_path / target)
+    code, _, err = run(capsys, *argv, path)
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {path!r}: ")
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "certify", "--family", "C", "--n", "4",

@@ -118,6 +118,30 @@ def test_hash_agrees_with_equality():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["QQ", "GF(p)", "GF(p)(rt d)"]),
+       st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 9))
+def test_equal_elements_hash_alike(name, x, y, d):
+    """Equal implies equal hash, for elements built in different ways
+    over QQ, GF(p) and GF(p^2), and against ints: an element equals no
+    int, so a set of elements never holds one."""
+    field = KERNEL_FIELDS[name]
+    t = getattr(field, "root", field.one)
+    a = field(x) / field(d) + t * field(y)
+    b = field(Fraction(x, d)) + field(y + DEFAULT_PRIME * d) * t
+    c = field(x) + field(0)
+    for u in (a, b, c):
+        for v in (a, b, c, field(x), field(y)):
+            assert (u == v) == (v == u)
+            if u == v:
+                assert hash(u) == hash(v) and len({u, v}) == 1
+        for k in (x, y, d, x * d, 0, 1, -1):
+            assert u != k and k != u
+            assert k not in {u} and u not in {k}
+    # y + p*d is y in GF(p) and GF(p^2), not in QQ
+    assert (a == b) == (name != "QQ")
+
+
 def _sparse(vec):
     return {i: x.v for i, x in enumerate(vec) if not x.is_zero()}
 
