@@ -59,8 +59,8 @@ from .fields import (NoSquareRoot, QuadraticExtension, lift_element, QQ)
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import MonomialTable, evaluate_monomial
-from .extremal import (extremal_form_value, is_extremal, fixtriangle,
-                       check_premet, HypothesisFailed)
+from .extremal import (_form_of_bracket, extremal_form_value, is_extremal,
+                       fixtriangle, check_premet, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
                            InvalidParameters, generators_D, generators_B)
 
@@ -439,6 +439,10 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
                    - f(xk,[xl,xm]) [xk,t] )
     Q3a: the pairing of Q3 against f(u, .), with the right side fully
          expanded into form values.
+
+    [xk,t] and [xk,[xl,xm]] are formed once and serve both the right
+    side and the form values f(xk,t) and f(xk,[xl,xm]) that they start:
+    14 brackets per sample.
     """
     br = ctx.bracket
     half = ctx.field.one / 2
@@ -448,8 +452,8 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
     y = br(xl, xm)
     xk_y = br(xk, y)
     fk_yt = extremal_form_value(ctx, xk, br(y, t))
-    fk_t = extremal_form_value(ctx, xk, t)
-    fk_y = extremal_form_value(ctx, xk, y)
+    fk_t = _form_of_bracket(ctx, xk, xk_t)
+    fk_y = _form_of_bracket(ctx, xk, xk_y)
     q3 = ctx.is_zero(ctx.lincomb([(1, m1), (-1, m2), (-half * fk_yt, xk),
                                   (half * fk_t, xk_y), (half * fk_y, xk_t)]))
     lhs_a = ctx.form(u, m1) - ctx.form(u, m2)

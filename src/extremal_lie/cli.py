@@ -142,6 +142,10 @@ def cmd_present(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # the structure file first: a path that cannot be written ends the
+    # run before any of the report is emitted
+    if args.structure:
+        write_file(args.structure, L.structure_constants_text())
     profile = [d for d in L.degrees if d]
     lines = [f"graded profile: {' + '.join(map(str, profile))}"]
     if expected is None:
@@ -159,8 +163,6 @@ def cmd_present(args):
         emit(args, json.dumps(payload, indent=2))
     else:
         emit(args, "\n".join(lines))
-    if args.structure:
-        write_file(args.structure, L.structure_constants_text())
     return 0 if expected is None or L.dim == expected else 1
 
 

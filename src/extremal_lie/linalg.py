@@ -25,14 +25,21 @@ The bracket sums T = 2N terms per slot for N x N matrices and
 `basis_lincomb` T = m for a basis of m matrices.  Rationals stay on
 `axpy` because fractions cannot be packed, and quadratic extensions
 because their brackets are sparse: a packed GF(p^2) bracket made the
-isomorphism matching that ends over GF(p^2) slower.  All
-pivoting is deterministic (leftmost pivot column, first nonzero row),
-so reduced forms, solutions and span tests are reproducible bit for bit.
+isomorphism matching that ends over GF(p^2) slower.  On every field a
+bracket with a zero operand returns N empty rows at once, and over
+GF(p) `trace_product` sums its residue products as ints and reduces
+mod p once.  All pivoting is deterministic (leftmost pivot column,
+first nonzero row), so reduced forms, solutions and span tests are
+reproducible bit for bit.
 
 Row reduction has one kernel, `echelon`, which takes sparse payload rows
 and returns their reduced row echelon form.  Its forward pass is the
 reduction `SpanSolver` runs (`_reduce`); `rref` and `solve` are its
 FieldElement wrappers, and `presentation.build_L0` calls it directly.
+`SpanSolver` builds the expressions of its rows in the accepted
+vectors only when coordinates are first asked for, by replaying the
+reduction steps `add` recorded, so the many spans that only test
+membership or count a rank do no expression work.
 A zero row costs O(1): `echelon` drops empty input rows before it
 copies them, and `_reduce` stops scanning the kept rows as soon as the
 vector it reduces is empty.  Most relation rows of the graded
@@ -80,9 +87,12 @@ def dense(field, v, length):
 
 
 def mat_bracket(field, a, b):
-    """ab - ba of two matrices given as payload rows.  Over GF(p) each
-    output row is a sum of packed rows (`_packed_bracket`); over other
-    fields it is accumulated in one sparse vector through `axpy`."""
+    """ab - ba of two matrices given as payload rows.  A zero operand
+    gives N empty rows at once.  Over GF(p) each output row is a sum of
+    packed rows (`_packed_bracket`); over other fields it is
+    accumulated in one sparse vector through `axpy`."""
+    if not any(a) or not any(b):
+        return tuple([{} for _ in a])
     if isinstance(field, PrimeField):
         return _packed_bracket(field.p, a, b)
     neg, axpy = field.neg, field.axpy
@@ -231,7 +241,16 @@ def transpose(a):
 
 def trace_product(field, a, b):
     """trace(ab) of two matrices given as payload rows, summed over the
-    nonzero entries a_ik b_ki only, without forming the product."""
+    nonzero entries a_ik b_ki only, without forming the product.  Over
+    GF(p) the residue products are summed as ints and reduced once."""
+    if isinstance(field, PrimeField):
+        s = 0
+        for i, row in enumerate(a):
+            for k, x in row.items():
+                y = b[k].get(i)
+                if y is not None:
+                    s += x * y
+        return FieldElement(field, s % field.p)
     add, mul = field.add, field.mul
     s = field.zero.v
     for i, row in enumerate(a):
@@ -262,15 +281,15 @@ def dot(u, v):
     return s
 
 
-def _reduce(axpy, v, rows, leads, e=None, exprs=()):
+def _reduce(axpy, v, rows, leads, hits=None):
     """Reduce the sparse v in place against semi-echelon rows: row k
     holds the payload one at its lead leads[k] and is zero at the leads
-    of the rows before it.  With e given, apply the same steps to e
-    through the matching exprs.  Once v is empty no row applies, so
-    the scan stops there: a zero vector costs O(1)."""
+    of the rows before it.  With a list `hits` given, append (k, c) for
+    each step v -= c*(row k), in order.  Once v is empty no row
+    applies, so the scan stops there: a zero vector costs O(1)."""
     if not v:
         return
-    if e is None:
+    if hits is None:
         for row, lc in zip(rows, leads):
             c = v.get(lc)
             if c is not None:
@@ -278,11 +297,11 @@ def _reduce(axpy, v, rows, leads, e=None, exprs=()):
                 if not v:
                     return
         return
-    for row, lc, ex in zip(rows, leads, exprs):
+    for k, (row, lc) in enumerate(zip(rows, leads)):
         c = v.get(lc)
         if c is not None:
             axpy(v, c, row)
-            axpy(e, c, ex)
+            hits.append((k, c))
             if not v:
                 return
 
@@ -361,9 +380,14 @@ class SpanSolver:
     """Incremental span membership / coordinate solver.
 
     Maintains an echelon basis of the span of the accepted vectors (those
-    `add` found independent) together with the expression of each echelon
-    row in terms of them, so `coords` recovers exact coordinates with
-    respect to the accepted vectors, in the order they were added.
+    `add` found independent), so `coords` recovers exact coordinates
+    with respect to the accepted vectors, in the order they were added.
+    Each coordinate solve combines the expressions of the echelon rows
+    in the accepted vectors.  They are built on demand: `add` records
+    only the steps (row index, coefficient) that reduced an accepted
+    vector, and the first coordinate solve replays them in order, so a
+    span that is never asked for coordinates (a closure, a rank, an
+    independence test) builds no expression.
 
     Rows and expressions are sparse payload vectors; a row's leading
     column is its smallest index and holds the payload one.  A vector is
@@ -378,7 +402,8 @@ class SpanSolver:
         self.ambient_dim = ambient_dim
         self.rows = []        # echelon rows (normalised leading 1)
         self.lead = []        # leading column of each row
-        self.expr = []        # expression of each row in accepted vectors
+        self.steps = []       # (reduction hits, inv) per row, then None
+        self.expr = []        # expressions of the first rows, built so far
 
     @property
     def rank(self):
@@ -400,16 +425,15 @@ class SpanSolver:
     def add(self, v):
         """Add a vector; returns True if it increased the rank."""
         field = self.field
-        v, e = self._sparse(v), {}
-        _reduce(field.axpy, v, self.rows, self.lead, e, self.expr)
+        v, hits = self._sparse(v), []
+        _reduce(field.axpy, v, self.rows, self.lead, hits)
         if not v:
             return False
         lc = min(v)
         inv = field.div(field.one.v, v[lc])
-        e[self.rank] = field.one.v
         self.rows.append(_scaled(field, v, inv))
         self.lead.append(lc)
-        self.expr.append(_scaled(field, e, inv))
+        self.steps.append((hits, inv))
         return True
 
     def contains(self, v):
@@ -426,12 +450,33 @@ class SpanSolver:
     def sparse_coords(self, v):
         """`coords` as a sparse payload vector {k: payload}, or None."""
         field = self.field
-        v, e = self._sparse(v), {}
-        _reduce(field.axpy, v, self.rows, self.lead, e, self.expr)
+        v, hits = self._sparse(v), []
+        _reduce(field.axpy, v, self.rows, self.lead, hits)
         if v:
             return None
+        expr, axpy = self._exprs(), field.axpy
+        e = {}
+        for k, c in hits:
+            axpy(e, c, expr[k])
         neg = field.neg
         return {k: neg(x) for k, x in e.items()}
+
+    def _exprs(self):
+        """The expression of every echelon row in the accepted vectors:
+        row r is inv * (accepted vector r - sum c*(row k) over its
+        hits), so its expression replays the hits on the expressions of
+        the rows before it."""
+        field, expr = self.field, self.expr
+        axpy, one = field.axpy, field.one.v
+        for r in range(len(expr), self.rank):
+            hits, inv = self.steps[r]
+            e = {}
+            for k, c in hits:
+                axpy(e, c, expr[k])
+            e[r] = one
+            expr.append(_scaled(field, e, inv))
+            self.steps[r] = None
+        return expr
 
 
 def bracket_closure(field, generators, bracket, vector, vector_dim):

@@ -15,7 +15,7 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   long_monomial_indices, match_algebras,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
-from extremal_lie.extremal import extremal_form_value
+from extremal_lie.extremal import check_premet, extremal_form_value
 from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField, QQ
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
@@ -561,10 +561,31 @@ def test_random_element_draws_exactly_dim_values(b5):
     assert alg.external(x) == want
 
 
+def test_check_premet_brackets_each_product_once(monkeypatch):
+    """P1/P2/P5/AS/SM need [x,y], [x,z], [y,z], [[x,y],[x,z]], [y,[x,z]]
+    and [x,[y,[x,z]]], and the form values f(x,y), f(x,z), f(x,[y,z])
+    and f(x,[y,[x,z]]).  Three of the values start from a bracket
+    already formed and add one bracket each, f(x,[y,z]) two: 11 calls
+    (14 when every form value formed its own first bracket)."""
+    alg, mats = closure_of("A", 4)
+    alg.form(mats[0], mats[1])      # calibrate the form before counting
+    rng = random.Random(4)
+    y, z = certify._random_element(alg, rng), certify._random_element(alg, rng)
+    calls = []
+    bracket = alg.bracket
+    monkeypatch.setattr(alg, "bracket",
+                        lambda a, b: calls.append((a, b)) or bracket(a, b))
+    flags = check_premet(alg, mats[0], y, z)
+    assert all(flags.values())
+    assert len(calls) == 11
+
+
 def test_quartic_identities_bracket_each_product_once(monkeypatch):
-    """Q3/Q3a need 10 direct brackets and 3 extremal form values of 2
-    brackets each: 16 calls.  [xk, t] and [xk, y] are built once each
-    (computing them at each use made 20 calls)."""
+    """Q3/Q3a need 10 direct brackets and 3 extremal form values.  The
+    values f(xk, t) and f(xk, y) start from [xk, t] and [xk, y], which
+    are built once each, so they add one bracket each and f(xk, [y, t])
+    two: 14 calls (16 when the form values formed their own first
+    bracket, 20 when [xk, t] and [xk, y] were formed at each use)."""
     alg, mats = closure_of("A", 4)
     alg.form(mats[0], mats[1])      # calibrate the form before counting
     rng = random.Random(3)
@@ -576,7 +597,7 @@ def test_quartic_identities_bracket_each_product_once(monkeypatch):
     flags = certify.check_quartic_identities(alg, mats[0], mats[1], mats[2],
                                              t, u)
     assert flags == {"Q3": True, "Q3a": True}
-    assert len(calls) == 16
+    assert len(calls) == 14
 
 
 def test_match_lifts_generators_but_no_basis_element(monkeypatch):

@@ -157,6 +157,16 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, target):
     assert err.startswith(f"error: cannot write {path!r}: ")
 
 
+def test_unwritable_structure_emits_no_report(capsys, tmp_path):
+    """The structure file is written before the report, so a path that
+    cannot be written leaves stdout empty."""
+    path = str(tmp_path / "missing" / "sc.txt")
+    code, out, err = run(capsys, "present", "--edges", "1-2",
+                         "--structure", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ")
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "certify", "--family", "C", "--n", "4",

@@ -517,7 +517,132 @@ def test_reduce_stops_scanning_once_the_vector_is_zero(F):
 
     one = F.one.v
     linalg._reduce(F.axpy, {}, rows_then_fail([]), rows_then_fail([]))
-    v, e = {0: 3}, {}
+    v, hits = {0: 3}, []
     linalg._reduce(F.axpy, v, rows_then_fail([{0: one}]),
-                   rows_then_fail([0]), e, rows_then_fail([{0: one}]))
-    assert v == {} and e == {0: F.neg(3)}
+                   rows_then_fail([0]), hits)
+    assert v == {} and hits == [(0, 3)]
+
+
+# ---------------------------------------------------------------------------
+# SpanSolver with expressions built on demand, and the kernels' fast paths
+# ---------------------------------------------------------------------------
+
+SPAN_FIELDS = pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
+
+
+def _as_columns(vectors, dim):
+    """The dim x len(vectors) FieldElement matrix with the vectors as its
+    columns."""
+    return [[v[i] for v in vectors] for i in range(dim)]
+
+
+@SPAN_FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_span_solver_property_interleaved(name, data):
+    """Interleaved add / contains / coords: every coordinate vector
+    recombines the accepted vectors to the vector asked about, exactly,
+    and equals the unique solution `solve` finds.  A second span that
+    gets the same add and contains calls but is never asked for
+    coordinates answers the same and holds no expression row."""
+    K = KERNEL_FIELDS[name]
+    dim = data.draw(st.integers(1, 6))
+    entry = _payloads(K).map(lambda x: FieldElement(K, x))
+    raw = st.lists(entry, min_size=dim, max_size=dim)
+    ss, plain = linalg.SpanSolver(K, dim), linalg.SpanSolver(K, dim)
+    accepted = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        if accepted and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entry, min_size=len(accepted),
+                                        max_size=len(accepted)))
+            v = _combination(K, coeffs, accepted, dim)
+        else:
+            v = data.draw(raw)
+        offered = linalg.sparse(K, v) if data.draw(st.booleans()) else v
+        op = data.draw(st.sampled_from(("add", "contains", "coords")))
+        inside = linalg.rref(accepted + [v])[2] == len(accepted)
+        if op == "add":
+            assert ss.add(offered) == plain.add(offered) == (not inside)
+            if not inside:
+                accepted.append(v)
+        elif op == "contains":
+            assert ss.contains(offered) == plain.contains(offered) == inside
+        else:
+            assert plain.contains(offered) == inside
+            c = ss.coords(offered)
+            if not inside:
+                assert c is None
+                continue
+            assert len(c) == ss.rank == len(accepted)
+            assert _combination(K, c, accepted, dim) == v
+            assert c == linalg.solve(_as_columns(accepted, dim), v)
+            assert len(ss.expr) == ss.rank
+    assert ss.rank == plain.rank == len(accepted)
+    assert plain.expr == []
+
+
+@SPAN_FIELDS
+def test_span_solver_expressions_match_eager_reduction(name):
+    """The expression rows replayed from the recorded steps are those an
+    eager reduction builds alongside each accepted row, bit for bit."""
+    K = KERNEL_FIELDS[name]
+    rng = random.Random(41)
+    dim = 7
+    ss = linalg.SpanSolver(K, dim)
+    rows, leads, exprs = [], [], []
+    for _ in range(12):
+        v = linalg.sparse(K, random_vector(K, rng, dim))
+        accepted = ss.add(v)
+        v, hits, e = dict(v), [], {}
+        linalg._reduce(K.axpy, v, rows, leads, hits)
+        assert bool(v) == accepted
+        if not v:
+            continue
+        for k, c in hits:
+            K.axpy(e, c, exprs[k])
+        lc = min(v)
+        inv = K.div(K.one.v, v[lc])
+        e[len(rows)] = K.one.v
+        rows.append(linalg._scaled(K, v, inv))
+        leads.append(lc)
+        exprs.append(linalg._scaled(K, e, inv))
+        if rng.random() < 0.3:
+            assert ss.sparse_coords({}) == {}
+    assert ss.rows == rows
+    ss.sparse_coords({})
+    assert ss.expr == exprs
+    assert [list(e) for e in ss.expr] == [list(e) for e in exprs]
+
+
+def test_mat_bracket_with_a_zero_operand(kernel_field):
+    """A zero operand on either side gives N empty rows, each its own
+    dict, on every field kind."""
+    K = kernel_field
+    rng = random.Random(43)
+    for n in (1, 3, 6):
+        a = _rows(K, [random_vector(K, rng, n, zero_rate=0.2)
+                      for _ in range(n)])
+        zero = tuple({} for _ in range(n))
+        for x, y in ((a, zero), (zero, a), (zero, zero)):
+            got = linalg.mat_bracket(K, x, y)
+            assert got == zero and len({id(row) for row in got}) == n
+            assert got == _rows(K, _reference_bracket(_matrix(K, x),
+                                                      _matrix(K, y)))
+
+
+@pytest.mark.parametrize("name", list(PACKED_PRIMES))
+def test_trace_product_over_gf_p_matches_dense_trace(name):
+    """The GF(p) trace form sums int products and reduces once; it
+    equals the FieldElement trace of the product, with entries p - 1 and
+    p - 2 throughout and mixed with random residues."""
+    K = PACKED_PRIMES[name]
+    p, rng = K.p, random.Random(47)
+    for n in (1, 4, 9):
+        high = [[K(p - 1 - (i + j) % 2) for j in range(n)] for i in range(n)]
+        mixed = [[K(rng.choice((p - 1, p - 2, 0, rng.randrange(p))))
+                  for _ in range(n)] for _ in range(n)]
+        for a, b in ((high, high), (high, mixed), (mixed, mixed)):
+            ab = _reference_mul(a, b)
+            got = linalg.trace_product(K, _rows(K, a), _rows(K, b))
+            assert got == sum((ab[i][i] for i in range(n)), K.zero)
+            assert isinstance(got.v, int) and 0 <= got.v < p
