@@ -432,41 +432,65 @@ def solve_param_B(f_long, n):
 
 def check_quartic_identities(ctx, xk, xl, xm, t, u):
     """The two rewriting identities for an extremal xk and arbitrary
-    elements (derived from the square-bracket identity and Jacobi):
+    elements.  Q3 is the square-bracket identity at y = [xl, xm]:
 
     Q3:  [xk,[xl,[xm,[xk,t]]]] - [xk,[xm,[xl,[xk,t]]]]
-           = 1/2 ( f(xk,[[xl,xm],t]) xk - f(xk,t) [xk,[xl,xm]]
-                   - f(xk,[xl,xm]) [xk,t] )
+           = 1/2 ( f(xk,[y,t]) xk - f(xk,t) [xk,y] - f(xk,y) [xk,t] )
     Q3a: the pairing of Q3 against f(u, .), with the right side fully
          expanded into form values.
 
-    [xk,t] and [xk,[xl,xm]] are formed once and serve both the right
-    side and the form values f(xk,t) and f(xk,[xl,xm]) that they start:
-    14 brackets per sample.
+    By Jacobi, which matrix commutators satisfy exactly, the left side
+    is the single nested bracket m = [xk,[y,[xk,t]]], and the form being
+    bilinear, Q3a's left side is f(u, m).  [xk,[y,t]] is formed as
+    [[xk,y],t] + [y,[xk,t]], reusing [y,[xk,t]]; [xk,t] and [xk,y] are
+    formed once and serve both the right side and the form values
+    f(xk,t) and f(xk,y) that they start: 9 brackets per sample.  Each
+    matrix equals, entry for entry, the one the six-bracket expansion
+    forms, so every flag (and every NotExtremal) is unchanged.
     """
     br = ctx.bracket
     half = ctx.field.one / 2
     xk_t = br(xk, t)
-    m1 = br(xk, br(xl, br(xm, xk_t)))
-    m2 = br(xk, br(xm, br(xl, xk_t)))
     y = br(xl, xm)
+    y_xk_t = br(y, xk_t)
+    m = br(xk, y_xk_t)
     xk_y = br(xk, y)
-    fk_yt = extremal_form_value(ctx, xk, br(y, t))
+    xk_yt = ctx.lincomb([(1, br(xk_y, t)), (1, y_xk_t)])
+    fk_yt = _form_of_bracket(ctx, xk, xk_yt)
     fk_t = _form_of_bracket(ctx, xk, xk_t)
     fk_y = _form_of_bracket(ctx, xk, xk_y)
-    q3 = ctx.is_zero(ctx.lincomb([(1, m1), (-1, m2), (-half * fk_yt, xk),
+    q3 = ctx.is_zero(ctx.lincomb([(1, m), (-half * fk_yt, xk),
                                   (half * fk_t, xk_y), (half * fk_y, xk_t)]))
-    lhs_a = ctx.form(u, m1) - ctx.form(u, m2)
+    lhs_a = ctx.form(u, m)
     rhs_a = half * (fk_yt * ctx.form(u, xk)
                     - fk_t * ctx.form(u, xk_y)
                     - fk_y * ctx.form(u, xk_t))
     return {"Q3": q3, "Q3a": lhs_a == rhs_a}
 
 
+def _draws(rng, lo, hi, count):
+    """`count` draws of rng.randint(lo, hi), equal to them from the same
+    generator state and leaving the same state: randint's rejection
+    sampling, k = width.bit_length() bits of rng.getrandbits redrawn
+    while r >= width, without its per-call argument handling."""
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
 def _random_element(ctx, rng):
     """A basis combination with coefficients in [-3, 3]: exactly `dim`
     draws from rng."""
-    return ctx.from_coords([rng.randint(-3, 3) for _ in range(ctx.dim)])
+    return ctx.from_coords(_draws(rng, -3, 3, ctx.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +543,10 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
 
     tried = passed = 0
     for _ in range(spanning_samples):
-        k = rng.randint(1, 2 * n - 3)
+        k = _draws(rng, 1, 2 * n - 3, 1)[0]
         # tuple() of a list, not of a generator: sized once, it leaves
         # no resized tuples piling up in CPython's per-size free lists
-        idx = tuple([rng.randint(1, n) for _ in range(k)])
+        idx = tuple(_draws(rng, 1, n, k))
         img = evaluate_monomial(closure.bracket, mats, idx)
         tried += 1
         if span.contains(closure.vector(img)):
@@ -537,13 +561,13 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
                  "Q3": {"tried": 0, "passed": 0},
                  "Q3a": {"tried": 0, "passed": 0}}
     for _ in range(identity_samples):
-        x = mats[rng.randrange(n)]
+        x = mats[_draws(rng, 0, n - 1, 1)[0]]
         y = _random_element(closure, rng)
         z = _random_element(closure, rng)
         flags = check_premet(closure, x, y, z)
         id_counts["premet"]["tried"] += 1
         id_counts["premet"]["passed"] += all(flags.values())
-        k, l, m = (rng.randrange(n) for _ in range(3))
+        k, l, m = _draws(rng, 0, n - 1, 3)
         q = check_quartic_identities(closure, mats[k], mats[l], mats[m],
                                      _random_element(closure, rng),
                                      _random_element(closure, rng))

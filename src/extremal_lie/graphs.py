@@ -38,9 +38,10 @@ class SimpleGraph:
 
     def __post_init__(self):
         for e in self.edges:
-            i, j = sorted(e)
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge {e} for n={self.n}")
+            ends = sorted(e)
+            if len(ends) != 2 or not 1 <= ends[0] < ends[1] <= self.n:
+                raise ValueError(f"bad edge {'-'.join(map(str, ends))} "
+                                 f"for n={self.n}")
 
     def has_edge(self, i, j):
         return frozenset((i, j)) in self.edges

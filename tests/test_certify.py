@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KERNEL_FIELDS
+from conftest import KERNEL_FIELDS, random_element
 from extremal_lie import certify, linalg
 from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
@@ -15,7 +16,8 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   long_monomial_indices, match_algebras,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
-from extremal_lie.extremal import check_premet, extremal_form_value
+from extremal_lie.extremal import (NotExtremal, check_premet,
+                                   extremal_form_value)
 from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField, QQ
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
@@ -561,6 +563,30 @@ def test_random_element_draws_exactly_dim_values(b5):
     assert alg.external(x) == want
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+def test_draws_repeat_randint_and_randrange(seed):
+    """certify._draws gives randint's values, and randrange's, on a twin
+    generator and leaves it in the same state: widths 7, n and 2n - 3 of
+    certify_family, and the powers of two 4 and 8, where bit_length
+    overshoots and every draw above the range is redrawn; 4 860 draws
+    per seed."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in (5, 6):
+        for lo, hi in ((-3, 3), (1, n), (1, 2 * n - 3), (0, 3), (-4, 3)):
+            for count in (1, 2, 3, 300):
+                got = certify._draws(rng, lo, hi, count)
+                assert got == [ref.randint(lo, hi) for _ in range(count)]
+        for width in (n, 4, 8):
+            got = certify._draws(rng, 0, width - 1, 300)
+            assert got == [ref.randrange(width) for _ in range(300)]
+    assert rng.random() == ref.random()
+
+
+def test_draws_refuse_an_empty_range():
+    with pytest.raises(ValueError):
+        certify._draws(random.Random(0), 1, 0, 1)
+
+
 def test_check_premet_brackets_each_product_once(monkeypatch):
     """P1/P2/P5/AS/SM need [x,y], [x,z], [y,z], [[x,y],[x,z]], [y,[x,z]]
     and [x,[y,[x,z]]], and the form values f(x,y), f(x,z), f(x,[y,z])
@@ -581,11 +607,14 @@ def test_check_premet_brackets_each_product_once(monkeypatch):
 
 
 def test_quartic_identities_bracket_each_product_once(monkeypatch):
-    """Q3/Q3a need 10 direct brackets and 3 extremal form values.  The
-    values f(xk, t) and f(xk, y) start from [xk, t] and [xk, y], which
-    are built once each, so they add one bracket each and f(xk, [y, t])
-    two: 14 calls (16 when the form values formed their own first
-    bracket, 20 when [xk, t] and [xk, y] were formed at each use)."""
+    """Q3/Q3a need six direct brackets: [xk,t], y = [xl,xm], [y,[xk,t]],
+    the left side [xk,[y,[xk,t]]], [xk,y] and [[xk,y],t], which with
+    [y,[xk,t]] sums to [xk,[y,t]] (Jacobi).  The form values f(xk,t),
+    f(xk,y) and f(xk,[y,t]) start from [xk,t], [xk,y] and [xk,[y,t]],
+    so they add one bracket each: 9 calls (14 when the left side was the
+    two three-bracket chains m1 - m2 and f(xk,[y,t]) formed [y,t] and
+    [xk,[y,t]], 16 when every form value formed its own first
+    bracket)."""
     alg, mats = closure_of("A", 4)
     alg.form(mats[0], mats[1])      # calibrate the form before counting
     rng = random.Random(3)
@@ -597,7 +626,100 @@ def test_quartic_identities_bracket_each_product_once(monkeypatch):
     flags = certify.check_quartic_identities(alg, mats[0], mats[1], mats[2],
                                              t, u)
     assert flags == {"Q3": True, "Q3a": True}
-    assert len(calls) == 14
+    assert len(calls) == 9
+
+
+def _six_bracket_quartic(ctx, xk, xl, xm, t, u):
+    """Q3/Q3a evaluated literally: the left side as the two chains
+    m1 - m2, each form value from its own brackets, Q3a's left side as
+    f(u, m1) - f(u, m2)."""
+    br = ctx.bracket
+    half = ctx.field.one / 2
+    m1 = br(xk, br(xl, br(xm, br(xk, t))))
+    m2 = br(xk, br(xm, br(xl, br(xk, t))))
+    y = br(xl, xm)
+    fk_yt = extremal_form_value(ctx, xk, br(y, t))
+    fk_t = extremal_form_value(ctx, xk, t)
+    fk_y = extremal_form_value(ctx, xk, y)
+    q3 = ctx.is_zero(ctx.lincomb([(1, m1), (-1, m2), (-half * fk_yt, xk),
+                                  (half * fk_t, br(xk, y)),
+                                  (half * fk_y, br(xk, t))]))
+    lhs_a = ctx.form(u, m1) - ctx.form(u, m2)
+    rhs_a = half * (fk_yt * ctx.form(u, xk)
+                    - fk_t * ctx.form(u, br(xk, y))
+                    - fk_y * ctx.form(u, br(xk, t)))
+    return {"Q3": q3, "Q3a": lhs_a == rhs_a}
+
+
+def _quartic_outcome(check, ctx, *args):
+    try:
+        return check(ctx, *args)
+    except NotExtremal as exc:
+        return ("NotExtremal", str(exc))
+
+
+QUARTIC_FAMILIES = [("A", 4, ()), ("B", 5, (1,)), ("C", 4, ()),
+                    ("D", 5, (2, 3))]
+
+
+@functools.lru_cache(maxsize=None)
+def quartic_context(family, n, params, name):
+    """The family's closure over QQ or GF(p), or the GF(p) closure
+    lifted to GF(p^2)."""
+    fld = QQ if name == "QQ" else F
+    mats, _ = build_generators(family, n, fld, tuple(fld(p) for p in params))
+    alg = lie_closure(mats, fld)
+    return alg if name in ("QQ", "GF(p)") else alg.lift(KERNEL_FIELDS[name])
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
+@pytest.mark.parametrize("family,n,params", QUARTIC_FAMILIES,
+                         ids=lambda v: str(v))
+def test_quartic_identities_match_the_six_bracket_expansion(
+        monkeypatch, family, n, params, name):
+    """On random elements (xk a random combination, which is not
+    extremal, or a generator), the Jacobi-reduced left side
+    [xk,[y,[xk,t]]] is m1 - m2 entry for entry, [[xk,y],t] + [y,[xk,t]]
+    is [xk,[y,t]], and check_quartic_identities forms both (read off
+    its brackets) and gives the flags, or the NotExtremal, of the
+    literal six-bracket evaluation."""
+    alg = quartic_context(family, n, params, name)
+    gens = alg.generators_list
+    rng = random.Random(f"{family}{n}{name}")
+
+    def element():
+        return alg.from_coords([random_element(alg.field, rng)
+                                for _ in range(alg.dim)])
+
+    def same(a, b):
+        return alg.external(a) == alg.external(b)
+
+    br = alg.bracket
+    for xk, extremal in ((element(), False), (element(), False),
+                         (gens[0], True), (gens[-1], True)):
+        xl, xm, t, u = element(), element(), element(), element()
+        y = br(xl, xm)
+        m1 = br(xk, br(xl, br(xm, br(xk, t))))
+        m2 = br(xk, br(xm, br(xl, br(xk, t))))
+        left = alg.lincomb([(1, m1), (-1, m2)])
+        assert not alg.is_zero(left)
+        assert same(br(xk, br(y, br(xk, t))), left)
+        xk_yt = br(xk, br(y, t))
+        assert same(alg.lincomb([(1, br(br(xk, y), t)),
+                                 (1, br(y, br(xk, t)))]), xk_yt)
+
+        want = _quartic_outcome(_six_bracket_quartic, alg, xk, xl, xm, t, u)
+        formed = []
+        monkeypatch.setattr(alg, "bracket",
+                            lambda a, b: formed.append((a, b)) or br(a, b))
+        got = _quartic_outcome(certify.check_quartic_identities, alg,
+                               xk, xl, xm, t, u)
+        monkeypatch.undo()
+        assert got == want
+        assert (want == {"Q3": True, "Q3a": True} if extremal
+                else want[0] == "NotExtremal")
+        assert any(same(br(a, b), left) for a, b in formed)
+        assert any(same(a, xk) and same(b, xk_yt) for a, b in formed)
 
 
 def test_match_lifts_generators_but_no_basis_element(monkeypatch):

@@ -55,6 +55,17 @@ def test_present_bad_custom_edge(capsys):
     assert code == 2 and "parameter error" in err
 
 
+@pytest.mark.parametrize("argv,edge", [
+    (("--edges", "0-1"), "0-1 for n=1"),
+    (("--edges", "1-2", "--n", "-3"), "1-2 for n=-3"),
+])
+def test_bad_edge_message_names_the_edge_as_i_j(capsys, argv, edge):
+    code, out, err = run(capsys, "present", *argv)
+    assert code == 2 and not out
+    assert err == f"parameter error: bad edge {edge}\n"
+    assert "frozenset" not in err and "Traceback" not in err
+
+
 def test_realize_pass(capsys):
     code, out, _ = run(capsys, "realize", "--family", "C", "--n", "6",
                        "--field", "gf", "2147483629")

@@ -63,3 +63,14 @@ def test_graph_from_edges():
     g = graph_from_edges(3, [(1, 2), (2, 3)])
     assert g.n == 3
     assert g.has_edge(1, 2) and g.has_edge(2, 3) and not g.has_edge(1, 3)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1)], "bad edge 0-1 for n=3"),
+    ([(2, 4)], "bad edge 2-4 for n=3"),
+    ([(2, 2)], "bad edge 2 for n=3"),
+])
+def test_bad_edges_are_named_as_i_j(edges, message):
+    with pytest.raises(ValueError) as info:
+        graph_from_edges(3, edges)
+    assert str(info.value) == message
