@@ -1,13 +1,29 @@
 """The ten acceptance criteria, one test (and one pass/fail line) each.
 
 The whole suite runs once through `extremal_lie.acceptance.run_all`
-with a fixed seed; each test then reports and asserts its criterion.
-Run `pytest -v tests/test_acceptance.py` for the per-criterion lines.
+with a fixed seed; each test then reports and asserts its criterion and
+its exact detail string at seed 0, so a change that alters what a
+criterion counts or names shows here.  Run
+`pytest -v tests/test_acceptance.py` for the per-criterion lines.
 """
 
 import pytest
 
 from extremal_lie.acceptance import CRITERIA, run_all
+
+#: the detail string of each criterion under run_all(seed=0)
+DETAILS = {
+    1: "D5:45/45, B5:36/36, A5:24/24, C4:10/10, C6:21/21",
+    2: "C6:21/21, A5:24/24, B5:36/36, B6:55/55, D5:45/45, D6:66/66",
+    3: "6 cases",
+    4: "all ranks exact, 600 samples",
+    5: "P1:200/200, P2:200/200, P5:200/200, AS:200/200, SM:200/200",
+    6: "600 pairs, 2 constructions",
+    7: "100/100",
+    8: "50 triples, shift alpha/4",
+    9: "4 certificates",
+    10: "3 + 4 round trips, special branch",
+}
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +39,7 @@ def _check(results, number):
     print(f"criterion {number} ({r['name']}): {status} -- {r['detail']} "
           f"[{r['seconds']}s]")
     assert r["passed"], f"criterion {number}: {r['detail']}"
+    assert r["detail"] == DETAILS[number]
 
 
 def test_criterion_01_presentation_dimensions(results):

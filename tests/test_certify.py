@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -16,7 +18,7 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   long_monomial_indices, match_algebras,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
-from extremal_lie.extremal import (NotExtremal, check_premet,
+from extremal_lie.extremal import (NotExtremal, check_premet, exp_ad,
                                    extremal_form_value)
 from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField, QQ
 from extremal_lie.graphs import (build_family_graph, catalog,
@@ -209,6 +211,52 @@ def test_match_rejects_dimension_mismatch(b5):
     other, others = closure_of("D", 5, (2, 3))
     with pytest.raises(FormMismatch):
         match_algebras(alg, mats, other, others, "B")
+
+
+def _conjugated_c6():
+    """Criterion 9's C6 pair: the standard generators and their
+    conjugate by exp(3 ad x_1) then exp(-2 ad x_3)."""
+    alg, mats = closure_of("C", 6)
+    mats = alg.generators_list
+    conj = [exp_ad(alg, F(3), mats[0], g) for g in mats]
+    conj = [exp_ad(alg, F(-2), mats[2], g) for g in conj]
+    return alg, mats, lie_closure(conj, F), conj
+
+
+def _param_pair(family, n, field, params1, params2):
+    out = []
+    for params in (params1, params2):
+        mats, _ = build_generators(family, n, field,
+                                   tuple(field(p) for p in params))
+        out += [lie_closure(mats, field), mats]
+    return out
+
+
+#: sha256 of the sorted-key JSON of each full MatchCertificate,
+#: basis_map included
+MATCH_DIGESTS = {
+    "D5": "dd6225711bdd833466d42009ddbf01b9aa426ee506a0bd325719541943e0ad8a",
+    "B6": "6b615fcd617d76d5d51a1966f5d37bcd565f533efdca7e3e2ca06f1e1e37db32",
+    "C6-conj":
+        "ada04f05e74c064d6c0ccd86c85bf5133d89194570763d2b564b72f5b7a942d4",
+}
+
+
+@pytest.mark.parametrize("name", list(MATCH_DIGESTS))
+def test_match_certificate_digests(name):
+    """D5 (2,3) vs (4,8) over GF(p), B6 gamma 1 vs 2 over GF(101) and
+    criterion 9's conjugated C6 give bit-identical certificates."""
+    if name == "D5":
+        sides = _param_pair("D", 5, F, (2, 3), (4, 8))
+        family = "D"
+    elif name == "B6":
+        sides = _param_pair("B", 6, PrimeField(101), (1,), (2,))
+        family = "B"
+    else:
+        sides, family = _conjugated_c6(), "C"
+    cert = match_algebras(*sides, family)
+    text = json.dumps(dataclasses.asdict(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGESTS[name]
 
 
 def labels_of(family, n):
