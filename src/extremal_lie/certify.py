@@ -37,17 +37,18 @@ T(b1) = T(c1) follows: side 1 needs no check against its model, nor
 model 1 a table.  The composed map is checked on the n * dim products
 [x_k, b1_j] of the generators only: the elements on which a linear map
 intertwines every bracket form a subalgebra (Jacobi), and the x_k
-generate the basis, so that proves it on every pair.  Its failure
-message, naming the first bad pair, comes from a pair scan that runs
-only once a generator product has failed.
+generate the basis, so that proves it on every pair.  A failure names
+the first generator product that fails, as the side 2 check does.
 
 No model is closed: model 2's independent images, closed under every
 generator, span its closure and prove its dimension.
 
 All computation is exact.  Square roots needed by the normalisation
-are taken in the working field when possible; otherwise the whole
-computation is lifted to a quadratic extension and retried, and only
-then does the pipeline fail with a diagnostic.
+are taken in the working field when possible; otherwise the generators
+are lifted to a quadratic extension and the normalisation is retried
+there, and only then does the pipeline fail with a diagnostic.  A
+lifted side is its generators only: the matching reads brackets,
+combinations and coordinate vectors, never a closure basis.
 """
 
 import json
@@ -55,14 +56,16 @@ import random
 from dataclasses import asdict, dataclass
 
 from . import linalg
-from .fields import (NoSquareRoot, QuadraticExtension, lift_element, QQ)
+from .fields import (NoSquareRoot, QuadraticExtension, lift_element, QQ,
+                     quadratic_roots)
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import MonomialTable, evaluate_monomial
 from .extremal import (_form_of_bracket, extremal_form_value, is_extremal,
                        fixtriangle, check_premet, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
-                           InvalidParameters, generators_D, generators_B)
+                           InvalidParameters, d_open_conditions,
+                           generators_D, generators_B)
 
 
 class CertifyError(Exception):
@@ -115,12 +118,6 @@ class PsiVector:
             raise ValueError(
                 f"family {self.family} at n={self.n} needs {want} "
                 f"form values, got {len(self.values)}")
-
-    def __eq__(self, other):
-        if not isinstance(other, PsiVector):
-            return NotImplemented
-        return (self.family == other.family and self.n == other.n
-                and all(a == b for a, b in zip(self.values, other.values)))
 
 
 def long_monomial_indices(n):
@@ -207,14 +204,7 @@ def check_genericity(family, ctx, gens, params=None):
         elif n % 2:
             out["long_generic"] = flong != ctx.field(8)
     if family == "D" and params is not None:
-        alpha, beta = params
-        out["param_open"] = not ((alpha + 2) * beta * (beta + 1)).is_zero()
-        kappa = (1 + beta).sqrt()
-        if n % 2:
-            lam = alpha / (alpha + 2)
-        else:
-            lam = -alpha * kappa / ((alpha + 2) * (1 + beta + kappa))
-        out["lambda_open"] = not (lam * (2 - beta + lam * beta) - 1).is_zero()
+        out["param_open"], out["lambda_open"] = d_open_conditions(n, *params)
     if family == "B" and params is not None:
         (gamma,) = params
         out["param_open"] = not (gamma * (gamma + 1)).is_zero()
@@ -237,15 +227,19 @@ def normalize_generators(family, ctx, gens):
     """Bring the generators into the canonical gauge of the family.
 
     Returns (ctx, gens) over the original field or a quadratic-extension
-    tower of it.  Raises NormalizationFailed if square roots are still
-    missing after MAX_LIFTS extensions, HypothesisFailed if a triangle
-    hypothesis fails, ConditionViolated on a zero scaling value."""
+    tower of it.  The returned context supports brackets and
+    combinations, which is what the gauge, `psi` and the match use: it
+    is `ctx` itself when no square root was missing, and otherwise a
+    generators-only context over the extension, whose basis is empty.
+    Raises NormalizationFailed if square roots are still missing after
+    MAX_LIFTS extensions, HypothesisFailed if a triangle hypothesis
+    fails, ConditionViolated on a zero scaling value."""
     recipe = {"D": _normalize_D, "B": _normalize_B,
               "A": _normalize_A, "C": _normalize_C}[family]
     gens = [ctx.element(g) for g in gens]
     for _ in range(MAX_LIFTS + 1):
         try:
-            return recipe(ctx, list(gens))
+            return ctx, recipe(ctx, list(gens))
         except NoSquareRoot as exc:
             if exc.element is None:
                 raise NormalizationFailed(str(exc)) from exc
@@ -271,7 +265,7 @@ def _normalize_D(ctx, g):
         ctx, g[n - 3], g[n - 2], g[n - 1], (F(2), F(2), F(1)))
     for i in range(4, n - 2):
         _chain_scale(ctx, g, i, F(2))
-    return ctx, g
+    return g
 
 
 def _normalize_B(ctx, g):
@@ -285,7 +279,7 @@ def _normalize_B(ctx, g):
     if cross.is_zero():
         raise ConditionViolated(f"f(x_{n-2}, x_{n}) = 0")
     g[n - 1] = ctx.lincomb([(F(2) / cross, g[n - 1])])
-    return ctx, g
+    return g
 
 
 def _normalize_A(ctx, g):
@@ -294,14 +288,14 @@ def _normalize_A(ctx, g):
         ctx, g[0], g[1], g[2], (F(1), F(1), F(1)))
     for i in range(4, len(g) + 1):
         _chain_scale(ctx, g, i, F(1))
-    return ctx, g
+    return g
 
 
 def _normalize_C(ctx, g):
     F = ctx.field
     for i in range(2, len(g) + 1):
         _chain_scale(ctx, g, i, F(1))
-    return ctx, g
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +303,13 @@ def _normalize_C(ctx, g):
 # ---------------------------------------------------------------------------
 
 def _quadratic_roots(a, b, c):
-    """Roots of a t^2 + b t + c in the coefficients' field."""
-    if a.is_zero():
-        if b.is_zero():
-            return []
-        return [-c / b]
-    disc = b * b - 4 * a * c
+    """`fields.quadratic_roots`, NoRootInField when there are none."""
     try:
-        r = disc.sqrt()
+        return quadratic_roots(a, b, c)
     except NoSquareRoot:
         raise NoRootInField(
             "quadratic discriminant is not a square in the field "
             "(a quadratic extension would provide roots)") from None
-    roots = [(-b + r) / (2 * a)]
-    if not r.is_zero():
-        roots.append((-b - r) / (2 * a))
-    return roots
 
 
 def solve_params_D(f_long, f_short, n):
@@ -613,10 +598,13 @@ class MatchCertificate:
 
 
 def _to_field(ctx, gens, fld):
+    """(ctx, gens) over `fld`, a quadratic-extension tower over ctx's
+    field: unchanged when the fields agree, otherwise the generators
+    lifted once into a generators-only context over `fld`."""
     if ctx.field.same(fld):
         return ctx, gens
-    return ctx.lift(fld), [linalg.lift_rows(ctx.field, ctx.element(g), fld)
-                           for g in gens]
+    gens = [linalg.lift_rows(ctx.field, ctx.element(g), fld) for g in gens]
+    return MatrixLieAlgebra(fld, ctx.ambient_dim, [], gens), gens
 
 
 def _psi_in(vec, fld):
@@ -776,10 +764,11 @@ def _check_composed_map(t_b1, t_b2, glue):
         [phi(x_k), phi_j] = sum_c T(b1).leftmult[k-1][j]_c G_c.
 
     That takes n * dim `bracket_with` calls on T(b2), forms no pair of
-    T(b1) and needs no matrix bracket.  When a product fails, the pair
-    scan `_scan_composed_map` raises the error for the first bad pair,
-    which exists, the failing product being one.  Returns the number of
-    pairs i < j, dim * (dim - 1) / 2, on all of which the map is proven."""
+    T(b1) and needs no matrix bracket.  Returns the number of pairs
+    i < j, dim * (dim - 1) / 2, on all of which the map is proven.
+    Raises StructureMismatch "composed map: bracket tables differ at
+    generator product (k,j)" at the first product, in order, that
+    fails."""
     axpy = t_b1.field.axpy
     for k, lm in enumerate(t_b1.leftmult, start=1):
         g = glue[t_b1.label_index[(k,)]]
@@ -793,35 +782,10 @@ def _check_composed_map(t_b1, t_b2, glue):
             for i, c in col.items():
                 axpy(w, c, glue[i])
             if w:
-                _scan_composed_map(t_b1, t_b2, glue)
                 raise StructureMismatch(
                     f"composed map: bracket tables differ at generator "
                     f"product ({k},{j})")
     return t_b1.dim * (t_b1.dim - 1) // 2
-
-
-def _scan_composed_map(t_b1, t_b2, glue):
-    """The composed map of `_check_composed_map` pair by pair in order,
-    the failure path that names the first bad pair.  It intertwines the
-    brackets at (i, j) when, in b2-coordinates,
-
-        sum_{a,b} G_ia G_jb T(b2)_ab = sum_k T(b1)_ij^k G_k.
-
-    Raises StructureMismatch at the first pair where it does not."""
-    axpy = t_b1.field.axpy
-    for i in range(t_b1.dim - 1):
-        # [b2_b, phi_i] for every b, once per i
-        ad_i = [t_b2.bracket_with(b, glue[i]) for b in range(t_b2.dim)]
-        for j in range(i + 1, t_b1.dim):
-            # w = [phi_i, phi_j] - sum_k T(b1)_ij^k phi_k (axpy subtracts)
-            w = {}
-            for b, g in glue[j].items():
-                axpy(w, g, ad_i[b])
-            for k, c in t_b1.pair(i, j).items():
-                axpy(w, c, glue[k])
-            if w:
-                raise StructureMismatch(
-                    f"composed map: bracket tables differ at pair ({i},{j})")
 
 
 def match_algebras(alg1, gens1, alg2, gens2, family):

@@ -631,6 +631,21 @@ DEFAULT_PRIME = 2147483629
 QQ = RationalField()
 
 
+def quadratic_roots(a, b, c):
+    """The roots of a t^2 + b t + c in the coefficients' field, in the
+    canonical order: -c/b alone when a = 0 (none when b = 0 too), else
+    (-b + r)/2a, then (-b - r)/2a unless r = 0, r the deterministic
+    square root of the discriminant.  Raises NoSquareRoot when the
+    discriminant is not a square in the field."""
+    if a.is_zero():
+        return [] if b.is_zero() else [-c / b]
+    r = (b * b - 4 * a * c).sqrt()
+    roots = [(-b + r) / (2 * a)]
+    if not r.is_zero():
+        roots.append((-b - r) / (2 * a))
+    return roots
+
+
 def lift_element(elem, field):
     """Re-express elem in `field`, which must be reachable from elem.field
     by a chain of quadratic extensions (or be the same field)."""

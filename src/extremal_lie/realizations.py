@@ -16,11 +16,11 @@ the context converts each generator once into sparse payload rows.
 
 from . import linalg
 from .extremal import extremal_form_value
-from .fields import NoSquareRoot, lift_element
+from .fields import NoSquareRoot, quadratic_roots
 from .graphs import check_family_n
-from .linalg import (SpanSolver, basis_lincomb, dense, lift_rows,
-                     mat_bracket, mat_lincomb, mat_vec, mat_vector, sparse,
-                     trace_product, zeros)
+from .linalg import (SpanSolver, basis_lincomb, dense, mat_bracket,
+                     mat_lincomb, mat_vec, mat_vector, sparse, trace_product,
+                     zeros)
 
 
 class InvalidParameters(ValueError):
@@ -216,25 +216,14 @@ def derive_special_vector(n, beta, field, alpha, force_c=None):
         if not B(t, t).is_zero():
             raise NotIsotropic("forced special vector is not isotropic")
         return t
-    q2 = B(tdir, tdir)
-    q1 = 2 * B(t0, tdir)
-    q0 = B(t0, t0)
-    if q2.is_zero():
-        if q1.is_zero():
-            raise InvalidParameters(
-                "no isotropic special vector for these parameters")
-        roots = [-q0 / q1]
-    else:
-        disc = q1 * q1 - 4 * q2 * q0
-        try:
-            s = disc.sqrt()
-        except NoSquareRoot:
-            raise InvalidParameters(
-                "isotropy discriminant is not a square in the field"
-            ) from None
-        roots = [(-q1 + s) / (2 * q2)]
-        if not s.is_zero():
-            roots.append((-q1 - s) / (2 * q2))
+    try:
+        roots = quadratic_roots(B(tdir, tdir), 2 * B(t0, tdir), B(t0, t0))
+    except NoSquareRoot:
+        raise InvalidParameters(
+            "isotropy discriminant is not a square in the field") from None
+    if not roots:
+        raise InvalidParameters(
+            "no isotropic special vector for these parameters")
     for c in roots:
         t = linalg.vec_add(t0, linalg.vec_scale(tdir, c))
         solver = SpanSolver(field, 2 * n)
@@ -271,29 +260,41 @@ def _d_line_vectors(n, beta, field):
     return us, vs
 
 
-def generators_D(n, field, alpha, beta, force_special_c=None):
-    """Siegel generators T_{u_i, v_i} in o_{2n} (hyperbolic form).
-
-    Requires (alpha+2) * beta * (beta+1) != 0, a square root kappa of
-    1 + beta in the field, and the derived parameter
+def d_open_conditions(n, alpha, beta):
+    """The open conditions on the family-D parameters, as the flags
+    (param_open, lambda_open): (alpha+2) * beta * (beta+1) != 0, and
+    lambda*(2 - beta + lambda*beta) != 1 for the derived parameter
     lambda = alpha/(alpha+2) (n odd) or
-    -alpha*kappa/((alpha+2)(1+beta+kappa)) (n even) to satisfy
-    lambda*(2 - beta + lambda*beta) != 1.
-    Returns (matrices, (form, lines)) with lines the (u_i, v_i) pairs."""
-    alpha = field(alpha)
-    beta = field(beta)
+    -alpha*kappa/((alpha+2)(1+beta+kappa)) (n even), kappa the square
+    root of 1 + beta.  lambda is defined only where the first condition
+    holds, so lambda_open is False wherever param_open is.  Raises
+    NoSquareRoot when the first holds and 1 + beta is not a square."""
     if ((alpha + 2) * beta * (beta + 1)).is_zero():
-        raise InvalidParameters("(alpha+2) * beta * (beta+1) must be nonzero")
-    try:
-        kappa = (1 + beta).sqrt()
-    except NoSquareRoot:
-        raise InvalidParameters(
-            "1 + beta must be a square in the field") from None
+        return False, False
+    kappa = (1 + beta).sqrt()
     if n % 2:
         lam = alpha / (alpha + 2)
     else:
         lam = -alpha * kappa / ((alpha + 2) * (1 + beta + kappa))
-    if (lam * (2 - beta + lam * beta) - 1).is_zero():
+    return True, not (lam * (2 - beta + lam * beta) - 1).is_zero()
+
+
+def generators_D(n, field, alpha, beta, force_special_c=None):
+    """Siegel generators T_{u_i, v_i} in o_{2n} (hyperbolic form).
+
+    Requires the open conditions of `d_open_conditions` and a square
+    root of 1 + beta in the field.
+    Returns (matrices, (form, lines)) with lines the (u_i, v_i) pairs."""
+    alpha = field(alpha)
+    beta = field(beta)
+    try:
+        param_open, lambda_open = d_open_conditions(n, alpha, beta)
+    except NoSquareRoot:
+        raise InvalidParameters(
+            "1 + beta must be a square in the field") from None
+    if not param_open:
+        raise InvalidParameters("(alpha+2) * beta * (beta+1) must be nonzero")
+    if not lambda_open:
         raise InvalidParameters("lambda*(2 - beta + lambda*beta) = 1")
     form = orthogonal_form_even(field, n)
     us, vs = _d_line_vectors(n, beta, field)
@@ -360,8 +361,8 @@ class MatrixLieAlgebra:
     matrices in and `external` gives them out.  The associative
     symmetric form is c * trace(a b), with c calibrated against the
     extremal functional of the first generator (and verified on a second
-    value).  A `lift` lifts its basis only when the basis is first
-    needed."""
+    value) over the basis.  A context made with an empty basis holds
+    generators only: it brackets and combines, but has no form."""
 
     def __init__(self, field, ambient_dim, basis, generators):
         self.field = field
@@ -371,7 +372,6 @@ class MatrixLieAlgebra:
         self.generators_list = [self.element(g) for g in generators]
         self.dim = len(self._basis)
         self._form_scale = None
-        self._unlifted = None   # (field, basis) of a basis not lifted yet
         self._combine = None    # linalg.basis_lincomb of the basis
 
     # -- context interface (see extremal_lie.extremal.LieContext) ----------
@@ -406,14 +406,7 @@ class MatrixLieAlgebra:
         return mat_vector(self.element(a))
 
     def basis(self):
-        if self._unlifted is not None:
-            self._basis = self._lift_basis()
-            self._unlifted = None
         return self._basis
-
-    def _lift_basis(self):
-        source, basis = self._unlifted
-        return [lift_rows(source, b, self.field) for b in basis]
 
     def from_coords(self, coords):
         """sum c_i b_i over the basis; needs exactly `dim` coordinates."""
@@ -450,20 +443,6 @@ class MatrixLieAlgebra:
             if want != c * trace_product(field, y, b):
                 raise RuntimeError("trace form calibration inconsistent")
         return c
-
-    def lift(self, field):
-        """The same algebra with all entries lifted into `field` (which
-        must extend the current field by quadratic steps).  The
-        generators and the form scale are lifted at once, the basis on
-        its first use."""
-        out = MatrixLieAlgebra(
-            field, self.ambient_dim, [],
-            [lift_rows(self.field, g, field) for g in self.generators_list])
-        out.dim = self.dim
-        out._unlifted = self._unlifted or (self.field, self._basis)
-        if self._form_scale is not None:
-            out._form_scale = lift_element(self._form_scale, field)
-        return out
 
 
 def lie_closure(generators, field=None):

@@ -1,5 +1,6 @@
-"""Fields shared by the kernel differential tests, and seeded random
-elements and sparse payload vectors over them."""
+"""Fields shared by the kernel differential tests, seeded random
+elements and sparse payload vectors over them, and closures lifted into
+an extension."""
 
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 
 from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, PrimeField,
                                  QuadraticExtension, QQ)
+from extremal_lie.linalg import lift_rows
+from extremal_lie.realizations import MatrixLieAlgebra
 
 
 def _fields():
@@ -47,3 +50,13 @@ def random_element(field, rng, zero_rate=0.3):
 
 def random_vector(field, rng, length, zero_rate=0.5):
     return [random_element(field, rng, zero_rate) for _ in range(length)]
+
+
+def lift_closure(alg, field):
+    """The closure `alg` over `field`, a quadratic-extension tower over
+    alg.field: its basis and generators lifted, in order."""
+    def lift(m):
+        return lift_rows(alg.field, m, field)
+    return MatrixLieAlgebra(field, alg.ambient_dim,
+                            [lift(b) for b in alg.basis()],
+                            [lift(g) for g in alg.generators_list])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KERNEL_FIELDS, random_element
+from conftest import KERNEL_FIELDS, lift_closure, random_element
 from extremal_lie import certify, linalg
 from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
@@ -20,7 +20,8 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   solve_params_D)
 from extremal_lie.extremal import (NotExtremal, check_premet, exp_ad,
                                    extremal_form_value)
-from extremal_lie.fields import DEFAULT_PRIME, FieldElement, PrimeField, QQ
+from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, PrimeField,
+                                 QuadraticExtension, QQ)
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
 from extremal_lie.presentation import MonomialTable
@@ -116,6 +117,20 @@ def test_check_genericity_flags(d5):
     assert flags["triangle123"] and flags["triangle_end"]
     assert flags["chain_nonzero"]
     assert flags["param_open"] and flags["lambda_open"]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("params", [(-2, 3), (2, -1)],
+                         ids=["alpha=-2", "beta=-1"])
+def test_check_genericity_reports_closed_d_parameters(n, params):
+    """At alpha = -2 or beta = -1 the D parameters leave their open set,
+    where lambda is undefined: both flags are False, with no exception
+    from the lambda formula."""
+    alg, mats = closure_of("D", n, (2, 3))
+    flags = check_genericity("D", alg, mats,
+                             params=tuple(F(p) for p in params))
+    assert flags["param_open"] is False and flags["lambda_open"] is False
+    assert list(flags)[-2:] == ["param_open", "lambda_open"]
 
 
 def test_normalize_generators_reaches_canonical_gauge(b5):
@@ -279,13 +294,10 @@ def _dense_fold(alg, terms):
     return out
 
 
-def _first_bad_pair(alg, basis, span, target, pairs=None):
-    """The first of `pairs` (all pairs i < j by default) where
-    a_i -> target_i fails to intertwine the brackets, found with
-    FieldElement matrix arithmetic."""
-    if pairs is None:
-        pairs = [(i, j) for i in range(len(basis))
-                 for j in range(i + 1, len(basis))]
+def _first_bad_pair(alg, basis, span, target, pairs):
+    """The first of `pairs` (i, j) where a_i -> target_i fails to
+    intertwine the brackets, found with FieldElement matrix
+    arithmetic."""
     for i, j in pairs:
         c = span.coords(alg.vector(alg.bracket(basis[i], basis[j])))
         rhs = _dense_fold(alg, zip(c, target))
@@ -356,18 +368,24 @@ def test_catalog_table_rejects_a_bracket_outside_the_span(b5):
 
 
 def test_composed_map_rejects_a_perturbed_glue_row(b5):
+    """A perturbed glue row makes the composed map fail at the first
+    generator product (k, j), in order, where direct matrix brackets
+    stop matching."""
     alg, mats = b5
     basis, span, table = table_of("B", 5, alg, mats)
     glue = [{i: F.one.v} for i in range(table.dim)]
     glue[7] = {7: F.one.v, 2: F(3).v}
     phi = [alg.lincomb([(FieldElement(F, c), basis[a])
                         for a, c in row.items()]) for row in glue]
-    pair = _first_bad_pair(alg, basis, span, phi)
+    products = [(table.label_index[(k,)], j) for k in range(1, 6)
+                for j in range(table.dim)]
+    pair = _first_bad_pair(alg, basis, span, phi, products)
     assert pair is not None
+    k, j = table.labels[pair[0]][0], pair[1]
     with pytest.raises(StructureMismatch) as info:
         certify._check_composed_map(table, table, glue)
     assert str(info.value) == (
-        f"composed map: bracket tables differ at pair ({pair[0]},{pair[1]})")
+        f"composed map: bracket tables differ at generator product ({k},{j})")
 
 
 def realization(family, n, field, params=()):
@@ -377,7 +395,7 @@ def realization(family, n, field, params=()):
     alg = lie_closure(mats, F)
     if field is F:
         return alg, mats
-    lifted = alg.lift(field)
+    lifted = lift_closure(alg, field)
     return lifted, lifted.generators_list
 
 
@@ -500,13 +518,27 @@ def test_composed_map_brackets_n_times_dim(b5, monkeypatch):
     assert len(calls) == 5 * dim and table not in calls
 
 
-def _scan_verdict(t_b1, t_b2, glue):
-    """The full pair scan's verdict: None, or its first-bad-pair
-    message."""
-    try:
-        certify._scan_composed_map(t_b1, t_b2, glue)
-    except StructureMismatch as exc:
-        return str(exc)
+def _scan_composed_map(t_b1, t_b2, glue):
+    """The reference for `certify._check_composed_map`: the composed map
+    checked on every pair i < j, in order.  It intertwines the brackets
+    at (i, j) when, in b2-coordinates,
+
+        sum_{a,b} G_ia G_jb T(b2)_ab = sum_k T(b1)_ij^k G_k.
+
+    Returns the first pair where it does not, or None."""
+    axpy = t_b1.field.axpy
+    for i in range(t_b1.dim - 1):
+        # [b2_b, phi_i] for every b, once per i
+        ad_i = [t_b2.bracket_with(b, glue[i]) for b in range(t_b2.dim)]
+        for j in range(i + 1, t_b1.dim):
+            # w = [phi_i, phi_j] - sum_k T(b1)_ij^k phi_k (axpy subtracts)
+            w = {}
+            for b, g in glue[j].items():
+                axpy(w, g, ad_i[b])
+            for k, c in t_b1.pair(i, j).items():
+                axpy(w, c, glue[k])
+            if w:
+                return i, j
     return None
 
 
@@ -549,7 +581,7 @@ def glue_tables():
 def test_composed_map_agrees_with_the_pair_scan(glue_tables, family, n,
                                                 kind):
     """The generator-product check passes exactly when the pair scan
-    finds no bad pair, and otherwise raises the scan's message."""
+    finds no bad pair, and otherwise names a generator product."""
     table, permuted, relabel = glue_tables[family]
     dim = table.dim
     one = F.one.v
@@ -560,14 +592,14 @@ def test_composed_map_agrees_with_the_pair_scan(glue_tables, family, n,
         glue = relabel
     elif kind != "identity":
         glue[kind] = {kind: one, (kind + 5) % dim: F(3).v}
-    expected = _scan_verdict(table, t_b2, glue)
-    if expected is None:
+    if _scan_composed_map(table, t_b2, glue) is None:
         assert certify._check_composed_map(table, t_b2, glue) == \
             dim * (dim - 1) // 2
     else:
-        with pytest.raises(StructureMismatch) as info:
+        with pytest.raises(StructureMismatch, match=(
+                r"^composed map: bracket tables differ at generator "
+                r"product \(\d+,\d+\)$")):
             certify._check_composed_map(table, t_b2, glue)
-        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("family,params1,params2",
@@ -717,7 +749,8 @@ def quartic_context(family, n, params, name):
     fld = QQ if name == "QQ" else F
     mats, _ = build_generators(family, n, fld, tuple(fld(p) for p in params))
     alg = lie_closure(mats, fld)
-    return alg if name in ("QQ", "GF(p)") else alg.lift(KERNEL_FIELDS[name])
+    return (alg if name in ("QQ", "GF(p)")
+            else lift_closure(alg, KERNEL_FIELDS[name]))
 
 
 @pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
@@ -770,21 +803,23 @@ def test_quartic_identities_match_the_six_bracket_expansion(
         assert any(same(a, xk) and same(b, xk_yt) for a, b in formed)
 
 
-def test_match_lifts_generators_but_no_basis_element(monkeypatch):
-    """A B5 gamma 1 vs 2 match ends over GF(p^2): its contexts are lifted,
-    but after normalisation only generators, brackets and coordinate
-    vectors are used, so no closure basis is ever lifted."""
-    lifts, basis_lifts = [], []
-    lift, lift_basis = MatrixLieAlgebra.lift, MatrixLieAlgebra._lift_basis
-    monkeypatch.setattr(MatrixLieAlgebra, "lift",
-                        lambda alg, field: lifts.append(1) or lift(alg, field))
-    monkeypatch.setattr(MatrixLieAlgebra, "_lift_basis",
-                        lambda alg: basis_lifts.append(1) or lift_basis(alg))
+def test_match_contexts_over_an_extension_hold_generators_only(
+        monkeypatch):
+    """A B5 gamma 1 vs 2 match ends over GF(p^2): every context it builds
+    over a quadratic extension has an empty basis, its generators
+    lifted and no closure basis."""
+    built = []
+    init = MatrixLieAlgebra.__init__
+    monkeypatch.setattr(MatrixLieAlgebra, "__init__",
+                        lambda ctx, *a: built.append(ctx) or init(ctx, *a))
     alg1, mats1 = closure_of("B", 5, (1,))
     alg2, mats2 = closure_of("B", 5, (2,))
     cert = match_algebras(alg1, mats1, alg2, mats2, "B")
     assert cert.verdict == "pass" and "rt" in cert.field
-    assert lifts and not basis_lifts
+    lifted = [ctx for ctx in built
+              if isinstance(ctx.field, QuadraticExtension)]
+    assert lifted and all(ctx.basis() == [] and ctx.dim == 0
+                          for ctx in lifted)
 
 
 @pytest.mark.parametrize("family,n,params",

@@ -8,7 +8,7 @@ from conftest import KERNEL_FIELDS, random_element, random_vector
 from extremal_lie.fields import (_RAT, DEFAULT_PRIME, DescriptorMismatch,
                                  FieldElement, NoSquareRoot, NotInvertible,
                                  PrimeField, QuadraticExtension, QQ,
-                                 lift_element)
+                                 lift_element, quadratic_roots)
 
 
 @pytest.fixture
@@ -140,6 +140,41 @@ def test_equal_elements_hash_alike(name, x, y, d):
             assert k not in {u} and u not in {k}
     # y + p*d is y in GF(p) and GF(p^2), not in QQ
     assert (a == b) == (name != "QQ")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["QQ", "GF(p)", "GF(p)(rt d)"]),
+       st.lists(st.integers(-9, 9), min_size=6, max_size=6), st.booleans())
+def test_quadratic_roots_solve_in_canonical_order(name, ints, factored):
+    """Over QQ, GF(p) and GF(p^2) the roots of a t^2 + b t + c solve it
+    and come in the canonical order, (-b + r)/2a first for r the
+    deterministic root of the discriminant, so a (t_0 - t_1) = r.  A
+    polynomial a (t - u)(t - v) built from its roots gets {u, v} back;
+    a non-square discriminant raises NoSquareRoot."""
+    field = KERNEL_FIELDS[name]
+    t = getattr(field, "root", field.one)
+    e = lambda x, y: field(x) + t * field(y)
+    if factored:
+        a, u, v = field(ints[0]), e(*ints[2:4]), e(*ints[4:6])
+        b, c = -a * (u + v), a * u * v
+    else:
+        a, b, c = e(*ints[0:2]), e(*ints[2:4]), e(*ints[4:6])
+    disc = b * b - 4 * a * c
+    if not a.is_zero() and not disc.has_sqrt():
+        with pytest.raises(NoSquareRoot):
+            quadratic_roots(a, b, c)
+        return
+    roots = quadratic_roots(a, b, c)
+    assert all(((a * x + b) * x + c).is_zero() for x in roots)
+    if a.is_zero():
+        assert roots == ([] if b.is_zero() else [-c / b])
+        return
+    if disc.is_zero():
+        assert roots == [-b / (2 * a)]
+    else:
+        assert len(roots) == 2 and a * (roots[0] - roots[1]) == disc.sqrt()
+    if factored:
+        assert set(roots) == {u, v}
 
 
 def _sparse(vec):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from extremal_lie import linalg
-from extremal_lie.fields import (DEFAULT_PRIME, PrimeField,
-                                 QuadraticExtension, lift_element)
+from extremal_lie.fields import DEFAULT_PRIME, PrimeField
 from extremal_lie.realizations import (InvalidParameters, NotIsotropic,
                                        basis_vector, build_generators,
                                        classify_siegel_pair,
@@ -140,28 +139,6 @@ def test_lie_closure_basis_is_deterministic():
     assert all(x == y for x, y in zip(a1.basis(), a2.basis()))
 
 
-def _lift(alg, a, field):
-    """The FieldElement matrix of the element a of alg, lifted into
-    `field`."""
-    return [[lift_element(x, field) for x in row] for row in alg.external(a)]
-
-
-def test_lift_keeps_dim_basis_order_and_form_scale():
-    mats, _ = build_generators("A", 5, F)
-    alg = lie_closure(mats, F)
-    x, y = alg.basis()[0], alg.basis()[5]
-    fxy = alg.form(x, y)  # calibrates the form scale
-    E = QuadraticExtension(F, next(k for k in range(2, 50)
-                                   if not F(k).has_sqrt()))
-    lifted = alg.lift(E)
-    assert lifted.dim == alg.dim
-    assert all(b == lifted.element(_lift(alg, a, E))
-               for a, b in zip(alg.basis(), lifted.basis()))
-    assert lifted._form_scale == lift_element(alg._form_scale, E)
-    assert lifted.form(_lift(alg, x, E),
-                       _lift(alg, y, E)) == lift_element(fxy, E)
-
-
 def test_from_coords_needs_one_coordinate_per_basis_element():
     mats, _ = build_generators("A", 4, F)
     alg = lie_closure(mats, F)
@@ -172,11 +149,6 @@ def test_from_coords_needs_one_coordinate_per_basis_element():
                 for r, s in zip(want, alg.external(b))]
     got = alg.from_coords(coords)
     assert alg.external(got) == want
-    E = QuadraticExtension(F, next(k for k in range(2, 50)
-                                   if not F(k).has_sqrt()))
-    lifted = alg.lift(E)
-    assert lifted.from_coords([lift_element(c, E) for c in coords]) == \
-        lifted.element(_lift(alg, got, E))
     for bad in (coords[:-1], coords + [F(1)], []):
         with pytest.raises(ValueError):
             alg.from_coords(bad)
