@@ -19,7 +19,7 @@ from . import certify, linalg
 from .extremal import (check_premet, classify_pair, exp_ad, fixtriangle,
                        is_extremal, extremal_form_value,
                        subalgebra_closure_dim)
-from .fields import DEFAULT_PRIME, NoSquareRoot, PrimeField, QQ, lift_element
+from .fields import DEFAULT_PRIME, PrimeField, QQ
 from .graphs import build_family_graph, catalog, expected_catalog_size
 from .presentation import build_L0, evaluate_monomial
 from .realizations import (basis_vector, build_generators,
@@ -308,18 +308,15 @@ def criterion_8(rng, shared):
             break
         done += 1
 
+    # the D5 triangle needs a root outside GF(p): over a scaled context
+    # the root is adjoined and the shift stays in GF(p)
     alpha = F(2)
     o10, mats, _ = _closure(shared, "D", 5, (2, 3))
-    ctx, g = o10, mats
-    for _ in range(3):
-        K = ctx.field
-        try:
-            _, _, _, transcript = fixtriangle(
-                ctx, g[0], g[1], g[2], (K(-8), K(1), K(2)))
-            break
-        except NoSquareRoot as exc:
-            ctx, g = certify._lift_pair(ctx, g, exc.element)
-    if transcript.s != lift_element(alpha / 4, ctx.field):
+    ctx = certify.ScaledContext(o10)
+    _, _, _, transcript = fixtriangle(
+        ctx, mats[0], mats[1], mats[2], (F(-8), F(1), F(2)),
+        sqrt=lambda c: ctx.root(c, "criterion 8"))
+    if transcript.s != alpha / 4:
         bad.append(f"pipeline shift {transcript.s} != alpha/4")
 
     detail = "; ".join(bad) if bad else f"{done} triples, shift alpha/4"

@@ -43,21 +43,27 @@ the first generator product that fails, as the side 2 check does.
 No model is closed: model 2's independent images, closed under every
 generator, span its closure and prove its dimension.
 
-All computation is exact.  Square roots needed by the normalisation
-are taken in the working field when possible; otherwise the generators
-are lifted to a quadratic extension and the normalisation is retried
-there, and only then does the pipeline fail with a diagnostic.  A
-lifted side is its generators only: the matching reads brackets,
-combinations and coordinate vectors, never a closure basis.
+All computation is exact.  The canonical gauge is reached by `exp_ad`
+shifts with base-field coefficients and by scalings, so a normalised
+generator is lambda_k y_k, y_k over the base field and lambda_k a
+scalar (`ScaledContext`).  A square root the field lacks is adjoined
+where the normalisation needs it, and only the scalars move into the
+quadratic extension; the pipeline fails with a diagnostic after
+MAX_LIFTS extensions.  A catalog image is its base image times the
+product of the scalars along its label, so the tables, the model check
+and the glue solve run over the base field and the extension only
+rescales them; the composed map is checked in the extension.
 """
 
 import json
 import random
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import linalg
-from .fields import (NoSquareRoot, QuadraticExtension, lift_element, QQ,
-                     quadratic_roots)
+from .fields import (FieldElement, NoSquareRoot, QuadraticExtension,
+                     lift_element, QQ, quadratic_roots, restrict, tower,
+                     tower_maps)
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import MonomialTable, evaluate_monomial
@@ -212,40 +218,144 @@ def check_genericity(family, ctx, gens, params=None):
 
 
 # ---------------------------------------------------------------------------
-# normalisation recipes
+# normal forms
 # ---------------------------------------------------------------------------
 
-def _lift_pair(ctx, gens, radicand):
-    return _to_field(ctx, gens, QuadraticExtension(ctx.field, radicand))
-
-
-#: quadratic extensions the normalisation may adjoin before giving up
+#: quadratic extensions one normal form may adjoin before giving up
 MAX_LIFTS = 2
 
 
-def normalize_generators(family, ctx, gens):
+class Scaled(NamedTuple):
+    """The element c * a of a `ScaledContext`: c a FieldElement of a
+    level of its field's tower, a an element of its base context."""
+    c: object
+    a: object
+
+
+class ScaledContext:
+    """Scalar multiples c * a of the elements a of a base Lie context,
+    with c in `field`, a quadratic-extension tower over the base field
+    that grows as roots are adjoined (`root`).
+
+    The canonical gauge is reached by `exp_ad` shifts whose
+    coefficients lie in the base field, and scalings, so every element
+    a normalisation forms is such a multiple, and the matrix work stays
+    in the base field: a bracket is [c a, d b] = cd [a, b], one base
+    bracket; a combination is the multiple, by its first coefficient,
+    of a base combination, and raises ValueError unless the ratios of
+    its coefficients lie in the base field.  Coordinate vectors are
+    scaled into `field`, so `extremal_form_value` and `psi` read form
+    values in it.  The context holds generators only: it has no basis
+    and no form.  `lifts` lists each radicand adjoined, in order, with
+    the step that needed it."""
+
+    def __init__(self, base, field=None):
+        self.base = base
+        self.field = base.field if field is None else field
+        self.vector_dim = base.vector_dim
+        self.lifts = []
+        self._maps = (self.field, tower_maps(base.field, self.field))
+
+    def _tower(self):
+        """(up, down) between the base field and the current field."""
+        if self._maps[0] is not self.field:
+            self._maps = (self.field, tower_maps(self.base.field, self.field))
+        return self._maps[1]
+
+    def _scalar(self, c):
+        """c, an int or an element of a level of the tower, in `field`."""
+        if isinstance(c, int):
+            return self.field(c)
+        return c if c.field is self.field else lift_element(c, self.field)
+
+    def element(self, x):
+        """x unchanged if it is Scaled, else 1 * x."""
+        if isinstance(x, Scaled):
+            return x
+        return Scaled(self.field.one, self.base.element(x))
+
+    def bracket(self, x, y):
+        x, y = self.element(x), self.element(y)
+        return Scaled(self._scalar(x.c) * self._scalar(y.c),
+                      self.base.bracket(x.a, y.a))
+
+    def lincomb(self, terms):
+        scaled = []
+        for c, x in terms:
+            x = self.element(x)
+            e = self._scalar(c) * self._scalar(x.c)
+            if not e.is_zero():
+                scaled.append((e, x.a))
+        if not scaled:
+            return Scaled(self.field.one, self.base.lincomb([]))
+        lead = scaled[0][0]
+        base, down = self.base.field, self._tower()[1]
+        combo = []
+        for e, a in scaled:
+            r = down((e / lead).v)
+            if r is None:
+                raise ValueError("a combination with coefficient ratios "
+                                 "outside the base field")
+            combo.append((FieldElement(base, r), a))
+        return Scaled(lead, self.base.lincomb(combo))
+
+    def is_zero(self, x):
+        x = self.element(x)
+        return x.c.is_zero() or self.base.is_zero(x.a)
+
+    def vector(self, x):
+        x = self.element(x)
+        c = self._scalar(x.c).v
+        up, mul = self._tower()[0], self.field.mul
+        return {j: mul(c, up(v)) for j, v in self.base.vector(x.a).items()}
+
+    def root(self, c, step):
+        """The square root of c in `field`.  A missing root is adjoined:
+        `field` becomes its quadratic extension by c, and (c, step) is
+        recorded in `lifts`.  Raises NormalizationFailed when a root is
+        still missing after MAX_LIFTS extensions."""
+        c = self._scalar(c)
+        try:
+            return c.sqrt()
+        except NoSquareRoot:
+            if len(self.lifts) == MAX_LIFTS:
+                raise NormalizationFailed(
+                    f"square roots missing after {MAX_LIFTS} quadratic "
+                    f"extensions") from None
+        self.field = QuadraticExtension(self.field, c)
+        self.lifts.append((c, step))
+        return lift_element(c, self.field).sqrt()
+
+
+def normalize_generators(family, ctx, gens, field=None):
     """Bring the generators into the canonical gauge of the family.
 
-    Returns (ctx, gens) over the original field or a quadratic-extension
-    tower of it.  The returned context supports brackets and
-    combinations, which is what the gauge, `psi` and the match use: it
-    is `ctx` itself when no square root was missing, and otherwise a
-    generators-only context over the extension, whose basis is empty.
-    Raises NormalizationFailed if square roots are still missing after
+    Returns the normal form (nctx, ngens), a `ScaledContext` over `ctx`
+    and its generators: ngens[k] = Scaled(lambda_k, y_k), y_k an element
+    of `ctx` and lambda_k a scalar.  The scalars start in `field`, a
+    quadratic-extension tower over ctx.field (by default ctx.field
+    itself), and end in nctx.field, the field they reached; nctx.lifts
+    names each radicand adjoined, in order, and the step that needed
+    it.  A root is taken once, in the field reached so far: the root of
+    a square of a lower level is that level's root, so the same
+    radicands are adjoined whatever field the scalars start in.  Raises
+    NormalizationFailed if square roots are still missing after
     MAX_LIFTS extensions, HypothesisFailed if a triangle hypothesis
     fails, ConditionViolated on a zero scaling value."""
     recipe = {"D": _normalize_D, "B": _normalize_B,
               "A": _normalize_A, "C": _normalize_C}[family]
-    gens = [ctx.element(g) for g in gens]
-    for _ in range(MAX_LIFTS + 1):
-        try:
-            return ctx, recipe(ctx, list(gens))
-        except NoSquareRoot as exc:
-            if exc.element is None:
-                raise NormalizationFailed(str(exc)) from exc
-            ctx, gens = _lift_pair(ctx, gens, exc.element)
-    raise NormalizationFailed(
-        f"square roots missing after {MAX_LIFTS} quadratic extensions")
+    nctx = ScaledContext(ctx, field)
+    return nctx, recipe(nctx, [nctx.element(g) for g in gens])
+
+
+def _fix(ctx, g, i, targets):
+    """fixtriangle on x_i, x_{i+1}, x_{i+2} (1-based i), in place, with
+    the integer targets in the current field."""
+    step = f"fixtriangle(x{i},x{i + 1},x{i + 2})"
+    K = ctx.field
+    g[i - 1], g[i], g[i + 1], _ = fixtriangle(
+        ctx, g[i - 1], g[i], g[i + 1], tuple(K(t) for t in targets),
+        sqrt=lambda c: ctx.root(c, step))
 
 
 def _chain_scale(ctx, gens, i, target):
@@ -257,44 +367,36 @@ def _chain_scale(ctx, gens, i, target):
 
 
 def _normalize_D(ctx, g):
-    F = ctx.field
     n = len(g)
-    g[0], g[1], g[2], _ = fixtriangle(
-        ctx, g[0], g[1], g[2], (F(-8), F(1), F(2)))
-    g[n - 3], g[n - 2], g[n - 1], _ = fixtriangle(
-        ctx, g[n - 3], g[n - 2], g[n - 1], (F(2), F(2), F(1)))
+    _fix(ctx, g, 1, (-8, 1, 2))
+    _fix(ctx, g, n - 2, (2, 2, 1))
     for i in range(4, n - 2):
-        _chain_scale(ctx, g, i, F(2))
+        _chain_scale(ctx, g, i, 2)
     return g
 
 
 def _normalize_B(ctx, g):
-    F = ctx.field
     n = len(g)
-    g[0], g[1], g[2], _ = fixtriangle(
-        ctx, g[0], g[1], g[2], (F(-8), F(1), F(2)))
+    _fix(ctx, g, 1, (-8, 1, 2))
     for i in range(4, n):
-        _chain_scale(ctx, g, i, F(2))
+        _chain_scale(ctx, g, i, 2)
     cross = extremal_form_value(ctx, g[n - 3], g[n - 1])
     if cross.is_zero():
         raise ConditionViolated(f"f(x_{n-2}, x_{n}) = 0")
-    g[n - 1] = ctx.lincomb([(F(2) / cross, g[n - 1])])
+    g[n - 1] = ctx.lincomb([(2 / cross, g[n - 1])])
     return g
 
 
 def _normalize_A(ctx, g):
-    F = ctx.field
-    g[0], g[1], g[2], _ = fixtriangle(
-        ctx, g[0], g[1], g[2], (F(1), F(1), F(1)))
+    _fix(ctx, g, 1, (1, 1, 1))
     for i in range(4, len(g) + 1):
-        _chain_scale(ctx, g, i, F(1))
+        _chain_scale(ctx, g, i, 1)
     return g
 
 
 def _normalize_C(ctx, g):
-    F = ctx.field
     for i in range(2, len(g) + 1):
-        _chain_scale(ctx, g, i, F(1))
+        _chain_scale(ctx, g, i, 1)
     return g
 
 
@@ -597,54 +699,74 @@ class MatchCertificate:
     verdict: str
 
 
-def _to_field(ctx, gens, fld):
-    """(ctx, gens) over `fld`, a quadratic-extension tower over ctx's
-    field: unchanged when the fields agree, otherwise the generators
-    lifted once into a generators-only context over `fld`."""
-    if ctx.field.same(fld):
-        return ctx, gens
-    gens = [linalg.lift_rows(ctx.field, ctx.element(g), fld) for g in gens]
-    return MatrixLieAlgebra(fld, ctx.ambient_dim, [], gens), gens
-
-
 def _psi_in(vec, fld):
     return PsiVector(vec.family, vec.n,
                      tuple(lift_element(v, fld) for v in vec.values))
 
 
-def _rebuild_model(family, n, fld, target_psi):
-    """Standard generators over `fld` whose canonical gauge reproduces
-    `target_psi`; returns (params, ctx, gens) in a possibly larger
-    field, `ctx` holding the generators only.  Raises FormMismatch if no
-    solved parameter candidate does.
+def _standard_context(family, n, params, base=None):
+    """The generators-only context of the standard generators of B
+    (params (gamma,)) or D (params (alpha, beta) and, at even rank, the
+    special-vector root), over the lowest level of the parameters'
+    tower that holds them, contains the level `base` (any level when
+    None) and has the square roots the construction takes: over the
+    base field whenever it can be.  The construction takes each root
+    once, and the root of a square of a lower level is that level's
+    root, so a higher level would build the same matrices.  Raises the
+    InvalidParameters of the last level tried."""
+    levels = tower(params[0].field)
+    if base is not None:
+        levels = levels[next(i for i, f in enumerate(levels)
+                             if f.same(base)):]
+    error = None
+    for level in levels:
+        values = [restrict(v, level) for v in params]
+        if None in values:
+            continue
+        try:
+            if family == "B":
+                mats, _ = generators_B(n, level, *values)
+            else:
+                alpha, beta, *c = values
+                mats, _ = generators_D(n, level, alpha, beta,
+                                       force_special_c=c[0] if c else None)
+            # normalisation and psi need brackets and combinations only
+            return MatrixLieAlgebra(level, len(mats[0]), [], mats)
+        except InvalidParameters as exc:
+            error = exc
+    raise error
+
+
+def _rebuild_model(family, n, fld, target_psi, base=None):
+    """Standard generators whose canonical gauge reproduces
+    `target_psi`; returns (params, ctx, gens), (ctx, gens) the model's
+    normal form, its scalars starting in `fld` and its matrices over
+    the field `_standard_context` gives for `base`.  Raises
+    FormMismatch if no solved parameter candidate reproduces the
+    normalized form values.
 
     No candidate is closed here.  The side 2 check (`_check_model`)
     finds model 2's catalog images independent and closed under every
     generator, so they span the closure, of dimension the catalog size,
     as model 1's images do; otherwise it raises StructureMismatch."""
+    flong = target_psi.values[-1]
     if family == "B":
-        flong = target_psi.values[-1]
         candidates = [(solve_param_B(flong, n),)]
     else:
-        flong = target_psi.values[-1]
         fshort = target_psi.values[n - 4]
         candidates = solve_params_D(flong, fshort, n)
     for cand in candidates:
+        # the special-vector root fixes the branch at even rank
+        root = (d_branch_root(flong, *cand)
+                if family == "D" and n % 2 == 0 else None)
         try:
-            if family == "B":
-                mats, _ = generators_B(n, fld, cand[0])
-            elif n % 2 == 0:
-                mats, _ = generators_D(n, fld, cand[0], cand[1],
-                                       force_special_c=d_branch_root(
-                                           flong, cand[0], cand[1]))
-            else:
-                mats, _ = generators_D(n, fld, cand[0], cand[1])
+            ctx = _standard_context(
+                family, n, cand + (() if root is None else (root,)), base)
         except InvalidParameters:
             continue
-        # normalisation and psi need brackets and combinations only
-        ctx = MatrixLieAlgebra(fld, len(mats[0]), [], mats)
         try:
-            mctx, mg = normalize_generators(family, ctx, mats)
+            mctx, mg = normalize_generators(family, ctx, ctx.generators_list,
+                                            fld)
         except (NormalizationFailed, HypothesisFailed, ConditionViolated):
             continue
         target = _psi_in(target_psi, mctx.field)
@@ -716,34 +838,107 @@ def _catalog_table(ctx, gens, labels, name):
     return images, span, table
 
 
+def _scalars(gens, field):
+    """The payloads in `field` of the scalars of Scaled generators."""
+    return [lift_element(g.c, field).v for g in gens]
+
+
+def _label_scalars(field, scalars, labels):
+    """mu_b, the product of the scalar payloads of the generators along
+    label b: the catalog image of b in the generators lambda_k y_k is
+    mu_b times its image in the y_k, exactly, by bilinearity."""
+    mul = field.mul
+    out = []
+    for lab in labels:
+        m = scalars[lab[0] - 1]
+        for k in lab[1:]:
+            m = mul(m, scalars[k - 1])
+        out.append(m)
+    return out
+
+
+def _rescaled_table(table, scalars, field):
+    """The table over `field` of the generators lambda_k y_k from
+    `table`, that of the y_k, with the scalar payloads lambda_k:
+
+        T(k,b)_j = lambda_k mu_b / mu_j  T_base(k,b)_j,
+
+    mu the `_label_scalars`.  A unit column stays a unit column, since
+    lambda_k mu_b is mu of the label (k,) + label(b)."""
+    up = tower_maps(table.field, field)[0]
+    mul, div, one = field.mul, field.div, field.one.v
+    mu = _label_scalars(field, scalars, table.labels)
+    inv = [div(one, m) for m in mu]
+    leftmult = []
+    for lam, lm in zip(scalars, table.leftmult):
+        cols = []
+        for m, col in zip(mu, lm):
+            f = mul(lam, m)
+            cols.append({j: mul(mul(f, inv[j]), up(c))
+                         for j, c in col.items()})
+        leftmult.append(cols)
+    return MonomialTable(field, table.labels, leftmult)
+
+
+def _side_table(ctx, gens, labels, name, field):
+    """T of a side's normal form (ctx, gens) over `field`: the catalog
+    table of its base generators (`_catalog_table`, over the base
+    field), rescaled by its scalars."""
+    _, _, table = _catalog_table(ctx.base, [g.a for g in gens], labels,
+                                 name)
+    return _rescaled_table(table, _scalars(gens, field), field)
+
+
 def _check_model(ctx, gens, table, name):
     """The model's catalog images c have the left multiplications of
-    `table`: [x_k, c_b] - sum_j table.leftmult[k-1][b]_j c_j = 0 exactly
-    for every generator product, in order.  At a unit product, (k,) +
-    label(b) a label, [x_k, c_b] is c_hit, so it needs no bracket: the
-    column must be {hit: 1}.  Coordinates in independent images being
-    unique, the model's table has the same left multiplications, and so,
+    `table`, a table over ctx.field: [x_k, c_b] = sum_j T_kb^j c_j
+    exactly for every generator product, in order.  The model is the
+    normal form (ctx, gens), x_k = nu_k z_k with z_k over the base field
+    of the `ScaledContext` ctx, so c_b = mu_b e_b with e_b the image in
+    the z_k (`_label_scalars`), and the product holds exactly when
+
+        [z_k, e_b] - sum_j (mu_j / (nu_k mu_b)) T_kb^j e_j = 0.
+
+    The e_j are independent over the base field, so the coordinates of
+    [z_k, e_b] in them are unique and lie in it: a rescaled coefficient
+    outside the base field fails the product, and otherwise the base
+    residual must vanish.  At a unit product, (k,) + label(b) a label,
+    [x_k, c_b] is c_hit, so it needs no bracket: the column must be
+    {hit: 1}.  Coordinates in independent images being unique, the
+    model's table has the same left multiplications, and so,
     `MonomialTable.pair` being a function of those and the labels, it
-    equals `table` on every pair.  Returns the `SpanSolver` of the
-    images, which, closed under every generator, span the closure.
-    Raises StructureMismatch "catalog images are dependent", or "<name>:
-    bracket tables differ at generator product (k,b)"."""
-    field = ctx.field
-    axpy, unit = field.axpy, field.one.v
-    images = _catalog_images(ctx, gens, table.labels)
-    vectors = [ctx.vector(img) for img in images]
-    span = _basis_span(field, ctx.vector_dim, vectors)
-    for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
+    equals `table` on every pair.  Returns the `SpanSolver` of the e_b,
+    over the base field, which, closed under every generator, span the
+    closure.  Raises StructureMismatch "catalog images are dependent",
+    or "<name>: bracket tables differ at generator product (k,b)"."""
+    base, field = ctx.base, ctx.field
+    gens = [ctx.element(g) for g in gens]
+    zs = [g.a for g in gens]
+    nu = _scalars(gens, field)
+    images = _catalog_images(base, zs, table.labels)
+    vectors = [base.vector(img) for img in images]
+    span = _basis_span(base.field, base.vector_dim, vectors)
+    mu = _label_scalars(field, nu, table.labels)
+    down = tower_maps(base.field, field)[1]
+    mul, div, unit = field.mul, field.div, field.one.v
+    axpy = base.field.axpy
+    for k, (z, lm) in enumerate(zip(zs, table.leftmult), start=1):
         for b, lab in enumerate(table.labels):
             hit = table.label_index.get((k,) + lab)
             if hit is not None:
                 ok = lm[b] == {hit: unit}
             else:
-                # w = [x_k, c_b] - sum_j T_kb^j c_j (axpy subtracts)
-                w = ctx.vector(ctx.bracket(g, images[b]))
+                # w = [z_k, e_b] - sum_j c_j e_j (axpy subtracts)
+                w = base.vector(base.bracket(z, images[b]))
+                inv = div(unit, mul(nu[k - 1], mu[b]))
+                ok = True
                 for j, c in lm[b].items():
+                    c = down(mul(mul(c, mu[j]), inv))
+                    if c is None:
+                        ok = False
+                        break
                     axpy(w, c, vectors[j])
-                ok = not w
+                ok = ok and not w
             if not ok:
                 raise StructureMismatch(
                     f"{name}: bracket tables differ at generator product "
@@ -789,21 +984,29 @@ def _check_composed_map(t_b1, t_b2, glue):
 
 
 def match_algebras(alg1, gens1, alg2, gens2, family):
-    """Certify that two realizations of the same family graph are
-    isomorphic: normalise both, recover standard parameters, rebuild the
-    standard model for each side, check side 2's structure-constant
-    table on its model's generator products, and check the composed
-    basis correspondence on the generator products; each proves its
-    tables equal on every pair of basis elements."""
+    """Certify that two realizations of the same family graph, over one
+    field, are isomorphic: normalise both, recover standard parameters,
+    rebuild the standard model for each side, check side 2's
+    structure-constant table on its model's generator products, and
+    check the composed basis correspondence on the generator products;
+    each proves its tables equal on every pair of basis elements.
+
+    Each normal form is base-field generators y_k and scalars lambda_k
+    (`normalize_generators`), its scalars starting in the field the one
+    before reached: side 1, side 2, model 1, model 2.  The tables, model
+    1's images, the model check and the glue solve run over the fields
+    of the matrices, the base field whenever the model parameters are
+    in it, and the field the scalars reached only rescales the tables
+    and the glue; the composed map is checked there."""
     n = len(gens1)
     if len(gens2) != n or alg1.dim != alg2.dim:
         raise FormMismatch("realizations have different dimensions")
+    if not alg1.field.same(alg2.field):
+        raise FormMismatch("realizations over different fields")
     labels = [e.indices for e in catalog(family, n)]
 
     ctx1, g1 = normalize_generators(family, alg1, gens1)
-    ctx2, g2 = _to_field(alg2, gens2, ctx1.field)
-    ctx2, g2 = normalize_generators(family, ctx2, g2)
-    ctx1, g1 = _to_field(ctx1, g1, ctx2.field)
+    ctx2, g2 = normalize_generators(family, alg2, gens2, ctx1.field)
     psi1 = psi(family, ctx1, g1)
     psi2 = psi(family, ctx2, g2)
 
@@ -816,37 +1019,47 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         mctx1, m1 = ctx1, g1
         mctx2, m2 = ctx2, g2
     else:
-        # building model 2 over model 1's (possibly extended) field
-        # keeps all fields on a single quadratic-extension chain
+        # model 2's matrices over a field containing model 1's keep the
+        # glue solve in one field
         params1, mctx1, m1 = _rebuild_model(family, n, ctx2.field, psi1)
         params2, mctx2, m2 = _rebuild_model(
-            family, n, mctx1.field, _psi_in(psi2, mctx1.field))
+            family, n, mctx1.field, _psi_in(psi2, mctx1.field),
+            mctx1.base.field)
 
-    # raise everything to the largest field reached
+    # the largest field reached: the tables and the glue are rescaled
+    # into it
     top = mctx2.field
-    ctx1, g1 = _to_field(ctx1, g1, top)
-    ctx2, g2 = _to_field(ctx2, g2, top)
-    mctx1, m1 = _to_field(mctx1, m1, top)
-    mctx2, m2 = _to_field(mctx2, m2, top)
-
-    _, _, t_b1 = _catalog_table(ctx1, g1, labels, "side 1 vs model")
-    _, _, t_b2 = _catalog_table(ctx2, g2, labels, "side 2 vs model")
+    t_b1 = _side_table(ctx1, g1, labels, "side 1 vs model", top)
+    t_b2 = _side_table(ctx2, g2, labels, "side 2 vs model", top)
     # model 1 needs no table, only independent catalog images
-    c1 = [mctx1.vector(img) for img in _catalog_images(mctx1, m1, labels)]
-    _basis_span(top, mctx1.vector_dim, c1)
+    base1 = mctx1.base
+    c1 = [base1.vector(img)
+          for img in _catalog_images(base1, [g.a for g in m1], labels)]
+    _basis_span(base1.field, base1.vector_dim, c1)
     # side 2 against its standard model: T(b2) = T(c2)
     span_c2 = _check_model(mctx2, m2, t_b2, "side 2 vs model")
-    # what follows reads the tables, c1 and span_c2 only: dropping the
-    # matrix algebras lowers the peak memory
-    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
+    mu1 = _label_scalars(top, _scalars(m1, top), labels)
+    mu2 = _label_scalars(top, _scalars(m2, top), labels)
+    up12 = tower_maps(base1.field, mctx2.base.field)[0]
+    up = tower_maps(mctx2.base.field, top)[0]
+    # what follows reads the tables, c1, span_c2 and the scalars only:
+    # dropping the matrix algebras lowers the peak memory
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2, base1
 
     # glue through the common model algebra: model 1's images, in model
     # 2's closed span and as many as its basis, are a basis of it, so
     # the glue matrix G of their coordinates is invertible and T(c1) is
-    # T(c2) in the basis G gives
-    glue = [span_c2.sparse_coords(v) for v in c1]
-    if None in glue:
-        raise StructureMismatch("model closures do not coincide")
+    # T(c2) in the basis G gives.  With c1_i = mu1_i e1_i and c2_a =
+    # mu2_a e2_a, G_ia = mu1_i / mu2_a Gbase_ia for the coordinates
+    # Gbase of the e1 in the e2, solved over model 2's matrix field
+    mul, div, one = top.mul, top.div, top.one.v
+    inv2 = [div(one, m) for m in mu2]
+    glue = []
+    for m, v in zip(mu1, c1):
+        row = span_c2.sparse_coords({j: up12(x) for j, x in v.items()})
+        if row is None:
+            raise StructureMismatch("model closures do not coincide")
+        glue.append({a: mul(mul(m, inv2[a]), up(x)) for a, x in row.items()})
     del c1, span_c2
 
     # the composed map: T(b1) is T(b2) in the basis G gives, which with

@@ -9,9 +9,10 @@ over its basis) and :class:`~extremal_lie.realizations.MatrixLieAlgebra`
 """
 
 from dataclasses import dataclass, field as dc_field
+from operator import methodcaller
 from typing import Protocol
 
-from .fields import FieldElement
+from .fields import FieldElement, lift_element
 from .linalg import bracket_closure
 
 
@@ -222,7 +223,7 @@ class TriangleTranscript:
     negated: str = ""
 
 
-def fixtriangle(ctx, x, y, z, targets):
+def fixtriangle(ctx, x, y, z, targets, sqrt=methodcaller("sqrt")):
     """Normalise a triple of extremal elements.
 
     Preconditions: f(x,[y,z])^2 != 2 f(x,y) f(x,z) f(y,z) and
@@ -233,10 +234,13 @@ def fixtriangle(ctx, x, y, z, targets):
 
     where (pi, rho, sigma) are the requested targets with
     pi*rho*sigma = f(x,y) f(x,z') f(y,z) * square; the achievable sign
-    pattern is handled by negating one element.  Raises NoSquareRoot if a
-    scaling radicand has no root in the field (callers may lift to a
-    quadratic extension and retry), HypothesisFailed if a precondition
-    fails.  Returns (x', y', z', transcript)."""
+    pattern is handled by negating one element.  The three scalings
+    are the roots `sqrt` takes: by default the element's own, which
+    raises NoSquareRoot if a radicand has no root in the field, and for
+    a context whose field grows (`certify.ScaledContext`) its root,
+    which adjoins a missing one; the targets then follow the roots into
+    the extension.  Raises HypothesisFailed if a precondition fails.
+    Returns (x', y', z', transcript)."""
     pi, rho, sigma = targets
     fxy = extremal_form_value(ctx, x, y)
     fyz = extremal_form_value(ctx, y, z)
@@ -262,7 +266,8 @@ def fixtriangle(ctx, x, y, z, targets):
     cx = (pi * rho * fyz) / (sigma * fxy * fxzh)
     cy = (pi * sigma * fxzh) / (rho * fxy * fyz)
     cz = (rho * sigma * fxy) / (pi * fxzh * fyz)
-    rx, ry, rz = cx.sqrt(), cy.sqrt(), cz.sqrt()
+    rx, ry, rz = sqrt(cx), sqrt(cy), sqrt(cz)
+    pi, rho, sigma = (lift_element(t, ctx.field) for t in targets)
     xt = ctx.lincomb([(rx, xh)])
     yt = ctx.lincomb([(ry, y)])
     zt = ctx.lincomb([(rz, z)])

@@ -559,10 +559,11 @@ class QuadraticExtension(Field):
         x, y = v
         roots = []
         if b.is_zero(y):
-            # sqrt(x): either sqrt in base, or sqrt(x/d) * r
+            # sqrt(x): either sqrt in base, or sqrt(x/d) * r.  A base
+            # square keeps its base root, so a root taken before and
+            # after an extension is the same element
             try:
-                a = b.sqrt(x)
-                roots.append((a, b.zero.v))
+                return (b.sqrt(x), b.zero.v)
             except NoSquareRoot:
                 pass
             try:
@@ -646,17 +647,53 @@ def quadratic_roots(a, b, c):
     return roots
 
 
+def tower_maps(field, target):
+    """(up, down), the payload maps between `field` and `target`, which
+    must be reachable from it by a chain of quadratic extensions (or be
+    the same field): up embeds a payload of `field` into `target`, and
+    down gives back the payload of `field` that a payload of `target`
+    is, or None when it does not lie in `field`."""
+    chain = []
+    f = target
+    while not f.same(field):
+        if not isinstance(f, QuadraticExtension):
+            raise DescriptorMismatch(f"{field} does not embed in {target}")
+        chain.append(f)
+        f = f.base
+    zeros = [ext.base.zero.v for ext in reversed(chain)]
+    bases = [ext.base for ext in chain]
+
+    def up(v):
+        for zero in zeros:
+            v = (v, zero)
+        return v
+
+    def down(v):
+        for base in bases:
+            if not base.is_zero(v[1]):
+                return None
+            v = v[0]
+        return v
+
+    return up, down
+
+
 def lift_element(elem, field):
     """Re-express elem in `field`, which must be reachable from elem.field
     by a chain of quadratic extensions (or be the same field)."""
-    chain = []
-    f = field
-    while not f.same(elem.field):
-        if not isinstance(f, QuadraticExtension):
-            raise DescriptorMismatch(f"{elem.field} does not embed in {field}")
-        chain.append(f)
-        f = f.base
-    out = FieldElement(f, elem.v)
-    for ext in reversed(chain):
-        out = ext.embed(out)
-    return out
+    return FieldElement(field, tower_maps(elem.field, field)[0](elem.v))
+
+
+def restrict(elem, field):
+    """elem as an element of `field`, a level of the quadratic-extension
+    tower of elem.field, or None when it does not lie in `field`."""
+    v = tower_maps(field, elem.field)[1](elem.v)
+    return None if v is None else FieldElement(field, v)
+
+
+def tower(field):
+    """The levels of field's quadratic-extension tower, lowest first."""
+    levels = [field]
+    while isinstance(levels[-1], QuadraticExtension):
+        levels.append(levels[-1].base)
+    return levels[::-1]

@@ -9,9 +9,9 @@ field's ``axpy(v, c, row)`` kernel, which sets ``v -= c*row`` in place
 and deletes entries that become zero (see :mod:`extremal_lie.fields`).
 The matrix kernels are the bracket `mat_bracket`, the linear
 combinations `mat_lincomb` and `basis_lincomb` (of one fixed basis, as
-`MatrixLieAlgebra.from_coords` needs), the trace form `trace_product`,
-the row-major flattening `mat_vector` and the field lift `lift_rows`;
-`bracket_closure` grows the Lie span of a set of elements.
+`MatrixLieAlgebra.from_coords` needs), the trace form `trace_product`
+and the row-major flattening `mat_vector`; `bracket_closure` grows the
+Lie span of a set of elements.
 
 Over GF(p) `mat_bracket` and `basis_lincomb` run on packed rows
 instead of `axpy`: a row of residues becomes one Python int holding a
@@ -56,8 +56,7 @@ matrices from vectors and bilinear forms with the FieldElement helpers
 `vec_scale`.
 """
 
-from .fields import (DescriptorMismatch, FieldElement, PrimeField,
-                     lift_element)
+from .fields import DescriptorMismatch, FieldElement, PrimeField
 
 
 def zeros(field, rows, cols):
@@ -226,13 +225,6 @@ def mat_vector(a):
     N x N matrix given as payload rows."""
     n = len(a)
     return {i * n + j: x for i, row in enumerate(a) for j, x in row.items()}
-
-
-def lift_rows(field, a, target):
-    """The payload rows a over `field` re-expressed in `target`, which
-    must be reachable from it by quadratic extensions (`lift_element`)."""
-    return tuple([{j: lift_element(FieldElement(field, x), target).v
-                   for j, x in row.items()} for row in a])
 
 
 def transpose(a):

@@ -267,14 +267,15 @@ def d_open_conditions(n, alpha, beta):
     lambda = alpha/(alpha+2) (n odd) or
     -alpha*kappa/((alpha+2)(1+beta+kappa)) (n even), kappa the square
     root of 1 + beta.  lambda is defined only where the first condition
-    holds, so lambda_open is False wherever param_open is.  Raises
-    NoSquareRoot when the first holds and 1 + beta is not a square."""
+    holds, so lambda_open is False wherever param_open is.  Only even n
+    takes kappa: there it raises NoSquareRoot when the first condition
+    holds and 1 + beta is not a square."""
     if ((alpha + 2) * beta * (beta + 1)).is_zero():
         return False, False
-    kappa = (1 + beta).sqrt()
     if n % 2:
         lam = alpha / (alpha + 2)
     else:
+        kappa = (1 + beta).sqrt()
         lam = -alpha * kappa / ((alpha + 2) * (1 + beta + kappa))
     return True, not (lam * (2 - beta + lam * beta) - 1).is_zero()
 
@@ -282,8 +283,8 @@ def d_open_conditions(n, alpha, beta):
 def generators_D(n, field, alpha, beta, force_special_c=None):
     """Siegel generators T_{u_i, v_i} in o_{2n} (hyperbolic form).
 
-    Requires the open conditions of `d_open_conditions` and a square
-    root of 1 + beta in the field.
+    Requires the open conditions of `d_open_conditions` and, at even
+    n, a square root of 1 + beta in the field.
     Returns (matrices, (form, lines)) with lines the (u_i, v_i) pairs."""
     alpha = field(alpha)
     beta = field(beta)
@@ -426,6 +427,10 @@ class MatrixLieAlgebra:
             self.field, self.element(a), self.element(b))
 
     def _calibrate_form(self):
+        if not self._basis:
+            raise RuntimeError("cannot calibrate the form: the context "
+                               "has an empty basis (it holds generators "
+                               "only)")
         field = self.field
         x = self.generators_list[0]
         for b in self.basis():

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, PrimeField,
-                                 QuadraticExtension, QQ)
-from extremal_lie.linalg import lift_rows
+                                 QuadraticExtension, QQ, tower_maps)
 from extremal_lie.realizations import MatrixLieAlgebra
 
 
@@ -50,6 +49,13 @@ def random_element(field, rng, zero_rate=0.3):
 
 def random_vector(field, rng, length, zero_rate=0.5):
     return [random_element(field, rng, zero_rate) for _ in range(length)]
+
+
+def lift_rows(field, rows, target):
+    """Payload matrix rows over `field` re-expressed in `target`, a
+    quadratic-extension tower over it."""
+    up = tower_maps(field, target)[0]
+    return tuple([{j: up(x) for j, x in row.items()} for row in rows])
 
 
 def lift_closure(alg, field):

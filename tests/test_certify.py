@@ -20,8 +20,8 @@ from extremal_lie.certify import (ConditionViolated, FormMismatch,
                                   solve_params_D)
 from extremal_lie.extremal import (NotExtremal, check_premet, exp_ad,
                                    extremal_form_value)
-from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, PrimeField,
-                                 QuadraticExtension, QQ)
+from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
+                                 PrimeField, QQ, lift_element, tower_maps)
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
 from extremal_lie.presentation import MonomialTable
@@ -133,6 +133,19 @@ def test_check_genericity_reports_closed_d_parameters(n, params):
     assert list(flags)[-2:] == ["param_open", "lambda_open"]
 
 
+def test_check_genericity_takes_no_root_of_one_plus_beta_at_odd_rank(d5):
+    """At odd n lambda = alpha/(alpha+2) takes no root of 1 + beta, so
+    beta = 5, with 6 no square mod p, gets its flags; at even n lambda
+    takes the root, and its absence raises NoSquareRoot."""
+    alg, mats = d5
+    assert not F(6).has_sqrt()
+    flags = check_genericity("D", alg, mats, params=(F(2), F(5)))
+    assert flags["param_open"] is True and flags["lambda_open"] is True
+    alg6, mats6 = closure_of("D", 6, (2, 3))
+    with pytest.raises(NoSquareRoot):
+        check_genericity("D", alg6, mats6, params=(F(2), F(5)))
+
+
 def test_normalize_generators_reaches_canonical_gauge(b5):
     alg, mats = b5
     ctx, g = normalize_generators("B", alg, mats)
@@ -228,10 +241,20 @@ def test_match_rejects_dimension_mismatch(b5):
         match_algebras(alg, mats, other, others, "B")
 
 
-def _conjugated_c6():
-    """Criterion 9's C6 pair: the standard generators and their
-    conjugate by exp(3 ad x_1) then exp(-2 ad x_3)."""
-    alg, mats = closure_of("C", 6)
+def test_match_rejects_realizations_over_different_fields(b5):
+    alg, mats = b5
+    G = PrimeField(101)
+    others, _ = build_generators("B", 5, G, (G(1),))
+    with pytest.raises(FormMismatch,
+                       match="^realizations over different fields$"):
+        match_algebras(alg, mats, lie_closure(others, G), others, "B")
+
+
+def _exp_conjugated(family, n):
+    """Criterion 9's A5 and C6 pairs, the first also the A5 job of the
+    benchmark at seed 0: the standard generators and their conjugate by
+    exp(3 ad x_1) then exp(-2 ad x_3)."""
+    alg, mats = closure_of(family, n)
     mats = alg.generators_list
     conj = [exp_ad(alg, F(3), mats[0], g) for g in mats]
     conj = [exp_ad(alg, F(-2), mats[2], g) for g in conj]
@@ -254,21 +277,26 @@ MATCH_DIGESTS = {
     "B6": "6b615fcd617d76d5d51a1966f5d37bcd565f533efdca7e3e2ca06f1e1e37db32",
     "C6-conj":
         "ada04f05e74c064d6c0ccd86c85bf5133d89194570763d2b564b72f5b7a942d4",
+    "D5-QQ":
+        "f4e251ac822f6978feb9d55ad5b332acbb57a518486d7ad1884efba1e858c7b0",
 }
 
 
 @pytest.mark.parametrize("name", list(MATCH_DIGESTS))
 def test_match_certificate_digests(name):
-    """D5 (2,3) vs (4,8) over GF(p), B6 gamma 1 vs 2 over GF(101) and
-    criterion 9's conjugated C6 give bit-identical certificates."""
-    if name == "D5":
-        sides = _param_pair("D", 5, F, (2, 3), (4, 8))
+    """D5 (2,3) vs (4,8) over GF(p) and over QQ, B6 gamma 1 vs 2 over
+    GF(101) and criterion 9's conjugated C6 give bit-identical
+    certificates.  The QQ match ends over a tower of two quadratic
+    extensions, QQ(rt 1/8)(rt -64)."""
+    if name in ("D5", "D5-QQ"):
+        sides = _param_pair("D", 5, F if name == "D5" else QQ, (2, 3),
+                            (4, 8))
         family = "D"
     elif name == "B6":
         sides = _param_pair("B", 6, PrimeField(101), (1,), (2,))
         family = "B"
     else:
-        sides, family = _conjugated_c6(), "C"
+        sides, family = _exp_conjugated("C", 6), "C"
     cert = match_algebras(*sides, family)
     text = json.dumps(dataclasses.asdict(cert), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGESTS[name]
@@ -334,7 +362,8 @@ def test_catalog_table_rejects_changed_generators(b5, change):
     assert pair is not None
     k, b = table.labels[pair[0]][0], pair[1]
     with pytest.raises(StructureMismatch) as info:
-        certify._check_model(alg, target, table, change)
+        certify._check_model(certify.ScaledContext(alg), target, table,
+                             change)
     assert str(info.value) == (
         f"{change}: bracket tables differ at generator product ({k},{b})")
 
@@ -345,18 +374,44 @@ def test_model_check_refuses_every_perturbed_column(b5):
     (b+5) % dim of the left multiplication [x_k, b], unit columns
     included, is refused at that generator product."""
     alg, mats = b5
+    ctx = certify.ScaledContext(alg)
     _, _, table = table_of("B", 5, alg, mats)
-    assert certify._check_model(alg, mats, table, "B5").rank == table.dim
+    assert certify._check_model(ctx, mats, table, "B5").rank == table.dim
     dim = table.dim
     for k, lm in enumerate(table.leftmult, start=1):
         for b, col in enumerate(lm):
             lm[b] = dict(col)
             F.axpy(lm[b], F(-3).v, {(b + 5) % dim: F.one.v})
             with pytest.raises(StructureMismatch) as info:
-                certify._check_model(alg, mats, table, "B5")
+                certify._check_model(ctx, mats, table, "B5")
             assert str(info.value) == (
                 f"B5: bracket tables differ at generator product ({k},{b})")
             lm[b] = col
+
+
+def test_model_check_refuses_a_coefficient_outside_the_model_field(b5):
+    """B5's table embedded in GF(p^2) passes the model check of B5's
+    own generators with scalars 1 in GF(p^2).  Adding 3 times the
+    adjoined root to one coefficient of the first product that needs a
+    bracket leaves the base parts, and so the base residual, unchanged,
+    but the rescaled coefficient is no longer in GF(p): the check
+    refuses that product."""
+    alg, mats = b5
+    ctx = certify.ScaledContext(alg, GF2)
+    _, _, table = table_of("B", 5, alg, mats)
+    lifted = certify._rescaled_table(table, [GF2.one.v] * 5, GF2)
+    assert certify._check_model(ctx, mats, lifted, "B5").rank == table.dim
+    k, b = next((k, b) for k in range(1, 6) for b in range(table.dim)
+                if (k,) + table.labels[b] not in table.label_index
+                and lifted.leftmult[k - 1][b])
+    col = dict(lifted.leftmult[k - 1][b])
+    j = min(col)
+    col[j] = GF2.add(col[j], (GF2.root * 3).v)
+    lifted.leftmult[k - 1][b] = col
+    with pytest.raises(StructureMismatch) as info:
+        certify._check_model(ctx, mats, lifted, "B5")
+    assert str(info.value) == (
+        f"B5: bracket tables differ at generator product ({k},{b})")
 
 
 def test_catalog_table_rejects_a_bracket_outside_the_span(b5):
@@ -629,7 +684,7 @@ def test_rebuilt_models_close_to_the_catalog_dimension(family, n, params):
     ctx, gens = normalize_generators(family, alg, mats)
     _, mctx, model = certify._rebuild_model(family, n, ctx.field,
                                             psi(family, ctx, gens))
-    closure = lie_closure(model, mctx.field)
+    closure = lie_closure([g.a for g in model], mctx.base.field)
     assert closure.dim == expected_catalog_size(family, n)
 
 
@@ -803,23 +858,23 @@ def test_quartic_identities_match_the_six_bracket_expansion(
         assert any(same(a, xk) and same(b, xk_yt) for a, b in formed)
 
 
-def test_match_contexts_over_an_extension_hold_generators_only(
-        monkeypatch):
-    """A B5 gamma 1 vs 2 match ends over GF(p^2): every context it builds
-    over a quadratic extension has an empty basis, its generators
-    lifted and no closure basis."""
+@pytest.mark.parametrize("family,params1,params2",
+                         [("B", (1,), (2,)), ("D", (2, 3), (4, 8))],
+                         ids=["B5", "D5"])
+def test_a_match_builds_no_matrix_context_over_an_extension(
+        monkeypatch, family, params1, params2):
+    """B5 gamma 1 vs 2 and D5 (2,3) vs (4,8) end over GF(p^2), yet every
+    matrix context the match builds, the models' included, is over
+    GF(p): the extension only holds scalars."""
     built = []
     init = MatrixLieAlgebra.__init__
     monkeypatch.setattr(MatrixLieAlgebra, "__init__",
                         lambda ctx, *a: built.append(ctx) or init(ctx, *a))
-    alg1, mats1 = closure_of("B", 5, (1,))
-    alg2, mats2 = closure_of("B", 5, (2,))
-    cert = match_algebras(alg1, mats1, alg2, mats2, "B")
+    alg1, mats1 = closure_of(family, 5, params1)
+    alg2, mats2 = closure_of(family, 5, params2)
+    cert = match_algebras(alg1, mats1, alg2, mats2, family)
     assert cert.verdict == "pass" and "rt" in cert.field
-    lifted = [ctx for ctx in built
-              if isinstance(ctx.field, QuadraticExtension)]
-    assert lifted and all(ctx.basis() == [] and ctx.dim == 0
-                          for ctx in lifted)
+    assert built and all(ctx.field is F for ctx in built)
 
 
 @pytest.mark.parametrize("family,n,params",
@@ -866,11 +921,11 @@ def _wrong_models(monkeypatch, sides):
     rebuild = certify._rebuild_model
     calls = []
 
-    def wrong(family, n, fld, target):
+    def wrong(family, n, fld, target, *base):
         calls.append(1)
         if len(calls) <= sides:
             target = certify._psi_in(other, fld)
-        return rebuild(family, n, fld, target)
+        return rebuild(family, n, fld, target, *base)
 
     monkeypatch.setattr(certify, "_rebuild_model", wrong)
     return alg, mats
@@ -953,3 +1008,62 @@ def test_match_a_randomly_conjugated_realization(family, n, params):
     dim = expected_catalog_size(family, n)
     assert cert.verdict == "pass"
     assert cert.pairs_checked == dim * (dim - 1) // 2
+
+
+def _materialised(ctx, gens, field):
+    """The normal form (ctx, gens) as the matrices lambda_k y_k over
+    `field`: a generators-only context over it and its generators."""
+    up = tower_maps(ctx.base.field, field)[0]
+    mul = field.mul
+    mats = []
+    for g in gens:
+        c = lift_element(g.c, field).v
+        mats.append(tuple({j: mul(c, up(x)) for j, x in row.items()}
+                          for row in g.a))
+    return MatrixLieAlgebra(field, ctx.base.ambient_dim, [], mats), mats
+
+
+RESCALE_CASES = {
+    "A5-conj": lambda: ("A", _exp_conjugated("A", 5)),
+    "B5": lambda: ("B", _param_pair("B", 5, F, (1,), (2,))),
+    "C6-conj": lambda: ("C", _exp_conjugated("C", 6)),
+    "D5": lambda: ("D", _param_pair("D", 5, F, (2, 3), (4, 8))),
+    "D5-QQ": lambda: ("D", _param_pair("D", 5, QQ, (2, 3), (4, 8))),
+}
+
+
+@pytest.mark.parametrize("name", list(RESCALE_CASES))
+def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
+                                                           monkeypatch):
+    """The reference for the rescale: the tables T(b1), T(b2) and the
+    glue a match builds over the base field and rescales equal
+    `_catalog_table` and the glue solve run directly on the generators
+    lambda_k y_k of the sides and models, materialised over the field
+    the match reached (GF(p^2), QQ(rt 1/8)(rt -64), GF(p) for C6)."""
+    family, sides = RESCALE_CASES[name]()
+    forms, models, used = [], [], []
+    normalize, rebuild = certify.normalize_generators, certify._rebuild_model
+    check = certify._check_composed_map
+    monkeypatch.setattr(certify, "normalize_generators",
+                        lambda *a: forms.append(normalize(*a)) or forms[-1])
+    monkeypatch.setattr(certify, "_rebuild_model",
+                        lambda *a: models.append(rebuild(*a)) or models[-1])
+    monkeypatch.setattr(certify, "_check_composed_map",
+                        lambda *a: used.append(a) or check(*a))
+    cert = match_algebras(*sides, family)
+    t_b1, t_b2, glue = used[0]
+    top = t_b1.field
+    assert cert.verdict == "pass" and cert.field == str(top)
+    assert ("rt" in cert.field) == (name != "C6-conj")
+    labels = t_b1.labels
+    for (ctx, gens), table in zip(forms[:2], (t_b1, t_b2)):
+        _, _, direct = certify._catalog_table(
+            *_materialised(ctx, gens, top), labels, "direct")
+        assert table.field is top and table.leftmult == direct.leftmult
+    model1, model2 = ([m[1:] for m in models] if models else forms[:2])
+    ctx1, m1 = _materialised(*model1, top)
+    ctx2, m2 = _materialised(*model2, top)
+    span = certify._basis_span(top, ctx2.vector_dim, [
+        ctx2.vector(img) for img in certify._catalog_images(ctx2, m2, labels)])
+    assert glue == [span.sparse_coords(ctx1.vector(img))
+                    for img in certify._catalog_images(ctx1, m1, labels)]

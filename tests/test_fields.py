@@ -177,6 +177,37 @@ def test_quadratic_roots_solve_in_canonical_order(name, ints, factored):
         assert set(roots) == {u, v}
 
 
+def _extension_of(field):
+    """A quadratic extension of `field` by the first non-square of the
+    form 1 + k*t, t its adjoined root (or 1 over a prime or rational
+    base field)."""
+    t = getattr(field, "root", field.one)
+    d = next(v for v in (field(1) + t * k for k in range(1, 80))
+             if not v.has_sqrt())
+    return QuadraticExtension(field, d)
+
+
+EXTENSIONS = {name: _extension_of(field)
+              for name, field in KERNEL_FIELDS.items()}
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(list(KERNEL_FIELDS)), st.integers(-60, 60),
+       st.integers(-60, 60), st.integers(1, 9))
+def test_extension_root_of_a_base_square_is_the_base_root(name, x, y, d):
+    """Over QQ, QQ(rt 2), GF(p), GF(p^2) and the GF(p) tower, the root
+    an extension takes of an embedded base square is the embedded base
+    root: a root taken before and after a field is adjoined agrees."""
+    base = KERNEL_FIELDS[name]
+    ext = EXTENSIONS[name]
+    t = getattr(base, "root", base.one)
+    a = base(x) / base(d) + t * base(y)
+    square = a * a
+    root = ext.embed(square).sqrt()
+    assert root == ext.embed(square.sqrt())
+    assert root * root == ext.embed(square)
+
+
 def _sparse(vec):
     return {i: x.v for i, x in enumerate(vec) if not x.is_zero()}
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KERNEL_FIELDS, random_element, random_vector
+from conftest import KERNEL_FIELDS, lift_rows, random_element, random_vector
 from extremal_lie import linalg
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
                                  FieldElement, PrimeField, QQ,
@@ -131,9 +131,9 @@ def test_lift_matrix_preserves_products(F):
     d = next(F(k) for k in range(2, 50) if not F(k).has_sqrt())
     E = QuadraticExtension(F, d)
     a = [[F(1), F(2)], [F(3), F(4)]]
-    la = _matrix(E, linalg.lift_rows(F, _rows(F, a), E))
+    la = _matrix(E, lift_rows(F, _rows(F, a), E))
     assert _rows(E, _reference_mul(la, la)) == \
-        linalg.lift_rows(F, _rows(F, _reference_mul(a, a)), E)
+        lift_rows(F, _rows(F, _reference_mul(a, a)), E)
 
 
 def test_mat_mul_and_bracket_match_reference(kernel_field):

@@ -4,7 +4,8 @@ import pytest
 
 from extremal_lie import linalg
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField
-from extremal_lie.realizations import (InvalidParameters, NotIsotropic,
+from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
+                                       NotIsotropic,
                                        basis_vector, build_generators,
                                        classify_siegel_pair,
                                        classify_transvection_pair,
@@ -40,6 +41,25 @@ def test_invalid_parameters():
         build_generators("B", 5, F, (F(-1),))  # gamma = -1
     with pytest.raises(InvalidParameters):
         build_generators("C", 5, F)  # odd n
+
+
+def test_d_needs_a_root_of_one_plus_beta_only_at_even_rank():
+    """6 is no square mod p: beta = 5 builds D5, whose lambda needs no
+    root of 1 + beta, and is refused at D6."""
+    assert not F(6).has_sqrt()
+    mats, _ = build_generators("D", 5, F, (F(2), F(5)))
+    assert lie_closure(mats, F).dim == 45
+    with pytest.raises(InvalidParameters,
+                       match="^1 \\+ beta must be a square in the field$"):
+        build_generators("D", 6, F, (F(2), F(5)))
+
+
+def test_form_of_a_generators_only_context_names_the_empty_basis():
+    mats, _ = build_generators("D", 5, F, (F(2), F(3)))
+    ctx = MatrixLieAlgebra(F, len(mats[0]), [], mats)
+    with pytest.raises(RuntimeError, match="empty basis"):
+        ctx.form(mats[0], mats[1])
+    assert not lie_closure(mats, F).form(mats[0], mats[1]).is_zero()
 
 
 def test_transvection_matrix():
