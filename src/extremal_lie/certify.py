@@ -58,7 +58,6 @@ rescales them; the composed map is checked in the extension.
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 from . import linalg
 from .fields import (FieldElement, NoSquareRoot, QuadraticExtension,
@@ -225,29 +224,29 @@ def check_genericity(family, ctx, gens, params=None):
 MAX_LIFTS = 2
 
 
-class Scaled(NamedTuple):
+class Scaled:
     """The element c * a of a `ScaledContext`: c a FieldElement of a
     level of its field's tower, a an element of its base context."""
-    c: object
-    a: object
+
+    __slots__ = ("c", "a")
+
+    def __init__(self, c, a):
+        self.c = c
+        self.a = a
 
 
 class ScaledContext:
-    """Scalar multiples c * a of the elements a of a base Lie context,
-    with c in `field`, a quadratic-extension tower over the base field
-    that grows as roots are adjoined (`root`).
-
-    The canonical gauge is reached by `exp_ad` shifts whose
-    coefficients lie in the base field, and scalings, so every element
-    a normalisation forms is such a multiple, and the matrix work stays
-    in the base field: a bracket is [c a, d b] = cd [a, b], one base
-    bracket; a combination is the multiple, by its first coefficient,
-    of a base combination, and raises ValueError unless the ratios of
-    its coefficients lie in the base field.  Coordinate vectors are
-    scaled into `field`, so `extremal_form_value` and `psi` read form
-    values in it.  The context holds generators only: it has no basis
-    and no form.  `lifts` lists each radicand adjoined, in order, with
-    the step that needed it."""
+    """The Lie context of scalar multiples c * a of the elements a of a
+    base context, c in `field`, a quadratic-extension tower over the
+    base field that grows as `root` adjoins roots.  Every element a
+    normalisation forms is such a multiple, so its matrix work stays in
+    the base field: [c a, d b] = cd [a, b] is one base bracket, and a
+    combination is its first coefficient times a base combination
+    (ValueError when a ratio of coefficients is not in the base field).
+    Coordinate vectors are scaled into `field`, where form values are
+    read.  It holds generators only, with no basis and no form; `lifts`
+    lists each radicand adjoined, in order, with the step that needed
+    it."""
 
     def __init__(self, base, field=None):
         self.base = base
@@ -991,13 +990,10 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     check the composed basis correspondence on the generator products;
     each proves its tables equal on every pair of basis elements.
 
-    Each normal form is base-field generators y_k and scalars lambda_k
-    (`normalize_generators`), its scalars starting in the field the one
-    before reached: side 1, side 2, model 1, model 2.  The tables, model
-    1's images, the model check and the glue solve run over the fields
-    of the matrices, the base field whenever the model parameters are
-    in it, and the field the scalars reached only rescales the tables
-    and the glue; the composed map is checked there."""
+    The scalars of each normal form start in the field the one before
+    reached: side 1, side 2, model 1, model 2.  The composed map is
+    checked in the last field reached; all other work runs over the
+    fields of the matrices, and that field only rescales it."""
     n = len(gens1)
     if len(gens2) != n or alg1.dim != alg2.dim:
         raise FormMismatch("realizations have different dimensions")

@@ -478,12 +478,6 @@ class QuadraticExtension(Field):
             return (value.v, self.base.zero.v)
         return (self.base.coerce(value), self.base.zero.v)
 
-    def embed(self, elem):
-        """Lift an element of the base field into this extension."""
-        if not self.base.same(elem.field):
-            raise DescriptorMismatch(f"{elem!r} is not in base {self.base}")
-        return FieldElement(self, (elem.v, self.base.zero.v))
-
     @property
     def root(self):
         """sqrt(d) as an element of this field."""
