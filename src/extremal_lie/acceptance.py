@@ -22,7 +22,7 @@ from .extremal import (check_premet, classify_pair, exp_ad, fixtriangle,
 from .fields import DEFAULT_PRIME, PrimeField, QQ
 from .graphs import build_family_graph, catalog, expected_catalog_size
 from .presentation import build_L0, evaluate_monomial
-from .realizations import (basis_vector, build_generators,
+from .realizations import (MatrixLieAlgebra, basis_vector, build_generators,
                            classify_siegel_pair, classify_transvection_pair,
                            exp_siegel_action, lie_closure,
                            orthogonal_form_even, orthogonal_form_odd,
@@ -346,9 +346,12 @@ def criterion_9(rng, shared):
         a1, g1, _ = _closure(shared, family, n, ())
         conj = [exp_ad(a1, F(3), g1[0], g) for g in g1]
         conj = [exp_ad(a1, F(-2), g1[2], g) for g in conj]
-        a2 = lie_closure(conj, F)
+        # a match needs generators-only contexts, not closures
+        N = a1.ambient_dim
         try:
-            cert = certify.match_algebras(a1, g1, a2, conj, family)
+            cert = certify.match_algebras(
+                MatrixLieAlgebra(F, N, [], g1), g1,
+                MatrixLieAlgebra(F, N, [], conj), conj, family)
             if cert.verdict != "pass":
                 bad.append(f"{family}{n} conjugated: {cert.verdict}")
         except certify.CertifyError as exc:
@@ -366,8 +369,8 @@ def criterion_10(rng, shared):
 
     for gamma in (1, 2, 3):
         mats, _ = build_generators("B", 6, F, (F(gamma),))
-        alg = lie_closure(mats, F)
-        ctx, g = certify.normalize_generators("B", alg, mats)
+        ctx, g = certify.normalize_generators(
+            "B", MatrixLieAlgebra(F, len(mats[0]), [], mats), mats)
         f_long = certify.psi("B", ctx, g).values[-1]
         got = certify.solve_param_B(f_long, 6)
         if got != ctx.field(gamma):

@@ -253,13 +253,8 @@ class ScaledContext:
         self.field = base.field if field is None else field
         self.vector_dim = base.vector_dim
         self.lifts = []
-        self._maps = (self.field, tower_maps(base.field, self.field))
-
-    def _tower(self):
-        """(up, down) between the base field and the current field."""
-        if self._maps[0] is not self.field:
-            self._maps = (self.field, tower_maps(self.base.field, self.field))
-        return self._maps[1]
+        # payload maps between the base field and `field`
+        self._up, self._down = tower_maps(base.field, self.field)
 
     def _scalar(self, c):
         """c, an int or an element of a level of the tower, in `field`."""
@@ -288,7 +283,7 @@ class ScaledContext:
         if not scaled:
             return Scaled(self.field.one, self.base.lincomb([]))
         lead = scaled[0][0]
-        base, down = self.base.field, self._tower()[1]
+        base, down = self.base.field, self._down
         combo = []
         for e, a in scaled:
             r = down((e / lead).v)
@@ -305,7 +300,7 @@ class ScaledContext:
     def vector(self, x):
         x = self.element(x)
         c = self._scalar(x.c).v
-        up, mul = self._tower()[0], self.field.mul
+        up, mul = self._up, self.field.mul
         return {j: mul(c, up(v)) for j, v in self.base.vector(x.a).items()}
 
     def root(self, c, step):
@@ -322,6 +317,7 @@ class ScaledContext:
                     f"square roots missing after {MAX_LIFTS} quadratic "
                     f"extensions") from None
         self.field = QuadraticExtension(self.field, c)
+        self._up, self._down = tower_maps(self.base.field, self.field)
         self.lifts.append((c, step))
         return lift_element(c, self.field).sqrt()
 
@@ -993,7 +989,10 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  The composed map is
     checked in the last field reached; all other work runs over the
-    fields of the matrices, and that field only rescales it."""
+    fields of the matrices, and that field only rescales it.
+
+    alg1 and alg2 may hold generators only; the certificate's `dim` is
+    the catalog size its tables prove."""
     n = len(gens1)
     if len(gens2) != n or alg1.dim != alg2.dim:
         raise FormMismatch("realizations have different dimensions")
@@ -1069,7 +1068,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         params2={k: str(v) for k, v in zip(param_names, params2)},
         psi1=[str(v) for v in psi1.values],
         psi2=[str(v) for v in psi2.values],
-        dim=alg1.dim,
+        dim=len(labels),
         basis_map=[[str(v) for v in linalg.dense(top, row, len(labels))]
                    for row in glue],
         pairs_checked=pairs,

@@ -29,7 +29,8 @@ from .fields import NotInvertible, PrimeField, QQ
 from .graphs import (FAMILY_PARAMS, BoundsViolation, build_family_graph,
                      expected_catalog_size, graph_from_edges)
 from .presentation import TruncatedAtCap, build_L0
-from .realizations import InvalidParameters, build_generators, lie_closure
+from .realizations import (InvalidParameters, MatrixLieAlgebra,
+                           build_generators, lie_closure)
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -122,7 +123,10 @@ def emit(args, text):
 def cmd_present(args):
     field = make_field(args.field)
     try:
-        if args.edges:
+        if args.edges is not None:
+            if args.family:
+                raise UsageError("--edges builds its own graph: drop "
+                                 "--family")
             edges = parse_edges(args.edges)
             n = args.n if args.n is not None else max(max(e) for e in edges)
             graph = graph_from_edges(n, edges)
@@ -263,10 +267,11 @@ def cmd_certify(args):
             mats2, _ = build_generators(
                 args.family, args.n, field,
                 tuple(field_elem(field, p) for p in other))
-            alg1 = lie_closure(mats1, field)
-            alg2 = lie_closure(mats2, field)
+            # a match needs no closure: generators-only contexts
+            n = len(mats1[0])
             cert = certify.match_algebras(
-                alg1, mats1, alg2, mats2, args.family)
+                MatrixLieAlgebra(field, n, [], mats1), mats1,
+                MatrixLieAlgebra(field, n, [], mats2), mats2, args.family)
         except (InvalidParameters, BoundsViolation) as exc:
             print(f"parameter error: {exc}", file=sys.stderr)
             return 2

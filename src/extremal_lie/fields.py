@@ -9,8 +9,8 @@ Elements are lightweight wrappers around a payload whose type depends on
 the field:
 
 * ``RationalField``    -- payload is an ``int`` when the value is
-  integral and a rational ``_RAT`` (``gmpy2.mpq`` when available, else
-  ``fractions.Fraction``) otherwise; never a ``float`` or ``bool``,
+  integral and a ``fractions.Fraction`` otherwise; never a ``float``
+  or ``bool``,
 * ``PrimeField(p)``    -- payload is an ``int`` in ``[0, p)``, ``p`` an odd
   prime,
 * ``QuadraticExtension(base, d)`` -- payload is a pair ``(a, b)`` of base
@@ -21,9 +21,9 @@ presentations and the Chevalley-type realizations have integral
 structure constants, and int arithmetic skips the ``Fraction``
 machinery entirely.  ``coerce`` turns an integral value into an ``int``
 (``True`` into ``1``), ``div`` returns an ``int`` for two ints that
-divide exactly and ``_RAT`` for every other quotient, and ``sqrt``
+divide exactly and a ``Fraction`` for every other quotient, and ``sqrt``
 an ``int`` for an integral root.  Sums and products are left as Python
-computes them, so an integral ``_RAT`` can still arise (1/2 + 1/2);
+computes them, so an integral ``Fraction`` can still arise (1/2 + 1/2);
 that is harmless, since equal values of the two types compare and
 hash equal and give the same ``format`` and ``sort_key``.
 
@@ -55,10 +55,8 @@ from fractions import Fraction
 from functools import cached_property
 import math
 
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
+#: the rational payload type (tests and perfbench metadata read it)
+_RAT = Fraction
 
 
 class FieldError(Exception):
@@ -245,9 +243,6 @@ class Field:
     def one(self):
         return self(1)
 
-    def characteristic(self):
-        raise NotImplementedError
-
 
 class RationalField(Field):
     """The field of rational numbers."""
@@ -258,8 +253,8 @@ class RationalField(Field):
     def coerce(self, value):
         if isinstance(value, int):
             return int(value)  # a bool becomes 0 or 1
-        value = _RAT(Fraction(value) if isinstance(value, str) else value)
-        return int(value.numerator) if value.denominator == 1 else value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def add(self, a, b):
         return a + b
@@ -275,7 +270,7 @@ class RationalField(Field):
             raise NotInvertible("division by zero")
         if type(a) is int and type(b) is int:
             q, r = divmod(a, b)
-            return _RAT(a, b) if r else q
+            return Fraction(a, b) if r else q
         return a / b
 
     def neg(self, a):
@@ -301,16 +296,13 @@ class RationalField(Field):
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn != num or rd * rd != den:
             raise NoSquareRoot(f"{v} is not a square in Q")
-        return rn if rd == 1 else _RAT(rn, rd)
+        return rn if rd == 1 else Fraction(rn, rd)
 
     def sort_key(self, v):
         return (0, v.numerator * v.denominator, v.numerator, v.denominator)
 
     def format(self, v):
         return str(v)
-
-    def characteristic(self):
-        return 0
 
     def __str__(self):
         return "rationals"
@@ -411,9 +403,6 @@ class PrimeField(Field):
     def format(self, v):
         return str(v)
 
-    def characteristic(self):
-        return self.p
-
     def __str__(self):
         return f"gf({self.p})"
 
@@ -474,8 +463,6 @@ class QuadraticExtension(Field):
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == 2:
             return (self.base.coerce(value[0]), self.base.coerce(value[1]))
-        if isinstance(value, FieldElement) and self.base.same(value.field):
-            return (value.v, self.base.zero.v)
         return (self.base.coerce(value), self.base.zero.v)
 
     @property
@@ -609,9 +596,6 @@ class QuadraticExtension(Field):
         if self.base.is_zero(a):
             return bterm
         return f"{self.base.format(a)}+{bterm}"
-
-    def characteristic(self):
-        return self.base.characteristic()
 
     def __str__(self):
         return f"{self.base}(rt {self.base.format(self.d)})"

@@ -81,10 +81,23 @@ def orthogonal_form_odd(field, m):
     return BilinearForm(g)
 
 
-def basis_vector(field, dim, idx, coeff=None):
+def basis_vector(field, dim, idx):
     v = [field.zero] * dim
-    v[idx] = coeff if coeff is not None else field.one
+    v[idx] = field.one
     return v
+
+
+def _chain_vectors(field, dim, shift, count):
+    """The chain pairs (u_i, v_i), 1 <= i <= count, in F^dim, as the
+    lists (us, vs): u_1 = e_1 - e_2, v_1 = e'_1 + e'_2, then
+    u_i = e_{i-1} + e_i, v_i = e'_{i-1} - e'_i, where e'_i = e_{shift+i}."""
+    e = lambda i: basis_vector(field, dim, i - 1)
+    us = [linalg.vec_sub(e(1), e(2))]
+    vs = [linalg.vec_add(e(shift + 1), e(shift + 2))]
+    for i in range(2, count + 1):
+        us.append(linalg.vec_add(e(i - 1), e(i)))
+        vs.append(linalg.vec_sub(e(shift + i - 1), e(shift + i)))
+    return us, vs
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +152,7 @@ def generators_A(n, field):
     x_1 = e_1 - e_2, h_1 = f_1 + f_2;
     x_i = e_{i-1} + e_i, h_i = f_{i-1} - f_i for 1 < i <= n.
     Returns (matrices, (xs, hs))."""
-    one = field.one
-    xs, hs = [], []
-    e = lambda i, c=one: basis_vector(field, n, i - 1, c)
-    x1 = linalg.vec_sub(e(1), e(2))
-    h1 = linalg.vec_add(e(1), e(2))
-    xs.append(x1)
-    hs.append(h1)
-    for i in range(2, n + 1):
-        xs.append(linalg.vec_add(e(i - 1), e(i)))
-        hs.append(linalg.vec_sub(e(i - 1), e(i)))
+    xs, hs = _chain_vectors(field, n, 0, n)
     mats = [transvection(x, h) for x, h in zip(xs, hs)]
     return mats, (xs, hs)
 
@@ -244,12 +248,7 @@ def _d_line_vectors(n, beta, field):
     v_1.  Ambient F^{2n} with basis e_1..e_n, f_1..f_n."""
     e = lambda i: basis_vector(field, 2 * n, i - 1)
     f = lambda i: basis_vector(field, 2 * n, n + i - 1)
-    us, vs = [], []
-    us.append(linalg.vec_sub(e(1), e(2)))
-    vs.append(linalg.vec_add(f(1), f(2)))
-    for i in range(2, n):
-        us.append(linalg.vec_add(e(i - 1), e(i)))
-        vs.append(linalg.vec_sub(f(i - 1), f(i)))
+    us, vs = _chain_vectors(field, 2 * n, n, n - 1)
     un = linalg.vec_add(linalg.vec_add(e(n - 2),
                                        linalg.vec_scale(f(n - 1), beta)),
                         e(n))
@@ -319,12 +318,7 @@ def generators_B(n, field, gamma):
     e = lambda i: basis_vector(field, dim, i - 1)
     f = lambda i: basis_vector(field, dim, k + i - 1)
     g = basis_vector(field, dim, 2 * k)
-    us, vs = [], []
-    us.append(linalg.vec_sub(e(1), e(2)))
-    vs.append(linalg.vec_add(f(1), f(2)))
-    for i in range(2, n):
-        us.append(linalg.vec_add(e(i - 1), e(i)))
-        vs.append(linalg.vec_sub(f(i - 1), f(i)))
+    us, vs = _chain_vectors(field, dim, k, n - 1)
     un = [gamma * (a + b) + c - d
           for a, b, c, d in zip(e(n - 2), e(n - 1), f(n - 2), f(n - 1))]
     vn = [a - b + (1 - gamma) * c + d
@@ -363,17 +357,30 @@ class MatrixLieAlgebra:
     symmetric form is c * trace(a b), with c calibrated against the
     extremal functional of the first generator (and verified on a second
     value) over the basis.  A context made with an empty basis holds
-    generators only: it brackets and combines, but has no form."""
+    generators only: it brackets and combines, but has no form; that is
+    all `normalize_generators` and a match need.  Every basis element
+    and generator must be N x N (ValueError otherwise)."""
 
     def __init__(self, field, ambient_dim, basis, generators):
         self.field = field
         self.ambient_dim = ambient_dim
         self.vector_dim = ambient_dim * ambient_dim
-        self._basis = [self.element(b) for b in basis]
-        self.generators_list = [self.element(g) for g in generators]
+        self._basis = [self._square(b) for b in basis]
+        self.generators_list = [self._square(g) for g in generators]
         self.dim = len(self._basis)
         self._form_scale = None
         self._combine = None    # linalg.basis_lincomb of the basis
+
+    def _square(self, x):
+        """`element(x)`, after checking that x is N x N."""
+        n = self.ambient_dim
+        if type(x) is tuple:   # payload rows {col: payload}
+            ok = all(0 <= k < n for row in x for k in row)
+        else:
+            ok = all(len(row) == n for row in x)
+        if not ok or len(x) != n:
+            raise ValueError(f"a matrix that is not {n} x {n}")
+        return self.element(x)
 
     # -- context interface (see extremal_lie.extremal.LieContext) ----------
     def element(self, x):
@@ -450,16 +457,12 @@ class MatrixLieAlgebra:
         return c
 
 
-def lie_closure(generators, field=None):
-    """Close a list of matrices (FieldElement matrices or payload rows)
-    under the bracket; returns a MatrixLieAlgebra whose basis is the
-    deterministic closure basis.  Payload generators need `field`."""
-    if field is None:
-        row = generators[0][0]
-        if isinstance(row, dict):
-            raise ValueError("lie_closure needs the field of payload "
-                             "generators")
-        field = row[0].field
+def lie_closure(generators, field):
+    """Close a list of matrices over `field` (FieldElement matrices or
+    payload rows) under the bracket; returns a MatrixLieAlgebra whose
+    basis is the deterministic closure basis.  A match needs no closure:
+    generators-only contexts, ``MatrixLieAlgebra(field, N, [], gens)``,
+    are enough for it."""
     n = len(generators[0])
     gens = MatrixLieAlgebra(field, n, [], generators)
     basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,

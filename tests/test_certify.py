@@ -302,6 +302,25 @@ def test_match_certificate_digests(name):
     assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name,family,n,field,params", [
+    ("D5", "D", 5, F, ((2, 3), (4, 8))),
+    ("B6", "B", 6, PrimeField(101), ((1,), (2,))),
+], ids=["D5", "B6"])
+def test_generators_only_contexts_give_the_closure_certificate(
+        name, family, n, field, params):
+    """A match reads no basis: generators-only contexts give the
+    certificate of the closures, pinned above, dim included."""
+    sides = []
+    for p in params:
+        mats, _ = build_generators(family, n, field,
+                                   tuple(field(x) for x in p))
+        sides += [MatrixLieAlgebra(field, len(mats[0]), [], mats), mats]
+    cert = match_algebras(*sides, family)
+    assert cert.dim == expected_catalog_size(family, n)
+    text = json.dumps(dataclasses.asdict(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGESTS[name]
+
+
 def labels_of(family, n):
     return [e.indices for e in catalog(family, n)]
 

@@ -28,6 +28,15 @@ def test_present_custom_edges(capsys):
     assert "dim 3" in out
 
 
+def test_present_edges_with_family_is_a_usage_error(capsys):
+    for edges in ("1-2", ""):
+        code, out, err = run(capsys, "present", "--edges", edges,
+                             "--family", "D", "--n", "5")
+        assert code == 2 and out == "" and "--family" in err
+    code, out, _ = run(capsys, "present", "--edges", "1-2", "--n", "2")
+    assert code == 0 and "dim 3" in out
+
+
 def test_present_json_schema(capsys):
     code, out, _ = run(capsys, "present", "--family", "C", "--n", "4",
                        "--format", "json")

@@ -10,6 +10,7 @@ API.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -23,21 +24,46 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _module_imports(body):
-    """(bound name, line) of every import outside function and class
-    bodies, including those under a module-level try or if."""
+def _import_nodes(body):
+    """Every import statement outside function and class bodies,
+    including those under a module-level try or if."""
     for node in body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
         elif isinstance(node, (ast.Try, ast.If)):
             for block in (node.body, node.orelse,
                           getattr(node, "finalbody", []),
                           *(h.body for h in getattr(node, "handlers", []))):
-                yield from _module_imports(block)
+                yield from _import_nodes(block)
+
+
+def _module_imports(body):
+    """(bound name, line) of every module-level import."""
+    for node in _import_nodes(body):
+        for alias in node.names:
+            name = alias.name
+            if isinstance(node, ast.Import):
+                name = name.split(".")[0]
+            yield alias.asname or name, node.lineno
+
+
+def test_only_standard_library_imports():
+    """The package runs on the standard library alone: every
+    module-level import, even one under try, is of a standard-library
+    module or of the package itself."""
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _import_nodes(_tree(path).body):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:  # relative: the package itself
+                    continue
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != PACKAGE.name]
+    assert not outside, f"imports outside the standard library: {outside}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -178,5 +178,19 @@ def test_lie_closure_of_payload_generators_needs_the_field():
     mats, _ = build_generators("A", 4, F)
     alg = lie_closure(mats, F)
     assert lie_closure(alg.generators_list, F).basis() == alg.basis()
-    with pytest.raises(ValueError, match="field"):
+    with pytest.raises(TypeError, match="field"):
         lie_closure(alg.generators_list)
+
+
+def test_matrix_context_refuses_matrices_of_the_wrong_size():
+    mats, _ = build_generators("D", 5, F, (F(2), F(3)))
+    rows = MatrixLieAlgebra(F, 10, [], mats).generators_list
+    # 10 x 10, as FieldElement matrices and as payload rows; 5 rows of
+    # 10 columns, in both forms; a wrong basis element
+    for basis, gens in (([], mats), ([], rows),
+                        ([], [m[:5] for m in mats]),
+                        ([], [m[:5] for m in rows]),
+                        (rows[:1], [])):
+        with pytest.raises(ValueError, match="not 5 x 5"):
+            MatrixLieAlgebra(F, 5, basis, gens)
+    assert MatrixLieAlgebra(F, 5, [], []).generators_list == []
