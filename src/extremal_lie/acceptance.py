@@ -18,7 +18,7 @@ import time
 from . import certify, linalg
 from .extremal import (check_premet, classify_pair, exp_ad, fixtriangle,
                        is_extremal, extremal_form_value,
-                       subalgebra_closure_dim)
+                       subalgebra_closure_dim, triangle_open)
 from .fields import DEFAULT_PRIME, PrimeField, QQ
 from .graphs import build_family_graph, catalog, expected_catalog_size
 from .presentation import build_L0, evaluate_monomial
@@ -287,7 +287,7 @@ def criterion_8(rng, shared):
         fxyz = extremal_form_value(sl5, x, sl5.bracket(y, z))
         if fxy.is_zero() or fyz.is_zero():
             continue
-        if (fxyz * fxyz - 2 * fxy * fxz * fyz).is_zero():
+        if not triangle_open(fxy, fxz, fyz, fxyz):
             continue
         # the product of targets must differ from f(x,y) f(x',z) f(y,z)
         # by a square; choosing that product itself keeps every scaling
@@ -313,11 +313,11 @@ def criterion_8(rng, shared):
     alpha = F(2)
     o10, mats, _ = _closure(shared, "D", 5, (2, 3))
     ctx = certify.ScaledContext(o10)
-    _, _, _, transcript = fixtriangle(
+    _, _, _, s = fixtriangle(
         ctx, mats[0], mats[1], mats[2], (F(-8), F(1), F(2)),
         sqrt=lambda c: ctx.root(c, "criterion 8"))
-    if transcript.s != alpha / 4:
-        bad.append(f"pipeline shift {transcript.s} != alpha/4")
+    if s != alpha / 4:
+        bad.append(f"pipeline shift {s} != alpha/4")
 
     detail = "; ".join(bad) if bad else f"{done} triples, shift alpha/4"
     return _result(8, "triangle normalisation", not bad, detail, t0)

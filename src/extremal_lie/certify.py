@@ -67,7 +67,8 @@ from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import MonomialTable, evaluate_monomial
 from .extremal import (_form_of_bracket, extremal_form_value, is_extremal,
-                       fixtriangle, check_premet, HypothesisFailed)
+                       fixtriangle, check_premet, triangle_open,
+                       HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
                            InvalidParameters, d_open_conditions,
                            generators_D, generators_B)
@@ -175,39 +176,34 @@ def graph_realization_check(ctx, gens, graph, extremal):
     return not witnesses, witnesses
 
 
-def _triangle_open(ctx, x, y, z):
-    fxy = extremal_form_value(ctx, x, y)
-    fxz = extremal_form_value(ctx, x, z)
-    fyz = extremal_form_value(ctx, y, z)
-    fxyz = extremal_form_value(ctx, x, ctx.bracket(y, z))
-    return not (fxyz * fxyz - 2 * fxy * fxz * fyz).is_zero()
-
-
-def check_genericity(family, ctx, gens, params=None):
-    """Evaluate the Zariski-open matching hypotheses on the generators
-    as given.  Returns an ordered dict of named flags."""
-    n = len(gens)
-    f = lambda i, j: extremal_form_value(ctx, gens[i - 1], gens[j - 1])
+def check_genericity(vec, params=None):
+    """Evaluate the Zariski-open matching hypotheses on the form values
+    `vec`, the PsiVector of the generators as given, and the parameters.
+    The values come from one symmetric associative form, so each flag is
+    a function of them: D's end triangle is read on (x_{n-2}, x_{n-1},
+    x_n), as `psi` stores it.  Returns an ordered dict of named flags."""
+    family, n = vec.family, vec.n
+    links = n - 2 if family == "B" else n - 1
+    # the chain f(x_i, x_{i+1}), then f(x_1,x_3), f(x_1,[x_2,x_3]), ...
+    chain, rest = vec.values[:links], vec.values[links:]
     out = {}
     if family in ("D", "B", "A"):
-        out["triangle123"] = _triangle_open(ctx, gens[0], gens[1], gens[2])
+        out["triangle123"] = triangle_open(chain[0], rest[0], chain[1],
+                                           rest[1])
     if family == "D":
-        out["triangle_end"] = _triangle_open(
-            ctx, gens[n - 1], gens[n - 2], gens[n - 3])
-    chain_stop = n - 1 if family == "B" else n
-    out["chain_nonzero"] = all(
-        not f(i, i + 1).is_zero() for i in range(1, chain_stop))
+        out["triangle_end"] = triangle_open(chain[-2], rest[2], chain[-1],
+                                            rest[3])
+    out["chain_nonzero"] = not any(f.is_zero() for f in chain)
     if family == "B":
-        out["cross_nonzero"] = not f(n - 2, n).is_zero()
+        out["cross_nonzero"] = not rest[2].is_zero()
     if family in ("D", "B"):
-        z = evaluate_monomial(ctx.bracket, gens, long_monomial_indices(n))
-        flong = extremal_form_value(ctx, gens[0], z)
-        sign = ctx.field(1 if n % 2 else -1)
+        flong = rest[-1]
+        sign = flong.field(1 if n % 2 else -1)
         if family == "B":
             out["long_nonzero"] = not flong.is_zero()
             out["long_generic"] = flong != 8 * sign
         elif n % 2:
-            out["long_generic"] = flong != ctx.field(8)
+            out["long_generic"] = flong != flong.field(8)
     if family == "D" and params is not None:
         out["param_open"], out["lambda_open"] = d_open_conditions(n, *params)
     if family == "B" and params is not None:
@@ -424,7 +420,12 @@ def solve_params_D(f_long, f_short, n):
     vector of the realization.  Eliminating beta gives a quadratic in
     alpha (odd n; l = 8 forces alpha = 0) and a pair of quadratics over
     the field extended by a root of -s (even n).  Every returned
-    candidate is re-validated by forward substitution."""
+    candidate is re-validated by forward substitution and lies in the
+    open set (alpha+2) beta (beta+1) != 0.  At even n a candidate with
+    alpha != 0 is (alpha, beta, c), c = (kappa-1)/beta the special-vector
+    coordinate of the kappa it solved (`generators_D`'s force_special_c);
+    at alpha = 0 both roots give the same form values, and it is
+    (alpha, beta).  Raises NoRootInField when no candidate remains."""
     field = f_long.field
     l, s = f_long, f_short * f_short
     candidates = []
@@ -438,6 +439,8 @@ def solve_params_D(f_long, f_short, n):
                 continue
             beta = -1 - s / (2 * alpha + 4) ** 2
             if l != 4 * alpha * (1 + beta) + 8:
+                continue
+            if (beta * (beta + 1)).is_zero():
                 continue
             candidates.append((alpha, beta))
     else:
@@ -465,22 +468,15 @@ def solve_params_D(f_long, f_short, n):
                 continue
             if s * (alpha + 2) ** 2 != -16 * (1 + beta):
                 continue
-            if (alpha, beta) not in candidates:
-                candidates.append((alpha, beta))
+            if (beta * (beta + 1)).is_zero():
+                continue
+            cand = ((alpha, beta) if alpha.is_zero()
+                    else (alpha, beta, (kappa - 1) / beta))
+            if cand not in candidates:
+                candidates.append(cand)
     if not candidates:
         raise NoRootInField("no valid (alpha, beta) over the field")
     return candidates
-
-
-def d_branch_root(f_long, alpha, beta):
-    """The special-vector line coordinate c that realizes the given
-    canonical f_long at even rank: c = (kappa - 1)/beta with the kappa
-    branch read off from the f_long relation (None for alpha = 0, where
-    both branches give the same form values)."""
-    if alpha.is_zero():
-        return None
-    kappa = (f_long * (alpha + 2) ** 2 + 16 * (alpha + 1)) / (8 * alpha)
-    return (kappa - 1) / beta
 
 
 def solve_param_B(f_long, n):
@@ -603,8 +599,13 @@ class CertReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def certify_family(family, n, params=(), field=QQ, seed=0,
-                   identity_samples=50, spanning_samples=100):
+#: random monomials checked against the catalog span per report
+SPANNING_SAMPLES = 100
+#: sampled instances of the Premet and quartic identities per report
+IDENTITY_SAMPLES = 50
+
+
+def certify_family(family, n, params=(), field=QQ, seed=0):
     """Build the family realization and verify it end to end."""
     rng = random.Random(seed)
     mats, _ = build_generators(family, n, field, params)
@@ -624,7 +625,7 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
     catalog_rank = span.rank
 
     tried = passed = 0
-    for _ in range(spanning_samples):
+    for _ in range(SPANNING_SAMPLES):
         k = _draws(rng, 1, 2 * n - 3, 1)[0]
         # tuple() of a list, not of a generator: sized once, it leaves
         # no resized tuples piling up in CPython's per-size free lists
@@ -636,13 +637,13 @@ def certify_family(family, n, params=(), field=QQ, seed=0,
     spanning = {"tried": tried, "passed": passed}
 
     psi_vec = psi(family, closure, mats)
-    gen_flags = check_genericity(family, closure, mats,
+    gen_flags = check_genericity(psi_vec,
                                  params=[field(p) for p in params] or None)
 
     id_counts = {"premet": {"tried": 0, "passed": 0},
                  "Q3": {"tried": 0, "passed": 0},
                  "Q3a": {"tried": 0, "passed": 0}}
-    for _ in range(identity_samples):
+    for _ in range(IDENTITY_SAMPLES):
         x = mats[_draws(rng, 0, n - 1, 1)[0]]
         y = _random_element(closure, rng)
         z = _random_element(closure, rng)
@@ -701,8 +702,8 @@ def _psi_in(vec, fld):
 
 def _standard_context(family, n, params, base=None):
     """The generators-only context of the standard generators of B
-    (params (gamma,)) or D (params (alpha, beta) and, at even rank, the
-    special-vector root), over the lowest level of the parameters'
+    (params (gamma,)) or D (a `solve_params_D` candidate: (alpha, beta)
+    and, at even rank, the special-vector coordinate), over the lowest level of the parameters'
     tower that holds them, contains the level `base` (any level when
     None) and has the square roots the construction takes: over the
     base field whenever it can be.  The construction takes each root
@@ -734,10 +735,11 @@ def _standard_context(family, n, params, base=None):
 
 def _rebuild_model(family, n, fld, target_psi, base=None):
     """Standard generators whose canonical gauge reproduces
-    `target_psi`; returns (params, ctx, gens), (ctx, gens) the model's
-    normal form, its scalars starting in `fld` and its matrices over
-    the field `_standard_context` gives for `base`.  Raises
-    FormMismatch if no solved parameter candidate reproduces the
+    `target_psi`; returns (params, ctx, gens), params the solved
+    candidate without D's special-vector coordinate, and (ctx, gens)
+    the model's normal form, its scalars starting in `fld` and its
+    matrices over the field `_standard_context` gives for `base`.
+    Raises FormMismatch if no solved parameter candidate reproduces the
     normalized form values.
 
     No candidate is closed here.  The side 2 check (`_check_model`)
@@ -751,12 +753,8 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
         fshort = target_psi.values[n - 4]
         candidates = solve_params_D(flong, fshort, n)
     for cand in candidates:
-        # the special-vector root fixes the branch at even rank
-        root = (d_branch_root(flong, *cand)
-                if family == "D" and n % 2 == 0 else None)
         try:
-            ctx = _standard_context(
-                family, n, cand + (() if root is None else (root,)), base)
+            ctx = _standard_context(family, n, cand, base)
         except InvalidParameters:
             continue
         try:
@@ -766,7 +764,7 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
             continue
         target = _psi_in(target_psi, mctx.field)
         if target == psi(family, mctx, mg):
-            return cand, mctx, mg
+            return cand[:2], mctx, mg
         if family == "D":
             # the canonical gauge leaves one sign free: negating the
             # last three generators preserves every fixed target and
@@ -775,7 +773,7 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
             for i in (n - 3, n - 2, n - 1):
                 flipped[i] = mctx.lincomb([(-1, flipped[i])])
             if target == psi(family, mctx, flipped):
-                return cand, mctx, flipped
+                return cand[:2], mctx, flipped
     raise FormMismatch(
         "no solved parameter candidate reproduces the normalized form values")
 
@@ -991,11 +989,13 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     checked in the last field reached; all other work runs over the
     fields of the matrices, and that field only rescales it.
 
-    alg1 and alg2 may hold generators only; the certificate's `dim` is
-    the catalog size its tables prove."""
+    Either side may be a closure or hold generators only: the side
+    tables prove the dimension, and the certificate's `dim` is the
+    catalog size they prove."""
     n = len(gens1)
-    if len(gens2) != n or alg1.dim != alg2.dim:
-        raise FormMismatch("realizations have different dimensions")
+    if len(gens2) != n:
+        raise FormMismatch("realizations have different numbers of "
+                           "generators")
     if not alg1.field.same(alg2.field):
         raise FormMismatch("realizations over different fields")
     labels = [e.indices for e in catalog(family, n)]

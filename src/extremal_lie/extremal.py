@@ -216,11 +216,10 @@ def check_premet(ctx, x, y, z):
 # triangle normalisation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TriangleTranscript:
-    s: object = None
-    scalings: tuple = ()
-    negated: str = ""
+def triangle_open(fxy, fxz, fyz, fxyz):
+    """The triangle condition f(x,[y,z])^2 != 2 f(x,y) f(x,z) f(y,z) on
+    the four form values of a triple (x, y, z)."""
+    return not (fxyz * fxyz - 2 * fxy * fxz * fyz).is_zero()
 
 
 def fixtriangle(ctx, x, y, z, targets, sqrt=methodcaller("sqrt")):
@@ -240,7 +239,7 @@ def fixtriangle(ctx, x, y, z, targets, sqrt=methodcaller("sqrt")):
     a context whose field grows (`certify.ScaledContext`) its root,
     which adjoins a missing one; the targets then follow the roots into
     the extension.  Raises HypothesisFailed if a precondition fails.
-    Returns (x', y', z', transcript)."""
+    Returns (x', y', z', s), s the shift of exp(s ad y) applied to x."""
     pi, rho, sigma = targets
     fxy = extremal_form_value(ctx, x, y)
     fyz = extremal_form_value(ctx, y, z)
@@ -249,7 +248,7 @@ def fixtriangle(ctx, x, y, z, targets, sqrt=methodcaller("sqrt")):
     fxyz = extremal_form_value(ctx, x, yz)
     if fxy.is_zero() or fyz.is_zero():
         raise HypothesisFailed("f(x,y) and f(y,z) must be nonzero")
-    if (fxyz * fxyz - 2 * fxy * fxz * fyz).is_zero():
+    if not triangle_open(fxy, fxz, fyz, fxyz):
         raise HypothesisFailed(
             "triangle condition f(x,[y,z])^2 != 2 f(x,y) f(x,z) f(y,z)")
 
@@ -276,14 +275,13 @@ def fixtriangle(ctx, x, y, z, targets, sqrt=methodcaller("sqrt")):
     b = extremal_form_value(ctx, xt, zt)
     c = extremal_form_value(ctx, yt, zt)
     wrong = [a != pi, b != rho, c != sigma]
-    negated = ""
     if sum(wrong) == 2:
         if wrong[0] and wrong[1]:
-            xt, negated = ctx.lincomb([(-1, xt)]), "x"
+            xt = ctx.lincomb([(-1, xt)])
         elif wrong[0] and wrong[2]:
-            yt, negated = ctx.lincomb([(-1, yt)]), "y"
+            yt = ctx.lincomb([(-1, yt)])
         else:
-            zt, negated = ctx.lincomb([(-1, zt)]), "z"
+            zt = ctx.lincomb([(-1, zt)])
     elif sum(wrong) != 0:
         raise AssertionError(
             "sign pattern off in exactly one place; targets unreachable "
@@ -297,4 +295,4 @@ def fixtriangle(ctx, x, y, z, targets, sqrt=methodcaller("sqrt")):
         raise AssertionError("f(y',z') misses its target")
     if not extremal_form_value(ctx, xt, ctx.bracket(yt, zt)).is_zero():
         raise AssertionError("f(x',[y',z']) != 0")
-    return xt, yt, zt, TriangleTranscript(s, (rx, ry, rz), negated)
+    return xt, yt, zt, s

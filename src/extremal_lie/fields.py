@@ -68,15 +68,8 @@ class DescriptorMismatch(FieldError):
 
 
 class NoSquareRoot(FieldError):
-    """The requested square root does not exist in this field.
-
-    The optional `element` attribute carries the FieldElement whose root
-    was requested, so callers can extend the field by exactly that
-    radicand and retry."""
-
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
+    """The requested square root does not exist in this field; the
+    message names the radicand."""
 
 
 class NotInvertible(FieldError):
@@ -173,12 +166,7 @@ class FieldElement:
 
     def sqrt(self):
         """Deterministic square root; raises NoSquareRoot if absent."""
-        try:
-            return FieldElement(self.field, self.field.sqrt(self.v))
-        except NoSquareRoot as exc:
-            if exc.element is None:
-                exc.element = self
-            raise
+        return FieldElement(self.field, self.field.sqrt(self.v))
 
     def has_sqrt(self):
         try:

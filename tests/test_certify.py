@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_FIELDS, lift_closure, random_element
 from extremal_lie import certify, linalg
-from extremal_lie.certify import (ConditionViolated, FormMismatch,
+from extremal_lie.certify import (PSI_LENGTH, CertifyError,
+                                  ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
                                   StructureMismatch,
                                   certify_family, check_genericity,
@@ -24,8 +25,9 @@ from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
                                  PrimeField, QQ, lift_element, tower_maps)
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
-from extremal_lie.presentation import MonomialTable
-from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
+from extremal_lie.presentation import MonomialTable, evaluate_monomial
+from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
+                                       build_generators, d_open_conditions,
                                        lie_closure)
 
 F = PrimeField(DEFAULT_PRIME)
@@ -105,15 +107,14 @@ def test_certify_family_runs_is_extremal_once_per_generator(monkeypatch):
     is_extremal = certify.is_extremal
     monkeypatch.setattr(certify, "is_extremal",
                         lambda ctx, x: calls.append(x) or is_extremal(ctx, x))
-    report = certify_family("A", 4, (), field=F, seed=0,
-                            identity_samples=2, spanning_samples=2)
+    report = certify_family("A", 4, (), field=F, seed=0)
     assert report.extremal == [True] * 4 and report.graph_match
     assert len(calls) == 4
 
 
 def test_check_genericity_flags(d5):
     alg, mats = d5
-    flags = check_genericity("D", alg, mats, params=(F(2), F(3)))
+    flags = check_genericity(psi("D", alg, mats), params=(F(2), F(3)))
     assert flags["triangle123"] and flags["triangle_end"]
     assert flags["chain_nonzero"]
     assert flags["param_open"] and flags["lambda_open"]
@@ -127,7 +128,7 @@ def test_check_genericity_reports_closed_d_parameters(n, params):
     where lambda is undefined: both flags are False, with no exception
     from the lambda formula."""
     alg, mats = closure_of("D", n, (2, 3))
-    flags = check_genericity("D", alg, mats,
+    flags = check_genericity(psi("D", alg, mats),
                              params=tuple(F(p) for p in params))
     assert flags["param_open"] is False and flags["lambda_open"] is False
     assert list(flags)[-2:] == ["param_open", "lambda_open"]
@@ -139,11 +140,161 @@ def test_check_genericity_takes_no_root_of_one_plus_beta_at_odd_rank(d5):
     takes the root, and its absence raises NoSquareRoot."""
     alg, mats = d5
     assert not F(6).has_sqrt()
-    flags = check_genericity("D", alg, mats, params=(F(2), F(5)))
+    flags = check_genericity(psi("D", alg, mats), params=(F(2), F(5)))
     assert flags["param_open"] is True and flags["lambda_open"] is True
     alg6, mats6 = closure_of("D", 6, (2, 3))
     with pytest.raises(NoSquareRoot):
-        check_genericity("D", alg6, mats6, params=(F(2), F(5)))
+        check_genericity(psi("D", alg6, mats6), params=(F(2), F(5)))
+
+
+def _bracket_genericity(family, ctx, gens, params=None):
+    """The flags of `check_genericity` evaluated from brackets of the
+    generators, as it did before it read them off psi: the reference of
+    the differential test below."""
+    n = len(gens)
+    f = lambda i, j: extremal_form_value(ctx, gens[i - 1], gens[j - 1])
+
+    def triangle_open(x, y, z):
+        fxy = extremal_form_value(ctx, x, y)
+        fxz = extremal_form_value(ctx, x, z)
+        fyz = extremal_form_value(ctx, y, z)
+        fxyz = extremal_form_value(ctx, x, ctx.bracket(y, z))
+        return not (fxyz * fxyz - 2 * fxy * fxz * fyz).is_zero()
+
+    out = {}
+    if family in ("D", "B", "A"):
+        out["triangle123"] = triangle_open(gens[0], gens[1], gens[2])
+    if family == "D":
+        out["triangle_end"] = triangle_open(gens[n - 1], gens[n - 2],
+                                            gens[n - 3])
+    chain_stop = n - 1 if family == "B" else n
+    out["chain_nonzero"] = all(
+        not f(i, i + 1).is_zero() for i in range(1, chain_stop))
+    if family == "B":
+        out["cross_nonzero"] = not f(n - 2, n).is_zero()
+    if family in ("D", "B"):
+        z = evaluate_monomial(ctx.bracket, gens, long_monomial_indices(n))
+        flong = extremal_form_value(ctx, gens[0], z)
+        sign = ctx.field(1 if n % 2 else -1)
+        if family == "B":
+            out["long_nonzero"] = not flong.is_zero()
+            out["long_generic"] = flong != 8 * sign
+        elif n % 2:
+            out["long_generic"] = flong != ctx.field(8)
+    if family == "D" and params is not None:
+        out["param_open"], out["lambda_open"] = d_open_conditions(n, *params)
+    if family == "B" and params is not None:
+        (gamma,) = params
+        out["param_open"] = not (gamma * (gamma + 1)).is_zero()
+    return out
+
+
+def _grid(family, p):
+    """Every parameter tuple of the family with entries in 0..p-1."""
+    if family == "D":
+        return [(a, b) for a in range(p) for b in range(p)]
+    return [(g,) for g in range(p)]
+
+
+GF7 = PrimeField(7)
+
+
+@pytest.mark.parametrize("family,n,field,grid", [
+    ("D", 5, GF7, _grid("D", 7)), ("D", 6, GF7, _grid("D", 7)),
+    ("B", 5, GF7, _grid("B", 7)), ("B", 6, GF7, _grid("B", 7)),
+    ("D", 5, QQ, [(1, 3), (2, 3)]),
+], ids=["D5-GF7", "D6-GF7", "B5-GF7", "B6-GF7", "D5-QQ"])
+def test_genericity_read_off_psi_equals_the_bracket_flags(family, n, field,
+                                                          grid):
+    """Every admissible parameter over GF(7), and over QQ the D5 points
+    (1,3), which fails certification with every flag open, and (2,3),
+    which passes: the flags read off psi equal those the brackets of
+    the generators give, with the parameters and without them."""
+    built = 0
+    for params in grid:
+        params = tuple(field(p) for p in params)
+        try:
+            mats, _ = build_generators(family, n, field, params)
+        except InvalidParameters:
+            continue
+        built += 1
+        ctx = MatrixLieAlgebra(field, len(mats[0]), [], mats)
+        vec = psi(family, ctx, mats)
+        for given in (params, None):
+            got = check_genericity(vec, params=given)
+            want = _bracket_genericity(family, ctx, mats, given)
+            assert list(got.items()) == list(want.items()), params
+    assert built
+
+
+@pytest.mark.parametrize("family,n", [("D", 5), ("D", 6), ("B", 5),
+                                      ("A", 5)])
+def test_check_genericity_reads_each_flag_from_its_values(family, n):
+    """On form values all 1 over GF(7) every flag is open; 3^2 = 2 =
+    2*1*1*1 closes a triangle, and a zero closes the chain or the cross.
+    The triangle flags are invariant under the gauge (scalings and the
+    shifts of fixtriangle), so no realization of admissible parameters
+    closes one: these values check where each flag reads."""
+    ones = (GF7(1),) * PSI_LENGTH[family](n)
+    links = n - 2 if family == "B" else n - 1
+
+    def flags(at=None):
+        values = list(ones)
+        for i, v in (at or {}).items():
+            values[i] = GF7(v)
+        return check_genericity(PsiVector(family, n, tuple(values)))
+
+    base = flags()
+    assert all(v for k, v in base.items() if k != "long_generic")
+    # psi holds the chain f(x_i, x_{i+1}), then f(x1,x3), f(x1,[x2,x3])
+    assert flags({links + 1: 3}) == {**base, "triangle123": False}
+    assert flags({links - 1: 0}) == {**base, "chain_nonzero": False}
+    if family == "D":
+        # then f(x_{n-2},x_n), f(x_{n-2},[x_{n-1},x_n]): the end triangle
+        # on (x_{n-2}, x_{n-1}, x_n), with f(x_{n-1},x_n) last in the chain
+        assert flags({links + 3: 3}) == {**base, "triangle_end": False}
+        assert flags({links - 1: 2, links + 3: 2}) == {
+            **base, "triangle_end": False}
+    if family == "B":
+        assert flags({links + 2: 0}) == {**base, "cross_nonzero": False}
+
+
+@pytest.mark.parametrize("params2", [(2, 3), (4, 1)], ids=str)
+@pytest.mark.parametrize("params1", [(0, 1), (0, 3), (1, 1)], ids=str)
+def test_d6_matches_over_gf7_raise_only_certify_errors(params1, params2):
+    """At even rank a solved D candidate carries the special-vector
+    coordinate (kappa-1)/beta of the kappa it solved, and candidates
+    with beta = 0 are dropped: no second kappa divides by beta = 0, so
+    these matches end in a certificate or a CertifyError, never a field
+    error."""
+    sides = []
+    for params in (params1, params2):
+        mats, _ = build_generators("D", 6, GF7, tuple(GF7(p) for p in params))
+        sides += [MatrixLieAlgebra(GF7, len(mats[0]), [], mats), mats]
+    try:
+        cert = match_algebras(*sides, "D")
+    except CertifyError:
+        return
+    assert cert.verdict == "pass"
+
+
+def test_solve_params_d_keeps_the_open_set_and_the_branch_coordinate():
+    """Candidates have (alpha+2) beta (beta+1) != 0, and at even rank
+    each one with alpha != 0 carries c = (kappa-1)/beta; the parameters
+    of the realization are among them."""
+    for params in ((2, 3), (4, 8), (0, 3)):
+        alpha, beta = (F(p) for p in params)
+        mats, _ = build_generators("D", 6, F, (alpha, beta))
+        ctx, g = normalize_generators(
+            "D", MatrixLieAlgebra(F, 12, [], mats), mats)
+        vec = psi("D", ctx, g)
+        cands = solve_params_D(vec.values[-1], vec.values[2], 6)
+        for cand in cands:
+            a, b = cand[:2]
+            assert not ((a + 2) * b * (b + 1)).is_zero()
+            assert len(cand) == (2 if a.is_zero() else 3)
+        assert (lift_element(alpha, ctx.field),
+                lift_element(beta, ctx.field)) in [c[:2] for c in cands]
 
 
 def test_normalize_generators_reaches_canonical_gauge(b5):
@@ -197,8 +348,7 @@ def test_solve_params_d_special_branch():
 
 
 def test_certify_family_report_schema():
-    report = certify_family("A", 5, (), field=F, seed=0,
-                            identity_samples=5, spanning_samples=10)
+    report = certify_family("A", 5, (), field=F, seed=0)
     d = report.to_dict()
     assert list(d) == ["family", "n", "field", "params", "extremal",
                       "graph_match", "dim", "dim_expected", "catalog_rank",
@@ -219,10 +369,8 @@ def test_certify_family_at_n8(family, params):
 
 
 def test_certify_family_deterministic():
-    r1 = certify_family("C", 6, (), field=F, seed=3,
-                        identity_samples=5, spanning_samples=10)
-    r2 = certify_family("C", 6, (), field=F, seed=3,
-                        identity_samples=5, spanning_samples=10)
+    r1 = certify_family("C", 6, (), field=F, seed=3)
+    r2 = certify_family("C", 6, (), field=F, seed=3)
     assert r1.to_json() == r2.to_json()
 
 
@@ -235,10 +383,34 @@ def test_match_identity_certificate(b5):
 
 
 def test_match_rejects_dimension_mismatch(b5):
+    """B5 and D5 have as many generators, so the match runs: D5's
+    generators give no B5 parameter."""
     alg, mats = b5
     other, others = closure_of("D", 5, (2, 3))
-    with pytest.raises(FormMismatch):
+    with pytest.raises(ConditionViolated, match=r"^f_long = 8\*"):
         match_algebras(alg, mats, other, others, "B")
+
+
+def test_match_rejects_a_different_number_of_generators(b5):
+    alg, mats = b5
+    with pytest.raises(FormMismatch,
+                       match="^realizations have different numbers of "
+                             "generators$"):
+        match_algebras(alg, mats, alg, mats[:4], "B")
+
+
+def test_a_closure_matches_a_generators_only_context(b5):
+    """The side tables prove the dimension, so a closure and a
+    generators-only context, in either order, give the certificate of
+    two generators-only contexts."""
+    alg, mats = b5
+    others, _ = build_generators("B", 5, F, (F(2),))
+    bare = [MatrixLieAlgebra(F, 9, [], m) for m in (mats, others)]
+    want = match_algebras(bare[0], mats, bare[1], others, "B")
+    assert want.verdict == "pass" and want.dim == alg.dim
+    assert match_algebras(alg, mats, bare[1], others, "B") == want
+    assert match_algebras(bare[0], mats, lie_closure(others, F), others,
+                          "B") == want
 
 
 def test_match_rejects_realizations_over_different_fields(b5):

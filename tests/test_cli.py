@@ -140,6 +140,29 @@ def test_certify_match_against(capsys):
     assert payload["match"]["params1"] != payload["match"]["params2"]
 
 
+def test_certify_match_against_d6_at_alpha_zero(capsys):
+    """A D6 match whose candidates include beta = 0: the solver drops
+    them, and the special-vector coordinate comes with each candidate,
+    so nothing divides by beta."""
+    code, out, err = run(capsys, "certify", "--family", "D", "--n", "6",
+                         "--alpha", "0", "--beta", "1", "--field", "gf", "7",
+                         "--match-against", "alpha=2,beta=3")
+    assert code == 0 and err == ""
+    assert json.loads(out)["match"]["verdict"] == "pass"
+
+
+def test_certify_match_failure_is_one_line(capsys):
+    """A match that fails exits 1 with one diagnostic line, no report and
+    no traceback."""
+    code, out, err = run(capsys, "certify", "--family", "D", "--n", "6",
+                         "--alpha", "0", "--beta", "3", "--field", "gf", "5",
+                         "--match-against", "alpha=1,beta=3")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("matching failed: ")
+    assert "Traceback" not in err
+
+
 def test_certify_match_against_bad_key(capsys):
     code, _, err = run(capsys, "certify", "--family", "B", "--n", "5",
                        "--gamma", "1", "--match-against", "alpha=2")

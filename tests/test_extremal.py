@@ -7,7 +7,7 @@ from extremal_lie.extremal import (HypothesisFailed, NotProportional,
                                    check_premet, classify_pair, exp_ad,
                                    extremal_form_value, fixtriangle,
                                    is_extremal, proportionality,
-                                   subalgebra_closure_dim)
+                                   subalgebra_closure_dim, triangle_open)
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
                                  FieldElement, PrimeField)
 from extremal_lie.graphs import build_family_graph
@@ -177,12 +177,12 @@ def test_fixtriangle_contract(sl5):
     fxyz = extremal_form_value(alg, x, alg.bracket(y, z))
     fxzh = fxz - fxyz * fxyz / (2 * fxy * fyz)
     targets = (fxy * fxzh * fyz, F(1), F(1))
-    xt, yt, zt, tr = fixtriangle(alg, x, y, z, targets)
+    xt, yt, zt, s = fixtriangle(alg, x, y, z, targets)
     assert extremal_form_value(alg, xt, yt) == targets[0]
     assert extremal_form_value(alg, xt, zt) == targets[1]
     assert extremal_form_value(alg, yt, zt) == targets[2]
     assert extremal_form_value(alg, xt, alg.bracket(yt, zt)).is_zero()
-    assert tr.s == fxyz / (fxy * fyz)
+    assert s == fxyz / (fxy * fyz)
 
 
 def test_fixtriangle_rejects_degenerate_triples(sl5):
@@ -191,3 +191,12 @@ def test_fixtriangle_rejects_degenerate_triples(sl5):
     with pytest.raises(HypothesisFailed):
         fixtriangle(alg, mats[3], mats[0], mats[1],
                     (F(1), F(1), F(1)))
+
+
+def test_triangle_open_is_the_fixtriangle_condition():
+    """f(x,[y,z])^2 != 2 f(x,y) f(x,z) f(y,z): over GF(7), 3^2 = 2."""
+    G = PrimeField(7)
+    assert not triangle_open(G(1), G(1), G(1), G(3))
+    assert not triangle_open(G(2), G(4), G(1), G(4))
+    assert triangle_open(G(1), G(1), G(1), G(2))
+    assert triangle_open(G(1), G(0), G(1), G(1))

@@ -50,11 +50,10 @@ def test_prime_field_sqrt_canonical_branch(F):
     assert r1 == r2 and r1 in (F(5), F(-5))
 
 
-def test_no_square_root_carries_element(F):
+def test_no_square_root_names_the_radicand(F):
     bad = next(F(k) for k in range(2, 50) if not F(k).has_sqrt())
-    with pytest.raises(NoSquareRoot) as info:
+    with pytest.raises(NoSquareRoot, match=f"^{bad} is not a square mod "):
         bad.sqrt()
-    assert info.value.element == bad
 
 
 def test_rational_field():
