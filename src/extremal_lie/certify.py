@@ -43,6 +43,13 @@ the first generator product that fails, as the side 2 check does.
 No model is closed: model 2's independent images, closed under every
 generator, span its closure and prove its dimension.
 
+A and C graphs carry no parameters: each side is its own model, so
+T(b2) = T(c2) holds as built and no model check runs.  Glue row i then
+rescales the coordinates of side 1's image e1_i in side 2's, so phi_i =
+mu1_i e1_i = b1_i as matrices and the composed map cannot fail either:
+an A or C pass proves that the two catalogs span one matrix algebra,
+and a realization in other coordinates is refused.
+
 All computation is exact.  The canonical gauge is reached by `exp_ad`
 shifts with base-field coefficients and by scalings, so a normalised
 generator is lambda_k y_k, y_k over the base field and lambda_k a
@@ -778,14 +785,6 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
         "no solved parameter candidate reproduces the normalized form values")
 
 
-def _basis_span(field, vector_dim, vectors):
-    span = linalg.SpanSolver(field, vector_dim)
-    for v in vectors:
-        if not span.add(v):
-            raise StructureMismatch("catalog images are dependent")
-    return span
-
-
 def _catalog_images(ctx, gens, labels):
     """The matrices of the tail-closed bracket monomials `labels` in the
     generators, in order: a label (k,) is x_k, and a label (k,) + label'
@@ -799,25 +798,37 @@ def _catalog_images(ctx, gens, labels):
     return images
 
 
+def _independent_images(ctx, gens, labels, party):
+    """(images, vectors, span): the catalog images of `labels` in the
+    generators (`_catalog_images`), their coordinate vectors and the
+    `SpanSolver` of those, in order.  Raises StructureMismatch "<party>:
+    catalog images are dependent"."""
+    images = _catalog_images(ctx, gens, labels)
+    vectors = [ctx.vector(img) for img in images]
+    span = linalg.SpanSolver(ctx.field, ctx.vector_dim)
+    for v in vectors:
+        if not span.add(v):
+            raise StructureMismatch(f"{party}: catalog images are dependent")
+    return images, vectors, span
+
+
 def _catalog_table(ctx, gens, labels, name):
     """The basis of tail-closed bracket monomials `labels` in the
     generators and its structure-constant table.
 
-    Returns (images, span, table): the matrices images[b]
-    (`_catalog_images`), the `SpanSolver` of the images, in order, and
-    the `MonomialTable` whose left multiplications are [x_k, b] in that
-    basis.  A left multiplication whose monomial (k,) + label(b) is a
-    label is a unit vector and needs no bracket; every other one is one
-    matrix bracket and its coordinates, n * dim brackets in all with the
-    images.  Raises StructureMismatch "catalog images are dependent", or
+    Returns (images, span, table): the matrices images[b] and their
+    `SpanSolver` (`_independent_images`), and the `MonomialTable` whose
+    left multiplications are [x_k, b] in that basis.  A left
+    multiplication whose monomial (k,) + label(b) is a label is a unit
+    vector and needs no bracket; every other one is one matrix bracket
+    and its coordinates, n * dim brackets in all with the images.
+    Raises StructureMismatch "<name>: catalog images are dependent", or
     "<name>: bracket leaves the span" when [x_k, b] is outside it."""
     field = ctx.field
     one = field.one.v
     table = MonomialTable(field, labels, [[] for _ in gens])
     index = table.label_index
-    images = _catalog_images(ctx, gens, labels)
-    span = _basis_span(field, ctx.vector_dim,
-                       [ctx.vector(img) for img in images])
+    images, _, span = _independent_images(ctx, gens, labels, name)
     for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
         for b, lab in enumerate(labels):
             hit = index.get((k,) + lab)
@@ -873,15 +884,6 @@ def _rescaled_table(table, scalars, field):
     return MonomialTable(field, table.labels, leftmult)
 
 
-def _side_table(ctx, gens, labels, name, field):
-    """T of a side's normal form (ctx, gens) over `field`: the catalog
-    table of its base generators (`_catalog_table`, over the base
-    field), rescaled by its scalars."""
-    _, _, table = _catalog_table(ctx.base, [g.a for g in gens], labels,
-                                 name)
-    return _rescaled_table(table, _scalars(gens, field), field)
-
-
 def _check_model(ctx, gens, table, name):
     """The model's catalog images c have the left multiplications of
     `table`, a table over ctx.field: [x_k, c_b] = sum_j T_kb^j c_j
@@ -902,15 +904,15 @@ def _check_model(ctx, gens, table, name):
     `MonomialTable.pair` being a function of those and the labels, it
     equals `table` on every pair.  Returns the `SpanSolver` of the e_b,
     over the base field, which, closed under every generator, span the
-    closure.  Raises StructureMismatch "catalog images are dependent",
-    or "<name>: bracket tables differ at generator product (k,b)"."""
+    closure.  Raises StructureMismatch "model 2: catalog images are
+    dependent", or "<name>: bracket tables differ at generator product
+    (k,b)"."""
     base, field = ctx.base, ctx.field
     gens = [ctx.element(g) for g in gens]
     zs = [g.a for g in gens]
     nu = _scalars(gens, field)
-    images = _catalog_images(base, zs, table.labels)
-    vectors = [base.vector(img) for img in images]
-    span = _basis_span(base.field, base.vector_dim, vectors)
+    images, vectors, span = _independent_images(base, zs, table.labels,
+                                                "model 2")
     mu = _label_scalars(field, nu, table.labels)
     down = tower_maps(base.field, field)[1]
     mul, div, unit = field.mul, field.div, field.one.v
@@ -978,11 +980,12 @@ def _check_composed_map(t_b1, t_b2, glue):
 
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
-    field, are isomorphic: normalise both, recover standard parameters,
-    rebuild the standard model for each side, check side 2's
-    structure-constant table on its model's generator products, and
-    check the composed basis correspondence on the generator products;
-    each proves its tables equal on every pair of basis elements.
+    field, are isomorphic: normalise both, build each side's table,
+    rebuild a standard model for a B or D side and check side 2's table
+    on its model's generator products, and check the composed basis
+    correspondence on the generator products; each proves its tables
+    equal on every pair.  A and C sides are their own models; see the
+    module docstring for what that proves.
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  The composed map is
@@ -1005,7 +1008,8 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     psi1 = psi(family, ctx1, g1)
     psi2 = psi(family, ctx2, g2)
 
-    if family in ("A", "C"):
+    own_models = family in ("A", "C")
+    if own_models:
         # no parameters: the canonical gauges must agree outright, and
         # each side serves as its own standard model
         if _psi_in(psi1, ctx2.field) != psi2:
@@ -1021,25 +1025,32 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
             family, n, mctx1.field, _psi_in(psi2, mctx1.field),
             mctx1.base.field)
 
-    # the largest field reached: the tables and the glue are rescaled
-    # into it
+    # each side's catalog over its matrix field, built once, its table
+    # rescaled into the largest field reached
     top = mctx2.field
-    t_b1 = _side_table(ctx1, g1, labels, "side 1 vs model", top)
-    t_b2 = _side_table(ctx2, g2, labels, "side 2 vs model", top)
-    # model 1 needs no table, only independent catalog images
-    base1 = mctx1.base
-    c1 = [base1.vector(img)
-          for img in _catalog_images(base1, [g.a for g in m1], labels)]
-    _basis_span(base1.field, base1.vector_dim, c1)
-    # side 2 against its standard model: T(b2) = T(c2)
-    span_c2 = _check_model(mctx2, m2, t_b2, "side 2 vs model")
+    images1, span1, t_b1 = _catalog_table(ctx1.base, [g.a for g in g1],
+                                          labels, "side 1")
+    # an A or C side is its own model: c1 are side 1's image vectors
+    c1 = [ctx1.base.vector(img) for img in images1] if own_models else None
+    t_b1 = _rescaled_table(t_b1, _scalars(g1, top), top)
+    # dropping side 1's images before side 2's lowers the peak memory
+    del images1, span1
+    span_c2, t_b2 = _catalog_table(ctx2.base, [g.a for g in g2], labels,
+                                   "side 2")[1:]
+    t_b2 = _rescaled_table(t_b2, _scalars(g2, top), top)
+    if not own_models:
+        # model 1 needs no table, only independent catalog images
+        c1 = _independent_images(mctx1.base, [g.a for g in m1], labels,
+                                 "model 1")[1]
+        # side 2 against its standard model: T(b2) = T(c2)
+        span_c2 = _check_model(mctx2, m2, t_b2, "side 2 vs model")
     mu1 = _label_scalars(top, _scalars(m1, top), labels)
     mu2 = _label_scalars(top, _scalars(m2, top), labels)
-    up12 = tower_maps(base1.field, mctx2.base.field)[0]
+    up12 = tower_maps(mctx1.base.field, mctx2.base.field)[0]
     up = tower_maps(mctx2.base.field, top)[0]
     # what follows reads the tables, c1, span_c2 and the scalars only:
     # dropping the matrix algebras lowers the peak memory
-    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2, base1
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
 
     # glue through the common model algebra: model 1's images, in model
     # 2's closed span and as many as its basis, are a basis of it, so

@@ -141,11 +141,8 @@ def _entry(label, k, m, *parts):
 
 def _catalog_D(n):
     """The 17-class catalog for family D (size 2n^2 - n)."""
-    out = []
     # y1_{k,m} = x_{k v m}, n >= k >= m >= 1
-    for k in range(1, n + 1):
-        for m in range(1, k + 1):
-            out.append(_entry("y1", k, m, arrow_down(k, m)))
+    out = _catalog_C(n)
     # y2_{k,m} = x_{k ^ n-2} x_{n v m}, n-2 >= k > m >= 1
     for k in range(2, n - 1):
         for m in range(1, k):
@@ -207,17 +204,8 @@ def _catalog_B(n):
 
 
 def _catalog_A(n):
-    out = []
-    for k in range(1, n + 1):
-        for m in range(1, k + 1):
-            out.append(_entry("y1", k, m, arrow_down(k, m)))
-    for k in range(3, n + 1):
-        for m in range(3, k + 1):
-            out.append(_entry("y3", k, m,
-                              arrow_down(k, m + 1), arrow_up_zigzag(m - 1, 1)))
-    for k in range(3, n + 1):
-        out.append(_entry("y7", k, 0, arrow_down(k, 3), [1]))
-    return out
+    """Family A: the y1, y3 and y7 classes of the D catalog."""
+    return [e for e in _catalog_D(n) if e.label in ("y1", "y3", "y7")]
 
 
 def _catalog_C(n):

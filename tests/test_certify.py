@@ -449,6 +449,10 @@ MATCH_DIGESTS = {
     "B6": "6b615fcd617d76d5d51a1966f5d37bcd565f533efdca7e3e2ca06f1e1e37db32",
     "C6-conj":
         "ada04f05e74c064d6c0ccd86c85bf5133d89194570763d2b564b72f5b7a942d4",
+    "A6-conj":
+        "44c30f4f28aaff6f52e5ba650f03ed8d7e56191c82e8c5427fc91a5d0957c204",
+    "C8-conj":
+        "72418da302c24b9021c8494467ec9b728280550854550d869e209b3c933ace53",
     "D5-QQ":
         "f4e251ac822f6978feb9d55ad5b332acbb57a518486d7ad1884efba1e858c7b0",
 }
@@ -457,9 +461,9 @@ MATCH_DIGESTS = {
 @pytest.mark.parametrize("name", list(MATCH_DIGESTS))
 def test_match_certificate_digests(name):
     """D5 (2,3) vs (4,8) over GF(p) and over QQ, B6 gamma 1 vs 2 over
-    GF(101) and criterion 9's conjugated C6 give bit-identical
-    certificates.  The QQ match ends over a tower of two quadratic
-    extensions, QQ(rt 1/8)(rt -64)."""
+    GF(101), criterion 9's conjugated C6 and the A6 and C8 conjugated
+    the same way give bit-identical certificates.  The QQ match ends
+    over a tower of two quadratic extensions, QQ(rt 1/8)(rt -64)."""
     if name in ("D5", "D5-QQ"):
         sides = _param_pair("D", 5, F if name == "D5" else QQ, (2, 3),
                             (4, 8))
@@ -468,7 +472,8 @@ def test_match_certificate_digests(name):
         sides = _param_pair("B", 6, PrimeField(101), (1,), (2,))
         family = "B"
     else:
-        sides, family = _exp_conjugated("C", 6), "C"
+        family = name[0]
+        sides = _exp_conjugated(family, int(name[1:name.index("-")]))
     cert = match_algebras(*sides, family)
     text = json.dumps(dataclasses.asdict(cert), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MATCH_DIGESTS[name]
@@ -1101,6 +1106,35 @@ def test_match_builds_two_catalog_tables(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("family,n", [("A", 5), ("C", 6)])
+def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
+    """An A or C side is its own model: each side's catalog images are
+    built once, for its table, and no model check runs."""
+    sides = _exp_conjugated(family, n)
+    images, checks = [], []
+    catalog_images, check_model = certify._catalog_images, certify._check_model
+    monkeypatch.setattr(certify, "_catalog_images",
+                        lambda *a: images.append(1) or catalog_images(*a))
+    monkeypatch.setattr(certify, "_check_model",
+                        lambda *a: checks.append(1) or check_model(*a))
+    assert match_algebras(*sides, family).verdict == "pass"
+    assert (len(images), len(checks)) == (2, 0)
+
+
+def test_dependent_side_images_name_the_side():
+    """D6 over GF(5) at (1,3) has dependent catalog images (closure and
+    catalog rank 50 of 66), while (0,3) passes: the match names side
+    2."""
+    gf5 = PrimeField(5)
+    sides = []
+    for params in ((0, 3), (1, 3)):
+        mats, _ = build_generators("D", 6, gf5, tuple(gf5(p) for p in params))
+        sides += [MatrixLieAlgebra(gf5, len(mats[0]), [], mats), mats]
+    with pytest.raises(StructureMismatch,
+                       match="^side 2: catalog images are dependent$"):
+        match_algebras(*sides, "D")
+
+
 def _wrong_models(monkeypatch, sides):
     """Make `_rebuild_model` return the standard B5 model of gamma = 2,
     the other parameter, for the first `sides` calls (side 1, then side
@@ -1138,24 +1172,38 @@ def test_a_wrong_model_for_side_1_fails_the_composed_map(monkeypatch):
         match_algebras(alg, mats, alg, mats, "B")
 
 
-def test_dependent_model_images_are_refused(monkeypatch):
-    """Model 1's images must be independent for the glue matrix to be
-    invertible.  With zero generators every glue row is zero and the
-    composed map holds, so only that check refuses such a model."""
-    alg, mats = closure_of("B", 5, (1,))
+def _degenerate_model(monkeypatch, call):
+    """Make the `call`-th `_rebuild_model` (1 for model 1, 2 for model
+    2) return zero generators, and match B5 gamma = 1 with itself."""
     rebuild = certify._rebuild_model
     calls = []
 
     def degenerate(*args):
         params, ctx, gens = rebuild(*args)
         calls.append(1)
-        if len(calls) == 1:
+        if len(calls) == call:
             gens = [ctx.lincomb([(0, g)]) for g in gens]
         return params, ctx, gens
 
     monkeypatch.setattr(certify, "_rebuild_model", degenerate)
+    return closure_of("B", 5, (1,))
+
+
+def test_dependent_model_images_are_refused(monkeypatch):
+    """Model 1's images must be independent for the glue matrix to be
+    invertible.  With zero generators every glue row is zero and the
+    composed map holds, so only that check refuses such a model."""
+    alg, mats = _degenerate_model(monkeypatch, 1)
     with pytest.raises(StructureMismatch,
-                       match="^catalog images are dependent$"):
+                       match="^model 1: catalog images are dependent$"):
+        match_algebras(alg, mats, alg, mats, "B")
+
+
+def test_dependent_model_2_images_are_refused(monkeypatch):
+    """The side 2 check refuses dependent model 2 images by name."""
+    alg, mats = _degenerate_model(monkeypatch, 2)
+    with pytest.raises(StructureMismatch,
+                       match="^model 2: catalog images are dependent$"):
         match_algebras(alg, mats, alg, mats, "B")
 
 
@@ -1254,7 +1302,8 @@ def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
     model1, model2 = ([m[1:] for m in models] if models else forms[:2])
     ctx1, m1 = _materialised(*model1, top)
     ctx2, m2 = _materialised(*model2, top)
-    span = certify._basis_span(top, ctx2.vector_dim, [
-        ctx2.vector(img) for img in certify._catalog_images(ctx2, m2, labels)])
+    span = linalg.SpanSolver(top, ctx2.vector_dim)
+    for img in certify._catalog_images(ctx2, m2, labels):
+        assert span.add(ctx2.vector(img))
     assert glue == [span.sparse_coords(ctx1.vector(img))
                     for img in certify._catalog_images(ctx1, m1, labels)]
