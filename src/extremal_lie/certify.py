@@ -25,30 +25,27 @@ identity and so exact for matrix commutators.  With independent bases,
 a_i -> b_i is an isomorphism exactly when the two tables agree on every
 pair.
 
-A match builds two tables, T(b1) and T(b2) of the sides, and runs two
-checks on the n * dim generator products.  Side 2 against its model
-(`_check_model`) finds the left multiplications of T(b2) on model 2's
-catalog images c2, which proves T(b2) = T(c2) with no T(c2) built.  The
-composed map b1_i -> sum_a G_ia b2_a, checked on the tables through the
-glue matrix G of model 1's images c1 in the basis c2, proves T(b1) is
-T(b2) in the basis G gives.  G is invertible, the c1 being independent and in
-the closed span of as many c2, so T(c1) is T(c2) in that basis too and
-T(b1) = T(c1) follows: side 1 needs no check against its model, nor
-model 1 a table.  The composed map is checked on the n * dim products
-[x_k, b1_j] of the generators only: the elements on which a linear map
-intertwines every bracket form a subalgebra (Jacobi), and the x_k
-generate the basis, so that proves it on every pair.  A failure names
-the first generator product that fails, as the side 2 check does.
+A match builds two tables, T(b1) and T(b2) of the sides, and checks
+each against its standard model (`_check_model`), side 2 first: the
+left multiplications of T(b2) on model 2's catalog images c2 prove
+T(b2) = T(c2), and those of T(b1) on model 1's images c1 prove T(b1) =
+T(c1), with no model table built.  Each check runs on the n * dim
+generator products and names the first that fails.  The glue matrix G
+holds the coordinates of the c1 in the basis c2: the c1 are independent
+and in the closed span of as many c2, so G is invertible, and it is the
+identity map of matrices, which needs no check.  So T(c1) is T(c2) in
+the basis G gives, and b1_i -> sum_a G_ia b2_a, through the models, is
+an isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
 generator, span its closure and prove its dimension.
 
 A and C graphs carry no parameters: each side is its own model, so
-T(b2) = T(c2) holds as built and no model check runs.  Glue row i then
-rescales the coordinates of side 1's image e1_i in side 2's, so phi_i =
-mu1_i e1_i = b1_i as matrices and the composed map cannot fail either:
-an A or C pass proves that the two catalogs span one matrix algebra,
-and a realization in other coordinates is refused.
+T(b1) = T(c1) and T(b2) = T(c2) hold as built and no model check runs.
+Glue row i then rescales the coordinates of side 1's image e1_i in side
+2's, so the map is b1_i -> b1_i as matrices: an A or C pass proves
+that the two catalogs span one matrix algebra, and a realization in
+other coordinates is refused.
 
 All computation is exact.  The canonical gauge is reached by `exp_ad`
 shifts with base-field coefficients and by scalings, so a normalised
@@ -57,9 +54,9 @@ scalar (`ScaledContext`).  A square root the field lacks is adjoined
 where the normalisation needs it, and only the scalars move into the
 quadratic extension; the pipeline fails with a diagnostic after
 MAX_LIFTS extensions.  A catalog image is its base image times the
-product of the scalars along its label, so the tables, the model check
-and the glue solve run over the base field and the extension only
-rescales them; the composed map is checked in the extension.
+product of the scalars along its label, so the tables, the model
+checks and the glue solve run over the base field.  No check runs in
+the extension: it only rescales coefficients, and prints `basis_map`.
 """
 
 import json
@@ -749,10 +746,10 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
     Raises FormMismatch if no solved parameter candidate reproduces the
     normalized form values.
 
-    No candidate is closed here.  The side 2 check (`_check_model`)
-    finds model 2's catalog images independent and closed under every
-    generator, so they span the closure, of dimension the catalog size,
-    as model 1's images do; otherwise it raises StructureMismatch."""
+    No candidate is closed here.  The model checks (`_check_model`)
+    find each model's catalog images independent and closed under every
+    generator, so they span its closure, of dimension the catalog size;
+    otherwise they raise StructureMismatch."""
     flong = target_psi.values[-1]
     if family == "B":
         candidates = [(solve_param_B(flong, n),)]
@@ -884,7 +881,7 @@ def _rescaled_table(table, scalars, field):
     return MonomialTable(field, table.labels, leftmult)
 
 
-def _check_model(ctx, gens, table, name):
+def _check_model(ctx, gens, table, name, party):
     """The model's catalog images c have the left multiplications of
     `table`, a table over ctx.field: [x_k, c_b] = sum_j T_kb^j c_j
     exactly for every generator product, in order.  The model is the
@@ -902,17 +899,17 @@ def _check_model(ctx, gens, table, name):
     {hit: 1}.  Coordinates in independent images being unique, the
     model's table has the same left multiplications, and so,
     `MonomialTable.pair` being a function of those and the labels, it
-    equals `table` on every pair.  Returns the `SpanSolver` of the e_b,
-    over the base field, which, closed under every generator, span the
-    closure.  Raises StructureMismatch "model 2: catalog images are
-    dependent", or "<name>: bracket tables differ at generator product
-    (k,b)"."""
+    equals `table` on every pair.  Returns (vectors, span): the
+    coordinate vectors of the e_b, over the base field, and their
+    `SpanSolver`; closed under every generator, they span the closure.
+    Raises StructureMismatch "<party>: catalog images are dependent",
+    or "<name>: bracket tables differ at generator product (k,b)"."""
     base, field = ctx.base, ctx.field
     gens = [ctx.element(g) for g in gens]
     zs = [g.a for g in gens]
     nu = _scalars(gens, field)
     images, vectors, span = _independent_images(base, zs, table.labels,
-                                                "model 2")
+                                                party)
     mu = _label_scalars(field, nu, table.labels)
     down = tower_maps(base.field, field)[1]
     mul, div, unit = field.mul, field.div, field.one.v
@@ -938,59 +935,23 @@ def _check_model(ctx, gens, table, name):
                 raise StructureMismatch(
                     f"{name}: bracket tables differ at generator product "
                     f"({k},{b})")
-    return span
-
-
-def _check_composed_map(t_b1, t_b2, glue):
-    """The composed correspondence b1_i -> phi_i = sum_a G_ia b2_a, G the
-    sparse payload glue rows, is a homomorphism of the two tables.
-
-    The elements a with phi[a, b] = [phi a, phi b] for every b form a
-    subalgebra (Jacobi carries the identity from a and a' to [a, a']),
-    and the generators x_k generate the catalog basis, so it is enough
-    to check the n * dim generator products: for every k and j, in
-    b2-coordinates,
-
-        [phi(x_k), phi_j] = sum_c T(b1).leftmult[k-1][j]_c G_c.
-
-    That takes n * dim `bracket_with` calls on T(b2), forms no pair of
-    T(b1) and needs no matrix bracket.  Returns the number of pairs
-    i < j, dim * (dim - 1) / 2, on all of which the map is proven.
-    Raises StructureMismatch "composed map: bracket tables differ at
-    generator product (k,j)" at the first product, in order, that
-    fails."""
-    axpy = t_b1.field.axpy
-    for k, lm in enumerate(t_b1.leftmult, start=1):
-        g = glue[t_b1.label_index[(k,)]]
-        # [b2_a, phi(x_k)] for every a, once per generator
-        ad = [t_b2.bracket_with(a, g) for a in range(t_b2.dim)]
-        for j, col in enumerate(lm):
-            # w = [phi(x_k), phi_j] - phi([x_k, b1_j]) (axpy subtracts)
-            w = {}
-            for b, c in glue[j].items():
-                axpy(w, c, ad[b])
-            for i, c in col.items():
-                axpy(w, c, glue[i])
-            if w:
-                raise StructureMismatch(
-                    f"composed map: bracket tables differ at generator "
-                    f"product ({k},{j})")
-    return t_b1.dim * (t_b1.dim - 1) // 2
+    return vectors, span
 
 
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
     field, are isomorphic: normalise both, build each side's table,
-    rebuild a standard model for a B or D side and check side 2's table
-    on its model's generator products, and check the composed basis
-    correspondence on the generator products; each proves its tables
-    equal on every pair.  A and C sides are their own models; see the
-    module docstring for what that proves.
+    rebuild a standard model for a B or D side and check each side's
+    table on its model's generator products, side 2 first, which proves
+    it equal to the model's on every pair, then glue the two models.  A
+    and C sides are their own models; see the module docstring for what
+    that proves.
 
     The scalars of each normal form start in the field the one before
-    reached: side 1, side 2, model 1, model 2.  The composed map is
-    checked in the last field reached; all other work runs over the
-    fields of the matrices, and that field only rescales it.
+    reached: side 1, side 2, model 1, model 2.  All matrix work runs
+    over the fields of the matrices; each side's table is rescaled into
+    its model's field, and the last field reached only rescales the
+    glue into `basis_map`.
 
     Either side may be a closure or hold generators only: the side
     tables prove the dimension, and the certificate's `dim` is the
@@ -1025,39 +986,42 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
             family, n, mctx1.field, _psi_in(psi2, mctx1.field),
             mctx1.base.field)
 
-    # each side's catalog over its matrix field, built once, its table
-    # rescaled into the largest field reached
-    top = mctx2.field
-    images1, span1, t_b1 = _catalog_table(ctx1.base, [g.a for g in g1],
-                                          labels, "side 1")
+    # each side's catalog over its matrix field, built once
+    images1, _, t_b1 = _catalog_table(ctx1.base, [g.a for g in g1], labels,
+                                      "side 1")
     # an A or C side is its own model: c1 are side 1's image vectors
     c1 = [ctx1.base.vector(img) for img in images1] if own_models else None
-    t_b1 = _rescaled_table(t_b1, _scalars(g1, top), top)
     # dropping side 1's images before side 2's lowers the peak memory
-    del images1, span1
+    del images1
     span_c2, t_b2 = _catalog_table(ctx2.base, [g.a for g in g2], labels,
                                    "side 2")[1:]
-    t_b2 = _rescaled_table(t_b2, _scalars(g2, top), top)
     if not own_models:
-        # model 1 needs no table, only independent catalog images
-        c1 = _independent_images(mctx1.base, [g.a for g in m1], labels,
-                                 "model 1")[1]
-        # side 2 against its standard model: T(b2) = T(c2)
-        span_c2 = _check_model(mctx2, m2, t_b2, "side 2 vs model")
+        # each side against its standard model, its table rescaled into
+        # the model's field: T(b2) = T(c2), then T(b1) = T(c1)
+        def check(mctx, m, g, table, side):
+            field = mctx.field
+            return _check_model(
+                mctx, m, _rescaled_table(table, _scalars(g, field), field),
+                f"side {side} vs model", f"model {side}")
+        span_c2 = check(mctx2, m2, g2, t_b2, 2)[1]
+        c1 = check(mctx1, m1, g1, t_b1, 1)[0]
+    top = mctx2.field
     mu1 = _label_scalars(top, _scalars(m1, top), labels)
     mu2 = _label_scalars(top, _scalars(m2, top), labels)
     up12 = tower_maps(mctx1.base.field, mctx2.base.field)[0]
     up = tower_maps(mctx2.base.field, top)[0]
-    # what follows reads the tables, c1, span_c2 and the scalars only:
-    # dropping the matrix algebras lowers the peak memory
-    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
+    # what follows reads c1, span_c2 and the scalars only: dropping the
+    # matrix algebras and the tables lowers the peak memory
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2, t_b1, t_b2
 
     # glue through the common model algebra: model 1's images, in model
     # 2's closed span and as many as its basis, are a basis of it, so
-    # the glue matrix G of their coordinates is invertible and T(c1) is
-    # T(c2) in the basis G gives.  With c1_i = mu1_i e1_i and c2_a =
-    # mu2_a e2_a, G_ia = mu1_i / mu2_a Gbase_ia for the coordinates
-    # Gbase of the e1 in the e2, solved over model 2's matrix field
+    # the glue matrix G of their coordinates is invertible; it is the
+    # identity of matrices, so T(c1) is T(c2) in the basis G gives, and
+    # with the two model checks b1_i -> sum_a G_ia b2_a is an
+    # isomorphism.  With c1_i = mu1_i e1_i and c2_a = mu2_a e2_a, G_ia =
+    # mu1_i / mu2_a Gbase_ia for the coordinates Gbase of the e1 in the
+    # e2, solved over model 2's matrix field
     mul, div, one = top.mul, top.div, top.one.v
     inv2 = [div(one, m) for m in mu2]
     glue = []
@@ -1068,10 +1032,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         glue.append({a: mul(mul(m, inv2[a]), up(x)) for a, x in row.items()})
     del c1, span_c2
 
-    # the composed map: T(b1) is T(b2) in the basis G gives, which with
-    # T(b2) = T(c2) proves T(b1) = T(c1), side 1 against its model
-    pairs = _check_composed_map(t_b1, t_b2, glue)
-
+    dim = len(labels)
     param_names = FAMILY_PARAMS[family]
     return MatchCertificate(
         family=family, n=n, field=str(top),
@@ -1079,8 +1040,8 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         params2={k: str(v) for k, v in zip(param_names, params2)},
         psi1=[str(v) for v in psi1.values],
         psi2=[str(v) for v in psi2.values],
-        dim=len(labels),
-        basis_map=[[str(v) for v in linalg.dense(top, row, len(labels))]
+        dim=dim,
+        basis_map=[[str(v) for v in linalg.dense(top, row, dim)]
                    for row in glue],
-        pairs_checked=pairs,
+        pairs_checked=dim * (dim - 1) // 2,
         verdict="pass")

@@ -12,8 +12,9 @@ Four commands:
 
 Exit codes: 0 on success, 1 when a check fails or standard output is
 closed early (a broken pipe, which is not reported), 2 on usage or
-parameter errors.  All numeric literals are exact rationals ("p/q");
-the environment variable EXTREMAL_LIE_SEED overrides ``--seed``.
+parameter errors, among them an --n or graph vertex above MAX_N.  All
+numeric literals are exact rationals ("p/q"); the environment variable
+EXTREMAL_LIE_SEED overrides ``--seed``.
 """
 
 import argparse
@@ -33,6 +34,11 @@ from .realizations import (InvalidParameters, MatrixLieAlgebra,
                            build_generators, lie_closure)
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+#: the largest --n, and graph vertex, the commands take: D100 is already a
+#: 19 900-dimensional algebra, more than exact pure-Python arithmetic can
+#: finish, and a larger n only exhausts memory or overflows
+MAX_N = 100
 
 
 class UsageError(Exception):
@@ -70,6 +76,13 @@ def field_elem(field, fr):
             f"there") from None
 
 
+def check_size(n, what="--n"):
+    """BoundsViolation when `n` is above MAX_N."""
+    if n is not None and n > MAX_N:
+        raise BoundsViolation(f"{what} {n} is above {MAX_N}, the largest "
+                              f"supported")
+
+
 def parse_edges(text):
     edges = []
     for part in text.split(","):
@@ -77,6 +90,7 @@ def parse_edges(text):
         if not m:
             raise UsageError(f"bad edge {part!r} (use i-j, comma separated)")
         i, j = int(m.group(1)), int(m.group(2))
+        check_size(max(i, j), "vertex")
         if i == j:
             raise UsageError(f"loop edge {part!r}")
         edges.append((min(i, j), max(i, j)))
@@ -123,6 +137,7 @@ def emit(args, text):
 def cmd_present(args):
     field = make_field(args.field)
     try:
+        check_size(args.n)
         if args.edges is not None:
             if args.family:
                 raise UsageError("--edges builds its own graph: drop "
@@ -180,6 +195,7 @@ def cmd_realize(args):
         raise UsageError("realize needs --family and --n")
     params = collect_params(args)
     try:
+        check_size(args.n)
         mats, _ = build_generators(
             args.family, args.n, field,
             tuple(field_elem(field, p) for p in params))
@@ -250,6 +266,7 @@ def cmd_certify(args):
     other = (parse_match_spec(args.family, args.match_against)
              if args.match_against is not None else None)
     try:
+        check_size(args.n)
         fparams = tuple(field_elem(field, p) for p in params)
         report = certify.certify_family(
             args.family, args.n, fparams, field=field, seed=args.seed)

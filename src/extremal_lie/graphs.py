@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 
 class BoundsViolation(ValueError):
-    """The requested n is below the minimum for the family."""
+    """The requested n is below the minimum for the family, or above
+    what the command line takes."""
 
 
 FAMILY_MIN_N = {"A": 4, "B": 5, "C": 2, "D": 5}

@@ -25,7 +25,7 @@ from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
                                  PrimeField, QQ, lift_element, tower_maps)
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
-from extremal_lie.presentation import MonomialTable, evaluate_monomial
+from extremal_lie.presentation import evaluate_monomial
 from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
                                        build_generators, d_open_conditions,
                                        lie_closure)
@@ -524,18 +524,21 @@ def _first_bad_pair(alg, basis, span, target, pairs):
     arithmetic."""
     for i, j in pairs:
         c = span.coords(alg.vector(alg.bracket(basis[i], basis[j])))
-        rhs = _dense_fold(alg, zip(c, target))
+        rhs = _dense_fold(alg, [(x, t) for x, t in zip(c, target)
+                                if not x.is_zero()])
         if alg.external(alg.bracket(target[i], target[j])) != rhs:
             return i, j
     return None
 
 
 def test_catalog_tables_agree_on_every_pair():
+    """Two tables of the same generators have the same left
+    multiplications, and so, a table's pairs being a function of those
+    and the labels, agree on every pair."""
     alg, mats = closure_of("A", 4)
     _, _, table = table_of("A", 4, alg, mats)
     _, _, again = table_of("A", 4, alg, list(mats))
-    identity = [{i: F.one.v} for i in range(table.dim)]
-    assert certify._check_composed_map(table, again, identity) == 105
+    assert table.leftmult == again.leftmult
 
 
 @pytest.mark.parametrize("change", ["swap", "double"])
@@ -559,7 +562,7 @@ def test_catalog_table_rejects_changed_generators(b5, change):
     k, b = table.labels[pair[0]][0], pair[1]
     with pytest.raises(StructureMismatch) as info:
         certify._check_model(certify.ScaledContext(alg), target, table,
-                             change)
+                             change, "model")
     assert str(info.value) == (
         f"{change}: bracket tables differ at generator product ({k},{b})")
 
@@ -572,14 +575,17 @@ def test_model_check_refuses_every_perturbed_column(b5):
     alg, mats = b5
     ctx = certify.ScaledContext(alg)
     _, _, table = table_of("B", 5, alg, mats)
-    assert certify._check_model(ctx, mats, table, "B5").rank == table.dim
+    vectors, span = certify._check_model(ctx, mats, table, "B5", "model")
+    assert span.rank == table.dim
+    assert vectors == [alg.vector(img) for img in
+                       certify._catalog_images(alg, mats, table.labels)]
     dim = table.dim
     for k, lm in enumerate(table.leftmult, start=1):
         for b, col in enumerate(lm):
             lm[b] = dict(col)
             F.axpy(lm[b], F(-3).v, {(b + 5) % dim: F.one.v})
             with pytest.raises(StructureMismatch) as info:
-                certify._check_model(ctx, mats, table, "B5")
+                certify._check_model(ctx, mats, table, "B5", "model")
             assert str(info.value) == (
                 f"B5: bracket tables differ at generator product ({k},{b})")
             lm[b] = col
@@ -596,7 +602,8 @@ def test_model_check_refuses_a_coefficient_outside_the_model_field(b5):
     ctx = certify.ScaledContext(alg, GF2)
     _, _, table = table_of("B", 5, alg, mats)
     lifted = certify._rescaled_table(table, [GF2.one.v] * 5, GF2)
-    assert certify._check_model(ctx, mats, lifted, "B5").rank == table.dim
+    assert certify._check_model(ctx, mats, lifted, "B5",
+                                "model")[1].rank == table.dim
     k, b = next((k, b) for k in range(1, 6) for b in range(table.dim)
                 if (k,) + table.labels[b] not in table.label_index
                 and lifted.leftmult[k - 1][b])
@@ -605,7 +612,7 @@ def test_model_check_refuses_a_coefficient_outside_the_model_field(b5):
     col[j] = GF2.add(col[j], (GF2.root * 3).v)
     lifted.leftmult[k - 1][b] = col
     with pytest.raises(StructureMismatch) as info:
-        certify._check_model(ctx, mats, lifted, "B5")
+        certify._check_model(ctx, mats, lifted, "B5", "model")
     assert str(info.value) == (
         f"B5: bracket tables differ at generator product ({k},{b})")
 
@@ -616,27 +623,6 @@ def test_catalog_table_rejects_a_bracket_outside_the_span(b5):
                        match="^first: bracket leaves the span$"):
         certify._catalog_table(alg, mats, [(i,) for i in range(1, 6)],
                                "first")
-
-
-def test_composed_map_rejects_a_perturbed_glue_row(b5):
-    """A perturbed glue row makes the composed map fail at the first
-    generator product (k, j), in order, where direct matrix brackets
-    stop matching."""
-    alg, mats = b5
-    basis, span, table = table_of("B", 5, alg, mats)
-    glue = [{i: F.one.v} for i in range(table.dim)]
-    glue[7] = {7: F.one.v, 2: F(3).v}
-    phi = [alg.lincomb([(FieldElement(F, c), basis[a])
-                        for a, c in row.items()]) for row in glue]
-    products = [(table.label_index[(k,)], j) for k in range(1, 6)
-                for j in range(table.dim)]
-    pair = _first_bad_pair(alg, basis, span, phi, products)
-    assert pair is not None
-    k, j = table.labels[pair[0]][0], pair[1]
-    with pytest.raises(StructureMismatch) as info:
-        certify._check_composed_map(table, table, glue)
-    assert str(info.value) == (
-        f"composed map: bracket tables differ at generator product ({k},{j})")
 
 
 def realization(family, n, field, params=()):
@@ -731,48 +717,11 @@ PERMUTED = {"A": [1, 0, 2, 3, 4], "B": [0, 1, 2, 4, 3],
             "C": [5, 4, 3, 2, 1, 0], "D": [0, 1, 2, 4, 3]}
 
 
-def test_equal_left_multiplications_form_no_pair(monkeypatch):
-    """The composed map, checked on the generator products, forms no
-    pair of side 1's table."""
-    alg, mats = closure_of("A", 4)
-    _, _, table = table_of("A", 4, alg, mats)
-    _, _, again = table_of("A", 4, alg, list(mats))
-    calls = []
-    pair = MonomialTable.pair
-    monkeypatch.setattr(MonomialTable, "pair",
-                        lambda t, a, b: calls.append(t) or pair(t, a, b))
-    identity = [{i: F.one.v} for i in range(table.dim)]
-    assert certify._check_composed_map(table, again, identity) == 105
-    assert table not in calls
-
-
-def test_composed_map_brackets_n_times_dim(b5, monkeypatch):
-    """A passing composed map makes n * dim `bracket_with` calls on side
-    2's table (5 * 36 for B5), one per generator and basis element, not
-    one per ordered pair (1260); side 2's pairs are formed beforehand so
-    that only the check's calls count."""
-    alg, mats = b5
-    _, _, table = table_of("B", 5, alg, mats)
-    _, _, again = table_of("B", 5, alg, list(mats))
-    for i in range(again.dim):
-        for j in range(again.dim):
-            again.pair(i, j)
-    calls = []
-    bracket_with = MonomialTable.bracket_with
-    monkeypatch.setattr(MonomialTable, "bracket_with",
-                        lambda t, a, v: calls.append(t)
-                        or bracket_with(t, a, v))
-    identity = [{i: F.one.v} for i in range(table.dim)]
-    dim = table.dim
-    assert certify._check_composed_map(table, again, identity) == \
-        dim * (dim - 1) // 2
-    assert len(calls) == 5 * dim and table not in calls
-
-
 def _scan_composed_map(t_b1, t_b2, glue):
-    """The reference for `certify._check_composed_map`: the composed map
-    checked on every pair i < j, in order.  It intertwines the brackets
-    at (i, j) when, in b2-coordinates,
+    """The composed map b1_i -> phi_i = sum_a G_ia b2_a, G the sparse
+    payload glue rows, checked on the tables pair by pair, i < j in
+    order.  It intertwines the brackets at (i, j) when, in
+    b2-coordinates,
 
         sum_{a,b} G_ia G_jb T(b2)_ab = sum_k T(b1)_ij^k G_k.
 
@@ -811,19 +760,20 @@ def _glue_cases():
 
 @pytest.fixture(scope="module")
 def glue_tables():
-    """For each family of `SMALL` over GF(p): the catalog table, the
-    table of the reordered generators, and the relabelling glue."""
+    """For each family of `SMALL` over GF(p): the closure, the catalog
+    images, their span and table, the images and table of the reordered
+    generators, and the relabelling glue."""
     out = {}
     for family, n in SMALL:
         params = {"B": (1,), "D": (2, 3)}.get(family, ())
         alg, mats = closure_of(family, n, params)
-        _, span, table = table_of(family, n, alg, mats)
+        images, span, table = table_of(family, n, alg, mats)
         order = (PERMUTED[family][:n] if family != "C"
                  else list(range(n - 1, -1, -1)))
-        images, _, permuted = table_of(family, n, alg,
-                                       [mats[i] for i in order])
-        relabel = [span.sparse_coords(alg.vector(img)) for img in images]
-        out[family] = table, permuted, relabel
+        moved, _, permuted = table_of(family, n, alg,
+                                      [mats[i] for i in order])
+        relabel = [span.sparse_coords(alg.vector(img)) for img in moved]
+        out[family] = alg, (images, span, table), (moved, permuted), relabel
     return out
 
 
@@ -831,26 +781,30 @@ def glue_tables():
                          ids=[f"{f}{n}-{k}" for f, n, k in _glue_cases()])
 def test_composed_map_agrees_with_the_pair_scan(glue_tables, family, n,
                                                 kind):
-    """The generator-product check passes exactly when the pair scan
-    finds no bad pair, and otherwise names a generator product."""
-    table, permuted, relabel = glue_tables[family]
+    """The pair scan on the tables, the reference the end-to-end
+    witness below uses, finds the same first failing pair as direct
+    matrix brackets on the composed map b1_i -> phi_i = sum_a G_ia b2_a,
+    phi formed as matrices, and None exactly when it intertwines every
+    pair: for the identity glue, and for A, C and D, whose reordering is
+    a graph automorphism, for the other two."""
+    alg, (images, span, table), (moved, permuted), relabel = \
+        glue_tables[family]
     dim = table.dim
     one = F.one.v
-    t_b2, glue = table, [{i: one} for i in range(dim)]
+    basis2, t_b2, glue = images, table, [{i: one} for i in range(dim)]
     if kind == "permuted":
-        t_b2 = permuted
+        basis2, t_b2 = moved, permuted
     elif kind == "relabelled":
         glue = relabel
     elif kind != "identity":
         glue[kind] = {kind: one, (kind + 5) % dim: F(3).v}
-    if _scan_composed_map(table, t_b2, glue) is None:
-        assert certify._check_composed_map(table, t_b2, glue) == \
-            dim * (dim - 1) // 2
-    else:
-        with pytest.raises(StructureMismatch, match=(
-                r"^composed map: bracket tables differ at generator "
-                r"product \(\d+,\d+\)$")):
-            certify._check_composed_map(table, t_b2, glue)
+    phi = [alg.lincomb([(FieldElement(F, c), basis2[a])
+                        for a, c in row.items()]) for row in glue]
+    bad = _scan_composed_map(table, t_b2, glue)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    assert bad == _first_bad_pair(alg, images, span, phi, pairs)
+    assert (bad is None) == (kind == "identity" or family != "B"
+                             and kind in ("permuted", "relabelled"))
 
 
 @pytest.mark.parametrize("family,params1,params2",
@@ -1092,9 +1046,8 @@ def test_certify_family_rationals_agree_with_prime_field(family, n, params):
 
 
 def test_match_builds_two_catalog_tables(monkeypatch):
-    """Both sides get a table; model 2 is checked against side 2's table
-    on its generator products and model 1 needs only its catalog
-    images."""
+    """Both sides get a table, and no model does: each model is checked
+    against its side's table on its generator products."""
     calls = []
     catalog_table = certify._catalog_table
     monkeypatch.setattr(certify, "_catalog_table",
@@ -1157,18 +1110,18 @@ def _wrong_models(monkeypatch, sides):
 
 
 def test_a_wrong_model_for_both_sides_fails_side_2(monkeypatch):
-    """The models agree with each other, so the composed map holds; only
-    side 2 against its model can fail."""
+    """Side 2 is checked against its model first, so it is the one that
+    fails."""
     alg, mats = _wrong_models(monkeypatch, 2)
     with pytest.raises(StructureMismatch, match="^side 2 vs model: "):
         match_algebras(alg, mats, alg, mats, "B")
 
 
-def test_a_wrong_model_for_side_1_fails_the_composed_map(monkeypatch):
-    """Side 2 matches its model, so only the composed map can find that
+def test_a_wrong_model_for_side_1_fails_side_1(monkeypatch):
+    """Side 2 matches its model, so only the side 1 check can find that
     side 1 does not match its model."""
     alg, mats = _wrong_models(monkeypatch, 1)
-    with pytest.raises(StructureMismatch, match="^composed map: "):
+    with pytest.raises(StructureMismatch, match="^side 1 vs model: "):
         match_algebras(alg, mats, alg, mats, "B")
 
 
@@ -1191,8 +1144,8 @@ def _degenerate_model(monkeypatch, call):
 
 def test_dependent_model_images_are_refused(monkeypatch):
     """Model 1's images must be independent for the glue matrix to be
-    invertible.  With zero generators every glue row is zero and the
-    composed map holds, so only that check refuses such a model."""
+    invertible: the side 1 check refuses dependent model 1 images by
+    name."""
     alg, mats = _degenerate_model(monkeypatch, 1)
     with pytest.raises(StructureMismatch,
                        match="^model 1: catalog images are dependent$"):
@@ -1271,39 +1224,104 @@ RESCALE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(RESCALE_CASES))
-def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
-                                                           monkeypatch):
-    """The reference for the rescale: the tables T(b1), T(b2) and the
-    glue a match builds over the base field and rescales equal
-    `_catalog_table` and the glue solve run directly on the generators
-    lambda_k y_k of the sides and models, materialised over the field
-    the match reached (GF(p^2), QQ(rt 1/8)(rt -64), GF(p) for C6)."""
-    family, sides = RESCALE_CASES[name]()
-    forms, models, used = [], [], []
+def _recorded_match(monkeypatch, family, sides):
+    """Run the match with its normal forms, rebuilt models and model
+    checks recorded.  Returns (cert, forms, models, checks): the sides'
+    normal forms, the models' (the sides' for A and C), and the
+    arguments of each `_check_model` call, in order."""
+    forms, models, checks = [], [], []
     normalize, rebuild = certify.normalize_generators, certify._rebuild_model
-    check = certify._check_composed_map
+    check = certify._check_model
     monkeypatch.setattr(certify, "normalize_generators",
                         lambda *a: forms.append(normalize(*a)) or forms[-1])
     monkeypatch.setattr(certify, "_rebuild_model",
                         lambda *a: models.append(rebuild(*a)) or models[-1])
-    monkeypatch.setattr(certify, "_check_composed_map",
-                        lambda *a: used.append(a) or check(*a))
+    monkeypatch.setattr(certify, "_check_model",
+                        lambda *a: checks.append(a) or check(*a))
     cert = match_algebras(*sides, family)
-    t_b1, t_b2, glue = used[0]
-    top = t_b1.field
-    assert cert.verdict == "pass" and cert.field == str(top)
-    assert ("rt" in cert.field) == (name != "C6-conj")
-    labels = t_b1.labels
-    for (ctx, gens), table in zip(forms[:2], (t_b1, t_b2)):
-        _, _, direct = certify._catalog_table(
-            *_materialised(ctx, gens, top), labels, "direct")
-        assert table.field is top and table.leftmult == direct.leftmult
-    model1, model2 = ([m[1:] for m in models] if models else forms[:2])
-    ctx1, m1 = _materialised(*model1, top)
-    ctx2, m2 = _materialised(*model2, top)
-    span = linalg.SpanSolver(top, ctx2.vector_dim)
+    # a rebuild normalises its candidates too: the sides come first
+    return (cert, forms[:2], [m[1:] for m in models] if models else
+            forms[:2], checks)
+
+
+def _direct_glue(models, field, labels):
+    """The glue solved directly on the models' generators lambda_k y_k
+    materialised over `field`: the coordinates of model 1's catalog
+    images in model 2's, as sparse payload rows."""
+    ctx1, m1 = _materialised(*models[0], field)
+    ctx2, m2 = _materialised(*models[1], field)
+    span = linalg.SpanSolver(field, ctx2.vector_dim)
     for img in certify._catalog_images(ctx2, m2, labels):
         assert span.add(ctx2.vector(img))
-    assert glue == [span.sparse_coords(ctx1.vector(img))
-                    for img in certify._catalog_images(ctx1, m1, labels)]
+    return [span.sparse_coords(ctx1.vector(img))
+            for img in certify._catalog_images(ctx1, m1, labels)]
+
+
+def _formatted(field, glue):
+    """Sparse glue rows as a certificate's `basis_map`."""
+    return [[str(v) for v in linalg.dense(field, row, len(glue))]
+            for row in glue]
+
+
+@pytest.mark.parametrize("name", list(RESCALE_CASES))
+def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
+                                                           monkeypatch):
+    """The reference for the rescale.  Each table a B or D match checks
+    against a model, built over the base field and rescaled into the
+    model's field, equals `_catalog_table` run directly on the side's
+    generators lambda_k y_k materialised over that field: side 2's over
+    model 2's field, then side 1's over model 1's.  The certificate's
+    `basis_map` is the glue solved directly on the models' generators
+    materialised over the field the match reached (GF(p^2),
+    QQ(rt 1/8)(rt -64), GF(p) for C6).  A and C sides are their own
+    models and run no check, so only their glue is compared."""
+    family, sides = RESCALE_CASES[name]()
+    cert, forms, models, checks = _recorded_match(monkeypatch, family, sides)
+    top = models[1][0].field
+    assert cert.verdict == "pass" and cert.field == str(top)
+    assert ("rt" in cert.field) == (name != "C6-conj")
+    labels = labels_of(family, cert.n)
+    assert len(checks) == (0 if family in "AC" else 2)
+    for (ctx, gens), (mctx, _, table, *_) in zip(forms[::-1], checks):
+        _, _, direct = certify._catalog_table(
+            *_materialised(ctx, gens, mctx.field), labels, "direct")
+        assert table.field is mctx.field and table.leftmult == direct.leftmult
+    assert cert.basis_map == _formatted(top, _direct_glue(models, top, labels))
+
+
+WITNESS_CASES = ["A5-conj", "C6-conj", "B5", "D5"]
+
+
+@pytest.mark.parametrize("name", WITNESS_CASES)
+def test_the_certificate_map_intertwines_the_side_tables(name,
+                                                         monkeypatch):
+    """End to end over GF(p): the certificate's map b1_i -> sum_a G_ia
+    b2_a, G its `basis_map`, intertwines the brackets of the two sides'
+    tables, built directly on their generators lambda_k y_k over the
+    certificate's field, on every pair (`_scan_composed_map`).  With one
+    glue row perturbed, 3 b2_5 added to the image of x_1, it does
+    not."""
+    family, sides = RESCALE_CASES[name]()
+    cert, forms, models, _ = _recorded_match(monkeypatch, family, sides)
+    top = models[1][0].field
+    labels = labels_of(family, cert.n)
+    glue = _direct_glue(models, top, labels)
+    assert cert.basis_map == _formatted(top, glue)
+    t_b1, t_b2 = (certify._catalog_table(*_materialised(ctx, gens, top),
+                                         labels, "direct")[2]
+                  for ctx, gens in forms)
+    assert _scan_composed_map(t_b1, t_b2, glue) is None
+    glue[0] = dict(glue[0])
+    top.axpy(glue[0], top(-3).v, {5: top.one.v})
+    assert _scan_composed_map(t_b1, t_b2, glue) is not None
+
+
+@pytest.mark.parametrize("name", WITNESS_CASES)
+def test_b_and_d_matches_check_side_2_then_side_1(name, monkeypatch):
+    """A B or D match checks side 2 against model 2, then side 1 against
+    model 1; an A or C match, each side its own model, runs no model
+    check."""
+    family, sides = RESCALE_CASES[name]()
+    checks = _recorded_match(monkeypatch, family, sides)[3]
+    assert [a[3:] for a in checks] == ([] if family in "AC" else [
+        ("side 2 vs model", "model 2"), ("side 1 vs model", "model 1")])

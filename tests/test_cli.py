@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from extremal_lie import cli
 from extremal_lie.cli import main
 from extremal_lie.graphs import FAMILY_MIN_N
+from extremal_lie.presentation import TruncatedAtCap
 
 
 def run(capsys, *argv):
@@ -253,6 +255,53 @@ def test_n_below_the_family_minimum_is_a_parameter_error(
                        *params)
     assert code == 2 and "parameter error" in err
     assert "Traceback" not in err
+
+
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv,what", [
+    (("realize", "--family", "A", "--n", HUGE), f"--n {HUGE}"),
+    (("certify", "--family", "C", "--n", HUGE), f"--n {HUGE}"),
+    (("certify", "--family", "D", "--n", "101", "--alpha", "2", "--beta",
+      "3", "--match-against", "alpha=4,beta=8"), "--n 101"),
+    (("present", "--family", "C", "--n", HUGE), f"--n {HUGE}"),
+    (("present", "--edges", f"1-{HUGE}"), f"vertex {HUGE}"),
+    (("present", "--edges", "1-2", "--n", "101"), "--n 101"),
+], ids=["realize", "certify", "match", "present", "edges", "edges-n"])
+def test_n_above_the_cap_is_refused_before_anything_is_built(
+        capsys, monkeypatch, argv, what):
+    """An --n or vertex above cli.MAX_N exits 2 with one line and no
+    traceback.  Every builder a command could reach first is replaced
+    by one that fails the test, so a missing check fails at once and
+    allocates nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the size check")
+
+    for name in ("build_generators", "build_family_graph",
+                 "graph_from_edges", "build_L0", "MatrixLieAlgebra",
+                 "lie_closure"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.certify, "certify_family", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"parameter error: {what} is above {cli.MAX_N}, the "
+                   f"largest supported\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("present", "--family", "D", "--n", "100"),
+    ("present", "--edges", "1-100"),
+], ids=["family", "edges"])
+def test_n_at_the_cap_passes_the_size_check(capsys, monkeypatch, argv):
+    """MAX_N itself is taken: the command gets past the check to the
+    presentation, stubbed here."""
+    def stop(*args, **kwargs):
+        raise TruncatedAtCap("stub")
+
+    monkeypatch.setattr(cli, "build_L0", stop)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: stub\n")
 
 
 @pytest.mark.parametrize("argv", [
