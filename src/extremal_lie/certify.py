@@ -30,7 +30,10 @@ each against its standard model (`_check_model`), side 2 first: the
 left multiplications of T(b2) on model 2's catalog images c2 prove
 T(b2) = T(c2), and those of T(b1) on model 1's images c1 prove T(b1) =
 T(c1), with no model table built.  Each check runs on the n * dim
-generator products and names the first that fails.  The glue matrix G
+generator products and names the first that fails.  A side's table is
+built on its base generators y_k, over the base field, and its check
+meets the scalars through one ratio per generator, side scalar over
+model scalar, with no rescaled table.  The glue matrix G
 holds the coordinates of the c1 in the basis c2: the c1 are independent
 and in the closed span of as many c2, so G is invertible, and it is the
 identity map of matrices, which needs no check.  So T(c1) is T(c2) in
@@ -55,8 +58,10 @@ where the normalisation needs it, and only the scalars move into the
 quadratic extension; the pipeline fails with a diagnostic after
 MAX_LIFTS extensions.  A catalog image is its base image times the
 product of the scalars along its label, so the tables, the model
-checks and the glue solve run over the base field.  No check runs in
-the extension: it only rescales coefficients, and prints `basis_map`.
+checks and the glue solve run over the base field.  The extension holds
+scalars only: a model check takes one ratio per generator, side scalar
+over model scalar, and maps each rescaled coefficient back to the base
+field, and the glue is rescaled into `basis_map`.
 """
 
 import json
@@ -845,9 +850,9 @@ def _scalars(gens, field):
 
 
 def _label_scalars(field, scalars, labels):
-    """mu_b, the product of the scalar payloads of the generators along
-    label b: the catalog image of b in the generators lambda_k y_k is
-    mu_b times its image in the y_k, exactly, by bilinearity."""
+    """mu_b, the product of the payloads `scalars` along label b: for
+    the scalars lambda_k of generators lambda_k y_k, the catalog image
+    of b is mu_b times its image in the y_k, exactly, by bilinearity."""
     mul = field.mul
     out = []
     for lab in labels:
@@ -858,74 +863,62 @@ def _label_scalars(field, scalars, labels):
     return out
 
 
-def _rescaled_table(table, scalars, field):
-    """The table over `field` of the generators lambda_k y_k from
-    `table`, that of the y_k, with the scalar payloads lambda_k:
+def _check_model(ctx, gens, table, side_gens, name, party):
+    """The model's catalog images c have the side's left
+    multiplications: [x_k, c_b] = sum_j S_kb^j c_j exactly for every
+    generator product, in order, S the table of the side's normal-form
+    generators `side_gens`, x'_k = lambda_k y_k, and `table` that of the
+    y_k, over their base field.  The model is the normal form (ctx,
+    gens), x_k = nu_k z_k with z_k over the base field of the
+    `ScaledContext` ctx; a generator that is not `Scaled`, on either
+    side, has scalar 1.  With rho_k = lambda_k / nu_k, one ratio per
+    generator, and R_b the product of the rho along label b
+    (`_label_scalars`), the catalog images factor by bilinearity and
+    the product holds exactly when
 
-        T(k,b)_j = lambda_k mu_b / mu_j  T_base(k,b)_j,
+        [z_k, e_b] - sum_j (rho_k R_b / R_j) T_kb^j e_j = 0,
 
-    mu the `_label_scalars`.  A unit column stays a unit column, since
-    lambda_k mu_b is mu of the label (k,) + label(b)."""
-    up = tower_maps(table.field, field)[0]
-    mul, div, one = field.mul, field.div, field.one.v
-    mu = _label_scalars(field, scalars, table.labels)
-    inv = [div(one, m) for m in mu]
-    leftmult = []
-    for lam, lm in zip(scalars, table.leftmult):
-        cols = []
-        for m, col in zip(mu, lm):
-            f = mul(lam, m)
-            cols.append({j: mul(mul(f, inv[j]), up(c))
-                         for j, c in col.items()})
-        leftmult.append(cols)
-    return MonomialTable(field, table.labels, leftmult)
-
-
-def _check_model(ctx, gens, table, name, party):
-    """The model's catalog images c have the left multiplications of
-    `table`, a table over ctx.field: [x_k, c_b] = sum_j T_kb^j c_j
-    exactly for every generator product, in order.  The model is the
-    normal form (ctx, gens), x_k = nu_k z_k with z_k over the base field
-    of the `ScaledContext` ctx, so c_b = mu_b e_b with e_b the image in
-    the z_k (`_label_scalars`), and the product holds exactly when
-
-        [z_k, e_b] - sum_j (mu_j / (nu_k mu_b)) T_kb^j e_j = 0.
-
-    The e_j are independent over the base field, so the coordinates of
-    [z_k, e_b] in them are unique and lie in it: a rescaled coefficient
-    outside the base field fails the product, and otherwise the base
-    residual must vanish.  At a unit product, (k,) + label(b) a label,
-    [x_k, c_b] is c_hit, so it needs no bracket: the column must be
-    {hit: 1}.  Coordinates in independent images being unique, the
-    model's table has the same left multiplications, and so,
-    `MonomialTable.pair` being a function of those and the labels, it
-    equals `table` on every pair.  Returns (vectors, span): the
-    coordinate vectors of the e_b, over the base field, and their
-    `SpanSolver`; closed under every generator, they span the closure.
-    Raises StructureMismatch "<party>: catalog images are dependent",
-    or "<name>: bracket tables differ at generator product (k,b)"."""
+    e_b the image in the z_k.  The e_j are independent over the base
+    field, so the coordinates of [z_k, e_b] in them are unique and lie
+    in it: a coefficient whose ratio leaves the base field fails the
+    product, and otherwise the base residual must vanish.  At a unit
+    product, (k,) + label(b) a label, [x_k, c_b] is c_hit and the ratio
+    is 1, so it needs no bracket: the column must be {hit: 1}.
+    Coordinates in independent images being unique, the model's table
+    has the side's left multiplications, and so, `MonomialTable.pair`
+    being a function of those and the labels, the two agree on every
+    pair.  Returns (vectors, span): the coordinate vectors of the e_b,
+    over the base field, and their `SpanSolver`; closed under every
+    generator, they span the closure.  Raises StructureMismatch
+    "<party>: catalog images are dependent", or "<name>: bracket tables
+    differ at generator product (k,b)"."""
     base, field = ctx.base, ctx.field
     gens = [ctx.element(g) for g in gens]
     zs = [g.a for g in gens]
-    nu = _scalars(gens, field)
+    mul, div, unit = field.mul, field.div, field.one.v
+    rho = [div(lam, nu) for lam, nu in
+           zip(_scalars([ctx.element(g) for g in side_gens], field),
+               _scalars(gens, field))]
+    ratio = _label_scalars(field, rho, table.labels)
+    inv = [div(unit, r) for r in ratio]
     images, vectors, span = _independent_images(base, zs, table.labels,
                                                 party)
-    mu = _label_scalars(field, nu, table.labels)
+    up = tower_maps(table.field, field)[0]
     down = tower_maps(base.field, field)[1]
-    mul, div, unit = field.mul, field.div, field.one.v
+    one = table.field.one.v
     axpy = base.field.axpy
     for k, (z, lm) in enumerate(zip(zs, table.leftmult), start=1):
         for b, lab in enumerate(table.labels):
             hit = table.label_index.get((k,) + lab)
             if hit is not None:
-                ok = lm[b] == {hit: unit}
+                ok = lm[b] == {hit: one}
             else:
                 # w = [z_k, e_b] - sum_j c_j e_j (axpy subtracts)
                 w = base.vector(base.bracket(z, images[b]))
-                inv = div(unit, mul(nu[k - 1], mu[b]))
+                f = mul(rho[k - 1], ratio[b])
                 ok = True
                 for j, c in lm[b].items():
-                    c = down(mul(mul(c, mu[j]), inv))
+                    c = down(mul(mul(f, inv[j]), up(c)))
                     if c is None:
                         ok = False
                         break
@@ -949,9 +942,9 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  All matrix work runs
-    over the fields of the matrices; each side's table is rescaled into
-    its model's field, and the last field reached only rescales the
-    glue into `basis_map`.
+    over the fields of the matrices.  A side's table meets its model's
+    scalars through one ratio per generator (`_check_model`), and the
+    last field reached only rescales the glue into `basis_map`.
 
     Either side may be a closure or hold generators only: the side
     tables prove the dimension, and the certificate's `dim` is the
@@ -996,15 +989,12 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     span_c2, t_b2 = _catalog_table(ctx2.base, [g.a for g in g2], labels,
                                    "side 2")[1:]
     if not own_models:
-        # each side against its standard model, its table rescaled into
-        # the model's field: T(b2) = T(c2), then T(b1) = T(c1)
-        def check(mctx, m, g, table, side):
-            field = mctx.field
-            return _check_model(
-                mctx, m, _rescaled_table(table, _scalars(g, field), field),
-                f"side {side} vs model", f"model {side}")
-        span_c2 = check(mctx2, m2, g2, t_b2, 2)[1]
-        c1 = check(mctx1, m1, g1, t_b1, 1)[0]
+        # each side against its standard model: T(b2) = T(c2), then
+        # T(b1) = T(c1)
+        span_c2 = _check_model(mctx2, m2, t_b2, g2, "side 2 vs model",
+                               "model 2")[1]
+        c1 = _check_model(mctx1, m1, t_b1, g1, "side 1 vs model",
+                          "model 1")[0]
     top = mctx2.field
     mu1 = _label_scalars(top, _scalars(m1, top), labels)
     mu2 = _label_scalars(top, _scalars(m2, top), labels)

@@ -46,9 +46,11 @@ a row of residues is one ``int`` with slot width
 ``w = (T*(p-1)**2).bit_length()`` for a sum of T residue products, so
 no slot carries into the next and one C-level multiply-add does the
 work of a whole row, read back with one ``% p`` per slot.  Rationals
-stay on ``axpy`` because fractions cannot be packed; quadratic
-extensions do too, because their matrices are sparse and a packed
-GF(p^2) bracket measured slower than ``axpy``.
+stay on ``axpy`` because fractions cannot be packed.  Quadratic
+extensions have the generic ``axpy`` only: the isomorphism matching
+keeps only scalars there and does its matrix work over the base field,
+so the kernel serves the rare model whose parameters exist only in an
+extension.
 """
 
 from fractions import Fraction
@@ -441,8 +443,6 @@ class QuadraticExtension(Field):
             raise ValueError(f"{d} is already a square in {base}")
         self.base = base
         self.d = d.v
-        if isinstance(base, PrimeField):
-            self.axpy = self._axpy_prime_base
 
     def same(self, other):
         return (isinstance(other, QuadraticExtension)
@@ -488,26 +488,6 @@ class QuadraticExtension(Field):
                 del v[k]
             else:
                 v[k] = x
-
-    def _axpy_prime_base(self, v, c, row):
-        """`axpy` over GF(p)(sqrt(d)) with the pair product written out:
-        a - c*b = (a0 - c0 b0 - c1 d b1, a1 - c0 b1 - c1 b0) mod p."""
-        c0, c1 = c
-        if not (c0 or c1):
-            return
-        p = self.base.p
-        c1d = c1 * self.d % p
-        for k, (b0, b1) in row.items():
-            a = v.get(k)
-            if a is None:
-                v[k] = ((-c0 * b0 - c1d * b1) % p, (-c0 * b1 - c1 * b0) % p)
-                continue
-            x0 = (a[0] - c0 * b0 - c1d * b1) % p
-            x1 = (a[1] - c0 * b1 - c1 * b0) % p
-            if x0 or x1:
-                v[k] = (x0, x1)
-            else:
-                del v[k]
 
     def div(self, x, y):
         b = self.base

@@ -24,8 +24,8 @@ exact; a subtracted term is written with p - x, so no slot borrows.
 The bracket sums T = 2N terms per slot for N x N matrices and
 `basis_lincomb` T = m for a basis of m matrices.  Rationals stay on
 `axpy` because fractions cannot be packed, and quadratic extensions
-because their brackets are sparse: a packed GF(p^2) bracket made the
-isomorphism matching that ends over GF(p^2) slower.  On every field a
+because a match brackets over the base field and keeps only scalars in
+the extension.  On every field a
 bracket with a zero operand returns N empty rows at once, and over
 GF(p) `trace_product` sums its residue products as ints and reduces
 mod p once.  All pivoting is deterministic (leftmost pivot column,

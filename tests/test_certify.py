@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from extremal_lie.certify import (PSI_LENGTH, CertifyError,
 from extremal_lie.extremal import (NotExtremal, check_premet, exp_ad,
                                    extremal_form_value)
 from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
-                                 PrimeField, QQ, lift_element, tower_maps)
+                                 PrimeField, QQ, QuadraticExtension,
+                                 lift_element, tower_maps)
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
 from extremal_lie.presentation import evaluate_monomial
@@ -562,7 +564,7 @@ def test_catalog_table_rejects_changed_generators(b5, change):
     k, b = table.labels[pair[0]][0], pair[1]
     with pytest.raises(StructureMismatch) as info:
         certify._check_model(certify.ScaledContext(alg), target, table,
-                             change, "model")
+                             mats, change, "model")
     assert str(info.value) == (
         f"{change}: bracket tables differ at generator product ({k},{b})")
 
@@ -575,7 +577,8 @@ def test_model_check_refuses_every_perturbed_column(b5):
     alg, mats = b5
     ctx = certify.ScaledContext(alg)
     _, _, table = table_of("B", 5, alg, mats)
-    vectors, span = certify._check_model(ctx, mats, table, "B5", "model")
+    vectors, span = certify._check_model(ctx, mats, table, mats, "B5",
+                                         "model")
     assert span.rank == table.dim
     assert vectors == [alg.vector(img) for img in
                        certify._catalog_images(alg, mats, table.labels)]
@@ -585,36 +588,50 @@ def test_model_check_refuses_every_perturbed_column(b5):
             lm[b] = dict(col)
             F.axpy(lm[b], F(-3).v, {(b + 5) % dim: F.one.v})
             with pytest.raises(StructureMismatch) as info:
-                certify._check_model(ctx, mats, table, "B5", "model")
+                certify._check_model(ctx, mats, table, mats, "B5", "model")
             assert str(info.value) == (
                 f"B5: bracket tables differ at generator product ({k},{b})")
             lm[b] = col
 
 
 def test_model_check_refuses_a_coefficient_outside_the_model_field(b5):
-    """B5's table embedded in GF(p^2) passes the model check of B5's
-    own generators with scalars 1 in GF(p^2).  Adding 3 times the
-    adjoined root to one coefficient of the first product that needs a
-    bracket leaves the base parts, and so the base residual, unchanged,
-    but the rescaled coefficient is no longer in GF(p): the check
-    refuses that product."""
+    """B5's base table checked against B5's own generators over GF(p^2),
+    with side scalars 1 but lambda_5 = the adjoined root r.  The ratio
+    of a coefficient T_kb^j is r^e, e = [k = 5] + (x_5 in label b) -
+    (x_5 in label j), so it leaves GF(p) exactly when e is odd.  With
+    model scalar nu_5 = r too every ratio is 1 and the check passes;
+    with model scalars 1 it refuses the first product with an odd e.
+    A 3 e_(5,) term added to the first product that needs a bracket,
+    an earlier one whose own ratios are all 1, is a coefficient of
+    ratio 1/r there: that product is refused."""
     alg, mats = b5
     ctx = certify.ScaledContext(alg, GF2)
     _, _, table = table_of("B", 5, alg, mats)
-    lifted = certify._rescaled_table(table, [GF2.one.v] * 5, GF2)
-    assert certify._check_model(ctx, mats, lifted, "B5",
+    labels = table.labels
+    side = [certify.Scaled(GF2.root if k == 5 else GF2.one, m)
+            for k, m in enumerate(mats, start=1)]
+    assert certify._check_model(ctx, side, table, side, "B5",
                                 "model")[1].rank == table.dim
-    k, b = next((k, b) for k in range(1, 6) for b in range(table.dim)
-                if (k,) + table.labels[b] not in table.label_index
-                and lifted.leftmult[k - 1][b])
-    col = dict(lifted.leftmult[k - 1][b])
-    j = min(col)
-    col[j] = GF2.add(col[j], (GF2.root * 3).v)
-    lifted.leftmult[k - 1][b] = col
-    with pytest.raises(StructureMismatch) as info:
-        certify._check_model(ctx, mats, lifted, "B5", "model")
-    assert str(info.value) == (
+
+    def refused(table):
+        with pytest.raises(StructureMismatch) as info:
+            certify._check_model(ctx, mats, table, side, "B5", "model")
+        return str(info.value)
+
+    products = [(k, b) for k in range(1, 6) for b in range(table.dim)
+                if (k,) + labels[b] not in table.label_index]
+    k, b = next((k, b) for k, b in products if any(
+        ((k == 5) + labels[b].count(5) - labels[j].count(5)) % 2
+        for j in table.leftmult[k - 1][b]))
+    assert refused(table) == (
         f"B5: bracket tables differ at generator product ({k},{b})")
+    k0, b0 = products[0]
+    col = table.leftmult[k0 - 1][b0]
+    assert (k0, b0) < (k, b) and k0 != 5
+    assert all(5 not in labels[j] for j in (b0, *col))
+    F.axpy(col, F(-3).v, {table.label_index[(5,)]: F.one.v})
+    assert refused(table) == (
+        f"B5: bracket tables differ at generator product ({k0},{b0})")
 
 
 def test_catalog_table_rejects_a_bracket_outside_the_span(b5):
@@ -1263,14 +1280,29 @@ def _formatted(field, glue):
             for row in glue]
 
 
+def _rescaled(table, gens, field):
+    """The left multiplications over `field` of the normal-form
+    generators lambda_k y_k from `table`, that of the y_k:
+    T(k,b)_j = lambda_k mu_b / mu_j T_base(k,b)_j, mu_b the product of
+    the lambda along label b."""
+    up = tower_maps(table.field, field)[0]
+    lam = [lift_element(g.c, field) for g in gens]
+    mu = [math.prod((lam[k - 1] for k in lab), start=field.one)
+          for lab in table.labels]
+    return [[{j: (lk * mu[b] / mu[j] * FieldElement(field, up(c))).v
+              for j, c in col.items()} for b, col in enumerate(lm)]
+            for lk, lm in zip(lam, table.leftmult)]
+
+
 @pytest.mark.parametrize("name", list(RESCALE_CASES))
 def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
                                                            monkeypatch):
     """The reference for the rescale.  Each table a B or D match checks
-    against a model, built over the base field and rescaled into the
-    model's field, equals `_catalog_table` run directly on the side's
-    generators lambda_k y_k materialised over that field: side 2's over
-    model 2's field, then side 1's over model 1's.  The certificate's
+    against a model is the base table of the side's y_k; rescaled here
+    by the side's scalars into the model's field, it equals
+    `_catalog_table` run directly on the side's generators lambda_k y_k
+    materialised over that field: side 2's over model 2's field, then
+    side 1's over model 1's.  The certificate's
     `basis_map` is the glue solved directly on the models' generators
     materialised over the field the match reached (GF(p^2),
     QQ(rt 1/8)(rt -64), GF(p) for C6).  A and C sides are their own
@@ -1282,10 +1314,11 @@ def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
     assert ("rt" in cert.field) == (name != "C6-conj")
     labels = labels_of(family, cert.n)
     assert len(checks) == (0 if family in "AC" else 2)
-    for (ctx, gens), (mctx, _, table, *_) in zip(forms[::-1], checks):
+    for (ctx, gens), (mctx, _, table, side, *_) in zip(forms[::-1], checks):
         _, _, direct = certify._catalog_table(
             *_materialised(ctx, gens, mctx.field), labels, "direct")
-        assert table.field is mctx.field and table.leftmult == direct.leftmult
+        assert side is gens and table.field is ctx.base.field
+        assert _rescaled(table, side, mctx.field) == direct.leftmult
     assert cert.basis_map == _formatted(top, _direct_glue(models, top, labels))
 
 
@@ -1316,6 +1349,22 @@ def test_the_certificate_map_intertwines_the_side_tables(name,
     assert _scan_composed_map(t_b1, t_b2, glue) is not None
 
 
+def test_the_extension_holds_scalars_only(monkeypatch):
+    """No vector work runs in a quadratic extension: with its `axpy`
+    failing the test, a B5 gamma 1 vs 2, a D5 (2,3) vs (4,8) and an
+    A5-conj match over GF(p), each ending over GF(p^2), pass, and so
+    does `certify_family` D5."""
+    def refuse(*args):
+        raise AssertionError("axpy over a quadratic extension")
+
+    monkeypatch.setattr(QuadraticExtension, "axpy", refuse)
+    for name in ("B5", "D5", "A5-conj"):
+        family, sides = RESCALE_CASES[name]()
+        cert = match_algebras(*sides, family)
+        assert cert.verdict == "pass" and "rt" in cert.field
+    assert certify_family("D", 5, (2, 3), F).verdict == "pass"
+
+
 @pytest.mark.parametrize("name", WITNESS_CASES)
 def test_b_and_d_matches_check_side_2_then_side_1(name, monkeypatch):
     """A B or D match checks side 2 against model 2, then side 1 against
@@ -1323,5 +1372,5 @@ def test_b_and_d_matches_check_side_2_then_side_1(name, monkeypatch):
     check."""
     family, sides = RESCALE_CASES[name]()
     checks = _recorded_match(monkeypatch, family, sides)[3]
-    assert [a[3:] for a in checks] == ([] if family in "AC" else [
+    assert [a[4:] for a in checks] == ([] if family in "AC" else [
         ("side 2 vs model", "model 2"), ("side 1 vs model", "model 1")])

@@ -258,6 +258,8 @@ def test_n_below_the_family_minimum_is_a_parameter_error(
 
 
 HUGE = "100000000000000000000"
+#: more digits than int() converts by default (sys.get_int_max_str_digits)
+VAST = "1" + "0" * 4999
 
 
 @pytest.mark.parametrize("argv,what", [
@@ -268,7 +270,9 @@ HUGE = "100000000000000000000"
     (("present", "--family", "C", "--n", HUGE), f"--n {HUGE}"),
     (("present", "--edges", f"1-{HUGE}"), f"vertex {HUGE}"),
     (("present", "--edges", "1-2", "--n", "101"), "--n 101"),
-], ids=["realize", "certify", "match", "present", "edges", "edges-n"])
+    (("present", "--edges", f"1-{VAST}"), f"vertex {VAST}"),
+], ids=["realize", "certify", "match", "present", "edges", "edges-n",
+        "edges-5000-digits"])
 def test_n_above_the_cap_is_refused_before_anything_is_built(
         capsys, monkeypatch, argv, what):
     """An --n or vertex above cli.MAX_N exits 2 with one line and no

@@ -232,15 +232,6 @@ def test_axpy_agrees_with_element_arithmetic(kernel_field):
         assert all(not kernel_field.is_zero(x) for x in v.values())
 
 
-def test_prime_base_axpy_agrees_with_generic():
-    E = KERNEL_FIELDS["GF(p)(rt d)"]
-    for v, c, row, want in _axpy_cases(E, seed=8):
-        generic = dict(v)
-        QuadraticExtension.axpy(E, generic, c, row)
-        E.axpy(v, c, row)
-        assert v == generic == want
-
-
 # ---------------------------------------------------------------------------
 # rational payloads: an int when integral, `_RAT` otherwise, mixed freely
 # ---------------------------------------------------------------------------
