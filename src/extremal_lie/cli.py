@@ -39,6 +39,9 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 #: 19 900-dimensional algebra, more than exact pure-Python arithmetic can
 #: finish, and a larger n only exhausts memory or overflows
 MAX_N = 100
+#: the most decimal digits of a --field gf prime: int() converts no longer
+#: string by default (sys.get_int_max_str_digits)
+MAX_PRIME_DIGITS = 4300
 
 
 class UsageError(Exception):
@@ -57,6 +60,11 @@ def make_field(tokens):
     if tokens == ["rationals"]:
         return QQ
     if len(tokens) == 2 and tokens[0] == "gf":
+        digits = tokens[1].lstrip("+-").lstrip("0")
+        if len(digits) > MAX_PRIME_DIGITS:
+            raise BoundsViolation(
+                f"--field gf takes a prime of at most {MAX_PRIME_DIGITS} "
+                f"digits, got one of {len(digits)}")
         try:
             return PrimeField(int(tokens[1]))
         except ValueError as exc:
@@ -76,18 +84,28 @@ def field_elem(field, fr):
             f"there") from None
 
 
+def integer(text):
+    """An integer literal, kept as its digit string for `check_size`."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return text
+
+
 def check_size(n, what="--n"):
-    """BoundsViolation when `n` is above MAX_N.  `n` may be a string of
-    decimal digits: one with more significant digits than MAX_N is above
-    it without reaching int(), which refuses strings longer than
-    sys.get_int_max_str_digits()."""
-    if isinstance(n, str):
-        above = len(n.lstrip("0")) > len(str(MAX_N)) or int(n) > MAX_N
-    else:
-        above = n is not None and n > MAX_N
-    if above:
-        raise BoundsViolation(f"{what} {n} is above {MAX_N}, the largest "
-                              f"supported")
+    """The integer literal `n` (None passes) as an int; BoundsViolation
+    when it is above MAX_N.  Its digits are counted before int(), which
+    refuses strings longer than sys.get_int_max_str_digits(): a literal
+    with more significant digits than MAX_N is above MAX_N or, if
+    negative, below -MAX_N."""
+    if n is None:
+        return None
+    if len(n.lstrip("+-").lstrip("0")) > len(str(MAX_N)):
+        if n.startswith("-"):
+            raise BoundsViolation(f"{what} {n} is below -{MAX_N}")
+    elif int(n) <= MAX_N:
+        return int(n)
+    raise BoundsViolation(f"{what} {n} is above {MAX_N}, the largest "
+                          f"supported")
 
 
 def parse_edges(text):
@@ -96,9 +114,7 @@ def parse_edges(text):
         m = re.match(r"^(\d+)-(\d+)$", part.strip())
         if not m:
             raise UsageError(f"bad edge {part!r} (use i-j, comma separated)")
-        for vertex in m.groups():
-            check_size(vertex, "vertex")
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = (check_size(vertex, "vertex") for vertex in m.groups())
         if i == j:
             raise UsageError(f"loop edge {part!r}")
         edges.append((min(i, j), max(i, j)))
@@ -145,7 +161,7 @@ def emit(args, text):
 def cmd_present(args):
     field = make_field(args.field)
     try:
-        check_size(args.n)
+        args.n = check_size(args.n)
         if args.edges is not None:
             if args.family:
                 raise UsageError("--edges builds its own graph: drop "
@@ -203,7 +219,7 @@ def cmd_realize(args):
         raise UsageError("realize needs --family and --n")
     params = collect_params(args)
     try:
-        check_size(args.n)
+        args.n = check_size(args.n)
         mats, _ = build_generators(
             args.family, args.n, field,
             tuple(field_elem(field, p) for p in params))
@@ -273,7 +289,7 @@ def cmd_certify(args):
     other = (parse_match_spec(args.family, args.match_against)
              if args.match_against is not None else None)
     try:
-        check_size(args.n)
+        args.n = check_size(args.n)
         fparams = tuple(field_elem(field, p) for p in params)
         report = certify.certify_family(
             args.family, args.n, fparams, field=field, seed=args.seed)
@@ -333,7 +349,7 @@ def cmd_selftest(args):
 
 def _add_common(sub):
     sub.add_argument("--family", choices=("A", "B", "C", "D"))
-    sub.add_argument("--n", type=int)
+    sub.add_argument("--n", type=integer)
     sub.add_argument("--field", nargs="+", default=["rationals"],
                      metavar="FIELD",
                      help="rationals (default) or: gf <p>")
@@ -402,6 +418,9 @@ def main(argv=None):
         return code
     except (UsageError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BoundsViolation as exc:   # from make_field
+        print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the interpreter flushes stdout again on exit: point it at

@@ -18,10 +18,13 @@ from .linalg import bracket_closure
 
 class LieContext(Protocol):
     """A Lie algebra over ``field`` whose elements are sparse payloads in
-    a representation of its own.  `element` takes FieldElement data in
-    (an element passes unchanged), `external` gives it out, and every
-    member that takes an element accepts both.  `lincomb(terms)` is
-    sum c*a over the terms (c, a), c a FieldElement or an int.
+    a representation of its own, never modified once made, so a
+    context may keep derived data on them (the packed rows of a GF(p)
+    matrix, see :mod:`extremal_lie.linalg`).  `element` takes
+    FieldElement data in (an element passes unchanged, itself),
+    `external` gives it out, and every member that takes an element
+    accepts both.  `lincomb(terms)` is sum c*a over the terms (c, a), c
+    a FieldElement or an int.
     `vector(a)` gives the coordinates of a as a sparse payload vector
     ``{index: payload}``, not to be modified, in a space of dimension
     ``vector_dim``.  `basis()` spans the algebra; `form` is the

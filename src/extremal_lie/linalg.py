@@ -3,34 +3,42 @@
 The kernels work on payloads, the raw values inside FieldElements: a
 vector is a sparse payload vector ``{index: payload}`` holding its
 nonzero entries only, and an N x N matrix is a tuple of N sparse payload
-rows ``({col: payload}, ...)``, the element type of the matrix Lie
-context (`realizations.MatrixLieAlgebra`).  Most loops go through the
-field's ``axpy(v, c, row)`` kernel, which sets ``v -= c*row`` in place
-and deletes entries that become zero (see :mod:`extremal_lie.fields`).
-The matrix kernels are the bracket `mat_bracket`, the linear
-combinations `mat_lincomb` and `basis_lincomb` (of one fixed basis, as
-`MatrixLieAlgebra.from_coords` needs), the trace form `trace_product`
-and the row-major flattening `mat_vector`; `bracket_closure` grows the
-Lie span of a set of elements.
+rows ``({col: payload}, ...)``.  Every matrix a kernel returns is a
+`Rows`, the tuple subclass that is the element type of the matrix Lie
+context (`realizations.MatrixLieAlgebra`).  The rows of a matrix are
+never modified once it is made, by the kernels or by their callers.
+Most loops go through the field's ``axpy(v, c, row)`` kernel, which
+sets ``v -= c*row`` in place and deletes entries that become zero (see
+:mod:`extremal_lie.fields`).  The matrix kernels are the bracket
+`mat_bracket`, the linear combinations `mat_lincomb` and
+`basis_lincomb` (of one fixed basis, as `MatrixLieAlgebra.from_coords`
+needs), the trace form `trace_product` and the row-major flattening
+`mat_vector`; `bracket_closure` grows the Lie span of a set of
+elements.
 
-Over GF(p) `mat_bracket` and `basis_lincomb` run on packed rows
-instead of `axpy`: a row of residues becomes one Python int holding a
-slot of w bits per column, an output row is a sum of (residue) x
-(packed row) multiply-adds done by C big-int arithmetic, and one
-unpack reads it back with one ``% p`` per slot.  A slot summing T
-products of residues holds at most T*(p-1)^2, so the slot width
+Over GF(p) `mat_bracket`, `mat_lincomb` and `basis_lincomb` run on
+packed rows instead of `axpy`: a row of residues becomes one Python int
+holding a slot of w bits per column, an output row is a sum of
+(residue) x (packed row) multiply-adds done by C big-int arithmetic,
+and one unpack reads it back with one ``% p`` per slot.  A slot summing
+T products of residues holds at most T*(p-1)^2, so the slot width
 w = (T*(p-1)^2).bit_length() keeps every slot below 2^w and the sums
 exact; a subtracted term is written with p - x, so no slot borrows.
-The bracket sums T = 2N terms per slot for N x N matrices and
-`basis_lincomb` T = m for a basis of m matrices.  Rationals stay on
-`axpy` because fractions cannot be packed, and quadratic extensions
-because a match brackets over the base field and keeps only scalars in
-the extension.  On every field a
-bracket with a zero operand returns N empty rows at once, and over
-GF(p) `trace_product` sums its residue products as ints and reduces
-mod p once.  All pivoting is deterministic (leftmost pivot column,
-first nonzero row), so reduced forms, solutions and span tests are
-reproducible bit for bit.
+The bracket sums T = 2N terms per slot for N x N matrices,
+`mat_lincomb` as many as it has terms and at least 2N, and
+`basis_lincomb` T = m for a basis of m matrices.  Since rows never
+change, a `Rows` packs its rows once and keeps them with their slot
+width (`Rows.packed`): a matrix that is an operand again, as the
+generators and the sampled elements of an identity check are many
+times, is not packed again, and only a combination of more than 2N
+terms, at a wider slot, repacks it.  Rationals stay on `axpy` because
+fractions cannot be packed, and quadratic extensions because a match
+brackets over the base field and keeps only scalars in the extension.
+On every field a bracket with a zero operand returns N empty rows at
+once, and over GF(p) `trace_product` sums its residue products as ints
+and reduces mod p once.  All pivoting is deterministic (leftmost pivot
+column, first nonzero row), so reduced forms, solutions and span tests
+are reproducible bit for bit.
 
 Row reduction has one kernel, `echelon`, which takes sparse payload rows
 and returns their reduced row echelon form.  Its forward pass is the
@@ -85,13 +93,35 @@ def dense(field, v, length):
             for j in range(length)]
 
 
+class Rows(tuple):
+    """An N x N matrix as a tuple of N sparse payload rows, which are
+    not modified once it is made.  Over GF(p) it keeps its rows packed
+    at the slot width of their last packing."""
+
+    width = None      # the slot width of `_ints`, once packed
+
+    def packed(self, w):
+        """The rows packed at slot width w, an empty row as 0: packed
+        the first time, and again only at another width."""
+        if self.width != w:
+            self._ints = tuple([_pack(row, w) if row else 0
+                                for row in self])
+            self.width = w
+        return self._ints
+
+
+def _packed(m, w):
+    """`Rows.packed` of m, which may also be a plain tuple of rows."""
+    return (m if isinstance(m, Rows) else Rows(m)).packed(w)
+
+
 def mat_bracket(field, a, b):
     """ab - ba of two matrices given as payload rows.  A zero operand
     gives N empty rows at once.  Over GF(p) each output row is a sum of
     packed rows (`_packed_bracket`); over other fields it is
     accumulated in one sparse vector through `axpy`."""
     if not any(a) or not any(b):
-        return tuple([{} for _ in a])
+        return Rows([{} for _ in a])
     if isinstance(field, PrimeField):
         return _packed_bracket(field.p, a, b)
     neg, axpy = field.neg, field.axpy
@@ -105,15 +135,29 @@ def mat_bracket(field, a, b):
             if a[t]:
                 axpy(acc, x, a[t])
         out.append(acc)
-    return tuple(out)
+    return Rows(out)
 
 
 def mat_lincomb(field, terms, size):
     """The size x size matrix sum c*m over the terms (c, m), where c is
     a FieldElement or int and m is given as payload rows.  Raises
-    DescriptorMismatch on a coefficient of another field."""
-    neg, axpy, is_zero = field.neg, field.axpy, field.is_zero
-    payload = field.payload
+    DescriptorMismatch on a coefficient of another field.  Over GF(p)
+    output row i is the sum of c * (packed row i of m), at the bracket
+    slot width for up to 2N terms, so the operands' packed rows serve
+    both kernels."""
+    payload, is_zero = field.payload, field.is_zero
+    if isinstance(field, PrimeField):
+        p = field.p
+        w = _slot_width(p, max(len(terms), 2 * size))
+        acc = [0] * size
+        for c, m in terms:
+            c = payload(c)
+            if c:
+                for i, r in enumerate(_packed(m, w)):
+                    if r:
+                        acc[i] += c * r
+        return Rows([_unpack(s, w, p) for s in acc])
+    neg, axpy = field.neg, field.axpy
     out = [{} for _ in range(size)]
     for c, rows in terms:
         c = payload(c)
@@ -123,7 +167,7 @@ def mat_lincomb(field, terms, size):
         for acc, row in zip(out, rows):
             if row:
                 axpy(acc, nc, row)
-    return tuple(out)
+    return Rows(out)
 
 
 def basis_lincomb(field, basis, size):
@@ -185,17 +229,15 @@ def _unpack_rows(s, w, p, n):
     """The n payload rows of a packed row-major n x n matrix."""
     span = n * w
     mask = (1 << span) - 1
-    return tuple([_unpack(s >> (i * span) & mask, w, p) for i in range(n)])
+    return Rows([_unpack(s >> (i * span) & mask, w, p) for i in range(n)])
 
 
 def _packed_bracket(p, a, b):
     """`mat_bracket` over GF(p): row i of ab - ba is
     sum_t a_it * (row t of b) + sum_t (p - b_it) * (row t of a), at most
     2N packed terms for N x N matrices."""
-    n = len(a)
-    w = _slot_width(p, 2 * n)
-    pa = [_pack(row, w) if row else 0 for row in a]
-    pb = [_pack(row, w) if row else 0 for row in b]
+    w = _slot_width(p, 2 * len(a))
+    pa, pb = _packed(a, w), _packed(b, w)
     out = []
     for arow, brow in zip(a, b):
         s = 0
@@ -204,7 +246,7 @@ def _packed_bracket(p, a, b):
         for t, x in brow.items():
             s += (p - x) * pa[t]
         out.append(_unpack(s, w, p))
-    return tuple(out)
+    return Rows(out)
 
 
 def mat_vec(a, v):

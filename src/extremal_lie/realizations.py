@@ -18,7 +18,7 @@ from . import linalg
 from .extremal import extremal_form_value
 from .fields import NoSquareRoot, quadratic_roots
 from .graphs import check_family_n
-from .linalg import (SpanSolver, basis_lincomb, dense, mat_bracket,
+from .linalg import (Rows, SpanSolver, basis_lincomb, dense, mat_bracket,
                      mat_lincomb, mat_vec, mat_vector, sparse, trace_product,
                      zeros)
 
@@ -352,9 +352,11 @@ class MatrixLieAlgebra:
     """The Lie span of a set of N x N matrices, as a Lie context.
 
     Elements are tuples of N sparse payload rows ``({col: payload}, ...)``
-    (see :mod:`extremal_lie.linalg`); `element` takes FieldElement
-    matrices in and `external` gives them out.  The associative
-    symmetric form is c * trace(a b), with c calibrated against the
+    (see :mod:`extremal_lie.linalg`), never modified once made; the
+    basis, the generators and every bracket and combination are
+    `linalg.Rows`, which over GF(p) keep their packed rows.  `element`
+    takes FieldElement matrices in and `external` gives them out.  The
+    associative symmetric form is c * trace(a b), with c calibrated against the
     extremal functional of the first generator (and verified on a second
     value) over the basis.  A context made with an empty basis holds
     generators only: it brackets and combines, but has no form; that is
@@ -372,25 +374,27 @@ class MatrixLieAlgebra:
         self._combine = None    # linalg.basis_lincomb of the basis
 
     def _square(self, x):
-        """`element(x)`, after checking that x is N x N."""
+        """x as a `linalg.Rows`, after checking that it is N x N."""
         n = self.ambient_dim
-        if type(x) is tuple:   # payload rows {col: payload}
+        if isinstance(x, tuple):   # payload rows {col: payload}
             ok = all(0 <= k < n for row in x for k in row)
         else:
             ok = all(len(row) == n for row in x)
         if not ok or len(x) != n:
             raise ValueError(f"a matrix that is not {n} x {n}")
-        return self.element(x)
+        x = self.element(x)
+        return x if isinstance(x, Rows) else Rows(x)
 
     # -- context interface (see extremal_lie.extremal.LieContext) ----------
     def element(self, x):
-        """x as payload rows: payload rows unchanged, a FieldElement
-        matrix converted (DescriptorMismatch on an entry of another
-        field)."""
-        if type(x) is tuple:
+        """x as payload rows: payload rows (a tuple, such as the `Rows`
+        every kernel returns) unchanged, so a `Rows` keeps its packed
+        rows; a FieldElement matrix converted (DescriptorMismatch on an
+        entry of another field)."""
+        if isinstance(x, tuple):
             return x
         field = self.field
-        return tuple([sparse(field, row) for row in x])
+        return Rows([sparse(field, row) for row in x])
 
     def external(self, a):
         """a as a FieldElement matrix."""
@@ -410,7 +414,8 @@ class MatrixLieAlgebra:
         return not any(self.element(a))
 
     def vector(self, a):
-        """The row-major sparse payload vector {i*N + j: payload}."""
+        """The row-major sparse payload vector {i*N + j: payload}, a new
+        dict each call (`certify._check_model` reduces it in place)."""
         return mat_vector(self.element(a))
 
     def basis(self):

@@ -271,8 +271,9 @@ VAST = "1" + "0" * 4999
     (("present", "--edges", f"1-{HUGE}"), f"vertex {HUGE}"),
     (("present", "--edges", "1-2", "--n", "101"), "--n 101"),
     (("present", "--edges", f"1-{VAST}"), f"vertex {VAST}"),
+    (("realize", "--family", "A", "--n", VAST), f"--n {VAST}"),
 ], ids=["realize", "certify", "match", "present", "edges", "edges-n",
-        "edges-5000-digits"])
+        "edges-5000-digits", "n-5000-digits"])
 def test_n_above_the_cap_is_refused_before_anything_is_built(
         capsys, monkeypatch, argv, what):
     """An --n or vertex above cli.MAX_N exits 2 with one line and no
@@ -291,6 +292,24 @@ def test_n_above_the_cap_is_refused_before_anything_is_built(
     assert code == 2 and out == ""
     assert err == (f"parameter error: {what} is above {cli.MAX_N}, the "
                    f"largest supported\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("certify", "--family", "A", "--n", "5", "--field", "gf", VAST),
+     f"--field gf takes a prime of at most {cli.MAX_PRIME_DIGITS} digits, "
+     f"got one of 5000"),
+    (("certify", "--family", "A", "--n", f"-{VAST}"),
+     f"--n -{VAST} is below -{cli.MAX_N}"),
+], ids=["field-gf", "negative-n"])
+def test_numbers_too_long_for_int_are_parameter_errors(capsys, monkeypatch,
+                                                       argv, message):
+    """A --field gf prime or an --n with more digits than int() converts
+    exits 2 with one line that names the flag, and certifies nothing."""
+    monkeypatch.setattr(cli.certify, "certify_family",
+                        lambda *a, **k: pytest.fail("certified"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"parameter error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

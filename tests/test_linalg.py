@@ -249,6 +249,17 @@ def test_packed_kernels_at_the_slot_width_bound(name):
                      for c, b in zip(coords, alg.basis())], n)
     assert alg.from_coords(coords) == _rows(K, want)
     assert alg.from_coords([p - 1] * alg.dim) == _rows(K, want)
+    # mat_lincomb at 2N terms (the bracket's slot width) and at 2N + 1
+    # (a wider one), every term a product (p-1)*(p-1), on operands that
+    # keep their packed rows from call to call and from kernel to kernel
+    a, b = linalg.Rows(_rows(K, full)), linalg.Rows(_rows(K, tri))
+    for count in (2 * n, 2 * n + 1, 2 * n):
+        for ops in ((a,) * count, (a, b) * (count // 2) + (a,) * (count % 2)):
+            terms = [(top, m) for m in ops]
+            assert linalg.mat_lincomb(K, terms, n) == _rows(
+                K, _fold(K, [(top, _matrix(K, m)) for m in ops], n))
+        assert linalg.mat_bracket(K, a, b) == \
+            _rows(K, _reference_bracket(full, tri))
     for terms in (1, 2 * n, alg.dim):
         w = linalg._slot_width(p, terms)
         row = linalg._pack({k: p - 1 for k in range(n)}, w)
@@ -462,13 +473,22 @@ def test_mat_bracket_property_antisymmetry_and_jacobi(name, data):
 @PROPERTY
 @given(data=st.data())
 def test_mat_lincomb_property_against_dense_fold(name, data):
+    """Several calls on the same three operands, each of which may occur
+    in several terms, with brackets between them: over GF(p) the
+    operands keep their packed rows across calls and kernels, and up to
+    9 terms on n <= 7 rows cross the bracket's 2N terms for small n."""
     K = PROPERTY_FIELDS[name]
     n, mats = data.draw(payload_matrices(K, 3))
-    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=3,
-                                max_size=3))
-    terms = [(K(c), m) for c, m in zip(coeffs, mats)]
-    assert linalg.mat_lincomb(K, terms, n) == _rows(
-        K, _fold(K, [(c, _matrix(K, m)) for c, m in terms], n))
+    mats = [linalg.Rows(m) for m in mats]
+    for _ in range(3):
+        picks = data.draw(st.lists(st.tuples(st.integers(-5, 5),
+                                             st.integers(0, 2)),
+                                   min_size=1, max_size=9))
+        terms = [(K(c), mats[i]) for c, i in picks]
+        assert linalg.mat_lincomb(K, terms, n) == _rows(
+            K, _fold(K, [(c, _matrix(K, m)) for c, m in terms], n))
+        assert linalg.mat_bracket(K, mats[0], mats[1]) == _rows(
+            K, _reference_bracket(_matrix(K, mats[0]), _matrix(K, mats[1])))
 
 
 @FIELD_NAMES
@@ -484,6 +504,10 @@ def test_matrix_context_edge_property(name, data):
     assert ctx.element(m) == a
     assert ctx.external(ctx.element(m)) == m
     assert ctx.element(a) is a
+    # an element passes `element` as itself, and so keeps its packed rows
+    e = ctx.element(m)
+    for x in (e, ctx.bracket(e, e), ctx.lincomb([(2, e)])):
+        assert isinstance(x, linalg.Rows) and ctx.element(x) is x
     assert ctx.vector(m) == linalg.sparse(K, [x for row in m for x in row])
     assert all(isinstance(x, FieldElement) and x.field is K
                for row in ctx.external(a) for x in row)
@@ -646,3 +670,28 @@ def test_trace_product_over_gf_p_matches_dense_trace(name):
             got = linalg.trace_product(K, _rows(K, a), _rows(K, b))
             assert got == sum((ab[i][i] for i in range(n)), K.zero)
             assert isinstance(got.v, int) and 0 <= got.v < p
+
+
+def test_a_gf_p_matrix_is_packed_once(F, monkeypatch):
+    """Bracketing the same two elements again, and combining elements
+    already packed, make no `_pack` call: each element keeps its packed
+    rows.  The context's generators are elements from the start."""
+    mats, _ = build_generators("D", 5, F, (F(2), F(3)))
+    ctx = MatrixLieAlgebra(F, 10, [], mats)
+    x, y = ctx.generators_list[:2]
+    assert all(isinstance(g, linalg.Rows) for g in ctx.generators_list)
+    packs = []
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack",
+                        lambda v, w: packs.append(w) or pack(v, w))
+    xy = ctx.bracket(x, y)
+    x_xy = ctx.bracket(x, xy)
+    assert packs
+    packs.clear()
+    assert ctx.bracket(x, y) == xy and ctx.bracket(x, xy) == x_xy
+    assert ctx.bracket(y, x) == ctx.lincomb([(-1, xy)])
+    combo = ctx.lincomb([(2, x), (-1, y), (3, xy), (1, x)])
+    assert packs == []
+    want = _fold(F, [(F(c), ctx.external(m))
+                     for c, m in ((3, x), (-1, y), (3, xy))], 10)
+    assert combo == _rows(F, want)
