@@ -26,10 +26,11 @@ class LieContext(Protocol):
     accepts both.  `lincomb(terms)` is sum c*a over the terms (c, a), c
     a FieldElement or an int.
     `vector(a)` gives the coordinates of a as a sparse payload vector
-    ``{index: payload}``, not to be modified, in a space of dimension
-    ``vector_dim``.  `basis()` spans the algebra; `form` is the
-    associative symmetric form, a FieldElement (the zero form for the
-    degenerate algebras L(Gamma, 0))."""
+    ``{index: payload}``, a new dict each call that the caller may
+    modify, in a space of dimension ``vector_dim``.  `basis()` spans
+    the algebra; `form` is the associative symmetric form, a
+    FieldElement (the zero form for the degenerate algebras
+    L(Gamma, 0))."""
 
     field: object
     vector_dim: int

@@ -274,7 +274,9 @@ class GradedLieAlgebra(MonomialTable):
         return not self.element(u)
 
     def vector(self, u):
-        return self.element(u)
+        """u as a new sparse payload vector, which the caller may
+        modify."""
+        return dict(self.element(u))
 
     def form(self, u, v):
         """The extremal form of L(Gamma, 0) is identically zero."""

@@ -415,7 +415,7 @@ class MatrixLieAlgebra:
 
     def vector(self, a):
         """The row-major sparse payload vector {i*N + j: payload}, a new
-        dict each call (`certify._check_model` reduces it in place)."""
+        dict each call, which the caller may modify."""
         return mat_vector(self.element(a))
 
     def basis(self):

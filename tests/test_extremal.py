@@ -156,6 +156,24 @@ def test_subalgebra_closure_dim_on_graded_algebra():
     assert subalgebra_closure_dim(L, L.generators()) == L.dim == 10
 
 
+@pytest.mark.parametrize("kind", ["graded", "matrix"])
+def test_a_context_vector_may_be_reduced_in_place(kind, sl5):
+    """`vector(a)` is a new dict each call: reducing it in place, as
+    `certify._check_model` does, leaves the element as it was."""
+    if kind == "graded":
+        ctx = build_L0(build_family_graph("C", 4), F)
+        x, y = ctx.generators()[:2]
+    else:
+        ctx, mats = sl5
+        x, y = (ctx.element(m) for m in mats[:2])
+    e = ctx.lincomb([(1, x), (3, y), (2, ctx.bracket(x, y))])
+    before = ctx.external(e)
+    v = ctx.vector(e)
+    F.axpy(v, F.one.v, dict(v))
+    assert v == {}
+    assert ctx.external(e) == before
+
+
 def test_check_premet_all_identities(sl5):
     alg, mats = sl5
     rng = random.Random(1)

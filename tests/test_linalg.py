@@ -560,7 +560,7 @@ def _as_columns(vectors, dim):
     return [[v[i] for v in vectors] for i in range(dim)]
 
 
-@SPAN_FIELDS
+@FIELD_NAMES
 @PROPERTY
 @given(data=st.data())
 def test_span_solver_property_interleaved(name, data):
@@ -568,8 +568,10 @@ def test_span_solver_property_interleaved(name, data):
     recombines the accepted vectors to the vector asked about, exactly,
     and equals the unique solution `solve` finds.  A second span that
     gets the same add and contains calls but is never asked for
-    coordinates answers the same and holds no expression row."""
-    K = KERNEL_FIELDS[name]
+    coordinates answers the same and holds no expression row.  Over
+    GF(5) the deferred sums are the smallest, and over GF(2^61 - 1) the
+    widest."""
+    K = PROPERTY_FIELDS[name]
     dim = data.draw(st.integers(1, 6))
     entry = _payloads(K).map(lambda x: FieldElement(K, x))
     raw = st.lists(entry, min_size=dim, max_size=dim)
@@ -608,7 +610,8 @@ def test_span_solver_property_interleaved(name, data):
 @SPAN_FIELDS
 def test_span_solver_expressions_match_eager_reduction(name):
     """The expression rows replayed from the recorded steps are those an
-    eager reduction builds alongside each accepted row, bit for bit."""
+    eager reduction builds alongside each accepted row, bit for bit,
+    with each row's lead at its largest column as in `SpanSolver.add`."""
     K = KERNEL_FIELDS[name]
     rng = random.Random(41)
     dim = 7
@@ -624,7 +627,7 @@ def test_span_solver_expressions_match_eager_reduction(name):
             continue
         for k, c in hits:
             K.axpy(e, c, exprs[k])
-        lc = min(v)
+        lc = max(v)
         inv = K.div(K.one.v, v[lc])
         e[len(rows)] = K.one.v
         rows.append(linalg._scaled(K, v, inv))
@@ -636,6 +639,42 @@ def test_span_solver_expressions_match_eager_reduction(name):
     ss.sparse_coords({})
     assert ss.expr == exprs
     assert [list(e) for e in ss.expr] == [list(e) for e in exprs]
+
+
+def test_span_solver_over_gf5_reads_leads_mod_5():
+    """Rows u0 = (0, 3, 1) (lead 2) and u1 = (1, 1, 0) (lead 1).  Row 0
+    is hit with c = 2 and leaves the int y - 6 at column 1, the lead of
+    row 1: for y = 1 that is -5, a nonzero int that is zero mod 5, so
+    row 1 is not hit; for y = 2 it is -4, so row 1 is hit with c = 1,
+    not -4.  The recorded steps are the eager ones, and add, contains
+    and sparse_coords agree with rref and solve."""
+    K = PrimeField(5)
+    vectors = [{1: 3, 2: 1}, {0: 1, 1: 1}]
+    ss = linalg.SpanSolver(K, 3)
+    assert all(ss.add(u) for u in vectors) and ss.lead == [2, 1]
+    dense = [linalg.dense(K, u, 3) for u in vectors]
+    columns = _as_columns(dense, 3)
+    cases = [({1: 1, 2: 2}, [(0, 2)]),
+             ({0: 1, 1: 1, 2: 2}, [(0, 2)]),
+             ({0: 3, 1: 1, 2: 2}, [(0, 2)]),
+             ({0: 1, 1: 2, 2: 2}, [(0, 2), (1, 1)]),
+             ({1: 2, 2: 2}, [(0, 2), (1, 1)])]
+    for v, want in cases:
+        deferred, eager, hits, eager_hits = dict(v), dict(v), [], []
+        linalg._reduce_mod(5, deferred, ss.rows, ss.lead, hits)
+        linalg._reduce(K.axpy, eager, ss.rows, ss.lead, eager_hits)
+        assert hits == eager_hits == want and deferred == eager
+        dense_v = linalg.dense(K, v, 3)
+        inside = linalg.rref(dense + [dense_v])[2] == 2
+        assert ss.contains(v) == inside == (not eager)
+        coords = ss.sparse_coords(v)
+        solution = linalg.solve(columns, dense_v)
+        if inside:
+            assert linalg.dense(K, coords, 2) == solution
+        else:
+            assert coords is None and solution is None
+    assert ss.add({1: 2, 2: 2}) and ss.steps[-1] == ([(0, 2), (1, 1)], 4)
+    assert ss.rank == 3 and ss.lead == [2, 1, 0]
 
 
 def test_mat_bracket_with_a_zero_operand(kernel_field):
