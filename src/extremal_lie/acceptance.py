@@ -182,7 +182,7 @@ def _random_siegel_line(rng, form, pool):
     line = pool[rng.randrange(len(pool))]
     for _ in range(rng.randint(1, 3)):
         by = pool[rng.randrange(len(pool))]
-        t = form.gram[0][0].field(rng.randint(-3, 3))
+        t = form.field(rng.randint(-3, 3))
         line = exp_siegel_action(form, t, by, line)
     return line
 

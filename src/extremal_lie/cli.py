@@ -12,9 +12,12 @@ Four commands:
 
 Exit codes: 0 on success, 1 when a check fails or standard output is
 closed early (a broken pipe, which is not reported), 2 on usage or
-parameter errors, among them an --n or graph vertex above MAX_N.  All
-numeric literals are exact rationals ("p/q"); the environment variable
-EXTREMAL_LIE_SEED overrides ``--seed``.
+parameter errors, among them an --n or graph vertex above MAX_N.
+Exit 2 is decided once, in `main`: a UsageError from any command
+prints ``error: ...``, and a BoundsViolation or InvalidParameters
+``parameter error: ...``; the commands catch only the failures that
+exit 1.  All numeric literals are exact rationals ("p/q"); the
+environment variable EXTREMAL_LIE_SEED overrides ``--seed``.
 """
 
 import argparse
@@ -160,25 +163,19 @@ def emit(args, text):
 
 def cmd_present(args):
     field = make_field(args.field)
-    try:
-        args.n = check_size(args.n)
-        if args.edges is not None:
-            if args.family:
-                raise UsageError("--edges builds its own graph: drop "
-                                 "--family")
-            edges = parse_edges(args.edges)
-            n = args.n if args.n is not None else max(max(e) for e in edges)
-            graph = graph_from_edges(n, edges)
-            expected = None
-        else:
-            if not args.family or args.n is None:
-                raise UsageError(
-                    "present needs --family/--n or --edges")
-            graph = build_family_graph(args.family, args.n)
-            expected = expected_catalog_size(args.family, args.n)
-    except ValueError as exc:  # BoundsViolation or an edge outside 1..n
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
+    args.n = check_size(args.n)
+    if args.edges is not None:
+        if args.family:
+            raise UsageError("--edges builds its own graph: drop --family")
+        edges = parse_edges(args.edges)
+        n = args.n if args.n is not None else max(max(e) for e in edges)
+        graph = graph_from_edges(n, edges)
+        expected = None
+    else:
+        if not args.family or args.n is None:
+            raise UsageError("present needs --family/--n or --edges")
+        graph = build_family_graph(args.family, args.n)
+        expected = expected_catalog_size(args.family, args.n)
     try:
         L = build_L0(graph, field)
     except TruncatedAtCap as exc:
@@ -218,14 +215,9 @@ def cmd_realize(args):
     if not args.family or args.n is None:
         raise UsageError("realize needs --family and --n")
     params = collect_params(args)
-    try:
-        args.n = check_size(args.n)
-        mats, _ = build_generators(
-            args.family, args.n, field,
-            tuple(field_elem(field, p) for p in params))
-    except (InvalidParameters, BoundsViolation) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
+    args.n = check_size(args.n)
+    mats, _ = build_generators(args.family, args.n, field,
+                               tuple(field_elem(field, p) for p in params))
     alg = lie_closure(mats, field)
     gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
@@ -288,14 +280,11 @@ def cmd_certify(args):
     params = collect_params(args)
     other = (parse_match_spec(args.family, args.match_against)
              if args.match_against is not None else None)
+    args.n = check_size(args.n)
+    fparams = tuple(field_elem(field, p) for p in params)
     try:
-        args.n = check_size(args.n)
-        fparams = tuple(field_elem(field, p) for p in params)
         report = certify.certify_family(
             args.family, args.n, fparams, field=field, seed=args.seed)
-    except (InvalidParameters, BoundsViolation) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
     except certify.CertifyError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
@@ -312,9 +301,6 @@ def cmd_certify(args):
             cert = certify.match_algebras(
                 MatrixLieAlgebra(field, n, [], mats1), mats1,
                 MatrixLieAlgebra(field, n, [], mats2), mats2, args.family)
-        except (InvalidParameters, BoundsViolation) as exc:
-            print(f"parameter error: {exc}", file=sys.stderr)
-            return 2
         except certify.CertifyError as exc:
             print(f"matching failed: {exc}", file=sys.stderr)
             return 1
@@ -419,7 +405,7 @@ def main(argv=None):
     except (UsageError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BoundsViolation as exc:   # from make_field
+    except (BoundsViolation, InvalidParameters) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 
 class BoundsViolation(ValueError):
-    """The requested n is below the minimum for the family, or above
-    what the command line takes."""
+    """The requested n is below the minimum for the family or above
+    what the command line takes, or a graph edge has an end outside
+    1..n."""
 
 
 FAMILY_MIN_N = {"A": 4, "B": 5, "C": 2, "D": 5}
@@ -41,8 +42,8 @@ class SimpleGraph:
         for e in self.edges:
             ends = sorted(e)
             if len(ends) != 2 or not 1 <= ends[0] < ends[1] <= self.n:
-                raise ValueError(f"bad edge {'-'.join(map(str, ends))} "
-                                 f"for n={self.n}")
+                raise BoundsViolation(f"bad edge {'-'.join(map(str, ends))}"
+                                      f" for n={self.n}")
 
     def has_edge(self, i, j):
         return frozenset((i, j)) in self.edges

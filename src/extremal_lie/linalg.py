@@ -64,19 +64,14 @@ serve `rref`, `solve`, `SpanSolver` (FieldElement input and the output
 of `coords`), the Lie contexts' `element` and `external`, and the glue
 rows of `certify.match_algebras`.  The realization
 builders in :mod:`extremal_lie.realizations` assemble the generating
-matrices from vectors and bilinear forms with the FieldElement helpers
-`zeros`, `mat_vec`, `transpose`, `dot`, `vec_add`, `vec_sub` and
+matrices from vectors and the covectors of bilinear forms with the
+FieldElement vector helpers `dot`, `vec_add`, `vec_sub` and
 `vec_scale`.
 """
 
 from functools import partial
 
 from .fields import DescriptorMismatch, FieldElement, PrimeField
-
-
-def zeros(field, rows, cols):
-    z = field.zero
-    return [[z] * cols for _ in range(rows)]
 
 
 def sparse(field, vec):
@@ -256,28 +251,11 @@ def _packed_bracket(p, a, b):
     return Rows(out)
 
 
-def mat_vec(a, v):
-    field = v[0].field
-    zero = field.zero
-    out = []
-    for row in a:
-        s = zero
-        for c, x in zip(row, v):
-            if not c.is_zero() and not x.is_zero():
-                s = s + c * x
-        out.append(s)
-    return out
-
-
 def mat_vector(a):
     """The row-major sparse payload vector {i*N + j: payload} of an
     N x N matrix given as payload rows."""
     n = len(a)
     return {i * n + j: x for i, row in enumerate(a) for j, x in row.items()}
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def trace_product(field, a, b):

@@ -10,8 +10,10 @@ transvections and Siegel elements.
 
 :func:`lie_closure` grows the Lie span of a generating set and wraps it
 in a :class:`MatrixLieAlgebra` context usable by the generic extremal
-machinery.  The builders work on FieldElement vectors and matrices;
-the context converts each generator once into sparse payload rows.
+machinery.  A bilinear form is its nonzero Gram entries, and the
+builders make every generator and special vector from FieldElement
+vectors and the form's covectors B(u, .); the context converts each
+generator once into sparse payload rows.
 """
 
 from . import linalg
@@ -19,8 +21,7 @@ from .extremal import extremal_form_value
 from .fields import NoSquareRoot, quadratic_roots
 from .graphs import check_family_n
 from .linalg import (Rows, SpanSolver, basis_lincomb, dense, mat_bracket,
-                     mat_lincomb, mat_vec, mat_vector, sparse, trace_product,
-                     zeros)
+                     mat_lincomb, mat_vector, sparse, trace_product)
 
 
 class InvalidParameters(ValueError):
@@ -37,48 +38,56 @@ class NotIsotropic(ValueError):
 # ---------------------------------------------------------------------------
 
 class BilinearForm:
-    """A bilinear form given by its Gram matrix."""
+    """A bilinear form on F^dim, stored as its nonzero Gram entries
+    {(i, j): g_ij}: B(u, v) = sum g_ij u_i v_j."""
 
-    def __init__(self, gram):
-        self.gram = gram
-        self.dim = len(gram)
-        self.field = gram[0][0].field
+    def __init__(self, field, dim, entries):
+        self.field = field
+        self.dim = dim
+        self.entries = entries
+
+    def covector(self, u):
+        """The covector B(u, .) = u^T G, as a FieldElement vector."""
+        out = [self.field.zero] * self.dim
+        for (i, j), g in self.entries.items():
+            x = u[i]
+            if not x.is_zero():
+                out[j] = out[j] + g * x
+        return out
 
     def apply(self, u, v):
-        return linalg.dot(u, mat_vec(self.gram, v))
+        return linalg.dot(self.covector(u), v)
+
+
+def _hyperbolic(field, m, sign):
+    """The Gram entries of the pairing B(e_i, f_i) = 1,
+    B(f_i, e_i) = sign on the basis e_1..e_m, f_1..f_m of F^{2m}."""
+    one = field.one
+    back = one * sign
+    entries = {}
+    for i in range(m):
+        entries[i, m + i] = one
+        entries[m + i, i] = back
+    return entries
 
 
 def symplectic_form(field, m):
     """The 2m x 2m form [[0, I], [-I, 0]]."""
-    g = zeros(field, 2 * m, 2 * m)
-    one = field.one
-    for i in range(m):
-        g[i][m + i] = one
-        g[m + i][i] = -one
-    return BilinearForm(g)
+    return BilinearForm(field, 2 * m, _hyperbolic(field, m, -1))
 
 
 def orthogonal_form_even(field, m):
     """The 2m x 2m symmetric form [[0, I], [I, 0]] (hyperbolic basis
     e_1..e_m, f_1..f_m)."""
-    g = zeros(field, 2 * m, 2 * m)
-    one = field.one
-    for i in range(m):
-        g[i][m + i] = one
-        g[m + i][i] = one
-    return BilinearForm(g)
+    return BilinearForm(field, 2 * m, _hyperbolic(field, m, 1))
 
 
 def orthogonal_form_odd(field, m):
     """The (2m+1) x (2m+1) form with hyperbolic part [[0,I],[I,0]] and an
     extra vector g with B(g, g) = 2."""
-    g = zeros(field, 2 * m + 1, 2 * m + 1)
-    one = field.one
-    for i in range(m):
-        g[i][m + i] = one
-        g[m + i][i] = one
-    g[2 * m][2 * m] = one * 2
-    return BilinearForm(g)
+    entries = _hyperbolic(field, m, 1)
+    entries[2 * m, 2 * m] = field.one * 2
+    return BilinearForm(field, 2 * m + 1, entries)
 
 
 def basis_vector(field, dim, idx):
@@ -114,7 +123,7 @@ def transvection(x, h):
 
 def symplectic_transvection(form, y):
     """u(y) = y (y^T M): v -> B(y, v) y for the symplectic form M."""
-    my = mat_vec(linalg.transpose(form.gram), y)
+    my = form.covector(y)
     return [[yi * mj for mj in my] for yi in y]
 
 
@@ -122,15 +131,16 @@ def siegel(form, u, v):
     """T_{u,v}: w -> B(u,w) v - B(v,w) u, as the matrix
     v (Bu)^T - u (Bv)^T.  Requires <u, v> to be a 2-dimensional totally
     isotropic subspace."""
-    B = form.apply
-    if not (B(u, u).is_zero() and B(u, v).is_zero() and B(v, v).is_zero()):
+    bu = form.covector(u)
+    bv = form.covector(v)
+    dot = linalg.dot
+    if not (dot(bu, u).is_zero() and dot(bu, v).is_zero()
+            and dot(bv, v).is_zero()):
         raise NotIsotropic("the line <u,v> is not totally isotropic")
     ss = SpanSolver(form.field, form.dim)
     ss.add(u)
     if not ss.add(v):
         raise NotIsotropic("u and v are linearly dependent")
-    bu = mat_vec(linalg.transpose(form.gram), u)
-    bv = mat_vec(linalg.transpose(form.gram), v)
     dim = len(u)
     return [[v[i] * bu[j] - u[i] * bv[j] for j in range(dim)]
             for i in range(dim)]
@@ -200,11 +210,11 @@ def derive_special_vector(n, beta, field, alpha, force_c=None):
     us, vs = _d_line_vectors(n, beta, field)
     rows, rhs0, rhs1 = [], [], []
     for i, u in enumerate(us, start=1):
-        rows.append(mat_vec(linalg.transpose(form.gram), u))
+        rows.append(form.covector(u))
         rhs0.append(field.one if i == 3 else field.zero)
         rhs1.append(field.one if i == 3 else field.zero)
     for i, v in enumerate(vs, start=1):
-        rows.append(mat_vec(linalg.transpose(form.gram), v))
+        rows.append(form.covector(v))
         rhs0.append(field.zero)
         rhs1.append(field.one if i == 3 else field.zero)
     t0 = linalg.solve(rows, rhs0)

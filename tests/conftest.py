@@ -1,6 +1,6 @@
 """Fields shared by the kernel differential tests, seeded random
-elements and sparse payload vectors over them, and closures lifted into
-an extension."""
+elements and sparse payload vectors over them, a reference
+matrix-vector product, and closures lifted into an extension."""
 
 from fractions import Fraction
 
@@ -49,6 +49,13 @@ def random_element(field, rng, zero_rate=0.3):
 
 def random_vector(field, rng, length, zero_rate=0.5):
     return [random_element(field, rng, zero_rate) for _ in range(length)]
+
+
+def mat_vec(m, x):
+    """The product m x of a FieldElement matrix and vector, summed term
+    by term: the reference the solver and form tests compare against."""
+    zero = x[0].field.zero
+    return [sum((a * b for a, b in zip(row, x)), zero) for row in m]
 
 
 def lift_rows(field, rows, target):

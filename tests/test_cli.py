@@ -8,8 +8,9 @@ import pytest
 
 from extremal_lie import cli
 from extremal_lie.cli import main
-from extremal_lie.graphs import FAMILY_MIN_N
+from extremal_lie.graphs import FAMILY_MIN_N, BoundsViolation
 from extremal_lie.presentation import TruncatedAtCap
+from extremal_lie.realizations import InvalidParameters
 
 
 def run(capsys, *argv):
@@ -325,6 +326,27 @@ def test_n_at_the_cap_passes_the_size_check(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_L0", stop)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: stub\n")
+
+
+@pytest.mark.parametrize("error", [InvalidParameters, BoundsViolation])
+@pytest.mark.parametrize("owner,name,argv", [
+    (cli, "build_generators", ("realize", "--family", "C", "--n", "4")),
+    (cli.certify, "certify_family", ("certify", "--family", "C", "--n", "4")),
+    (cli.certify, "match_algebras",
+     ("certify", "--family", "B", "--n", "5", "--gamma", "1", "--field",
+      "gf", "101", "--match-against", "gamma=2")),
+    (cli, "graph_from_edges", ("present", "--edges", "1-2")),
+], ids=["realize", "certify", "match", "present-edges"])
+def test_parameter_errors_exit_2_from_main(capsys, monkeypatch, error, owner,
+                                           name, argv):
+    """A parameter error raised by whatever a command calls exits 2 with
+    one `parameter error:` line and no report: `main` maps it, not the
+    command."""
+    def fail(*args, **kwargs):
+        raise error("stub")
+
+    monkeypatch.setattr(owner, name, fail)
+    assert run(capsys, *argv) == (2, "", "parameter error: stub\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KERNEL_FIELDS, lift_rows, random_element, random_vector
+from conftest import (KERNEL_FIELDS, lift_rows, mat_vec, random_element,
+                      random_vector)
 from extremal_lie import linalg
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
                                  FieldElement, PrimeField, QQ,
@@ -35,9 +36,9 @@ def test_solve_consistent_and_inconsistent(F):
     rng = random.Random(3)
     m = _rand_matrix(F, rng, 4, 4)
     x = [F(rng.randint(-9, 9)) for _ in range(4)]
-    rhs = linalg.mat_vec(m, x)
+    rhs = mat_vec(m, x)
     got = linalg.solve(m, rhs)
-    assert got is not None and linalg.mat_vec(m, got) == rhs
+    assert got is not None and mat_vec(m, got) == rhs
     singular = [[F(1), F(2)], [F(2), F(4)]]
     assert linalg.solve(singular, [F(0), F(1)]) is None
 
@@ -396,10 +397,10 @@ def test_rref_and_solve_wrapper_shapes(kernel_field):
     rng = random.Random(31)
     for m in _echelon_cases(F, rng):
         x = random_vector(F, rng, len(m[0]))
-        rhs = linalg.mat_vec(m, x)
+        rhs = mat_vec(m, x)
         got = linalg.solve(m, rhs)
         assert got is not None and len(got) == len(m[0])
-        assert linalg.mat_vec(m, got) == rhs
+        assert mat_vec(m, got) == rhs
         red, pivots, rank = _reference_rref([row + [b]
                                              for row, b in zip(m, rhs)])
         want = [F.zero] * len(m[0])

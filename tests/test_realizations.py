@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import mat_vec, random_vector
 from extremal_lie import linalg
-from extremal_lie.fields import DEFAULT_PRIME, PrimeField
+from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
                                        NotIsotropic,
                                        basis_vector, build_generators,
@@ -79,9 +81,47 @@ def test_siegel_matrices_preserve_the_form():
     for _ in range(10):
         x = [F(rng.randint(-5, 5)) for _ in range(8)]
         y = [F(rng.randint(-5, 5)) for _ in range(8)]
-        assert (form.apply(linalg.mat_vec(T, x), y)
-                + form.apply(x, linalg.mat_vec(T, y))).is_zero()
-    assert siegel_apply(form, u, v, e(5)) == linalg.mat_vec(T, e(5))
+        assert (form.apply(mat_vec(T, x), y)
+                + form.apply(x, mat_vec(T, y))).is_zero()
+    assert siegel_apply(form, u, v, e(5)) == mat_vec(T, e(5))
+
+
+FORM_FIELDS = {"QQ": QQ, "GF(p)": F, "GF(5)": PrimeField(5)}
+#: each form builder, with the sign of B(f_i, e_i) and whether it adds
+#: the vector g with B(g, g) = 2
+FORMS = {"symplectic": (symplectic_form, -1, False),
+         "orthogonal-even": (orthogonal_form_even, 1, False),
+         "orthogonal-odd": (orthogonal_form_odd, 1, True)}
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(list(FORM_FIELDS)), st.sampled_from(list(FORMS)),
+       st.integers(1, 5), st.integers(0, 2 ** 32))
+def test_forms_pair_as_the_explicit_formula(field_name, kind, m, seed):
+    """apply(u, v) and dot(covector(u), v) both equal
+    sum(u_i v_{m+i} +- u_{m+i} v_i), plus 2 u_{2m} v_{2m} for the odd
+    form; the orthogonal forms are symmetric, the symplectic one
+    alternating."""
+    field = FORM_FIELDS[field_name]
+    make, sign, odd = FORMS[kind]
+    form = make(field, m)
+    dim = 2 * m + odd
+    assert (form.field, form.dim) == (field, dim)
+    rng = random.Random(seed)
+    u = random_vector(field, rng, dim)
+    v = random_vector(field, rng, dim)
+    want = field.zero
+    for i in range(m):
+        want = want + u[i] * v[m + i] + u[m + i] * v[i] * sign
+    if odd:
+        want = want + u[2 * m] * v[2 * m] * 2
+    assert form.apply(u, v) == want
+    assert linalg.dot(form.covector(u), v) == want
+    if sign == 1:
+        assert form.apply(v, u) == want
+    else:
+        assert form.apply(u, u).is_zero() and form.apply(v, v).is_zero()
+        assert form.apply(v, u) == -want
 
 
 def test_siegel_requires_isotropic_line():
@@ -99,8 +139,8 @@ def test_symplectic_transvection_in_sp():
     for _ in range(10):
         a = [F(rng.randint(-5, 5)) for _ in range(6)]
         b = [F(rng.randint(-5, 5)) for _ in range(6)]
-        assert (form.apply(linalg.mat_vec(T, a), b)
-                + form.apply(a, linalg.mat_vec(T, b))).is_zero()
+        assert (form.apply(mat_vec(T, a), b)
+                + form.apply(a, mat_vec(T, b))).is_zero()
 
 
 def test_form_calibration_symmetric_and_associative():
