@@ -75,9 +75,8 @@ from .fields import (FieldElement, NoSquareRoot, QuadraticExtension,
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import MonomialTable, evaluate_monomial
-from .extremal import (_form_of_bracket, extremal_form_value, is_extremal,
-                       fixtriangle, check_premet, triangle_open,
-                       HypothesisFailed)
+from .extremal import (extremal_form_value, is_extremal, fixtriangle,
+                       check_premet, triangle_open, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
                            InvalidParameters, d_open_conditions,
                            generators_D, generators_B)
@@ -248,18 +247,18 @@ class ScaledContext:
     the base field: [c a, d b] = cd [a, b] is one base bracket, and a
     combination is its first coefficient times a base combination
     (ValueError when a ratio of coefficients is not in the base field).
-    Coordinate vectors are scaled into `field`, where form values are
-    read.  It holds generators only, with no basis and no form; `lifts`
-    lists each radicand adjoined, in order, with the step that needed
-    it."""
+    A form value is read in the base context and scaled into `field`,
+    f(c a, d b) = cd f(a, b) by bilinearity, so no vector enters the
+    extension.  It holds generators only, with no basis, no form and
+    no coordinate vectors; `lifts` lists each radicand adjoined, in
+    order, with the step that needed it."""
 
     def __init__(self, base, field=None):
         self.base = base
         self.field = base.field if field is None else field
-        self.vector_dim = base.vector_dim
         self.lifts = []
-        # payload maps between the base field and `field`
-        self._up, self._down = tower_maps(base.field, self.field)
+        # the payload map from `field` down to the base field
+        self._down = tower_maps(base.field, self.field)[1]
 
     def _scalar(self, c):
         """c, an int or an element of a level of the tower, in `field`."""
@@ -302,11 +301,16 @@ class ScaledContext:
         x = self.element(x)
         return x.c.is_zero() or self.base.is_zero(x.a)
 
-    def vector(self, x):
-        x = self.element(x)
-        c = self._scalar(x.c).v
-        up, mul = self._up, self.field.mul
-        return {j: mul(c, up(v)) for j, v in self.base.vector(x.a).items()}
+    def extremal_value(self, x, y):
+        """f(c a, d b) = cd f(a, b), with f(a, b) from the base context
+        and d = 0 giving 0 without it.  ValueError for x = 0."""
+        x, y = self.element(x), self.element(y)
+        if x.c.is_zero():
+            raise ValueError("x is zero")
+        cd = self._scalar(x.c) * self._scalar(y.c)
+        if cd.is_zero():
+            return cd
+        return cd * self._scalar(self.base.extremal_value(x.a, y.a))
 
     def root(self, c, step):
         """The square root of c in `field`.  A missing root is adjoined:
@@ -322,7 +326,7 @@ class ScaledContext:
                     f"square roots missing after {MAX_LIFTS} quadratic "
                     f"extensions") from None
         self.field = QuadraticExtension(self.field, c)
-        self._up, self._down = tower_maps(self.base.field, self.field)
+        self._down = tower_maps(self.base.field, self.field)[1]
         self.lifts.append((c, step))
         return lift_element(c, self.field).sqrt()
 
@@ -528,12 +532,13 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
 
     By Jacobi, which matrix commutators satisfy exactly, the left side
     is the single nested bracket m = [xk,[y,[xk,t]]], and the form being
-    bilinear, Q3a's left side is f(u, m).  [xk,[y,t]] is formed as
-    [[xk,y],t] + [y,[xk,t]], reusing [y,[xk,t]]; [xk,t] and [xk,y] are
-    formed once and serve both the right side and the form values
-    f(xk,t) and f(xk,y) that they start: 9 brackets per sample.  Each
-    matrix equals, entry for entry, the one the six-bracket expansion
-    forms, so every flag (and every NotExtremal) is unchanged.
+    bilinear, Q3a's left side is f(u, m).  The check forms [xk,t], y,
+    [y,[xk,t]], m, [xk,y] and [y,t], each once: 6 brackets per sample.
+    The form values f(xk,t), f(xk,y) and f(xk,[y,t]) add none where the
+    context reads them without brackets, as a matrix context does for
+    a square-zero xk.  Each matrix and value equals the one the
+    six-bracket expansion forms, so every flag (and every NotExtremal)
+    is unchanged.
     """
     br = ctx.bracket
     half = ctx.field.one / 2
@@ -542,10 +547,10 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
     y_xk_t = br(y, xk_t)
     m = br(xk, y_xk_t)
     xk_y = br(xk, y)
-    xk_yt = ctx.lincomb([(1, br(xk_y, t)), (1, y_xk_t)])
-    fk_yt = _form_of_bracket(ctx, xk, xk_yt)
-    fk_t = _form_of_bracket(ctx, xk, xk_t)
-    fk_y = _form_of_bracket(ctx, xk, xk_y)
+    yt = br(y, t)
+    fk_yt = extremal_form_value(ctx, xk, yt)
+    fk_t = extremal_form_value(ctx, xk, t)
+    fk_y = extremal_form_value(ctx, xk, y)
     q3 = ctx.is_zero(ctx.lincomb([(1, m), (-half * fk_yt, xk),
                                   (half * fk_t, xk_y), (half * fk_y, xk_t)]))
     lhs_a = ctx.form(u, m)

@@ -6,6 +6,15 @@ the `LieContext` protocol.  Both
 :class:`~extremal_lie.presentation.GradedLieAlgebra` (payload vectors
 over its basis) and :class:`~extremal_lie.realizations.MatrixLieAlgebra`
 (payload matrix rows) are Lie contexts.
+
+Every extremal form value goes through `extremal_form_value`, which
+asks the context (`LieContext.extremal_value`).  The definition,
+[x, [x, y]] = f_x(y) x, costs two brackets (`bracket_form_value`), and
+the graded algebras use it.  A matrix context reads the value of a
+square-zero x from its rank factors instead, with no bracket:
+(ad x)^2 y = x^2 y - 2xyx + yx^2 = -2xyx there, and every extremal
+element of the classical realizations, a transvection or a Siegel
+element, squares to zero.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -30,7 +39,12 @@ class LieContext(Protocol):
     modify, in a space of dimension ``vector_dim``.  `basis()` spans
     the algebra; `form` is the associative symmetric form, a
     FieldElement (the zero form for the degenerate algebras
-    L(Gamma, 0))."""
+    L(Gamma, 0)).  `extremal_value(x, y)` is the extremal form value
+    f_x(y) of `extremal_form_value`: the FieldElement with
+    [x, [x, y]] = f_x(y) x, NotExtremal when [x, [x, y]] is off the
+    line through x, ValueError for x = 0.  A context whose elements are
+    multiples of those of a base context (`certify.ScaledContext`)
+    holds generators only and needs no `vector`, `basis` or `form`."""
 
     field: object
     vector_dim: int
@@ -50,6 +64,8 @@ class LieContext(Protocol):
     def basis(self): ...
 
     def form(self, a, b): ...
+
+    def extremal_value(self, x, y): ...
 
 
 class NotExtremal(ValueError):
@@ -86,14 +102,17 @@ def proportionality(ctx, x, w):
 
 
 def extremal_form_value(ctx, x, y):
-    """f_x(y), defined by [x, [x, y]] = f_x(y) x for extremal x."""
-    return _form_of_bracket(ctx, x, ctx.bracket(x, y))
+    """f_x(y), defined by [x, [x, y]] = f_x(y) x for extremal x: the
+    context's `extremal_value`.  Raises NotExtremal when [x, [x, y]] is
+    not a multiple of x, ValueError for x = 0."""
+    return ctx.extremal_value(x, y)
 
 
-def _form_of_bracket(ctx, x, xy):
-    """f_x(y) from the bracket xy = [x, y] already formed, so a caller
-    that needs [x, y] too forms it once."""
-    w = ctx.bracket(x, xy)
+def bracket_form_value(ctx, x, y):
+    """f_x(y) by its definition: [x, [x, y]] formed, two brackets, and
+    read as a multiple of x (`proportionality`).  The
+    `LieContext.extremal_value` of a context with no cheaper rule."""
+    w = ctx.bracket(x, ctx.bracket(x, y))
     try:
         return proportionality(ctx, x, w)
     except NotProportional:
@@ -109,14 +128,14 @@ class ExtremalCertificate:
 
 def is_extremal(ctx, x):
     """(True, certificate) if [x,[x,b]] stays on the line through x for
-    every basis element b; (False, None) otherwise."""
+    every basis element b, by `extremal_form_value`; (False, None)
+    otherwise."""
     x = ctx.element(x)
     values = []
     for b in ctx.basis():
-        w = ctx.bracket(x, ctx.bracket(x, b))
         try:
-            values.append(proportionality(ctx, x, w))
-        except NotProportional:
+            values.append(extremal_form_value(ctx, x, b))
+        except NotExtremal:
             return False, None
     return True, ExtremalCertificate(values)
 
@@ -189,16 +208,18 @@ def check_premet(ctx, x, y, z):
     AS: f(x, [y,z]) = f([x,y], z)    (associativity of the form)
     SM: f(y, z) = f(z, y)            (symmetry of the form)
 
-    Each of [x,y], [x,z] and [x,[y,[x,z]]] is formed once and serves
-    both its identity and the form value f(x, .) that it starts: 11
-    brackets per sample.
+    The identities need [x,y], [x,z], [y,z], [[x,y],[x,z]], [y,[x,z]]
+    and [x,[y,[x,z]]], each formed once: 6 brackets per sample.  The
+    form values f(x,y), f(x,z), f(x,[y,z]) and f(x,[y,[x,z]]) add none
+    where the context reads them without brackets, as a matrix context
+    does for a square-zero x.
     """
     br = ctx.bracket
     xy = br(x, y)
     xz = br(x, z)
     yz = br(y, z)
-    fxy = _form_of_bracket(ctx, x, xy)
-    fxz = _form_of_bracket(ctx, x, xz)
+    fxy = extremal_form_value(ctx, x, y)
+    fxz = extremal_form_value(ctx, x, z)
     fxyz = extremal_form_value(ctx, x, yz)
 
     p1 = ctx.is_zero(ctx.lincomb([(2, br(xy, xz)), (-fxyz, x), (-fxz, xy),
@@ -209,7 +230,7 @@ def check_premet(ctx, x, y, z):
     p2 = ctx.is_zero(ctx.lincomb([(2, x_yxz), (-fxyz, x), (fxz, xy),
                                   (fxy, xz)]))
 
-    p5 = (_form_of_bracket(ctx, x, x_yxz) + fxz * fxy).is_zero()
+    p5 = (extremal_form_value(ctx, x, yxz) + fxz * fxy).is_zero()
 
     as_ok = (ctx.form(x, yz) - ctx.form(xy, z)).is_zero()
     sm_ok = (ctx.form(y, z) - ctx.form(z, y)).is_zero()

@@ -14,7 +14,10 @@ sets ``v -= c*row`` in place and deletes entries that become zero (see
 `basis_lincomb` (of one fixed basis, as `MatrixLieAlgebra.from_coords`
 needs), the trace form `trace_product` and the row-major flattening
 `mat_vector`; `bracket_closure` grows the Lie span of a set of
-elements.
+elements.  A square-zero matrix x also has rank factors x = U R
+(`Rows.factors`, kept on the `Rows` like its packed rows), and
+`sandwich` forms the r x r matrix R y U from which
+`MatrixLieAlgebra.extremal_value` reads f_x(y) without a bracket.
 
 Over GF(p) `mat_bracket`, `mat_lincomb` and `basis_lincomb` run on
 packed rows instead of `axpy`: a row of residues becomes one Python int
@@ -69,6 +72,7 @@ FieldElement vector helpers `dot`, `vec_add`, `vec_sub` and
 `vec_scale`.
 """
 
+import operator
 from functools import partial
 
 from .fields import DescriptorMismatch, FieldElement, PrimeField
@@ -98,9 +102,11 @@ def dense(field, v, length):
 class Rows(tuple):
     """An N x N matrix as a tuple of N sparse payload rows, which are
     not modified once it is made.  Over GF(p) it keeps its rows packed
-    at the slot width of their last packing."""
+    at the slot width of their last packing, and over every field its
+    rank factors once asked for them (`factors`)."""
 
     width = None      # the slot width of `_ints`, once packed
+    _over = None      # the field of `_factors`, once factored
 
     def packed(self, w):
         """The rows packed at slot width w, an empty row as 0: packed
@@ -110,6 +116,55 @@ class Rows(tuple):
                                 for row in self])
             self.width = w
         return self._ints
+
+    def factors(self, field):
+        """The rank factors (R, U) of a square-zero matrix x = U R over
+        `field`, or None when x^2 != 0.  R is the nonzero rows of
+        `echelon` of x, r of them, and U the r columns of x at their
+        pivots, as sparse payload columns {row: payload}: row i of x is
+        sum_k x_{i,pivot k} R_k.  U is injective and R onto, so
+        x^2 = U (RU) R vanishes exactly when the r x r product RU does
+        (`sandwich` of the identity), which needs im x inside ker x, so
+        r <= N/2.  Factored the first time, and again only over another
+        field."""
+        if self._over is not field:
+            n = len(self)
+            rows, pivots = echelon(field, self)
+            cols = [{i: row[pc] for i, row in enumerate(self) if pc in row}
+                    for pc in pivots]
+            unit = [{i: field.one.v} for i in range(n)]
+            square_zero = 2 * len(rows) <= n and not any(
+                not field.is_zero(v)
+                for line in sandwich(field, (rows, cols), unit)
+                for v in line)
+            self._factors = (rows, cols) if square_zero else None
+            self._over = field
+        return self._factors
+
+
+def sandwich(field, factors, y):
+    """The r x r payload matrix R y U of the rank factors (R, U)
+    (`Rows.factors`) and a matrix y given as payload rows.  Entry (k, l)
+    sums R_ki y_ij U_jl over the supports of row k of R and column l of
+    U only; over GF(p) as ints, reduced once."""
+    rows, cols = factors
+    prime = isinstance(field, PrimeField)
+    add, mul, zero = ((operator.add, operator.mul, 0) if prime
+                      else (field.add, field.mul, field.zero.v))
+    out = []
+    for row in rows:
+        line = []
+        for col in cols:
+            s = zero
+            for i, r in row.items():
+                yi = y[i]
+                for j, u in col.items():
+                    b = yi.get(j)
+                    if b is not None:
+                        s = add(s, mul(r, mul(b, u)))
+            line.append(s)
+        out.append(line)
+    return [[s % field.p for s in line] for line in out] if prime else out
 
 
 def _packed(m, w):

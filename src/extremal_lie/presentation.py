@@ -40,6 +40,7 @@ appear only at the API edge (`MonomialTable.pair_bracket`,
 from itertools import islice
 
 from . import linalg
+from .extremal import bracket_form_value
 from .fields import FieldElement
 
 
@@ -281,6 +282,10 @@ class GradedLieAlgebra(MonomialTable):
     def form(self, u, v):
         """The extremal form of L(Gamma, 0) is identically zero."""
         return self.field.zero
+
+    def extremal_value(self, x, y):
+        """f_x(y) by its definition (`extremal.bracket_form_value`)."""
+        return bracket_form_value(self, x, y)
 
     # -- structure constants and export ------------------------------------
     def _live_pairs(self):

@@ -12,16 +12,22 @@ transvections and Siegel elements.
 in a :class:`MatrixLieAlgebra` context usable by the generic extremal
 machinery.  A bilinear form is its nonzero Gram entries, and the
 builders make every generator and special vector from FieldElement
-vectors and the form's covectors B(u, .); the context converts each
-generator once into sparse payload rows.
+vectors and the form's covectors B(u, .): a generator is a sum of
+outer products a b^T, built from the supports of a and b; the context
+converts each generator once into sparse payload rows.  Every
+generator squares to zero, and so does every conjugate and multiple of
+one, so the context reads their extremal form values from rank factors
+x = U R, r = rank x at most 2, instead of two brackets
+(`MatrixLieAlgebra.extremal_value`).
 """
 
 from . import linalg
-from .extremal import extremal_form_value
-from .fields import NoSquareRoot, quadratic_roots
+from .extremal import NotExtremal, bracket_form_value, extremal_form_value
+from .fields import FieldElement, NoSquareRoot, quadratic_roots
 from .graphs import check_family_n
 from .linalg import (Rows, SpanSolver, basis_lincomb, dense, mat_bracket,
-                     mat_lincomb, mat_vector, sparse, trace_product)
+                     mat_lincomb, mat_vector, sandwich, sparse,
+                     trace_product)
 
 
 class InvalidParameters(ValueError):
@@ -113,18 +119,32 @@ def _chain_vectors(field, dim, shift, count):
 # the generating matrices
 # ---------------------------------------------------------------------------
 
+def _outer_sum(field, dim, pairs):
+    """The dim x dim FieldElement matrix sum a b^T over the vector pairs
+    (a, b), built from the supports of a and b: every other entry is
+    the field's zero."""
+    zero = field.zero
+    m = [[zero] * dim for _ in range(dim)]
+    for a, b in pairs:
+        bs = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+        for x, row in zip(a, m):
+            if not x.is_zero():
+                for j, y in bs:
+                    row[j] = row[j] + x * y
+    return m
+
+
 def transvection(x, h):
     """The rank-one matrix x h^T; requires h(x) = 0 (so it is nilpotent
     of square zero and traceless)."""
     if not linalg.dot(h, x).is_zero():
         raise InvalidParameters("transvection needs h(x) = 0")
-    return [[xi * hj for hj in h] for xi in x]
+    return _outer_sum(x[0].field, len(x), [(x, h)])
 
 
 def symplectic_transvection(form, y):
     """u(y) = y (y^T M): v -> B(y, v) y for the symplectic form M."""
-    my = form.covector(y)
-    return [[yi * mj for mj in my] for yi in y]
+    return _outer_sum(form.field, form.dim, [(y, form.covector(y))])
 
 
 def siegel(form, u, v):
@@ -141,9 +161,7 @@ def siegel(form, u, v):
     ss.add(u)
     if not ss.add(v):
         raise NotIsotropic("u and v are linearly dependent")
-    dim = len(u)
-    return [[v[i] * bu[j] - u[i] * bv[j] for j in range(dim)]
-            for i in range(dim)]
+    return _outer_sum(form.field, form.dim, [(v, bu), ([-x for x in u], bv)])
 
 
 def siegel_apply(form, u, v, w):
@@ -440,6 +458,29 @@ class MatrixLieAlgebra:
             self._combine = basis_lincomb(self.field, self.basis(),
                                           self.ambient_dim)
         return self._combine(coords)
+
+    def extremal_value(self, x, y):
+        """f_x(y), from the rank factors x = U R of a square-zero x
+        (`Rows.factors`): [x, [x, y]] = -2xyx = -2 U M R with
+        M = R y U (`linalg.sandwich`), r x r for r = rank x.  U is
+        injective and R onto, so [x, [x, y]] is a multiple of x = U R
+        exactly when M = t 1, and then f_x(y) = -2t.  An x with
+        x^2 != 0 takes the two-bracket definition
+        (`extremal.bracket_form_value`).  Raises NotExtremal when
+        [x, [x, y]] is not a multiple of x, ValueError for x = 0."""
+        field = self.field
+        x = self.element(x)
+        factors = (x if isinstance(x, Rows) else Rows(x)).factors(field)
+        if factors is None:
+            return bracket_form_value(self, x, y)
+        if not factors[0]:
+            raise ValueError("x is zero")
+        m = sandwich(field, factors, self.element(y))
+        t, zero = m[0][0], field.zero.v
+        if any(v != (t if k == l else zero)
+               for k, line in enumerate(m) for l, v in enumerate(line)):
+            raise NotExtremal("[x,[x,y]] is not a multiple of x")
+        return FieldElement(field, t) * -2
 
     def form(self, a, b):
         """The associative symmetric extremal form, c * trace(ab)."""

@@ -1,11 +1,13 @@
 """Fields shared by the kernel differential tests, seeded random
 elements and sparse payload vectors over them, a reference
-matrix-vector product, and closures lifted into an extension."""
+matrix-vector product, closures lifted into an extension, and the
+outcome of an extremal form value."""
 
 from fractions import Fraction
 
 import pytest
 
+from extremal_lie.extremal import NotExtremal
 from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, PrimeField,
                                  QuadraticExtension, QQ, tower_maps)
 from extremal_lie.realizations import MatrixLieAlgebra
@@ -73,3 +75,14 @@ def lift_closure(alg, field):
     return MatrixLieAlgebra(field, alg.ambient_dim,
                             [lift(b) for b in alg.basis()],
                             [lift(g) for g in alg.generators_list])
+
+
+def form_outcome(value, ctx, x, y):
+    """value(ctx, x, y), an extremal form value, or the name and message
+    of the NotExtremal or ValueError it raised."""
+    try:
+        return value(ctx, x, y)
+    except NotExtremal as exc:
+        return ("NotExtremal", str(exc))
+    except ValueError as exc:
+        return ("ValueError", str(exc))

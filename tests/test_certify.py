@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KERNEL_FIELDS, lift_closure, random_element
+from conftest import (KERNEL_FIELDS, form_outcome, lift_closure, lift_rows,
+                      random_element)
 from extremal_lie import certify, linalg
 from extremal_lie.certify import (PSI_LENGTH, CertifyError,
                                   ConditionViolated, FormMismatch,
@@ -20,8 +21,8 @@ from extremal_lie.certify import (PSI_LENGTH, CertifyError,
                                   long_monomial_indices, match_algebras,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
-from extremal_lie.extremal import (NotExtremal, check_premet, exp_ad,
-                                   extremal_form_value)
+from extremal_lie.extremal import (NotExtremal, bracket_form_value,
+                                   check_premet, exp_ad, extremal_form_value)
 from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
                                  PrimeField, QQ, QuadraticExtension,
                                  lift_element, tower_maps)
@@ -460,6 +461,32 @@ MATCH_DIGESTS = {
 }
 
 
+#: sha256 of CertReport.to_json() of certify_family over QQ at seed 0
+CERTIFY_QQ_DIGESTS = {
+    ("D", 5, (2, 3)):
+        "20d0ec63efc38b2e285c8292d22fa8aa4b262f3be3c2858a06331f5ab5c8688c",
+    ("D", 5, (1, 8)):
+        "4203142289f769440b2a93ada25fd284cfb2640275ada694aef19fd63821f377",
+    ("B", 7, (2,)):
+        "f459ea399d4a028dc8188cff559d051d3e778cb72a0c971b097cc6314dfc05c8",
+    ("C", 6, ()):
+        "2a7b3044e9d4dbd1ce3a4abd4c14b0cd7232ac1d0950efc0243798eed5f3f801",
+    ("A", 5, ()):
+        "92554a0a15879680b7abe9a57c9d8e2e87bfa89056396deef67e2c264dabf382",
+}
+
+
+@pytest.mark.parametrize("family,n,params", list(CERTIFY_QQ_DIGESTS),
+                         ids=lambda v: str(v))
+def test_certify_report_digests_over_qq(family, n, params):
+    """certify_family over QQ gives bit-identical passing reports; the
+    benchmark's digests cover GF(p) only."""
+    report = certify_family(family, n, params, QQ, seed=0)
+    assert report.verdict == "pass"
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == CERTIFY_QQ_DIGESTS[family, n, params]
+
+
 @pytest.mark.parametrize("name", list(MATCH_DIGESTS))
 def test_match_certificate_digests(name):
     """D5 (2,3) vs (4,8) over GF(p) and over QQ, B6 gamma 1 vs 2 over
@@ -567,6 +594,43 @@ def test_catalog_table_rejects_changed_generators(b5, change):
                              mats, change, "model")
     assert str(info.value) == (
         f"{change}: bracket tables differ at generator product ({k},{b})")
+
+
+def test_scaled_form_values_are_the_materialised_ones(d5):
+    """A ScaledContext over GF(p^2) reads f(c a, d b) as cd f(a, b) in
+    its GF(p) base, and gives the value, or the NotExtremal, of the
+    two-bracket definition on the matrices c a and d b over GF(p^2);
+    d = 0 gives 0, and c = 0 ValueError.  a and b run over the D5
+    generators, their shifts exp(ad x_{i+1}) x_i and a random closure
+    element, which is not extremal."""
+    alg, mats = d5
+    ctx = certify.ScaledContext(alg, GF2)
+    big = MatrixLieAlgebra(GF2, alg.ambient_dim, [], [])
+
+    def materialised(s):
+        return big.lincomb([(lift_element(s.c, GF2),
+                             lift_rows(F, s.a, GF2))])
+
+    rng = random.Random(5)
+    gens = alg.generators_list
+    base = (gens + [exp_ad(alg, F(1), gens[i + 1], gens[i])
+                    for i in range(len(gens) - 1)]
+            + [alg.from_coords([random_element(F, rng)
+                                for _ in range(alg.dim)])])
+    scalars = [F(1), GF2.root, GF2.root * 2 + 3, F(-5)]
+    elements = [certify.Scaled(rng.choice(scalars), a) for a in base]
+    kinds = set()
+    for x in elements:
+        for y in elements + [certify.Scaled(GF2.zero, base[0])]:
+            got = form_outcome(extremal_form_value, ctx, x, y)
+            want = form_outcome(bracket_form_value, big, materialised(x),
+                                 materialised(y))
+            assert got == want
+            kinds.add(want[0] if isinstance(want, tuple) else "value")
+    assert kinds == {"value", "NotExtremal"}
+    zero = certify.Scaled(F(0), gens[0])
+    assert form_outcome(extremal_form_value, ctx, zero, elements[0]) == (
+        "ValueError", "x is zero")
 
 
 def test_model_check_refuses_every_perturbed_column(b5):
@@ -892,9 +956,10 @@ def test_draws_refuse_an_empty_range():
 def test_check_premet_brackets_each_product_once(monkeypatch):
     """P1/P2/P5/AS/SM need [x,y], [x,z], [y,z], [[x,y],[x,z]], [y,[x,z]]
     and [x,[y,[x,z]]], and the form values f(x,y), f(x,z), f(x,[y,z])
-    and f(x,[y,[x,z]]).  Three of the values start from a bracket
-    already formed and add one bracket each, f(x,[y,z]) two: 11 calls
-    (14 when every form value formed its own first bracket)."""
+    and f(x,[y,[x,z]]).  The generator x squares to zero, so the matrix
+    context reads the four values from its rank factors: 6 calls (11
+    when each value added the brackets of its definition on top of one
+    already formed, 14 when every value formed both of its own)."""
     alg, mats = closure_of("A", 4)
     alg.form(mats[0], mats[1])      # calibrate the form before counting
     rng = random.Random(4)
@@ -905,17 +970,17 @@ def test_check_premet_brackets_each_product_once(monkeypatch):
                         lambda a, b: calls.append((a, b)) or bracket(a, b))
     flags = check_premet(alg, mats[0], y, z)
     assert all(flags.values())
-    assert len(calls) == 11
+    assert len(calls) == 6
 
 
 def test_quartic_identities_bracket_each_product_once(monkeypatch):
     """Q3/Q3a need six direct brackets: [xk,t], y = [xl,xm], [y,[xk,t]],
-    the left side [xk,[y,[xk,t]]], [xk,y] and [[xk,y],t], which with
-    [y,[xk,t]] sums to [xk,[y,t]] (Jacobi).  The form values f(xk,t),
-    f(xk,y) and f(xk,[y,t]) start from [xk,t], [xk,y] and [xk,[y,t]],
-    so they add one bracket each: 9 calls (14 when the left side was the
-    two three-bracket chains m1 - m2 and f(xk,[y,t]) formed [y,t] and
-    [xk,[y,t]], 16 when every form value formed its own first
+    the left side [xk,[y,[xk,t]]], [xk,y] and [y,t].  The generator xk
+    squares to zero, so the matrix context reads the form values
+    f(xk,t), f(xk,y) and f(xk,[y,t]) from its rank factors: 6 calls (9
+    when each value added a bracket to [xk,t], [xk,y] and a Jacobi sum
+    for [xk,[y,t]], 14 when the left side was the two three-bracket
+    chains m1 - m2, 16 when every form value formed its own first
     bracket)."""
     alg, mats = closure_of("A", 4)
     alg.form(mats[0], mats[1])      # calibrate the form before counting
@@ -928,7 +993,7 @@ def test_quartic_identities_bracket_each_product_once(monkeypatch):
     flags = certify.check_quartic_identities(alg, mats[0], mats[1], mats[2],
                                              t, u)
     assert flags == {"Q3": True, "Q3a": True}
-    assert len(calls) == 9
+    assert len(calls) == 6
 
 
 def _six_bracket_quartic(ctx, xk, xl, xm, t, u):
@@ -983,9 +1048,9 @@ def test_quartic_identities_match_the_six_bracket_expansion(
     """On random elements (xk a random combination, which is not
     extremal, or a generator), the Jacobi-reduced left side
     [xk,[y,[xk,t]]] is m1 - m2 entry for entry, [[xk,y],t] + [y,[xk,t]]
-    is [xk,[y,t]], and check_quartic_identities forms both (read off
-    its brackets) and gives the flags, or the NotExtremal, of the
-    literal six-bracket evaluation."""
+    is [xk,[y,t]], and check_quartic_identities forms the left side and
+    [y,t] (read off its brackets) and gives the flags, or the
+    NotExtremal, of the literal six-bracket evaluation."""
     alg = quartic_context(family, n, params, name)
     gens = alg.generators_list
     rng = random.Random(f"{family}{n}{name}")
@@ -1022,7 +1087,7 @@ def test_quartic_identities_match_the_six_bracket_expansion(
         assert (want == {"Q3": True, "Q3a": True} if extremal
                 else want[0] == "NotExtremal")
         assert any(same(br(a, b), left) for a, b in formed)
-        assert any(same(a, xk) and same(b, xk_yt) for a, b in formed)
+        assert any(same(a, y) and same(b, t) for a, b in formed)
 
 
 @pytest.mark.parametrize("family,params1,params2",

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from conftest import random_element, random_vector
+from conftest import (KERNEL_FIELDS, form_outcome, lift_closure,
+                      random_element, random_payload, random_vector)
+from extremal_lie import linalg
 from extremal_lie.extremal import (HypothesisFailed, NotProportional,
-                                   check_premet, classify_pair, exp_ad,
+                                   bracket_form_value, check_premet,
+                                   classify_pair, exp_ad,
                                    extremal_form_value, fixtriangle,
                                    is_extremal, proportionality,
                                    subalgebra_closure_dim, triangle_open)
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
-                                 FieldElement, PrimeField)
+                                 FieldElement, PrimeField, QQ)
 from extremal_lie.graphs import build_family_graph
 from extremal_lie.presentation import build_L0
 from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
@@ -218,3 +221,106 @@ def test_triangle_open_is_the_fixtriangle_condition():
     assert not triangle_open(G(2), G(4), G(1), G(4))
     assert triangle_open(G(1), G(1), G(1), G(2))
     assert triangle_open(G(1), G(0), G(1), G(1))
+
+
+def _gl_element(K, n, rng, zero_rate):
+    """A random n x n matrix over K as payload rows: an element of gl_n,
+    in general outside the closure."""
+    rows = []
+    for _ in range(n):
+        row = {}
+        for j in range(n):
+            v = random_payload(K, rng, zero_rate)
+            if not K.is_zero(v):
+                row[j] = v
+        rows.append(row)
+    return linalg.Rows(rows)
+
+
+def _not_square_zero(alg, rng):
+    """Elements x with x^2 != 0: a random closure element, a random
+    matrix, a rank-one a b^T with b(a) != 0 and the identity, which is
+    central in gl_N, so extremal with f = 0 although x^2 != 0."""
+    K, n = alg.field, alg.ambient_dim
+    a = b = None
+    while a is None or linalg.dot(b, a).is_zero():
+        a, b = random_vector(K, rng, n, 0.3), random_vector(K, rng, n, 0.3)
+    return [alg.from_coords([random_element(K, rng)
+                             for _ in range(alg.dim)]),
+            _gl_element(K, n, rng, 0.3),
+            [[ai * bj for bj in b] for ai in a],
+            [[K.one if i == j else K.zero for j in range(n)]
+             for i in range(n)]]
+
+
+VALUE_FAMILIES = [("A", 4, ()), ("B", 5, (1,)), ("C", 4, ()),
+                  ("D", 5, (2, 3))]
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
+@pytest.mark.parametrize("family,n,params", VALUE_FAMILIES,
+                         ids=lambda v: str(v))
+def test_extremal_value_is_the_two_bracket_value(family, n, params, name):
+    """The matrix context's extremal_value, read from the rank factors
+    of a square-zero x, gives the value or the NotExtremal of the
+    two-bracket definition, and ValueError for x = 0.  x runs over the
+    generators, their shifts exp(c ad x_j) x_i and their multiples, all
+    square-zero, and over elements with x^2 != 0, which take the
+    definition.  y runs over random closure elements, random matrices
+    of gl_N at several densities (sparse ones give the Siegel elements
+    of B and D an r x r block M = R y U with equal diagonal entries and
+    a nonzero off-diagonal one), x itself and 0."""
+    fld = QQ if name == "QQ" else F
+    mats, _ = build_generators(family, n, fld, tuple(fld(p) for p in params))
+    alg = lie_closure(mats, fld)
+    if name == "GF(p)(rt d)":
+        alg = lift_closure(alg, KERNEL_FIELDS[name])
+    K, size = alg.field, alg.ambient_dim
+    rng = random.Random(f"{family}{n}{name}")
+    gens = alg.generators_list
+    c = random_element(K, rng, 0)
+    square_zero = (gens + [exp_ad(alg, c, gens[i + 1], gens[i])
+                           for i in range(len(gens) - 1)]
+                   + [alg.lincomb([(c, g)]) for g in gens])
+    others = _not_square_zero(alg, rng)
+    assert all(linalg.Rows(alg.element(x)).factors(K) is not None
+               for x in square_zero)
+    assert all(linalg.Rows(alg.element(x)).factors(K) is None
+               for x in others)
+    ys = ([alg.from_coords([random_element(K, rng)
+                            for _ in range(alg.dim)]) for _ in range(3)]
+          + [_gl_element(K, size, rng, rate)
+             for rate in (0.5, 0.9, 0.9, 0.95, 0.95) for _ in range(2)])
+    kinds = set()
+    for x in square_zero + others:
+        for y in ys + [x, alg.lincomb([])]:
+            want = form_outcome(bracket_form_value, alg, x, y)
+            got = form_outcome(extremal_form_value, alg, x, y)
+            assert got == want
+            if isinstance(want, FieldElement):
+                assert got.field is K
+            kinds.add(want[0] if isinstance(want, tuple) else "value")
+    assert kinds == {"value", "NotExtremal"}
+    zero = alg.lincomb([])
+    for y in ys[:1] + [zero]:
+        assert form_outcome(extremal_form_value, alg, zero, y) == (
+            "ValueError", "x is zero")
+        assert form_outcome(bracket_form_value, alg, zero, y) == (
+            "ValueError", "x is zero")
+
+
+def test_graded_context_takes_the_two_bracket_definition():
+    """In L(Gamma, 0) every generator is extremal with f = 0, and the
+    sum of two generators whose bracket is nonzero is not extremal."""
+    L = build_L0(build_family_graph("C", 4), F)
+    gens = L.generators()
+    for g in gens:
+        ok, cert = is_extremal(L, g)
+        assert ok and all(v.is_zero() for v in cert.values)
+    x, y = next((x, y) for x in gens for y in gens
+                if not L.is_zero(L.bracket(x, y)))
+    s = L.lincomb([(1, x), (1, y)])
+    assert is_extremal(L, s) == (False, None)
+    assert any(form_outcome(extremal_form_value, L, s, b)
+               == ("NotExtremal", "[x,[x,y]] is not a multiple of x")
+               for b in L.basis())
