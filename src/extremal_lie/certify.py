@@ -4,7 +4,9 @@ Given a set of matrix generators realizing one of the family graphs,
 this module
 
 * verifies the realization (commutation pattern, extremality, closure
-  dimension, catalog basis, sampled identities),
+  dimension, catalog basis, sampled identities), proving the closure
+  dimension from the catalog images and the classical algebra the
+  realization's traces or form define (`catalog_closure`),
 * normalises the generators to a canonical gauge with `fixtriangle`
   and exact scalings, reads off the vector of extremal-form values,
 * recovers the defining parameters of the standard realization from
@@ -619,11 +621,91 @@ SPANNING_SAMPLES = 100
 IDENTITY_SAMPLES = 50
 
 
+def _classical_dim(family, field, mats, extra):
+    """The dimension of the classical algebra that holds every generator
+    (payload rows, N x N), read from the realization, or None when a
+    check fails.  A: every generator is traceless, so the closure lies
+    in sl_N, of dimension N^2 - 1.  B, C, D: the Gram matrix G of the
+    form extra[0] (as `build_generators` returns it) is symmetric (B, D)
+    or alternating (C), of rank N, and X^T G + G X = 0 for every
+    generator X, so the closure lies in o(G), of dimension N(N-1)/2, or
+    sp(G), of dimension N(N+1)/2.  Those dimensions, and G^T = -G
+    implying a zero diagonal, need characteristic != 2, which every
+    field here has (`PrimeField` refuses p = 2).  Each check costs
+    O(nnz) per generator."""
+    size = len(mats[0])
+    zero, add, mul, is_zero = (field.zero.v, field.add, field.mul,
+                               field.is_zero)
+    if family == "A":
+        for x in mats:
+            t = zero
+            for i, row in enumerate(x):
+                t = add(t, row.get(i, zero))
+            if not is_zero(t):
+                return None
+        return size * size - 1
+    form = extra[0]
+    sign = -1 if family == "C" else 1
+    entries = form.entries
+    if form.dim != size or any(entries.get((j, i), field.zero) != g * sign
+                               for (i, j), g in entries.items()):
+        return None
+    gram = {ij: g.v for ij, g in entries.items() if not g.is_zero()}
+    rows = [{} for _ in range(size)]
+    for (i, j), g in gram.items():
+        rows[i][j] = g
+    if len(linalg.echelon(field, rows)[1]) != size:
+        return None
+    for x in mats:
+        s = {}      # X^T G + G X
+        for (i, k), g in gram.items():
+            for j, v in x[k].items():       # (G X)_ij += g_ik x_kj
+                s[i, j] = add(s.get((i, j), zero), mul(g, v))
+            for j, v in x[i].items():       # (X^T G)_jk += x_ij g_ik
+                s[j, k] = add(s.get((j, k), zero), mul(v, g))
+        if not all(is_zero(v) for v in s.values()):
+            return None
+    return size * (size - sign) // 2
+
+
+def catalog_closure(family, n, field, mats, extra):
+    """(closure, span): the Lie closure of the family generators `mats`,
+    as `build_generators` returns them with `extra`, and the
+    `SpanSolver` of their catalog images.
+
+    The catalog images lie in the closure, so their rank bounds its
+    dimension from below; the classical algebra of `_classical_dim`
+    holds the closure and bounds it from above.  When the rank, the
+    catalog size and that dimension are equal, the independent images
+    are a basis of the closure and the context has them as its basis,
+    with no closure grown.  Otherwise the closure is `lie_closure`'s, so a
+    failing realization still reports its true dimension."""
+    gens = MatrixLieAlgebra(field, len(mats[0]), [], mats)
+    mats = gens.generators_list
+    images = _catalog_images(gens, mats,
+                             [e.indices for e in catalog(family, n)])
+    span = linalg.SpanSolver(field, gens.vector_dim)
+    basis = [img for img in images if span.add(gens.vector(img))]
+    expected = expected_catalog_size(family, n)
+    if span.rank == expected == _classical_dim(family, field, mats, extra):
+        return MatrixLieAlgebra(field, gens.ambient_dim, basis, mats), span
+    return lie_closure(mats, field), span
+
+
 def certify_family(family, n, params=(), field=QQ, seed=0):
-    """Build the family realization and verify it end to end."""
+    """Build the family realization and verify it end to end.
+
+    The closure dimension `dim` is proved from the catalog and the form
+    (`catalog_closure`): the `catalog_rank` independent catalog images
+    lie in the closure, and the closure lies in sl_N, o(G) or sp(G),
+    whose dimension the generators' traces or their form G give.  When
+    both bounds equal the catalog size, `dim` is that size and the
+    catalog images are the basis the extremality sweep and the identity
+    samples use; otherwise `dim` is that of the closure `lie_closure`
+    grows."""
     rng = random.Random(seed)
-    mats, _ = build_generators(family, n, field, params)
-    closure = lie_closure(mats, field)
+    mats, extra = build_generators(family, n, field, params)
+    closure, span = catalog_closure(family, n, field, mats, extra)
     mats = closure.generators_list
     graph = build_family_graph(family, n)
 
@@ -631,11 +713,6 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
     graph_ok, _ = graph_realization_check(closure, mats, graph,
                                           extremal_flags)
     expected = expected_catalog_size(family, n)
-
-    span = linalg.SpanSolver(field, closure.vector_dim)
-    for img in _catalog_images(closure, mats,
-                               [e.indices for e in catalog(family, n)]):
-        span.add(closure.vector(img))
     catalog_rank = span.rank
 
     tried = passed = 0

@@ -34,7 +34,7 @@ from .graphs import (FAMILY_PARAMS, BoundsViolation, build_family_graph,
                      expected_catalog_size, graph_from_edges)
 from .presentation import TruncatedAtCap, build_L0
 from .realizations import (InvalidParameters, MatrixLieAlgebra,
-                           build_generators, lie_closure)
+                           build_generators)
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -216,9 +216,9 @@ def cmd_realize(args):
         raise UsageError("realize needs --family and --n")
     params = collect_params(args)
     args.n = check_size(args.n)
-    mats, _ = build_generators(args.family, args.n, field,
-                               tuple(field_elem(field, p) for p in params))
-    alg = lie_closure(mats, field)
+    mats, extra = build_generators(args.family, args.n, field,
+                                   tuple(field_elem(field, p) for p in params))
+    alg, _ = certify.catalog_closure(args.family, args.n, field, mats, extra)
     gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
     extremal = [is_extremal(alg, g)[0] for g in gens]

@@ -234,7 +234,7 @@ def basis_lincomb(field, basis, size):
     once; DescriptorMismatch on one of another field.  Over GF(p) the
     basis is packed once, one int per matrix over its row-major
     positions, so a combination is m big-int multiply-adds and one
-    unpack."""
+    unpack, and an int coordinate is reduced with one ``% p``."""
     if not isinstance(field, PrimeField):
         return lambda coords: mat_lincomb(field, list(zip(coords, basis)),
                                           size)
@@ -245,7 +245,7 @@ def basis_lincomb(field, basis, size):
     def combine(coords):
         s = 0
         for c, m in zip(coords, packed):
-            s += payload(c) * m
+            s += (c % p if type(c) is int else payload(c)) * m
         return _unpack_rows(s, w, p, size)
     return combine
 

@@ -518,7 +518,9 @@ def lie_closure(generators, field):
     payload rows) under the bracket; returns a MatrixLieAlgebra whose
     basis is the deterministic closure basis.  A match needs no closure:
     generators-only contexts, ``MatrixLieAlgebra(field, N, [], gens)``,
-    are enough for it."""
+    are enough for it; a family realization proves its closure from its
+    catalog and form (`certify.catalog_closure`) and grows one only when
+    that proof fails."""
     n = len(generators[0])
     gens = MatrixLieAlgebra(field, n, [], generators)
     basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,

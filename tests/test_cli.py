@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,37 @@ def test_realize_pass(capsys):
                        "--field", "gf", "2147483629")
     assert code == 0
     assert "dim 21 (expected 21)" in out and out.strip().endswith("pass")
+
+
+#: sha256 of the text and JSON output of `realize` over QQ, recorded
+#: while the closure was still grown by `lie_closure`
+REALIZE_DIGESTS = {
+    ("A", "5"): (
+        "2624bea86e8b96c0caa8ce013bc11cb1bfc7fe3e66a1c9cffa427b4ab989eae4",
+        "55bd25d6a4694b4a5400119a4fd9cbb67f6e4677a7365d37c74edd74bd28ebba"),
+    ("C", "6"): (
+        "b993e3be24b3bdd2eb734991a8ce685ca2d17638a925780977c887f33e68c7cb",
+        "b0c3c4d684fbc788c917f0e9a333856fbe1c8c80a7c0df4d75abdf2c8c1d74f5"),
+    ("B", "5", "--gamma", "1"): (
+        "997c91d030180719c3d71606a7407408540dcc541ba52642090fce1b82e7bc08",
+        "dc5e0be37a83bdf71dbeb7e591a56eb2df0cc96b8ddbc8d9c51f0748642e8d4b"),
+    ("D", "5", "--alpha", "2", "--beta", "3"): (
+        "d2be1b86902d39d7acecd8df11022482a7fff3c7a146ef5cb9914e2208402213",
+        "ce967ec812e518508751ed70e94a33100a489be95fed87c29925f4c55ad34254"),
+}
+
+
+@pytest.mark.parametrize("spec", list(REALIZE_DIGESTS),
+                         ids=lambda spec: " ".join(spec))
+def test_realize_output_digests(capsys, spec):
+    """`realize` prints the same text and JSON, byte for byte, with its
+    closure proved from the catalog and the form."""
+    family, n, *params = spec
+    for fmt, want in zip(("text", "json"), REALIZE_DIGESTS[spec]):
+        code, out, _ = run(capsys, "realize", "--family", family, "--n", n,
+                           *params, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_realize_parameter_error(capsys):
@@ -285,10 +317,10 @@ def test_n_above_the_cap_is_refused_before_anything_is_built(
         raise AssertionError("built past the size check")
 
     for name in ("build_generators", "build_family_graph",
-                 "graph_from_edges", "build_L0", "MatrixLieAlgebra",
-                 "lie_closure"):
+                 "graph_from_edges", "build_L0", "MatrixLieAlgebra"):
         monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(cli.certify, "certify_family", refuse)
+    for name in ("certify_family", "catalog_closure"):
+        monkeypatch.setattr(cli.certify, name, refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == (f"parameter error: {what} is above {cli.MAX_N}, the "
