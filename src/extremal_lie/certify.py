@@ -28,29 +28,40 @@ a_i -> b_i is an isomorphism exactly when the two tables agree on every
 pair.
 
 A match builds two tables, T(b1) and T(b2) of the sides, and checks
-each against its standard model (`_check_model`), side 2 first: the
-left multiplications of T(b2) on model 2's catalog images c2 prove
-T(b2) = T(c2), and those of T(b1) on model 1's images c1 prove T(b1) =
-T(c1), with no model table built.  Each check runs on the n * dim
-generator products and names the first that fails.  A side's table is
-built on its base generators y_k, over the base field, and its check
-meets the scalars through one ratio per generator, side scalar over
-model scalar, with no rescaled table.  The glue matrix G
-holds the coordinates of the c1 in the basis c2: the c1 are independent
-and in the closed span of as many c2, so G is invertible, and it is the
-identity map of matrices, which needs no check.  So T(c1) is T(c2) in
+each side that is not its own model against its standard model
+(`_check_model`), side 2 first: the left multiplications of T(b2) on
+model 2's catalog images c2 prove T(b2) = T(c2), and those of T(b1) on
+model 1's images c1 prove T(b1) = T(c1), with no model table built.
+Each check runs on the n * dim generator products and names the first
+that fails.  A side is its own model when the two normal forms have one
+base field, equal base matrices and equal scalars (`_own_model`): its
+table was solved from exactly its model's generator products in
+exactly its model's images, so T(bs) = T(cs) holds as built, its images
+serve as the model's and no check runs for it.  Every A or C side is
+its own model, and so is a B or D side of standard generators whose
+model rebuilds them; a side in other coordinates, or one whose psi
+rebuilds at another parameter point (D5 (2,3) at (0,15)), is checked.
+A side's table is built on its base generators y_k, over the base
+field, and its check meets the scalars through one ratio per generator,
+side scalar over model scalar, with no rescaled table.  The glue
+matrix G holds the coordinates of the c1 in the basis c2: the c1 are
+independent and in the closed span of as many c2, so G is invertible,
+and it is the identity map of matrices, which needs no check.  So T(c1) is T(c2) in
 the basis G gives, and b1_i -> sum_a G_ia b2_a, through the models, is
 an isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
-generator, span its closure and prove its dimension.
+generator (by its check, or by side 2's table when side 2 is its own
+model), span its closure and prove its dimension.
 
-A and C graphs carry no parameters: each side is its own model, so
-T(b1) = T(c1) and T(b2) = T(c2) hold as built and no model check runs.
-Glue row i then rescales the coordinates of side 1's image e1_i in side
-2's, so the map is b1_i -> b1_i as matrices: an A or C pass proves
-that the two catalogs span one matrix algebra, and a realization in
-other coordinates is refused.
+A and C graphs carry no parameters: each side's model is the side, so
+no model check runs.  Glue row i then rescales the coordinates of side
+1's image e1_i in side 2's, so the map is b1_i -> b1_i as matrices: an
+A or C pass proves that the two catalogs span one matrix algebra, and a
+realization in other coordinates is refused.  A B or D side that is its
+own model proves what an A or C side proves: its images are its
+model's, and when both sides are, the map is the identity of their
+normal-form matrices.
 
 All computation is exact.  The canonical gauge is reached by `exp_ad`
 shifts with base-field coefficients and by scalings, so a normalised
@@ -1013,14 +1024,32 @@ def _check_model(ctx, gens, table, side_gens, name, party):
     return vectors, span
 
 
+def _own_model(ctx, gens, mctx, mgens):
+    """Whether a side is its own model: its normal form (ctx, gens) and
+    its model's (mctx, mgens) have one base field, equal base matrices
+    y_k == z_k as payload rows, and equal scalars, lambda_k lifted into
+    the model's field being nu_k.  The side's table was then solved
+    from exactly the products [z_k, e_b] in exactly the model's images
+    e_b, so every ratio rho_k of `_check_model` is 1, each residual is
+    zero and each unit column is {hit: 1} as built: the check cannot
+    fail, and the side's images and span are the model's.  An A or C
+    model is its side, so every A or C side is its own model."""
+    field = mctx.field
+    return (ctx.base.field.same(mctx.base.field)
+            and [g.a for g in gens] == [m.a for m in mgens]
+            and _scalars(gens, field) == _scalars(mgens, field))
+
+
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
     field, are isomorphic: normalise both, build each side's table,
-    rebuild a standard model for a B or D side and check each side's
-    table on its model's generator products, side 2 first, which proves
-    it equal to the model's on every pair, then glue the two models.  A
-    and C sides are their own models; see the module docstring for what
-    that proves.
+    rebuild a standard model for a B or D side and check each side that
+    is not its own model (`_own_model`) on its model's generator
+    products, side 2 first, which proves its table equal to the model's
+    on every pair, then glue the two models.  A and C sides, and every
+    B or D side whose model rebuilds its normal form, are their own
+    models and run no check; see the module docstring for what that
+    proves.
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  All matrix work runs
@@ -1044,8 +1073,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     psi1 = psi(family, ctx1, g1)
     psi2 = psi(family, ctx2, g2)
 
-    own_models = family in ("A", "C")
-    if own_models:
+    if family in ("A", "C"):
         # no parameters: the canonical gauges must agree outright, and
         # each side serves as its own standard model
         if _psi_in(psi1, ctx2.field) != psi2:
@@ -1064,17 +1092,20 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     # each side's catalog over its matrix field, built once
     images1, _, t_b1 = _catalog_table(ctx1.base, [g.a for g in g1], labels,
                                       "side 1")
-    # an A or C side is its own model: c1 are side 1's image vectors
-    c1 = [ctx1.base.vector(img) for img in images1] if own_models else None
+    # a side that is its own model runs no check: c1 are side 1's
+    # image vectors, and span_c2 is side 2's span
+    c1 = ([ctx1.base.vector(img) for img in images1]
+          if _own_model(ctx1, g1, mctx1, m1) else None)
     # dropping side 1's images before side 2's lowers the peak memory
     del images1
     span_c2, t_b2 = _catalog_table(ctx2.base, [g.a for g in g2], labels,
                                    "side 2")[1:]
-    if not own_models:
-        # each side against its standard model: T(b2) = T(c2), then
-        # T(b1) = T(c1)
+    # every other side against its standard model: T(b2) = T(c2), then
+    # T(b1) = T(c1)
+    if not _own_model(ctx2, g2, mctx2, m2):
         span_c2 = _check_model(mctx2, m2, t_b2, g2, "side 2 vs model",
                                "model 2")[1]
+    if c1 is None:
         c1 = _check_model(mctx1, m1, t_b1, g1, "side 1 vs model",
                           "model 1")[0]
     top = mctx2.field

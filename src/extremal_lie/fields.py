@@ -23,9 +23,15 @@ machinery entirely.  ``coerce`` turns an integral value into an ``int``
 (``True`` into ``1``), ``div`` returns an ``int`` for two ints that
 divide exactly and a ``Fraction`` for every other quotient, and ``sqrt``
 an ``int`` for an integral root.  Sums and products are left as Python
-computes them, so an integral ``Fraction`` can still arise (1/2 + 1/2);
-that is harmless, since equal values of the two types compare and
-hash equal and give the same ``format`` and ``sort_key``.
+computes them, so an integral ``Fraction`` can still arise (1/2 + 1/2).
+Equal values of the two types compare and hash equal and give the same
+``format`` and ``sort_key``, so no result depends on the type, but the
+cost does: an int times a ``Fraction`` stays a ``Fraction``, and the
+integral ``Fraction`` entries the D special vector leaves kept every
+bracket of a D7 (1,8) certification in ``Fraction`` arithmetic, ten
+times slower.  ``linalg.sparse``, where FieldElement rows become payload
+rows, so where every realization's matrices enter a Lie context, turns
+an integral ``Fraction`` payload into its ``int``.
 
 Square roots are deterministic: of the two roots ``r`` and ``-r`` the one
 with the smaller canonical sort key is returned, so repeated runs (and both

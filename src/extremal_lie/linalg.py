@@ -73,14 +73,19 @@ FieldElement vector helpers `dot`, `vec_add`, `vec_sub` and
 """
 
 import operator
+from fractions import Fraction
 from functools import partial
 
-from .fields import DescriptorMismatch, FieldElement, PrimeField
+from .fields import DescriptorMismatch, FieldElement, PrimeField, RationalField
 
 
 def sparse(field, vec):
     """The sparse payload vector {index: payload} of a FieldElement
-    vector.  Raises DescriptorMismatch on an element of another field."""
+    vector.  Over the rationals an integral `Fraction` payload becomes
+    its int: int * Fraction stays a Fraction, so one such entry of a
+    generator would keep every bracket it enters in Fraction
+    arithmetic.  Raises DescriptorMismatch on an element of another
+    field."""
     zero = field.zero.v
     out = {}
     for i, x in enumerate(vec):
@@ -89,6 +94,10 @@ def sparse(field, vec):
                 f"cannot combine elements of {field} and {x.field}")
         if x.v != zero:
             out[i] = x.v
+    if isinstance(field, RationalField):
+        for i, v in out.items():
+            if type(v) is Fraction and v.denominator == 1:
+                out[i] = v.numerator
     return out
 
 

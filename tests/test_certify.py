@@ -467,6 +467,8 @@ CERTIFY_QQ_DIGESTS = {
         "20d0ec63efc38b2e285c8292d22fa8aa4b262f3be3c2858a06331f5ab5c8688c",
     ("D", 5, (1, 8)):
         "4203142289f769440b2a93ada25fd284cfb2640275ada694aef19fd63821f377",
+    ("D", 7, (1, 8)):
+        "be5865a42ecab4992f275b63e0cfe078a393bbe4fa69ddd125ed9966879b17ec",
     ("B", 7, (2,)):
         "f459ea399d4a028dc8188cff559d051d3e778cb72a0c971b097cc6314dfc05c8",
     ("C", 6, ()):
@@ -1297,12 +1299,28 @@ def _materialised(ctx, gens, field):
     return MatrixLieAlgebra(field, ctx.base.ambient_dim, [], mats), mats
 
 
+def _conjugated_sides(family, n, params):
+    """The closures and generators of `_conjugated`'s two sides."""
+    mats, conj = _conjugated(family, n, params)
+    return lie_closure(mats, F), mats, lie_closure(conj, F), conj
+
+
 RESCALE_CASES = {
     "A5-conj": lambda: ("A", _exp_conjugated("A", 5)),
     "B5": lambda: ("B", _param_pair("B", 5, F, (1,), (2,))),
+    "B5-conj": lambda: ("B", _conjugated_sides("B", 5, (1,))),
     "C6-conj": lambda: ("C", _exp_conjugated("C", 6)),
     "D5": lambda: ("D", _param_pair("D", 5, F, (2, 3), (4, 8))),
     "D5-QQ": lambda: ("D", _param_pair("D", 5, QQ, (2, 3), (4, 8))),
+}
+
+#: the model checks each case runs, in order.  A side that is its own
+#: model runs none: every A or C side, both B5 gamma sides, side 1 of
+#: B5-conj and side 2 of D5, (4,8) rebuilt at (4,8), while D5's side 1,
+#: (2,3), rebuilds at (0,15)
+MODEL_CHECKS = {
+    "A5-conj": [], "B5": [], "B5-conj": ["side 2 vs model"], "C6-conj": [],
+    "D5": ["side 1 vs model"], "D5-QQ": ["side 1 vs model"],
 }
 
 
@@ -1366,20 +1384,21 @@ def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
     against a model is the base table of the side's y_k; rescaled here
     by the side's scalars into the model's field, it equals
     `_catalog_table` run directly on the side's generators lambda_k y_k
-    materialised over that field: side 2's over model 2's field, then
-    side 1's over model 1's.  The certificate's
+    materialised over that field: side 2's over model 2's field (B5-conj),
+    side 1's over model 1's (D5, D5-QQ).  The certificate's
     `basis_map` is the glue solved directly on the models' generators
     materialised over the field the match reached (GF(p^2),
-    QQ(rt 1/8)(rt -64), GF(p) for C6).  A and C sides are their own
-    models and run no check, so only their glue is compared."""
+    QQ(rt 1/8)(rt -64), GF(p) for C6).  A side that is its own model
+    runs no check (`MODEL_CHECKS`), so only its glue is compared."""
     family, sides = RESCALE_CASES[name]()
     cert, forms, models, checks = _recorded_match(monkeypatch, family, sides)
     top = models[1][0].field
     assert cert.verdict == "pass" and cert.field == str(top)
     assert ("rt" in cert.field) == (name != "C6-conj")
     labels = labels_of(family, cert.n)
-    assert len(checks) == (0 if family in "AC" else 2)
-    for (ctx, gens), (mctx, _, table, side, *_) in zip(forms[::-1], checks):
+    assert [a[4] for a in checks] == MODEL_CHECKS[name]
+    for mctx, _, table, side, check, _ in checks:
+        ctx, gens = forms[int(check[5]) - 1]
         _, _, direct = certify._catalog_table(
             *_materialised(ctx, gens, mctx.field), labels, "direct")
         assert side is gens and table.field is ctx.base.field
@@ -1387,7 +1406,7 @@ def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
     assert cert.basis_map == _formatted(top, _direct_glue(models, top, labels))
 
 
-WITNESS_CASES = ["A5-conj", "C6-conj", "B5", "D5"]
+WITNESS_CASES = ["A5-conj", "C6-conj", "B5", "B5-conj", "D5"]
 
 
 @pytest.mark.parametrize("name", WITNESS_CASES)
@@ -1433,9 +1452,53 @@ def test_the_extension_holds_scalars_only(monkeypatch):
 @pytest.mark.parametrize("name", WITNESS_CASES)
 def test_b_and_d_matches_check_side_2_then_side_1(name, monkeypatch):
     """A B or D match checks side 2 against model 2, then side 1 against
-    model 1; an A or C match, each side its own model, runs no model
-    check."""
+    model 1, each only when the side is not its own model: B5 gamma 1
+    vs 2 runs no check, B5-conj checks side 2 and D5 (2,3) vs (4,8)
+    side 1.  An A or C match, each side its own model, runs none."""
     family, sides = RESCALE_CASES[name]()
     checks = _recorded_match(monkeypatch, family, sides)[3]
-    assert [a[4:] for a in checks] == ([] if family in "AC" else [
-        ("side 2 vs model", "model 2"), ("side 1 vs model", "model 1")])
+    assert [a[4:] for a in checks] == [
+        (check, "model " + check[5]) for check in MODEL_CHECKS[name]]
+
+
+def test_a_model_with_a_doubled_scalar_is_checked(monkeypatch):
+    """Equal base matrices do not make a side its own model: with model
+    1's first scalar doubled, side 1 of B5 gamma 1 vs 2 is checked and
+    refused."""
+    rebuild = certify._rebuild_model
+    calls = []
+
+    def doubled(*args):
+        params, ctx, gens = rebuild(*args)
+        calls.append(1)
+        if len(calls) == 1:
+            gens = [certify.Scaled(gens[0].c * 2, gens[0].a)] + gens[1:]
+        return params, ctx, gens
+
+    monkeypatch.setattr(certify, "_rebuild_model", doubled)
+    sides = _param_pair("B", 5, F, (1,), (2,))
+    with pytest.raises(StructureMismatch, match=r"^side 1 vs model: bracket "
+                       r"tables differ at generator product \(\d+,\d+\)$"):
+        match_algebras(*sides, "B")
+
+
+@pytest.mark.parametrize("family,n,field,params1,params2", [
+    ("B", 5, F, (1,), (2,)), ("B", 5, F, (1,), (3,)),
+    ("B", 6, PrimeField(101), (1,), (2,)), ("D", 5, F, (4, 8), (1, 8)),
+], ids=["B5-1-2", "B5-1-3", "B6-GF101", "D5-48-18"])
+def test_checking_every_side_gives_the_same_certificate(
+        family, n, field, params1, params2, monkeypatch):
+    """The differential test of `_own_model`: with no side its own
+    model, so that both model checks run, each certificate equals the
+    default one, which skips at least one check."""
+    sides = _param_pair(family, n, field, params1, params2)
+    checks = []
+    check = certify._check_model
+    monkeypatch.setattr(certify, "_check_model",
+                        lambda *a: checks.append(a[4]) or check(*a))
+    default = match_algebras(*sides, family)
+    assert len(checks) < 2
+    checks.clear()
+    monkeypatch.setattr(certify, "_own_model", lambda *a: False)
+    assert match_algebras(*sides, family) == default
+    assert checks == ["side 2 vs model", "side 1 vs model"]

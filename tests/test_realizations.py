@@ -32,6 +32,19 @@ def test_closure_dimensions(family, n, params, want):
     assert lie_closure(mats, F).dim == want
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("params", [(1, 8), (4, 8)], ids=str)
+def test_integral_rational_payloads_are_ints(n, params):
+    """The D special vector leaves integral Fractions (44 of the D7
+    (1,8) generator entries); as payload rows every integral entry is
+    an int, so the brackets of a realization run in int arithmetic."""
+    mats, _ = build_generators("D", n, QQ, tuple(QQ(p) for p in params))
+    ctx = MatrixLieAlgebra(QQ, len(mats[0]), [], mats)
+    assert not [v for g in ctx.generators_list for row in g
+                for v in row.values()
+                if type(v) is not int and v.denominator == 1]
+
+
 def test_invalid_parameters():
     with pytest.raises(InvalidParameters):
         build_generators("D", 5, F, (F(-2), F(3)))  # alpha = -2
