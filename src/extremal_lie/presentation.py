@@ -28,13 +28,18 @@ of a matrix algebra; the graded degree cutoff (`_vanishes`) is the only
 difference.
 
 The relations are sparse payload rows (``{column: payload}``, see
-:mod:`extremal_lie.linalg`), written by the table itself (see
-`build_L0`), and the exact echelon kernel `linalg.echelon` selects the
-surviving candidates: the free columns of the reduced row echelon form,
-which is unique, so the basis does not depend on how the rows are
-eliminated.  All the bracket machinery works on payloads; FieldElements
-appear only at the API edge (`MonomialTable.pair_bracket`,
-`GradedLieAlgebra.structure_constants`, `element` and `external`).
+:mod:`extremal_lie.linalg`), and the exact echelon kernel
+`linalg.echelon` selects the surviving candidates: the free columns of
+the reduced row echelon form, which is unique, so the basis does not
+depend on how the rows are eliminated.  A row touches only what it
+holds: the left multiplications of a relation are its lower-degree
+vectors re-indexed into the candidate columns, only the term
+[[x_i, x_j], c] goes through the table's comb recursion, and
+`linalg.echelon` reduces a row by the kept rows its entries meet (see
+`build_L0`).  All the bracket machinery works on payloads;
+FieldElements appear only at the API edge
+(`MonomialTable.pair_bracket`, `GradedLieAlgebra.structure_constants`,
+`element` and `external`).
 """
 
 from itertools import islice
@@ -82,7 +87,8 @@ class MonomialTable:
 
     which is the Jacobi identity, so the table is exact for every Lie
     algebra the left multiplications come from.  `pair` memoises it in
-    ``_pair_cache``; `pair_bracket` returns FieldElements.
+    ``_pair_cache``, and a mirror [b, a] only once it is asked for;
+    `pair_bracket` returns FieldElements.
     """
 
     def __init__(self, field, labels, leftmult):
@@ -118,11 +124,19 @@ class MonomialTable:
 
     def pair(self, a, b):
         """Sparse payload bracket of basis elements a, b, memoised.
-        Callers must not modify the result."""
-        key = (a, b)
-        cached = self._pair_cache.get(key)
+        Callers must not modify the result.  A pair is computed only
+        when neither it nor its mirror is memoised; the mirror [b, a]
+        is the negation of a memoised [a, b], made and memoised when it
+        is first asked for."""
+        cache = self._pair_cache
+        cached = cache.get((a, b))
         if cached is not None:
             return cached
+        mirror = cache.get((b, a))
+        if mirror is not None:
+            neg = self.field.neg
+            out = cache[a, b] = {c: neg(x) for c, x in mirror.items()}
+            return out
         one = self.field.one.v
         lab = self.labels[a]
         if self._vanishes(a, b):
@@ -136,9 +150,7 @@ class MonomialTable:
             out = self.left_mult(k, self.pair(ap, b))
             self.field.axpy(out, one, self.bracket_with(
                 ap, self.leftmult[k - 1][b]))
-        self._pair_cache[key] = out
-        neg = self.field.neg
-        self._pair_cache[(b, a)] = {c: neg(x) for c, x in out.items()}
+        cache[a, b] = out
         return out
 
     def bracket_with(self, a, svec):
@@ -331,11 +343,16 @@ def build_L0(graph, field, cap=None):
     (i - 1) * m + b.  While the relations of that degree are written,
     the candidates stand in for it: the left multiplication [x_i, b] is
     provisionally the candidate column (at index dim + column, past the
-    basis) and brackets reach one degree further, so the table's own
-    left multiplications and comb recursion write every relation as a
-    sparse payload row over the candidates.  `linalg.echelon` reduces
-    the rows; its free columns are the new basis elements, and every
-    provisional bracket is then rewritten in the new basis."""
+    basis) and brackets reach one degree further, so every relation is
+    a sparse payload row over the candidates.  [x_i, v] for v in the top
+    degree is then v's entries moved into block i of the candidates, so
+    the extremality row [x_i, [x_i, c]] and the terms [x_i, [x_j, c]]
+    and [x_j, [x_i, c]] of a Jacobi row, which lie in the disjoint
+    blocks i and j, are written by re-indexing; only the edge term
+    [[x_i, x_j], c] goes through the table's comb recursion.
+    `linalg.echelon` reduces the rows; its free columns are the new
+    basis elements, and every provisional bracket is then rewritten in
+    the new basis."""
     n = graph.n
     if cap is None:
         cap = 2 * n - 3 + 2
@@ -363,20 +380,28 @@ def build_L0(graph, field, cap=None):
         L.degrees.append(ncand)
         memo_start = len(cache)
 
+        # [x_i, v] for v in the current top degree is v re-indexed into
+        # block i of the candidates: entry b moves by shift[i]
+        shift = [new_start + i * m_cur - cur_start for i in range(n)]
         relations = []
         # extremality relations first: [x_i, [x_i, c]]
-        for i in range(1, n + 1):
+        for i in range(n):
+            s = shift[i]
             for c in range(prev_start, prev_stop):
-                relations.append(L.left_mult(i, lm[i - 1][c]))
-        # Jacobi relations: [x_i,[x_j,c]] - [x_j,[x_i,c]] - [[x_i,x_j],c],
-        # the last term -[c, [x_i,x_j]] expanded through the witness of c
+                relations.append({s + b: x for b, x in lm[i][c].items()})
+        # Jacobi relations: [x_i,[x_j,c]] - [x_j,[x_i,c]] - [[x_i,x_j],c];
+        # the first two terms lie in the disjoint blocks i and j, and the
+        # last, -[c, [x_i,x_j]], is expanded through the witness of c
         for i in range(1, n + 1):
+            si = shift[i - 1]
             for j in range(i + 1, n + 1):
+                sj = shift[j - 1]
                 eidx = (L.label_index.get((i, j)) if graph.has_edge(i, j)
                         else None)
                 for c in range(prev_start, prev_stop):
-                    row = L.left_mult(i, lm[j - 1][c])
-                    axpy(row, one, L.left_mult(j, lm[i - 1][c]))
+                    row = {si + b: x for b, x in lm[j - 1][c].items()}
+                    for b, x in lm[i - 1][c].items():
+                        row[sj + b] = neg(x)
                     if eidx is not None:
                         axpy(row, minus_one, L.pair(c, eidx))
                     relations.append(row)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (KERNEL_FIELDS, lift_rows, mat_vec, random_element,
                       random_vector)
@@ -382,6 +382,16 @@ def test_echelon_matches_dense_gauss_jordan(kernel_field):
         assert linalg.rref(m) == (want, want_pivots, rank)
 
 
+def test_echelon_applies_the_leads_a_step_creates(kernel_field):
+    """The third row meets only kept row 0, whose step leaves an entry
+    at the lead of kept row 1; that row must be applied too, and the
+    third row then reduces to zero."""
+    F = kernel_field
+    one = F.one.v
+    rows = [{0: one, 2: one}, {2: one}, {0: one}]
+    assert linalg.echelon(F, rows) == ([{0: one}, {2: one}], [0, 2])
+
+
 def test_rref_and_solve_wrapper_shapes(kernel_field):
     F = kernel_field
     assert linalg.rref([]) == ([], [], 0)
@@ -445,6 +455,40 @@ PROPERTY = settings(max_examples=15, deadline=None, database=None,
 PROPERTY_FIELDS = {**KERNEL_FIELDS, "GF(5)": PrimeField(5),
                    "GF(2^61-1)": PrimeField(2 ** 61 - 1)}
 FIELD_NAMES = pytest.mark.parametrize("name", list(PROPERTY_FIELDS))
+
+
+#: rationals (int and Fraction payloads), a small and a large prime field
+#: and a quadratic extension
+ECHELON_FIELDS = {"QQ": QQ, "GF(7)": PrimeField(7),
+                  "GF(p)": KERNEL_FIELDS["GF(p)"],
+                  "GF(p)(rt d)": KERNEL_FIELDS["GF(p)(rt d)"]}
+
+
+@st.composite
+def sparse_rows(draw, field):
+    """(cols, rows): up to 9 sparse payload rows over `field` with at
+    most 4 entries each, in at most 8 columns, so that rows often share
+    leads and a reduction step often meets a later lead."""
+    cols = draw(st.integers(1, 8))
+    entry = _payloads(field).filter(lambda x: not field.is_zero(x))
+    row = st.dictionaries(st.integers(0, cols - 1), entry, max_size=4)
+    return cols, draw(st.lists(row, max_size=9))
+
+
+@pytest.mark.parametrize("name", list(ECHELON_FIELDS))
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))   # a failure reports fast
+@given(data=st.data())
+def test_echelon_property_against_dense_gauss_jordan(name, data):
+    K = ECHELON_FIELDS[name]
+    cols, rows = data.draw(sparse_rows(K))
+    copies = [dict(row) for row in rows]
+    reduced, pivots = linalg.echelon(K, rows)
+    assert rows == copies                     # the input is not modified
+    want, want_pivots, rank = _reference_rref(
+        [linalg.dense(K, row, cols) for row in rows])
+    assert pivots == want_pivots
+    assert reduced == [linalg.sparse(K, row) for row in want[:rank]]
 
 
 @FIELD_NAMES

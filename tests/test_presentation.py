@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -153,3 +155,57 @@ def test_structure_constants_skip_pairs_vanishing_by_degree(family, n):
             if entries:
                 every_pair[(i, j)] = entries
     assert table == every_pair
+
+
+#: sha256 of structure_constants_text() of presentations the benchmark
+#: does not build: another family over QQ, a small and the default prime
+#: field, a cycle, a star and a complete graph
+PRESENT_DIGESTS = [
+    ("C8-QQ", build_family_graph("C", 8), QQ,
+     "84c5c158e4b08513eb87390113c9a217f0e4b581b2082f9a0ce335fca8f65ef3"),
+    ("D6-GF(101)", build_family_graph("D", 6), PrimeField(101),
+     "830dcf0a074bf2c5c84d4c93899f2a0f22abf70f271dbfdda1dce8a351d2945a"),
+    ("A7-GF(p)", build_family_graph("A", 7), PrimeField(DEFAULT_PRIME),
+     "9e82250241c215410841aaf19cce55a804d3e5338fe2f4c310de0bb26c79f8b5"),
+    ("5-cycle-QQ",
+     graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), QQ,
+     "c81fdd89f72ff0ce510a86c60c9dd455d52bd18751c3d1656b37a96c4bfa6d08"),
+    ("star-QQ", graph_from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)]), QQ,
+     "8bd4580f153b4644ae3e9519197beb4f5eb0bfbfc84227f612ebb45ab26eb601"),
+    ("K4-QQ", graph_from_edges(4, list(combinations(range(1, 5), 2))), QQ,
+     "e7576279c006855c88c554d9a7b1b640fe67bd02936db4abe0a38c9629aad1d1"),
+]
+
+
+@pytest.mark.parametrize("graph,field,digest",
+                         [case[1:] for case in PRESENT_DIGESTS],
+                         ids=[case[0] for case in PRESENT_DIGESTS])
+def test_structure_constants_digests(graph, field, digest):
+    text = build_L0(graph, field).structure_constants_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", "AD")
+def test_pair_memo_holds_negatives_in_either_order(family):
+    """Two fresh tables, one asked every live pair as (j, i) first and
+    one as (i, j) first: a pair asked first is computed, through the
+    label of its first element, and its mirror is the negation of the
+    memoised pair.  Both tables hold exact negatives for every pair and
+    export the same structure constants."""
+    graph = build_family_graph(family, 6)
+    tables = []
+    for swap in (True, False):
+        L = build_L0(graph, QQ)
+        for i, j in L._live_pairs():
+            first, second = ((j, i), (i, j)) if swap else ((i, j), (j, i))
+            L.pair(*first)
+            L.pair(*second)
+        tables.append(L)
+    for L in tables:
+        for i, j in L._live_pairs():
+            assert L._pair_cache[j, i] == {k: -x for k, x in
+                                           L._pair_cache[i, j].items()}
+    late, early = tables
+    assert all(late.pair(i, j) == early.pair(i, j)
+               for i, j in early._live_pairs())
+    assert late.structure_constants_text() == early.structure_constants_text()
