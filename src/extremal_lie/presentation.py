@@ -24,8 +24,16 @@ that witnesses it, and the algebra is a `MonomialTable`: structure
 constants on a tail-closed monomial basis, derived from the left
 multiplications by the generators through the comb recursion.  The same
 table kernel gives `certify` the structure constants of a catalog basis
-of a matrix algebra; the graded degree cutoff (`_vanishes`) is the only
-difference.
+of a matrix algebra; the difference is that the relations of L(Gamma, 0)
+are homogeneous in every generator, so the graded algebra knows the
+multidegree of each basis element, and a bracket whose multidegree is
+that of no basis element is zero (`GradedLieAlgebra._vanishes`).  The
+construction, the bracket and the export skip every pair and relation
+row that this grading makes zero.  The rule is exact, so it moves no
+output: every relation row is homogeneous, so the reduced row echelon
+form splits into blocks of one multidegree and rewrites a candidate
+only in free columns of its own multidegree, and packed multidegrees
+add as ints, so no nonzero bracket is taken for zero.
 
 The relations are sparse payload rows (``{column: payload}``, see
 :mod:`extremal_lie.linalg`), and the exact echelon kernel
@@ -42,7 +50,7 @@ FieldElements appear only at the API edge
 `element` and `external`).
 """
 
-from itertools import islice
+from itertools import accumulate, islice
 
 from . import linalg
 from .extremal import bracket_form_value
@@ -109,8 +117,8 @@ class MonomialTable:
         return len(self.labels)
 
     def _vanishes(self, a, b):
-        """Whether [a, b] is zero for degree reasons alone (never, unless
-        a subclass knows a grading)."""
+        """Whether [a, b] is zero for grading reasons alone (never, unless
+        a subclass knows a grading); such a pair is not memoised."""
         return False
 
     def left_mult(self, k, svec):
@@ -125,13 +133,16 @@ class MonomialTable:
     def pair(self, a, b):
         """Sparse payload bracket of basis elements a, b, memoised.
         Callers must not modify the result.  A pair is computed only
-        when neither it nor its mirror is memoised; the mirror [b, a]
-        is the negation of a memoised [a, b], made and memoised when it
-        is first asked for."""
+        when neither it nor its mirror is memoised and it does not
+        vanish (`_vanishes`); the mirror [b, a] is the negation of a
+        memoised [a, b], made and memoised when it is first asked
+        for."""
         cache = self._pair_cache
         cached = cache.get((a, b))
         if cached is not None:
             return cached
+        if self._vanishes(a, b):
+            return {}
         mirror = cache.get((b, a))
         if mirror is not None:
             neg = self.field.neg
@@ -139,9 +150,7 @@ class MonomialTable:
             return out
         one = self.field.one.v
         lab = self.labels[a]
-        if self._vanishes(a, b):
-            out = {}
-        elif len(lab) == 1:
+        if len(lab) == 1:
             out = self.leftmult[lab[0] - 1][b]
         else:
             # a = [x_k, a']: [[x_k,a'], b] = [x_k, [a',b]] - [a', [x_k,b]]
@@ -196,29 +205,59 @@ class GradedLieAlgebra(MonomialTable):
     `external` gives them out).  The basis is a `MonomialTable` whose
     labels have the degree of their length; every label of degree >= 2
     arises as (i,) + label' with label' the witness of a lower-degree
-    basis element.  A bracket whose degree exceeds the top degree, the
-    length of ``degrees``, vanishes (`_vanishes`).  `pair_bracket` and
-    `structure_constants` return FieldElements.
+    basis element.  `pair_bracket` and `structure_constants` return
+    FieldElements.
+
+    The relations are homogeneous in every generator, so the algebra is
+    graded by multidegree, the count of each generator in a monomial,
+    and [a, b] lies in the span of the basis elements of multidegree
+    md(a) + md(b).  ``md[b]`` is the multidegree of basis element b
+    packed into one int, the count of generator i in slot i - 1, and
+    ``md_set`` holds the multidegrees of the basis.  A bracket whose
+    multidegree is not in ``md_set`` is zero (`_vanishes`), and so is
+    every bracket whose degree exceeds the top degree, the length of
+    ``degrees``.
     """
 
-    def __init__(self, graph, field):
+    def __init__(self, graph, field, cap):
         n = graph.n
         edges = graph.sorted_edges()
+        # a label is at most `cap` long, so a slot of the sum of two
+        # labels counts at most 2 * cap and never carries
+        width = (2 * cap).bit_length()
+        self._unit = [1 << (width * i) for i in range(n)]
+        self.md, self.md_set = [], set()
         super().__init__(field, [(i,) for i in range(1, n + 1)] + list(edges),
                          _degree2_leftmult(graph, field))
         self.graph = graph
         self.degrees = [n, len(edges)]
-        self.offsets = [0, n]
+
+    def _add_labels(self, labels):
+        super()._add_labels(labels)
+        unit = self._unit
+        for lab in labels:
+            m = sum(unit[i - 1] for i in lab)
+            self.md.append(m)
+            self.md_set.add(m)
 
     def _append_degree(self, new_labels):
         """Add the next degree, once the left multiplications of the
         current top degree are known."""
-        self.offsets.append(self.offsets[-1] + self.degrees[-1])
         self.degrees.append(len(new_labels))
         self._add_labels(new_labels)
 
     def _vanishes(self, a, b):
-        return len(self.labels[a]) + len(self.labels[b]) > len(self.degrees)
+        """Whether [a, b] is zero by multidegree: md(a) + md(b) is the
+        multidegree of no basis element.  The rule is exact: every
+        relation is homogeneous, so the reduced row echelon form that
+        selects a degree splits into blocks of one multidegree each,
+        and a candidate is rewritten only in free columns of its own
+        multidegree.  Packed multidegrees add as ints, so a nonzero
+        bracket always finds its multidegree in ``md_set``.  No slot of
+        a sum carries (see `__init__`), so distinct multidegrees stay
+        distinct, and a bracket past the top degree, which the table
+        cannot expand, is always zeroed here."""
+        return self.md[a] + self.md[b] not in self.md_set
 
     # -- basic element API -------------------------------------------------
     @property
@@ -245,10 +284,6 @@ class GradedLieAlgebra(MonomialTable):
     def basis(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
-    def degree_slice(self, d):
-        start = self.offsets[d - 1]
-        return start, start + self.degrees[d - 1]
-
     # -- Lie context interface (see extremal_lie.extremal.LieContext) ------
     def element(self, x):
         """x as a sparse payload vector: a payload vector unchanged, a
@@ -271,7 +306,8 @@ class GradedLieAlgebra(MonomialTable):
         out = {}
         for i, ci in self.element(u).items():
             for j, cj in sv.items():
-                axpy(out, neg(mul(ci, cj)), self.pair(i, j))
+                if not self._vanishes(i, j):
+                    axpy(out, neg(mul(ci, cj)), self.pair(i, j))
         return out
 
     def lincomb(self, terms):
@@ -301,16 +337,18 @@ class GradedLieAlgebra(MonomialTable):
 
     # -- structure constants and export ------------------------------------
     def _live_pairs(self):
-        """The pairs (i, j), i < j, in order, whose degrees sum to at most
-        the top degree: every other bracket vanishes (`_vanishes`).  The
-        basis is ordered by degree, so j runs to the end of degree
-        top - deg(i)."""
+        """The pairs (i, j), i < j, in order, whose bracket does not vanish
+        by multidegree (`_vanishes`).  The basis is ordered by degree
+        and a multidegree of ``md_set`` has at most the top degree, so j
+        runs to the end of degree top - deg(i) only."""
+        md, live = self.md, self.md_set
+        ends = [0, *accumulate(self.degrees)]
         top = self.top_degree
-        for i in range(self.dim):
-            d = top - len(self.labels[i])
-            stop = self.degree_slice(d)[1] if d >= 1 else 0
-            for j in range(i + 1, stop):
-                yield i, j
+        for i, lab in enumerate(self.labels):
+            mi = md[i]
+            for j in range(i + 1, ends[top - len(lab)]):
+                if mi + md[j] in live:
+                    yield i, j
 
     def structure_constants(self):
         """{(i, j): {k: coeff}} for i < j with nonzero bracket."""
@@ -349,18 +387,24 @@ def build_L0(graph, field, cap=None):
     the extremality row [x_i, [x_i, c]] and the terms [x_i, [x_j, c]]
     and [x_j, [x_i, c]] of a Jacobi row, which lie in the disjoint
     blocks i and j, are written by re-indexing; only the edge term
-    [[x_i, x_j], c] goes through the table's comb recursion.
-    `linalg.echelon` reduces the rows; its free columns are the new
-    basis elements, and every provisional bracket is then rewritten in
-    the new basis."""
+    [[x_i, x_j], c] goes through the table's comb recursion.  While the
+    rows are written, ``md_set`` also holds the candidates' multidegrees
+    e_i + md(b), and a row that is exactly zero is left out: an
+    extremality row with [x_i, c] = 0, and a Jacobi row whose
+    multidegree e_i + e_j + md(c) is no candidate's or whose terms are
+    all zero.  The reduced row echelon form is unique, so a zero row
+    moves nothing.  `linalg.echelon` reduces the rows; its free columns
+    are the new basis elements, every provisional bracket is then
+    rewritten in the new basis, and only the multidegrees of the free
+    columns stay in ``md_set``."""
     n = graph.n
     if cap is None:
         cap = 2 * n - 3 + 2
-    L = GradedLieAlgebra(graph, field)
+    L = GradedLieAlgebra(graph, field, cap)
     axpy, neg = field.axpy, field.neg
     one = field.one.v
     minus_one = neg(one)
-    lm, cache = L.leftmult, L._pair_cache
+    lm, cache, md, unit = L.leftmult, L._pair_cache, L.md, L._unit
 
     while L.degrees[-1] > 0:
         degree = L.top_degree              # current top established degree
@@ -368,44 +412,56 @@ def build_L0(graph, field, cap=None):
             raise TruncatedAtCap(
                 f"graded construction still growing at degree cap {cap}")
         m_cur = L.degrees[-1]
-        cur_start = L.offsets[-1]
-        new_start = cur_start + m_cur
-        prev_start, prev_stop = L.degree_slice(degree - 1)
+        new_start = L.dim
+        cur_start = new_start - m_cur
+        prev_start = cur_start - L.degrees[-2]
         ncand = n * m_cur
         # provisionally [x_i, b] is candidate column (i-1)*m_cur + b, at
-        # index new_start + column, and brackets reach degree + 1
+        # index new_start + column, of multidegree e_i + md(b), and
+        # brackets reach degree + 1
         for i in range(n):
             lm[i].extend({new_start + i * m_cur + b: one}
                          for b in range(m_cur))
         L.degrees.append(ncand)
+        established = L.md_set
+        L.md_set = established | {u + m for u in unit
+                                  for m in md[cur_start:new_start]}
         memo_start = len(cache)
 
         # [x_i, v] for v in the current top degree is v re-indexed into
-        # block i of the candidates: entry b moves by shift[i]
+        # block i of the candidates: entry b moves by shift[i]; a
+        # relation that is exactly zero is not written
         shift = [new_start + i * m_cur - cur_start for i in range(n)]
         relations = []
         # extremality relations first: [x_i, [x_i, c]]
         for i in range(n):
             s = shift[i]
-            for c in range(prev_start, prev_stop):
-                relations.append({s + b: x for b, x in lm[i][c].items()})
+            for c in range(prev_start, cur_start):
+                if lm[i][c]:
+                    relations.append({s + b: x for b, x in lm[i][c].items()})
         # Jacobi relations: [x_i,[x_j,c]] - [x_j,[x_i,c]] - [[x_i,x_j],c];
         # the first two terms lie in the disjoint blocks i and j, and the
         # last, -[c, [x_i,x_j]], is expanded through the witness of c
+        live = L.md_set
         for i in range(1, n + 1):
             si = shift[i - 1]
             for j in range(i + 1, n + 1):
                 sj = shift[j - 1]
+                uij = unit[i - 1] + unit[j - 1]
                 eidx = (L.label_index.get((i, j)) if graph.has_edge(i, j)
                         else None)
-                for c in range(prev_start, prev_stop):
+                for c in range(prev_start, cur_start):
+                    if uij + md[c] not in live:
+                        continue
                     row = {si + b: x for b, x in lm[j - 1][c].items()}
                     for b, x in lm[i - 1][c].items():
                         row[sj + b] = neg(x)
                     if eidx is not None:
                         axpy(row, minus_one, L.pair(c, eidx))
-                    relations.append(row)
+                    if row:
+                        relations.append(row)
         L.degrees.pop()
+        L.md_set = established
         red, pivots = linalg.echelon(field, relations)
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncand) if new_start + c not in pivot_set]
@@ -440,5 +496,4 @@ def build_L0(graph, field, cap=None):
     # drop the trailing zero degree (the top degree's left
     # multiplications, all zero, stay)
     L.degrees.pop()
-    L.offsets.pop()
     return L

@@ -448,7 +448,8 @@ def payload_matrices(draw, field, count):
 
 
 PROPERTY = settings(max_examples=15, deadline=None, database=None,
-                    derandomize=True)
+                    derandomize=True,
+                    phases=(Phase.generate, Phase.shrink))  # reports fast
 # the shared kernel fields plus the smallest and a 61-bit prime, whose
 # packed GF(p) slots are the narrowest and the widest; every drawn
 # denominator (1..4) is invertible mod 5

@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import random_element, random_vector
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import (build_family_graph, expected_catalog_size,
                                  graph_from_edges)
-from extremal_lie.presentation import (TruncatedAtCap, build_L0,
-                                       evaluate_monomial)
+from extremal_lie.presentation import (GradedLieAlgebra, TruncatedAtCap,
+                                       build_L0, evaluate_monomial)
 
 
 def test_single_edge_is_heisenberg():
@@ -138,16 +139,23 @@ def test_presentation_at_n_12_has_the_catalog_dimension(family):
 
 @pytest.mark.parametrize("family,n", [("D", 6), ("B", 6), ("A", 7)])
 def test_structure_constants_skip_pairs_vanishing_by_degree(family, n):
-    """The export visits only pairs whose degrees sum to at most the top
-    degree, caches no other pair, and gives the all-pairs table."""
+    """The export visits exactly the pairs whose multidegree sum is the
+    multidegree of a basis element, memoises no other pair (so none
+    whose degrees sum past the top degree), and gives the all-pairs
+    table."""
     L = build_L0(build_family_graph(family, n), QQ)
+    md, live = L.md, L.md_set
     before = set(L._pair_cache)
     table = L.structure_constants()
     top = L.top_degree
     added = set(L._pair_cache) - before
     assert added
+    assert all(md[a] + md[b] in live for a, b in added)
     assert all(len(L.labels[a]) + len(L.labels[b]) <= top
                for a, b in added)
+    admissible = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
+                  if md[i] + md[j] in live]
+    assert list(L._live_pairs()) == admissible
     every_pair = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
@@ -155,6 +163,60 @@ def test_structure_constants_skip_pairs_vanishing_by_degree(family, n):
             if entries:
                 every_pair[(i, j)] = entries
     assert table == every_pair
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return graph_from_edges(n, sorted(draw(st.sets(st.sampled_from(pairs)))))
+
+
+def _length_only_export(graph, cap):
+    """structure_constants_text() of build_L0(graph, QQ, cap), or None if
+    it is truncated at the cap, under the trivial grading, every
+    multidegree 0, with the cutoff by total degree alone: a bracket
+    vanishes only when its degree exceeds the top degree, and every
+    relation row, pair and bracket term is formed."""
+    init = GradedLieAlgebra.__init__
+
+    def trivial_grading(self, graph, field, cap):
+        init(self, graph, field, cap)
+        self._unit = [0] * graph.n
+        self.md[:] = [0] * len(self.md)
+        self.md_set = {0}
+
+    def by_length(self, a, b):
+        return len(self.labels[a]) + len(self.labels[b]) > self.top_degree
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradedLieAlgebra, "__init__", trivial_grading)
+        mp.setattr(GradedLieAlgebra, "_vanishes", by_length)
+        try:
+            return build_L0(graph, QQ, cap).structure_constants_text()
+        except TruncatedAtCap:
+            return None
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))   # a failure reports fast
+@given(graph=_small_graphs())
+def test_multidegree_rule_matches_the_length_cutoff(graph):
+    """The presentation skipping every bracket and relation row that
+    its multidegree makes zero exports the structure constants of the
+    one built with the total-degree cutoff alone, and every nonzero
+    c_ij^k has md(k) = md(i) + md(j)."""
+    cap = 6
+    want = _length_only_export(graph, cap)
+    try:
+        L = build_L0(graph, QQ, cap)
+    except TruncatedAtCap:
+        assert want is None
+        return
+    assert L.structure_constants_text() == want
+    md = L.md
+    for (i, j), entries in L.structure_constants().items():
+        assert all(md[k] == md[i] + md[j] for k in entries)
 
 
 #: sha256 of structure_constants_text() of presentations the benchmark
