@@ -20,14 +20,13 @@ from .extremal import (check_premet, classify_pair, exp_ad, fixtriangle,
                        is_extremal, extremal_form_value,
                        subalgebra_closure_dim, triangle_open)
 from .fields import DEFAULT_PRIME, PrimeField, QQ
-from .graphs import build_family_graph, catalog, expected_catalog_size
+from .graphs import build_family_graph, expected_catalog_size
 from .presentation import build_L0, evaluate_monomial
 from .realizations import (MatrixLieAlgebra, basis_vector, build_generators,
                            classify_siegel_pair, classify_transvection_pair,
-                           exp_siegel_action, lie_closure,
-                           orthogonal_form_even, orthogonal_form_odd,
-                           siegel, symplectic_form, symplectic_transvection,
-                           transvection)
+                           exp_siegel_action, orthogonal_form_even,
+                           orthogonal_form_odd, siegel, symplectic_form,
+                           symplectic_transvection, transvection)
 
 #: the realization cases shared by criteria 2, 3 and 4
 REALIZATION_CASES = (
@@ -45,13 +44,15 @@ def _field():
 
 
 def _closure(shared, family, n, params):
+    """(closure, generators, catalog span): `certify.catalog_closure`,
+    built once per realization."""
     key = (family, n, params)
     if key not in shared:
         F = shared["field"]
         mats, extra = build_generators(
             family, n, F, tuple(F(p) for p in params))
-        alg = lie_closure(mats, F)
-        shared[key] = (alg, alg.generators_list, extra)
+        alg, span = certify.catalog_closure(family, n, F, mats, extra)
+        shared[key] = (alg, alg.generators_list, span)
     return shared[key]
 
 
@@ -112,11 +113,7 @@ def criterion_4(rng, shared):
     t0 = time.time()
     bad = []
     for family, n, params, _ in REALIZATION_CASES:
-        alg, mats, _ = _closure(shared, family, n, params)
-        span = linalg.SpanSolver(alg.field, alg.vector_dim)
-        for img in certify._catalog_images(
-                alg, mats, [e.indices for e in catalog(family, n)]):
-            span.add(alg.vector(img))
+        alg, mats, span = _closure(shared, family, n, params)
         want = expected_catalog_size(family, n)
         if span.rank != want:
             bad.append(f"{family}{n}: rank {span.rank} != {want}")

@@ -27,28 +27,31 @@ identity and so exact for matrix commutators.  With independent bases,
 a_i -> b_i is an isomorphism exactly when the two tables agree on every
 pair.
 
-A match builds two tables, T(b1) and T(b2) of the sides, and checks
-each side that is not its own model against its standard model
-(`_check_model`), side 2 first: the left multiplications of T(b2) on
-model 2's catalog images c2 prove T(b2) = T(c2), and those of T(b1) on
-model 1's images c1 prove T(b1) = T(c1), with no model table built.
+A match proves side 2 first: its table T(b2) proves its span closed,
+and unless side 2 is its own model, the left multiplications of T(b2)
+on model 2's catalog images c2 prove T(b2) = T(c2) (`_check_model`),
+with no model table built.  Side 1 builds its table T(b1) only to check
+it the same way on model 1's images c1.  As its own model, its c1 are
+its dim independent images; the glue finds each in span_c2, closed of
+dimension dim, so they span it, and as it holds every generator (a
+singleton label) it is side 1's closure: that table could not fail.
 Each check runs on the n * dim generator products and names the first
 that fails.  A side is its own model when the two normal forms have one
 base field, equal base matrices and equal scalars (`_own_model`): its
-table was solved from exactly its model's generator products in
-exactly its model's images, so T(bs) = T(cs) holds as built, its images
-serve as the model's and no check runs for it.  Every A or C side is
-its own model, and so is a B or D side of standard generators whose
-model rebuilds them; a side in other coordinates, or one whose psi
-rebuilds at another parameter point (D5 (2,3) at (0,15)), is checked.
-A side's table is built on its base generators y_k, over the base
-field, and its check meets the scalars through one ratio per generator,
+table is solved from exactly its model's generator products in exactly
+its model's images, so T(bs) = T(cs) holds as built, its images serve
+as the model's and no check runs for it.  Every A or C side is its own
+model, and so is a B or D side of standard generators whose model
+rebuilds them; a side in other coordinates, or one whose psi rebuilds
+at another parameter point (D5 (2,3) at (0,15)), is checked.  A
+table is built on its side's base generators y_k, over the base
+field, and a check meets the scalars through one ratio per generator,
 side scalar over model scalar, with no rescaled table.  The glue
 matrix G holds the coordinates of the c1 in the basis c2: the c1 are
 independent and in the closed span of as many c2, so G is invertible,
-and it is the identity map of matrices, which needs no check.  So T(c1) is T(c2) in
-the basis G gives, and b1_i -> sum_a G_ia b2_a, through the models, is
-an isomorphism on every pair.
+and it is the identity map of matrices, which needs no check.  So
+T(c1) is T(c2) in the basis G gives, and b1_i -> sum_a G_ia b2_a,
+through the models, is an isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
 generator (by its check, or by side 2's table when side 2 is its own
@@ -1028,12 +1031,12 @@ def _own_model(ctx, gens, mctx, mgens):
     """Whether a side is its own model: its normal form (ctx, gens) and
     its model's (mctx, mgens) have one base field, equal base matrices
     y_k == z_k as payload rows, and equal scalars, lambda_k lifted into
-    the model's field being nu_k.  The side's table was then solved
+    the model's field being nu_k.  A table of the side is then solved
     from exactly the products [z_k, e_b] in exactly the model's images
     e_b, so every ratio rho_k of `_check_model` is 1, each residual is
-    zero and each unit column is {hit: 1} as built: the check cannot
-    fail, and the side's images and span are the model's.  An A or C
-    model is its side, so every A or C side is its own model."""
+    zero and each unit column is {hit: 1}: the check cannot fail, the
+    side's images are the model's, and side 1 builds no table.  An A or
+    C model is its side, so every A or C side is its own model."""
     field = mctx.field
     return (ctx.base.field.same(mctx.base.field)
             and [g.a for g in gens] == [m.a for m in mgens]
@@ -1042,14 +1045,14 @@ def _own_model(ctx, gens, mctx, mgens):
 
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
-    field, are isomorphic: normalise both, build each side's table,
-    rebuild a standard model for a B or D side and check each side that
-    is not its own model (`_own_model`) on its model's generator
-    products, side 2 first, which proves its table equal to the model's
-    on every pair, then glue the two models.  A and C sides, and every
-    B or D side whose model rebuilds its normal form, are their own
-    models and run no check; see the module docstring for what that
-    proves.
+    field, are isomorphic: normalise both, rebuild a standard model for
+    a B or D side, prove side 2's table closed, check each side that is
+    not its own model (`_own_model`) on its model's generator products,
+    side 2 first, which proves its table equal to the model's on every
+    pair, then glue the two models.  A side 1 that is its own model
+    builds no table; A and C sides, and every B or D side whose model
+    rebuilds its normal form, run no check.  The module docstring says
+    what that proves.
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  All matrix work runs
@@ -1057,9 +1060,9 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     scalars through one ratio per generator (`_check_model`), and the
     last field reached only rescales the glue into `basis_map`.
 
-    Either side may be a closure or hold generators only: the side
-    tables prove the dimension, and the certificate's `dim` is the
-    catalog size they prove."""
+    Either side may be a closure or hold generators only: side 2's
+    table, or model 2's check, proves the dimension, and the
+    certificate's `dim` is the catalog size it proves."""
     n = len(gens1)
     if len(gens2) != n:
         raise FormMismatch("realizations have different numbers of "
@@ -1089,25 +1092,23 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
             family, n, mctx1.field, _psi_in(psi2, mctx1.field),
             mctx1.base.field)
 
-    # each side's catalog over its matrix field, built once
-    images1, _, t_b1 = _catalog_table(ctx1.base, [g.a for g in g1], labels,
-                                      "side 1")
-    # a side that is its own model runs no check: c1 are side 1's
-    # image vectors, and span_c2 is side 2's span
-    c1 = ([ctx1.base.vector(img) for img in images1]
-          if _own_model(ctx1, g1, mctx1, m1) else None)
-    # dropping side 1's images before side 2's lowers the peak memory
-    del images1
+    # side 2 first: its table proves its span closed, and a side 2 that
+    # is not its own model is checked against model 2, T(b2) = T(c2)
     span_c2, t_b2 = _catalog_table(ctx2.base, [g.a for g in g2], labels,
                                    "side 2")[1:]
-    # every other side against its standard model: T(b2) = T(c2), then
-    # T(b1) = T(c1)
     if not _own_model(ctx2, g2, mctx2, m2):
         span_c2 = _check_model(mctx2, m2, t_b2, g2, "side 2 vs model",
                                "model 2")[1]
-    if c1 is None:
-        c1 = _check_model(mctx1, m1, t_b1, g1, "side 1 vs model",
-                          "model 1")[0]
+    # then side 1: its own model needs no table, since the glue finds
+    # its independent images in the closed span_c2; otherwise T(b1) =
+    # T(c1) on side 1's table
+    y1 = [g.a for g in g1]
+    if _own_model(ctx1, g1, mctx1, m1):
+        c1 = _independent_images(ctx1.base, y1, labels, "side 1")[1]
+    else:
+        c1 = _check_model(mctx1, m1,
+                          _catalog_table(ctx1.base, y1, labels, "side 1")[2],
+                          g1, "side 1 vs model", "model 1")[0]
     top = mctx2.field
     mu1 = _label_scalars(top, _scalars(m1, top), labels)
     mu2 = _label_scalars(top, _scalars(m2, top), labels)
@@ -1115,7 +1116,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     up = tower_maps(mctx2.base.field, top)[0]
     # what follows reads c1, span_c2 and the scalars only: dropping the
     # matrix algebras and the tables lowers the peak memory
-    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2, t_b1, t_b2
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2, y1, t_b2
 
     # glue through the common model algebra: model 1's images, in model
     # 2's closed span and as many as its basis, are a basis of it, so

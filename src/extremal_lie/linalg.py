@@ -386,19 +386,12 @@ def _reduce(axpy, v, rows, leads, hits=None):
     v instead of by a scan."""
     if not v:
         return
-    if hits is None:
-        for row, lc in zip(rows, leads):
-            c = v.get(lc)
-            if c is not None:
-                axpy(v, c, row)
-                if not v:
-                    return
-        return
     for k, (row, lc) in enumerate(zip(rows, leads)):
         c = v.get(lc)
         if c is not None:
             axpy(v, c, row)
-            hits.append((k, c))
+            if hits is not None:
+                hits.append((k, c))
             if not v:
                 return
 

@@ -4,11 +4,13 @@ The whole suite runs once through `extremal_lie.acceptance.run_all`
 with a fixed seed; each test then reports and asserts its criterion and
 its exact detail string at seed 0, so a change that alters what a
 criterion counts or names shows here.  Run
-`pytest -v tests/test_acceptance.py` for the per-criterion lines.
+`pytest -v tests/test_acceptance.py` for the per-criterion lines.  A
+second run checks that the criteria grow no closure.
 """
 
 import pytest
 
+from extremal_lie import acceptance, certify, realizations
 from extremal_lie.acceptance import CRITERIA, run_all
 
 #: the detail string of each criterion under run_all(seed=0)
@@ -80,3 +82,16 @@ def test_criterion_09_isomorphism_matching(results):
 
 def test_criterion_10_parameter_solvers(results):
     _check(results, 10)
+
+
+def test_run_all_grows_no_closure(monkeypatch):
+    """Every realization the criteria share is proved by
+    `certify.catalog_closure` from its catalog and its form, so
+    `lie_closure` is never called, nor imported back into the suite."""
+    def refuse(*args):
+        raise AssertionError("lie_closure called")
+
+    monkeypatch.setattr(certify, "lie_closure", refuse)
+    monkeypatch.setattr(realizations, "lie_closure", refuse)
+    monkeypatch.setattr(acceptance, "lie_closure", refuse, raising=False)
+    assert all(r["passed"] for r in run_all(seed=0))

@@ -1129,20 +1129,6 @@ def test_certify_family_rationals_agree_with_prime_field(family, n, params):
         [int(v) for v in over_p.psi]
 
 
-def test_match_builds_two_catalog_tables(monkeypatch):
-    """Both sides get a table, and no model does: each model is checked
-    against its side's table on its generator products."""
-    calls = []
-    catalog_table = certify._catalog_table
-    monkeypatch.setattr(certify, "_catalog_table",
-                        lambda *a, **k: calls.append(1) or
-                        catalog_table(*a, **k))
-    alg1, mats1 = closure_of("B", 5, (1,))
-    alg2, mats2 = closure_of("B", 5, (2,))
-    assert match_algebras(alg1, mats1, alg2, mats2, "B").verdict == "pass"
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize("family,n", [("A", 5), ("C", 6)])
 def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
     """An A or C side is its own model: each side's catalog images are
@@ -1156,6 +1142,20 @@ def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
                         lambda *a: checks.append(1) or check_model(*a))
     assert match_algebras(*sides, family).verdict == "pass"
     assert (len(images), len(checks)) == (2, 0)
+
+
+def test_a_side_2_span_that_is_not_closed_is_refused(monkeypatch):
+    """Side 2's table is the one closure proof a match runs when side 2
+    is its own model.  With the catalog cut to the singletons (k,),
+    B5 gamma 1 matched with itself has independent images, equal models
+    and equal normal forms, yet [x_1, x_2] leaves their span: side 2's
+    table refuses it."""
+    monkeypatch.setattr(certify, "catalog", lambda *a: [
+        e for e in catalog(*a) if len(e.indices) == 1])
+    alg, mats = closure_of("B", 5, (1,))
+    with pytest.raises(StructureMismatch,
+                       match="^side 2: bracket leaves the span$"):
+        match_algebras(alg, mats, alg, mats, "B")
 
 
 def test_dependent_side_images_name_the_side():
@@ -1322,6 +1322,21 @@ MODEL_CHECKS = {
     "A5-conj": [], "B5": [], "B5-conj": ["side 2 vs model"], "C6-conj": [],
     "D5": ["side 1 vs model"], "D5-QQ": ["side 1 vs model"],
 }
+
+
+@pytest.mark.parametrize("name", list(RESCALE_CASES))
+def test_match_tables_side_1_only_when_it_is_checked(name, monkeypatch):
+    """Side 2 always gets a table, which proves its span closed; side 1
+    gets one only when a model check reads it (`MODEL_CHECKS`), and no
+    model gets one."""
+    family, sides = RESCALE_CASES[name]()
+    tables = []
+    catalog_table = certify._catalog_table
+    monkeypatch.setattr(certify, "_catalog_table",
+                        lambda *a: tables.append(a[3]) or catalog_table(*a))
+    assert match_algebras(*sides, family).verdict == "pass"
+    side_1 = "side 1 vs model" in MODEL_CHECKS[name]
+    assert tables == (["side 2", "side 1"] if side_1 else ["side 2"])
 
 
 def _recorded_match(monkeypatch, family, sides):

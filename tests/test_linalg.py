@@ -447,9 +447,10 @@ def payload_matrices(draw, field, count):
     return n, mats
 
 
+# no shrink phase: a broken kernel reports its first failing example
+# at once, not after minutes of shrinking
 PROPERTY = settings(max_examples=15, deadline=None, database=None,
-                    derandomize=True,
-                    phases=(Phase.generate, Phase.shrink))  # reports fast
+                    derandomize=True, phases=(Phase.generate,))
 # the shared kernel fields plus the smallest and a 61-bit prime, whose
 # packed GF(p) slots are the narrowest and the widest; every drawn
 # denominator (1..4) is invertible mod 5
