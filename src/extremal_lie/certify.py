@@ -15,6 +15,17 @@ this module
   an explicit basis correspondence whose bracket tables are proven to
   agree on every pair of basis elements.
 
+When the closure proof holds, the closure is sl_N, o(G) or sp(G)
+(`realizations.ClassicalAlgebra`), and in characteristic != 2 the rest
+of `certify_family` reads from that form.  A square-zero x has
+[x, [x, y]] = -2xyx, a multiple of x for every y in the algebra when x
+has rank 1 (x = a b^T, xyx = (b^T y a) x) or rank 2 in o(G) (a Siegel
+element T_{u,v}, im x totally isotropic, xyx = B(u, yv) x).  The
+identity samples are drawn in the algebra: traceless matrices, or
+G^-1 A for A antisymmetric (o(G)) or symmetric (sp(G)).  A realization
+the proof does not cover grows its closure (`lie_closure`), sweeps each
+generator with `is_extremal` and samples its basis.
+
 The bracket tables are structure constants on the catalog bases (see
 `_catalog_table`).  A catalog is tail-closed, every monomial being
 [x_k, b'] with b' in the catalog too, so a table follows from the left
@@ -94,8 +105,8 @@ from .presentation import MonomialTable, evaluate_monomial
 from .extremal import (extremal_form_value, is_extremal, fixtriangle,
                        check_premet, triangle_open, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
-                           InvalidParameters, d_open_conditions,
-                           generators_D, generators_B)
+                           classical_algebra, InvalidParameters,
+                           d_open_conditions, generators_D, generators_B)
 
 
 class CertifyError(Exception):
@@ -596,8 +607,9 @@ def _draws(rng, lo, hi, count):
 
 
 def _random_element(ctx, rng):
-    """A basis combination with coefficients in [-3, 3]: exactly `dim`
-    draws from rng."""
+    """A basis combination with coefficients in [-3, 3], exactly `dim`
+    draws from rng: `from_coords` of a `MatrixLieAlgebra`, over its
+    basis, or of a `ClassicalAlgebra`, over its standard basis."""
     return ctx.from_coords(_draws(rng, -3, 3, ctx.dim))
 
 
@@ -635,65 +647,20 @@ SPANNING_SAMPLES = 100
 IDENTITY_SAMPLES = 50
 
 
-def _classical_dim(family, field, mats, extra):
-    """The dimension of the classical algebra that holds every generator
-    (payload rows, N x N), read from the realization, or None when a
-    check fails.  A: every generator is traceless, so the closure lies
-    in sl_N, of dimension N^2 - 1.  B, C, D: the Gram matrix G of the
-    form extra[0] (as `build_generators` returns it) is symmetric (B, D)
-    or alternating (C), of rank N, and X^T G + G X = 0 for every
-    generator X, so the closure lies in o(G), of dimension N(N-1)/2, or
-    sp(G), of dimension N(N+1)/2.  Those dimensions, and G^T = -G
-    implying a zero diagonal, need characteristic != 2, which every
-    field here has (`PrimeField` refuses p = 2).  Each check costs
-    O(nnz) per generator."""
-    size = len(mats[0])
-    zero, add, mul, is_zero = (field.zero.v, field.add, field.mul,
-                               field.is_zero)
-    if family == "A":
-        for x in mats:
-            t = zero
-            for i, row in enumerate(x):
-                t = add(t, row.get(i, zero))
-            if not is_zero(t):
-                return None
-        return size * size - 1
-    form = extra[0]
-    sign = -1 if family == "C" else 1
-    entries = form.entries
-    if form.dim != size or any(entries.get((j, i), field.zero) != g * sign
-                               for (i, j), g in entries.items()):
-        return None
-    gram = {ij: g.v for ij, g in entries.items() if not g.is_zero()}
-    rows = [{} for _ in range(size)]
-    for (i, j), g in gram.items():
-        rows[i][j] = g
-    if len(linalg.echelon(field, rows)[1]) != size:
-        return None
-    for x in mats:
-        s = {}      # X^T G + G X
-        for (i, k), g in gram.items():
-            for j, v in x[k].items():       # (G X)_ij += g_ik x_kj
-                s[i, j] = add(s.get((i, j), zero), mul(g, v))
-            for j, v in x[i].items():       # (X^T G)_jk += x_ij g_ik
-                s[j, k] = add(s.get((j, k), zero), mul(v, g))
-        if not all(is_zero(v) for v in s.values()):
-            return None
-    return size * (size - sign) // 2
-
-
 def catalog_closure(family, n, field, mats, extra):
-    """(closure, span): the Lie closure of the family generators `mats`,
-    as `build_generators` returns them with `extra`, and the
-    `SpanSolver` of their catalog images.
+    """(closure, span, classical): the Lie closure of the family
+    generators `mats`, as `build_generators` returns them with `extra`,
+    the `SpanSolver` of their catalog images, and the classical algebra
+    the closure was proved to be, or None.
 
     The catalog images lie in the closure, so their rank bounds its
-    dimension from below; the classical algebra of `_classical_dim`
+    dimension from below; the classical algebra of `classical_algebra`
     holds the closure and bounds it from above.  When the rank, the
     catalog size and that dimension are equal, the independent images
-    are a basis of the closure and the context has them as its basis,
-    with no closure grown.  Otherwise the closure is `lie_closure`'s, so a
-    failing realization still reports its true dimension."""
+    are a basis of the closure, the context has them as its basis, with
+    no closure grown, and the closure is that classical algebra.
+    Otherwise the closure is `lie_closure`'s, so a failing realization
+    still reports its true dimension, and `classical` is None."""
     gens = MatrixLieAlgebra(field, len(mats[0]), [], mats)
     mats = gens.generators_list
     images = _catalog_images(gens, mats,
@@ -701,9 +668,22 @@ def catalog_closure(family, n, field, mats, extra):
     span = linalg.SpanSolver(field, gens.vector_dim)
     basis = [img for img in images if span.add(gens.vector(img))]
     expected = expected_catalog_size(family, n)
-    if span.rank == expected == _classical_dim(family, field, mats, extra):
-        return MatrixLieAlgebra(field, gens.ambient_dim, basis, mats), span
-    return lie_closure(mats, field), span
+    if span.rank == expected:
+        classical = classical_algebra(family, field, mats, extra)
+        if classical is not None and classical.dim == expected:
+            return (MatrixLieAlgebra(field, gens.ambient_dim, basis, mats),
+                    span, classical)
+    return lie_closure(mats, field), span, None
+
+
+def extremal_flags(closure, classical, gens):
+    """`is_extremal`'s flag for each generator of `closure`.  When the
+    closure is proved to be the classical algebra `classical`, the
+    structure of a generator (`ClassicalAlgebra.extremal`) proves it
+    extremal with no sweep; a generator the rule does not cover, and
+    every generator of a grown closure, is swept over the basis."""
+    return [classical is not None and classical.extremal(g)
+            or is_extremal(closure, g)[0] for g in gens]
 
 
 def certify_family(family, n, params=(), field=QQ, seed=0):
@@ -713,19 +693,29 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
     (`catalog_closure`): the `catalog_rank` independent catalog images
     lie in the closure, and the closure lies in sl_N, o(G) or sp(G),
     whose dimension the generators' traces or their form G give.  When
-    both bounds equal the catalog size, `dim` is that size and the
-    catalog images are the basis the extremality sweep and the identity
-    samples use; otherwise `dim` is that of the closure `lie_closure`
-    grows."""
+    both bounds equal the catalog size, `dim` is that size, the catalog
+    images are the closure's basis, and the closure is that classical
+    algebra, which the check then reads, in characteristic != 2 (see
+    the module docstring): a square-zero generator of rank 1, or of
+    rank 2 in o(G), is extremal (xyx = (b^T y a) x for x = a b^T, and
+    xyx = B(u, yv) x for x = T_{u,v}), with no sweep, and each
+    identity sample is a traceless matrix or G^-1 A, A antisymmetric
+    (o(G)) or symmetric (sp(G)) (`ClassicalAlgebra.from_coords`).
+    Otherwise `dim` is that of the closure `lie_closure` grows,
+    `is_extremal` sweeps each generator over its basis, and each sample
+    combines that basis.  A sample takes `dim` draws either way
+    (`_random_element`), so the rng stream is the same; a report holds
+    flags and counts only."""
     rng = random.Random(seed)
     mats, extra = build_generators(family, n, field, params)
-    closure, span = catalog_closure(family, n, field, mats, extra)
+    closure, span, classical = catalog_closure(family, n, field, mats,
+                                               extra)
     mats = closure.generators_list
     graph = build_family_graph(family, n)
+    space = closure if classical is None else classical
 
-    extremal_flags = [is_extremal(closure, g)[0] for g in mats]
-    graph_ok, _ = graph_realization_check(closure, mats, graph,
-                                          extremal_flags)
+    extremal = extremal_flags(closure, classical, mats)
+    graph_ok, _ = graph_realization_check(closure, mats, graph, extremal)
     expected = expected_catalog_size(family, n)
     catalog_rank = span.rank
 
@@ -750,15 +740,15 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
                  "Q3a": {"tried": 0, "passed": 0}}
     for _ in range(IDENTITY_SAMPLES):
         x = mats[_draws(rng, 0, n - 1, 1)[0]]
-        y = _random_element(closure, rng)
-        z = _random_element(closure, rng)
+        y = _random_element(space, rng)
+        z = _random_element(space, rng)
         flags = check_premet(closure, x, y, z)
         id_counts["premet"]["tried"] += 1
         id_counts["premet"]["passed"] += all(flags.values())
         k, l, m = _draws(rng, 0, n - 1, 3)
         q = check_quartic_identities(closure, mats[k], mats[l], mats[m],
-                                     _random_element(closure, rng),
-                                     _random_element(closure, rng))
+                                     _random_element(space, rng),
+                                     _random_element(space, rng))
         for name in ("Q3", "Q3a"):
             id_counts[name]["tried"] += 1
             id_counts[name]["passed"] += q[name]
@@ -766,14 +756,14 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
     # the genericity evaluations are hypotheses of the matching theorems,
     # reported for information; a realization on a non-generic locus is
     # still a valid realization, so they do not enter the verdict
-    checks = [all(extremal_flags), graph_ok, closure.dim == expected,
+    checks = [all(extremal), graph_ok, closure.dim == expected,
               catalog_rank == expected, passed == tried,
               all(c["passed"] == c["tried"] for c in id_counts.values())]
     return CertReport(
         family=family, n=n, field=str(field),
         params={k: str(field(v))
                 for k, v in zip(FAMILY_PARAMS[family], params)},
-        extremal=extremal_flags, graph_match=graph_ok,
+        extremal=extremal, graph_match=graph_ok,
         dim=closure.dim, dim_expected=expected, catalog_rank=catalog_rank,
         spanning_samples=spanning,
         psi=[str(v) for v in psi_vec.values],

@@ -28,7 +28,6 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, certify
-from .extremal import is_extremal
 from .fields import NotInvertible, PrimeField, QQ
 from .graphs import (FAMILY_PARAMS, BoundsViolation, build_family_graph,
                      expected_catalog_size, graph_from_edges)
@@ -218,10 +217,11 @@ def cmd_realize(args):
     args.n = check_size(args.n)
     mats, extra = build_generators(args.family, args.n, field,
                                    tuple(field_elem(field, p) for p in params))
-    alg, _ = certify.catalog_closure(args.family, args.n, field, mats, extra)
+    alg, _, classical = certify.catalog_closure(args.family, args.n, field,
+                                                mats, extra)
     gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
-    extremal = [is_extremal(alg, g)[0] for g in gens]
+    extremal = certify.extremal_flags(alg, classical, gens)
     graph_ok, witnesses = certify.graph_realization_check(alg, gens, graph,
                                                           extremal)
     expected = expected_catalog_size(args.family, args.n)

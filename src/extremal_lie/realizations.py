@@ -18,12 +18,16 @@ converts each generator once into sparse payload rows.  Every
 generator squares to zero, and so does every conjugate and multiple of
 one, so the context reads their extremal form values from rank factors
 x = U R, r = rank x at most 2, instead of two brackets
-(`MatrixLieAlgebra.extremal_value`).
+(`MatrixLieAlgebra.extremal_value`).  :func:`classical_algebra` reads
+the sl_N, o(G) or sp(G) that holds a realization's generators from
+their traces or form: a :class:`ClassicalAlgebra`, which proves a
+generator extremal from its rank factors and combines its standard
+basis in O(N^2).
 """
 
 from . import linalg
 from .extremal import NotExtremal, bracket_form_value, extremal_form_value
-from .fields import FieldElement, NoSquareRoot, quadratic_roots
+from .fields import FieldElement, NoSquareRoot, PrimeField, quadratic_roots
 from .graphs import check_family_n
 from .linalg import (Rows, SpanSolver, basis_lincomb, dense, mat_bracket,
                      mat_lincomb, mat_vector, sandwich, sparse,
@@ -526,6 +530,158 @@ def lie_closure(generators, field):
     basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,
                                    gens.vector, gens.vector_dim)
     return MatrixLieAlgebra(field, n, basis, gens.generators_list)
+
+
+# ---------------------------------------------------------------------------
+# the classical algebra of a realization
+# ---------------------------------------------------------------------------
+
+class ClassicalAlgebra:
+    """sl_N (family A), o(G) (B, D) or sp(G) (C) over `field`, G the
+    form's Gram matrix (`gram`, payload rows), of dimension `dim`:
+    N^2 - 1, N(N-1)/2 or N(N+1)/2 (`classical_algebra`).  Those, and
+    the rank-2 rule of `extremal`, need characteristic != 2, which
+    every field here has (`PrimeField` refuses p = 2)."""
+
+    def __init__(self, family, field, size, gram=None, inverse=None):
+        self.family, self.field, self.size = family, field, size
+        self.gram = gram
+        self._basis = _standard_basis(family, field, size, inverse)
+        self.dim = len(self._basis)
+
+    def holds(self, x):
+        """Whether the payload rows x lie in the algebra: trace 0 (A),
+        else X^T G + G X = 0.  O(nnz) for G a signed permutation."""
+        field = self.field
+        zero, add, mul = field.zero.v, field.add, field.mul
+        if self.family == "A":
+            t = zero
+            for i, row in enumerate(x):
+                t = add(t, row.get(i, zero))
+            return field.is_zero(t)
+        s = {}      # X^T G + G X
+        for i, grow in enumerate(self.gram):
+            for k, g in grow.items():
+                for j, v in x[k].items():       # (G X)_ij += g_ik x_kj
+                    s[i, j] = add(s.get((i, j), zero), mul(g, v))
+                for j, v in x[i].items():       # (X^T G)_jk += x_ij g_ik
+                    s[j, k] = add(s.get((j, k), zero), mul(v, g))
+        return all(field.is_zero(v) for v in s.values())
+
+    def extremal(self, x):
+        """Whether the structure of x, an element of the algebra, proves
+        it extremal there.  x must square to zero (`Rows.factors`, which
+        gives its rank r too), so [x, [x, y]] = -2xyx.  r = 1: x = a b^T,
+        b^T a = 0, and xyx = (b^T y a) x for every y in gl_N.  r = 2 in
+        o(G): G x is antisymmetric of rank 2, so x is a Siegel element
+        T_{u,v}: w -> B(u, w) v - B(v, w) u; B(xv, xw) = -B(v, x^2 w) = 0
+        makes im x = <u, v> totally isotropic, and xyx = B(u, yv) x for
+        every y in o(G).  False for every other x, such as a rank-2
+        element of sp(G) or a sum of orthogonal Siegel elements, which
+        are not extremal."""
+        x = x if isinstance(x, Rows) else Rows(x)
+        factors = x.factors(self.field)
+        if factors is None:
+            return False
+        rank = len(factors[0])
+        return rank == 1 or (rank == 2 and self.family in ("B", "D")
+                             and self.holds(x))
+
+    def from_coords(self, coords):
+        """sum c_i e_i over the standard basis (`_standard_basis`), for
+        `dim` int coordinates: the traceless matrix with the c_i as its
+        entries but the last diagonal one, or G^-1 A for A
+        antisymmetric (B, D) or symmetric (C) with the c_i as its
+        entries A_ij, i < j or i <= j, row by row.  Over GF(p) the sums
+        are ints, reduced once."""
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates for an algebra "
+                             f"of dimension {self.dim}")
+        field, n = self.field, self.size
+        acc = {}        # row-major position -> payload
+        get = acc.get
+        rows = [{} for _ in range(n)]
+        if isinstance(field, PrimeField):
+            for c, element in zip(coords, self._basis):
+                if c:
+                    for k, g in element:
+                        acc[k] = get(k, 0) + c * g
+            p = field.p
+            for k, v in acc.items():
+                if v := v % p:
+                    rows[k // n][k % n] = v
+            return Rows(rows)
+        add, mul, zero = field.add, field.mul, field.zero.v
+        for c, element in zip(coords, self._basis):
+            if c:
+                c = field.coerce(c)
+                for k, g in element:
+                    acc[k] = add(get(k, zero), mul(c, g))
+        for k, v in acc.items():
+            if not field.is_zero(v):
+                rows[k // n][k % n] = v
+        return Rows(rows)
+
+
+def _standard_basis(family, field, size, inverse):
+    """The standard basis, each element a list of its entries
+    (i*N + j, payload): E_ij for (i, j) != (N, N), E_ii taking -E_NN
+    with it (A); G^-1 (E_ij - E_ji), i < j (B, D); G^-1 (E_ij + E_ji),
+    i < j, and G^-1 E_ii (C); row by row.  Column j of G^-1 E_ij is
+    column i of G^-1 (`inverse`, payload rows)."""
+    one = field.one.v
+    if family == "A":
+        last = size * size - 1
+        minus = [(last, field.neg(one))]
+        return [[(k, one)] + (minus if k % (size + 1) == 0 else [])
+                for k in range(last)]
+    cols = [[] for _ in range(size)]        # the columns of G^-1
+    for r, row in enumerate(inverse):
+        for k, g in row.items():
+            cols[k].append((r * size, g))
+    neg = (lambda g: g) if family == "C" else field.neg
+    out = []
+    for i in range(size):
+        for j in range(i if family == "C" else i + 1, size):
+            element = [(r + j, g) for r, g in cols[i]]
+            if j != i:
+                element += [(r + i, neg(g)) for r, g in cols[j]]
+            out.append(element)
+    return out
+
+
+def classical_algebra(family, field, mats, extra):
+    """The classical algebra that holds every generator (payload rows,
+    N x N) of a realization, or None when a check fails.  A: every
+    generator is traceless, so it is sl_N.  B, C, D: the Gram matrix G
+    of the form extra[0] (as `build_generators` returns it) is
+    symmetric (B, D) or alternating (C) of rank N, and X^T G + G X = 0
+    for every generator X: o(G) or sp(G).  `linalg.echelon` of [G | 1]
+    gives the rank of G and G^-1 at once."""
+    size = len(mats[0])
+    if family == "A":
+        alg = ClassicalAlgebra(family, field, size)
+    else:
+        form = extra[0]
+        sign = -1 if family == "C" else 1
+        entries = form.entries
+        if form.dim != size or any(
+                entries.get((j, i), field.zero) != g * sign
+                for (i, j), g in entries.items()):
+            return None
+        gram = [{} for _ in range(size)]
+        for (i, j), g in entries.items():
+            if not g.is_zero():
+                gram[i][j] = g.v
+        one = field.one.v
+        reduced, pivots = linalg.echelon(
+            field, [{**row, size + i: one} for i, row in enumerate(gram)])
+        if pivots[size - 1] != size - 1:
+            return None
+        inverse = [{j - size: v for j, v in row.items() if j >= size}
+                   for row in reduced]
+        alg = ClassicalAlgebra(family, field, size, gram, inverse)
+    return alg if all(alg.holds(x) for x in mats) else None
 
 
 # ---------------------------------------------------------------------------

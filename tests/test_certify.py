@@ -29,9 +29,9 @@ from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
 from extremal_lie.graphs import (build_family_graph, catalog,
                                  expected_catalog_size)
 from extremal_lie.presentation import evaluate_monomial
-from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
-                                       build_generators, d_open_conditions,
-                                       lie_closure)
+from extremal_lie.realizations import (ClassicalAlgebra, InvalidParameters,
+                                       MatrixLieAlgebra, build_generators,
+                                       d_open_conditions, lie_closure)
 
 F = PrimeField(DEFAULT_PRIME)
 GF2 = KERNEL_FIELDS["GF(p)(rt d)"]
@@ -105,14 +105,33 @@ def test_graph_realization_check_reports_witnesses(b5):
             False, ["generator 4 not extremal"])
 
 
-def test_certify_family_runs_is_extremal_once_per_generator(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("family,n,params,p,sweeps", [
+    ("A", 4, (), DEFAULT_PRIME, 0), ("D", 5, (2, 3), DEFAULT_PRIME, 0),
+    ("D", 5, (2, 3), 5, 5)], ids=["A4", "D5", "D5-GF(5)"])
+def test_certify_family_sweeps_extremality_only_on_a_grown_closure(
+        family, n, params, p, sweeps, monkeypatch):
+    """A passing realization is proved extremal from the structure of
+    its generators (rank 1, or rank 2 in o(G)), with no `is_extremal`
+    sweep, and samples its proved classical algebra; over GF(5), D5
+    (2,3) fails the closure proof, and its grown closure sweeps each
+    generator once and draws its samples from its basis."""
+    calls, samples = [], []
     is_extremal = certify.is_extremal
+    random_element = certify._random_element
     monkeypatch.setattr(certify, "is_extremal",
                         lambda ctx, x: calls.append(x) or is_extremal(ctx, x))
-    report = certify_family("A", 4, (), field=F, seed=0)
-    assert report.extremal == [True] * 4 and report.graph_match
-    assert len(calls) == 4
+    monkeypatch.setattr(
+        certify, "_random_element",
+        lambda ctx, rng: samples.append(ctx) or random_element(ctx, rng))
+    field = PrimeField(p)
+    report = certify_family(family, n, tuple(field(x) for x in params),
+                            field=field, seed=0)
+    assert report.extremal == [True] * n and report.graph_match
+    assert report.verdict == ("fail" if sweeps else "pass")
+    assert len(calls) == sweeps
+    kind = MatrixLieAlgebra if sweeps else ClassicalAlgebra
+    assert len(samples) == 4 * certify.IDENTITY_SAMPLES
+    assert all(type(ctx) is kind for ctx in samples)
 
 
 def test_check_genericity_flags(d5):
@@ -469,6 +488,8 @@ CERTIFY_QQ_DIGESTS = {
         "4203142289f769440b2a93ada25fd284cfb2640275ada694aef19fd63821f377",
     ("D", 7, (1, 8)):
         "be5865a42ecab4992f275b63e0cfe078a393bbe4fa69ddd125ed9966879b17ec",
+    ("D", 7, (2, 3)):
+        "cafca8dffc59e23b946221ea1e2f09ff52028fe722fe9ac32a209dcdbb06ac2a",
     ("B", 7, (2,)):
         "f459ea399d4a028dc8188cff559d051d3e778cb72a0c971b097cc6314dfc05c8",
     ("C", 6, ()):
@@ -487,6 +508,41 @@ def test_certify_report_digests_over_qq(family, n, params):
     assert report.verdict == "pass"
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == CERTIFY_QQ_DIGESTS[family, n, params]
+
+
+#: sha256 of CertReport.to_json() of certify_family over GF(p) at seed 0:
+#: passing points over GF(DEFAULT_PRIME), and points over small primes
+#: whose catalog images span less than the catalog size, so the closure
+#: is grown, each generator swept and each sample drawn from its basis
+CERTIFY_GFP_DIGESTS = {
+    ("D", 7, (2, 3), DEFAULT_PRIME):
+        "fc94d7dd01c5512e319d51a20934844e1113ef6f4552ebefb01e6d4072f4e14c",
+    ("B", 8, (2,), DEFAULT_PRIME):
+        "cc51329228a978609e4eb551ea9f01478be36b0f98e885175c635d39ab0526f1",
+    ("C", 8, (), DEFAULT_PRIME):
+        "5110589e40631c037d37b7fb592741bda59e9fabb33e04e63cc04b8674458748",
+    ("A", 8, (), DEFAULT_PRIME):
+        "e0b8f6290954471be305f6cd3974a745e5f104a83d154e2dcdaa02fb4ec745a7",
+    ("D", 5, (2, 3), 5):
+        "d6bc8ccd1456a499fd7c2f7a898479e5e8a4571163879b8f90c5704ea3f41fe4",
+    ("D", 5, (1, 3), 7):
+        "e997b2721b4922306c45d74acf014449b182d7b5fdd3dfaed5f50984cf907458",
+    ("D", 6, (5, 2), 11):
+        "a7727ff55e99abc9a1e1cebb4b14ea533f57f0db90b49699342b2fc252733b43",
+}
+
+
+@pytest.mark.parametrize("family,n,params,p", list(CERTIFY_GFP_DIGESTS),
+                         ids=lambda v: str(v))
+def test_certify_report_digests_over_gfp(family, n, params, p):
+    """certify_family over GF(p) gives bit-identical reports, on the
+    proved closure and on a grown one alike."""
+    field = PrimeField(p)
+    report = certify_family(family, n, tuple(field(x) for x in params),
+                            field, seed=0)
+    assert report.verdict == ("pass" if p == DEFAULT_PRIME else "fail")
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == CERTIFY_GFP_DIGESTS[family, n, params, p]
 
 
 @pytest.mark.parametrize("name", list(MATCH_DIGESTS))

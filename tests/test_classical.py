@@ -1,0 +1,193 @@
+"""The classical algebra a passing closure is proved to be
+(`realizations.classical_algebra`): sl_N, o(G) or sp(G).  Its
+extremality rule must agree with the `is_extremal` sweep and refuse
+what it does not cover, and its samples (`certify._random_element` of
+it) must lie in the closure and take exactly `dim` draws of the
+sampling stream."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from extremal_lie.certify import _random_element, catalog_closure
+from extremal_lie.extremal import is_extremal
+from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
+from extremal_lie.linalg import Rows
+from extremal_lie.realizations import (MatrixLieAlgebra, basis_vector,
+                                       build_generators, siegel)
+
+F = PrimeField(DEFAULT_PRIME)
+SRC = Path(__file__).resolve().parent.parent / "src"
+PARAMS = {"A": (), "C": (), "B": (2,), "D": (2, 3)}
+
+
+def proved(family, n, field=F):
+    """(closure, span, classical) of the family realization, which must
+    take the proof path."""
+    params = tuple(field(p) for p in PARAMS[family])
+    mats, extra = build_generators(family, n, field, params)
+    closure, span, classical = catalog_closure(family, n, field, mats, extra)
+    assert classical is not None
+    return closure, span, classical
+
+
+def units(size, *entries):
+    """The size x size payload rows with a 1 at each 0-based (i, j)."""
+    rows = [{} for _ in range(size)]
+    for i, j in entries:
+        rows[i][j] = 1
+    return Rows(rows)
+
+
+def gl(size):
+    """gl_N as a context: the basis E_ij, no generators."""
+    return MatrixLieAlgebra(F, size, [units(size, (i, j))
+                                      for i in range(size)
+                                      for j in range(size)], [])
+
+
+def d5_siegel(*pairs):
+    """The sum of the Siegel elements T_{e_i, e_j} of D5's hyperbolic
+    form, one for each 0-based pair (i, j): e_1..e_5 span a totally
+    isotropic subspace, so orthogonal pairs give x^2 = 0 of rank 2 per
+    pair."""
+    closure = proved("D", 5)[0]
+    form = build_generators("D", 5, F, (F(2), F(3)))[1][0]
+    e = lambda i: basis_vector(F, 10, i)
+    return closure.lincomb([(1, closure.element(siegel(form, e(i), e(j))))
+                            for i, j in pairs])
+
+
+def e13_e24_in_o():
+    """E_13 + E_24 in gl_10: square-zero of rank 2, outside D5's o(G)."""
+    return gl(10), proved("D", 5)[2], units(10, (0, 2), (1, 3))
+
+
+def e13_e24_in_sp():
+    """E_13 + E_24 in C4's sp(G): square-zero of rank 2, and in sp(G),
+    where only rank 1 is extremal."""
+    closure, _, classical = proved("C", 4)
+    return closure, classical, units(4, (0, 2), (1, 3))
+
+
+def e11():
+    """E_11 in gl_4: rank 1, but not square-zero."""
+    return gl(4), proved("A", 4)[2], units(4, (0, 0))
+
+
+def siegel_in_o():
+    closure, _, classical = proved("D", 5)
+    return closure, classical, d5_siegel((0, 1))
+
+
+def two_siegels_in_o():
+    """T_{e1,e2} + T_{e3,e4}: square-zero of rank 4 in o(G)."""
+    closure, _, classical = proved("D", 5)
+    return closure, classical, d5_siegel((0, 1), (2, 3))
+
+
+def generator(family, n, k):
+    def case():
+        closure, _, classical = proved(family, n)
+        return closure, classical, closure.generators_list[k]
+    return case
+
+
+RULE_CASES = {
+    "E13+E24-outside-o(G)": (e13_e24_in_o, False),
+    "E13+E24-in-sp(G)": (e13_e24_in_sp, False),
+    "E11-not-square-zero": (e11, False),
+    "Siegel-element-of-o(G)": (siegel_in_o, True),
+    "two-orthogonal-Siegel-elements": (two_siegels_in_o, False),
+    "A5-transvection": (generator("A", 5, 2), True),
+    "C6-transvection": (generator("C", 6, 1), True),
+    "B5-generator": (generator("B", 5, 4), True),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_CASES))
+def test_the_rule_agrees_with_the_sweep(name):
+    """Each case fails exactly one of the rule's tests or passes all:
+    the x^2 = 0 test (E11), the rank test (rank 4, and rank 2 in
+    sp(G)) and the o(G) membership test (E13+E24 in gl_10).  The sweep
+    runs in the algebra the case names: gl_N for an element outside
+    the classical algebra, else the proved closure."""
+    case, want = RULE_CASES[name]
+    ctx, classical, x = case()
+    assert is_extremal(ctx, x)[0] is want
+    assert classical.extremal(x) is want
+
+
+def test_the_rule_refuses_under_python_O():
+    """`python -O` strips assert statements; the rule still refuses
+    the elements it does not cover and proves a generator."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_classical as t\n"
+        "flags = [c.extremal(x) for _, c, x in\n"
+        "         (t.e13_e24_in_o(), t.e13_e24_in_sp(), t.e11(),\n"
+        "          t.two_siegels_in_o(), t.siegel_in_o())]\n"
+        "print(sys.flags.optimize, *map(int, flags))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-O", "-c", script,
+                          str(Path(__file__).parent)],
+                         capture_output=True, text=True, env=env,
+                         timeout=300, check=True).stdout.split()
+    assert list(map(int, out)) == [1, 0, 0, 0, 0, 1]
+
+
+POINTS = ([("A", n) for n in range(4, 9)] + [("C", n) for n in (4, 6, 8)]
+          + [("B", n) for n in range(5, 9)] + [("D", n) for n in range(5, 9)])
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF(p)", "QQ"])
+@pytest.mark.parametrize("family,n", POINTS, ids=lambda v: str(v))
+def test_samples_lie_in_the_closure(family, n, field):
+    """20 draws each lie in the catalog span, which is the closure, and
+    in the classical algebra."""
+    closure, span, classical = proved(family, n, field)
+    rng = random.Random(n)
+    for _ in range(20):
+        x = _random_element(classical, rng)
+        assert classical.holds(x)
+        assert span.contains(closure.vector(x))
+
+
+def _product(field, a, b):
+    """The payload rows of the matrix product ab."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = field.add(acc.get(j, field.zero.v), field.mul(x, y))
+        out.append({j: v for j, v in acc.items() if not field.is_zero(v)})
+    return out
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF(p)", "QQ"])
+@pytest.mark.parametrize("family,n", POINTS, ids=lambda v: str(v))
+def test_a_sample_is_dim_draws_of_randint(family, n, field):
+    """A draw takes exactly `dim` randint(-3, 3) values, and they are
+    its free entries, row by row: the entries of a traceless matrix
+    but the last diagonal one (A), or the entries A_ij, i < j (B, D)
+    or i <= j (C), of G X = A, antisymmetric or symmetric."""
+    _, _, classical = proved(family, n, field)
+    size = classical.size
+    rng, ref = random.Random(7), random.Random(7)
+    x = _random_element(classical, rng)
+    values = iter([field.coerce(ref.randint(-3, 3))
+                   for _ in range(classical.dim)])
+    assert rng.random() == ref.random()
+    a = x if family == "A" else _product(field, classical.gram, x)
+    for i in range(size):
+        for j in range({"A": 0, "C": i}.get(family, i + 1), size):
+            if family == "A" and i == j == size - 1:
+                continue
+            assert a[i].get(j, field.zero.v) == next(values)
+    assert next(values, None) is None
