@@ -51,7 +51,7 @@ def _closure(shared, family, n, params):
         F = shared["field"]
         mats, extra = build_generators(
             family, n, F, tuple(F(p) for p in params))
-        alg, span, _ = certify.catalog_closure(family, n, F, mats, extra)
+        alg, span = certify.catalog_closure(family, n, F, mats, extra)
         shared[key] = (alg, alg.generators_list, span)
     return shared[key]
 

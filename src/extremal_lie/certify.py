@@ -15,16 +15,19 @@ this module
   an explicit basis correspondence whose bracket tables are proven to
   agree on every pair of basis elements.
 
-When the closure proof holds, the closure is sl_N, o(G) or sp(G)
-(`realizations.ClassicalAlgebra`), and in characteristic != 2 the rest
-of `certify_family` reads from that form.  A square-zero x has
-[x, [x, y]] = -2xyx, a multiple of x for every y in the algebra when x
-has rank 1 (x = a b^T, xyx = (b^T y a) x) or rank 2 in o(G) (a Siegel
-element T_{u,v}, im x totally isotropic, xyx = B(u, yv) x).  The
-identity samples are drawn in the algebra: traceless matrices, or
-G^-1 A for A antisymmetric (o(G)) or symmetric (sp(G)).  A realization
-the proof does not cover grows its closure (`lie_closure`), sweeps each
-generator with `is_extremal` and samples its basis.
+When the closure proof holds, the closure is sl_N, o(G) or sp(G), and
+its one Lie context is the `realizations.ClassicalAlgebra` of the
+generators: in characteristic != 2 the rest of `certify_family` reads
+from that form.  A square-zero x has [x, [x, y]] = -2xyx, a multiple
+of x for every y in the algebra when x has rank 1 (x = a b^T,
+xyx = (b^T y a) x) or rank 2 in o(G) (a Siegel element T_{u,v}, im x
+totally isotropic, xyx = B(u, yv) x).  So f_x(y) is -2 trace(xy) at
+rank 1 and -trace(xy) at rank 2, and the form scale needs no
+calibration.  The identity samples are drawn in the algebra: traceless
+matrices, or G^-1 A for A antisymmetric (o(G)) or symmetric (sp(G)).
+A realization the proof does not cover grows its closure
+(`lie_closure`), a `MatrixLieAlgebra` that sweeps each generator with
+`is_extremal`, samples its basis and calibrates its form scale over it.
 
 The bracket tables are structure constants on the catalog bases (see
 `_catalog_table`).  A catalog is tail-closed, every monomial being
@@ -102,8 +105,8 @@ from .fields import (FieldElement, NoSquareRoot, QuadraticExtension,
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import MonomialTable, evaluate_monomial
-from .extremal import (extremal_form_value, is_extremal, fixtriangle,
-                       check_premet, triangle_open, HypothesisFailed)
+from .extremal import (extremal_form_value, fixtriangle, check_premet,
+                       triangle_open, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
                            classical_algebra, InvalidParameters,
                            d_open_conditions, generators_D, generators_B)
@@ -193,8 +196,9 @@ def psi(family, ctx, gens):
 
 def graph_realization_check(ctx, gens, graph, extremal):
     """Adjacency must coincide with non-commutation, and every generator
-    must be extremal in the closure: `extremal` holds the flag
-    `is_extremal` gave each generator.  Returns (flag, witnesses)."""
+    must be extremal in the closure: `extremal` holds the flag the
+    closure's `extremal` gave each generator.  Returns (flag,
+    witnesses)."""
     n = len(gens)
     witnesses = []
     if graph.n != n:
@@ -608,8 +612,8 @@ def _draws(rng, lo, hi, count):
 
 def _random_element(ctx, rng):
     """A basis combination with coefficients in [-3, 3], exactly `dim`
-    draws from rng: `from_coords` of a `MatrixLieAlgebra`, over its
-    basis, or of a `ClassicalAlgebra`, over its standard basis."""
+    draws from rng: `from_coords` of a grown `MatrixLieAlgebra`, over
+    its basis, or of a `ClassicalAlgebra`, over its standard basis."""
     return ctx.from_coords(_draws(rng, -3, 3, ctx.dim))
 
 
@@ -648,42 +652,29 @@ IDENTITY_SAMPLES = 50
 
 
 def catalog_closure(family, n, field, mats, extra):
-    """(closure, span, classical): the Lie closure of the family
-    generators `mats`, as `build_generators` returns them with `extra`,
-    the `SpanSolver` of their catalog images, and the classical algebra
-    the closure was proved to be, or None.
+    """(closure, span): the Lie closure of the family generators
+    `mats`, as `build_generators` returns them with `extra`, and the
+    `SpanSolver` of their catalog images.
 
     The catalog images lie in the closure, so their rank bounds its
     dimension from below; the classical algebra of `classical_algebra`
     holds the closure and bounds it from above.  When the rank, the
-    catalog size and that dimension are equal, the independent images
-    are a basis of the closure, the context has them as its basis, with
-    no closure grown, and the closure is that classical algebra.
-    Otherwise the closure is `lie_closure`'s, so a failing realization
-    still reports its true dimension, and `classical` is None."""
+    catalog size and that dimension are equal, the closure is that
+    classical algebra, and the `ClassicalAlgebra` is its context, with
+    no closure grown.  Otherwise the closure is `lie_closure`'s, so a
+    failing realization still reports its true dimension."""
     gens = MatrixLieAlgebra(field, len(mats[0]), [], mats)
     mats = gens.generators_list
-    images = _catalog_images(gens, mats,
-                             [e.indices for e in catalog(family, n)])
     span = linalg.SpanSolver(field, gens.vector_dim)
-    basis = [img for img in images if span.add(gens.vector(img))]
+    for img in _catalog_images(gens, mats,
+                               [e.indices for e in catalog(family, n)]):
+        span.add(gens.vector(img))
     expected = expected_catalog_size(family, n)
     if span.rank == expected:
         classical = classical_algebra(family, field, mats, extra)
         if classical is not None and classical.dim == expected:
-            return (MatrixLieAlgebra(field, gens.ambient_dim, basis, mats),
-                    span, classical)
-    return lie_closure(mats, field), span, None
-
-
-def extremal_flags(closure, classical, gens):
-    """`is_extremal`'s flag for each generator of `closure`.  When the
-    closure is proved to be the classical algebra `classical`, the
-    structure of a generator (`ClassicalAlgebra.extremal`) proves it
-    extremal with no sweep; a generator the rule does not cover, and
-    every generator of a grown closure, is swept over the basis."""
-    return [classical is not None and classical.extremal(g)
-            or is_extremal(closure, g)[0] for g in gens]
+            return classical, span
+    return lie_closure(mats, field), span
 
 
 def certify_family(family, n, params=(), field=QQ, seed=0):
@@ -693,28 +684,26 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
     (`catalog_closure`): the `catalog_rank` independent catalog images
     lie in the closure, and the closure lies in sl_N, o(G) or sp(G),
     whose dimension the generators' traces or their form G give.  When
-    both bounds equal the catalog size, `dim` is that size, the catalog
-    images are the closure's basis, and the closure is that classical
-    algebra, which the check then reads, in characteristic != 2 (see
-    the module docstring): a square-zero generator of rank 1, or of
-    rank 2 in o(G), is extremal (xyx = (b^T y a) x for x = a b^T, and
-    xyx = B(u, yv) x for x = T_{u,v}), with no sweep, and each
-    identity sample is a traceless matrix or G^-1 A, A antisymmetric
-    (o(G)) or symmetric (sp(G)) (`ClassicalAlgebra.from_coords`).
-    Otherwise `dim` is that of the closure `lie_closure` grows,
-    `is_extremal` sweeps each generator over its basis, and each sample
-    combines that basis.  A sample takes `dim` draws either way
-    (`_random_element`), so the rng stream is the same; a report holds
-    flags and counts only."""
+    both bounds equal the catalog size, `dim` is that size and the
+    closure is that classical algebra, which the check then reads, in
+    characteristic != 2 (see the module docstring): a square-zero
+    generator of rank 1, or of rank 2 in o(G), is extremal
+    (xyx = (b^T y a) x for x = a b^T, and xyx = B(u, yv) x for
+    x = T_{u,v}), with no sweep, each identity sample is a traceless
+    matrix or G^-1 A, A antisymmetric (o(G)) or symmetric (sp(G))
+    (`ClassicalAlgebra.from_coords`), and the form scale is the one the
+    proof fixes.  Otherwise `dim` is that of the closure `lie_closure`
+    grows, `is_extremal` sweeps each generator over its basis, and
+    each sample combines that basis.  A sample takes `dim` draws either
+    way (`_random_element`), so the rng stream is the same; a report
+    holds flags and counts only."""
     rng = random.Random(seed)
     mats, extra = build_generators(family, n, field, params)
-    closure, span, classical = catalog_closure(family, n, field, mats,
-                                               extra)
+    closure, span = catalog_closure(family, n, field, mats, extra)
     mats = closure.generators_list
     graph = build_family_graph(family, n)
-    space = closure if classical is None else classical
 
-    extremal = extremal_flags(closure, classical, mats)
+    extremal = [closure.extremal(g) for g in mats]
     graph_ok, _ = graph_realization_check(closure, mats, graph, extremal)
     expected = expected_catalog_size(family, n)
     catalog_rank = span.rank
@@ -740,15 +729,15 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
                  "Q3a": {"tried": 0, "passed": 0}}
     for _ in range(IDENTITY_SAMPLES):
         x = mats[_draws(rng, 0, n - 1, 1)[0]]
-        y = _random_element(space, rng)
-        z = _random_element(space, rng)
+        y = _random_element(closure, rng)
+        z = _random_element(closure, rng)
         flags = check_premet(closure, x, y, z)
         id_counts["premet"]["tried"] += 1
         id_counts["premet"]["passed"] += all(flags.values())
         k, l, m = _draws(rng, 0, n - 1, 3)
         q = check_quartic_identities(closure, mats[k], mats[l], mats[m],
-                                     _random_element(space, rng),
-                                     _random_element(space, rng))
+                                     _random_element(closure, rng),
+                                     _random_element(closure, rng))
         for name in ("Q3", "Q3a"):
             id_counts[name]["tried"] += 1
             id_counts[name]["passed"] += q[name]

@@ -217,11 +217,10 @@ def cmd_realize(args):
     args.n = check_size(args.n)
     mats, extra = build_generators(args.family, args.n, field,
                                    tuple(field_elem(field, p) for p in params))
-    alg, _, classical = certify.catalog_closure(args.family, args.n, field,
-                                                mats, extra)
+    alg, _ = certify.catalog_closure(args.family, args.n, field, mats, extra)
     gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
-    extremal = certify.extremal_flags(alg, classical, gens)
+    extremal = [alg.extremal(g) for g in gens]
     graph_ok, witnesses = certify.graph_realization_check(alg, gens, graph,
                                                           extremal)
     expected = expected_catalog_size(args.family, args.n)

@@ -12,7 +12,8 @@ Four graph families are provided:
 
 For each family there is a catalog of monomials in the generators that
 spans the corresponding Lie algebra; catalogs are built from compact
-"arrow" index patterns expanded by :func:`expand_arrows`.
+"arrow" index patterns (`arrow_up`, `arrow_down`, `arrow_up_zigzag`),
+joined into one index sequence per monomial (`CatalogEntry`).
 
 A monomial (i_k, ..., i_1) denotes the right-nested bracket
 [x_{i_k}, [..., [x_{i_2}, x_{i_1}]]].

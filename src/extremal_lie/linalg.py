@@ -10,27 +10,24 @@ never modified once it is made, by the kernels or by their callers.
 Most loops go through the field's ``axpy(v, c, row)`` kernel, which
 sets ``v -= c*row`` in place and deletes entries that become zero (see
 :mod:`extremal_lie.fields`).  The matrix kernels are the bracket
-`mat_bracket`, the linear combinations `mat_lincomb` and
-`basis_lincomb` (of one fixed basis, as `MatrixLieAlgebra.from_coords`
-needs), the trace form `trace_product` and the row-major flattening
-`mat_vector`; `bracket_closure` grows the Lie span of a set of
-elements.  A square-zero matrix x also has rank factors x = U R
-(`Rows.factors`, kept on the `Rows` like its packed rows), and
-`sandwich` forms the r x r matrix R y U from which
-`MatrixLieAlgebra.extremal_value` reads f_x(y) without a bracket.
+`mat_bracket`, the linear combination `mat_lincomb`, the trace form
+`trace_product` and the row-major flattening `mat_vector`;
+`bracket_closure` grows the Lie span of a set of elements.  A
+square-zero matrix x also has rank factors x = U R (`Rows.factors`,
+kept on the `Rows` like its packed rows), and `sandwich` forms the
+r x r matrix R y U from which `MatrixLieAlgebra.extremal_value` reads
+f_x(y) without a bracket.
 
-Over GF(p) `mat_bracket`, `mat_lincomb` and `basis_lincomb` run on
-packed rows instead of `axpy`: a row of residues becomes one Python int
-holding a slot of w bits per column, an output row is a sum of
-(residue) x (packed row) multiply-adds done by C big-int arithmetic,
-and one unpack reads it back with one ``% p`` per slot.  A slot summing
-T products of residues holds at most T*(p-1)^2, so the slot width
-w = (T*(p-1)^2).bit_length() keeps every slot below 2^w and the sums
-exact; a subtracted term is written with p - x, so no slot borrows.
-The bracket sums T = 2N terms per slot for N x N matrices,
-`mat_lincomb` as many as it has terms and at least 2N, and
-`basis_lincomb` T = m for a basis of m matrices.  Since rows never
-change, a `Rows` packs its rows once and keeps them with their slot
+Over GF(p) `mat_bracket` and `mat_lincomb` run on packed rows instead
+of `axpy`: a row of residues becomes one Python int holding a slot of
+w bits per column, an output row is a sum of (residue) x (packed row)
+multiply-adds done by C big-int arithmetic, and one unpack reads it
+back with one ``% p`` per slot.  A slot summing T products of residues
+holds at most T*(p-1)^2, so the slot width w = (T*(p-1)^2).bit_length()
+keeps every slot below 2^w and the sums exact; a subtracted term is
+written with p - x, so no slot borrows.  The bracket sums T = 2N terms
+per slot for N x N matrices, and `mat_lincomb` as many as it has terms
+and at least 2N.  Since rows never change, a `Rows` packs its rows once and keeps them with their slot
 width (`Rows.packed`): a matrix that is an operand again, as the
 generators and the sampled elements of an identity check are many
 times, is not packed again, and only a combination of more than 2N
@@ -245,29 +242,6 @@ def mat_lincomb(field, terms, size):
     return Rows(out)
 
 
-def basis_lincomb(field, basis, size):
-    """The map from coordinates (c_1, ..., c_m) to the size x size
-    matrix sum c_i basis_i, for a fixed list of m matrices given as
-    payload rows.  Each coordinate (a FieldElement or int) is coerced
-    once; DescriptorMismatch on one of another field.  Over GF(p) the
-    basis is packed once, one int per matrix over its row-major
-    positions, so a combination is m big-int multiply-adds and one
-    unpack, and an int coordinate is reduced with one ``% p``."""
-    if not isinstance(field, PrimeField):
-        return lambda coords: mat_lincomb(field, list(zip(coords, basis)),
-                                          size)
-    p, payload = field.p, field.payload
-    w = _slot_width(p, len(basis))
-    packed = [_pack(mat_vector(m), w) for m in basis]
-
-    def combine(coords):
-        s = 0
-        for c, m in zip(coords, packed):
-            s += (c % p if type(c) is int else payload(c)) * m
-        return _unpack_rows(s, w, p, size)
-    return combine
-
-
 # ---------------------------------------------------------------------------
 # packed GF(p) rows: slot k of the int sum x_k * 2^(k*w) holds the
 # residue x_k (see the module docstring for the slot-width rule)
@@ -298,13 +272,6 @@ def _unpack(s, w, p):
         s >>= w
         k += 1
     return out
-
-
-def _unpack_rows(s, w, p, n):
-    """The n payload rows of a packed row-major n x n matrix."""
-    span = n * w
-    mask = (1 << span) - 1
-    return Rows([_unpack(s >> (i * span) & mask, w, p) for i in range(n)])
 
 
 def _packed_bracket(p, a, b):

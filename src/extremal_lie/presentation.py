@@ -396,7 +396,8 @@ def build_L0(graph, field, cap=None):
     moves nothing.  `linalg.echelon` reduces the rows; its free columns
     are the new basis elements, every provisional bracket is then
     rewritten in the new basis, and only the multidegrees of the free
-    columns stay in ``md_set``."""
+    columns stay in ``md_set``; a memoised bracket whose multidegree
+    left it is zero, and is dropped from the memo."""
     n = graph.n
     if cap is None:
         cap = 2 * n - 3 + 2
@@ -481,17 +482,22 @@ def build_L0(graph, field, cap=None):
             col_coords[pc] = {position[c]: neg(x) for c, x in row.items()
                               if c != pc}
         # rewrite the provisional left multiplications, and the memoised
-        # brackets of degree + 1, in the new basis
+        # brackets of degree + 1, in the new basis; a memoised bracket
+        # whose multidegree no new basis element has is zero, and
+        # `_vanishes` answers for it from now on
         for i in range(n):
             for b in range(m_cur):
                 lm[i][cur_start + b] = col_coords[new_start + i * m_cur + b]
+        L._append_degree(new_labels)
+        live = L.md_set
         for key, vec in list(islice(cache.items(), memo_start, None)):
-            if vec and next(iter(vec)) >= new_start:
+            if md[key[0]] + md[key[1]] not in live:
+                del cache[key]
+            elif vec and next(iter(vec)) >= new_start:
                 out = {}
                 for c, x in vec.items():
                     axpy(out, neg(x), col_coords[c])
                 cache[key] = out
-        L._append_degree(new_labels)
 
     # drop the trailing zero degree (the top degree's left
     # multiplications, all zero, stay)

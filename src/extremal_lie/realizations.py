@@ -20,18 +20,20 @@ one, so the context reads their extremal form values from rank factors
 x = U R, r = rank x at most 2, instead of two brackets
 (`MatrixLieAlgebra.extremal_value`).  :func:`classical_algebra` reads
 the sl_N, o(G) or sp(G) that holds a realization's generators from
-their traces or form: a :class:`ClassicalAlgebra`, which proves a
-generator extremal from its rank factors and combines its standard
-basis in O(N^2).
+their traces or form: a :class:`ClassicalAlgebra`, the matrix context
+of those generators with the classical dimension.  It proves an
+element extremal from its rank factors, samples its standard basis in
+O(N^2) and takes its form scale from the proof, so a closure proved
+to be it is one context, with no grown basis and no calibration.
 """
 
 from . import linalg
-from .extremal import NotExtremal, bracket_form_value, extremal_form_value
+from .extremal import (NotExtremal, bracket_form_value, extremal_form_value,
+                       is_extremal)
 from .fields import FieldElement, NoSquareRoot, PrimeField, quadratic_roots
 from .graphs import check_family_n
-from .linalg import (Rows, SpanSolver, basis_lincomb, dense, mat_bracket,
-                     mat_lincomb, mat_vector, sandwich, sparse,
-                     trace_product)
+from .linalg import (Rows, SpanSolver, dense, mat_bracket, mat_lincomb,
+                     mat_vector, sandwich, sparse, trace_product)
 
 
 class InvalidParameters(ValueError):
@@ -388,9 +390,11 @@ class MatrixLieAlgebra:
     basis, the generators and every bracket and combination are
     `linalg.Rows`, which over GF(p) keep their packed rows.  `element`
     takes FieldElement matrices in and `external` gives them out.  The
-    associative symmetric form is c * trace(a b), with c calibrated against the
-    extremal functional of the first generator (and verified on a second
-    value) over the basis.  A context made with an empty basis holds
+    associative symmetric form is c * trace(a b), with c calibrated
+    against the extremal functional of the first generator (and
+    verified on a second value) over the basis, and `extremal` sweeps
+    the basis; `ClassicalAlgebra` replaces both by what its proof
+    fixes.  A context made with an empty basis holds
     generators only: it brackets and combines, but has no form; that is
     all `normalize_generators` and a match need.  Every basis element
     and generator must be N x N (ValueError otherwise)."""
@@ -403,7 +407,6 @@ class MatrixLieAlgebra:
         self.generators_list = [self._square(g) for g in generators]
         self.dim = len(self._basis)
         self._form_scale = None
-        self._combine = None    # linalg.basis_lincomb of the basis
 
     def _square(self, x):
         """x as a `linalg.Rows`, after checking that it is N x N."""
@@ -458,10 +461,13 @@ class MatrixLieAlgebra:
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for an algebra "
                              f"of dimension {self.dim}")
-        if self._combine is None:
-            self._combine = basis_lincomb(self.field, self.basis(),
-                                          self.ambient_dim)
-        return self._combine(coords)
+        return mat_lincomb(self.field, list(zip(coords, self._basis)),
+                           self.ambient_dim)
+
+    def extremal(self, x):
+        """Whether x is extremal in the algebra: the `is_extremal`
+        sweep over the basis."""
+        return is_extremal(self, x)[0]
 
     def extremal_value(self, x, y):
         """f_x(y), from the rank factors x = U R of a square-zero x
@@ -536,18 +542,37 @@ def lie_closure(generators, field):
 # the classical algebra of a realization
 # ---------------------------------------------------------------------------
 
-class ClassicalAlgebra:
+class ClassicalAlgebra(MatrixLieAlgebra):
     """sl_N (family A), o(G) (B, D) or sp(G) (C) over `field`, G the
-    form's Gram matrix (`gram`, payload rows), of dimension `dim`:
-    N^2 - 1, N(N-1)/2 or N(N+1)/2 (`classical_algebra`).  Those, and
-    the rank-2 rule of `extremal`, need characteristic != 2, which
-    every field here has (`PrimeField` refuses p = 2)."""
+    form's Gram matrix (`gram`, payload rows), as the Lie context of
+    the realization `generators` it holds (`classical_algebra`), of
+    dimension `dim`: N^2 - 1, N(N-1)/2 or N(N+1)/2.  When that is the
+    rank of the catalog images, it is their closure
+    (`certify.catalog_closure`).  It brackets and combines as a
+    `MatrixLieAlgebra`, with no basis until a sweep asks for one
+    (`basis`).  Its form is c * trace(ab) with c fixed by the proof,
+    not calibrated: for x = a b^T of rank 1, f_x(y) = -2 b^T y a =
+    -2 trace(xy), so c = -2 (A, C); for a Siegel element x = T_{u,v},
+    f_x(y) = -2 B(u, yv) and trace(xy) = 2 B(u, yv), so c = -1 (B, D).
+    Those, and the rank-2 rule of `extremal`, need characteristic != 2,
+    which every field here has (`PrimeField` refuses p = 2)."""
 
-    def __init__(self, family, field, size, gram=None, inverse=None):
-        self.family, self.field, self.size = family, field, size
-        self.gram = gram
-        self._basis = _standard_basis(family, field, size, inverse)
-        self.dim = len(self._basis)
+    def __init__(self, family, field, generators, gram=None, inverse=None):
+        super().__init__(field, len(generators[0]), [], generators)
+        self.family, self.gram = family, gram
+        self._entries = _standard_basis(family, field, self.ambient_dim,
+                                        inverse)
+        self.dim = len(self._entries)
+        self._form_scale = field(-2 if family in ("A", "C") else -1)
+
+    def basis(self):
+        """The standard basis, `from_coords` of each unit vector, made
+        the first time a sweep asks for it."""
+        if not self._basis:
+            units = range(self.dim)
+            self._basis = [self.from_coords([int(i == j) for j in units])
+                           for i in units]
+        return self._basis
 
     def holds(self, x):
         """Whether the payload rows x lie in the algebra: trace 0 (A),
@@ -570,16 +595,18 @@ class ClassicalAlgebra:
 
     def extremal(self, x):
         """Whether the structure of x, an element of the algebra, proves
-        it extremal there.  x must square to zero (`Rows.factors`, which
-        gives its rank r too), so [x, [x, y]] = -2xyx.  r = 1: x = a b^T,
-        b^T a = 0, and xyx = (b^T y a) x for every y in gl_N.  r = 2 in
-        o(G): G x is antisymmetric of rank 2, so x is a Siegel element
+        it extremal there, with no sweep.  x must square to zero
+        (`Rows.factors`, which gives its rank r too), so
+        [x, [x, y]] = -2xyx.  r = 1: x = a b^T, b^T a = 0, and
+        xyx = (b^T y a) x for every y in gl_N.  r = 2 in o(G): G x is
+        antisymmetric of rank 2, so x is a Siegel element
         T_{u,v}: w -> B(u, w) v - B(v, w) u; B(xv, xw) = -B(v, x^2 w) = 0
         makes im x = <u, v> totally isotropic, and xyx = B(u, yv) x for
         every y in o(G).  False for every other x, such as a rank-2
         element of sp(G) or a sum of orthogonal Siegel elements, which
-        are not extremal."""
-        x = x if isinstance(x, Rows) else Rows(x)
+        are not extremal.  The rule is exact on the algebra, so a miss
+        could only turn a pass into a fail."""
+        x = self._square(x)
         factors = x.factors(self.field)
         if factors is None:
             return False
@@ -597,12 +624,12 @@ class ClassicalAlgebra:
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for an algebra "
                              f"of dimension {self.dim}")
-        field, n = self.field, self.size
+        field, n = self.field, self.ambient_dim
         acc = {}        # row-major position -> payload
         get = acc.get
         rows = [{} for _ in range(n)]
         if isinstance(field, PrimeField):
-            for c, element in zip(coords, self._basis):
+            for c, element in zip(coords, self._entries):
                 if c:
                     for k, g in element:
                         acc[k] = get(k, 0) + c * g
@@ -612,7 +639,7 @@ class ClassicalAlgebra:
                     rows[k // n][k % n] = v
             return Rows(rows)
         add, mul, zero = field.add, field.mul, field.zero.v
-        for c, element in zip(coords, self._basis):
+        for c, element in zip(coords, self._entries):
             if c:
                 c = field.coerce(c)
                 for k, g in element:
@@ -651,16 +678,16 @@ def _standard_basis(family, field, size, inverse):
 
 
 def classical_algebra(family, field, mats, extra):
-    """The classical algebra that holds every generator (payload rows,
-    N x N) of a realization, or None when a check fails.  A: every
-    generator is traceless, so it is sl_N.  B, C, D: the Gram matrix G
-    of the form extra[0] (as `build_generators` returns it) is
+    """The classical algebra that holds every generator (N x N) of a
+    realization, as its Lie context, or None when a check fails.  A:
+    every generator is traceless, so it is sl_N.  B, C, D: the Gram
+    matrix G of the form extra[0] (as `build_generators` returns it) is
     symmetric (B, D) or alternating (C) of rank N, and X^T G + G X = 0
     for every generator X: o(G) or sp(G).  `linalg.echelon` of [G | 1]
     gives the rank of G and G^-1 at once."""
     size = len(mats[0])
     if family == "A":
-        alg = ClassicalAlgebra(family, field, size)
+        alg = ClassicalAlgebra(family, field, mats)
     else:
         form = extra[0]
         sign = -1 if family == "C" else 1
@@ -680,8 +707,8 @@ def classical_algebra(family, field, mats, extra):
             return None
         inverse = [{j - size: v for j, v in row.items() if j >= size}
                    for row in reduced]
-        alg = ClassicalAlgebra(family, field, size, gram, inverse)
-    return alg if all(alg.holds(x) for x in mats) else None
+        alg = ClassicalAlgebra(family, field, mats, gram, inverse)
+    return alg if all(alg.holds(x) for x in alg.generators_list) else None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (KERNEL_FIELDS, form_outcome, lift_closure, lift_rows,
                       random_element)
-from extremal_lie import certify, linalg
+from extremal_lie import certify, linalg, realizations
 from extremal_lie.certify import (PSI_LENGTH, CertifyError,
                                   ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
@@ -116,9 +116,9 @@ def test_certify_family_sweeps_extremality_only_on_a_grown_closure(
     (2,3) fails the closure proof, and its grown closure sweeps each
     generator once and draws its samples from its basis."""
     calls, samples = [], []
-    is_extremal = certify.is_extremal
+    is_extremal = realizations.is_extremal
     random_element = certify._random_element
-    monkeypatch.setattr(certify, "is_extremal",
+    monkeypatch.setattr(realizations, "is_extremal",
                         lambda ctx, x: calls.append(x) or is_extremal(ctx, x))
     monkeypatch.setattr(
         certify, "_random_element",

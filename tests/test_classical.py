@@ -1,9 +1,11 @@
 """The classical algebra a passing closure is proved to be
-(`realizations.classical_algebra`): sl_N, o(G) or sp(G).  Its
-extremality rule must agree with the `is_extremal` sweep and refuse
-what it does not cover, and its samples (`certify._random_element` of
-it) must lie in the closure and take exactly `dim` draws of the
-sampling stream."""
+(`realizations.classical_algebra`): sl_N, o(G) or sp(G), the closure's
+one Lie context.  Its extremality rule must agree with the
+`is_extremal` sweep and refuse what it does not cover, its samples
+(`certify._random_element` of it) must lie in the closure and take
+exactly `dim` draws of the sampling stream, and its form scale, fixed
+by the proof, must be the one `lie_closure`'s context calibrates, with
+no calibration on a passing run."""
 
 import os
 import random
@@ -13,12 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from extremal_lie.certify import _random_element, catalog_closure
+from extremal_lie import certify
+from extremal_lie.certify import (_random_element, catalog_closure,
+                                  certify_family)
+from extremal_lie.cli import main
 from extremal_lie.extremal import is_extremal
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.linalg import Rows
-from extremal_lie.realizations import (MatrixLieAlgebra, basis_vector,
-                                       build_generators, siegel)
+from extremal_lie.realizations import (ClassicalAlgebra, MatrixLieAlgebra,
+                                       basis_vector, build_generators,
+                                       lie_closure, siegel)
 
 F = PrimeField(DEFAULT_PRIME)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -26,13 +32,13 @@ PARAMS = {"A": (), "C": (), "B": (2,), "D": (2, 3)}
 
 
 def proved(family, n, field=F):
-    """(closure, span, classical) of the family realization, which must
-    take the proof path."""
+    """(closure, span) of the family realization, which must take the
+    proof path: the closure is its `ClassicalAlgebra`."""
     params = tuple(field(p) for p in PARAMS[family])
     mats, extra = build_generators(family, n, field, params)
-    closure, span, classical = catalog_closure(family, n, field, mats, extra)
-    assert classical is not None
-    return closure, span, classical
+    closure, span = catalog_closure(family, n, field, mats, extra)
+    assert isinstance(closure, ClassicalAlgebra)
+    return closure, span
 
 
 def units(size, *entries):
@@ -64,36 +70,36 @@ def d5_siegel(*pairs):
 
 def e13_e24_in_o():
     """E_13 + E_24 in gl_10: square-zero of rank 2, outside D5's o(G)."""
-    return gl(10), proved("D", 5)[2], units(10, (0, 2), (1, 3))
+    return gl(10), proved("D", 5)[0], units(10, (0, 2), (1, 3))
 
 
 def e13_e24_in_sp():
     """E_13 + E_24 in C4's sp(G): square-zero of rank 2, and in sp(G),
     where only rank 1 is extremal."""
-    closure, _, classical = proved("C", 4)
-    return closure, classical, units(4, (0, 2), (1, 3))
+    closure = proved("C", 4)[0]
+    return closure, closure, units(4, (0, 2), (1, 3))
 
 
 def e11():
     """E_11 in gl_4: rank 1, but not square-zero."""
-    return gl(4), proved("A", 4)[2], units(4, (0, 0))
+    return gl(4), proved("A", 4)[0], units(4, (0, 0))
 
 
 def siegel_in_o():
-    closure, _, classical = proved("D", 5)
-    return closure, classical, d5_siegel((0, 1))
+    closure = proved("D", 5)[0]
+    return closure, closure, d5_siegel((0, 1))
 
 
 def two_siegels_in_o():
     """T_{e1,e2} + T_{e3,e4}: square-zero of rank 4 in o(G)."""
-    closure, _, classical = proved("D", 5)
-    return closure, classical, d5_siegel((0, 1), (2, 3))
+    closure = proved("D", 5)[0]
+    return closure, closure, d5_siegel((0, 1), (2, 3))
 
 
 def generator(family, n, k):
     def case():
-        closure, _, classical = proved(family, n)
-        return closure, classical, closure.generators_list[k]
+        closure = proved(family, n)[0]
+        return closure, closure, closure.generators_list[k]
     return case
 
 
@@ -150,11 +156,11 @@ POINTS = ([("A", n) for n in range(4, 9)] + [("C", n) for n in (4, 6, 8)]
 def test_samples_lie_in_the_closure(family, n, field):
     """20 draws each lie in the catalog span, which is the closure, and
     in the classical algebra."""
-    closure, span, classical = proved(family, n, field)
+    closure, span = proved(family, n, field)
     rng = random.Random(n)
     for _ in range(20):
-        x = _random_element(classical, rng)
-        assert classical.holds(x)
+        x = _random_element(closure, rng)
+        assert closure.holds(x)
         assert span.contains(closure.vector(x))
 
 
@@ -177,8 +183,8 @@ def test_a_sample_is_dim_draws_of_randint(family, n, field):
     its free entries, row by row: the entries of a traceless matrix
     but the last diagonal one (A), or the entries A_ij, i < j (B, D)
     or i <= j (C), of G X = A, antisymmetric or symmetric."""
-    _, _, classical = proved(family, n, field)
-    size = classical.size
+    classical = proved(family, n, field)[0]
+    size = classical.ambient_dim
     rng, ref = random.Random(7), random.Random(7)
     x = _random_element(classical, rng)
     values = iter([field.coerce(ref.randint(-3, 3))
@@ -191,3 +197,57 @@ def test_a_sample_is_dim_draws_of_randint(family, n, field):
                 continue
             assert a[i].get(j, field.zero.v) == next(values)
     assert next(values, None) is None
+
+
+@pytest.mark.parametrize("family,n,field", [
+    ("A", 5, F), ("C", 6, F), ("B", 5, F), ("D", 5, F), ("D", 5, QQ)],
+    ids=["A5", "C6", "B5", "D5", "D5-QQ"])
+def test_the_proved_form_scale_is_the_calibrated_one(family, n, field):
+    """The proved context's form, c * trace(ab) with c = -2 (A, C) or
+    -1 (B, D), equals the form `lie_closure`'s context calibrates over
+    its basis, on generator pairs and sampled pairs, not all zero."""
+    closure = proved(family, n, field)[0]
+    gens = closure.generators_list
+    grown = lie_closure(gens, field)
+    rng = random.Random(n)
+    pairs = list(zip(gens, gens[1:])) + [
+        (_random_element(closure, rng), _random_element(closure, rng))
+        for _ in range(10)]
+    values = [closure.form(a, b) for a, b in pairs]
+    assert values == [grown.form(a, b) for a, b in pairs]
+    assert any(not v.is_zero() for v in values)
+
+
+@pytest.fixture
+def proof_only(monkeypatch):
+    """Fail on a form calibration, a grown closure or a context made
+    over a basis."""
+    def refuse(*args):
+        raise AssertionError("a sweep or a grown closure on a proved run")
+
+    init = MatrixLieAlgebra.__init__
+
+    def init_without_basis(self, field, ambient_dim, basis, generators):
+        assert not basis, "a context made over a basis"
+        init(self, field, ambient_dim, basis, generators)
+
+    monkeypatch.setattr(MatrixLieAlgebra, "_calibrate_form", refuse)
+    monkeypatch.setattr(MatrixLieAlgebra, "__init__", init_without_basis)
+    monkeypatch.setattr(certify, "lie_closure", refuse)
+
+
+@pytest.mark.parametrize("family,n", [("A", 5), ("C", 6), ("B", 5),
+                                      ("D", 5)], ids=["A5", "C6", "B5", "D5"])
+def test_a_passing_run_calibrates_no_form(family, n, proof_only, capsys):
+    """`certify_family` and `extremal-lie realize` pass on the proved
+    closure alone: no `_calibrate_form`, no `lie_closure` and no
+    context over a catalog basis."""
+    params = tuple(F(p) for p in PARAMS[family])
+    assert certify_family(family, n, params, F).verdict == "pass"
+    names = {"B": ("--gamma",), "D": ("--alpha", "--beta")}.get(family, ())
+    argv = ["realize", "--family", family, "--n", str(n),
+            "--field", "gf", str(DEFAULT_PRIME)]
+    for name, value in zip(names, PARAMS[family]):
+        argv += [name, str(value)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("pass\n")

@@ -16,9 +16,10 @@ from extremal_lie import certify
 from extremal_lie.certify import catalog_closure, certify_family
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import expected_catalog_size
-from extremal_lie.realizations import (BilinearForm, MatrixLieAlgebra,
-                                       build_generators, classical_algebra,
-                                       lie_closure, orthogonal_form_even)
+from extremal_lie.realizations import (BilinearForm, ClassicalAlgebra,
+                                       MatrixLieAlgebra, build_generators,
+                                       classical_algebra, lie_closure,
+                                       orthogonal_form_even)
 
 F = PrimeField(DEFAULT_PRIME)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,8 +67,8 @@ def test_catalog_closure_is_lie_closure(family, n, params, field,
     the catalog images; no closure is grown to get it."""
     mats, extra = build_generators(family, n, field,
                                    tuple(field(p) for p in params))
-    closure, span, classical = catalog_closure(family, n, field, mats, extra)
-    assert not closures and classical.dim == closure.dim
+    closure, span = catalog_closure(family, n, field, mats, extra)
+    assert not closures and isinstance(closure, ClassicalAlgebra)
     grown = lie_closure(mats, field)
     assert closure.dim == grown.dim == span.rank == expected_catalog_size(
         family, n)
@@ -158,8 +159,9 @@ def test_a_refused_bound_falls_back(closures):
     independent elements, so only the refused upper bound sends the
     closure to `lie_closure`, which finds more."""
     family, rows, extra = _perturbed_generator()
-    closure, span, classical = catalog_closure(family, 5, F, rows, extra)
-    assert len(closures) == 1 and span.rank == 45 and classical is None
+    closure, span = catalog_closure(family, 5, F, rows, extra)
+    assert len(closures) == 1 and span.rank == 45
+    assert not isinstance(closure, ClassicalAlgebra)
     assert closure.dim == lie_closure(rows, F).dim > 45
 
 
@@ -168,8 +170,8 @@ def test_a_bound_above_the_catalog_size_falls_back(closures):
     independent, as many as B5's catalog has, but the form bounds the
     closure by 45 only, so the closure is grown and has dimension 45."""
     rows, extra = realization("D", 5, params=(2, 3))
-    closure, span, classical = catalog_closure("B", 5, F, rows, extra)
-    assert classical is None
+    closure, span = catalog_closure("B", 5, F, rows, extra)
+    assert not isinstance(closure, ClassicalAlgebra)
     assert classical_algebra("B", F, rows, extra).dim == 45
     assert span.rank == expected_catalog_size("B", 5) == 36
     assert len(closures) == 1 and closure.dim == 45
@@ -187,8 +189,7 @@ def test_the_bound_is_checked_under_python_O():
         "grow = certify.lie_closure\n"
         "certify.lie_closure = lambda *a: calls.append(1) or grow(*a)\n"
         "family, rows, extra = t._perturbed_generator()\n"
-        "closure, _, _ = certify.catalog_closure(family, 5, t.F, rows, "
-        "extra)\n"
+        "closure, _ = certify.catalog_closure(family, 5, t.F, rows, extra)\n"
         "print(sys.flags.optimize, len(calls), closure.dim)\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-O", "-c", script,

@@ -6,11 +6,15 @@ import that nothing in its module reads is dead code, and so is a
 module-level function or class that nothing else in the package reads
 and ``__init__.py`` does not re-export.  ``__init__.py`` is skipped by
 the per-module checks: its imports are re-exports, the package's public
-API.
+API.  A backticked name in a docstring or comment that the package no
+longer defines is a stale reference.
 """
 
 import ast
+import keyword
+import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -115,3 +119,74 @@ def test_every_module_level_definition_is_used():
             and not _is_protocol(node) and node.name not in exported
             and reads[node.name] == Counter(_reads(node))[node.name]]
     assert not dead, f"unused module-level definitions: {dead}"
+
+
+#: a name in single backticks, `name` or `mod.name`; ``literals`` are not
+_TICKED = re.compile(r"(?<!`)`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`(?!`)")
+
+
+def _bound_names(tree):
+    """Every name the module binds: definitions, parameters, assignment
+    targets (attributes too) and imports, with the dotted parts of an
+    imported module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+                if alias.asname:
+                    yield alias.asname
+            if isinstance(node, ast.ImportFrom) and node.module:
+                yield from node.module.split(".")
+
+
+def _subcommands(tree):
+    """The CLI subcommand names: the first argument of each
+    ``add_parser`` call."""
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_parser"}
+
+
+def _prose(path, tree):
+    """(line, text) of every docstring and comment of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    with path.open() as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.start[0], tok.string
+
+
+def test_backticked_names_exist():
+    """Every `name` or `mod.name` in a docstring or comment of the
+    package names something the package defines or imports (each
+    dotted part), a module of the package, a keyword or a CLI
+    subcommand: a reference to code that was renamed or deleted
+    fails here."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {path: _tree(path) for path in paths}
+    known = {PACKAGE.name} | {path.stem for path in paths}
+    for tree in trees.values():
+        known.update(_bound_names(tree))
+    known |= _subcommands(trees[PACKAGE / "cli.py"])
+    stale = [f"{path.name}:{line + text[:m.start()].count(chr(10))} "
+             f"{m.group(1)}"
+             for path, tree in trees.items()
+             for line, text in _prose(path, tree)
+             for m in _TICKED.finditer(text)
+             if not keyword.iskeyword(m.group(1))
+             and not all(part in known for part in m.group(1).split("."))]
+    assert not stale, f"backticked names that do not exist: {stale}"

@@ -8,8 +8,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import random_element, random_vector
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
-from extremal_lie.graphs import (build_family_graph, expected_catalog_size,
-                                 graph_from_edges)
+from extremal_lie.graphs import (FAMILY_MIN_N, build_family_graph, catalog,
+                                 expected_catalog_size, graph_from_edges)
+from extremal_lie.linalg import SpanSolver
 from extremal_lie.presentation import (GradedLieAlgebra, TruncatedAtCap,
                                        build_L0, evaluate_monomial)
 
@@ -133,8 +134,29 @@ def test_prime_field_presentation_is_the_rational_one_mod_p(family, n):
 
 @pytest.mark.parametrize("family", "DBAC")
 def test_presentation_at_n_12_has_the_catalog_dimension(family):
-    L = build_L0(build_family_graph(family, 12), QQ)
-    assert L.dim == expected_catalog_size(family, 12)
+    """At every rank from max(4, the family's least) up to 12, over
+    GF(p), dim L(Gamma, 0) is the catalog size, and the catalog
+    monomials, evaluated in L, are independent: they are a basis of
+    L(Gamma, 0)."""
+    F = PrimeField(DEFAULT_PRIME)
+    for n in range(max(4, FAMILY_MIN_N[family]), 13):
+        L = build_L0(build_family_graph(family, n), F)
+        assert L.dim == expected_catalog_size(family, n), n
+        gens = L.generators()
+        span = SpanSolver(F, L.vector_dim)
+        for entry in catalog(family, n):
+            image = evaluate_monomial(L.bracket, gens, entry.indices)
+            assert span.add(L.vector(image)), (n, entry.indices)
+
+
+@pytest.mark.parametrize("family,n", [("D", 9), ("B", 9), ("A", 10)])
+def test_build_l0_memoises_no_pair_of_a_dead_multidegree(family, n):
+    """A bracket memoised while a degree was built, whose multidegree
+    no basis element has, is zero and is dropped from the memo."""
+    L = build_L0(build_family_graph(family, n), QQ)
+    md, live = L.md, L.md_set
+    assert L._pair_cache
+    assert all(md[a] + md[b] in live for a, b in L._pair_cache)
 
 
 @pytest.mark.parametrize("family,n", [("D", 6), ("B", 6), ("A", 7)])
