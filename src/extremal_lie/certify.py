@@ -29,52 +29,54 @@ A realization the proof does not cover grows its closure
 (`lie_closure`), a `MatrixLieAlgebra` that sweeps each generator with
 `is_extremal`, samples its basis and calibrates its form scale over it.
 
-The bracket tables are structure constants on the catalog bases (see
-`_catalog_table`).  A catalog is tail-closed, every monomial being
-[x_k, b'] with b' in the catalog too, so a table follows from the left
-multiplications by the generators: a unit vector when (k,) + label(b)
-is a catalog label, otherwise one matrix bracket and one exact
-coordinate solve, which fails if the span is not closed.  Every other
-pair comes from the comb recursion of `presentation.MonomialTable`,
+The bracket tables are structure constants on the catalog bases.  A
+catalog is tail-closed, every monomial being [x_k, b'] with b' in the
+catalog too, so a table follows from the left multiplications by the
+generators: every other pair comes from the comb recursion
 [[x_k, b'], c] = [x_k, [b', c]] - [b', [x_k, c]], which is the Jacobi
-identity and so exact for matrix commutators.  With independent bases,
+identity and so exact for matrix commutators (de Graaf, Lie Algebras:
+Theory and Algorithms, 2000, ch. 1).  With independent bases,
 a_i -> b_i is an isomorphism exactly when the two tables agree on every
-pair.
+pair, and so when they have the same left multiplications.  No table
+is stored: a match reads each generator product once.
 
-A match proves side 2 first: its table T(b2) proves its span closed,
-and unless side 2 is its own model, the left multiplications of T(b2)
-on model 2's catalog images c2 prove T(b2) = T(c2) (`_check_model`),
-with no model table built.  Side 1 builds its table T(b1) only to check
-it the same way on model 1's images c1.  As its own model, its c1 are
-its dim independent images; the glue finds each in span_c2, closed of
-dimension dim, so they span it, and as it holds every generator (a
-singleton label) it is side 1's closure: that table could not fail.
-Each check runs on the n * dim generator products and names the first
-that fails.  A side is its own model when the two normal forms have one
-base field, equal base matrices and equal scalars (`_own_model`): its
-table is solved from exactly its model's generator products in exactly
-its model's images, so T(bs) = T(cs) holds as built, its images serve
-as the model's and no check runs for it.  Every A or C side is its own
-model, and so is a B or D side of standard generators whose model
-rebuilds them; a side in other coordinates, or one whose psi rebuilds
-at another parameter point (D5 (2,3) at (0,15)), is checked.  A
-table is built on its side's base generators y_k, over the base
-field, and a check meets the scalars through one ratio per generator,
-side scalar over model scalar, with no rescaled table.  The glue
-matrix G holds the coordinates of the c1 in the basis c2: the c1 are
-independent and in the closed span of as many c2, so G is invertible,
-and it is the identity map of matrices, which needs no check.  So
-T(c1) is T(c2) in the basis G gives, and b1_i -> sum_a G_ia b2_a,
-through the models, is an isomorphism on every pair.
+A match proves side 2 first, in one pass over its generator products
+(`_check_side`).  [x_k, b] is a catalog image as built when
+(k,) + label(b) is a label, and otherwise one matrix bracket whose
+coordinates in the side's images are solved exactly, which fails if the
+span is not closed.  Unless side 2 is its own model, the pass applies
+each solved column at once to model 2's catalog images c2, so that
+their left multiplications, and with them every pair, are side 2's.
+Side 1 runs the same pass against model 1 only when it is checked.  As
+its own model, its c1 are its dim independent images; the glue finds
+each in span_c2, closed of dimension dim, so they span it, and as it
+holds every generator (a singleton label) it is side 1's closure: its
+pass could not fail.  Each pass names the first product that fails.  A
+side is its own model when the two normal forms have one base field,
+equal base matrices and equal scalars (`_own_model`): each product is
+solved from exactly its model's bracket in exactly its model's images,
+so the check holds as built and its images serve as the model's; side
+2's pass then proves its span closed by membership alone.  Every A or C
+side is its own model, and so is a B or D side of standard generators
+whose model rebuilds them; a side in other coordinates, or one whose
+psi rebuilds at another parameter point (D5 (2,3) at (0,15)), is
+checked.  A pass solves on its side's base generators y_k, over the
+base field, and meets the scalars through one ratio per generator, side
+scalar over model scalar.  The glue matrix G holds the coordinates of
+the c1 in the basis c2: the c1 are independent and in the closed span
+of as many c2, so G is invertible, and it is the identity map of
+matrices, which needs no check.  So model 1's table is model 2's in the
+basis G gives, and b1_i -> sum_a G_ia b2_a, through the models, is an
+isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
-generator (by its check, or by side 2's table when side 2 is its own
-model), span its closure and prove its dimension.
+generator (by side 2's model check, or by its membership pass when side
+2 is its own model), span its closure and prove its dimension.
 
 A and C graphs carry no parameters: each side's model is the side, so
 no model check runs.  Glue row i then rescales the coordinates of side
 1's image e1_i in side 2's, so the map is b1_i -> b1_i as matrices: an
-A or C pass proves that the two catalogs span one matrix algebra, and a
+A or C certificate proves that the two catalogs span one matrix algebra, and a
 realization in other coordinates is refused.  A B or D side that is its
 own model proves what an A or C side proves: its images are its
 model's, and when both sides are, the map is the identity of their
@@ -87,7 +89,7 @@ scalar (`ScaledContext`).  A square root the field lacks is adjoined
 where the normalisation needs it, and only the scalars move into the
 quadratic extension; the pipeline fails with a diagnostic after
 MAX_LIFTS extensions.  A catalog image is its base image times the
-product of the scalars along its label, so the tables, the model
+product of the scalars along its label, so the side passes, the model
 checks and the glue solve run over the base field.  The extension holds
 scalars only: a model check takes one ratio per generator, side scalar
 over model scalar, and maps each rescaled coefficient back to the base
@@ -104,7 +106,7 @@ from .fields import (FieldElement, NoSquareRoot, QuadraticExtension,
                      tower_maps)
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
-from .presentation import MonomialTable, evaluate_monomial
+from .presentation import evaluate_monomial
 from .extremal import (extremal_form_value, fixtriangle, check_premet,
                        triangle_open, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
@@ -826,7 +828,7 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
     Raises FormMismatch if no solved parameter candidate reproduces the
     normalized form values.
 
-    No candidate is closed here.  The model checks (`_check_model`)
+    No candidate is closed here.  The model checks (`_check_side`)
     find each model's catalog images independent and closed under every
     generator, so they span its closure, of dimension the catalog size;
     otherwise they raise StructureMismatch."""
@@ -889,36 +891,6 @@ def _independent_images(ctx, gens, labels, party):
     return images, vectors, span
 
 
-def _catalog_table(ctx, gens, labels, name):
-    """The basis of tail-closed bracket monomials `labels` in the
-    generators and its structure-constant table.
-
-    Returns (images, span, table): the matrices images[b] and their
-    `SpanSolver` (`_independent_images`), and the `MonomialTable` whose
-    left multiplications are [x_k, b] in that basis.  A left
-    multiplication whose monomial (k,) + label(b) is a label is a unit
-    vector and needs no bracket; every other one is one matrix bracket
-    and its coordinates, n * dim brackets in all with the images.
-    Raises StructureMismatch "<name>: catalog images are dependent", or
-    "<name>: bracket leaves the span" when [x_k, b] is outside it."""
-    field = ctx.field
-    one = field.one.v
-    table = MonomialTable(field, labels, [[] for _ in gens])
-    index = table.label_index
-    images, _, span = _independent_images(ctx, gens, labels, name)
-    for k, (g, lm) in enumerate(zip(gens, table.leftmult), start=1):
-        for b, lab in enumerate(labels):
-            hit = index.get((k,) + lab)
-            if hit is not None:
-                lm.append({hit: one})
-                continue
-            col = span.sparse_coords(ctx.vector(ctx.bracket(g, images[b])))
-            if col is None:
-                raise StructureMismatch(f"{name}: bracket leaves the span")
-            lm.append(col)
-    return images, span, table
-
-
 def _scalars(gens, field):
     """The payloads in `field` of the scalars of Scaled generators."""
     return [lift_element(g.c, field).v for g in gens]
@@ -938,84 +910,103 @@ def _label_scalars(field, scalars, labels):
     return out
 
 
-def _check_model(ctx, gens, table, side_gens, name, party):
-    """The model's catalog images c have the side's left
-    multiplications: [x_k, c_b] = sum_j S_kb^j c_j exactly for every
-    generator product, in order, S the table of the side's normal-form
-    generators `side_gens`, x'_k = lambda_k y_k, and `table` that of the
-    y_k, over their base field.  The model is the normal form (ctx,
-    gens), x_k = nu_k z_k with z_k over the base field of the
-    `ScaledContext` ctx; a generator that is not `Scaled`, on either
-    side, has scalar 1.  With rho_k = lambda_k / nu_k, one ratio per
-    generator, and R_b the product of the rho along label b
-    (`_label_scalars`), the catalog images factor by bilinearity and
-    the product holds exactly when
+def _check_side(ctx, gens, labels, name, model=None):
+    """One pass over the generator products of a side, the normal form
+    (ctx, gens), x'_k = lambda_k y_k with y_k over the base field of the
+    `ScaledContext` ctx; a generator that is not `Scaled`, here or in
+    the model, has scalar 1.  The side's catalog images b in the y_k
+    must be independent (`_independent_images`), and [y_k, b_b] must
+    lie in their span.  A unit product, (k,) + label(b) a label, is an
+    image as built, so only the other n * dim - (dim - n) products take
+    a bracket.  With `model` None the side is its own model
+    (`_own_model`): nothing reads the coordinates, so membership proves
+    the span closed (`SpanSolver.contains`).
 
-        [z_k, e_b] - sum_j (rho_k R_b / R_j) T_kb^j e_j = 0,
+    Otherwise `model` is (mctx, mgens, party), the model's normal form
+    x_k = nu_k z_k, and each product is solved once, T_kb^j its
+    coordinates in the b_j, and at once applied to the model's images
+    e_b in the z_k.  With rho_k = lambda_k / nu_k and R_b the product of
+    the rho along label b (`_label_scalars`), the catalog images factor
+    by bilinearity, and the model has the side's left multiplication
+    at (k, b) exactly when
 
-    e_b the image in the z_k.  The e_j are independent over the base
-    field, so the coordinates of [z_k, e_b] in them are unique and lie
-    in it: a coefficient whose ratio leaves the base field fails the
-    product, and otherwise the base residual must vanish.  At a unit
-    product, (k,) + label(b) a label, [x_k, c_b] is c_hit and the ratio
-    is 1, so it needs no bracket: the column must be {hit: 1}.
-    Coordinates in independent images being unique, the model's table
-    has the side's left multiplications, and so, `MonomialTable.pair`
-    being a function of those and the labels, the two agree on every
-    pair.  Returns (vectors, span): the coordinate vectors of the e_b,
-    over the base field, and their `SpanSolver`; closed under every
-    generator, they span the closure.  Raises StructureMismatch
-    "<party>: catalog images are dependent", or "<name>: bracket tables
-    differ at generator product (k,b)"."""
-    base, field = ctx.base, ctx.field
+        [z_k, e_b] - sum_j (rho_k R_b / R_j) T_kb^j e_j = 0.
+
+    The e_j are independent over the model's base field, so the
+    coordinates of [z_k, e_b] in them are unique and lie in it: a
+    coefficient whose ratio leaves that field fails the product, and
+    otherwise the base residual must vanish.  A unit product is an
+    image as built on both sides, at ratio 1.  Every pair of catalog
+    monomials follows from the left multiplications by the Jacobi comb
+    recursion, so the two tables agree on every pair; none is stored.
+
+    Returns (vectors, span): the coordinate vectors of the model's
+    images over its base field (the side's own with no model) and their
+    `SpanSolver`; closed under every generator, they span the closure.
+    Raises StructureMismatch "<name>: catalog images are dependent",
+    then "<party>: catalog images are dependent", or at the first
+    failing product, in order, "<name>: bracket leaves the span" or
+    "<name> vs model: bracket tables differ at generator product
+    (k,b)"."""
+    base = ctx.base
     gens = [ctx.element(g) for g in gens]
-    zs = [g.a for g in gens]
-    mul, div, unit = field.mul, field.div, field.one.v
-    rho = [div(lam, nu) for lam, nu in
-           zip(_scalars([ctx.element(g) for g in side_gens], field),
-               _scalars(gens, field))]
-    ratio = _label_scalars(field, rho, table.labels)
-    inv = [div(unit, r) for r in ratio]
-    images, vectors, span = _independent_images(base, zs, table.labels,
-                                                party)
-    up = tower_maps(table.field, field)[0]
-    down = tower_maps(base.field, field)[1]
-    one = table.field.one.v
-    axpy = base.field.axpy
-    for k, (z, lm) in enumerate(zip(zs, table.leftmult), start=1):
-        for b, lab in enumerate(table.labels):
-            hit = table.label_index.get((k,) + lab)
-            if hit is not None:
-                ok = lm[b] == {hit: one}
-            else:
-                # w = [z_k, e_b] - sum_j c_j e_j (axpy subtracts)
-                w = base.vector(base.bracket(z, images[b]))
-                f = mul(rho[k - 1], ratio[b])
-                ok = True
-                for j, c in lm[b].items():
-                    c = down(mul(mul(f, inv[j]), up(c)))
-                    if c is None:
-                        ok = False
-                        break
-                    axpy(w, c, vectors[j])
-                ok = ok and not w
-            if not ok:
+    ys = [g.a for g in gens]
+    images, vectors, span = _independent_images(base, ys, labels, name)
+    if model is not None:
+        mctx, mgens, party = model
+        mbase, field = mctx.base, mctx.field
+        mgens = [mctx.element(g) for g in mgens]
+        zs = [g.a for g in mgens]
+        mul, div, unit = field.mul, field.div, field.one.v
+        rho = [div(lam, nu) for lam, nu in
+               zip(_scalars(gens, field), _scalars(mgens, field))]
+        ratio = _label_scalars(field, rho, labels)
+        inv = [div(unit, r) for r in ratio]
+        mimages, mvectors, mspan = _independent_images(mbase, zs, labels,
+                                                       party)
+        up = tower_maps(base.field, field)[0]
+        down = tower_maps(mbase.field, field)[1]
+        axpy = mbase.field.axpy
+    labelled = set(labels)
+    for k, y in enumerate(ys, start=1):
+        for b, lab in enumerate(labels):
+            if (k,) + lab in labelled:
+                continue
+            v = base.vector(base.bracket(y, images[b]))
+            if model is None:
+                if not span.contains(v):
+                    raise StructureMismatch(f"{name}: bracket leaves the span")
+                continue
+            col = span.sparse_coords(v)
+            if col is None:
+                raise StructureMismatch(f"{name}: bracket leaves the span")
+            # w = [z_k, e_b] - sum_j c_j e_j (axpy subtracts)
+            w = mbase.vector(mbase.bracket(zs[k - 1], mimages[b]))
+            f = mul(rho[k - 1], ratio[b])
+            ok = True
+            for j, c in col.items():
+                c = down(mul(mul(f, inv[j]), up(c)))
+                if c is None:
+                    ok = False
+                    break
+                axpy(w, c, mvectors[j])
+            if not ok or w:
                 raise StructureMismatch(
-                    f"{name}: bracket tables differ at generator product "
-                    f"({k},{b})")
-    return vectors, span
+                    f"{name} vs model: bracket tables differ at generator "
+                    f"product ({k},{b})")
+    return (vectors, span) if model is None else (mvectors, mspan)
 
 
 def _own_model(ctx, gens, mctx, mgens):
     """Whether a side is its own model: its normal form (ctx, gens) and
     its model's (mctx, mgens) have one base field, equal base matrices
     y_k == z_k as payload rows, and equal scalars, lambda_k lifted into
-    the model's field being nu_k.  A table of the side is then solved
-    from exactly the products [z_k, e_b] in exactly the model's images
-    e_b, so every ratio rho_k of `_check_model` is 1, each residual is
-    zero and each unit column is {hit: 1}: the check cannot fail, the
-    side's images are the model's, and side 1 builds no table.  An A or
-    C model is its side, so every A or C side is its own model."""
+    the model's field being nu_k.  Each product of the side is then
+    solved from exactly the bracket [z_k, e_b] in exactly the model's
+    images e_b, so every ratio rho_k of `_check_side` is 1 and each
+    residual is zero: the check cannot fail, and the side's images are
+    the model's.  An A or C model is its side, so every A or C side is
+    its own model."""
     field = mctx.field
     return (ctx.base.field.same(mctx.base.field)
             and [g.a for g in gens] == [m.a for m in mgens]
@@ -1025,23 +1016,23 @@ def _own_model(ctx, gens, mctx, mgens):
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
     field, are isomorphic: normalise both, rebuild a standard model for
-    a B or D side, prove side 2's table closed, check each side that is
-    not its own model (`_own_model`) on its model's generator products,
-    side 2 first, which proves its table equal to the model's on every
-    pair, then glue the two models.  A side 1 that is its own model
-    builds no table; A and C sides, and every B or D side whose model
-    rebuilds its normal form, run no check.  The module docstring says
-    what that proves.
+    a B or D side, prove side 2's span closed and check each side that
+    is not its own model (`_own_model`) on its model's generator
+    products, side 2 first, in one pass per side (`_check_side`), then
+    glue the two models.  A side 1 that is its own model runs no pass;
+    A and C sides, and every B or D side whose model rebuilds its
+    normal form, run no model check.  The module docstring says what
+    that proves.
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  All matrix work runs
-    over the fields of the matrices.  A side's table meets its model's
-    scalars through one ratio per generator (`_check_model`), and the
-    last field reached only rescales the glue into `basis_map`.
+    over the fields of the matrices.  A pass meets its model's scalars
+    through one ratio per generator, and the last field reached only
+    rescales the glue into `basis_map`.
 
     Either side may be a closure or hold generators only: side 2's
-    table, or model 2's check, proves the dimension, and the
-    certificate's `dim` is the catalog size it proves."""
+    pass proves the dimension, and the certificate's `dim` is the
+    catalog size it proves."""
     n = len(gens1)
     if len(gens2) != n:
         raise FormMismatch("realizations have different numbers of "
@@ -1071,40 +1062,36 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
             family, n, mctx1.field, _psi_in(psi2, mctx1.field),
             mctx1.base.field)
 
-    # side 2 first: its table proves its span closed, and a side 2 that
-    # is not its own model is checked against model 2, T(b2) = T(c2)
-    span_c2, t_b2 = _catalog_table(ctx2.base, [g.a for g in g2], labels,
-                                   "side 2")[1:]
-    if not _own_model(ctx2, g2, mctx2, m2):
-        span_c2 = _check_model(mctx2, m2, t_b2, g2, "side 2 vs model",
-                               "model 2")[1]
-    # then side 1: its own model needs no table, since the glue finds
-    # its independent images in the closed span_c2; otherwise T(b1) =
-    # T(c1) on side 1's table
-    y1 = [g.a for g in g1]
+    # side 2 first: its pass proves its span closed and, unless side 2
+    # is its own model, checks it against model 2
+    model2 = (None if _own_model(ctx2, g2, mctx2, m2)
+              else (mctx2, m2, "model 2"))
+    span_c2 = _check_side(ctx2, g2, labels, "side 2", model2)[1]
+    # then side 1: its own model needs no pass, since the glue finds its
+    # independent images in the closed span_c2
     if _own_model(ctx1, g1, mctx1, m1):
-        c1 = _independent_images(ctx1.base, y1, labels, "side 1")[1]
+        c1 = _independent_images(ctx1.base, [g.a for g in g1], labels,
+                                 "side 1")[1]
     else:
-        c1 = _check_model(mctx1, m1,
-                          _catalog_table(ctx1.base, y1, labels, "side 1")[2],
-                          g1, "side 1 vs model", "model 1")[0]
+        c1 = _check_side(ctx1, g1, labels, "side 1",
+                         (mctx1, m1, "model 1"))[0]
     top = mctx2.field
     mu1 = _label_scalars(top, _scalars(m1, top), labels)
     mu2 = _label_scalars(top, _scalars(m2, top), labels)
     up12 = tower_maps(mctx1.base.field, mctx2.base.field)[0]
     up = tower_maps(mctx2.base.field, top)[0]
     # what follows reads c1, span_c2 and the scalars only: dropping the
-    # matrix algebras and the tables lowers the peak memory
-    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2, y1, t_b2
+    # matrix algebras lowers the peak memory
+    del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
 
     # glue through the common model algebra: model 1's images, in model
     # 2's closed span and as many as its basis, are a basis of it, so
     # the glue matrix G of their coordinates is invertible; it is the
-    # identity of matrices, so T(c1) is T(c2) in the basis G gives, and
-    # with the two model checks b1_i -> sum_a G_ia b2_a is an
-    # isomorphism.  With c1_i = mu1_i e1_i and c2_a = mu2_a e2_a, G_ia =
-    # mu1_i / mu2_a Gbase_ia for the coordinates Gbase of the e1 in the
-    # e2, solved over model 2's matrix field
+    # identity of matrices, so model 1's table is model 2's in the basis
+    # G gives, and with the two model checks b1_i -> sum_a G_ia b2_a is
+    # an isomorphism.  With c1_i = mu1_i e1_i and c2_a = mu2_a e2_a,
+    # G_ia = mu1_i / mu2_a Gbase_ia for the coordinates Gbase of the e1
+    # in the e2, solved over model 2's matrix field
     mul, div, one = top.mul, top.div, top.one.v
     inv2 = [div(one, m) for m in mu2]
     glue = []

@@ -61,7 +61,11 @@ only where they read a lead, and once at the end.
 `SpanSolver` builds the expressions of its rows in the accepted
 vectors only when coordinates are first asked for, by replaying the
 reduction steps `add` recorded, so the many spans that only test
-membership or count a rank do no expression work.
+membership or count a rank do no expression work.  A match makes one
+pass over the generator products of each side it proves
+(`certify._check_side`): a product is solved to coordinates, once,
+only when a model check applies them, and a side that is its own model
+tests membership (`contains`), since nothing reads its coordinates.
 A zero row costs O(1): `echelon` drops empty input rows before it
 copies them, and `_reduce` stops scanning the kept rows as soon as the
 vector it reduces is empty.  Most relation rows of the graded

@@ -20,20 +20,19 @@ relations are imposed from
   antisymmetry and Jacobi consistency among higher-degree elements.
 
 Every basis element is labelled by a bracket monomial in the generators
-that witnesses it, and the algebra is a `MonomialTable`: structure
-constants on a tail-closed monomial basis, derived from the left
-multiplications by the generators through the comb recursion.  The same
-table kernel gives `certify` the structure constants of a catalog basis
-of a matrix algebra; the difference is that the relations of L(Gamma, 0)
-are homogeneous in every generator, so the graded algebra knows the
-multidegree of each basis element, and a bracket whose multidegree is
-that of no basis element is zero (`GradedLieAlgebra._vanishes`).  The
-construction, the bracket and the export skip every pair and relation
-row that this grading makes zero.  The rule is exact, so it moves no
-output: every relation row is homogeneous, so the reduced row echelon
-form splits into blocks of one multidegree and rewrites a candidate
-only in free columns of its own multidegree, and packed multidegrees
-add as ints, so no nonzero bracket is taken for zero.
+that witnesses it, and the algebra is held as its left multiplications
+by the generators on that tail-closed monomial basis: every other
+bracket follows from them by the comb recursion, which is the Jacobi
+identity.  The relations of L(Gamma, 0) are homogeneous in every
+generator, so the algebra knows the multidegree of each basis element,
+and a bracket whose multidegree is that of no basis element is zero
+(`GradedLieAlgebra._vanishes`).  The construction, the bracket and the
+export skip every pair and relation row that this grading makes zero.
+The rule is exact, so it moves no output: every relation row is
+homogeneous, so the reduced row echelon form splits into blocks of one
+multidegree and rewrites a candidate only in free columns of its own
+multidegree, and packed multidegrees add as ints, so no nonzero bracket
+is taken for zero.
 
 The relations are sparse payload rows (``{column: payload}``, see
 :mod:`extremal_lie.linalg`), and the exact echelon kernel
@@ -42,12 +41,12 @@ the reduced row echelon form, which is unique, so the basis does not
 depend on how the rows are eliminated.  A row touches only what it
 holds: the left multiplications of a relation are its lower-degree
 vectors re-indexed into the candidate columns, only the term
-[[x_i, x_j], c] goes through the table's comb recursion, and
+[[x_i, x_j], c] goes through the comb recursion, and
 `linalg.echelon` reduces a row by the kept rows its entries meet (see
 `build_L0`).  All the bracket machinery works on payloads;
 FieldElements appear only at the API edge
-(`MonomialTable.pair_bracket`, `GradedLieAlgebra.structure_constants`,
-`element` and `external`).
+(`GradedLieAlgebra.pair_bracket`, `structure_constants`, `element`
+and `external`).
 """
 
 from itertools import accumulate, islice
@@ -77,49 +76,106 @@ def evaluate_monomial(bracket, generators, indices):
     return acc
 
 
-class MonomialTable:
-    """Structure constants on a basis of bracket monomials, from the left
+def _degree2_leftmult(graph, field):
+    """[x_i, x_c] for all generators i, c: the degree-2 basis has one
+    element per edge {i < j}, witness (i, j), at index n + its rank."""
+    n = graph.n
+    one = field.one.v
+    minus_one = field.neg(one)
+    edge_index = {e: n + idx for idx, e in enumerate(graph.sorted_edges())}
+    lm = []
+    for i in range(1, n + 1):
+        cols = []
+        for c in range(1, n + 1):
+            col = {}
+            if c != i and graph.has_edge(i, c):
+                e = (min(i, c), max(i, c))
+                col[edge_index[e]] = one if i < c else minus_one
+            cols.append(col)
+        lm.append(cols)
+    return lm
+
+
+class GradedLieAlgebra:
+    """A graded Lie algebra built degree by degree, as structure
+    constants on a basis of bracket monomials derived from the left
     multiplications by the generators.
 
     ``labels[b]`` is the monomial (i_k, ..., i_1) that basis element b
-    stands for, [x_{i_k}, [..., [x_{i_2}, x_{i_1}]]].  The basis is
-    tail-closed: every label of length >= 2 is (k,) + label' with label'
-    a label too, so b = [x_k, b'] for the element b' of label'.
-    ``leftmult[k-1][b]`` is [x_k, b] as a sparse payload vector
-    ``{index: payload}`` over the basis (see :mod:`extremal_lie.linalg`).
+    stands for, [x_{i_k}, [..., [x_{i_2}, x_{i_1}]]], of the degree of
+    its length.  The basis is tail-closed: every label of degree >= 2
+    is (i,) + label' with label' the witness of a lower-degree basis
+    element b', so b = [x_i, b'].  ``leftmult[k-1][b]`` is [x_k, b].
+    Elements are sparse payload vectors ``{index: payload}`` over the
+    concatenated graded basis (see :mod:`extremal_lie.linalg`;
+    `element` converts FieldElement vectors, `external` gives them
+    out).  `pair_bracket` and `structure_constants` return
+    FieldElements.
 
     The bracket of two basis elements follows by the comb recursion
     through the label of the first,
 
         [[x_k, b'], c] = [x_k, [b', c]] - [b', [x_k, c]],
 
-    which is the Jacobi identity, so the table is exact for every Lie
-    algebra the left multiplications come from.  `pair` memoises it in
-    ``_pair_cache``, and a mirror [b, a] only once it is asked for;
-    `pair_bracket` returns FieldElements.
+    which is the Jacobi identity.  `pair` memoises it in
+    ``_pair_cache``, and a mirror [b, a] only once it is asked for.
+
+    The relations are homogeneous in every generator, so the algebra is
+    graded by multidegree, the count of each generator in a monomial,
+    and [a, b] lies in the span of the basis elements of multidegree
+    md(a) + md(b).  ``md[b]`` is the multidegree of basis element b
+    packed into one int, the count of generator i in slot i - 1, and
+    ``md_set`` holds the multidegrees of the basis.  A bracket whose
+    multidegree is not in ``md_set`` is zero (`_vanishes`), and so is
+    every bracket whose degree exceeds the top degree, the length of
+    ``degrees``.
     """
 
-    def __init__(self, field, labels, leftmult):
+    def __init__(self, graph, field, cap):
+        n = graph.n
+        edges = graph.sorted_edges()
         self.field = field
-        self.labels = []
-        self.label_index = {}
-        self.leftmult = leftmult
+        self.graph = graph
+        # a label is at most `cap` long, so a slot of the sum of two
+        # labels counts at most 2 * cap and never carries
+        width = (2 * cap).bit_length()
+        self._unit = [1 << (width * i) for i in range(n)]
+        self.labels, self.label_index = [], {}
+        self.md, self.md_set = [], set()
+        self.degrees = []
+        self.leftmult = _degree2_leftmult(graph, field)
         self._pair_cache = {}
-        self._add_labels(labels)
-
-    def _add_labels(self, labels):
-        for lab in labels:
-            self.label_index[lab] = len(self.labels)
-            self.labels.append(lab)
+        self._append_degree([(i,) for i in range(1, n + 1)])
+        self._append_degree(list(edges))
 
     @property
     def dim(self):
         return len(self.labels)
 
+    def _append_degree(self, new_labels):
+        """Add the next degree, once the left multiplications of the
+        current top degree are known."""
+        self.degrees.append(len(new_labels))
+        unit = self._unit
+        for lab in new_labels:
+            m = sum(unit[i - 1] for i in lab)
+            self.label_index[lab] = len(self.labels)
+            self.labels.append(lab)
+            self.md.append(m)
+            self.md_set.add(m)
+
     def _vanishes(self, a, b):
-        """Whether [a, b] is zero for grading reasons alone (never, unless
-        a subclass knows a grading); such a pair is not memoised."""
-        return False
+        """Whether [a, b] is zero by multidegree: md(a) + md(b) is the
+        multidegree of no basis element.  The rule is exact: every
+        relation is homogeneous, so the reduced row echelon form that
+        selects a degree splits into blocks of one multidegree each,
+        and a candidate is rewritten only in free columns of its own
+        multidegree.  Packed multidegrees add as ints, so a nonzero
+        bracket always finds its multidegree in ``md_set``.  No slot of
+        a sum carries (see `__init__`), so distinct multidegrees stay
+        distinct, and a bracket past the top degree, which the comb
+        recursion cannot expand, is always zeroed here."""
+        return self.md[a] + self.md[b] not in self.md_set
 
     def left_mult(self, k, svec):
         """[x_k, v] for a sparse payload vector v."""
@@ -175,89 +231,6 @@ class MonomialTable:
         entries only."""
         field = self.field
         return {k: FieldElement(field, v) for k, v in self.pair(a, b).items()}
-
-
-def _degree2_leftmult(graph, field):
-    """[x_i, x_c] for all generators i, c: the degree-2 basis has one
-    element per edge {i < j}, witness (i, j), at index n + its rank."""
-    n = graph.n
-    one = field.one.v
-    minus_one = field.neg(one)
-    edge_index = {e: n + idx for idx, e in enumerate(graph.sorted_edges())}
-    lm = []
-    for i in range(1, n + 1):
-        cols = []
-        for c in range(1, n + 1):
-            col = {}
-            if c != i and graph.has_edge(i, c):
-                e = (min(i, c), max(i, c))
-                col[edge_index[e]] = one if i < c else minus_one
-            cols.append(col)
-        lm.append(cols)
-    return lm
-
-
-class GradedLieAlgebra(MonomialTable):
-    """A graded Lie algebra built degree by degree.
-
-    Elements are sparse payload vectors ``{index: payload}`` over the
-    concatenated graded basis (`element` converts FieldElement vectors,
-    `external` gives them out).  The basis is a `MonomialTable` whose
-    labels have the degree of their length; every label of degree >= 2
-    arises as (i,) + label' with label' the witness of a lower-degree
-    basis element.  `pair_bracket` and `structure_constants` return
-    FieldElements.
-
-    The relations are homogeneous in every generator, so the algebra is
-    graded by multidegree, the count of each generator in a monomial,
-    and [a, b] lies in the span of the basis elements of multidegree
-    md(a) + md(b).  ``md[b]`` is the multidegree of basis element b
-    packed into one int, the count of generator i in slot i - 1, and
-    ``md_set`` holds the multidegrees of the basis.  A bracket whose
-    multidegree is not in ``md_set`` is zero (`_vanishes`), and so is
-    every bracket whose degree exceeds the top degree, the length of
-    ``degrees``.
-    """
-
-    def __init__(self, graph, field, cap):
-        n = graph.n
-        edges = graph.sorted_edges()
-        # a label is at most `cap` long, so a slot of the sum of two
-        # labels counts at most 2 * cap and never carries
-        width = (2 * cap).bit_length()
-        self._unit = [1 << (width * i) for i in range(n)]
-        self.md, self.md_set = [], set()
-        super().__init__(field, [(i,) for i in range(1, n + 1)] + list(edges),
-                         _degree2_leftmult(graph, field))
-        self.graph = graph
-        self.degrees = [n, len(edges)]
-
-    def _add_labels(self, labels):
-        super()._add_labels(labels)
-        unit = self._unit
-        for lab in labels:
-            m = sum(unit[i - 1] for i in lab)
-            self.md.append(m)
-            self.md_set.add(m)
-
-    def _append_degree(self, new_labels):
-        """Add the next degree, once the left multiplications of the
-        current top degree are known."""
-        self.degrees.append(len(new_labels))
-        self._add_labels(new_labels)
-
-    def _vanishes(self, a, b):
-        """Whether [a, b] is zero by multidegree: md(a) + md(b) is the
-        multidegree of no basis element.  The rule is exact: every
-        relation is homogeneous, so the reduced row echelon form that
-        selects a degree splits into blocks of one multidegree each,
-        and a candidate is rewritten only in free columns of its own
-        multidegree.  Packed multidegrees add as ints, so a nonzero
-        bracket always finds its multidegree in ``md_set``.  No slot of
-        a sum carries (see `__init__`), so distinct multidegrees stay
-        distinct, and a bracket past the top degree, which the table
-        cannot expand, is always zeroed here."""
-        return self.md[a] + self.md[b] not in self.md_set
 
     # -- basic element API -------------------------------------------------
     @property
@@ -387,7 +360,7 @@ def build_L0(graph, field, cap=None):
     the extremality row [x_i, [x_i, c]] and the terms [x_i, [x_j, c]]
     and [x_j, [x_i, c]] of a Jacobi row, which lie in the disjoint
     blocks i and j, are written by re-indexing; only the edge term
-    [[x_i, x_j], c] goes through the table's comb recursion.  While the
+    [[x_i, x_j], c] goes through the comb recursion.  While the
     rows are written, ``md_set`` also holds the candidates' multidegrees
     e_i + md(b), and a row that is exactly zero is left out: an
     extremality row with [x_i, c] = 0, and a Jacobi row whose

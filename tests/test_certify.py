@@ -589,9 +589,93 @@ def labels_of(family, n):
     return [e.indices for e in catalog(family, n)]
 
 
-def table_of(family, n, alg, mats, name="self"):
-    """(images, span, table) of the catalog basis the generators build."""
-    return certify._catalog_table(alg, mats, labels_of(family, n), name)
+class CombTable:
+    """Structure constants on a tail-closed basis of bracket monomials,
+    from the left multiplications by the generators: ``leftmult[k-1][b]``
+    is [x_k, b] as a sparse payload vector over the basis.  A pair
+    follows by the comb recursion through the label of the first,
+    [[x_k, b'], c] = [x_k, [b', c]] - [b', [x_k, c]], which is the
+    Jacobi identity: the reference the pair-level witnesses read, since
+    a match stores no table."""
+
+    def __init__(self, field, labels, leftmult):
+        self.field = field
+        self.labels = labels
+        self.label_index = {lab: b for b, lab in enumerate(labels)}
+        self.leftmult = leftmult
+        self._pairs = {}
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    def _fold(self, vectors, svec):
+        """sum_b c_b vectors(b) over the entries b: c_b of svec."""
+        neg, axpy = self.field.neg, self.field.axpy
+        out = {}
+        for b, c in svec.items():
+            axpy(out, neg(c), vectors(b))
+        return out
+
+    def pair(self, a, b):
+        """[a, b] for basis elements a, b, memoised."""
+        if (a, b) not in self._pairs:
+            k, *tail = self.labels[a]
+            lm = self.leftmult[k - 1]
+            if not tail:
+                out = lm[b]
+            else:
+                ap = self.label_index[tuple(tail)]
+                out = self._fold(lm.__getitem__, self.pair(ap, b))
+                self.field.axpy(out, self.field.one.v,
+                                self.bracket_with(ap, lm[b]))
+            self._pairs[a, b] = out
+        return self._pairs[a, b]
+
+    def bracket_with(self, a, svec):
+        """[basis a, sparse payload vector]."""
+        return self._fold(lambda b: self.pair(a, b), svec)
+
+    def pair_bracket(self, a, b):
+        return {k: FieldElement(self.field, v)
+                for k, v in self.pair(a, b).items()}
+
+
+def table_of(family, n, alg, mats):
+    """(images, span, table): the catalog images the generators build,
+    their `SpanSolver`, and the `CombTable` whose left multiplications
+    are solved from direct matrix brackets."""
+    labels = labels_of(family, n)
+    images, _, span = certify._independent_images(alg, mats, labels, "self")
+    leftmult = [[span.sparse_coords(alg.vector(alg.bracket(g, img)))
+                 for img in images] for g in mats]
+    assert all(None not in lm for lm in leftmult)
+    return images, span, CombTable(alg.field, labels, leftmult)
+
+
+def _products(labels, n):
+    """The generator products (k, b) a side pass brackets, in order: the
+    non-unit ones, (k,) + label(b) not a label."""
+    known = set(labels)
+    return [(k, b) for k in range(1, n + 1) for b, lab in enumerate(labels)
+            if (k,) + lab not in known]
+
+
+def _perturbed_solve(monkeypatch, call, delta):
+    """Make the `call`-th `SpanSolver.sparse_coords` (0-based) return
+    its column with `delta(col)` applied to a copy."""
+    solve = linalg.SpanSolver.sparse_coords
+    calls = []
+
+    def perturbed(span, v):
+        col = solve(span, v)
+        calls.append(1)
+        if len(calls) - 1 == call and col is not None:
+            col = dict(col)
+            delta(col)
+        return col
+
+    monkeypatch.setattr(linalg.SpanSolver, "sparse_coords", perturbed)
 
 
 def _dense_fold(alg, terms):
@@ -619,39 +703,47 @@ def _first_bad_pair(alg, basis, span, target, pairs):
 
 
 def test_catalog_tables_agree_on_every_pair():
-    """Two tables of the same generators have the same left
-    multiplications, and so, a table's pairs being a function of those
-    and the labels, agree on every pair."""
+    """The same generators as side and as model pass the side's pass:
+    their left multiplications agree, and so, a table's pairs being a
+    function of those and the labels, the two tables agree on every
+    pair.  The model's vectors are the side's own images."""
     alg, mats = closure_of("A", 4)
-    _, _, table = table_of("A", 4, alg, mats)
-    _, _, again = table_of("A", 4, alg, list(mats))
-    assert table.leftmult == again.leftmult
+    ctx = certify.ScaledContext(alg)
+    labels = labels_of("A", 4)
+    vectors, span = certify._check_side(ctx, mats, labels, "A4",
+                                        (ctx, list(mats), "model"))
+    assert span.rank == len(labels)
+    assert vectors == [alg.vector(img) for img in
+                       certify._catalog_images(alg, mats, labels)]
 
 
 @pytest.mark.parametrize("change", ["swap", "double"])
 def test_catalog_table_rejects_changed_generators(b5, change):
     """Generators 4 and 5 swapped, or generator 2 doubled, on the model
     side: the induced catalog images stay a basis of the closure, and
-    the model check fails at the first generator product (k, b), in
+    the side pass fails at the first generator product (k, b), in
     order, where the brackets stop matching."""
     alg, mats = b5
-    basis, span, table = table_of("B", 5, alg, mats)
+    labels = labels_of("B", 5)
+    basis, _, span = certify._independent_images(alg, mats, labels, "B5")
     target = list(mats)
     if change == "swap":
         target[3], target[4] = target[4], target[3]
     else:
         target[1] = alg.lincomb([(F(2), target[1])])
-    images = certify._catalog_images(alg, target, table.labels)
-    products = [(table.label_index[(k,)], b) for k in range(1, 6)
-                for b in range(table.dim)]
+    images = certify._catalog_images(alg, target, labels)
+    products = [(labels.index((k,)), b) for k in range(1, 6)
+                for b in range(len(labels))]
     pair = _first_bad_pair(alg, basis, span, images, products)
     assert pair is not None
-    k, b = table.labels[pair[0]][0], pair[1]
+    k, b = labels[pair[0]][0], pair[1]
+    ctx = certify.ScaledContext(alg)
     with pytest.raises(StructureMismatch) as info:
-        certify._check_model(certify.ScaledContext(alg), target, table,
-                             mats, change, "model")
+        certify._check_side(ctx, mats, labels, change,
+                            (ctx, target, "model"))
     assert str(info.value) == (
-        f"{change}: bracket tables differ at generator product ({k},{b})")
+        f"{change} vs model: bracket tables differ at generator product "
+        f"({k},{b})")
 
 
 def test_scaled_form_values_are_the_materialised_ones(d5):
@@ -691,77 +783,93 @@ def test_scaled_form_values_are_the_materialised_ones(d5):
         "ValueError", "x is zero")
 
 
-def test_model_check_refuses_every_perturbed_column(b5):
-    """B5's own generators pass the model check against their table,
-    and every single-column perturbation of it, 3 added at entry
-    (b+5) % dim of the left multiplication [x_k, b], unit columns
-    included, is refused at that generator product."""
+def test_model_check_refuses_every_perturbed_column(b5, monkeypatch):
+    """B5's own generators pass the side pass against themselves as the
+    model, and every single-column perturbation of a solved product,
+    3 added at entry (b+5) % dim of the coordinates of [x_k, b], is
+    refused at that generator product.  A unit product is solved by no
+    call: its column is the unit as built on both sides."""
     alg, mats = b5
     ctx = certify.ScaledContext(alg)
-    _, _, table = table_of("B", 5, alg, mats)
-    vectors, span = certify._check_model(ctx, mats, table, mats, "B5",
-                                         "model")
-    assert span.rank == table.dim
+    labels = labels_of("B", 5)
+    dim = len(labels)
+    vectors, span = certify._check_side(ctx, mats, labels, "B5",
+                                        (ctx, mats, "model"))
+    assert span.rank == dim
     assert vectors == [alg.vector(img) for img in
-                       certify._catalog_images(alg, mats, table.labels)]
-    dim = table.dim
-    for k, lm in enumerate(table.leftmult, start=1):
-        for b, col in enumerate(lm):
-            lm[b] = dict(col)
-            F.axpy(lm[b], F(-3).v, {(b + 5) % dim: F.one.v})
-            with pytest.raises(StructureMismatch) as info:
-                certify._check_model(ctx, mats, table, mats, "B5", "model")
-            assert str(info.value) == (
-                f"B5: bracket tables differ at generator product ({k},{b})")
-            lm[b] = col
+                       certify._catalog_images(alg, mats, labels)]
+    products = _products(labels, 5)
+    assert len(products) == 5 * dim - (dim - 5)
+    for call, (k, b) in enumerate(products):
+        _perturbed_solve(monkeypatch, call, lambda col, b=b: F.axpy(
+            col, F(-3).v, {(b + 5) % dim: F.one.v}))
+        with pytest.raises(StructureMismatch) as info:
+            certify._check_side(ctx, mats, labels, "B5",
+                                (ctx, mats, "model"))
+        assert str(info.value) == (
+            f"B5 vs model: bracket tables differ at generator product "
+            f"({k},{b})")
 
 
-def test_model_check_refuses_a_coefficient_outside_the_model_field(b5):
-    """B5's base table checked against B5's own generators over GF(p^2),
-    with side scalars 1 but lambda_5 = the adjoined root r.  The ratio
-    of a coefficient T_kb^j is r^e, e = [k = 5] + (x_5 in label b) -
-    (x_5 in label j), so it leaves GF(p) exactly when e is odd.  With
-    model scalar nu_5 = r too every ratio is 1 and the check passes;
-    with model scalars 1 it refuses the first product with an odd e.
-    A 3 e_(5,) term added to the first product that needs a bracket,
-    an earlier one whose own ratios are all 1, is a coefficient of
-    ratio 1/r there: that product is refused."""
+def test_model_check_refuses_a_coefficient_outside_the_model_field(
+        b5, monkeypatch):
+    """B5's generators as the side over GF(p^2), with side scalars 1
+    but lambda_5 = the adjoined root r, checked against B5's own
+    generators.  The ratio of a coefficient T_kb^j is r^e,
+    e = [k = 5] + (x_5 in label b) - (x_5 in label j), so it leaves
+    GF(p) exactly when e is odd.  With model scalar nu_5 = r too every
+    ratio is 1 and the pass holds; with model scalars 1 it refuses the
+    first product with an odd e.  A 3 e_(5,) term added to the first
+    product that needs a bracket, an earlier one whose own ratios are
+    all 1, is a coefficient of ratio 1/r there: that product is
+    refused."""
     alg, mats = b5
     ctx = certify.ScaledContext(alg, GF2)
-    _, _, table = table_of("B", 5, alg, mats)
-    labels = table.labels
+    labels = labels_of("B", 5)
     side = [certify.Scaled(GF2.root if k == 5 else GF2.one, m)
             for k, m in enumerate(mats, start=1)]
-    assert certify._check_model(ctx, side, table, side, "B5",
-                                "model")[1].rank == table.dim
+    assert certify._check_side(ctx, side, labels, "B5",
+                               (ctx, side, "model"))[1].rank == len(labels)
 
-    def refused(table):
+    def refused():
         with pytest.raises(StructureMismatch) as info:
-            certify._check_model(ctx, mats, table, side, "B5", "model")
+            certify._check_side(ctx, side, labels, "B5",
+                                (ctx, mats, "model"))
         return str(info.value)
 
-    products = [(k, b) for k in range(1, 6) for b in range(table.dim)
-                if (k,) + labels[b] not in table.label_index]
+    images, _, span = certify._independent_images(alg, mats, labels, "B5")
+
+    def column(k, b):
+        return span.sparse_coords(alg.vector(alg.bracket(mats[k - 1],
+                                                         images[b])))
+
+    products = _products(labels, 5)
     k, b = next((k, b) for k, b in products if any(
         ((k == 5) + labels[b].count(5) - labels[j].count(5)) % 2
-        for j in table.leftmult[k - 1][b]))
-    assert refused(table) == (
-        f"B5: bracket tables differ at generator product ({k},{b})")
+        for j in column(k, b)))
+    assert refused() == (
+        f"B5 vs model: bracket tables differ at generator product ({k},{b})")
     k0, b0 = products[0]
-    col = table.leftmult[k0 - 1][b0]
     assert (k0, b0) < (k, b) and k0 != 5
-    assert all(5 not in labels[j] for j in (b0, *col))
-    F.axpy(col, F(-3).v, {table.label_index[(5,)]: F.one.v})
-    assert refused(table) == (
-        f"B5: bracket tables differ at generator product ({k0},{b0})")
+    assert all(5 not in labels[j] for j in (b0, *column(k0, b0)))
+    _perturbed_solve(monkeypatch, 0, lambda col: F.axpy(
+        col, F(-3).v, {labels.index((5,)): F.one.v}))
+    assert refused() == (
+        f"B5 vs model: bracket tables differ at generator product "
+        f"({k0},{b0})")
 
 
 def test_catalog_table_rejects_a_bracket_outside_the_span(b5):
+    """With the catalog cut to the singletons, [x_1, x_2] leaves their
+    span: a side pass refuses it by name, by membership when the side
+    is its own model and by its coordinate solve otherwise."""
     alg, mats = b5
-    with pytest.raises(StructureMismatch,
-                       match="^first: bracket leaves the span$"):
-        certify._catalog_table(alg, mats, [(i,) for i in range(1, 6)],
-                               "first")
+    ctx = certify.ScaledContext(alg)
+    for model in (None, (ctx, mats, "model")):
+        with pytest.raises(StructureMismatch,
+                           match="^first: bracket leaves the span$"):
+            certify._check_side(ctx, mats, [(i,) for i in range(1, 6)],
+                                "first", model)
 
 
 def realization(family, n, field, params=()):
@@ -825,15 +933,34 @@ def test_catalog_table_property_against_direct_brackets(case):
 
 
 def test_catalog_table_brackets_n_times_dim(d5, monkeypatch):
-    """The images and the left multiplications take at most n * dim
-    matrix brackets in all (225 for D5), not one per pair (990)."""
+    """A side pass brackets exactly n * dim times on its side (225 for
+    D5), not once per pair (990): dim - n brackets for the images and
+    one for each of the n * dim - (dim - n) products that are not a
+    catalog label.  A model checked in the same pass takes as many on
+    its own matrices, and a side's images alone take dim - n."""
     alg, mats = d5
-    calls = []
-    bracket = alg.bracket
-    monkeypatch.setattr(alg, "bracket",
-                        lambda a, b: calls.append(1) or bracket(a, b))
-    _, _, table = table_of("D", 5, alg, mats)
-    assert len(calls) <= 5 * 45
+    n, dim = 5, expected_catalog_size("D", 5)
+    labels = labels_of("D", 5)
+    model = MatrixLieAlgebra(F, alg.ambient_dim, [], mats)
+    calls = {"side": 0, "model": 0}
+
+    def counted(name, bracket):
+        def wrapper(a, b):
+            calls[name] += 1
+            return bracket(a, b)
+        return wrapper
+
+    for name, ctx in (("side", alg), ("model", model)):
+        monkeypatch.setattr(ctx, "bracket", counted(name, ctx.bracket))
+    side = certify.ScaledContext(alg)
+    certify._check_side(side, mats, labels, "D5")
+    assert calls == {"side": n * dim, "model": 0}
+    certify._check_side(side, mats, labels, "D5",
+                        (certify.ScaledContext(model), mats, "model"))
+    assert calls == {"side": 2 * n * dim, "model": n * dim}
+    certify._independent_images(model, mats, labels, "model")
+    assert calls["model"] == n * dim + dim - n
+    assert len(_products(labels, n)) == n * dim - (dim - n) == 185
 
 
 @pytest.mark.parametrize("family,n,params1,params2",
@@ -1188,16 +1315,17 @@ def test_certify_family_rationals_agree_with_prime_field(family, n, params):
 @pytest.mark.parametrize("family,n", [("A", 5), ("C", 6)])
 def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
     """An A or C side is its own model: each side's catalog images are
-    built once, for its table, and no model check runs."""
+    built once, side 2's for the pass that proves its span closed, and
+    no model check runs."""
     sides = _exp_conjugated(family, n)
-    images, checks = [], []
-    catalog_images, check_model = certify._catalog_images, certify._check_model
+    images, passes = [], []
+    catalog_images, check_side = certify._catalog_images, certify._check_side
     monkeypatch.setattr(certify, "_catalog_images",
                         lambda *a: images.append(1) or catalog_images(*a))
-    monkeypatch.setattr(certify, "_check_model",
-                        lambda *a: checks.append(1) or check_model(*a))
+    monkeypatch.setattr(certify, "_check_side",
+                        lambda *a: passes.append(a[3:]) or check_side(*a))
     assert match_algebras(*sides, family).verdict == "pass"
-    assert (len(images), len(checks)) == (2, 0)
+    assert len(images) == 2 and passes == [("side 2", None)]
 
 
 def test_a_side_2_span_that_is_not_closed_is_refused(monkeypatch):
@@ -1370,45 +1498,50 @@ RESCALE_CASES = {
     "D5-QQ": lambda: ("D", _param_pair("D", 5, QQ, (2, 3), (4, 8))),
 }
 
-#: the model checks each case runs, in order.  A side that is its own
-#: model runs none: every A or C side, both B5 gamma sides, side 1 of
-#: B5-conj and side 2 of D5, (4,8) rebuilt at (4,8), while D5's side 1,
-#: (2,3), rebuilds at (0,15)
+#: the sides each case checks against a model, in order.  A side that is
+#: its own model is checked against none: every A or C side, both B5
+#: gamma sides, side 1 of B5-conj and side 2 of D5, (4,8) rebuilt at
+#: (4,8), while D5's side 1, (2,3), rebuilds at (0,15)
 MODEL_CHECKS = {
-    "A5-conj": [], "B5": [], "B5-conj": ["side 2 vs model"], "C6-conj": [],
-    "D5": ["side 1 vs model"], "D5-QQ": ["side 1 vs model"],
+    "A5-conj": [], "B5": [], "B5-conj": ["side 2"], "C6-conj": [],
+    "D5": ["side 1"], "D5-QQ": ["side 1"],
 }
 
 
 @pytest.mark.parametrize("name", list(RESCALE_CASES))
 def test_match_tables_side_1_only_when_it_is_checked(name, monkeypatch):
-    """Side 2 always gets a table, which proves its span closed; side 1
-    gets one only when a model check reads it (`MODEL_CHECKS`), and no
-    model gets one."""
+    """Side 2 always gets a pass, which proves its span closed; side 1
+    gets one only when it is checked against its model
+    (`MODEL_CHECKS`), and no model gets one of its own."""
     family, sides = RESCALE_CASES[name]()
-    tables = []
-    catalog_table = certify._catalog_table
-    monkeypatch.setattr(certify, "_catalog_table",
-                        lambda *a: tables.append(a[3]) or catalog_table(*a))
+    passes = []
+    check_side = certify._check_side
+    monkeypatch.setattr(certify, "_check_side",
+                        lambda *a: passes.append(a[3]) or check_side(*a))
     assert match_algebras(*sides, family).verdict == "pass"
-    side_1 = "side 1 vs model" in MODEL_CHECKS[name]
-    assert tables == (["side 2", "side 1"] if side_1 else ["side 2"])
+    side_1 = "side 1" in MODEL_CHECKS[name]
+    assert passes == (["side 2", "side 1"] if side_1 else ["side 2"])
 
 
 def _recorded_match(monkeypatch, family, sides):
     """Run the match with its normal forms, rebuilt models and model
     checks recorded.  Returns (cert, forms, models, checks): the sides'
     normal forms, the models' (the sides' for A and C), and the
-    arguments of each `_check_model` call, in order."""
+    arguments of each `_check_side` call with a model, in order."""
     forms, models, checks = [], [], []
     normalize, rebuild = certify.normalize_generators, certify._rebuild_model
-    check = certify._check_model
+    check = certify._check_side
     monkeypatch.setattr(certify, "normalize_generators",
                         lambda *a: forms.append(normalize(*a)) or forms[-1])
     monkeypatch.setattr(certify, "_rebuild_model",
                         lambda *a: models.append(rebuild(*a)) or models[-1])
-    monkeypatch.setattr(certify, "_check_model",
-                        lambda *a: checks.append(a) or check(*a))
+
+    def recorded(*a):
+        if a[4] is not None:
+            checks.append(a)
+        return check(*a)
+
+    monkeypatch.setattr(certify, "_check_side", recorded)
     cert = match_algebras(*sides, family)
     # a rebuild normalises its candidates too: the sides come first
     return (cert, forms[:2], [m[1:] for m in models] if models else
@@ -1436,7 +1569,7 @@ def _formatted(field, glue):
 
 def _rescaled(table, gens, field):
     """The left multiplications over `field` of the normal-form
-    generators lambda_k y_k from `table`, that of the y_k:
+    generators lambda_k y_k from `table`, the `CombTable` of the y_k:
     T(k,b)_j = lambda_k mu_b / mu_j T_base(k,b)_j, mu_b the product of
     the lambda along label b."""
     up = tower_maps(table.field, field)[0]
@@ -1451,30 +1584,35 @@ def _rescaled(table, gens, field):
 @pytest.mark.parametrize("name", list(RESCALE_CASES))
 def test_rescaled_tables_and_glue_equal_the_extension_ones(name,
                                                            monkeypatch):
-    """The reference for the rescale.  Each table a B or D match checks
-    against a model is the base table of the side's y_k; rescaled here
-    by the side's scalars into the model's field, it equals
-    `_catalog_table` run directly on the side's generators lambda_k y_k
-    materialised over that field: side 2's over model 2's field (B5-conj),
-    side 1's over model 1's (D5, D5-QQ).  The certificate's
-    `basis_map` is the glue solved directly on the models' generators
-    materialised over the field the match reached (GF(p^2),
-    QQ(rt 1/8)(rt -64), GF(p) for C6).  A side that is its own model
-    runs no check (`MODEL_CHECKS`), so only its glue is compared."""
+    """The reference for the rescale.  Each side a B or D match checks
+    against a model is checked through the base table of its y_k, with
+    the ratio rule of `_check_side`; rescaled here by the side's
+    scalars into the model's field, that table equals the table of the
+    side's generators lambda_k y_k materialised over that field, both
+    built by the comb recursion from direct brackets: side 2's over
+    model 2's field (B5-conj), side 1's over model 1's (D5, D5-QQ).
+    The certificate's `basis_map` is the glue solved directly on the
+    models' generators materialised over the field the match reached
+    (GF(p^2), QQ(rt 1/8)(rt -64), GF(p) for C6).  A side that is its
+    own model runs no check (`MODEL_CHECKS`), so only its glue is
+    compared."""
     family, sides = RESCALE_CASES[name]()
     cert, forms, models, checks = _recorded_match(monkeypatch, family, sides)
     top = models[1][0].field
     assert cert.verdict == "pass" and cert.field == str(top)
     assert ("rt" in cert.field) == (name != "C6-conj")
-    labels = labels_of(family, cert.n)
-    assert [a[4] for a in checks] == MODEL_CHECKS[name]
-    for mctx, _, table, side, check, _ in checks:
-        ctx, gens = forms[int(check[5]) - 1]
-        _, _, direct = certify._catalog_table(
-            *_materialised(ctx, gens, mctx.field), labels, "direct")
-        assert side is gens and table.field is ctx.base.field
-        assert _rescaled(table, side, mctx.field) == direct.leftmult
-    assert cert.basis_map == _formatted(top, _direct_glue(models, top, labels))
+    n = cert.n
+    assert [a[3] for a in checks] == MODEL_CHECKS[name]
+    for ctx, side, labels, check, (mctx, _, _) in checks:
+        form = forms[int(check[5]) - 1]
+        assert ctx is form[0] and side is form[1]
+        assert labels == labels_of(family, n)
+        base = table_of(family, n, ctx.base, [g.a for g in side])[2]
+        direct = table_of(family, n,
+                          *_materialised(ctx, side, mctx.field))[2]
+        assert _rescaled(base, side, mctx.field) == direct.leftmult
+    assert cert.basis_map == _formatted(
+        top, _direct_glue(models, top, labels_of(family, n)))
 
 
 WITNESS_CASES = ["A5-conj", "C6-conj", "B5", "B5-conj", "D5"]
@@ -1495,8 +1633,8 @@ def test_the_certificate_map_intertwines_the_side_tables(name,
     labels = labels_of(family, cert.n)
     glue = _direct_glue(models, top, labels)
     assert cert.basis_map == _formatted(top, glue)
-    t_b1, t_b2 = (certify._catalog_table(*_materialised(ctx, gens, top),
-                                         labels, "direct")[2]
+    t_b1, t_b2 = (table_of(family, cert.n,
+                           *_materialised(ctx, gens, top))[2]
                   for ctx, gens in forms)
     assert _scan_composed_map(t_b1, t_b2, glue) is None
     glue[0] = dict(glue[0])
@@ -1528,8 +1666,8 @@ def test_b_and_d_matches_check_side_2_then_side_1(name, monkeypatch):
     side 1.  An A or C match, each side its own model, runs none."""
     family, sides = RESCALE_CASES[name]()
     checks = _recorded_match(monkeypatch, family, sides)[3]
-    assert [a[4:] for a in checks] == [
-        (check, "model " + check[5]) for check in MODEL_CHECKS[name]]
+    assert [(a[3], a[4][2]) for a in checks] == [
+        (side, "model " + side[5]) for side in MODEL_CHECKS[name]]
 
 
 def test_a_model_with_a_doubled_scalar_is_checked(monkeypatch):
@@ -1564,12 +1702,17 @@ def test_checking_every_side_gives_the_same_certificate(
     default one, which skips at least one check."""
     sides = _param_pair(family, n, field, params1, params2)
     checks = []
-    check = certify._check_model
-    monkeypatch.setattr(certify, "_check_model",
-                        lambda *a: checks.append(a[4]) or check(*a))
+    check = certify._check_side
+
+    def recorded(*a):
+        if a[4] is not None:
+            checks.append(a[3])
+        return check(*a)
+
+    monkeypatch.setattr(certify, "_check_side", recorded)
     default = match_algebras(*sides, family)
     assert len(checks) < 2
     checks.clear()
     monkeypatch.setattr(certify, "_own_model", lambda *a: False)
     assert match_algebras(*sides, family) == default
-    assert checks == ["side 2 vs model", "side 1 vs model"]
+    assert checks == ["side 2", "side 1"]

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal_lie import cli
 from extremal_lie.cli import main
@@ -416,3 +421,80 @@ def test_closed_stdout_exits_quietly(argv):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+#: the values each flag is drawn with: good and bad literals
+FLAG_VALUES = {
+    "--family": [["A"], ["B"], ["C"], ["D"], ["E"]],
+    # the ranks every family takes come up more often
+    "--n": [[str(n)] for n in (*range(8), 5, 6, 7, 6)]
+           + [["-1"], ["x"], ["1e3"]],
+    "--field": [["rationals"], ["gf", "4"], ["gf", "7"], ["gf"], ["reals"]],
+    "--alpha": [["2"], ["4"], ["1/2"], ["-2"], ["0.5"], ["x"]],
+    "--beta": [["3"], ["8"], ["-1"], ["0"], ["1/0"]],
+    "--gamma": [["1"], ["2"], ["-1"], ["0"], ["x"]],
+    "--seed": [["0"], ["7"], ["x"]],
+    "--format": [["text"], ["json"], ["xml"]],
+    "--edges": [["1-2"], ["1-2,2-3"], ["1-1"], ["2-5"], ["x"], [""]],
+    "--match-against": [["alpha=4,beta=8"], ["gamma=2"], ["gamma=x"],
+                        ["bad"]],
+    "--structure": [["{out}"], ["{missing}"]],
+    "--output": [["{out}"], ["{missing}"]],
+}
+#: the flags each command takes besides --family and --n
+COMMAND_FLAGS = {
+    "present": ["--edges", "--field", "--format", "--output", "--structure"],
+    "realize": ["--alpha", "--beta", "--field", "--format", "--gamma",
+                "--output"],
+    "certify": ["--alpha", "--beta", "--field", "--gamma",
+                "--match-against", "--output", "--seed"],
+    "selftest": ["--seed"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argument list: a command or none, its --family and --n most of
+    the time, flags it takes, or now and then any flags, with drawn
+    values (a value now and then left out), and now and then a stray
+    flag or help."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS) + ["bogus", None]))
+    argv = [] if command is None else [command]
+    if command != "selftest":
+        for flag in ("--family", "--n"):
+            if draw(st.integers(0, 9)):
+                argv += [flag, *draw(st.sampled_from(FLAG_VALUES[flag]))]
+    pool = COMMAND_FLAGS.get(command) if draw(st.integers(0, 4)) else None
+    for flag in pool or sorted(FLAG_VALUES):
+        if not draw(st.booleans()):
+            continue
+        argv.append(flag)
+        if draw(st.integers(0, 19)):
+            argv += draw(st.sampled_from(FLAG_VALUES[flag]))
+    return argv + draw(st.sampled_from([[]] * 8 + [["--bogus"],
+                                                   ["--help"]]))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(cli_argv())
+def test_every_cli_input_exits_0_1_or_2_without_a_traceback(argv):
+    """The CLI contract: any argument list ends with exit code 0, 1 or
+    2, argparse's own SystemExit included, and prints no traceback.
+    `selftest` runs a one-criterion stand-in for the acceptance suite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out": os.path.join(tmp, "out.txt"),
+                 "missing": os.path.join(tmp, "missing", "out.txt")}
+        argv = [a.format(**paths) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        stand_in = [{"criterion": 1, "name": "stand-in", "passed": True,
+                     "seconds": 0.0, "detail": ""}]
+        with mock.patch.object(cli.acceptance, "run_all",
+                               lambda seed: stand_in), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

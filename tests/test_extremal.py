@@ -162,7 +162,7 @@ def test_subalgebra_closure_dim_on_graded_algebra():
 @pytest.mark.parametrize("kind", ["graded", "matrix"])
 def test_a_context_vector_may_be_reduced_in_place(kind, sl5):
     """`vector(a)` is a new dict each call: reducing it in place, as
-    `certify._check_model` does, leaves the element as it was."""
+    `certify._check_side` does, leaves the element as it was."""
     if kind == "graded":
         ctx = build_L0(build_family_graph("C", 4), F)
         x, y = ctx.generators()[:2]

@@ -190,3 +190,20 @@ def test_backticked_names_exist():
              if not keyword.iskeyword(m.group(1))
              and not all(part in known for part in m.group(1).split("."))]
     assert not stale, f"backticked names that do not exist: {stale}"
+
+
+def test_certify_imports_only_evaluate_monomial_from_presentation():
+    """A match reads each generator product once and stores no
+    structure-constant table, so `certify` takes nothing from
+    `presentation` but `evaluate_monomial`, at module level or inside a
+    function: a table kernel that comes back is caught here."""
+    names = []
+    for node in ast.walk(_tree(PACKAGE / "certify.py")):
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "presentation", f"{PACKAGE.name}.presentation"):
+            names += [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "presentation"):
+            names.append(node.attr)
+    assert names == ["evaluate_monomial"], names
