@@ -40,38 +40,45 @@ a_i -> b_i is an isomorphism exactly when the two tables agree on every
 pair, and so when they have the same left multiplications.  No table
 is stored: a match reads each generator product once.
 
-A match proves side 2 first, in one pass over its generator products
-(`_check_side`).  [x_k, b] is a catalog image as built when
-(k,) + label(b) is a label, and otherwise one matrix bracket whose
-coordinates in the side's images are solved exactly, which fails if the
-span is not closed.  Unless side 2 is its own model, the pass applies
-each solved column at once to model 2's catalog images c2, so that
-their left multiplications, and with them every pair, are side 2's.
-Side 1 runs the same pass against model 1 only when it is checked.  As
-its own model, its c1 are its dim independent images; the glue finds
-each in span_c2, closed of dimension dim, so they span it, and as it
-holds every generator (a singleton label) it is side 1's closure: its
-pass could not fail.  Each pass names the first product that fails.  A
-side is its own model when the two normal forms have one base field,
-equal base matrices and equal scalars (`_own_model`): each product is
-solved from exactly its model's bracket in exactly its model's images,
-so the check holds as built and its images serve as the model's; side
-2's pass then proves its span closed by membership alone.  Every A or C
-side is its own model, and so is a B or D side of standard generators
-whose model rebuilds them; a side in other coordinates, or one whose
-psi rebuilds at another parameter point (D5 (2,3) at (0,15)), is
-checked.  A pass solves on its side's base generators y_k, over the
-base field, and meets the scalars through one ratio per generator, side
-scalar over model scalar.  The glue matrix G holds the coordinates of
-the c1 in the basis c2: the c1 are independent and in the closed span
-of as many c2, so G is invertible, and it is the identity map of
-matrices, which needs no check.  So model 1's table is model 2's in the
-basis G gives, and b1_i -> sum_a G_ia b2_a, through the models, is an
-isomorphism on every pair.
+A match proves side 2 first.  Unless side 2 is its own model, it runs
+one pass over its generator products (`_check_side`).  [x_k, b] is a
+catalog image as built when (k,) + label(b) is a label, and otherwise
+one matrix bracket whose coordinates in the side's images are solved
+exactly, which fails if the span is not closed.  The pass applies each
+solved column at once to model 2's catalog images c2, so that their
+left multiplications, and with them every pair, are side 2's.  Side 1
+runs the same pass against model 1 only when it is checked.  As its own
+model, its c1 are its dim independent images; the glue finds each in
+span_c2, closed of dimension dim, so they span it, and as it holds
+every generator (a singleton label) it is side 1's closure: its pass
+could not fail.  Each pass names the first product that fails.  A side
+is its own model when the two normal forms have one base field, equal
+base matrices and equal scalars (`_own_model`): each product is solved
+from exactly its model's bracket in exactly its model's images, so the
+check holds as built and its images serve as the model's.  Side 2 then
+needs only its span proved closed, and the classical bound proves it as
+`certify_family` proves its closure (`_classical_bound`): its dim
+catalog images are independent, and every base generator y_k lies in a
+classical algebra of dimension dim, sl_N when every y_k is traceless
+(A) or the o(G) of the rebuilt model (B, D), so the images span the
+closure.  A C side, whose form is not known, and a side whose bound
+fails take a pass with no model, which proves the span closed by
+membership.  Every A or C side is its own model, and so is a B or D
+side of standard generators whose model rebuilds them; a side in other
+coordinates, or one whose psi rebuilds at another parameter point (D5
+(2,3) at (0,15)), is checked.  A pass solves on its side's base
+generators y_k, over the base field, and meets the scalars through one
+ratio per generator, side scalar over model scalar.  The glue matrix G
+holds the coordinates of the c1 in the basis c2: the c1 are independent
+and in the closed span of as many c2, so G is invertible, and it is the
+identity map of matrices, which needs no check.  So model 1's table is
+model 2's in the basis G gives, and b1_i -> sum_a G_ia b2_a, through the
+models, is an isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
-generator (by side 2's model check, or by its membership pass when side
-2 is its own model), span its closure and prove its dimension.
+generator (by side 2's model check or, when side 2 is its own model, by
+its classical bound or its membership pass), span its closure and prove
+its dimension.
 
 A and C graphs carry no parameters: each side's model is the side, so
 no model check runs.  Glue row i then rescales the coordinates of side
@@ -787,15 +794,19 @@ def _psi_in(vec, fld):
 
 
 def _standard_context(family, n, params, base=None):
-    """The generators-only context of the standard generators of B
-    (params (gamma,)) or D (a `solve_params_D` candidate: (alpha, beta)
-    and, at even rank, the special-vector coordinate), over the lowest level of the parameters'
-    tower that holds them, contains the level `base` (any level when
-    None) and has the square roots the construction takes: over the
-    base field whenever it can be.  The construction takes each root
-    once, and the root of a square of a lower level is that level's
-    root, so a higher level would build the same matrices.  Raises the
-    InvalidParameters of the last level tried."""
+    """The context of the standard generators of B (params (gamma,)) or
+    D (a `solve_params_D` candidate: (alpha, beta) and, at even rank,
+    the special-vector coordinate), over the lowest level of the
+    parameters' tower that holds them, contains the level `base` (any
+    level when None) and has the square roots the construction takes:
+    over the base field whenever it can be.  The construction takes
+    each root once, and the root of a square of a lower level is that
+    level's root, so a higher level would build the same matrices.  The
+    context is the o(G) of the form the construction returns
+    (`classical_algebra`), which holds the generators, Siegel elements
+    of that form; its dimension is the bound that proves an own-model
+    side closed (`_classical_bound`).  Raises the InvalidParameters of
+    the last level tried."""
     levels = tower(params[0].field)
     if base is not None:
         levels = levels[next(i for i, f in enumerate(levels)
@@ -807,13 +818,14 @@ def _standard_context(family, n, params, base=None):
             continue
         try:
             if family == "B":
-                mats, _ = generators_B(n, level, *values)
+                mats, extra = generators_B(n, level, *values)
             else:
                 alpha, beta, *c = values
-                mats, _ = generators_D(n, level, alpha, beta,
-                                       force_special_c=c[0] if c else None)
-            # normalisation and psi need brackets and combinations only
-            return MatrixLieAlgebra(level, len(mats[0]), [], mats)
+                mats, extra = generators_D(n, level, alpha, beta,
+                                           force_special_c=c[0] if c else None)
+            # normalisation and psi need brackets and combinations only;
+            # the o(G) of the form bounds an own-model side's closure
+            return classical_algebra(family, level, mats, extra)
         except InvalidParameters as exc:
             error = exc
     raise error
@@ -831,7 +843,10 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
     No candidate is closed here.  The model checks (`_check_side`)
     find each model's catalog images independent and closed under every
     generator, so they span its closure, of dimension the catalog size;
-    otherwise they raise StructureMismatch."""
+    otherwise they raise StructureMismatch.  When side 2 is its own
+    model, no check runs on model 2: its context, the o(G) of
+    `_standard_context`, is the classical bound that proves side 2's
+    span closed (`_classical_bound`)."""
     flong = target_psi.values[-1]
     if family == "B":
         candidates = [(solve_param_B(flong, n),)]
@@ -919,8 +934,10 @@ def _check_side(ctx, gens, labels, name, model=None):
     lie in their span.  A unit product, (k,) + label(b) a label, is an
     image as built, so only the other n * dim - (dim - n) products take
     a bracket.  With `model` None the side is its own model
-    (`_own_model`): nothing reads the coordinates, so membership proves
-    the span closed (`SpanSolver.contains`).
+    (`_own_model`) and no classical bound proves its span closed
+    (`_classical_bound`), as for a C side: nothing reads the
+    coordinates, so membership proves the span closed
+    (`SpanSolver.contains`).
 
     Otherwise `model` is (mctx, mgens, party), the model's normal form
     x_k = nu_k z_k, and each product is solved once, T_kb^j its
@@ -1013,16 +1030,38 @@ def _own_model(ctx, gens, mctx, mgens):
             and _scalars(gens, field) == _scalars(mgens, field))
 
 
+def _classical_bound(family, ctx, gens, mctx, dim):
+    """Whether a classical algebra of dimension `dim` holds every base
+    generator y_k of a side that is its own model, its normal form
+    (ctx, gens) and its model's context mctx: sl_N when every y_k is
+    traceless (A), or the o(G) of the rebuilt model (B, D,
+    `_standard_context`) when every y_k is in it.  Then the side's
+    closure lies in that algebra, so its `dim` independent catalog
+    images span the closure: their span is closed, and no pass needs to
+    prove it.  False when no bound is known, as for C, whose side has
+    no model and so no known form, or when the dimensions differ."""
+    ys = [g.a for g in gens]
+    if family == "A":
+        bound = classical_algebra(family, ctx.base.field, ys, None)
+    elif family in ("B", "D"):
+        bound = mctx.base if all(mctx.base.holds(y) for y in ys) else None
+    else:
+        bound = None
+    return bound is not None and bound.dim == dim
+
+
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
     field, are isomorphic: normalise both, rebuild a standard model for
     a B or D side, prove side 2's span closed and check each side that
     is not its own model (`_own_model`) on its model's generator
     products, side 2 first, in one pass per side (`_check_side`), then
-    glue the two models.  A side 1 that is its own model runs no pass;
-    A and C sides, and every B or D side whose model rebuilds its
-    normal form, run no model check.  The module docstring says what
-    that proves.
+    glue the two models.  A side 1 that is its own model runs no pass,
+    and neither does an own-model side 2 that a classical bound proves
+    closed (`_classical_bound`): an A side, or a B or D side, but not a
+    C side.  A and C sides, and every B or D side whose model rebuilds
+    its normal form, run no model check.  The module docstring says
+    what that proves.
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  All matrix work runs
@@ -1031,8 +1070,8 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     rescales the glue into `basis_map`.
 
     Either side may be a closure or hold generators only: side 2's
-    pass proves the dimension, and the certificate's `dim` is the
-    catalog size it proves."""
+    bound or pass proves the dimension, and the certificate's `dim` is
+    the catalog size it proves."""
     n = len(gens1)
     if len(gens2) != n:
         raise FormMismatch("realizations have different numbers of "
@@ -1062,11 +1101,17 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
             family, n, mctx1.field, _psi_in(psi2, mctx1.field),
             mctx1.base.field)
 
-    # side 2 first: its pass proves its span closed and, unless side 2
-    # is its own model, checks it against model 2
-    model2 = (None if _own_model(ctx2, g2, mctx2, m2)
-              else (mctx2, m2, "model 2"))
-    span_c2 = _check_side(ctx2, g2, labels, "side 2", model2)[1]
+    # side 2 first: unless it is its own model, its pass checks it
+    # against model 2 and proves its span closed; as its own model, a
+    # classical bound proves that, or else a pass with no model does
+    if not _own_model(ctx2, g2, mctx2, m2):
+        span_c2 = _check_side(ctx2, g2, labels, "side 2",
+                              (mctx2, m2, "model 2"))[1]
+    elif _classical_bound(family, ctx2, g2, mctx2, len(labels)):
+        span_c2 = _independent_images(ctx2.base, [g.a for g in g2], labels,
+                                      "side 2")[2]
+    else:
+        span_c2 = _check_side(ctx2, g2, labels, "side 2", None)[1]
     # then side 1: its own model needs no pass, since the glue finds its
     # independent images in the closed span_c2
     if _own_model(ctx1, g1, mctx1, m1):

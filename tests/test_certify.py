@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -21,8 +22,9 @@ from extremal_lie.certify import (PSI_LENGTH, CertifyError,
                                   long_monomial_indices, match_algebras,
                                   normalize_generators, psi, solve_param_B,
                                   solve_params_D)
-from extremal_lie.extremal import (NotExtremal, bracket_form_value,
-                                   check_premet, exp_ad, extremal_form_value)
+from extremal_lie.extremal import (HypothesisFailed, NotExtremal,
+                                   bracket_form_value, check_premet, exp_ad,
+                                   extremal_form_value)
 from extremal_lie.fields import (DEFAULT_PRIME, FieldElement, NoSquareRoot,
                                  PrimeField, QQ, QuadraticExtension,
                                  lift_element, tower_maps)
@@ -444,14 +446,15 @@ def test_match_rejects_realizations_over_different_fields(b5):
         match_algebras(alg, mats, lie_closure(others, G), others, "B")
 
 
-def _exp_conjugated(family, n):
+def _exp_conjugated(family, n, scalars=(3, -2)):
     """Criterion 9's A5 and C6 pairs, the first also the A5 job of the
     benchmark at seed 0: the standard generators and their conjugate by
-    exp(3 ad x_1) then exp(-2 ad x_3)."""
+    exp(s1 ad x_1) then exp(s2 ad x_3), (s1, s2) = `scalars`."""
+    s1, s2 = scalars
     alg, mats = closure_of(family, n)
     mats = alg.generators_list
-    conj = [exp_ad(alg, F(3), mats[0], g) for g in mats]
-    conj = [exp_ad(alg, F(-2), mats[2], g) for g in conj]
+    conj = [exp_ad(alg, F(s1), mats[0], g) for g in mats]
+    conj = [exp_ad(alg, F(s2), mats[2], g) for g in conj]
     return alg, mats, lie_closure(conj, F), conj
 
 
@@ -1315,8 +1318,10 @@ def test_certify_family_rationals_agree_with_prime_field(family, n, params):
 @pytest.mark.parametrize("family,n", [("A", 5), ("C", 6)])
 def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
     """An A or C side is its own model: each side's catalog images are
-    built once, side 2's for the pass that proves its span closed, and
-    no model check runs."""
+    built once and no model check runs.  An A side 2 is traceless, so
+    sl_N bounds its closure and proves its span closed with no pass; a
+    C side 2 has no known form, and its pass, with no model, proves
+    its span closed."""
     sides = _exp_conjugated(family, n)
     images, passes = [], []
     catalog_images, check_side = certify._catalog_images, certify._check_side
@@ -1325,7 +1330,8 @@ def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
     monkeypatch.setattr(certify, "_check_side",
                         lambda *a: passes.append(a[3:]) or check_side(*a))
     assert match_algebras(*sides, family).verdict == "pass"
-    assert len(images) == 2 and passes == [("side 2", None)]
+    assert len(images) == 2
+    assert passes == ([] if family == "A" else [("side 2", None)])
 
 
 def test_a_side_2_span_that_is_not_closed_is_refused(monkeypatch):
@@ -1510,17 +1516,25 @@ MODEL_CHECKS = {
 
 @pytest.mark.parametrize("name", list(RESCALE_CASES))
 def test_match_tables_side_1_only_when_it_is_checked(name, monkeypatch):
-    """Side 2 always gets a pass, which proves its span closed; side 1
-    gets one only when it is checked against its model
-    (`MODEL_CHECKS`), and no model gets one of its own."""
+    """Side 2 gets a pass when it is checked against its model
+    (`MODEL_CHECKS`), and as its own model only when no classical bound
+    proves its span closed: a C side, whose form is not known.  An A, B
+    or D side 2 that is its own model is proved by sl_N or by its
+    model's o(G), with no pass.  Side 1 gets one only when it is checked
+    against its model, and no model gets one of its own."""
     family, sides = RESCALE_CASES[name]()
-    passes = []
-    check_side = certify._check_side
+    passes, bounds = [], []
+    check_side, bound = certify._check_side, certify._classical_bound
     monkeypatch.setattr(certify, "_check_side",
                         lambda *a: passes.append(a[3]) or check_side(*a))
+    monkeypatch.setattr(certify, "_classical_bound",
+                        lambda *a: bounds.append(bound(*a)) or bounds[-1])
     assert match_algebras(*sides, family).verdict == "pass"
-    side_1 = "side 1" in MODEL_CHECKS[name]
-    assert passes == (["side 2", "side 1"] if side_1 else ["side 2"])
+    checked = "side 2" in MODEL_CHECKS[name]
+    assert bounds == ([] if checked else [family != "C"])
+    side_2 = checked or family == "C"
+    assert passes == (["side 2"] if side_2 else []) + [
+        s for s in MODEL_CHECKS[name] if s == "side 1"]
 
 
 def _recorded_match(monkeypatch, family, sides):
@@ -1716,3 +1730,130 @@ def test_checking_every_side_gives_the_same_certificate(
     monkeypatch.setattr(certify, "_own_model", lambda *a: False)
     assert match_algebras(*sides, family) == default
     assert checks == ["side 2", "side 1"]
+
+
+#: the conjugation scalars of the benchmark's A5 match job and the gamma
+#: pairs of its B5 job (A_SCALARS and B_GAMMAS of perfbench/workloads.py)
+A_SCALARS = ((3, -2), (2, 5), (-4, 7), (6, -5))
+B_GAMMAS = ((1, 2), (1, 3), (1, 4), (1, 6))
+
+#: entry 0 of each pool is a `RESCALE_CASES` case, A5-conj or B5
+BOUND_CASES = {
+    **RESCALE_CASES,
+    **{"A5-conj({},{})".format(*s): functools.partial(
+        lambda s: ("A", _exp_conjugated("A", 5, s)), s)
+       for s in A_SCALARS[1:]},
+    **{"B5({},{})".format(*g): functools.partial(
+        lambda g: ("B", _param_pair("B", 5, F, g[:1], g[1:])), g)
+       for g in B_GAMMAS[1:]},
+}
+
+
+def _outcomes_with_and_without_bound(monkeypatch, family, sides):
+    """(default, forced, proved): the match's outcome, its outcome with
+    `_classical_bound` refusing every side, so that an own-model side 2
+    takes the membership pass, and how many sides the bound proved in
+    the default run.  An outcome is the certificate, or the type and
+    message of the refusal."""
+    proved, outcomes = [], []
+    bound = certify._classical_bound
+    for patch in (lambda *a: proved.append(bound(*a)) or proved[-1],
+                  lambda *a: False):
+        monkeypatch.setattr(certify, "_classical_bound", patch)
+        try:
+            outcomes.append(match_algebras(*sides, family))
+        except (CertifyError, HypothesisFailed) as exc:
+            outcomes.append((type(exc), str(exc)))
+    monkeypatch.undo()
+    return (*outcomes, sum(proved))
+
+
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_the_classical_bound_gives_the_certificate_of_the_pass(
+        name, monkeypatch):
+    """The differential test of `_classical_bound`: with it refusing,
+    every side 2 that is its own model takes the membership pass, and
+    each certificate equals the default one, in which the bound proves
+    an own-model A, B or D side 2 (not a C side, nor a side 2 checked
+    against its model)."""
+    family, sides = BOUND_CASES[name]()
+    default, forced, proved = _outcomes_with_and_without_bound(
+        monkeypatch, family, sides)
+    assert default.verdict == "pass" and forced == default
+    checked = "side 2" in MODEL_CHECKS.get(name, [])
+    assert proved == (family != "C" and not checked)
+
+
+#: sides over GF(7) and GF(11), as (family, params) of their standard
+#: generators, whose ordered pairs include certificates and refusals: a
+#: D generator set matched as a B side gives f_long = 8 or dependent
+#: images, D5 (2,1) over GF(7) and (2,2) over GF(11) solve to no
+#: parameter, and D5 (1,3) has dependent images over both fields,
+#: refused on side 2 before the bound and on side 1 after it
+SMALL_PRIME_SIDES = {
+    ("B", 7): [("B", (1,)), ("B", (2,)), ("D", (2, 3)), ("D", (1, 3))],
+    ("B", 11): [("B", (1,)), ("B", (9,)), ("D", (2, 3)), ("D", (1, 3))],
+    ("D", 7): [("D", (0, 1)), ("D", (2, 3)), ("D", (1, 3)), ("D", (2, 1))],
+    ("D", 11): [("D", (0, 1)), ("D", (2, 3)), ("D", (1, 3)), ("D", (2, 2))],
+}
+
+
+@pytest.mark.parametrize("family,p", list(SMALL_PRIME_SIDES),
+                         ids=lambda v: str(v))
+def test_small_prime_matches_do_not_depend_on_the_classical_bound(
+        family, p, monkeypatch):
+    """Every ordered pair of `SMALL_PRIME_SIDES` gives the same
+    certificate, or the same refusal type and message, with
+    `_classical_bound` refusing every side as with it on; the bound
+    proves side 2 in some pairs, and some pairs are refused."""
+    field = PrimeField(p)
+    sides = []
+    for fam, params in SMALL_PRIME_SIDES[family, p]:
+        mats, _ = build_generators(fam, 5, field,
+                                   tuple(field(x) for x in params))
+        sides.append((MatrixLieAlgebra(field, len(mats[0]), [], mats), mats))
+    kinds, proved = set(), 0
+    for side1, side2 in itertools.product(sides, repeat=2):
+        default, forced, count = _outcomes_with_and_without_bound(
+            monkeypatch, family, side1 + side2)
+        assert forced == default
+        kinds.add(type(default))
+        proved += count
+    assert kinds == {certify.MatchCertificate, tuple} and proved
+
+
+def _bound_arguments(monkeypatch, name):
+    """The arguments of the one `_classical_bound` call of the match of
+    `RESCALE_CASES[name]`."""
+    family, sides = RESCALE_CASES[name]()
+    calls = []
+    bound = certify._classical_bound
+    monkeypatch.setattr(certify, "_classical_bound",
+                        lambda *a: calls.append(a) or bound(*a))
+    match_algebras(*sides, family)
+    monkeypatch.undo()
+    (args,) = calls
+    return args
+
+
+@pytest.mark.parametrize("name", ["A5-conj", "B5", "D5"])
+def test_the_classical_bound_fails_when_a_condition_fails(name,
+                                                          monkeypatch):
+    """The bound holds for side 2 as the match forms it, and fails when
+    one of its conditions does: the dimension one off, or one base
+    generator y_k plus the identity, for each k in turn, which has
+    trace N != 0 (A) and leaves o(G), X = 1 giving X^T G + G X = 2G
+    (B, D)."""
+    family, ctx, gens, mctx, dim = _bound_arguments(monkeypatch, name)
+    bound = certify._classical_bound
+    assert bound(family, ctx, gens, mctx, dim)
+    assert not bound(family, ctx, gens, mctx, dim - 1)
+    assert not bound(family, ctx, gens, mctx, dim + 1)
+    base, one = ctx.base, ctx.base.field.one
+    unit = tuple({i: one.v} for i in range(base.ambient_dim))
+    for k, g in enumerate(gens):
+        moved = list(gens)
+        moved[k] = certify.Scaled(g.c, base.lincomb([(one, g.a),
+                                                     (one, unit)]))
+        assert not bound(family, ctx, moved, mctx, dim)
+
