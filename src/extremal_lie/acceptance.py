@@ -81,8 +81,8 @@ def criterion_2(rng, shared):
     t0 = time.time()
     got = []
     for family, n, params, want in REALIZATION_CASES:
-        alg, _, _ = _closure(shared, family, n, params)
-        got.append((family, n, alg.dim, want))
+        _, _, span = _closure(shared, family, n, params)
+        got.append((family, n, span.rank, want))
     passed = all(d == w for _, _, d, w in got)
     detail = ", ".join(f"{f}{n}:{d}/{w}" for f, n, d, w in got)
     return _result(2, "realization dimensions", passed, detail, t0)

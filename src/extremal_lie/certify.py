@@ -15,19 +15,18 @@ this module
   an explicit basis correspondence whose bracket tables are proven to
   agree on every pair of basis elements.
 
-When the closure proof holds, the closure is sl_N, o(G) or sp(G), and
-its one Lie context is the `realizations.ClassicalAlgebra` of the
-generators: in characteristic != 2 the rest of `certify_family` reads
-from that form.  A square-zero x has [x, [x, y]] = -2xyx, a multiple
-of x for every y in the algebra when x has rank 1 (x = a b^T,
-xyx = (b^T y a) x) or rank 2 in o(G) (a Siegel element T_{u,v}, im x
-totally isotropic, xyx = B(u, yv) x).  So f_x(y) is -2 trace(xy) at
-rank 1 and -trace(xy) at rank 2, and the form scale needs no
-calibration.  The identity samples are drawn in the algebra: traceless
-matrices, or G^-1 A for A antisymmetric (o(G)) or symmetric (sp(G)).
-A realization the proof does not cover grows its closure
-(`lie_closure`), a `MatrixLieAlgebra` that sweeps each generator with
-`is_extremal`, samples its basis and calibrates its form scale over it.
+A realization's one Lie context is the `realizations.ClassicalAlgebra`
+of its generators, sl_N, o(G) or sp(G), which holds the closure and is
+the closure when the catalog rank is its dimension: in characteristic
+!= 2 the rest of `certify_family` reads from that form.  A square-zero
+x has [x, [x, y]] = -2xyx, a multiple of x for every y in the algebra
+when x has rank 1 (x = a b^T, xyx = (b^T y a) x) or rank 2 in o(G) (a
+Siegel element T_{u,v}, im x totally isotropic, xyx = B(u, yv) x).  So
+f_x(y) is -2 trace(xy) at rank 1 and -trace(xy) at rank 2, and the
+form scale needs no calibration.  The identity samples are drawn in
+the algebra: traceless matrices, or G^-1 A for A antisymmetric (o(G))
+or symmetric (sp(G)).  A failing realization, whose catalog rank is
+less, is checked in the same algebra, a superset of its closure.
 
 The bracket tables are structure constants on the catalog bases.  A
 catalog is tail-closed, every monomial being [x_k, b'] with b' in the
@@ -116,7 +115,7 @@ from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
 from .presentation import evaluate_monomial
 from .extremal import (extremal_form_value, fixtriangle, check_premet,
                        triangle_open, HypothesisFailed)
-from .realizations import (MatrixLieAlgebra, lie_closure, build_generators,
+from .realizations import (MatrixLieAlgebra, build_generators,
                            classical_algebra, InvalidParameters,
                            d_open_conditions, generators_D, generators_B)
 
@@ -620,9 +619,9 @@ def _draws(rng, lo, hi, count):
 
 
 def _random_element(ctx, rng):
-    """A basis combination with coefficients in [-3, 3], exactly `dim`
-    draws from rng: `from_coords` of a grown `MatrixLieAlgebra`, over
-    its basis, or of a `ClassicalAlgebra`, over its standard basis."""
+    """A combination of the standard basis of a `ClassicalAlgebra` with
+    coefficients in [-3, 3], exactly `dim` draws from rng
+    (`ClassicalAlgebra.from_coords`)."""
     return ctx.from_coords(_draws(rng, -3, 3, ctx.dim))
 
 
@@ -661,51 +660,70 @@ IDENTITY_SAMPLES = 50
 
 
 def catalog_closure(family, n, field, mats, extra):
-    """(closure, span): the Lie closure of the family generators
-    `mats`, as `build_generators` returns them with `extra`, and the
-    `SpanSolver` of their catalog images.
+    """(closure, span): the classical algebra that holds the family
+    generators `mats`, as `build_generators` returns them with `extra`,
+    and the `SpanSolver` of their catalog images.  The closure's
+    dimension is `span.rank`.
 
     The catalog images lie in the closure, so their rank bounds its
-    dimension from below; the classical algebra of `classical_algebra`
-    holds the closure and bounds it from above.  When the rank, the
-    catalog size and that dimension are equal, the closure is that
-    classical algebra, and the `ClassicalAlgebra` is its context, with
-    no closure grown.  Otherwise the closure is `lie_closure`'s, so a
-    failing realization still reports its true dimension."""
+    dimension from below; the `ClassicalAlgebra` of `classical_algebra`
+    (sl_N, o(G) or sp(G)) holds it and bounds it from above.  When the
+    rank is the catalog size, which is that algebra's dimension, the
+    closure is that algebra.  When it is less, the closure is a proper
+    subalgebra whose dimension is still the rank, by the filtration
+    lemma behind the presentation L(Gamma, f) (Cohen, Steinbach,
+    Ushirobira and Wales, "Lie algebras generated by extremal
+    elements", J. Algebra 236, 2001): a Lie algebra generated by
+    extremal elements with commutation graph Gamma is a quotient of
+    some L(Gamma, f), and L(Gamma, f) is filtered with associated graded
+    algebra a quotient of L(Gamma, 0), so monomials that span L(Gamma, 0)
+    span L(Gamma, f).  Each generator is extremal in the classical
+    algebra (rank 1, or a Siegel element of o(G)), so in the closure
+    too, and the catalog, a basis of L(Gamma, 0), spans it.
+
+    A passing verdict rests on the classical bound alone.  Only a
+    failing report's `dim` rests on the lemma; that the catalog is a
+    basis of L(Gamma, 0) is checked over GF(p) for n <= 12 (the test
+    test_presentation_at_n_12_has_the_catalog_dimension) and rests on
+    the paper's catalog beyond.  ValueError when
+    `classical_algebra` refuses the generators or its dimension is not
+    the catalog size; the standard generators meet neither."""
     gens = MatrixLieAlgebra(field, len(mats[0]), [], mats)
     mats = gens.generators_list
     span = linalg.SpanSolver(field, gens.vector_dim)
     for img in _catalog_images(gens, mats,
                                [e.indices for e in catalog(family, n)]):
         span.add(gens.vector(img))
+    classical = classical_algebra(family, field, mats, extra)
+    if classical is None:
+        raise ValueError(f"{family}{n}: no classical algebra holds the "
+                         "generators (trace, form or X^T G + G X = 0)")
     expected = expected_catalog_size(family, n)
-    if span.rank == expected:
-        classical = classical_algebra(family, field, mats, extra)
-        if classical is not None and classical.dim == expected:
-            return classical, span
-    return lie_closure(mats, field), span
+    if classical.dim != expected:
+        raise ValueError(f"{family}{n}: the classical algebra has "
+                         f"dimension {classical.dim}, not the catalog "
+                         f"size {expected}")
+    return classical, span
 
 
 def certify_family(family, n, params=(), field=QQ, seed=0):
     """Build the family realization and verify it end to end.
 
-    The closure dimension `dim` is proved from the catalog and the form
-    (`catalog_closure`): the `catalog_rank` independent catalog images
-    lie in the closure, and the closure lies in sl_N, o(G) or sp(G),
+    The closure dimension `dim` is the rank of the catalog images
+    (`catalog_closure`), and the closure lies in sl_N, o(G) or sp(G),
     whose dimension the generators' traces or their form G give.  When
-    both bounds equal the catalog size, `dim` is that size and the
-    closure is that classical algebra, which the check then reads, in
-    characteristic != 2 (see the module docstring): a square-zero
-    generator of rank 1, or of rank 2 in o(G), is extremal
+    the rank is the catalog size, the closure is that classical
+    algebra.  The checks read that algebra, which holds the closure
+    either way, in characteristic != 2 (see the module docstring): a
+    square-zero generator of rank 1, or of rank 2 in o(G), is extremal
     (xyx = (b^T y a) x for x = a b^T, and xyx = B(u, yv) x for
     x = T_{u,v}), with no sweep, each identity sample is a traceless
     matrix or G^-1 A, A antisymmetric (o(G)) or symmetric (sp(G))
-    (`ClassicalAlgebra.from_coords`), and the form scale is the one the
-    proof fixes.  Otherwise `dim` is that of the closure `lie_closure`
-    grows, `is_extremal` sweeps each generator over its basis, and
-    each sample combines that basis.  A sample takes `dim` draws either
-    way (`_random_element`), so the rng stream is the same; a report
-    holds flags and counts only."""
+    (`ClassicalAlgebra.from_coords`), and the form is c * trace(ab)
+    with c fixed.  Each identity round also checks form(x, y) =
+    f_x(y) for its generator x and first sample y, in the "premet"
+    tally, so a wrong form scale fails the report.  A report holds
+    flags and counts only."""
     rng = random.Random(seed)
     mats, extra = build_generators(family, n, field, params)
     closure, span = catalog_closure(family, n, field, mats, extra)
@@ -742,7 +760,8 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
         z = _random_element(closure, rng)
         flags = check_premet(closure, x, y, z)
         id_counts["premet"]["tried"] += 1
-        id_counts["premet"]["passed"] += all(flags.values())
+        id_counts["premet"]["passed"] += all(flags.values()) and (
+            closure.form(x, y) == extremal_form_value(closure, x, y))
         k, l, m = _draws(rng, 0, n - 1, 3)
         q = check_quartic_identities(closure, mats[k], mats[l], mats[m],
                                      _random_element(closure, rng),
@@ -754,15 +773,15 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
     # the genericity evaluations are hypotheses of the matching theorems,
     # reported for information; a realization on a non-generic locus is
     # still a valid realization, so they do not enter the verdict
-    checks = [all(extremal), graph_ok, closure.dim == expected,
-              catalog_rank == expected, passed == tried,
+    checks = [all(extremal), graph_ok, catalog_rank == expected,
+              passed == tried,
               all(c["passed"] == c["tried"] for c in id_counts.values())]
     return CertReport(
         family=family, n=n, field=str(field),
         params={k: str(field(v))
                 for k, v in zip(FAMILY_PARAMS[family], params)},
         extremal=extremal, graph_match=graph_ok,
-        dim=closure.dim, dim_expected=expected, catalog_rank=catalog_rank,
+        dim=catalog_rank, dim_expected=expected, catalog_rank=catalog_rank,
         spanning_samples=spanning,
         psi=[str(v) for v in psi_vec.values],
         genericity=gen_flags, identities=id_counts,

@@ -217,14 +217,15 @@ def cmd_realize(args):
     args.n = check_size(args.n)
     mats, extra = build_generators(args.family, args.n, field,
                                    tuple(field_elem(field, p) for p in params))
-    alg, _ = certify.catalog_closure(args.family, args.n, field, mats, extra)
+    alg, span = certify.catalog_closure(args.family, args.n, field, mats,
+                                        extra)
     gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
     extremal = [alg.extremal(g) for g in gens]
     graph_ok, witnesses = certify.graph_realization_check(alg, gens, graph,
                                                           extremal)
     expected = expected_catalog_size(args.family, args.n)
-    ok = graph_ok and all(extremal) and alg.dim == expected
+    ok = graph_ok and all(extremal) and span.rank == expected
 
     if args.format == "json":
         payload = {"family": args.family, "n": args.n, "field": str(field),
@@ -233,7 +234,7 @@ def cmd_realize(args):
                                   for m in mats],
                    "graph_match": graph_ok,
                    "extremal": extremal,
-                   "dim": alg.dim, "dim_expected": expected}
+                   "dim": span.rank, "dim_expected": expected}
         emit(args, json.dumps(payload, indent=2))
     else:
         lines = []
@@ -245,7 +246,7 @@ def cmd_realize(args):
             lines.append(f"  {w}")
         lines.append(f"all generators extremal: "
                      f"{'pass' if all(extremal) else 'fail'}")
-        lines.append(f"dim {alg.dim} (expected {expected})")
+        lines.append(f"dim {span.rank} (expected {expected})")
         lines.append("pass" if ok else "fail")
         emit(args, "\n".join(lines))
     return 0 if ok else 1

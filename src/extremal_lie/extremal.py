@@ -39,7 +39,8 @@ class LieContext(Protocol):
     modify, in a space of dimension ``vector_dim``.  `basis()` spans
     the algebra; `form` is the associative symmetric form, a
     FieldElement (the zero form for the degenerate algebras
-    L(Gamma, 0)).  `extremal_value(x, y)` is the extremal form value
+    L(Gamma, 0)), which a matrix context has only as the
+    `realizations.ClassicalAlgebra` of a realization.  `extremal_value(x, y)` is the extremal form value
     f_x(y) of `extremal_form_value`: the FieldElement with
     [x, [x, y]] = f_x(y) x, NotExtremal when [x, [x, y]] is off the
     line through x, ValueError for x = 0.  A context whose elements are

@@ -307,13 +307,19 @@ class RationalField(Field):
         return "RationalField()"
 
 
+#: psi_12 = 399165290221 * 798330580441, the least composite that passes
+#: Miller-Rabin to all 12 prime bases up to 37 (Sorenson and Webster,
+#: Math. Comp. 86, 2017); `PrimeField` takes only primes below it
+PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n):
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin for 64-bit range, probabilistic beyond
+    # Miller-Rabin to these 12 bases is deterministic below PRIME_BOUND
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -332,9 +338,13 @@ def _is_prime(n):
 
 
 class PrimeField(Field):
-    """GF(p) for an odd prime p."""
+    """GF(p) for an odd prime p below `PRIME_BOUND`."""
 
     def __init__(self, p):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"PrimeField needs p below {PRIME_BOUND} "
+                             f"(psi_12), where its Miller-Rabin test is "
+                             f"exact, got {p}")
         if p == 2 or not _is_prime(p):
             raise ValueError(f"PrimeField needs an odd prime, got {p}")
         self.p = p

@@ -8,28 +8,28 @@ transvections and Siegel elements.
 * families "B"/"D": o_{2n-1} / o_{2n}, generated by Siegel elements
   T_{u,v}: w -> B(u,w) v - B(v,w) u attached to isotropic lines <u, v>.
 
-:func:`lie_closure` grows the Lie span of a generating set and wraps it
-in a :class:`MatrixLieAlgebra` context usable by the generic extremal
-machinery.  A bilinear form is its nonzero Gram entries, and the
-builders make every generator and special vector from FieldElement
-vectors and the form's covectors B(u, .): a generator is a sum of
-outer products a b^T, built from the supports of a and b; the context
-converts each generator once into sparse payload rows.  Every
-generator squares to zero, and so does every conjugate and multiple of
-one, so the context reads their extremal form values from rank factors
-x = U R, r = rank x at most 2, instead of two brackets
-(`MatrixLieAlgebra.extremal_value`).  :func:`classical_algebra` reads
-the sl_N, o(G) or sp(G) that holds a realization's generators from
-their traces or form: a :class:`ClassicalAlgebra`, the matrix context
-of those generators with the classical dimension.  It proves an
-element extremal from its rank factors, samples its standard basis in
-O(N^2) and takes its form scale from the proof, so a closure proved
-to be it is one context, with no grown basis and no calibration.
+:func:`lie_closure` grows the Lie span of a generating set and wraps
+it in a :class:`MatrixLieAlgebra` context usable by the generic
+extremal machinery; no verdict of the package reads it.  A
+bilinear form is its nonzero Gram entries, and the builders make every
+generator and special vector from FieldElement vectors and the form's
+covectors B(u, .): a generator is a sum of outer products a b^T, built
+from the supports of a and b; the context converts each generator once
+into sparse payload rows.  Every generator squares to zero, and so
+does every conjugate and multiple of one, so the context reads their
+extremal form values from rank factors x = U R, r = rank x at most 2,
+instead of two brackets (`MatrixLieAlgebra.extremal_value`).
+:func:`classical_algebra` reads the sl_N, o(G) or sp(G) that holds a
+realization's generators from their traces or form: a
+:class:`ClassicalAlgebra`, the matrix context of those generators with
+the classical dimension.  It proves an element extremal from its rank
+factors, samples its standard basis in O(N^2) and has a fixed form
+scale, so a realization's closure, which it holds, needs no grown
+basis and no calibration.
 """
 
 from . import linalg
-from .extremal import (NotExtremal, bracket_form_value, extremal_form_value,
-                       is_extremal)
+from .extremal import NotExtremal, bracket_form_value
 from .fields import FieldElement, NoSquareRoot, PrimeField, quadratic_roots
 from .graphs import check_family_n
 from .linalg import (Rows, SpanSolver, dense, mat_bracket, mat_lincomb,
@@ -389,15 +389,12 @@ class MatrixLieAlgebra:
     (see :mod:`extremal_lie.linalg`), never modified once made; the
     basis, the generators and every bracket and combination are
     `linalg.Rows`, which over GF(p) keep their packed rows.  `element`
-    takes FieldElement matrices in and `external` gives them out.  The
-    associative symmetric form is c * trace(a b), with c calibrated
-    against the extremal functional of the first generator (and
-    verified on a second value) over the basis, and `extremal` sweeps
-    the basis; `ClassicalAlgebra` replaces both by what its proof
-    fixes.  A context made with an empty basis holds
-    generators only: it brackets and combines, but has no form; that is
-    all `normalize_generators` and a match need.  Every basis element
-    and generator must be N x N (ValueError otherwise)."""
+    takes FieldElement matrices in and `external` gives them out.  It
+    has no form: `ClassicalAlgebra`, the context of a realization's
+    closure, adds its fixed one.  A context made with an
+    empty basis holds generators only: it brackets and combines, which
+    is all `normalize_generators` and a match need.  Every basis
+    element and generator must be N x N (ValueError otherwise)."""
 
     def __init__(self, field, ambient_dim, basis, generators):
         self.field = field
@@ -406,7 +403,6 @@ class MatrixLieAlgebra:
         self._basis = [self._square(b) for b in basis]
         self.generators_list = [self._square(g) for g in generators]
         self.dim = len(self._basis)
-        self._form_scale = None
 
     def _square(self, x):
         """x as a `linalg.Rows`, after checking that it is N x N."""
@@ -456,19 +452,6 @@ class MatrixLieAlgebra:
     def basis(self):
         return self._basis
 
-    def from_coords(self, coords):
-        """sum c_i b_i over the basis; needs exactly `dim` coordinates."""
-        if len(coords) != self.dim:
-            raise ValueError(f"{len(coords)} coordinates for an algebra "
-                             f"of dimension {self.dim}")
-        return mat_lincomb(self.field, list(zip(coords, self._basis)),
-                           self.ambient_dim)
-
-    def extremal(self, x):
-        """Whether x is extremal in the algebra: the `is_extremal`
-        sweep over the basis."""
-        return is_extremal(self, x)[0]
-
     def extremal_value(self, x, y):
         """f_x(y), from the rank factors x = U R of a square-zero x
         (`Rows.factors`): [x, [x, y]] = -2xyx = -2 U M R with
@@ -492,45 +475,14 @@ class MatrixLieAlgebra:
             raise NotExtremal("[x,[x,y]] is not a multiple of x")
         return FieldElement(field, t) * -2
 
-    def form(self, a, b):
-        """The associative symmetric extremal form, c * trace(ab)."""
-        if self._form_scale is None:
-            self._form_scale = self._calibrate_form()
-        return self._form_scale * trace_product(
-            self.field, self.element(a), self.element(b))
-
-    def _calibrate_form(self):
-        if not self._basis:
-            raise RuntimeError("cannot calibrate the form: the context "
-                               "has an empty basis (it holds generators "
-                               "only)")
-        field = self.field
-        x = self.generators_list[0]
-        for b in self.basis():
-            t = trace_product(field, x, b)
-            if not t.is_zero():
-                c = extremal_form_value(self, x, b) / t
-                break
-        else:
-            raise RuntimeError("cannot calibrate the form: x is trace-"
-                               "orthogonal to the whole algebra")
-        # verify against a second extremal generator on all basis elements
-        y = self.generators_list[-1]
-        for b in self.basis():
-            want = extremal_form_value(self, y, b)
-            if want != c * trace_product(field, y, b):
-                raise RuntimeError("trace form calibration inconsistent")
-        return c
-
 
 def lie_closure(generators, field):
     """Close a list of matrices over `field` (FieldElement matrices or
     payload rows) under the bracket; returns a MatrixLieAlgebra whose
-    basis is the deterministic closure basis.  A match needs no closure:
-    generators-only contexts, ``MatrixLieAlgebra(field, N, [], gens)``,
-    are enough for it; a family realization proves its closure from its
-    catalog and form (`certify.catalog_closure`) and grows one only when
-    that proof fails."""
+    basis is the deterministic closure basis.  No command calls it: a
+    match needs generators-only contexts,
+    ``MatrixLieAlgebra(field, N, [], gens)``, and a family realization's
+    closure is its classical algebra (`certify.catalog_closure`)."""
     n = len(generators[0])
     gens = MatrixLieAlgebra(field, n, [], generators)
     basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,
@@ -542,20 +494,25 @@ def lie_closure(generators, field):
 # the classical algebra of a realization
 # ---------------------------------------------------------------------------
 
+#: c of the form c * trace(ab) of `ClassicalAlgebra`, by family
+FORM_SCALE = {"A": -2, "B": -1, "C": -2, "D": -1}
+
+
 class ClassicalAlgebra(MatrixLieAlgebra):
     """sl_N (family A), o(G) (B, D) or sp(G) (C) over `field`, G the
     form's Gram matrix (`gram`, payload rows), as the Lie context of
     the realization `generators` it holds (`classical_algebra`), of
-    dimension `dim`: N^2 - 1, N(N-1)/2 or N(N+1)/2.  When that is the
-    rank of the catalog images, it is their closure
-    (`certify.catalog_closure`).  It brackets and combines as a
-    `MatrixLieAlgebra`, with no basis until a sweep asks for one
-    (`basis`).  Its form is c * trace(ab) with c fixed by the proof,
-    not calibrated: for x = a b^T of rank 1, f_x(y) = -2 b^T y a =
-    -2 trace(xy), so c = -2 (A, C); for a Siegel element x = T_{u,v},
-    f_x(y) = -2 B(u, yv) and trace(xy) = 2 B(u, yv), so c = -1 (B, D).
-    Those, and the rank-2 rule of `extremal`, need characteristic != 2,
-    which every field here has (`PrimeField` refuses p = 2)."""
+    dimension `dim`: N^2 - 1, N(N-1)/2 or N(N+1)/2.  It holds the
+    closure of the realization, and is that closure when `dim` is the
+    rank of the catalog images (`certify.catalog_closure`).  It
+    brackets and combines as a `MatrixLieAlgebra`, with no basis until
+    a sweep asks for one (`basis`).  Its form is c * trace(ab) with c
+    fixed, not calibrated: for x = a b^T of rank 1, f_x(y) =
+    -2 b^T y a = -2 trace(xy), so c = -2 (A, C); for a Siegel element
+    x = T_{u,v}, f_x(y) = -2 B(u, yv) and trace(xy) = 2 B(u, yv), so
+    c = -1 (B, D).  Both hold for every y in the algebra.  They, and
+    the rank-2 rule of `extremal`, need characteristic != 2, which
+    every field here has (`PrimeField` refuses p = 2)."""
 
     def __init__(self, family, field, generators, gram=None, inverse=None):
         super().__init__(field, len(generators[0]), [], generators)
@@ -563,7 +520,12 @@ class ClassicalAlgebra(MatrixLieAlgebra):
         self._entries = _standard_basis(family, field, self.ambient_dim,
                                         inverse)
         self.dim = len(self._entries)
-        self._form_scale = field(-2 if family in ("A", "C") else -1)
+        self.form_scale = field(FORM_SCALE[family])
+
+    def form(self, a, b):
+        """The associative symmetric extremal form, c * trace(ab)."""
+        return self.form_scale * trace_product(
+            self.field, self.element(a), self.element(b))
 
     def basis(self):
         """The standard basis, `from_coords` of each unit vector, made

@@ -1,5 +1,6 @@
 """Fields shared by the kernel differential tests, seeded random
-elements and sparse payload vectors over them, a reference
+elements, sparse payload vectors and basis combinations over them, a
+reference
 matrix-vector product, closures lifted into an extension, and the
 outcome of an extremal form value."""
 
@@ -51,6 +52,12 @@ def random_element(field, rng, zero_rate=0.3):
 
 def random_vector(field, rng, length, zero_rate=0.5):
     return [random_element(field, rng, zero_rate) for _ in range(length)]
+
+
+def random_combination(ctx, rng):
+    """sum c_b b over the basis of ctx, each c_b a `random_element`."""
+    return ctx.lincomb([(random_element(ctx.field, rng), b)
+                        for b in ctx.basis()])
 
 
 def mat_vec(m, x):

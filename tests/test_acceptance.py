@@ -10,7 +10,7 @@ second run checks that the criteria grow no closure.
 
 import pytest
 
-from extremal_lie import acceptance, certify, realizations
+from extremal_lie import acceptance, certify, linalg, realizations
 from extremal_lie.acceptance import CRITERIA, run_all
 
 #: the detail string of each criterion under run_all(seed=0)
@@ -86,12 +86,14 @@ def test_criterion_10_parameter_solvers(results):
 
 def test_run_all_grows_no_closure(monkeypatch):
     """Every realization the criteria share is proved by
-    `certify.catalog_closure` from its catalog and its form, so
-    `lie_closure` is never called, nor imported back into the suite."""
+    `certify.catalog_closure` from its catalog and its form, so no
+    closure is grown (`linalg.bracket_closure`, under `lie_closure`),
+    and `lie_closure` is not imported back into the suite."""
     def refuse(*args):
-        raise AssertionError("lie_closure called")
+        raise AssertionError("a closure grown")
 
-    monkeypatch.setattr(certify, "lie_closure", refuse)
+    monkeypatch.setattr(linalg, "bracket_closure", refuse)
     monkeypatch.setattr(realizations, "lie_closure", refuse)
-    monkeypatch.setattr(acceptance, "lie_closure", refuse, raising=False)
+    for module in (certify, acceptance):
+        assert not hasattr(module, "lie_closure")
     assert all(r["passed"] for r in run_all(seed=0))

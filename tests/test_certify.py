@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (KERNEL_FIELDS, form_outcome, lift_closure, lift_rows,
-                      random_element)
-from extremal_lie import certify, linalg, realizations
+                      random_combination)
+from extremal_lie import certify, linalg
 from extremal_lie.certify import (PSI_LENGTH, CertifyError,
                                   ConditionViolated, FormMismatch,
                                   NoRootInField, PsiVector,
@@ -33,7 +33,8 @@ from extremal_lie.graphs import (build_family_graph, catalog,
 from extremal_lie.presentation import evaluate_monomial
 from extremal_lie.realizations import (ClassicalAlgebra, InvalidParameters,
                                        MatrixLieAlgebra, build_generators,
-                                       d_open_conditions, lie_closure)
+                                       classical_algebra, d_open_conditions,
+                                       lie_closure)
 
 F = PrimeField(DEFAULT_PRIME)
 GF2 = KERNEL_FIELDS["GF(p)(rt d)"]
@@ -43,6 +44,13 @@ def closure_of(family, n, params=()):
     mats, _ = build_generators(family, n, F,
                                tuple(F(p) for p in params))
     return lie_closure(mats, F), mats
+
+
+def classical_of(family, n, params=(), field=F):
+    """The classical algebra of the family realization over `field`."""
+    mats, extra = build_generators(family, n, field,
+                                   tuple(field(p) for p in params))
+    return classical_algebra(family, field, mats, extra)
 
 
 @pytest.fixture(scope="module")
@@ -107,21 +115,21 @@ def test_graph_realization_check_reports_witnesses(b5):
             False, ["generator 4 not extremal"])
 
 
-@pytest.mark.parametrize("family,n,params,p,sweeps", [
-    ("A", 4, (), DEFAULT_PRIME, 0), ("D", 5, (2, 3), DEFAULT_PRIME, 0),
-    ("D", 5, (2, 3), 5, 5)], ids=["A4", "D5", "D5-GF(5)"])
+@pytest.mark.parametrize("family,n,params,p,fails", [
+    ("A", 4, (), DEFAULT_PRIME, False),
+    ("D", 5, (2, 3), DEFAULT_PRIME, False),
+    ("D", 5, (2, 3), 5, True)], ids=["A4", "D5", "D5-GF(5)"])
 def test_certify_family_sweeps_extremality_only_on_a_grown_closure(
-        family, n, params, p, sweeps, monkeypatch):
-    """A passing realization is proved extremal from the structure of
-    its generators (rank 1, or rank 2 in o(G)), with no `is_extremal`
-    sweep, and samples its proved classical algebra; over GF(5), D5
-    (2,3) fails the closure proof, and its grown closure sweeps each
-    generator once and draws its samples from its basis."""
+        family, n, params, p, fails, monkeypatch):
+    """A realization is proved extremal from the structure of its
+    generators (rank 1, or rank 2 in o(G)), with no sweep over a basis,
+    and samples its classical algebra; over GF(5), D5 (2,3) fails (its
+    catalog rank is 34), and it too grows no closure: no run sweeps."""
     calls, samples = [], []
-    is_extremal = realizations.is_extremal
+    basis = ClassicalAlgebra.basis
     random_element = certify._random_element
-    monkeypatch.setattr(realizations, "is_extremal",
-                        lambda ctx, x: calls.append(x) or is_extremal(ctx, x))
+    monkeypatch.setattr(ClassicalAlgebra, "basis",
+                        lambda ctx: calls.append(ctx) or basis(ctx))
     monkeypatch.setattr(
         certify, "_random_element",
         lambda ctx, rng: samples.append(ctx) or random_element(ctx, rng))
@@ -129,11 +137,10 @@ def test_certify_family_sweeps_extremality_only_on_a_grown_closure(
     report = certify_family(family, n, tuple(field(x) for x in params),
                             field=field, seed=0)
     assert report.extremal == [True] * n and report.graph_match
-    assert report.verdict == ("fail" if sweeps else "pass")
-    assert len(calls) == sweeps
-    kind = MatrixLieAlgebra if sweeps else ClassicalAlgebra
+    assert report.verdict == ("fail" if fails else "pass")
+    assert not calls
     assert len(samples) == 4 * certify.IDENTITY_SAMPLES
-    assert all(type(ctx) is kind for ctx in samples)
+    assert all(type(ctx) is ClassicalAlgebra for ctx in samples)
 
 
 def test_check_genericity_flags(d5):
@@ -768,8 +775,7 @@ def test_scaled_form_values_are_the_materialised_ones(d5):
     gens = alg.generators_list
     base = (gens + [exp_ad(alg, F(1), gens[i + 1], gens[i])
                     for i in range(len(gens) - 1)]
-            + [alg.from_coords([random_element(F, rng)
-                                for _ in range(alg.dim)])])
+            + [random_combination(alg, rng)])
     scalars = [F(1), GF2.root, GF2.root * 2 + 3, F(-5)]
     elements = [certify.Scaled(rng.choice(scalars), a) for a in base]
     kinds = set()
@@ -1083,9 +1089,9 @@ def test_match_closes_no_model(family, params1, params2, monkeypatch):
     alg1, mats1 = closure_of(family, 5, params1)
     alg2, mats2 = closure_of(family, 5, params2)
     closures = []
-    monkeypatch.setattr(certify, "lie_closure",
-                        lambda *a, **k: closures.append(1) or
-                        lie_closure(*a, **k))
+    grow = linalg.bracket_closure
+    monkeypatch.setattr(linalg, "bracket_closure",
+                        lambda *a: closures.append(1) or grow(*a))
     cert = match_algebras(alg1, mats1, alg2, mats2, family)
     assert cert.verdict == "pass" and not closures
 
@@ -1107,8 +1113,8 @@ def test_rebuilt_models_close_to_the_catalog_dimension(family, n, params):
     assert closure.dim == expected_catalog_size(family, n)
 
 
-def test_random_element_draws_exactly_dim_values(b5):
-    alg, _ = b5
+def test_random_element_draws_exactly_dim_values():
+    alg = classical_of("B", 5, (1,))
     rng, ref = random.Random(5), random.Random(5)
     x = certify._random_element(alg, rng)
     want = _dense_fold(alg, [(F(ref.randint(-3, 3)), b)
@@ -1148,8 +1154,8 @@ def test_check_premet_brackets_each_product_once(monkeypatch):
     context reads the four values from its rank factors: 6 calls (11
     when each value added the brackets of its definition on top of one
     already formed, 14 when every value formed both of its own)."""
-    alg, mats = closure_of("A", 4)
-    alg.form(mats[0], mats[1])      # calibrate the form before counting
+    alg = classical_of("A", 4)
+    mats = alg.generators_list
     rng = random.Random(4)
     y, z = certify._random_element(alg, rng), certify._random_element(alg, rng)
     calls = []
@@ -1170,8 +1176,8 @@ def test_quartic_identities_bracket_each_product_once(monkeypatch):
     for [xk,[y,t]], 14 when the left side was the two three-bracket
     chains m1 - m2, 16 when every form value formed its own first
     bracket)."""
-    alg, mats = closure_of("A", 4)
-    alg.form(mats[0], mats[1])      # calibrate the form before counting
+    alg = classical_of("A", 4)
+    mats = alg.generators_list
     rng = random.Random(3)
     t, u = certify._random_element(alg, rng), certify._random_element(alg, rng)
     calls = []
@@ -1219,13 +1225,8 @@ QUARTIC_FAMILIES = [("A", 4, ()), ("B", 5, (1,)), ("C", 4, ()),
 
 @functools.lru_cache(maxsize=None)
 def quartic_context(family, n, params, name):
-    """The family's closure over QQ or GF(p), or the GF(p) closure
-    lifted to GF(p^2)."""
-    fld = QQ if name == "QQ" else F
-    mats, _ = build_generators(family, n, fld, tuple(fld(p) for p in params))
-    alg = lie_closure(mats, fld)
-    return (alg if name in ("QQ", "GF(p)")
-            else lift_closure(alg, KERNEL_FIELDS[name]))
+    """The family's classical algebra over QQ, GF(p) or GF(p^2)."""
+    return classical_of(family, n, params, KERNEL_FIELDS[name])
 
 
 @pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
@@ -1244,8 +1245,7 @@ def test_quartic_identities_match_the_six_bracket_expansion(
     rng = random.Random(f"{family}{n}{name}")
 
     def element():
-        return alg.from_coords([random_element(alg.field, rng)
-                                for _ in range(alg.dim)])
+        return random_combination(alg, rng)
 
     def same(a, b):
         return alg.external(a) == alg.external(b)
@@ -1461,7 +1461,7 @@ CONJUGATED = [
     ("A", 5, ()), ("B", 5, (1,)), ("D", 5, (2, 3)),
     pytest.param("C", 6, (), marks=pytest.mark.xfail(
         strict=True, raises=StructureMismatch,
-        reason="ROADMAP item 1: an A or C side is its own model, so "
+        reason="ROADMAP item 10: an A or C side is its own model, so "
                "side 1 must lie in side 2's matrix span"))]
 
 

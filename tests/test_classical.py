@@ -1,11 +1,11 @@
-"""The classical algebra a passing closure is proved to be
+"""The classical algebra that holds a realization's closure
 (`realizations.classical_algebra`): sl_N, o(G) or sp(G), the closure's
 one Lie context.  Its extremality rule must agree with the
 `is_extremal` sweep and refuse what it does not cover, its samples
 (`certify._random_element` of it) must lie in the closure and take
-exactly `dim` draws of the sampling stream, and its form scale, fixed
-by the proof, must be the one `lie_closure`'s context calibrates, with
-no calibration on a passing run."""
+exactly `dim` draws of the sampling stream, and its fixed form scale
+must give the extremal functional of every generator, so that a wrong
+scale fails a report.  No run grows a closure."""
 
 import os
 import random
@@ -15,16 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from extremal_lie import certify
-from extremal_lie.certify import (_random_element, catalog_closure,
-                                  certify_family)
+from extremal_lie import linalg, realizations
+from extremal_lie.certify import (IDENTITY_SAMPLES, _random_element,
+                                  catalog_closure, certify_family)
 from extremal_lie.cli import main
 from extremal_lie.extremal import is_extremal
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.linalg import Rows
 from extremal_lie.realizations import (ClassicalAlgebra, MatrixLieAlgebra,
                                        basis_vector, build_generators,
-                                       lie_closure, siegel)
+                                       siegel)
 
 F = PrimeField(DEFAULT_PRIME)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -203,27 +203,34 @@ def test_a_sample_is_dim_draws_of_randint(family, n, field):
     ("A", 5, F), ("C", 6, F), ("B", 5, F), ("D", 5, F), ("D", 5, QQ)],
     ids=["A5", "C6", "B5", "D5", "D5-QQ"])
 def test_the_proved_form_scale_is_the_calibrated_one(family, n, field):
-    """The proved context's form, c * trace(ab) with c = -2 (A, C) or
-    -1 (B, D), equals the form `lie_closure`'s context calibrates over
-    its basis, on generator pairs and sampled pairs, not all zero."""
+    """The context's form, c * trace(ab) with c = -2 (A, C) or -1 (B, D),
+    is the extremal functional of every generator x on every standard
+    basis element b: form(x, b) = f_x(b), not all zero."""
     closure = proved(family, n, field)[0]
-    gens = closure.generators_list
-    grown = lie_closure(gens, field)
-    rng = random.Random(n)
-    pairs = list(zip(gens, gens[1:])) + [
-        (_random_element(closure, rng), _random_element(closure, rng))
-        for _ in range(10)]
-    values = [closure.form(a, b) for a, b in pairs]
-    assert values == [grown.form(a, b) for a, b in pairs]
+    pairs = [(x, b) for x in closure.generators_list
+             for b in closure.basis()]
+    values = [closure.form(x, b) for x, b in pairs]
+    assert values == [closure.extremal_value(x, b) for x, b in pairs]
     assert any(not v.is_zero() for v in values)
+
+
+def test_a_negated_form_scale_fails_the_report(monkeypatch):
+    """With the B/D constant negated, f = +trace(ab), every identity
+    but form(x, y) = f_x(y) still holds, as each is linear in the form
+    on both sides; that check fails the premet tally, and the verdict."""
+    monkeypatch.setitem(realizations.FORM_SCALE, "D", 1)
+    report = certify_family("D", 5, (2, 3), F)
+    assert report.verdict == "fail"
+    assert report.identities["premet"]["passed"] < IDENTITY_SAMPLES
+    assert report.identities["Q3a"]["passed"] == IDENTITY_SAMPLES
+    assert (report.dim, report.catalog_rank) == (45, 45)
 
 
 @pytest.fixture
 def proof_only(monkeypatch):
-    """Fail on a form calibration, a grown closure or a context made
-    over a basis."""
+    """Fail on a grown closure or a context made over a basis."""
     def refuse(*args):
-        raise AssertionError("a sweep or a grown closure on a proved run")
+        raise AssertionError("a grown closure on a certify run")
 
     init = MatrixLieAlgebra.__init__
 
@@ -231,17 +238,16 @@ def proof_only(monkeypatch):
         assert not basis, "a context made over a basis"
         init(self, field, ambient_dim, basis, generators)
 
-    monkeypatch.setattr(MatrixLieAlgebra, "_calibrate_form", refuse)
     monkeypatch.setattr(MatrixLieAlgebra, "__init__", init_without_basis)
-    monkeypatch.setattr(certify, "lie_closure", refuse)
+    monkeypatch.setattr(linalg, "bracket_closure", refuse)
 
 
 @pytest.mark.parametrize("family,n", [("A", 5), ("C", 6), ("B", 5),
                                       ("D", 5)], ids=["A5", "C6", "B5", "D5"])
 def test_a_passing_run_calibrates_no_form(family, n, proof_only, capsys):
-    """`certify_family` and `extremal-lie realize` pass on the proved
-    closure alone: no `_calibrate_form`, no `lie_closure` and no
-    context over a catalog basis."""
+    """`certify_family` and `extremal-lie realize` pass on the classical
+    algebra alone: no grown closure and no context over a catalog
+    basis."""
     params = tuple(F(p) for p in PARAMS[family])
     assert certify_family(family, n, params, F).verdict == "pass"
     names = {"B": ("--gamma",), "D": ("--alpha", "--beta")}.get(family, ())

@@ -92,7 +92,8 @@ def test_realize_pass(capsys):
 
 
 #: sha256 of the text and JSON output of `realize` over QQ, recorded
-#: while the closure was still grown by `lie_closure`
+#: while the closure was still grown by `lie_closure`; the dimension is
+#: the catalog rank now, and the output has not moved
 REALIZE_DIGESTS = {
     ("A", "5"): (
         "2624bea86e8b96c0caa8ce013bc11cb1bfc7fe3e66a1c9cffa427b4ab989eae4",
@@ -120,6 +121,39 @@ def test_realize_output_digests(capsys, spec):
                            *params, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("modulus", ["318665857834031151167461",
+                                     "3317044064679887385961981"],
+                         ids=["psi_12", "psi_13"])
+def test_certify_refuses_a_modulus_past_the_primality_bound(capsys,
+                                                            modulus):
+    """psi_12 and psi_13 pass the Miller-Rabin bases, but are composite:
+    `--field gf` refuses them with exit 2 and the bound, no traceback."""
+    code, out, err = run(capsys, "certify", "--family", "A", "--n", "4",
+                         "--field", "gf", modulus)
+    assert code == 2 and out == ""
+    assert err == (f"error: PrimeField needs p below "
+                   f"318665857834031151167461 (psi_12), where its "
+                   f"Miller-Rabin test is exact, got {modulus}\n")
+
+
+def test_realize_a_failing_point_reports_the_catalog_rank(capsys):
+    """D5 (1,3) over QQ spans 34 of 45 dimensions: `realize` exits 1 with
+    the catalog rank as its dimension, and prints the text and JSON it
+    printed when that dimension came from a grown closure."""
+    want = {"text": "4e6b68f27fa7b55020db698a24bce0973f46d41fa54c9bd21779e951"
+                    "dec3cbf4",
+            "json": "b58efbb498abecf14cd6800271780048f8bba0114ddea43d4d0b2241"
+                    "6e32f3c6"}
+    for fmt, digest in want.items():
+        code, out, _ = run(capsys, "realize", "--family", "D", "--n", "5",
+                           "--alpha", "1", "--beta", "3", "--format", fmt)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert "dim 34 (expected 45)\nfail\n" in run(
+        capsys, "realize", "--family", "D", "--n", "5", "--alpha", "1",
+        "--beta", "3")[1]
 
 
 def test_realize_parameter_error(capsys):

@@ -1,8 +1,11 @@
-"""The family closure proved from the catalog and the form
+"""The family closure read from the catalog and the form
 (`certify.catalog_closure`): the catalog images bound the closure's
 dimension from below and the classical algebra of the realization's
-traces or form (`realizations.classical_algebra`) from above.  A realization
-the proof does not cover falls back to `lie_closure`."""
+traces or form (`realizations.classical_algebra`) from above.  The
+closure's dimension is the catalog rank, and its context is that
+classical algebra, on passing and failing points alike; generators
+the classical bound refuses are refused.  No closure is grown:
+`lie_closure` is only the reference these tests compare with."""
 
 import hashlib
 import os
@@ -12,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from extremal_lie import certify
+from extremal_lie import linalg
 from extremal_lie.certify import catalog_closure, certify_family
+from extremal_lie.extremal import is_extremal
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import expected_catalog_size
 from extremal_lie.realizations import (BilinearForm, ClassicalAlgebra,
@@ -27,10 +31,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture
 def closures(monkeypatch):
-    """The argument lists of every `lie_closure` call `certify` makes."""
+    """The argument lists of every closure grown from here on: every
+    `lie_closure` grows one with `linalg.bracket_closure`."""
     calls = []
-    monkeypatch.setattr(certify, "lie_closure",
-                        lambda *a: calls.append(a) or lie_closure(*a))
+    grow = linalg.bracket_closure
+    monkeypatch.setattr(linalg, "bracket_closure",
+                        lambda *a: calls.append(a) or grow(*a))
     return calls
 
 
@@ -70,6 +76,7 @@ def test_catalog_closure_is_lie_closure(family, n, params, field,
     closure, span = catalog_closure(family, n, field, mats, extra)
     assert not closures and isinstance(closure, ClassicalAlgebra)
     grown = lie_closure(mats, field)
+    assert len(closures) == 1
     assert closure.dim == grown.dim == span.rank == expected_catalog_size(
         family, n)
     assert all(span.contains(grown.vector(b)) for b in grown.basis())
@@ -84,11 +91,13 @@ def test_passing_certify_family_grows_no_closure(closures):
 
 def test_failing_realization_reports_its_true_dimension(closures):
     """D5 (1,3) over QQ leaves the open conditions' generic locus: its
-    catalog images span 34 of 45 dimensions, so the proof does not
-    apply and the report keeps the dimension `lie_closure` finds.  The
-    digest is the report's before the proof existed."""
+    catalog images span 34 of 45 dimensions, so the closure is a proper
+    subalgebra of o(G), and the report's dimension is the catalog rank,
+    with no closure grown (`lie_closure` finds 34 too, see
+    `test_catalog_rank_is_the_grown_dimension_on_failing_points`).  The
+    digest is the report's from when the closure was still grown."""
     report = certify_family("D", 5, (1, 3), QQ)
-    assert len(closures) == 1
+    assert not closures
     assert report.verdict == "fail"
     assert (report.dim, report.catalog_rank, report.dim_expected) == (
         34, 34, 45)
@@ -154,47 +163,76 @@ def test_classical_dim_refuses_bad_input(case):
     assert classical_algebra(family, F, rows, extra) is None
 
 
-def test_a_refused_bound_falls_back(closures):
+def test_a_refused_bound_raises(closures):
     """The catalog images of the perturbed D5 generators are still 45
-    independent elements, so only the refused upper bound sends the
-    closure to `lie_closure`, which finds more."""
+    independent elements, but no o(G) holds the perturbed generator,
+    so the closure is refused, with the check named, and none grown."""
     family, rows, extra = _perturbed_generator()
-    closure, span = catalog_closure(family, 5, F, rows, extra)
-    assert len(closures) == 1 and span.rank == 45
-    assert not isinstance(closure, ClassicalAlgebra)
-    assert closure.dim == lie_closure(rows, F).dim > 45
+    with pytest.raises(ValueError, match="^D5: no classical algebra holds "
+                       "the generators"):
+        catalog_closure(family, 5, F, rows, extra)
+    assert not closures
 
 
-def test_a_bound_above_the_catalog_size_falls_back(closures):
+def test_a_bound_above_the_catalog_size_raises(closures):
     """D5's generators checked against the B5 catalog: the 36 images are
     independent, as many as B5's catalog has, but the form bounds the
-    closure by 45 only, so the closure is grown and has dimension 45."""
+    closure by 45 only, so the closure is refused."""
     rows, extra = realization("D", 5, params=(2, 3))
-    closure, span = catalog_closure("B", 5, F, rows, extra)
-    assert not isinstance(closure, ClassicalAlgebra)
     assert classical_algebra("B", F, rows, extra).dim == 45
-    assert span.rank == expected_catalog_size("B", 5) == 36
-    assert len(closures) == 1 and closure.dim == 45
+    with pytest.raises(ValueError, match="^B5: the classical algebra has "
+                       "dimension 45, not the catalog size 36$"):
+        catalog_closure("B", 5, F, rows, extra)
+    assert not closures
 
 
 def test_the_bound_is_checked_under_python_O():
     """`python -O` strips assert statements; the perturbed generator is
-    still refused and the closure grown."""
+    still refused."""
     script = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import test_closure_proof as t\n"
         "from extremal_lie import certify\n"
-        "calls = []\n"
-        "grow = certify.lie_closure\n"
-        "certify.lie_closure = lambda *a: calls.append(1) or grow(*a)\n"
         "family, rows, extra = t._perturbed_generator()\n"
-        "closure, _ = certify.catalog_closure(family, 5, t.F, rows, extra)\n"
-        "print(sys.flags.optimize, len(calls), closure.dim)\n")
+        "try:\n"
+        "    certify.catalog_closure(family, 5, t.F, rows, extra)\n"
+        "except ValueError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-O", "-c", script,
                           str(Path(__file__).parent)],
                          capture_output=True, text=True, env=env,
-                         timeout=300, check=True).stdout.split()
-    optimize, calls, dim = map(int, out)
-    assert optimize == 1 and calls == 1 and dim > 45
+                         timeout=300, check=True).stdout
+    assert out.startswith("1 D5: no classical algebra holds the generators")
+
+
+def _failing_points():
+    """Every (alpha, beta) of D5 and D6 over GF(7) whose catalog rank
+    is below the catalog size (34 of 45, 50 of 66; the others of the
+    49 pass or are refused), then D5 (1,3) and D6 (1,3) over QQ, as
+    (n, field, params)."""
+    gf7 = PrimeField(7)
+    points = [(5, gf7, (1, 3)), (5, gf7, (2, 1)), (5, gf7, (3, 1)),
+              (5, gf7, (4, 1)), (5, gf7, (6, 3)), (6, gf7, (1, 3)),
+              (6, gf7, (3, 1)), (6, gf7, (6, 1)), (6, gf7, (6, 3))]
+    return points + [(5, QQ, (1, 3)), (6, QQ, (1, 3))]
+
+
+@pytest.mark.parametrize("n,field,params", _failing_points(),
+                         ids=lambda v: str(v))
+def test_catalog_rank_is_the_grown_dimension_on_failing_points(
+        n, field, params):
+    """Where the catalog rank is below the catalog size, the closure
+    `lie_closure` grows has that rank as its dimension (the filtration
+    lemma quoted at `catalog_closure`), and the classical algebra's
+    extremality rule gives the `is_extremal` sweep's flags over the
+    grown basis."""
+    mats, extra = build_generators("D", n, field,
+                                   tuple(field(p) for p in params))
+    classical, span = catalog_closure("D", n, field, mats, extra)
+    assert span.rank < expected_catalog_size("D", n)
+    grown = lie_closure(mats, field)
+    assert span.rank == grown.dim
+    assert [classical.extremal(g) for g in grown.generators_list] == [
+        is_extremal(grown, g)[0] for g in grown.generators_list]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import (KERNEL_FIELDS, form_outcome, lift_closure,
-                      random_element, random_payload, random_vector)
+                      random_combination, random_element, random_payload,
+                      random_vector)
 from extremal_lie import linalg
 from extremal_lie.extremal import (HypothesisFailed, NotProportional,
                                    bracket_form_value, check_premet,
@@ -16,15 +17,17 @@ from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
 from extremal_lie.graphs import build_family_graph
 from extremal_lie.presentation import build_L0
 from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
-                                       lie_closure, transvection)
+                                       classical_algebra, lie_closure,
+                                       transvection)
 
 F = PrimeField(DEFAULT_PRIME)
 
 
 @pytest.fixture(scope="module")
 def sl5():
-    mats, _ = build_generators("A", 5, F)
-    return lie_closure(mats, F), mats
+    """sl_5 as the classical algebra of the A5 generators, and them."""
+    mats, extra = build_generators("A", 5, F)
+    return classical_algebra("A", F, mats, extra), mats
 
 
 def test_generators_are_extremal(sl5):
@@ -111,10 +114,8 @@ def test_exp_ad_is_an_automorphism(sl5):
     a = mats[1]
     t = F(5)
     for _ in range(10):
-        u = alg.from_coords([F(rng.randint(-3, 3))
-                             for _ in range(alg.dim)])
-        v = alg.from_coords([F(rng.randint(-3, 3))
-                             for _ in range(alg.dim)])
+        u = alg.from_coords([rng.randint(-3, 3) for _ in range(alg.dim)])
+        v = alg.from_coords([rng.randint(-3, 3) for _ in range(alg.dim)])
         lhs = exp_ad(alg, t, a, alg.bracket(u, v))
         rhs = alg.bracket(exp_ad(alg, t, a, u), exp_ad(alg, t, a, v))
         assert lhs == rhs
@@ -182,10 +183,8 @@ def test_check_premet_all_identities(sl5):
     rng = random.Random(1)
     for _ in range(20):
         x = mats[rng.randrange(5)]
-        y = alg.from_coords([F(rng.randint(-3, 3))
-                             for _ in range(alg.dim)])
-        z = alg.from_coords([F(rng.randint(-3, 3))
-                             for _ in range(alg.dim)])
+        y = alg.from_coords([rng.randint(-3, 3) for _ in range(alg.dim)])
+        z = alg.from_coords([rng.randint(-3, 3) for _ in range(alg.dim)])
         assert all(check_premet(alg, x, y, z).values())
 
 
@@ -245,8 +244,7 @@ def _not_square_zero(alg, rng):
     a = b = None
     while a is None or linalg.dot(b, a).is_zero():
         a, b = random_vector(K, rng, n, 0.3), random_vector(K, rng, n, 0.3)
-    return [alg.from_coords([random_element(K, rng)
-                             for _ in range(alg.dim)]),
+    return [random_combination(alg, rng),
             _gl_element(K, n, rng, 0.3),
             [[ai * bj for bj in b] for ai in a],
             [[K.one if i == j else K.zero for j in range(n)]
@@ -287,8 +285,7 @@ def test_extremal_value_is_the_two_bracket_value(family, n, params, name):
                for x in square_zero)
     assert all(linalg.Rows(alg.element(x)).factors(K) is None
                for x in others)
-    ys = ([alg.from_coords([random_element(K, rng)
-                            for _ in range(alg.dim)]) for _ in range(3)]
+    ys = ([random_combination(alg, rng) for _ in range(3)]
           + [_gl_element(K, size, rng, rate)
              for rate in (0.5, 0.9, 0.9, 0.95, 0.95) for _ in range(2)])
     kinds = set()

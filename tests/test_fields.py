@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_FIELDS, random_element, random_vector
-from extremal_lie.fields import (_RAT, DEFAULT_PRIME, DescriptorMismatch,
-                                 FieldElement, NoSquareRoot, NotInvertible,
-                                 PrimeField, QuadraticExtension, QQ,
+from extremal_lie.fields import (_RAT, DEFAULT_PRIME, PRIME_BOUND,
+                                 DescriptorMismatch, FieldElement,
+                                 NoSquareRoot, NotInvertible, PrimeField,
+                                 QuadraticExtension, QQ, _is_prime,
                                  lift_element, quadratic_roots)
 
 
@@ -34,6 +35,31 @@ def test_prime_field_division_by_zero(F):
 def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError):
         PrimeField(91)
+
+
+#: the least composites that pass Miller-Rabin to every prime base up to
+#: 37 (psi_12) and up to 41 (psi_13), with their factors (Sorenson and
+#: Webster, Math. Comp. 86, 2017)
+PSI = {318665857834031151167461: (399165290221, 798330580441),
+       3317044064679887385961981: (1287836182261, 2575672364521)}
+
+
+@pytest.mark.parametrize("n", list(PSI), ids=["psi_12", "psi_13"])
+def test_prime_field_refuses_moduli_from_psi_12_on(n):
+    """psi_12 and psi_13 are composite, yet pass the Miller-Rabin test
+    `_is_prime` runs; PrimeField refuses both by the bound, naming it."""
+    a, b = PSI[n]
+    assert a * b == n and _is_prime(n)
+    with pytest.raises(ValueError,
+                       match=f"^PrimeField needs p below {PRIME_BOUND} "):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 2 ** 61 - 1, 2 ** 64 + 13])
+def test_primes_below_psi_12_make_fields(p):
+    assert PRIME_BOUND == min(PSI) and p < PRIME_BOUND
+    F = PrimeField(p)
+    assert F.p == p and F(3) / F(3) == F(1)
 
 
 def test_prime_field_sqrt_roundtrip(F):

@@ -207,3 +207,13 @@ def test_certify_imports_only_evaluate_monomial_from_presentation():
               and node.value.id == "presentation"):
             names.append(node.attr)
     assert names == ["evaluate_monomial"], names
+
+
+def test_only_realizations_names_lie_closure():
+    """No command grows a realization's closure: its context is its
+    classical algebra and its dimension the catalog rank.  So no module
+    but `realizations`, which defines `lie_closure`, and ``__init__``,
+    which exports it, names it."""
+    names = sorted(path.name for path in MODULES
+                   if "lie_closure" in path.read_text())
+    assert names == ["realizations.py"], names

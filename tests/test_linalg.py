@@ -230,9 +230,9 @@ PACKED_PRIMES = {"GF(5)": PrimeField(5), "GF(p)": PrimeField(DEFAULT_PRIME),
 def test_packed_kernels_at_the_slot_width_bound(name):
     """Entries p - 1 throughout, so the packed slots hold sums of
     products (p-1)*(p-1): a 16 x 16 bracket (up to 2N = 32 terms per
-    slot) and every coordinate p - 1 on a D8 basis (dim terms), against
-    the dense FieldElement reference; then the slot-width rule at its
-    bound, T such products in every slot."""
+    slot) and `mat_lincomb` with every coefficient p - 1 over a D8
+    basis (dim terms), against the dense FieldElement reference; then
+    the slot-width rule at its bound, T such products in every slot."""
     K = PACKED_PRIMES[name]
     p, n = K.p, 16
     top = K(p - 1)
@@ -248,8 +248,9 @@ def test_packed_kernels_at_the_slot_width_bound(name):
     coords = [top] * alg.dim
     want = _fold(K, [(c, alg.external(b))
                      for c, b in zip(coords, alg.basis())], n)
-    assert alg.from_coords(coords) == _rows(K, want)
-    assert alg.from_coords([p - 1] * alg.dim) == _rows(K, want)
+    for cs in (coords, [p - 1] * alg.dim):
+        assert linalg.mat_lincomb(K, list(zip(cs, alg.basis())), n) == \
+            _rows(K, want)
     # mat_lincomb at 2N terms (the bracket's slot width) and at 2N + 1
     # (a wider one), every term a product (p-1)*(p-1), on operands that
     # keep their packed rows from call to call and from kernel to kernel
@@ -268,7 +269,8 @@ def test_packed_kernels_at_the_slot_width_bound(name):
             {k: terms * (p - 1) ** 2 % p for k in range(n)
              if terms % p}
     with pytest.raises(DescriptorMismatch):
-        alg.from_coords([PrimeField(101)(1)] + coords[1:])
+        linalg.mat_lincomb(K, list(zip([PrimeField(101)(1)] + coords[1:],
+                                       alg.basis())), n)
 
 
 def test_mat_lincomb_matches_fold(kernel_field):

@@ -9,6 +9,7 @@ from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
                                        NotIsotropic,
                                        basis_vector, build_generators,
+                                       classical_algebra,
                                        classify_siegel_pair,
                                        classify_transvection_pair,
                                        exp_siegel_action, lie_closure,
@@ -69,12 +70,15 @@ def test_d_needs_a_root_of_one_plus_beta_only_at_even_rank():
         build_generators("D", 6, F, (F(2), F(5)))
 
 
-def test_form_of_a_generators_only_context_names_the_empty_basis():
-    mats, _ = build_generators("D", 5, F, (F(2), F(3)))
-    ctx = MatrixLieAlgebra(F, len(mats[0]), [], mats)
-    with pytest.raises(RuntimeError, match="empty basis"):
-        ctx.form(mats[0], mats[1])
-    assert not lie_closure(mats, F).form(mats[0], mats[1]).is_zero()
+def test_only_the_classical_algebra_has_a_form():
+    """A generators-only context and a grown closure have no form; the
+    classical algebra that holds them has a nonzero one."""
+    mats, extra = build_generators("D", 5, F, (F(2), F(3)))
+    for ctx in (MatrixLieAlgebra(F, len(mats[0]), [], mats),
+                lie_closure(mats, F)):
+        assert not hasattr(ctx, "form")
+    classical = classical_algebra("D", F, mats, extra)
+    assert not classical.form(mats[0], mats[1]).is_zero()
 
 
 def test_transvection_matrix():
@@ -157,16 +161,13 @@ def test_symplectic_transvection_in_sp():
 
 
 def test_form_calibration_symmetric_and_associative():
-    mats, _ = build_generators("B", 5, F, (F(1),))
-    alg = lie_closure(mats, F)
+    mats, extra = build_generators("B", 5, F, (F(1),))
+    alg = classical_algebra("B", F, mats, extra)
     rng = random.Random(2)
     for _ in range(5):
-        a = alg.from_coords([F(rng.randint(-2, 2))
-                             for _ in range(alg.dim)])
-        b = alg.from_coords([F(rng.randint(-2, 2))
-                             for _ in range(alg.dim)])
-        c = alg.from_coords([F(rng.randint(-2, 2))
-                             for _ in range(alg.dim)])
+        a, b, c = (alg.from_coords([rng.randint(-2, 2)
+                                    for _ in range(alg.dim)])
+                   for _ in range(3))
         assert alg.form(a, b) == alg.form(b, a)
         assert alg.form(alg.bracket(a, b), c) == alg.form(a, alg.bracket(b, c))
 
@@ -213,16 +214,16 @@ def test_lie_closure_basis_is_deterministic():
 
 
 def test_from_coords_needs_one_coordinate_per_basis_element():
-    mats, _ = build_generators("A", 4, F)
-    alg = lie_closure(mats, F)
-    coords = [F(k % 5 - 2) for k in range(alg.dim)]
+    mats, extra = build_generators("A", 4, F)
+    alg = classical_algebra("A", F, mats, extra)
+    coords = [k % 5 - 2 for k in range(alg.dim)]
     want = [[F.zero] * 4 for _ in range(4)]
     for c, b in zip(coords, alg.basis()):
         want = [[x + c * y for x, y in zip(r, s)]
                 for r, s in zip(want, alg.external(b))]
     got = alg.from_coords(coords)
     assert alg.external(got) == want
-    for bad in (coords[:-1], coords + [F(1)], []):
+    for bad in (coords[:-1], coords + [1], []):
         with pytest.raises(ValueError):
             alg.from_coords(bad)
 
