@@ -384,7 +384,7 @@ def criterion_10(rng, shared):
                 bad.append(f"D({n};{alpha},{beta}): no candidates")
                 continue
             try:
-                certify._rebuild_model("D", n, ctx.field, vec)
+                certify._rebuild_model("D", n, ctx.field, vec, F)
             except certify.CertifyError as exc:
                 bad.append(f"D({n};{alpha},{beta}): {exc}")
 

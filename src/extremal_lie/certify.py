@@ -50,29 +50,30 @@ runs the same pass against model 1 only when it is checked.  As its own
 model, its c1 are its dim independent images; the glue finds each in
 span_c2, closed of dimension dim, so they span it, and as it holds
 every generator (a singleton label) it is side 1's closure: its pass
-could not fail.  Each pass names the first product that fails.  A side
-is its own model when the two normal forms have one base field, equal
-base matrices and equal scalars (`_own_model`): each product is solved
-from exactly its model's bracket in exactly its model's images, so the
-check holds as built and its images serve as the model's.  Side 2 then
-needs only its span proved closed, and the classical bound proves it as
-`certify_family` proves its closure (`_classical_bound`): its dim
-catalog images are independent, and every base generator y_k lies in a
-classical algebra of dimension dim, sl_N when every y_k is traceless
-(A) or the o(G) of the rebuilt model (B, D), so the images span the
-closure.  A C side, whose form is not known, and a side whose bound
-fails take a pass with no model, which proves the span closed by
-membership.  Every A or C side is its own model, and so is a B or D
-side of standard generators whose model rebuilds them; a side in other
-coordinates, or one whose psi rebuilds at another parameter point (D5
-(2,3) at (0,15)), is checked.  A pass solves on its side's base
-generators y_k, over the base field, and meets the scalars through one
-ratio per generator, side scalar over model scalar.  The glue matrix G
-holds the coordinates of the c1 in the basis c2: the c1 are independent
-and in the closed span of as many c2, so G is invertible, and it is the
+could not fail.  Each pass names the first product that fails.  Both
+models are built over the sides' field, and a side is its own model
+when its normal form has its model's base matrices and scalars
+(`_own_model`): each product is solved from exactly its model's
+bracket in exactly its model's images, so the check holds as built and
+its images serve as the model's.  Side 2 then needs only its span
+proved closed, and the classical bound proves it as `certify_family`
+proves its closure (`_classical_bound`): its dim catalog images are
+independent, and every base generator y_k lies in the classical
+algebra of the family's standard form (`standard_form`), sl_N, o(G) or
+sp(G), of dimension dim, so the images span the closure.  A side whose
+bound fails, such as one in other coordinates, takes a pass with no
+model, which proves the span closed by membership.  Every A or C side
+is its own model, and so is a B or D side of standard generators whose
+model rebuilds them; a B or D side in other coordinates, or one whose
+psi rebuilds at another parameter point (D5 (2,3) at (0,15)), is
+checked.  A pass solves on its side's base generators y_k, over the
+base field, and meets the scalars through one ratio per generator,
+side scalar over model scalar.  The glue matrix G holds the
+coordinates of the c1 in the basis c2: the c1 are independent and in
+the closed span of as many c2, so G is invertible, and it is the
 identity map of matrices, which needs no check.  So model 1's table is
-model 2's in the basis G gives, and b1_i -> sum_a G_ia b2_a, through the
-models, is an isomorphism on every pair.
+model 2's in the basis G gives, and b1_i -> sum_a G_ia b2_a, through
+the models, is an isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
 generator (by side 2's model check or, when side 2 is its own model, by
@@ -108,8 +109,7 @@ from dataclasses import asdict, dataclass
 
 from . import linalg
 from .fields import (FieldElement, NoSquareRoot, QuadraticExtension,
-                     lift_element, QQ, quadratic_roots, restrict, tower,
-                     tower_maps)
+                     lift_element, QQ, quadratic_roots, tower_maps)
 from .graphs import (FAMILY_PARAMS, build_family_graph, catalog,
                      expected_catalog_size)
 from .presentation import evaluate_monomial
@@ -117,7 +117,8 @@ from .extremal import (extremal_form_value, fixtriangle, check_premet,
                        triangle_open, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, build_generators,
                            classical_algebra, InvalidParameters,
-                           d_open_conditions, generators_D, generators_B)
+                           d_open_conditions, generators_D, generators_B,
+                           standard_form)
 
 
 class CertifyError(Exception):
@@ -812,60 +813,24 @@ def _psi_in(vec, fld):
                      tuple(lift_element(v, fld) for v in vec.values))
 
 
-def _standard_context(family, n, params, base=None):
-    """The context of the standard generators of B (params (gamma,)) or
-    D (a `solve_params_D` candidate: (alpha, beta) and, at even rank,
-    the special-vector coordinate), over the lowest level of the
-    parameters' tower that holds them, contains the level `base` (any
-    level when None) and has the square roots the construction takes:
-    over the base field whenever it can be.  The construction takes
-    each root once, and the root of a square of a lower level is that
-    level's root, so a higher level would build the same matrices.  The
-    context is the o(G) of the form the construction returns
-    (`classical_algebra`), which holds the generators, Siegel elements
-    of that form; its dimension is the bound that proves an own-model
-    side closed (`_classical_bound`).  Raises the InvalidParameters of
-    the last level tried."""
-    levels = tower(params[0].field)
-    if base is not None:
-        levels = levels[next(i for i, f in enumerate(levels)
-                             if f.same(base)):]
-    error = None
-    for level in levels:
-        values = [restrict(v, level) for v in params]
-        if None in values:
-            continue
-        try:
-            if family == "B":
-                mats, extra = generators_B(n, level, *values)
-            else:
-                alpha, beta, *c = values
-                mats, extra = generators_D(n, level, alpha, beta,
-                                           force_special_c=c[0] if c else None)
-            # normalisation and psi need brackets and combinations only;
-            # the o(G) of the form bounds an own-model side's closure
-            return classical_algebra(family, level, mats, extra)
-        except InvalidParameters as exc:
-            error = exc
-    raise error
-
-
-def _rebuild_model(family, n, fld, target_psi, base=None):
-    """Standard generators whose canonical gauge reproduces
-    `target_psi`; returns (params, ctx, gens), params the solved
-    candidate without D's special-vector coordinate, and (ctx, gens)
-    the model's normal form, its scalars starting in `fld` and its
-    matrices over the field `_standard_context` gives for `base`.
-    Raises FormMismatch if no solved parameter candidate reproduces the
-    normalized form values.
+def _rebuild_model(family, n, fld, target_psi, field):
+    """Standard generators over `field`, the sides' base field, whose
+    canonical gauge reproduces `target_psi`; returns (params, ctx,
+    gens), params the solved candidate without D's special-vector
+    coordinate, and (ctx, gens) the model's normal form, its scalars
+    starting in `fld`.  A candidate is (gamma,) for B, or a
+    `solve_params_D` candidate for D: (alpha, beta) and, at even rank,
+    the special-vector coordinate.  One whose parameters do not lie in
+    `field`, or that the construction refuses (InvalidParameters), is
+    skipped.  Raises FormMismatch if no solved parameter candidate
+    reproduces the normalized form values.
 
     No candidate is closed here.  The model checks (`_check_side`)
     find each model's catalog images independent and closed under every
     generator, so they span its closure, of dimension the catalog size;
     otherwise they raise StructureMismatch.  When side 2 is its own
-    model, no check runs on model 2: its context, the o(G) of
-    `_standard_context`, is the classical bound that proves side 2's
-    span closed (`_classical_bound`)."""
+    model, no check runs on model 2: its images are side 2's, which
+    `_classical_bound` or a pass with no model proves closed."""
     flong = target_psi.values[-1]
     if family == "B":
         candidates = [(solve_param_B(flong, n),)]
@@ -873,10 +838,21 @@ def _rebuild_model(family, n, fld, target_psi, base=None):
         fshort = target_psi.values[n - 4]
         candidates = solve_params_D(flong, fshort, n)
     for cand in candidates:
+        values = [tower_maps(field, v.field)[1](v.v) for v in cand]
+        if None in values:
+            continue
+        values = [FieldElement(field, v) for v in values]
         try:
-            ctx = _standard_context(family, n, cand, base)
+            if family == "B":
+                mats, _ = generators_B(n, field, *values)
+            else:
+                alpha, beta, *c = values
+                mats, _ = generators_D(n, field, alpha, beta,
+                                       force_special_c=c[0] if c else None)
         except InvalidParameters:
             continue
+        # normalisation and psi need brackets and combinations only
+        ctx = MatrixLieAlgebra(field, len(mats[0]), [], mats)
         try:
             mctx, mg = normalize_generators(family, ctx, ctx.generators_list,
                                             fld)
@@ -953,22 +929,21 @@ def _check_side(ctx, gens, labels, name, model=None):
     lie in their span.  A unit product, (k,) + label(b) a label, is an
     image as built, so only the other n * dim - (dim - n) products take
     a bracket.  With `model` None the side is its own model
-    (`_own_model`) and no classical bound proves its span closed
-    (`_classical_bound`), as for a C side: nothing reads the
-    coordinates, so membership proves the span closed
-    (`SpanSolver.contains`).
+    (`_own_model`) and outside the classical algebra of its family's
+    standard form (`_classical_bound`): nothing reads the coordinates,
+    so membership proves the span closed (`SpanSolver.contains`).
 
     Otherwise `model` is (mctx, mgens, party), the model's normal form
-    x_k = nu_k z_k, and each product is solved once, T_kb^j its
-    coordinates in the b_j, and at once applied to the model's images
-    e_b in the z_k.  With rho_k = lambda_k / nu_k and R_b the product of
-    the rho along label b (`_label_scalars`), the catalog images factor
-    by bilinearity, and the model has the side's left multiplication
-    at (k, b) exactly when
+    x_k = nu_k z_k over the side's base field, and each product is
+    solved once, T_kb^j its coordinates in the b_j, and at once applied
+    to the model's images e_b in the z_k.  With rho_k = lambda_k / nu_k
+    and R_b the product of the rho along label b (`_label_scalars`), the
+    catalog images factor by bilinearity, and the model has the side's
+    left multiplication at (k, b) exactly when
 
         [z_k, e_b] - sum_j (rho_k R_b / R_j) T_kb^j e_j = 0.
 
-    The e_j are independent over the model's base field, so the
+    The e_j are independent over the base field, so the
     coordinates of [z_k, e_b] in them are unique and lie in it: a
     coefficient whose ratio leaves that field fails the product, and
     otherwise the base residual must vanish.  A unit product is an
@@ -977,7 +952,7 @@ def _check_side(ctx, gens, labels, name, model=None):
     recursion, so the two tables agree on every pair; none is stored.
 
     Returns (vectors, span): the coordinate vectors of the model's
-    images over its base field (the side's own with no model) and their
+    images over the base field (the side's own with no model) and their
     `SpanSolver`; closed under every generator, they span the closure.
     Raises StructureMismatch "<name>: catalog images are dependent",
     then "<party>: catalog images are dependent", or at the first
@@ -1000,9 +975,8 @@ def _check_side(ctx, gens, labels, name, model=None):
         inv = [div(unit, r) for r in ratio]
         mimages, mvectors, mspan = _independent_images(mbase, zs, labels,
                                                        party)
-        up = tower_maps(base.field, field)[0]
-        down = tower_maps(mbase.field, field)[1]
-        axpy = mbase.field.axpy
+        up, down = tower_maps(base.field, field)
+        axpy = base.field.axpy
     labelled = set(labels)
     for k, y in enumerate(ys, start=1):
         for b, lab in enumerate(labels):
@@ -1035,37 +1009,33 @@ def _check_side(ctx, gens, labels, name, model=None):
 
 def _own_model(ctx, gens, mctx, mgens):
     """Whether a side is its own model: its normal form (ctx, gens) and
-    its model's (mctx, mgens) have one base field, equal base matrices
-    y_k == z_k as payload rows, and equal scalars, lambda_k lifted into
-    the model's field being nu_k.  Each product of the side is then
-    solved from exactly the bracket [z_k, e_b] in exactly the model's
-    images e_b, so every ratio rho_k of `_check_side` is 1 and each
-    residual is zero: the check cannot fail, and the side's images are
-    the model's.  An A or C model is its side, so every A or C side is
+    its model's (mctx, mgens), over one base field, have equal base
+    matrices y_k == z_k as payload rows, and equal scalars, lambda_k
+    lifted into the model's field being nu_k.  Each product of the side
+    is then solved from exactly the bracket [z_k, e_b] in exactly the
+    model's images e_b, so every ratio rho_k of `_check_side` is 1 and
+    each residual is zero: the check cannot fail, and the side's images
+    are the model's.  An A or C model is its side, so every A or C side is
     its own model."""
     field = mctx.field
-    return (ctx.base.field.same(mctx.base.field)
-            and [g.a for g in gens] == [m.a for m in mgens]
+    return ([g.a for g in gens] == [m.a for m in mgens]
             and _scalars(gens, field) == _scalars(mgens, field))
 
 
-def _classical_bound(family, ctx, gens, mctx, dim):
-    """Whether a classical algebra of dimension `dim` holds every base
+def _classical_bound(family, ctx, gens, dim):
+    """Whether the classical algebra of the family's standard form
+    (`standard_form`; sl_N for A), of dimension `dim`, holds every base
     generator y_k of a side that is its own model, its normal form
-    (ctx, gens) and its model's context mctx: sl_N when every y_k is
-    traceless (A), or the o(G) of the rebuilt model (B, D,
-    `_standard_context`) when every y_k is in it.  Then the side's
-    closure lies in that algebra, so its `dim` independent catalog
-    images span the closure: their span is closed, and no pass needs to
-    prove it.  False when no bound is known, as for C, whose side has
-    no model and so no known form, or when the dimensions differ."""
-    ys = [g.a for g in gens]
-    if family == "A":
-        bound = classical_algebra(family, ctx.base.field, ys, None)
-    elif family in ("B", "D"):
-        bound = mctx.base if all(mctx.base.holds(y) for y in ys) else None
-    else:
-        bound = None
+    (ctx, gens): `classical_algebra`, as `certify_family` proves a
+    realization's closure.  Then the side's closure lies in that
+    algebra, so its `dim` independent catalog images span the closure:
+    their span is closed, and no pass needs to prove it.  False when a
+    y_k leaves the algebra, as in a realization in other coordinates,
+    or when the dimensions differ."""
+    base = ctx.base
+    form = standard_form(family, base.field, base.ambient_dim)
+    bound = classical_algebra(family, base.field, [g.a for g in gens],
+                              (form,))
     return bound is not None and bound.dim == dim
 
 
@@ -1076,17 +1046,16 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     is not its own model (`_own_model`) on its model's generator
     products, side 2 first, in one pass per side (`_check_side`), then
     glue the two models.  A side 1 that is its own model runs no pass,
-    and neither does an own-model side 2 that a classical bound proves
-    closed (`_classical_bound`): an A side, or a B or D side, but not a
-    C side.  A and C sides, and every B or D side whose model rebuilds
-    its normal form, run no model check.  The module docstring says
-    what that proves.
+    and neither does an own-model side 2 in the classical algebra of its
+    family's standard form (`_classical_bound`).  A and C sides, and
+    every B or D side whose model rebuilds its normal form, run no
+    model check.  The module docstring says what that proves.
 
     The scalars of each normal form start in the field the one before
     reached: side 1, side 2, model 1, model 2.  All matrix work runs
-    over the fields of the matrices.  A pass meets its model's scalars
-    through one ratio per generator, and the last field reached only
-    rescales the glue into `basis_map`.
+    over the sides' field, the models' included.  A pass meets its
+    model's scalars through one ratio per generator, and the last field
+    reached only rescales the glue into `basis_map`.
 
     Either side may be a closure or hold generators only: side 2's
     bound or pass proves the dimension, and the certificate's `dim` is
@@ -1113,12 +1082,10 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         mctx1, m1 = ctx1, g1
         mctx2, m2 = ctx2, g2
     else:
-        # model 2's matrices over a field containing model 1's keep the
-        # glue solve in one field
-        params1, mctx1, m1 = _rebuild_model(family, n, ctx2.field, psi1)
+        params1, mctx1, m1 = _rebuild_model(family, n, ctx2.field, psi1,
+                                            alg1.field)
         params2, mctx2, m2 = _rebuild_model(
-            family, n, mctx1.field, _psi_in(psi2, mctx1.field),
-            mctx1.base.field)
+            family, n, mctx1.field, _psi_in(psi2, mctx1.field), alg1.field)
 
     # side 2 first: unless it is its own model, its pass checks it
     # against model 2 and proves its span closed; as its own model, a
@@ -1126,7 +1093,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     if not _own_model(ctx2, g2, mctx2, m2):
         span_c2 = _check_side(ctx2, g2, labels, "side 2",
                               (mctx2, m2, "model 2"))[1]
-    elif _classical_bound(family, ctx2, g2, mctx2, len(labels)):
+    elif _classical_bound(family, ctx2, g2, len(labels)):
         span_c2 = _independent_images(ctx2.base, [g.a for g in g2], labels,
                                       "side 2")[2]
     else:
@@ -1142,8 +1109,7 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     top = mctx2.field
     mu1 = _label_scalars(top, _scalars(m1, top), labels)
     mu2 = _label_scalars(top, _scalars(m2, top), labels)
-    up12 = tower_maps(mctx1.base.field, mctx2.base.field)[0]
-    up = tower_maps(mctx2.base.field, top)[0]
+    up = tower_maps(alg1.field, top)[0]
     # what follows reads c1, span_c2 and the scalars only: dropping the
     # matrix algebras lowers the peak memory
     del ctx1, ctx2, mctx1, mctx2, g1, g2, m1, m2
@@ -1155,12 +1121,12 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     # G gives, and with the two model checks b1_i -> sum_a G_ia b2_a is
     # an isomorphism.  With c1_i = mu1_i e1_i and c2_a = mu2_a e2_a,
     # G_ia = mu1_i / mu2_a Gbase_ia for the coordinates Gbase of the e1
-    # in the e2, solved over model 2's matrix field
+    # in the e2, solved over the sides' field
     mul, div, one = top.mul, top.div, top.one.v
     inv2 = [div(one, m) for m in mu2]
     glue = []
     for m, v in zip(mu1, c1):
-        row = span_c2.sparse_coords({j: up12(x) for j, x in v.items()})
+        row = span_c2.sparse_coords(v)
         if row is None:
             raise StructureMismatch("model closures do not coincide")
         glue.append({a: mul(mul(m, inv2[a]), up(x)) for a, x in row.items()})

@@ -54,9 +54,8 @@ no slot carries into the next and one C-level multiply-add does the
 work of a whole row, read back with one ``% p`` per slot.  Rationals
 stay on ``axpy`` because fractions cannot be packed.  Quadratic
 extensions have the generic ``axpy`` only: the isomorphism matching
-keeps only scalars there and does its matrix work over the base field,
-so the kernel serves the rare model whose parameters exist only in an
-extension.
+keeps only scalars there and does its matrix work, its models' too,
+over the base field.
 """
 
 from fractions import Fraction
@@ -644,18 +643,3 @@ def lift_element(elem, field):
     """Re-express elem in `field`, which must be reachable from elem.field
     by a chain of quadratic extensions (or be the same field)."""
     return FieldElement(field, tower_maps(elem.field, field)[0](elem.v))
-
-
-def restrict(elem, field):
-    """elem as an element of `field`, a level of the quadratic-extension
-    tower of elem.field, or None when it does not lie in `field`."""
-    v = tower_maps(field, elem.field)[1](elem.v)
-    return None if v is None else FieldElement(field, v)
-
-
-def tower(field):
-    """The levels of field's quadratic-extension tower, lowest first."""
-    levels = [field]
-    while isinstance(levels[-1], QuadraticExtension):
-        levels.append(levels[-1].base)
-    return levels[::-1]

@@ -65,7 +65,8 @@ membership or count a rank do no expression work.  A match makes one
 pass over the generator products of each side it proves
 (`certify._check_side`): a product is solved to coordinates, once,
 only when a model check applies them, and a side that is its own model
-tests membership (`contains`), since nothing reads its coordinates.
+but outside its family's standard classical algebra tests membership
+(`contains`), since nothing reads its coordinates.
 A zero row costs O(1): `echelon` drops empty input rows before it
 copies them, and `_reduce` stops scanning the kept rows as soon as the
 vector it reduces is empty.  Most relation rows of the graded

@@ -102,6 +102,17 @@ def orthogonal_form_odd(field, m):
     return BilinearForm(field, 2 * m + 1, entries)
 
 
+def standard_form(family, field, size):
+    """The form of the standard realizations of `family` on F^size, as
+    `generators_C`, `generators_D` and `generators_B` build it: None for
+    A.  A size of the wrong parity gives a form of another size."""
+    if family == "A":
+        return None
+    build = {"C": symplectic_form, "D": orthogonal_form_even,
+             "B": orthogonal_form_odd}[family]
+    return build(field, size // 2)
+
+
 def basis_vector(field, dim, idx):
     v = [field.zero] * dim
     v[idx] = field.one

@@ -15,7 +15,7 @@ from conftest import (KERNEL_FIELDS, form_outcome, lift_closure, lift_rows,
 from extremal_lie import certify, linalg
 from extremal_lie.certify import (PSI_LENGTH, CertifyError,
                                   ConditionViolated, FormMismatch,
-                                  NoRootInField, PsiVector,
+                                  PsiVector,
                                   StructureMismatch,
                                   certify_family, check_genericity,
                                   graph_realization_check,
@@ -453,12 +453,13 @@ def test_match_rejects_realizations_over_different_fields(b5):
         match_algebras(alg, mats, lie_closure(others, G), others, "B")
 
 
-def _exp_conjugated(family, n, scalars=(3, -2)):
+def _exp_conjugated(family, n, scalars=(3, -2), params=()):
     """Criterion 9's A5 and C6 pairs, the first also the A5 job of the
-    benchmark at seed 0: the standard generators and their conjugate by
-    exp(s1 ad x_1) then exp(s2 ad x_3), (s1, s2) = `scalars`."""
+    benchmark at seed 0: the standard generators, at the family
+    parameters `params`, and their conjugate by exp(s1 ad x_1) then
+    exp(s2 ad x_3), (s1, s2) = `scalars`."""
     s1, s2 = scalars
-    alg, mats = closure_of(family, n)
+    alg, mats = closure_of(family, n, params)
     mats = alg.generators_list
     conj = [exp_ad(alg, F(s1), mats[0], g) for g in mats]
     conj = [exp_ad(alg, F(s2), mats[2], g) for g in conj]
@@ -1108,7 +1109,7 @@ def test_rebuilt_models_close_to_the_catalog_dimension(family, n, params):
     alg, mats = closure_of(family, n, params)
     ctx, gens = normalize_generators(family, alg, mats)
     _, mctx, model = certify._rebuild_model(family, n, ctx.field,
-                                            psi(family, ctx, gens))
+                                            psi(family, ctx, gens), F)
     closure = lie_closure([g.a for g in model], mctx.base.field)
     assert closure.dim == expected_catalog_size(family, n)
 
@@ -1318,10 +1319,9 @@ def test_certify_family_rationals_agree_with_prime_field(family, n, params):
 @pytest.mark.parametrize("family,n", [("A", 5), ("C", 6)])
 def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
     """An A or C side is its own model: each side's catalog images are
-    built once and no model check runs.  An A side 2 is traceless, so
-    sl_N bounds its closure and proves its span closed with no pass; a
-    C side 2 has no known form, and its pass, with no model, proves
-    its span closed."""
+    built once and no model check runs.  An exp-conjugated side 2 lies
+    in sl_N or in the standard sp(G), which bounds its closure and
+    proves its span closed with no pass."""
     sides = _exp_conjugated(family, n)
     images, passes = [], []
     catalog_images, check_side = certify._catalog_images, certify._check_side
@@ -1331,7 +1331,7 @@ def test_a_and_c_sides_are_their_own_models(family, n, monkeypatch):
                         lambda *a: passes.append(a[3:]) or check_side(*a))
     assert match_algebras(*sides, family).verdict == "pass"
     assert len(images) == 2
-    assert passes == ([] if family == "A" else [("side 2", None)])
+    assert passes == []
 
 
 def test_a_side_2_span_that_is_not_closed_is_refused(monkeypatch):
@@ -1399,6 +1399,28 @@ def test_a_wrong_model_for_side_1_fails_side_1(monkeypatch):
         match_algebras(alg, mats, alg, mats, "B")
 
 
+def test_a_candidate_outside_the_sides_field_is_skipped(monkeypatch):
+    """A model is built over the sides' field only.  With `solve_param_B`
+    giving gamma = rt d, the root the B5 normal forms adjoin, in
+    GF(p)(rt d) but not in GF(p), the one candidate is skipped: the
+    match raises FormMismatch and builds no matrix context over the
+    extension."""
+    sides = _param_pair("B", 5, F, (1,), (2,))
+
+    def outside(f_long, n):
+        assert isinstance(f_long.field, QuadraticExtension)
+        return f_long.field.root
+
+    fields = []
+    init = MatrixLieAlgebra.__init__
+    monkeypatch.setattr(certify, "solve_param_B", outside)
+    monkeypatch.setattr(MatrixLieAlgebra, "__init__", lambda self, field, *a:
+                        fields.append(field) or init(self, field, *a))
+    with pytest.raises(FormMismatch, match="^no solved parameter candidate"):
+        match_algebras(*sides, "B")
+    assert all(field.same(F) for field in fields)
+
+
 def _degenerate_model(monkeypatch, call):
     """Make the `call`-th `_rebuild_model` (1 for model 1, 2 for model
     2) return zero generators, and match B5 gamma = 1 with itself."""
@@ -1439,7 +1461,12 @@ def _conjugated(family, n, params, seed=0):
     invertible P over GF(p): an isomorphic realization in other
     coordinates."""
     mats, _ = build_generators(family, n, F, tuple(F(p) for p in params))
-    size = len(mats[0])
+    return mats, _conjugator(len(mats[0]), seed)(mats)
+
+
+def _conjugator(size, seed=0):
+    """The map sending a list of size x size matrices over GF(p) to
+    their conjugates P g P^-1, for one random invertible P."""
     rng = random.Random(seed)
     while True:
         p = [[F(rng.randrange(F.p)) for _ in range(size)]
@@ -1454,7 +1481,7 @@ def _conjugated(family, n, params, seed=0):
         return [[sum((a[i][k] * b[k][j] for k in range(size)), F.zero)
                  for j in range(size)] for i in range(size)]
 
-    return mats, [mul(mul(p, m), p_inv) for m in mats]
+    return lambda mats: [mul(mul(p, m), p_inv) for m in mats]
 
 
 CONJUGATED = [
@@ -1474,6 +1501,37 @@ def test_match_a_randomly_conjugated_realization(family, n, params):
     dim = expected_catalog_size(family, n)
     assert cert.verdict == "pass"
     assert cert.pairs_checked == dim * (dim - 1) // 2
+
+
+#: the (side, model) of each `_check_side` call of a match whose two
+#: sides are checked against their models
+BOTH_CHECKED = [("side 2", "model 2"), ("side 1", "model 1")]
+
+
+@pytest.mark.parametrize("family,n,params,passes", [
+    ("A", 5, (), []), ("B", 5, (1,), BOTH_CHECKED),
+    ("C", 6, (), [("side 2", None)]), ("D", 5, (2, 3), BOTH_CHECKED),
+], ids=["A5", "B5", "C6", "D5"])
+def test_a_side_outside_the_standard_algebra_takes_the_membership_pass(
+        family, n, params, passes, monkeypatch):
+    """`_exp_conjugated`'s two sides, conjugated again by one random
+    invertible P, are a pair in other coordinates that share one matrix
+    span.  A C side 2 is its own model but leaves the standard sp(G),
+    so the classical bound fails and its one pass, with no model,
+    proves its span closed.  An A side 2 stays traceless, so sl_N
+    still proves it; B and D sides are checked against their models,
+    side 2 first."""
+    alg, mats, _, conj = _exp_conjugated(family, n, params=params)
+    move = _conjugator(len(mats[0]))
+    sides = [move([alg.external(g) for g in gs]) for gs in (mats, conj)]
+    calls = []
+    check_side = certify._check_side
+    monkeypatch.setattr(certify, "_check_side", lambda *a: calls.append(
+        (a[3], a[4] and a[4][2])) or check_side(*a))
+    cert = match_algebras(lie_closure(sides[0], F), sides[0],
+                          lie_closure(sides[1], F), sides[1], family)
+    assert cert.verdict == "pass"
+    assert calls == passes
 
 
 def _materialised(ctx, gens, field):
@@ -1517,11 +1575,10 @@ MODEL_CHECKS = {
 @pytest.mark.parametrize("name", list(RESCALE_CASES))
 def test_match_tables_side_1_only_when_it_is_checked(name, monkeypatch):
     """Side 2 gets a pass when it is checked against its model
-    (`MODEL_CHECKS`), and as its own model only when no classical bound
-    proves its span closed: a C side, whose form is not known.  An A, B
-    or D side 2 that is its own model is proved by sl_N or by its
-    model's o(G), with no pass.  Side 1 gets one only when it is checked
-    against its model, and no model gets one of its own."""
+    (`MODEL_CHECKS`); as its own model it is proved by its family's
+    standard algebra, sl_N, o(G) or sp(G), with no pass.  Side 1 gets
+    one only when it is checked against its model, and no model gets
+    one of its own."""
     family, sides = RESCALE_CASES[name]()
     passes, bounds = [], []
     check_side, bound = certify._check_side, certify._classical_bound
@@ -1531,10 +1588,8 @@ def test_match_tables_side_1_only_when_it_is_checked(name, monkeypatch):
                         lambda *a: bounds.append(bound(*a)) or bounds[-1])
     assert match_algebras(*sides, family).verdict == "pass"
     checked = "side 2" in MODEL_CHECKS[name]
-    assert bounds == ([] if checked else [family != "C"])
-    side_2 = checked or family == "C"
-    assert passes == (["side 2"] if side_2 else []) + [
-        s for s in MODEL_CHECKS[name] if s == "side 1"]
+    assert bounds == ([] if checked else [True])
+    assert passes == MODEL_CHECKS[name]
 
 
 def _recorded_match(monkeypatch, family, sides):
@@ -1774,14 +1829,13 @@ def test_the_classical_bound_gives_the_certificate_of_the_pass(
     """The differential test of `_classical_bound`: with it refusing,
     every side 2 that is its own model takes the membership pass, and
     each certificate equals the default one, in which the bound proves
-    an own-model A, B or D side 2 (not a C side, nor a side 2 checked
-    against its model)."""
+    every own-model side 2 (not a side 2 checked against its model)."""
     family, sides = BOUND_CASES[name]()
     default, forced, proved = _outcomes_with_and_without_bound(
         monkeypatch, family, sides)
     assert default.verdict == "pass" and forced == default
     checked = "side 2" in MODEL_CHECKS.get(name, [])
-    assert proved == (family != "C" and not checked)
+    assert proved == (not checked)
 
 
 #: sides over GF(7) and GF(11), as (family, params) of their standard
@@ -1836,24 +1890,24 @@ def _bound_arguments(monkeypatch, name):
     return args
 
 
-@pytest.mark.parametrize("name", ["A5-conj", "B5", "D5"])
+@pytest.mark.parametrize("name", ["A5-conj", "B5", "C6-conj", "D5"])
 def test_the_classical_bound_fails_when_a_condition_fails(name,
                                                           monkeypatch):
     """The bound holds for side 2 as the match forms it, and fails when
     one of its conditions does: the dimension one off, or one base
     generator y_k plus the identity, for each k in turn, which has
-    trace N != 0 (A) and leaves o(G), X = 1 giving X^T G + G X = 2G
-    (B, D)."""
-    family, ctx, gens, mctx, dim = _bound_arguments(monkeypatch, name)
+    trace N != 0 (A) and leaves o(G) or sp(G), X = 1 giving
+    X^T G + G X = 2G (B, C, D)."""
+    family, ctx, gens, dim = _bound_arguments(monkeypatch, name)
     bound = certify._classical_bound
-    assert bound(family, ctx, gens, mctx, dim)
-    assert not bound(family, ctx, gens, mctx, dim - 1)
-    assert not bound(family, ctx, gens, mctx, dim + 1)
+    assert bound(family, ctx, gens, dim)
+    assert not bound(family, ctx, gens, dim - 1)
+    assert not bound(family, ctx, gens, dim + 1)
     base, one = ctx.base, ctx.base.field.one
     unit = tuple({i: one.v} for i in range(base.ambient_dim))
     for k, g in enumerate(gens):
         moved = list(gens)
         moved[k] = certify.Scaled(g.c, base.lincomb([(one, g.a),
                                                      (one, unit)]))
-        assert not bound(family, ctx, moved, mctx, dim)
+        assert not bound(family, ctx, moved, dim)
 

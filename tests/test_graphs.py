@@ -1,7 +1,7 @@
 import pytest
 
 from extremal_lie.graphs import (FAMILY_MIN_N, BoundsViolation,
-                                 CatalogEntry, build_family_graph, catalog,
+                                 build_family_graph, catalog,
                                  expected_catalog_size, graph_from_edges)
 
 

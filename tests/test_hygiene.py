@@ -2,12 +2,13 @@
 
 Every exact check has to survive ``python -O``, which strips ``assert``
 statements, so the package raises explicitly instead.  A module-level
-import that nothing in its module reads is dead code, and so is a
-module-level function or class that nothing else in the package reads
-and ``__init__.py`` does not re-export.  ``__init__.py`` is skipped by
-the per-module checks: its imports are re-exports, the package's public
-API.  A backticked name in a docstring or comment that the package no
-longer defines is a stale reference.
+import that nothing in its module reads is dead code, in the package
+and in its tests, and so is a module-level function or class that
+nothing else in the package reads and ``__init__.py`` does not
+re-export.  ``__init__.py`` is skipped by the per-module checks: its
+imports are re-exports, the package's public API.  A backticked name
+in a docstring or comment that the package no longer defines is a
+stale reference.
 """
 
 import ast
@@ -22,6 +23,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extremal_lie"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _tree(path):
@@ -77,7 +79,7 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = _tree(path)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -15,7 +15,8 @@ from extremal_lie.realizations import (InvalidParameters, MatrixLieAlgebra,
                                        exp_siegel_action, lie_closure,
                                        orthogonal_form_even,
                                        orthogonal_form_odd, siegel,
-                                       siegel_apply, symplectic_form,
+                                       siegel_apply, standard_form,
+                                       symplectic_form,
                                        symplectic_transvection, transvection)
 
 F = PrimeField(DEFAULT_PRIME)
@@ -44,6 +45,17 @@ def test_integral_rational_payloads_are_ints(n, params):
     assert not [v for g in ctx.generators_list for row in g
                 for v in row.values()
                 if type(v) is not int and v.denominator == 1]
+
+
+@pytest.mark.parametrize("family,n,params", [
+    ("B", 5, (1,)), ("B", 6, (2,)), ("C", 6, ()), ("C", 8, ()),
+    ("D", 5, (2, 3)), ("D", 6, (4, 8)),
+])
+def test_the_standard_form_is_the_form_of_the_generators(family, n, params):
+    mats, (form, _) = build_generators(family, n, F,
+                                       tuple(F(p) for p in params))
+    want = standard_form(family, F, len(mats[0]))
+    assert (want.dim, want.entries) == (form.dim, form.entries)
 
 
 def test_invalid_parameters():
