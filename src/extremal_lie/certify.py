@@ -337,6 +337,14 @@ class ScaledContext:
             combo.append((FieldElement(base, r), a))
         return Scaled(lead, self.base.lincomb(combo))
 
+    def vanishes(self, terms):
+        """Whether sum c*x over the terms is zero, a bracket term
+        (1, (x, y)) standing for [x, y] (`linalg.is_pair`), formed
+        first."""
+        return self.is_zero(self.lincomb(
+            [(c, self.bracket(*x) if linalg.is_pair(x) else x)
+             for c, x in terms]))
+
     def is_zero(self, x):
         x = self.element(x)
         return x.c.is_zero() or self.base.is_zero(x.a)
@@ -571,33 +579,35 @@ def check_quartic_identities(ctx, xk, xl, xm, t, u):
          expanded into form values.
 
     By Jacobi, which matrix commutators satisfy exactly, the left side
-    is the single nested bracket m = [xk,[y,[xk,t]]], and the form being
-    bilinear, Q3a's left side is f(u, m).  The check forms [xk,t], y,
-    [y,[xk,t]], m, [xk,y] and [y,t], each once: 6 brackets per sample.
-    The form values f(xk,t), f(xk,y) and f(xk,[y,t]) add none where the
-    context reads them without brackets, as a matrix context does for
-    a square-zero xk.  Each matrix and value equals the one the
-    six-bracket expansion forms, so every flag (and every NotExtremal)
-    is unchanged.
+    is the single nested bracket m = [xk,[y,[xk,t]]].  The check forms
+    [xk,t], y, [y,[xk,t]], [xk,y] and [y,t], each once: 5 brackets per
+    sample, and m enters Q3's combination C = m - (right side) as a
+    bracket term of `LieContext.vanishes`, which a matrix context over
+    GF(p) tests for zero without unpacking.  The form being bilinear,
+    Q3a's left side minus its right side is f(u, C): when Q3 holds, C
+    is 0 and so is f(u, C), with no form value; only a failing Q3 forms
+    m and C (`lincomb`) and reads Q3a as f(u, C) = 0.  The form values
+    f(xk,t), f(xk,y) and f(xk,[y,t]) add no bracket where the context
+    reads them from rank factors, as a matrix context does for a
+    square-zero xk.  Each matrix and value equals the one the literal
+    six-bracket expansion forms, so every flag (and every NotExtremal,
+    raised in the same order) is unchanged.
     """
     br = ctx.bracket
     half = ctx.field.one / 2
     xk_t = br(xk, t)
     y = br(xl, xm)
     y_xk_t = br(y, xk_t)
-    m = br(xk, y_xk_t)
     xk_y = br(xk, y)
     yt = br(y, t)
     fk_yt = extremal_form_value(ctx, xk, yt)
     fk_t = extremal_form_value(ctx, xk, t)
     fk_y = extremal_form_value(ctx, xk, y)
-    q3 = ctx.is_zero(ctx.lincomb([(1, m), (-half * fk_yt, xk),
-                                  (half * fk_t, xk_y), (half * fk_y, xk_t)]))
-    lhs_a = ctx.form(u, m)
-    rhs_a = half * (fk_yt * ctx.form(u, xk)
-                    - fk_t * ctx.form(u, xk_y)
-                    - fk_y * ctx.form(u, xk_t))
-    return {"Q3": q3, "Q3a": lhs_a == rhs_a}
+    right = [(-half * fk_yt, xk), (half * fk_t, xk_y), (half * fk_y, xk_t)]
+    if ctx.vanishes([(1, (xk, y_xk_t))] + right):
+        return {"Q3": True, "Q3a": True}
+    c = ctx.lincomb([(1, br(xk, y_xk_t))] + right)
+    return {"Q3": False, "Q3a": ctx.form(u, c).is_zero()}
 
 
 def _draws(rng, lo, hi, count):

@@ -33,7 +33,11 @@ class LieContext(Protocol):
     FieldElement data in (an element passes unchanged, itself),
     `external` gives it out, and every member that takes an element
     accepts both.  `lincomb(terms)` is sum c*a over the terms (c, a), c
-    a FieldElement or an int.
+    a FieldElement or an int, and `vanishes(terms)` whether it is zero,
+    where a term may also be a bracket term (1, (a, b)) standing for
+    [a, b]: a matrix context tests it on the packed sums
+    (`linalg.mat_vanishes`), the others form the brackets and test the
+    combination.
     `vector(a)` gives the coordinates of a as a sparse payload vector
     ``{index: payload}``, a new dict each call that the caller may
     modify, in a space of dimension ``vector_dim``.  `basis()` spans
@@ -57,6 +61,8 @@ class LieContext(Protocol):
     def bracket(self, a, b): ...
 
     def lincomb(self, terms): ...
+
+    def vanishes(self, terms): ...
 
     def is_zero(self, a): ...
 
@@ -209,27 +215,29 @@ def check_premet(ctx, x, y, z):
     AS: f(x, [y,z]) = f([x,y], z)    (associativity of the form)
     SM: f(y, z) = f(z, y)            (symmetry of the form)
 
-    The identities need [x,y], [x,z], [y,z], [[x,y],[x,z]], [y,[x,z]]
-    and [x,[y,[x,z]]], each formed once: 6 brackets per sample.  The
-    form values f(x,y), f(x,z), f(x,[y,z]) and f(x,[y,[x,z]]) add none
-    where the context reads them without brackets, as a matrix context
-    does for a square-zero x.
+    The check forms [x,y], [x,z], [y,z] and [y,[x,z]], each once: 4
+    brackets per sample.  P1 and P2 are tested with their coefficients
+    halved, exact in characteristic != 2, so that [[x,y],[x,z]] and
+    [x,[y,[x,z]]] enter `LieContext.vanishes` as bracket terms of
+    coefficient 1: a matrix context over GF(p) adds their packed row
+    sums into the residual and tests it for zero without unpacking
+    either.  The form values f(x,y), f(x,z), f(x,[y,z]) and
+    f(x,[y,[x,z]]) add no bracket where the context reads them from
+    rank factors, as a matrix context does for a square-zero x.
     """
     br = ctx.bracket
+    half = ctx.field.one / 2
     xy = br(x, y)
     xz = br(x, z)
     yz = br(y, z)
     fxy = extremal_form_value(ctx, x, y)
     fxz = extremal_form_value(ctx, x, z)
     fxyz = extremal_form_value(ctx, x, yz)
+    hxyz, hxz, hxy = half * fxyz, half * fxz, half * fxy
 
-    p1 = ctx.is_zero(ctx.lincomb([(2, br(xy, xz)), (-fxyz, x), (-fxz, xy),
-                                  (fxy, xz)]))
-
+    p1 = ctx.vanishes([(1, (xy, xz)), (-hxyz, x), (-hxz, xy), (hxy, xz)])
     yxz = br(y, xz)
-    x_yxz = br(x, yxz)
-    p2 = ctx.is_zero(ctx.lincomb([(2, x_yxz), (-fxyz, x), (fxz, xy),
-                                  (fxy, xz)]))
+    p2 = ctx.vanishes([(1, (x, yxz)), (-hxyz, x), (hxz, xy), (hxy, xz)])
 
     p5 = (extremal_form_value(ctx, x, yxz) + fxz * fxy).is_zero()
 

@@ -49,9 +49,10 @@ linear algebra run on payloads instead, through one kernel per field:
 Over ``PrimeField`` the matrix bracket and combinations of a fixed
 basis skip ``axpy`` and run on packed rows (see :mod:`extremal_lie.linalg`):
 a row of residues is one ``int`` with slot width
-``w = (T*(p-1)**2).bit_length()`` for a sum of T residue products, so
+``w = (2*T*(p-1)**2).bit_length()`` for a sum of T residue products, so
 no slot carries into the next and one C-level multiply-add does the
-work of a whole row, read back with one ``% p`` per slot.  Rationals
+work of a whole row, read back with one ``% p`` per slot or tested for
+zero with one ``divmod``.  Rationals
 stay on ``axpy`` because fractions cannot be packed.  Quadratic
 extensions have the generic ``axpy`` only: the isomorphism matching
 keeps only scalars there and does its matrix work, its models' too,

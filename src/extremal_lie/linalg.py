@@ -10,30 +10,41 @@ never modified once it is made, by the kernels or by their callers.
 Most loops go through the field's ``axpy(v, c, row)`` kernel, which
 sets ``v -= c*row`` in place and deletes entries that become zero (see
 :mod:`extremal_lie.fields`).  The matrix kernels are the bracket
-`mat_bracket`, the linear combination `mat_lincomb`, the trace form
-`trace_product` and the row-major flattening `mat_vector`;
+`mat_bracket`, the linear combination `mat_lincomb` and its zero test
+`mat_vanishes`, the trace form `trace_product` and the row-major
+flattening `mat_vector`;
 `bracket_closure` grows the Lie span of a set of elements.  A
 square-zero matrix x also has rank factors x = U R (`Rows.factors`,
 kept on the `Rows` like its packed rows), and `sandwich` forms the
 r x r matrix R y U from which `MatrixLieAlgebra.extremal_value` reads
 f_x(y) without a bracket.
 
-Over GF(p) `mat_bracket` and `mat_lincomb` run on packed rows instead
-of `axpy`: a row of residues becomes one Python int holding a slot of
-w bits per column, an output row is a sum of (residue) x (packed row)
-multiply-adds done by C big-int arithmetic, and one unpack reads it
-back with one ``% p`` per slot.  A slot summing T products of residues
-holds at most T*(p-1)^2, so the slot width w = (T*(p-1)^2).bit_length()
-keeps every slot below 2^w and the sums exact; a subtracted term is
-written with p - x, so no slot borrows.  The bracket sums T = 2N terms
-per slot for N x N matrices, and `mat_lincomb` as many as it has terms
-and at least 2N.  Since rows never change, a `Rows` packs its rows once and keeps them with their slot
-width (`Rows.packed`): a matrix that is an operand again, as the
-generators and the sampled elements of an identity check are many
-times, is not packed again, and only a combination of more than 2N
-terms, at a wider slot, repacks it.  Rationals stay on `axpy` because
-fractions cannot be packed, and quadratic extensions because a match
-brackets over the base field and keeps only scalars in the extension.
+Over GF(p) `mat_bracket`, `mat_lincomb` and `mat_vanishes` run on
+packed rows instead of `axpy`: a row of residues becomes one Python int
+holding a slot of w bits per column, an output row is a sum of
+(residue) x (packed row) multiply-adds done by C big-int arithmetic,
+and one unpack reads it back with one ``% p`` per slot.  A slot summing
+T products of residues holds at most T*(p-1)^2, so the slot width
+w = (2*T*(p-1)^2).bit_length() keeps every slot below 2^(w-1) and the
+sums exact, with the one guard bit the zero test needs; a subtracted
+term is written with p - x, so no slot borrows.  A combination's terms
+are matrices times coefficients, or bracket terms (1, (a, b)) standing
+for [a, b], whose 2N products per slot are added into the sum as the
+bracket forms them (`_accumulate`), so an identity residual forms its
+outer bracket and never unpacks it.  Every kernel packs for
+T = 2N + 4 products at least, a bracket's 2N and a residual's bracket
+and three more terms, and `mat_lincomb` for more when its terms need
+it.  `mat_lincomb` unpacks the row sums; `mat_vanishes` reads them
+with one divmod and one mask per row, exact by the two width
+conditions proved at `_vanish_mod`.  Since rows never change, a `Rows`
+packs its rows once and keeps them with their slot width
+(`Rows.packed`): a matrix that is an operand again, as the generators
+and the sampled elements of an identity check are many times, is not
+packed again, and only a combination of more than 2N + 4 products, at
+a wider slot, repacks it.  Rationals stay on `axpy` because fractions
+cannot be packed, and quadratic extensions because a match brackets
+over the base field and keeps only scalars in the extension; there a
+bracket term is formed by `mat_bracket` and the combination tested.
 On every field a bracket with a zero operand returns N empty rows at
 once, and over GF(p) `trace_product` sums its residue products as ints
 and reduces mod p once.  All pivoting is deterministic, so reduced
@@ -195,12 +206,14 @@ def _packed(m, w):
 def mat_bracket(field, a, b):
     """ab - ba of two matrices given as payload rows.  A zero operand
     gives N empty rows at once.  Over GF(p) each output row is a sum of
-    packed rows (`_packed_bracket`); over other fields it is
-    accumulated in one sparse vector through `axpy`."""
+    packed rows (`_bracket_sums`); over other fields it is accumulated
+    in one sparse vector through `axpy`."""
     if not any(a) or not any(b):
         return Rows([{} for _ in a])
     if isinstance(field, PrimeField):
-        return _packed_bracket(field.p, a, b)
+        p = field.p
+        w = _slot_width(p, _shared_terms(len(a)))
+        return Rows([_unpack(s, w, p) for s in _bracket_sums(p, a, b, w)])
     neg, axpy = field.neg, field.axpy
     out = []
     for arow, brow in zip(a, b):
@@ -217,27 +230,22 @@ def mat_bracket(field, a, b):
 
 def mat_lincomb(field, terms, size):
     """The size x size matrix sum c*m over the terms (c, m), where c is
-    a FieldElement or int and m is given as payload rows.  Raises
-    DescriptorMismatch on a coefficient of another field.  Over GF(p)
-    output row i is the sum of c * (packed row i of m), at the bracket
-    slot width for up to 2N terms, so the operands' packed rows serve
-    both kernels."""
-    payload, is_zero = field.payload, field.is_zero
+    a FieldElement or int and m is given as payload rows, or is a pair
+    (a, b) of them standing for [a, b] with c = 1 (ValueError
+    otherwise).  Raises DescriptorMismatch on a coefficient of another
+    field.  Over GF(p) the packed row sums of `_accumulate` are
+    unpacked; over other fields a pair is bracketed (`mat_bracket`)."""
     if isinstance(field, PrimeField):
-        p = field.p
-        w = _slot_width(p, max(len(terms), 2 * size))
-        acc = [0] * size
-        for c, m in terms:
-            c = payload(c)
-            if c:
-                for i, r in enumerate(_packed(m, w)):
-                    if r:
-                        acc[i] += c * r
-        return Rows([_unpack(s, w, p) for s in acc])
+        sums, w, _ = _accumulate(field, terms, size)
+        return Rows([_unpack(s, w, field.p) for s in sums])
+    payload, is_zero = field.payload, field.is_zero
     neg, axpy = field.neg, field.axpy
     out = [{} for _ in range(size)]
     for c, rows in terms:
         c = payload(c)
+        if is_pair(rows):
+            _check_bracket_term(field, c)
+            rows = mat_bracket(field, *rows)
         if is_zero(c):
             continue
         nc = neg(c)
@@ -247,14 +255,48 @@ def mat_lincomb(field, terms, size):
     return Rows(out)
 
 
+def mat_vanishes(field, terms, size):
+    """Whether `mat_lincomb` of the terms is the zero matrix.  Over
+    GF(p) the packed row sums of `_accumulate` are tested without
+    unpacking them (`_vanish_mod`, one divmod and one mask per row, the
+    first nonzero row ending the test); over other fields the pairs are
+    bracketed and the combination formed and tested."""
+    if not isinstance(field, PrimeField):
+        return not any(mat_lincomb(field, terms, size))
+    sums, w, t = _accumulate(field, terms, size)
+    return _vanish_mod(field.p, sums, w, t, size)
+
+
+def is_pair(m):
+    """Whether the second entry m of a combination term is a pair
+    (a, b) standing for [a, b]: a tuple whose first entry is a matrix,
+    not a payload row ``{col: payload}``."""
+    return isinstance(m, tuple) and not isinstance(m[0], dict)
+
+
+def _check_bracket_term(field, c):
+    """ValueError unless the payload c of a pair term is one: the
+    packed slot bound counts each of its 2N products once."""
+    if c != field.one.v:
+        raise ValueError("a bracket term must have coefficient 1")
+
+
 # ---------------------------------------------------------------------------
 # packed GF(p) rows: slot k of the int sum x_k * 2^(k*w) holds the
 # residue x_k (see the module docstring for the slot-width rule)
 # ---------------------------------------------------------------------------
 
+def _shared_terms(size):
+    """T = 2N + 4, the products per slot every GF(p) kernel packs for
+    at least: a bracket's 2N, and an identity residual's bracket and
+    three more terms, so operands keep one packed width."""
+    return 2 * size + 4
+
+
 def _slot_width(p, terms):
-    """Bits per slot for a packed sum of `terms` residue products."""
-    return (terms * (p - 1) ** 2).bit_length()
+    """Bits per slot for a packed sum of `terms` residue products, one
+    guard bit above their largest sum (see `_vanish_mod`)."""
+    return (2 * terms * (p - 1) ** 2).bit_length()
 
 
 def _pack(v, w):
@@ -279,11 +321,10 @@ def _unpack(s, w, p):
     return out
 
 
-def _packed_bracket(p, a, b):
-    """`mat_bracket` over GF(p): row i of ab - ba is
-    sum_t a_it * (row t of b) + sum_t (p - b_it) * (row t of a), at most
-    2N packed terms for N x N matrices."""
-    w = _slot_width(p, 2 * len(a))
+def _bracket_sums(p, a, b, w):
+    """The packed row sums of ab - ba over GF(p), at slot width w: row
+    i is sum_t a_it * (row t of b) + sum_t (p - b_it) * (row t of a), at
+    most 2N products per slot for N x N matrices."""
     pa, pb = _packed(a, w), _packed(b, w)
     out = []
     for arow, brow in zip(a, b):
@@ -292,8 +333,58 @@ def _packed_bracket(p, a, b):
             s += x * pb[t]
         for t, x in brow.items():
             s += (p - x) * pa[t]
-        out.append(_unpack(s, w, p))
-    return Rows(out)
+        out.append(s)
+    return out
+
+
+def _accumulate(field, terms, size):
+    """(sums, w, T): the packed row sums of sum c*m over the terms of
+    `mat_lincomb` over GF(p), at slot width w for T products per slot,
+    T the count of the terms (2N per pair) and at least
+    `_shared_terms`.  A pair's rows are `_bracket_sums` added as they
+    are."""
+    p, payload = field.p, field.payload
+    t = max(sum(2 * size if is_pair(m) else 1 for _, m in terms),
+            _shared_terms(size))
+    w = _slot_width(p, t)
+    acc = [0] * size
+    for c, m in terms:
+        c = payload(c)
+        if is_pair(m):
+            _check_bracket_term(field, c)
+            acc = [x + s for x, s in zip(acc, _bracket_sums(p, *m, w))]
+        elif c:
+            for i, r in enumerate(_packed(m, w)):
+                if r:
+                    acc[i] += c * r
+    return acc, w, t
+
+
+def _vanish_mod(p, sums, w, t, size):
+    """Whether every slot of every packed row sum is 0 mod p, for rows
+    of `size` slots of width w = `_slot_width`(p, t) summing at most t
+    residue products each.  A sum s holds slots
+    0 <= v_k <= t*(p-1)^2 in base 2^w, and every v_k is 0 mod p exactly
+    when p divides s and no w-bit digit of q = s // p reaches 2^w', for
+    w' = (t*(p-1)^2 // p).bit_length().  The widths meet two
+    conditions: (1) 2*t*(p-1)^2 < 2^w, the guard bit of `_slot_width`,
+    and (2) t*(p-1)^2 // p < 2^w', by the choice of w'.
+    If every v_k = p*q_k, then q_k <= t*(p-1)^2 // p < 2^w' by (2), so
+    s = p * sum q_k 2^(k*w) with every q_k < 2^w: p divides s, and the
+    digits of s // p are the q_k, all below 2^w'.
+    Conversely, if s = p*q and every digit d_k of q is below 2^w', then
+    2^(w'-1) <= t*(p-1)^2 / p gives p*d_k < p*2^w' <= 2*t*(p-1)^2 < 2^w
+    by (1), so p*q = sum (p*d_k) 2^(k*w) has no carries; the base-2^w
+    digits of s being unique, v_k = p*d_k."""
+    digit = (1 << w) - 1
+    low = (t * (p - 1) ** 2 // p).bit_length()
+    # the bits at or above w' of each of the `size` slots
+    high = (digit ^ ((1 << low) - 1)) * (((1 << (size * w)) - 1) // digit)
+    for s in sums:
+        q, r = divmod(s, p)
+        if r or q & high:
+            return False
+    return True
 
 
 def mat_vector(a):

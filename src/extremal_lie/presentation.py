@@ -292,6 +292,13 @@ class GradedLieAlgebra:
             axpy(acc, neg(field(c).v), self.element(u))
         return acc
 
+    def vanishes(self, terms):
+        """Whether sum c*u over the terms is zero, a bracket term
+        (1, (u, v)) standing for [u, v], formed first."""
+        return self.is_zero(self.lincomb(
+            [(c, self.bracket(*u) if isinstance(u, tuple) else u)
+             for c, u in terms]))
+
     def is_zero(self, u):
         return not self.element(u)
 

@@ -32,8 +32,9 @@ from . import linalg
 from .extremal import NotExtremal, bracket_form_value
 from .fields import FieldElement, NoSquareRoot, PrimeField, quadratic_roots
 from .graphs import check_family_n
-from .linalg import (Rows, SpanSolver, dense, mat_bracket, mat_lincomb,
-                     mat_vector, sandwich, sparse, trace_product)
+from .linalg import (Rows, SpanSolver, dense, is_pair, mat_bracket,
+                     mat_lincomb, mat_vanishes, mat_vector, sandwich, sparse,
+                     trace_product)
 
 
 class InvalidParameters(ValueError):
@@ -452,6 +453,15 @@ class MatrixLieAlgebra:
         return mat_lincomb(self.field, [(c, element(m)) for c, m in terms],
                            self.ambient_dim)
 
+    def vanishes(self, terms):
+        """Whether sum c*m over the terms is zero (`linalg.mat_vanishes`),
+        a term (c, m) or a bracket term (1, (a, b)) for [a, b]
+        (`linalg.is_pair`)."""
+        element = self.element
+        return mat_vanishes(self.field, [
+            (c, (element(m[0]), element(m[1])) if is_pair(m) else element(m))
+            for c, m in terms], self.ambient_dim)
+
     def is_zero(self, a):
         return not any(self.element(a))
 
@@ -513,11 +523,13 @@ class ClassicalAlgebra(MatrixLieAlgebra):
     """sl_N (family A), o(G) (B, D) or sp(G) (C) over `field`, G the
     form's Gram matrix (`gram`, payload rows), as the Lie context of
     the realization `generators` it holds (`classical_algebra`), of
-    dimension `dim`: N^2 - 1, N(N-1)/2 or N(N+1)/2.  It holds the
-    closure of the realization, and is that closure when `dim` is the
-    rank of the catalog images (`certify.catalog_closure`).  It
-    brackets and combines as a `MatrixLieAlgebra`, with no basis until
-    a sweep asks for one (`basis`).  Its form is c * trace(ab) with c
+    dimension `dim`, the family's N^2 - 1, N(N-1)/2 or N(N+1)/2.  It
+    holds the closure of the realization, and is that closure when
+    `dim` is the rank of the catalog images
+    (`certify.catalog_closure`).  It brackets and combines as a
+    `MatrixLieAlgebra`, with no standard basis until a sample is drawn
+    (`from_coords`) and no basis of elements until a sweep asks for
+    one (`basis`).  Its form is c * trace(ab) with c
     fixed, not calibrated: for x = a b^T of rank 1, f_x(y) =
     -2 b^T y a = -2 trace(xy), so c = -2 (A, C); for a Siegel element
     x = T_{u,v}, f_x(y) = -2 B(u, yv) and trace(xy) = 2 B(u, yv), so
@@ -527,11 +539,12 @@ class ClassicalAlgebra(MatrixLieAlgebra):
 
     def __init__(self, family, field, generators, gram=None, inverse=None):
         super().__init__(field, len(generators[0]), [], generators)
-        self.family, self.gram = family, gram
-        self._entries = _standard_basis(family, field, self.ambient_dim,
-                                        inverse)
-        self.dim = len(self._entries)
+        self.family, self.gram, self._inverse = family, gram, inverse
+        n = self.ambient_dim
+        self.dim = (n * n - 1 if family == "A" else
+                    n * (n + 1) // 2 if family == "C" else n * (n - 1) // 2)
         self.form_scale = field(FORM_SCALE[family])
+        self._table = None      # `from_coords`' positions, once drawn
 
     def form(self, a, b):
         """The associative symmetric extremal form, c * trace(ab)."""
@@ -592,35 +605,71 @@ class ClassicalAlgebra(MatrixLieAlgebra):
         `dim` int coordinates: the traceless matrix with the c_i as its
         entries but the last diagonal one, or G^-1 A for A
         antisymmetric (B, D) or symmetric (C) with the c_i as its
-        entries A_ij, i < j or i <= j, row by row.  Over GF(p) the sums
-        are ints, reduced once."""
+        entries A_ij, i < j or i <= j, row by row.  The entries are
+        placed through a table built from the standard basis on the
+        first call (`_position_table`): for G a signed permutation, or
+        the odd form's with its 1/2, each entry of G^-1 A is g c_i for
+        one i, and only the last diagonal entry of sl_N is a sum.  Over
+        GF(p) an entry is an int product or sum, reduced once."""
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for an algebra "
                              f"of dimension {self.dim}")
         field, n = self.field, self.ambient_dim
-        acc = {}        # row-major position -> payload
-        get = acc.get
-        rows = [{} for _ in range(n)]
+        if self._table is None:
+            self._table = _position_table(
+                _standard_basis(self.family, field, n, self._inverse), n)
+        singles, sums = self._table
+        rows = []
         if isinstance(field, PrimeField):
-            for c, element in zip(coords, self._entries):
-                if c:
-                    for k, g in element:
-                        acc[k] = get(k, 0) + c * g
             p = field.p
-            for k, v in acc.items():
+            for line in singles:
+                row = {}
+                for j, i, g in line:
+                    if v := coords[i] * g % p:
+                        row[j] = v
+                rows.append(row)
+            for r, j, parts in sums:
+                v = 0
+                for i, g in parts:
+                    v += coords[i] * g
                 if v := v % p:
-                    rows[k // n][k % n] = v
+                    rows[r][j] = v
             return Rows(rows)
-        add, mul, zero = field.add, field.mul, field.zero.v
-        for c, element in zip(coords, self._entries):
-            if c:
-                c = field.coerce(c)
-                for k, g in element:
-                    acc[k] = add(get(k, zero), mul(c, g))
-        for k, v in acc.items():
-            if not field.is_zero(v):
-                rows[k // n][k % n] = v
+        add, mul, is_zero = field.add, field.mul, field.is_zero
+        coords = [field.coerce(c) for c in coords]
+        for line in singles:
+            row = {}
+            for j, i, g in line:
+                if not is_zero(v := mul(coords[i], g)):
+                    row[j] = v
+            rows.append(row)
+        for r, j, parts in sums:
+            v = field.zero.v
+            for i, g in parts:
+                v = add(v, mul(coords[i], g))
+            if not is_zero(v):
+                rows[r][j] = v
         return Rows(rows)
+
+
+def _position_table(entries, size):
+    """The entries (k, g) of the standard basis elements i
+    (`_standard_basis`) by position k = r*N + j, as (singles, sums):
+    singles[r] lists the (j, i, g) of the positions of row r that one
+    element i touches, in column order, and sums the (r, j, ((i, g),
+    ...)) of those that several touch."""
+    at = {}
+    for i, element in enumerate(entries):
+        for k, g in element:
+            at.setdefault(k, []).append((i, g))
+    singles, sums = [[] for _ in range(size)], []
+    for k in sorted(at):
+        r, j = divmod(k, size)
+        if len(at[k]) == 1:
+            singles[r].append((j, *at[k][0]))
+        else:
+            sums.append((r, j, tuple(at[k])))
+    return singles, sums
 
 
 def _standard_basis(family, field, size, inverse):

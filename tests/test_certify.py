@@ -1148,47 +1148,67 @@ def test_draws_refuse_an_empty_range():
         certify._draws(random.Random(0), 1, 0, 1)
 
 
+def _spy_products(monkeypatch, alg):
+    """Record every pair (a, b) that `alg` brackets and every bracket
+    term `alg.vanishes` receives: (calls, terms)."""
+    calls, terms = [], []
+    bracket, vanishes = alg.bracket, alg.vanishes
+    monkeypatch.setattr(alg, "bracket",
+                        lambda a, b: calls.append((a, b)) or bracket(a, b))
+    monkeypatch.setattr(alg, "vanishes", lambda ts: terms.extend(
+        m for _, m in ts if linalg.is_pair(m)) or vanishes(ts))
+    return calls, terms
+
+
+def _formed_once(alg, pairs):
+    """No two of the products [a, b] of the pairs are the same matrix."""
+    products = [alg.external(linalg.mat_bracket(alg.field, a, b))
+                for a, b in pairs]
+    return all(products.count(m) == 1 for m in products)
+
+
 def test_check_premet_brackets_each_product_once(monkeypatch):
     """P1/P2/P5/AS/SM need [x,y], [x,z], [y,z], [[x,y],[x,z]], [y,[x,z]]
     and [x,[y,[x,z]]], and the form values f(x,y), f(x,z), f(x,[y,z])
     and f(x,[y,[x,z]]).  The generator x squares to zero, so the matrix
-    context reads the four values from its rank factors: 6 calls (11
-    when each value added the brackets of its definition on top of one
-    already formed, 14 when every value formed both of its own)."""
+    context reads the four values from its rank factors: 4 bracket calls
+    and the 2 outer brackets of P1 and P2 as bracket terms of
+    `vanishes`, each of the 6 products formed once (6 calls when the
+    outer brackets were formed and unpacked, 11 when each value added
+    the brackets of its definition on top of one already formed, 14 when
+    every value formed both of its own)."""
     alg = classical_of("A", 4)
     mats = alg.generators_list
     rng = random.Random(4)
     y, z = certify._random_element(alg, rng), certify._random_element(alg, rng)
-    calls = []
-    bracket = alg.bracket
-    monkeypatch.setattr(alg, "bracket",
-                        lambda a, b: calls.append((a, b)) or bracket(a, b))
+    calls, terms = _spy_products(monkeypatch, alg)
     flags = check_premet(alg, mats[0], y, z)
     assert all(flags.values())
-    assert len(calls) == 6
+    assert (len(calls), len(terms)) == (4, 2)
+    assert _formed_once(alg, calls + terms)
 
 
 def test_quartic_identities_bracket_each_product_once(monkeypatch):
-    """Q3/Q3a need six direct brackets: [xk,t], y = [xl,xm], [y,[xk,t]],
-    the left side [xk,[y,[xk,t]]], [xk,y] and [y,t].  The generator xk
+    """Q3/Q3a need six products: [xk,t], y = [xl,xm], [y,[xk,t]], the
+    left side [xk,[y,[xk,t]]], [xk,y] and [y,t].  The generator xk
     squares to zero, so the matrix context reads the form values
-    f(xk,t), f(xk,y) and f(xk,[y,t]) from its rank factors: 6 calls (9
-    when each value added a bracket to [xk,t], [xk,y] and a Jacobi sum
-    for [xk,[y,t]], 14 when the left side was the two three-bracket
-    chains m1 - m2, 16 when every form value formed its own first
-    bracket)."""
+    f(xk,t), f(xk,y) and f(xk,[y,t]) from its rank factors: 5 bracket
+    calls and the left side as the one bracket term of `vanishes`, each
+    product formed once (6 calls when the left side was formed and
+    unpacked, 9 when each value added a bracket to [xk,t], [xk,y] and a
+    Jacobi sum for [xk,[y,t]], 14 when the left side was the two
+    three-bracket chains m1 - m2, 16 when every form value formed its
+    own first bracket)."""
     alg = classical_of("A", 4)
     mats = alg.generators_list
     rng = random.Random(3)
     t, u = certify._random_element(alg, rng), certify._random_element(alg, rng)
-    calls = []
-    bracket = alg.bracket
-    monkeypatch.setattr(alg, "bracket",
-                        lambda a, b: calls.append((a, b)) or bracket(a, b))
+    calls, terms = _spy_products(monkeypatch, alg)
     flags = certify.check_quartic_identities(alg, mats[0], mats[1], mats[2],
                                              t, u)
     assert flags == {"Q3": True, "Q3a": True}
-    assert len(calls) == 6
+    assert (len(calls), len(terms)) == (5, 1)
+    assert _formed_once(alg, calls + terms)
 
 
 def _six_bracket_quartic(ctx, xk, xl, xm, t, u):
@@ -1238,9 +1258,10 @@ def test_quartic_identities_match_the_six_bracket_expansion(
     """On random elements (xk a random combination, which is not
     extremal, or a generator), the Jacobi-reduced left side
     [xk,[y,[xk,t]]] is m1 - m2 entry for entry, [[xk,y],t] + [y,[xk,t]]
-    is [xk,[y,t]], and check_quartic_identities forms the left side and
-    [y,t] (read off its brackets) and gives the flags, or the
-    NotExtremal, of the literal six-bracket evaluation."""
+    is [xk,[y,t]], and check_quartic_identities forms [y,t], hands the
+    left side to `vanishes` as a bracket term when xk is extremal (a
+    non-extremal xk raises NotExtremal first), and gives the flags, or
+    the NotExtremal, of the literal six-bracket evaluation."""
     alg = quartic_context(family, n, params, name)
     gens = alg.generators_list
     rng = random.Random(f"{family}{n}{name}")
@@ -1266,17 +1287,71 @@ def test_quartic_identities_match_the_six_bracket_expansion(
                                  (1, br(y, br(xk, t)))]), xk_yt)
 
         want = _quartic_outcome(_six_bracket_quartic, alg, xk, xl, xm, t, u)
-        formed = []
-        monkeypatch.setattr(alg, "bracket",
-                            lambda a, b: formed.append((a, b)) or br(a, b))
+        formed, terms = _spy_products(monkeypatch, alg)
         got = _quartic_outcome(certify.check_quartic_identities, alg,
                                xk, xl, xm, t, u)
         monkeypatch.undo()
         assert got == want
         assert (want == {"Q3": True, "Q3a": True} if extremal
                 else want[0] == "NotExtremal")
-        assert any(same(br(a, b), left) for a, b in formed)
+        assert (any(same(br(a, b), left) for a, b in terms) if extremal
+                else not terms)
         assert any(same(a, y) and same(b, t) for a, b in formed)
+
+
+def _literal_premet(ctx, x, y, z):
+    """P1 and P2 evaluated literally: every bracket formed, the
+    coefficient 2 kept, each combination formed and tested."""
+    br = ctx.bracket
+    xy, xz, yz = br(x, y), br(x, z), br(y, z)
+    fxy = extremal_form_value(ctx, x, y)
+    fxz = extremal_form_value(ctx, x, z)
+    fxyz = extremal_form_value(ctx, x, yz)
+    return {"P1": ctx.is_zero(ctx.lincomb([(2, br(xy, xz)), (-fxyz, x),
+                                           (-fxz, xy), (fxy, xz)])),
+            "P2": ctx.is_zero(ctx.lincomb([(2, br(x, br(y, xz))),
+                                           (-fxyz, x), (fxz, xy),
+                                           (fxy, xz)]))}
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
+@pytest.mark.parametrize("family,n,params", [("A", 4, ()), ("B", 5, (1,))],
+                         ids=lambda v: str(v))
+def test_identity_flags_when_the_residual_does_not_vanish(
+        monkeypatch, family, n, params, name):
+    """The path on which `vanishes` answers False.  (1) Forced False on
+    a context whose identities hold: P1, P2 and Q3 report it, and Q3a,
+    read as f(u, C) from the formed combination C, still agrees with
+    the literal evaluation.  (2) A context whose extremal values are
+    doubled, so that the residuals are not zero: P1, P2, Q3 and Q3a all
+    equal the literal evaluation, and fail."""
+    alg = quartic_context(family, n, params, name)
+    gens = alg.generators_list
+    rng = random.Random(f"fallback {family}{n}{name}")
+    y, z, t, u = (random_combination(alg, rng) for _ in range(4))
+    x, xl, xm = gens[0], gens[1], gens[2]
+
+    def flags():
+        premet = check_premet(alg, x, y, z)
+        return ({k: premet[k] for k in ("P1", "P2")},
+                certify.check_quartic_identities(alg, x, xl, xm, t, u))
+
+    def literal():
+        return (_literal_premet(alg, x, y, z),
+                _six_bracket_quartic(alg, x, xl, xm, t, u))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(alg, "vanishes", lambda terms: False)
+        got = flags()
+    assert literal() == ({"P1": True, "P2": True}, {"Q3": True, "Q3a": True})
+    assert got == ({"P1": False, "P2": False}, {"Q3": False, "Q3a": True})
+
+    value = alg.extremal_value
+    monkeypatch.setattr(alg, "extremal_value",
+                        lambda a, b: 2 * value(a, b))
+    want = literal()
+    assert flags() == want
+    assert want == ({"P1": False, "P2": False}, {"Q3": False, "Q3a": False})
 
 
 @pytest.mark.parametrize("family,params1,params2",

@@ -251,11 +251,13 @@ def test_packed_kernels_at_the_slot_width_bound(name):
     for cs in (coords, [p - 1] * alg.dim):
         assert linalg.mat_lincomb(K, list(zip(cs, alg.basis())), n) == \
             _rows(K, want)
-    # mat_lincomb at 2N terms (the bracket's slot width) and at 2N + 1
-    # (a wider one), every term a product (p-1)*(p-1), on operands that
-    # keep their packed rows from call to call and from kernel to kernel
+    # mat_lincomb at T = 2N + 4 terms (the shared slot width) and at
+    # T + 1 (a wider one), every term a product (p-1)*(p-1), on operands
+    # that keep their packed rows from call to call and from kernel to
+    # kernel
     a, b = linalg.Rows(_rows(K, full)), linalg.Rows(_rows(K, tri))
-    for count in (2 * n, 2 * n + 1, 2 * n):
+    t = linalg._shared_terms(n)
+    for count in (t, t + 1, t):
         for ops in ((a,) * count, (a, b) * (count // 2) + (a,) * (count % 2)):
             terms = [(top, m) for m in ops]
             assert linalg.mat_lincomb(K, terms, n) == _rows(
@@ -271,6 +273,20 @@ def test_packed_kernels_at_the_slot_width_bound(name):
     with pytest.raises(DescriptorMismatch):
         linalg.mat_lincomb(K, list(zip([PrimeField(101)(1)] + coords[1:],
                                        alg.basis())), n)
+    # mat_vanishes on the same operands, with slots at the bound T of the
+    # shared width: a bracket term (2N products) and up to three more
+    # terms, and T terms c*(p-1) whose sum is 0 mod p
+    c = linalg.mat_bracket(K, a, b)
+    for terms, zero in (([(1, (a, b)), (1, (b, a))], True),
+                        ([(1, (a, b)), (-1, c), (top, a), (1, a)], True),
+                        ([(1, (a, b)), (-1, c), (top, a)], False),
+                        ([(top, a)] * (t - 1) + [(t - 1, a)], True),
+                        ([(top, a)] * t, t % p == 0)):
+        assert linalg.mat_vanishes(K, terms, n) == zero
+        assert linalg.mat_lincomb(K, terms, n) == _rows(
+            K, _fold(K, [(K(k), _matrix(K, linalg.mat_bracket(K, *m)
+                                     if linalg.is_pair(m) else m))
+                         for k, m in terms], n))
 
 
 def test_mat_lincomb_matches_fold(kernel_field):
@@ -292,6 +308,50 @@ def test_mat_lincomb_matches_fold(kernel_field):
     c = random_element(F, rng, zero_rate=0)
     rows = _rows(F, m)
     assert linalg.mat_lincomb(F, [(c, rows), (-c, rows)], 3) == zero
+
+
+def _unit_row_matrix(n, row):
+    """The n x n payload matrix with `row` as row 0 and zeros below."""
+    return tuple(row if i == 0 else {} for i in range(n))
+
+
+@pytest.mark.parametrize("p", [3, 5, DEFAULT_PRIME, 2 ** 61 - 1])
+def test_mat_vanishes_on_crafted_rows(p):
+    """A single entry (q = 0, seen only by the remainder), a row whose
+    packed sum p divides although its slots are not 0 mod p (seen only
+    by the mask), and exact cancellations c*m - c*m and [a,b] + [b,a]
+    with and without one perturbed entry."""
+    K, n = PrimeField(p), 10
+    w = linalg._slot_width(p, linalg._shared_terms(n))
+    single = _unit_row_matrix(n, {0: 1})
+    assert not linalg.mat_vanishes(K, [(1, single)], n)
+    x = -(1 << w) % p                  # x + 2^w is 0 mod p, x and 1 not
+    crafted = _unit_row_matrix(n, {0: x, 1: 1})
+    assert x and (x + (1 << w)) % p == 0
+    assert not linalg.mat_vanishes(K, [(1, crafted)], n)
+    rng = random.Random(p)
+    a, b = ([{j: rng.randrange(1, p) for j in range(n)} for _ in range(n)]
+            for _ in range(2))
+    c = K(rng.randrange(1, p))
+    for extra, zero in (([], True), ([(1, single)], False),
+                        ([(p - 1, crafted)], False)):
+        assert linalg.mat_vanishes(
+            K, [(c, a), (-c, a), (1, (a, b)), (1, (b, a))] + extra,
+            n) == zero
+
+
+def test_the_zero_test_is_exact_on_every_pair_of_slots():
+    """Over GF(3) at N = 10 (T = 24, whose slots need the guard bit:
+    without it 3*(2^w' - 1) = 189 passes 2^7), every pair of slot values
+    up to T*(p-1)^2 is called zero exactly when both are 0 mod 3."""
+    p, n = 3, 10
+    t = linalg._shared_terms(n)
+    w = linalg._slot_width(p, t)
+    top = t * (p - 1) ** 2
+    for v0 in range(top + 1):
+        for v1 in range(top + 1):
+            assert linalg._vanish_mod(p, [v0 + (v1 << w)], w, t, n) == (
+                v0 % p == v1 % p == 0), (v0, v1)
 
 
 def test_trace_product_matches_trace_of_product(kernel_field):
@@ -430,8 +490,11 @@ def _payloads(field):
     if isinstance(field, QuadraticExtension):
         base = _payloads(field.base)
         return st.tuples(base, base)
+    # every denominator is invertible: 1..4, without 3 over GF(3)
     return st.builds(lambda a, b: field.coerce(Fraction(a, b)),
-                     st.integers(-9, 9), st.integers(1, 4))
+                     st.integers(-9, 9), st.integers(1, 4).filter(
+                         lambda b: not isinstance(field, PrimeField)
+                         or b % field.p))
 
 
 @st.composite
@@ -538,6 +601,44 @@ def test_mat_lincomb_property_against_dense_fold(name, data):
             K, _fold(K, [(c, _matrix(K, m)) for c, m in terms], n))
         assert linalg.mat_bracket(K, mats[0], mats[1]) == _rows(
             K, _reference_bracket(_matrix(K, mats[0]), _matrix(K, mats[1])))
+
+
+VANISH_FIELDS = {"GF(3)": PrimeField(3),
+                 **{name: PROPERTY_FIELDS[name] for name in (
+                     "GF(5)", "GF(p)", "GF(2^61-1)", "QQ", "GF(p)(rt d)")}}
+
+
+@pytest.mark.parametrize("name", list(VANISH_FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_mat_vanishes_property_against_mat_lincomb(name, data):
+    """mat_vanishes is `not any(mat_lincomb(...))` with every bracket
+    term formed by mat_bracket, and mat_lincomb takes bracket terms as
+    their brackets, on combinations that often cancel exactly (each
+    c*m by -c*m, each [a,b] by [b,a]) and then may get one perturbed
+    entry."""
+    K = VANISH_FIELDS[name]
+    n, mats = data.draw(payload_matrices(K, 3))
+    mats = [linalg.Rows(m) for m in mats]
+    picks = data.draw(st.lists(st.tuples(st.integers(-5, 5),
+                                         st.integers(0, 2)), max_size=4))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 2),
+                                         st.integers(0, 2)), max_size=2))
+    terms = [(K(c), mats[i]) for c, i in picks]
+    brackets = [(1, (mats[i], mats[j])) for i, j in pairs]
+    if data.draw(st.booleans()):
+        terms += [(-c, m) for c, m in terms]
+        brackets += [(1, (b, a)) for _, (a, b) in brackets]
+    terms += brackets
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        v = data.draw(_payloads(K).filter(lambda v: not K.is_zero(v)))
+        terms.append((1, tuple({j: v} if r == i else {} for r in range(n))))
+    formed = [(c, linalg.mat_bracket(K, *m) if linalg.is_pair(m) else m)
+              for c, m in terms]
+    want = linalg.mat_lincomb(K, formed, n)
+    assert linalg.mat_lincomb(K, terms, n) == want
+    assert linalg.mat_vanishes(K, terms, n) == (not any(want))
 
 
 @FIELD_NAMES
