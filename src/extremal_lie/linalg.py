@@ -49,22 +49,28 @@ On every field a bracket with a zero operand returns N empty rows at
 once, and over GF(p) `trace_product` sums its residue products as ints
 and reduces mod p once.  All pivoting is deterministic, so reduced
 forms, solutions and span tests are reproducible bit for bit: `echelon`
-pivots on the leftmost column and the first nonzero row, and
-`SpanSolver` on the last column of each row it keeps.
+returns the reduced row echelon form, which is unique, and `SpanSolver`
+pivots on the last column of each row it keeps.
 
 Row reduction has one kernel, `echelon`, which takes sparse payload rows
 and returns their reduced row echelon form; `rref` and `solve` are its
 FieldElement wrappers, and `presentation.build_L0` calls it directly.
-Both `echelon` and `SpanSolver` reduce a vector against semi-echelon
-rows, each with the loop that suits its vectors.  `echelon` is driven
-by the entries of the row it reduces, on `axpy`: a map from lead to
-kept row names the rows the row meets.  The 5 800 nonempty relation
-rows of one `present-qq` pass hold about 1.2 entries each against up
-to 98 kept rows, so a scan over the kept rows makes 231 000 lookups;
-the entry-driven loop reduces the same rows in about 0.6 of the time
-(CPython 3.11).  `SpanSolver` scans its rows (`_reduce`): its vectors
-are matrices with dozens to hundreds of entries, and the entry-driven
-loop on them measured 3-5% slower on the `certify-gfp` and
+`echelon` first takes the unit rows off, the rows of one nonzero
+entry: each is its own reduced row, so its column is a pivot, and the
+other rows only lose their entries there.  Of the 5 837 relation rows of one `present-qq`
+pass, 4 839 are units at 2 647 of the 2 998 pivots, so `echelon`
+divides 351 times instead of 2 998 and calls `axpy` 538 times instead
+of 4 179, in about a third of the time (0.0047 against 0.0142 s of a
+0.034 against 0.043 s pass, CPython 3.11).  Both `echelon` and
+`SpanSolver` reduce a vector against semi-echelon rows, each with the
+loop that suits its vectors.  `echelon` is driven by the entries of
+the row it reduces, on `axpy`: a map from lead to kept row names the
+rows the row meets.  On the complete graph K5 over the rationals,
+whose presentation has 2 883 relation rows of two or more entries, a
+scan over the kept rows makes 430 000 lookups and takes 0.052 s
+against the map's 0.044 s.  `SpanSolver` scans its rows (`_reduce`):
+its vectors are matrices with dozens to hundreds of entries, and the
+entry-driven loop on them measured 3-5% slower on the `certify-gfp` and
 `match-gfp2` benchmark workloads.  Over GF(p) the span reduction, and
 the combination that turns its steps into coordinates, run as
 `_reduce_mod` and `_combine_mod`: they sum plain ints and reduce mod p
@@ -80,8 +86,7 @@ but outside its family's standard classical algebra tests membership
 (`contains`), since nothing reads its coordinates.
 A zero row costs O(1): `echelon` drops empty input rows before it
 copies them, and `_reduce` stops scanning the kept rows as soon as the
-vector it reduces is empty.  Most relation rows of the graded
-presentation are empty or reduce to zero.
+vector it reduces is empty.
 
 FieldElement vectors (lists) and matrices (lists of rows) remain at the
 edge only.  `sparse` and `dense` convert between the two forms; they
@@ -116,11 +121,16 @@ def sparse(field, vec):
                 f"cannot combine elements of {field} and {x.field}")
         if x.v != zero:
             out[i] = x.v
-    if isinstance(field, RationalField):
-        for i, v in out.items():
-            if type(v) is Fraction and v.denominator == 1:
-                out[i] = v.numerator
-    return out
+    return _integral(out) if isinstance(field, RationalField) else out
+
+
+def _integral(v):
+    """The rational sparse v with each integral `Fraction` payload
+    made its int, in place."""
+    for i, x in v.items():
+        if type(x) is Fraction and x.denominator == 1:
+            v[i] = x.numerator
+    return v
 
 
 def dense(field, v, length):
@@ -529,24 +539,36 @@ def echelon(field, rows):
     not modified): (reduced, pivots), the nonzero reduced rows in pivot
     order and their pivot columns, ascending.
 
-    Each row is reduced against the rows kept so far and kept, scaled to
-    a leading one at its smallest column, if anything is left (a
-    semi-echelon form).  The reduction is driven by the row's own
-    entries: a map from each lead to its kept row names the rows the
-    row meets, and each step applies the one kept first.  A kept row is
-    zero at the leads of the rows kept before it, so a step can only
-    add leads of later rows, and the rows applied and their order are
-    those of a scan over all kept rows (`_reduce`), at the cost of the
-    row's entries rather than of the kept rows.  Back substitution,
-    from the rightmost pivot leftwards, then clears every pivot column
-    of the other rows.  The reduced row echelon form of a row space is
-    unique, so the result does not depend on the elimination order."""
-    axpy, div, one = field.axpy, field.div, field.one.v
-    kept, leads, at = [], [], {}     # at: lead column -> its kept row
+    The unit rows go first: a row of one nonzero entry, at column c,
+    puts e_c in the row space, so c is a pivot and its reduced row is
+    exactly {c: one}.  Every other row loses its unit columns, which
+    reduces it by those rows, and is then reduced against the rows kept
+    so far and kept, scaled to a leading one at its smallest column, if
+    anything is left (a semi-echelon form).  The reduction is driven by
+    the row's own entries: a map from each lead to its kept row names
+    the rows the row meets, and each step applies the one kept first.
+    A kept row is zero at the leads of the rows kept before it, so a
+    step can only add leads of later rows, and the rows applied and
+    their order are those of a scan over all kept rows (`_reduce`), at
+    the cost of the row's entries rather than of the kept rows.  Back
+    substitution, from the rightmost pivot leftwards, then clears every
+    pivot column of the other kept rows; they hold no unit column.
+    The reduced row echelon form of a row space is unique, so the
+    result does not depend on the elimination order.  Over the
+    rationals an integral payload of the result is an int."""
+    axpy, div, one, zero = field.axpy, field.div, field.one.v, field.zero.v
+    units, rest = set(), []
     for v in rows:
-        if not v:
-            continue
-        v = dict(v)
+        if len(v) == 1:
+            (c, x), = v.items()
+            if x != zero:
+                units.add(c)
+                continue
+        if v:
+            rest.append(v)
+    kept, leads, at = [], [], {}     # at: lead column -> its kept row
+    for v in rest:
+        v = {c: x for c, x in v.items() if c not in units}
         while met := [at[c] for c in v if c in at]:
             k = min(met)
             axpy(v, v[leads[k]], kept[k])
@@ -556,12 +578,15 @@ def echelon(field, rows):
             kept.append(_scaled(field, v, div(one, v[lc])))
             leads.append(lc)
     order = sorted(range(len(kept)), key=leads.__getitem__, reverse=True)
-    done = {}
+    done = {c: {c: one} for c in units}
     for r in order:
         row, lc = kept[r], leads[r]
         for pc in [k for k in row if k in done]:
             axpy(row, row[pc], done[pc])
         done[lc] = row
+    if isinstance(field, RationalField):
+        for row in kept:
+            _integral(row)
     pivots = sorted(done)
     return [done[pc] for pc in pivots], pivots
 

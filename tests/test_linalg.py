@@ -8,8 +8,8 @@ from conftest import (KERNEL_FIELDS, lift_rows, mat_vec, random_element,
                       random_vector)
 from extremal_lie import linalg
 from extremal_lie.fields import (DEFAULT_PRIME, DescriptorMismatch,
-                                 FieldElement, PrimeField, QQ,
-                                 QuadraticExtension)
+                                 FieldElement, NotInvertible, PrimeField,
+                                 QQ, QuadraticExtension)
 from extremal_lie.realizations import (MatrixLieAlgebra, build_generators,
                                        lie_closure)
 
@@ -556,6 +556,65 @@ def test_echelon_property_against_dense_gauss_jordan(name, data):
         [linalg.dense(K, row, cols) for row in rows])
     assert pivots == want_pivots
     assert reduced == [linalg.sparse(K, row) for row in want[:rank]]
+
+
+@st.composite
+def unit_heavy_rows(draw, field):
+    """(cols, rows): sparse payload rows over `field` in 2 to 6
+    columns, most of them one entry long: units, a unit repeated at its
+    column with another payload, rows of two to four entries (which
+    often hold a unit's column), and a longer row followed by itself
+    plus z e_c, which reduces to the unit z e_c."""
+    cols = draw(st.integers(2, 6))
+    entry = _payloads(field).filter(lambda x: not field.is_zero(x))
+    col = st.integers(0, cols - 1)
+    longer = st.dictionaries(col, entry, min_size=2, max_size=4)
+
+    def and_unit(row, c, z):
+        x = field.add(row.get(c, field.zero.v), z)
+        rest = {k: y for k, y in row.items() if k != c}
+        return [row, rest if field.is_zero(x) else {**rest, c: x}]
+
+    parts = draw(st.lists(st.one_of(
+        st.builds(lambda c, x: [{c: x}], col, entry),
+        st.builds(lambda c, x, y: [{c: x}, {c: y}], col, entry, entry),
+        longer.map(lambda row: [row]),
+        st.builds(and_unit, longer, col, entry)), max_size=6))
+    return cols, draw(st.permutations([row for p in parts for row in p]))
+
+
+UNIT_FIELDS = {**KERNEL_FIELDS, **ECHELON_FIELDS}
+
+
+@pytest.mark.parametrize("name", list(UNIT_FIELDS))
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))
+@given(data=st.data())
+def test_echelon_unit_rows_against_dense_gauss_jordan(name, data):
+    """The one-entry rows `echelon` takes off first give the reduced
+    row echelon form all the same, and over QQ an integral payload of
+    the result is an int."""
+    K = UNIT_FIELDS[name]
+    cols, rows = data.draw(unit_heavy_rows(K))
+    copies = [dict(row) for row in rows]
+    reduced, pivots = linalg.echelon(K, rows)
+    assert rows == copies                     # the input is not modified
+    want, want_pivots, rank = _reference_rref(
+        [linalg.dense(K, row, cols) for row in rows])
+    assert pivots == want_pivots
+    assert reduced == [linalg.sparse(K, row) for row in want[:rank]]
+    if K is QQ:
+        assert not any(type(x) is Fraction and x.denominator == 1
+                       for row in reduced for x in row.values())
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(p)", "GF(p)(rt d)"])
+def test_echelon_refuses_a_row_holding_only_a_zero(name):
+    """A one-entry row is a unit only when its payload is nonzero; a
+    stored zero, which no payload row holds, is still refused."""
+    K = KERNEL_FIELDS[name]
+    with pytest.raises(NotInvertible):
+        linalg.echelon(K, [{0: K.zero.v}])
 
 
 @FIELD_NAMES

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import random_element, random_vector
+from extremal_lie import linalg
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import (FAMILY_MIN_N, build_family_graph, catalog,
                                  expected_catalog_size, graph_from_edges)
@@ -267,6 +268,61 @@ PRESENT_DIGESTS = [
 def test_structure_constants_digests(graph, field, digest):
     text = build_L0(graph, field).structure_constants_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field,digest", [
+    (PrimeField(DEFAULT_PRIME),
+     "a0ec7e5c56490f9fd5820012256f0cfcc1534ad61a5d5c634b5653b37fe05386"),
+    (QQ, "6eb6c7c8c764e8fea160838c3b860ff71d695ba576d71006c4ed12f6c5ed191c"),
+], ids=["GF(p)", "QQ"])
+def test_complete_graph_k5(field, digest):
+    """K5 outgrows the default cap 9; with cap 40 it stops at degree 15.
+    Its 2 883 relation rows of two or more entries are eliminated, where
+    the family graphs' relations are mostly one entry long."""
+    L = build_L0(graph_from_edges(5, list(combinations(range(1, 6), 2))),
+                 field, cap=40)
+    assert (L.dim, L.top_degree) == (548, 15)
+    text = L.structure_constants_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_echelon_divides_only_for_the_rows_it_eliminates(monkeypatch):
+    """On D9 over GF(p), 1 014 of the 1 162 pivots of the relations are
+    the columns of one-entry rows, which `echelon` takes as they are:
+    it divides once per other pivot, 148 times."""
+    F = PrimeField(DEFAULT_PRIME)
+    div, echelon = F.div, linalg.echelon
+    counts = {"div": 0, "pivots": 0, "units": 0}
+
+    def counting_div(a, b):
+        counts["div"] += 1
+        return div(a, b)
+
+    def counting_echelon(field, rows):
+        F.div = counting_div
+        try:
+            reduced, pivots = echelon(field, rows)
+        finally:
+            del F.div
+        counts["pivots"] += len(pivots)
+        counts["units"] += len({c for v in rows if len(v) == 1 for c in v})
+        return reduced, pivots
+
+    monkeypatch.setattr(linalg, "echelon", counting_echelon)
+    build_L0(build_family_graph("D", 9), F)
+    assert counts == {"div": 148, "pivots": 1162, "units": 1014}
+
+
+@pytest.mark.parametrize("family,n", [("D", 9), ("B", 9), ("D", 12)])
+def test_integral_rational_payloads_are_ints(family, n):
+    """A relation row with lead +-2 is scaled by a Fraction; the
+    integral entries it leaves reach the algebra as ints."""
+    L = build_L0(build_family_graph(family, n), QQ)
+    L.structure_constants_text()
+    assert all(type(x) is int for cols in L.leftmult for col in cols
+               for x in col.values())
+    assert all(type(x) is int for v in L._pair_cache.values()
+               for x in v.values())
 
 
 @pytest.mark.parametrize("family", "AD")
