@@ -49,9 +49,8 @@ def _closure(shared, family, n, params):
     key = (family, n, params)
     if key not in shared:
         F = shared["field"]
-        mats, extra = build_generators(
-            family, n, F, tuple(F(p) for p in params))
-        alg, span = certify.catalog_closure(family, n, F, mats, extra)
+        mats, _ = build_generators(family, n, F, tuple(F(p) for p in params))
+        alg, span = certify.catalog_closure(family, F, mats)
         shared[key] = (alg, alg.generators_list, span)
     return shared[key]
 
@@ -384,7 +383,7 @@ def criterion_10(rng, shared):
                 bad.append(f"D({n};{alpha},{beta}): no candidates")
                 continue
             try:
-                certify._rebuild_model("D", n, ctx.field, vec, F)
+                certify._rebuild_model(ctx.field, vec, F)
             except certify.CertifyError as exc:
                 bad.append(f"D({n};{alpha},{beta}): {exc}")
 

@@ -56,13 +56,13 @@ when its normal form has its model's base matrices and scalars
 (`_own_model`): each product is solved from exactly its model's
 bracket in exactly its model's images, so the check holds as built and
 its images serve as the model's.  Side 2 then needs only its span
-proved closed, and the classical bound proves it as `certify_family`
-proves its closure (`_classical_bound`): its dim catalog images are
-independent, and every base generator y_k lies in the classical
-algebra of the family's standard form (`standard_form`), sl_N, o(G) or
-sp(G), of dimension dim, so the images span the closure.  A side whose
-bound fails, such as one in other coordinates, takes a pass with no
-model, which proves the span closed by membership.  Every A or C side
+proved closed, and `catalog_closure` of its base generators y_k, the
+proof `certify_family` runs, proves it: every y_k lies in the classical
+algebra of the family's standard form (`realizations.standard_form`),
+sl_N, o(G) or sp(G), of dimension dim, and dim independent catalog
+images span the closure.  A side it refuses, such as one in other
+coordinates, or whose rank is less, takes a pass with no model, which
+names dependent images or proves the span closed.  Every A or C side
 is its own model, and so is a B or D side of standard generators whose
 model rebuilds them; a B or D side in other coordinates, or one whose
 psi rebuilds at another parameter point (D5 (2,3) at (0,15)), is
@@ -77,7 +77,7 @@ the models, is an isomorphism on every pair.
 
 No model is closed: model 2's independent images, closed under every
 generator (by side 2's model check or, when side 2 is its own model, by
-its classical bound or its membership pass), span its closure and prove
+`catalog_closure` or its membership pass), span its closure and prove
 its dimension.
 
 A and C graphs carry no parameters: each side's model is the side, so
@@ -117,8 +117,7 @@ from .extremal import (extremal_form_value, fixtriangle, check_premet,
                        triangle_open, HypothesisFailed)
 from .realizations import (MatrixLieAlgebra, build_generators,
                            classical_algebra, InvalidParameters,
-                           d_open_conditions, generators_D, generators_B,
-                           standard_form)
+                           d_open_conditions, generators_D, generators_B)
 
 
 class CertifyError(Exception):
@@ -670,11 +669,11 @@ SPANNING_SAMPLES = 100
 IDENTITY_SAMPLES = 50
 
 
-def catalog_closure(family, n, field, mats, extra):
-    """(closure, span): the classical algebra that holds the family
-    generators `mats`, as `build_generators` returns them with `extra`,
-    and the `SpanSolver` of their catalog images.  The closure's
-    dimension is `span.rank`.
+def catalog_closure(family, field, mats):
+    """(closure, span): the classical algebra that holds the n = len(mats)
+    family generators `mats` (N x N matrices, FieldElement or payload
+    rows), and the `SpanSolver` of their catalog images, built in it.
+    The closure's dimension is `span.rank`.
 
     The catalog images lie in the closure, so their rank bounds its
     dimension from below; the `ClassicalAlgebra` of `classical_algebra`
@@ -696,24 +695,24 @@ def catalog_closure(family, n, field, mats, extra):
     failing report's `dim` rests on the lemma; that the catalog is a
     basis of L(Gamma, 0) is checked over GF(p) for n <= 12 (the test
     test_presentation_at_n_12_has_the_catalog_dimension) and rests on
-    the paper's catalog beyond.  ValueError when
-    `classical_algebra` refuses the generators or its dimension is not
-    the catalog size; the standard generators meet neither."""
-    gens = MatrixLieAlgebra(field, len(mats[0]), [], mats)
-    mats = gens.generators_list
-    span = linalg.SpanSolver(field, gens.vector_dim)
-    for img in _catalog_images(gens, mats,
-                               [e.indices for e in catalog(family, n)]):
-        span.add(gens.vector(img))
-    classical = classical_algebra(family, field, mats, extra)
+    the paper's catalog beyond.  ValueError, before any image is built,
+    when `classical_algebra` refuses the generators or its dimension is
+    not the catalog size, and for a generator that is not N x N; the
+    standard generators meet none of these."""
+    n = len(mats)
+    classical = classical_algebra(family, field, mats)
     if classical is None:
         raise ValueError(f"{family}{n}: no classical algebra holds the "
-                         "generators (trace, form or X^T G + G X = 0)")
+                         "generators (size, trace or X^T G + G X = 0)")
     expected = expected_catalog_size(family, n)
     if classical.dim != expected:
         raise ValueError(f"{family}{n}: the classical algebra has "
                          f"dimension {classical.dim}, not the catalog "
                          f"size {expected}")
+    span = linalg.SpanSolver(field, classical.vector_dim)
+    for img in _catalog_images(classical, classical.generators_list,
+                               [e.indices for e in catalog(family, n)]):
+        span.add(classical.vector(img))
     return classical, span
 
 
@@ -736,8 +735,8 @@ def certify_family(family, n, params=(), field=QQ, seed=0):
     tally, so a wrong form scale fails the report.  A report holds
     flags and counts only."""
     rng = random.Random(seed)
-    mats, extra = build_generators(family, n, field, params)
-    closure, span = catalog_closure(family, n, field, mats, extra)
+    mats, _ = build_generators(family, n, field, params)
+    closure, span = catalog_closure(family, field, mats)
     mats = closure.generators_list
     graph = build_family_graph(family, n)
 
@@ -823,9 +822,10 @@ def _psi_in(vec, fld):
                      tuple(lift_element(v, fld) for v in vec.values))
 
 
-def _rebuild_model(family, n, fld, target_psi, field):
-    """Standard generators over `field`, the sides' base field, whose
-    canonical gauge reproduces `target_psi`; returns (params, ctx,
+def _rebuild_model(fld, target_psi, field):
+    """Standard generators over `field`, the sides' base field, of the
+    family and rank of `target_psi`, a B or D `PsiVector`, whose
+    canonical gauge reproduces it; returns (params, ctx,
     gens), params the solved candidate without D's special-vector
     coordinate, and (ctx, gens) the model's normal form, its scalars
     starting in `fld`.  A candidate is (gamma,) for B, or a
@@ -840,7 +840,8 @@ def _rebuild_model(family, n, fld, target_psi, field):
     generator, so they span its closure, of dimension the catalog size;
     otherwise they raise StructureMismatch.  When side 2 is its own
     model, no check runs on model 2: its images are side 2's, which
-    `_classical_bound` or a pass with no model proves closed."""
+    `catalog_closure` or a pass with no model proves closed."""
+    family, n = target_psi.family, target_psi.n
     flong = target_psi.values[-1]
     if family == "B":
         candidates = [(solve_param_B(flong, n),)]
@@ -939,9 +940,10 @@ def _check_side(ctx, gens, labels, name, model=None):
     lie in their span.  A unit product, (k,) + label(b) a label, is an
     image as built, so only the other n * dim - (dim - n) products take
     a bracket.  With `model` None the side is its own model
-    (`_own_model`) and outside the classical algebra of its family's
-    standard form (`_classical_bound`): nothing reads the coordinates,
-    so membership proves the span closed (`SpanSolver.contains`).
+    (`_own_model`) whose closure `catalog_closure` did not prove, such
+    as one outside the classical algebra of its family's standard form:
+    nothing reads the coordinates, so membership proves the span closed
+    (`SpanSolver.contains`).
 
     Otherwise `model` is (mctx, mgens, party), the model's normal form
     x_k = nu_k z_k over the side's base field, and each product is
@@ -1032,23 +1034,6 @@ def _own_model(ctx, gens, mctx, mgens):
             and _scalars(gens, field) == _scalars(mgens, field))
 
 
-def _classical_bound(family, ctx, gens, dim):
-    """Whether the classical algebra of the family's standard form
-    (`standard_form`; sl_N for A), of dimension `dim`, holds every base
-    generator y_k of a side that is its own model, its normal form
-    (ctx, gens): `classical_algebra`, as `certify_family` proves a
-    realization's closure.  Then the side's closure lies in that
-    algebra, so its `dim` independent catalog images span the closure:
-    their span is closed, and no pass needs to prove it.  False when a
-    y_k leaves the algebra, as in a realization in other coordinates,
-    or when the dimensions differ."""
-    base = ctx.base
-    form = standard_form(family, base.field, base.ambient_dim)
-    bound = classical_algebra(family, base.field, [g.a for g in gens],
-                              (form,))
-    return bound is not None and bound.dim == dim
-
-
 def match_algebras(alg1, gens1, alg2, gens2, family):
     """Certify that two realizations of the same family graph, over one
     field, are isomorphic: normalise both, rebuild a standard model for
@@ -1056,8 +1041,10 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     is not its own model (`_own_model`) on its model's generator
     products, side 2 first, in one pass per side (`_check_side`), then
     glue the two models.  A side 1 that is its own model runs no pass,
-    and neither does an own-model side 2 in the classical algebra of its
-    family's standard form (`_classical_bound`).  A and C sides, and
+    and neither does an own-model side 2 whose base generators y_k
+    `catalog_closure` proves closed, as `certify_family` proves a
+    realization: its catalog rank is the dimension of the classical
+    algebra of its family's standard form.  A and C sides, and
     every B or D side whose model rebuilds its normal form, run no
     model check.  The module docstring says what that proves.
 
@@ -1068,8 +1055,8 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     reached only rescales the glue into `basis_map`.
 
     Either side may be a closure or hold generators only: side 2's
-    bound or pass proves the dimension, and the certificate's `dim` is
-    the catalog size it proves."""
+    `catalog_closure` or pass proves the dimension, and the
+    certificate's `dim` is the catalog size it proves."""
     n = len(gens1)
     if len(gens2) != n:
         raise FormMismatch("realizations have different numbers of "
@@ -1092,22 +1079,24 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
         mctx1, m1 = ctx1, g1
         mctx2, m2 = ctx2, g2
     else:
-        params1, mctx1, m1 = _rebuild_model(family, n, ctx2.field, psi1,
-                                            alg1.field)
+        params1, mctx1, m1 = _rebuild_model(ctx2.field, psi1, alg1.field)
         params2, mctx2, m2 = _rebuild_model(
-            family, n, mctx1.field, _psi_in(psi2, mctx1.field), alg1.field)
+            mctx1.field, _psi_in(psi2, mctx1.field), alg1.field)
 
     # side 2 first: unless it is its own model, its pass checks it
-    # against model 2 and proves its span closed; as its own model, a
-    # classical bound proves that, or else a pass with no model does
+    # against model 2 and proves its span closed; as its own model,
+    # `catalog_closure` proves that, or else a pass with no model does
     if not _own_model(ctx2, g2, mctx2, m2):
         span_c2 = _check_side(ctx2, g2, labels, "side 2",
                               (mctx2, m2, "model 2"))[1]
-    elif _classical_bound(family, ctx2, g2, len(labels)):
-        span_c2 = _independent_images(ctx2.base, [g.a for g in g2], labels,
-                                      "side 2")[2]
     else:
-        span_c2 = _check_side(ctx2, g2, labels, "side 2", None)[1]
+        try:
+            classical, span_c2 = catalog_closure(
+                family, alg1.field, [g.a for g in g2])
+        except ValueError:
+            classical = None
+        if classical is None or span_c2.rank != classical.dim:
+            span_c2 = _check_side(ctx2, g2, labels, "side 2", None)[1]
     # then side 1: its own model needs no pass, since the glue finds its
     # independent images in the closed span_c2
     if _own_model(ctx1, g1, mctx1, m1):

@@ -215,10 +215,9 @@ def cmd_realize(args):
         raise UsageError("realize needs --family and --n")
     params = collect_params(args)
     args.n = check_size(args.n)
-    mats, extra = build_generators(args.family, args.n, field,
-                                   tuple(field_elem(field, p) for p in params))
-    alg, span = certify.catalog_closure(args.family, args.n, field, mats,
-                                        extra)
+    mats, _ = build_generators(args.family, args.n, field,
+                               tuple(field_elem(field, p) for p in params))
+    alg, span = certify.catalog_closure(args.family, field, mats)
     gens = alg.generators_list
     graph = build_family_graph(args.family, args.n)
     extremal = [alg.extremal(g) for g in gens]

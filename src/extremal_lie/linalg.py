@@ -79,10 +79,10 @@ only where they read a lead, and once at the end.
 vectors only when coordinates are first asked for, by replaying the
 reduction steps `add` recorded, so the many spans that only test
 membership or count a rank do no expression work.  A match makes one
-pass over the generator products of each side it proves
-(`certify._check_side`): a product is solved to coordinates, once,
-only when a model check applies them, and a side that is its own model
-but outside its family's standard classical algebra tests membership
+pass over the generator products of each side it checks against a
+model (`certify._check_side`), solving a product to coordinates once;
+an own-model side 2 that `certify.catalog_closure` does not prove
+closed takes the same pass with no model, which tests membership
 (`contains`), since nothing reads its coordinates.
 A zero row costs O(1): `echelon` drops empty input rows before it
 copies them, and `_reduce` stops scanning the kept rows as soon as the

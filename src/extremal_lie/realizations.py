@@ -20,12 +20,13 @@ does every conjugate and multiple of one, so the context reads their
 extremal form values from rank factors x = U R, r = rank x at most 2,
 instead of two brackets (`MatrixLieAlgebra.extremal_value`).
 :func:`classical_algebra` reads the sl_N, o(G) or sp(G) that holds a
-realization's generators from their traces or form: a
-:class:`ClassicalAlgebra`, the matrix context of those generators with
-the classical dimension.  It proves an element extremal from its rank
-factors, samples its standard basis in O(N^2) and has a fixed form
-scale, so a realization's closure, which it holds, needs no grown
-basis and no calibration.
+realization's generators from their traces or from the family's
+standard form G, which depends on the family and N alone
+(`standard_form`): a :class:`ClassicalAlgebra`, the matrix context of
+those generators with the classical dimension.  It proves an element
+extremal from its rank factors, samples its standard basis in O(N^2)
+and has a fixed form scale, so a realization's closure, which it
+holds, needs no grown basis and no calibration.
 """
 
 from . import linalg
@@ -503,7 +504,8 @@ def lie_closure(generators, field):
     basis is the deterministic closure basis.  No command calls it: a
     match needs generators-only contexts,
     ``MatrixLieAlgebra(field, N, [], gens)``, and a family realization's
-    closure is its classical algebra (`certify.catalog_closure`)."""
+    closure, a match's own-model side 2 included, is its classical
+    algebra (`certify.catalog_closure`)."""
     n = len(generators[0])
     gens = MatrixLieAlgebra(field, n, [], generators)
     basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,
@@ -521,15 +523,16 @@ FORM_SCALE = {"A": -2, "B": -1, "C": -2, "D": -1}
 
 class ClassicalAlgebra(MatrixLieAlgebra):
     """sl_N (family A), o(G) (B, D) or sp(G) (C) over `field`, G the
-    form's Gram matrix (`gram`, payload rows), as the Lie context of
-    the realization `generators` it holds (`classical_algebra`), of
-    dimension `dim`, the family's N^2 - 1, N(N-1)/2 or N(N+1)/2.  It
-    holds the closure of the realization, and is that closure when
-    `dim` is the rank of the catalog images
+    Gram matrix of the family's standard form on F^N (`standard_form`,
+    N odd for B and even for C and D; `gram`, payload rows), as the Lie
+    context of the realization `generators` it holds
+    (`classical_algebra`), of dimension `dim`, the family's N^2 - 1,
+    N(N-1)/2 or N(N+1)/2.  It holds the closure of the realization,
+    and is that closure when `dim` is the rank of the catalog images
     (`certify.catalog_closure`).  It brackets and combines as a
-    `MatrixLieAlgebra`, with no standard basis until a sample is drawn
-    (`from_coords`) and no basis of elements until a sweep asks for
-    one (`basis`).  Its form is c * trace(ab) with c
+    `MatrixLieAlgebra`, with no standard basis, and no G^-1, until a
+    sample is drawn (`from_coords`) and no basis of elements until a
+    sweep asks for one (`basis`).  Its form is c * trace(ab) with c
     fixed, not calibrated: for x = a b^T of rank 1, f_x(y) =
     -2 b^T y a = -2 trace(xy), so c = -2 (A, C); for a Siegel element
     x = T_{u,v}, f_x(y) = -2 B(u, yv) and trace(xy) = 2 B(u, yv), so
@@ -537,10 +540,14 @@ class ClassicalAlgebra(MatrixLieAlgebra):
     the rank-2 rule of `extremal`, need characteristic != 2, which
     every field here has (`PrimeField` refuses p = 2)."""
 
-    def __init__(self, family, field, generators, gram=None, inverse=None):
+    def __init__(self, family, field, generators):
         super().__init__(field, len(generators[0]), [], generators)
-        self.family, self.gram, self._inverse = family, gram, inverse
+        self.family, self.gram = family, None
         n = self.ambient_dim
+        if family != "A":
+            self.gram = [{} for _ in range(n)]
+            for (i, j), g in standard_form(family, field, n).entries.items():
+                self.gram[i][j] = g.v
         self.dim = (n * n - 1 if family == "A" else
                     n * (n + 1) // 2 if family == "C" else n * (n - 1) // 2)
         self.form_scale = field(FORM_SCALE[family])
@@ -606,18 +613,19 @@ class ClassicalAlgebra(MatrixLieAlgebra):
         entries but the last diagonal one, or G^-1 A for A
         antisymmetric (B, D) or symmetric (C) with the c_i as its
         entries A_ij, i < j or i <= j, row by row.  The entries are
-        placed through a table built from the standard basis on the
-        first call (`_position_table`): for G a signed permutation, or
-        the odd form's with its 1/2, each entry of G^-1 A is g c_i for
-        one i, and only the last diagonal entry of sl_N is a sum.  Over
-        GF(p) an entry is an int product or sum, reduced once."""
+        placed through a table built from the standard basis, and G^-1,
+        on the first call (`_position_table`): for G a signed
+        permutation, or the odd form's with its 1/2, each entry of
+        G^-1 A is g c_i for one i, and only the last diagonal entry of
+        sl_N is a sum.  Over GF(p) an entry is an int product or sum,
+        reduced once."""
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for an algebra "
                              f"of dimension {self.dim}")
         field, n = self.field, self.ambient_dim
         if self._table is None:
             self._table = _position_table(
-                _standard_basis(self.family, field, n, self._inverse), n)
+                _standard_basis(self.family, field, n, self.gram), n)
         singles, sums = self._table
         rows = []
         if isinstance(field, PrimeField):
@@ -672,22 +680,26 @@ def _position_table(entries, size):
     return singles, sums
 
 
-def _standard_basis(family, field, size, inverse):
+def _standard_basis(family, field, size, gram):
     """The standard basis, each element a list of its entries
     (i*N + j, payload): E_ij for (i, j) != (N, N), E_ii taking -E_NN
     with it (A); G^-1 (E_ij - E_ji), i < j (B, D); G^-1 (E_ij + E_ji),
     i < j, and G^-1 E_ii (C); row by row.  Column j of G^-1 E_ij is
-    column i of G^-1 (`inverse`, payload rows)."""
+    column i of G^-1, which `linalg.echelon` of [G | 1] gives (`gram`,
+    payload rows, non-degenerate)."""
     one = field.one.v
     if family == "A":
         last = size * size - 1
         minus = [(last, field.neg(one))]
         return [[(k, one)] + (minus if k % (size + 1) == 0 else [])
                 for k in range(last)]
+    reduced, _ = linalg.echelon(
+        field, [{**row, size + i: one} for i, row in enumerate(gram)])
     cols = [[] for _ in range(size)]        # the columns of G^-1
-    for r, row in enumerate(inverse):
+    for r, row in enumerate(reduced):
         for k, g in row.items():
-            cols[k].append((r * size, g))
+            if k >= size:
+                cols[k - size].append((r * size, g))
     neg = (lambda g: g) if family == "C" else field.neg
     out = []
     for i in range(size):
@@ -699,37 +711,17 @@ def _standard_basis(family, field, size, inverse):
     return out
 
 
-def classical_algebra(family, field, mats, extra):
+def classical_algebra(family, field, mats):
     """The classical algebra that holds every generator (N x N) of a
-    realization, as its Lie context, or None when a check fails.  A:
-    every generator is traceless, so it is sl_N.  B, C, D: the Gram
-    matrix G of the form extra[0] (as `build_generators` returns it) is
-    symmetric (B, D) or alternating (C) of rank N, and X^T G + G X = 0
-    for every generator X: o(G) or sp(G).  `linalg.echelon` of [G | 1]
-    gives the rank of G and G^-1 at once."""
+    realization, as its Lie context, or None when a check fails: sl_N
+    (A) when every generator is traceless, o(G) (B, D) or sp(G) (C),
+    G the family's standard form on F^N (`standard_form`), when
+    X^T G + G X = 0 for every generator X.  N must be odd for B and
+    even for C and D, the sizes the family's forms have."""
     size = len(mats[0])
-    if family == "A":
-        alg = ClassicalAlgebra(family, field, mats)
-    else:
-        form = extra[0]
-        sign = -1 if family == "C" else 1
-        entries = form.entries
-        if form.dim != size or any(
-                entries.get((j, i), field.zero) != g * sign
-                for (i, j), g in entries.items()):
-            return None
-        gram = [{} for _ in range(size)]
-        for (i, j), g in entries.items():
-            if not g.is_zero():
-                gram[i][j] = g.v
-        one = field.one.v
-        reduced, pivots = linalg.echelon(
-            field, [{**row, size + i: one} for i, row in enumerate(gram)])
-        if pivots[size - 1] != size - 1:
-            return None
-        inverse = [{j - size: v for j, v in row.items() if j >= size}
-                   for row in reduced]
-        alg = ClassicalAlgebra(family, field, mats, gram, inverse)
+    if family != "A" and size % 2 != (family == "B"):
+        return None
+    alg = ClassicalAlgebra(family, field, mats)
     return alg if all(alg.holds(x) for x in alg.generators_list) else None
 
 

@@ -48,9 +48,9 @@ def closure_of(family, n, params=()):
 
 def classical_of(family, n, params=(), field=F):
     """The classical algebra of the family realization over `field`."""
-    mats, extra = build_generators(family, n, field,
-                                   tuple(field(p) for p in params))
-    return classical_algebra(family, field, mats, extra)
+    mats, _ = build_generators(family, n, field,
+                               tuple(field(p) for p in params))
+    return classical_algebra(family, field, mats)
 
 
 @pytest.fixture(scope="module")
@@ -1108,7 +1108,7 @@ def test_rebuilt_models_close_to_the_catalog_dimension(family, n, params):
     catalog dimension."""
     alg, mats = closure_of(family, n, params)
     ctx, gens = normalize_generators(family, alg, mats)
-    _, mctx, model = certify._rebuild_model(family, n, ctx.field,
+    _, mctx, model = certify._rebuild_model(ctx.field,
                                             psi(family, ctx, gens), F)
     closure = lie_closure([g.a for g in model], mctx.base.field)
     assert closure.dim == expected_catalog_size(family, n)
@@ -1448,11 +1448,11 @@ def _wrong_models(monkeypatch, sides):
     rebuild = certify._rebuild_model
     calls = []
 
-    def wrong(family, n, fld, target, *base):
+    def wrong(fld, target, *base):
         calls.append(1)
         if len(calls) <= sides:
             target = certify._psi_in(other, fld)
-        return rebuild(family, n, fld, target, *base)
+        return rebuild(fld, target, *base)
 
     monkeypatch.setattr(certify, "_rebuild_model", wrong)
     return alg, mats
@@ -1647,20 +1647,37 @@ MODEL_CHECKS = {
 }
 
 
+def _record_bound(monkeypatch, proved):
+    """Make every `catalog_closure` call of a match append to `proved`
+    whether it proves its side closed: it returns, and its catalog rank
+    is its classical algebra's dimension."""
+    closure = certify.catalog_closure
+
+    def recorded(*args):
+        try:
+            classical, span = closure(*args)
+        except ValueError:
+            proved.append(False)
+            raise
+        proved.append(span.rank == classical.dim)
+        return classical, span
+
+    monkeypatch.setattr(certify, "catalog_closure", recorded)
+
+
 @pytest.mark.parametrize("name", list(RESCALE_CASES))
 def test_match_tables_side_1_only_when_it_is_checked(name, monkeypatch):
     """Side 2 gets a pass when it is checked against its model
     (`MODEL_CHECKS`); as its own model it is proved by its family's
-    standard algebra, sl_N, o(G) or sp(G), with no pass.  Side 1 gets
-    one only when it is checked against its model, and no model gets
-    one of its own."""
+    standard algebra, sl_N, o(G) or sp(G), through `catalog_closure`,
+    with no pass.  Side 1 gets one only when it is checked against its
+    model, and no model gets one of its own."""
     family, sides = RESCALE_CASES[name]()
     passes, bounds = [], []
-    check_side, bound = certify._check_side, certify._classical_bound
+    check_side = certify._check_side
     monkeypatch.setattr(certify, "_check_side",
                         lambda *a: passes.append(a[3]) or check_side(*a))
-    monkeypatch.setattr(certify, "_classical_bound",
-                        lambda *a: bounds.append(bound(*a)) or bounds[-1])
+    _record_bound(monkeypatch, bounds)
     assert match_algebras(*sides, family).verdict == "pass"
     checked = "side 2" in MODEL_CHECKS[name]
     assert bounds == ([] if checked else [True])
@@ -1879,21 +1896,39 @@ BOUND_CASES = {
 }
 
 
+@pytest.mark.parametrize("name", ["B5", "D5"])
+def test_a_match_inverts_no_gram_matrix(name, monkeypatch):
+    """G^-1 enters only the sampler table a `ClassicalAlgebra` builds on
+    its first draw: the classical algebra that proves a B5 or D5 side 2
+    closed draws nothing, so it inverts no Gram matrix."""
+    family, sides = RESCALE_CASES[name]()
+    algebras = []
+    closure = certify.catalog_closure
+    monkeypatch.setattr(certify, "catalog_closure", lambda *a: (
+        algebras.append(closure(*a)) or algebras[-1]))
+    assert match_algebras(*sides, family).verdict == "pass"
+    assert [alg.gram is not None and alg._table is None
+            for alg, _ in algebras] == [True]
+
+
+def _refuse(*args):
+    raise ValueError("refused")
+
+
 def _outcomes_with_and_without_bound(monkeypatch, family, sides):
     """(default, forced, proved): the match's outcome, its outcome with
-    `_classical_bound` refusing every side, so that an own-model side 2
-    takes the membership pass, and how many sides the bound proved in
-    the default run.  An outcome is the certificate, or the type and
-    message of the refusal."""
+    `catalog_closure` refusing every side (ValueError), so that an
+    own-model side 2 takes the membership pass, and how many sides it
+    proved in the default run.  An outcome is the certificate, or the
+    type and message of the refusal."""
     proved, outcomes = [], []
-    bound = certify._classical_bound
-    for patch in (lambda *a: proved.append(bound(*a)) or proved[-1],
-                  lambda *a: False):
-        monkeypatch.setattr(certify, "_classical_bound", patch)
+    _record_bound(monkeypatch, proved)
+    for _ in range(2):
         try:
             outcomes.append(match_algebras(*sides, family))
         except (CertifyError, HypothesisFailed) as exc:
             outcomes.append((type(exc), str(exc)))
+        monkeypatch.setattr(certify, "catalog_closure", _refuse)
     monkeypatch.undo()
     return (*outcomes, sum(proved))
 
@@ -1901,10 +1936,11 @@ def _outcomes_with_and_without_bound(monkeypatch, family, sides):
 @pytest.mark.parametrize("name", list(BOUND_CASES))
 def test_the_classical_bound_gives_the_certificate_of_the_pass(
         name, monkeypatch):
-    """The differential test of `_classical_bound`: with it refusing,
-    every side 2 that is its own model takes the membership pass, and
-    each certificate equals the default one, in which the bound proves
-    every own-model side 2 (not a side 2 checked against its model)."""
+    """The differential test of the classical bound, `catalog_closure`
+    on an own-model side 2: with it refusing, every side 2 that is its
+    own model takes the membership pass, and each certificate equals
+    the default one, in which the bound proves every own-model side 2
+    (not a side 2 checked against its model)."""
     family, sides = BOUND_CASES[name]()
     default, forced, proved = _outcomes_with_and_without_bound(
         monkeypatch, family, sides)
@@ -1933,7 +1969,7 @@ def test_small_prime_matches_do_not_depend_on_the_classical_bound(
         family, p, monkeypatch):
     """Every ordered pair of `SMALL_PRIME_SIDES` gives the same
     certificate, or the same refusal type and message, with
-    `_classical_bound` refusing every side as with it on; the bound
+    `catalog_closure` refusing every side as with it on; the bound
     proves side 2 in some pairs, and some pairs are refused."""
     field = PrimeField(p)
     sides = []
@@ -1952,13 +1988,13 @@ def test_small_prime_matches_do_not_depend_on_the_classical_bound(
 
 
 def _bound_arguments(monkeypatch, name):
-    """The arguments of the one `_classical_bound` call of the match of
-    `RESCALE_CASES[name]`."""
+    """The arguments (family, field, base generators y_k) of the one
+    `catalog_closure` call of the match of `RESCALE_CASES[name]`."""
     family, sides = RESCALE_CASES[name]()
     calls = []
-    bound = certify._classical_bound
-    monkeypatch.setattr(certify, "_classical_bound",
-                        lambda *a: calls.append(a) or bound(*a))
+    closure = certify.catalog_closure
+    monkeypatch.setattr(certify, "catalog_closure",
+                        lambda *a: calls.append(a) or closure(*a))
     match_algebras(*sides, family)
     monkeypatch.undo()
     (args,) = calls
@@ -1968,21 +2004,24 @@ def _bound_arguments(monkeypatch, name):
 @pytest.mark.parametrize("name", ["A5-conj", "B5", "C6-conj", "D5"])
 def test_the_classical_bound_fails_when_a_condition_fails(name,
                                                           monkeypatch):
-    """The bound holds for side 2 as the match forms it, and fails when
-    one of its conditions does: the dimension one off, or one base
-    generator y_k plus the identity, for each k in turn, which has
-    trace N != 0 (A) and leaves o(G) or sp(G), X = 1 giving
-    X^T G + G X = 2G (B, C, D)."""
-    family, ctx, gens, dim = _bound_arguments(monkeypatch, name)
-    bound = certify._classical_bound
-    assert bound(family, ctx, gens, dim)
-    assert not bound(family, ctx, gens, dim - 1)
-    assert not bound(family, ctx, gens, dim + 1)
-    base, one = ctx.base, ctx.base.field.one
+    """The bound holds for side 2 as the match forms it: the catalog
+    rank is the classical algebra's dimension.  It fails when one of
+    its conditions does: with the catalog cut by its last monomial the
+    rank is one below that dimension, and one base generator y_k plus
+    the identity, for each k in turn, has trace N != 0 (A) or leaves
+    o(G) or sp(G), X = 1 giving X^T G + G X = 2G (B, C, D), so no
+    classical algebra holds the generators."""
+    family, field, ys = _bound_arguments(monkeypatch, name)
+    classical, span = certify.catalog_closure(family, field, ys)
+    assert span.rank == classical.dim
+    monkeypatch.setattr(certify, "catalog", lambda *a: catalog(*a)[:-1])
+    classical, span = certify.catalog_closure(family, field, ys)
+    assert span.rank == classical.dim - 1
+    base = MatrixLieAlgebra(field, len(ys[0]), [], [])
+    one = field.one
     unit = tuple({i: one.v} for i in range(base.ambient_dim))
-    for k, g in enumerate(gens):
-        moved = list(gens)
-        moved[k] = certify.Scaled(g.c, base.lincomb([(one, g.a),
-                                                     (one, unit)]))
-        assert not bound(family, ctx, moved, dim)
+    for k, y in enumerate(ys):
+        moved = list(ys)
+        moved[k] = base.lincomb([(one, y), (one, unit)])
+        assert classical_algebra(family, field, moved) is None
 

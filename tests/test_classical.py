@@ -35,8 +35,8 @@ def proved(family, n, field=F):
     """(closure, span) of the family realization, which must take the
     proof path: the closure is its `ClassicalAlgebra`."""
     params = tuple(field(p) for p in PARAMS[family])
-    mats, extra = build_generators(family, n, field, params)
-    closure, span = catalog_closure(family, n, field, mats, extra)
+    mats, _ = build_generators(family, n, field, params)
+    closure, span = catalog_closure(family, field, mats)
     assert isinstance(closure, ClassicalAlgebra)
     return closure, span
 

@@ -1,7 +1,8 @@
 """The family closure read from the catalog and the form
 (`certify.catalog_closure`): the catalog images bound the closure's
 dimension from below and the classical algebra of the realization's
-traces or form (`realizations.classical_algebra`) from above.  The
+traces or its family's standard form (`realizations.classical_algebra`)
+from above.  The
 closure's dimension is the catalog rank, and its context is that
 classical algebra, on passing and failing points alike; generators
 the classical bound refuses are refused.  No closure is grown:
@@ -20,10 +21,9 @@ from extremal_lie.certify import catalog_closure, certify_family
 from extremal_lie.extremal import is_extremal
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import expected_catalog_size
-from extremal_lie.realizations import (BilinearForm, ClassicalAlgebra,
-                                       MatrixLieAlgebra, build_generators,
-                                       classical_algebra, lie_closure,
-                                       orthogonal_form_even)
+from extremal_lie.realizations import (ClassicalAlgebra, MatrixLieAlgebra,
+                                       build_generators, classical_algebra,
+                                       lie_closure)
 
 F = PrimeField(DEFAULT_PRIME)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,12 +41,10 @@ def closures(monkeypatch):
 
 
 def realization(family, n, field=F, params=()):
-    """(rows, extra): the generators as payload rows, and the extra
-    `build_generators` returns with them."""
-    mats, extra = build_generators(family, n, field,
-                                   tuple(field(p) for p in params))
-    rows = MatrixLieAlgebra(field, len(mats[0]), [], mats).generators_list
-    return rows, extra
+    """The generators of the family realization as payload rows."""
+    mats, _ = build_generators(family, n, field,
+                               tuple(field(p) for p in params))
+    return MatrixLieAlgebra(field, len(mats[0]), [], mats).generators_list
 
 
 def with_entry(m, i, j, value):
@@ -71,9 +69,9 @@ def test_catalog_closure_is_lie_closure(family, n, params, field,
     """The proved closure has `lie_closure`'s dimension, the catalog
     size, and every basis element of either closure lies in the span of
     the catalog images; no closure is grown to get it."""
-    mats, extra = build_generators(family, n, field,
-                                   tuple(field(p) for p in params))
-    closure, span = catalog_closure(family, n, field, mats, extra)
+    mats, _ = build_generators(family, n, field,
+                               tuple(field(p) for p in params))
+    closure, span = catalog_closure(family, field, mats)
     assert not closures and isinstance(closure, ClassicalAlgebra)
     grown = lie_closure(mats, field)
     assert len(closures) == 1
@@ -109,80 +107,73 @@ def test_failing_realization_reports_its_true_dimension(closures):
     ("A", 5, (), 24), ("C", 6, (), 21), ("B", 5, (1,), 36),
     ("D", 5, (2, 3), 45)], ids=lambda v: str(v))
 def test_classical_dim_of_the_realizations(family, n, params, want):
-    rows, extra = realization(family, n, params=params)
-    assert classical_algebra(family, F, rows, extra).dim == want
+    rows = realization(family, n, params=params)
+    assert classical_algebra(family, F, rows).dim == want
 
 
 def _perturbed_generator():
-    rows, extra = realization("D", 5, params=(2, 3))
+    rows = list(realization("D", 5, params=(2, 3)))
     # x_1 + E_00: X^T G + G X gains G_05 at (0, 5)
-    rows = list(rows)
     rows[0] = with_entry(rows[0], 0, 0, rows[0][0].get(0, 0) + 1)
-    return "D", rows, extra
+    return "D", rows
 
 
 def _traceful_generator():
-    rows, extra = realization("A", 5)
-    rows = list(rows)
+    rows = list(realization("A", 5))
     rows[2] = with_entry(rows[2], 4, 4, 1)
-    return "A", rows, extra
+    return "A", rows
 
 
-def _form_as(family, source, params=()):
-    """The generators and form of `source`'s realization at n = 6,
-    checked as those of `family`."""
-    rows, extra = realization(source, 6, params=params)
-    return family, rows, extra
-
-
-def _zero_form():
-    rows, extra = realization("D", 5, params=(2, 3))
-    return "D", rows, (BilinearForm(F, 10, {}),) + extra[1:]
-
-
-def _form_of_another_size():
-    rows, extra = realization("D", 5, params=(2, 3))
-    return "D", rows, (orthogonal_form_even(F, 4),) + extra[1:]
+def _form_as(family, source, n, params=()):
+    """The generators of `source`'s realization at rank n, checked as
+    those of `family`."""
+    return family, realization(source, n, params=params)
 
 
 @pytest.mark.parametrize("case", [
     _perturbed_generator, _traceful_generator,
-    lambda: _form_as("D", "C"), lambda: _form_as("C", "D", (2, 3)),
-    _zero_form, _form_of_another_size],
+    lambda: _form_as("D", "C", 6), lambda: _form_as("C", "D", 6, (2, 3)),
+    lambda: _form_as("B", "D", 5, (2, 3)),
+    lambda: _form_as("D", "B", 5, (1,))],
     ids=["generator-leaves-o(G)", "A-generator-with-trace",
-         "alternating-Gram-as-D", "symmetric-Gram-as-C", "zero-Gram",
-         "Gram-of-another-size"])
+         "alternating-Gram-as-D", "symmetric-Gram-as-C", "D5-as-B",
+         "B5-as-D"])
 def test_classical_dim_refuses_bad_input(case):
-    """Each case fails exactly one of the checks: X^T G + G X = 0, the
-    trace, the symmetry of G (the C form is a non-degenerate invariant
-    alternating form, so only its symmetry is wrong for D, and the D
-    form's only fault for C is that it is not alternating), the rank
-    of G (the zero form is symmetric and every X preserves it), and the
-    size of G."""
-    family, rows, extra = case()
-    assert classical_algebra(family, F, rows, extra) is None
+    """Each case fails exactly one of the checks: X^T G + G X = 0 for
+    the family's standard form G, the trace, or the parity of N.  C6's
+    generators preserve an alternating form, not D's symmetric one on
+    F^6, and D6's a symmetric one, not C's alternating one on F^12; D5
+    acts on F^10, where B has no form, and B5 on F^9, where D has
+    none."""
+    family, rows = case()
+    assert classical_algebra(family, F, rows) is None
 
 
 def test_a_refused_bound_raises(closures):
     """The catalog images of the perturbed D5 generators are still 45
     independent elements, but no o(G) holds the perturbed generator,
     so the closure is refused, with the check named, and none grown."""
-    family, rows, extra = _perturbed_generator()
+    family, rows = _perturbed_generator()
     with pytest.raises(ValueError, match="^D5: no classical algebra holds "
                        "the generators"):
-        catalog_closure(family, 5, F, rows, extra)
+        catalog_closure(family, F, rows)
     assert not closures
 
 
 def test_a_bound_above_the_catalog_size_raises(closures):
-    """D5's generators checked against the B5 catalog: the 36 images are
-    independent, as many as B5's catalog has, but the form bounds the
-    closure by 45 only, so the closure is refused."""
-    rows, extra = realization("D", 5, params=(2, 3))
-    assert classical_algebra("B", F, rows, extra).dim == 45
-    with pytest.raises(ValueError, match="^B5: the classical algebra has "
-                       "dimension 45, not the catalog size 36$"):
-        catalog_closure("B", 5, F, rows, extra)
+    """A5's first four generators checked as A4's: they lie in sl_5, of
+    dimension 24, but A4's catalog has 15 monomials, so the classical
+    algebra bounds the closure by 24 only, and the closure is refused.
+    D5's generators checked against the B5 catalog act on F^10, where B
+    has no form, so no classical algebra holds them."""
+    rows = realization("A", 5)[:4]
+    assert classical_algebra("A", F, rows).dim == 24
+    with pytest.raises(ValueError, match="^A4: the classical algebra has "
+                       "dimension 24, not the catalog size 15$"):
+        catalog_closure("A", F, rows)
+    with pytest.raises(ValueError, match="^B5: no classical algebra holds "
+                       "the generators"):
+        catalog_closure("B", F, realization("D", 5, params=(2, 3)))
     assert not closures
 
 
@@ -194,9 +185,9 @@ def test_the_bound_is_checked_under_python_O():
         "sys.path.insert(0, sys.argv[1])\n"
         "import test_closure_proof as t\n"
         "from extremal_lie import certify\n"
-        "family, rows, extra = t._perturbed_generator()\n"
+        "family, rows = t._perturbed_generator()\n"
         "try:\n"
-        "    certify.catalog_closure(family, 5, t.F, rows, extra)\n"
+        "    certify.catalog_closure(family, t.F, rows)\n"
         "except ValueError as exc:\n"
         "    print(sys.flags.optimize, exc)\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -228,9 +219,9 @@ def test_catalog_rank_is_the_grown_dimension_on_failing_points(
     lemma quoted at `catalog_closure`), and the classical algebra's
     extremality rule gives the `is_extremal` sweep's flags over the
     grown basis."""
-    mats, extra = build_generators("D", n, field,
-                                   tuple(field(p) for p in params))
-    classical, span = catalog_closure("D", n, field, mats, extra)
+    mats, _ = build_generators("D", n, field,
+                               tuple(field(p) for p in params))
+    classical, span = catalog_closure("D", field, mats)
     assert span.rank < expected_catalog_size("D", n)
     grown = lie_closure(mats, field)
     assert span.rank == grown.dim

@@ -5,7 +5,9 @@ prime to p onto GF(p).  The realizations and the presentation are built
 from integer data by field operations alone, so for the same integer
 parameters every value over GF(p) is the reduction of the one over Q:
 the form values psi of the raw generators, and the dimension of
-L(Gamma, 0), whose relations have integer coefficients.  D takes the
+L(Gamma, 0), whose relations have integer coefficients.  The catalog
+images over GF(p) are the reductions of those over Q, so their rank
+(`catalog_closure`) is at most the one over Q.  D takes the
 same special-vector root on both sides: the coordinate B(t, v_3) that Q
 chose is passed to GF(p) through `force_special_c`.  A point GF(p)
 refuses, its open conditions failing mod p, is skipped.
@@ -13,7 +15,7 @@ refuses, its open conditions failing mod p, is skipped.
 
 import pytest
 
-from extremal_lie.certify import psi
+from extremal_lie.certify import catalog_closure, psi
 from extremal_lie.fields import PrimeField, QQ
 from extremal_lie.graphs import FAMILY_MIN_N, build_family_graph
 from extremal_lie.presentation import build_L0
@@ -30,15 +32,25 @@ POINTS = ([("A", n, ()) for n in range(4, 8)]
           + [("D", n, ab) for n in (5, 7) for ab in ((2, 3), (4, 8))])
 
 
-def _raw_psi(family, n, field, params, special_c=None):
-    """psi of the raw generators, read in a generators-only context."""
+def _raw_generators(family, n, field, params, special_c=None):
+    """The family generators, D's with its special-vector coordinate
+    `special_c` when one is given."""
     params = tuple(field(x) for x in params)
     if family == "D":
-        mats, _ = generators_D(n, field, *params, force_special_c=special_c)
-    else:
-        mats, _ = build_generators(family, n, field, params)
+        return generators_D(n, field, *params, force_special_c=special_c)[0]
+    return build_generators(family, n, field, params)[0]
+
+
+def _raw_psi(family, n, field, params, special_c=None):
+    """psi of the raw generators, read in a generators-only context."""
+    mats = _raw_generators(family, n, field, params, special_c)
     return psi(family, MatrixLieAlgebra(field, len(mats[0]), [], mats),
                mats).values
+
+
+def _catalog_rank(family, n, field, params, special_c=None):
+    mats = _raw_generators(family, n, field, params, special_c)
+    return catalog_closure(family, field, mats)[1].rank
 
 
 def _special_c(n, params):
@@ -65,6 +77,41 @@ def test_psi_over_gf_p_is_psi_over_q_reduced(family, n, params):
         assert [v.v for v in over_p] == [gf.coerce(v.v) for v in over_q], p
         checked += 1
     assert checked >= len(PRIMES) - 1
+
+
+#: `POINTS`, then D points of even rank and points whose rank over Q is
+#: below the catalog size (34 of 45 at D5 (1,3), 50 of 66 at D6 (1,3))
+RANK_POINTS = POINTS + [("D", 5, (1, 3)), ("D", 6, (1, 3)),
+                        ("D", 6, (2, 3))]
+
+
+@pytest.mark.parametrize("family,n,params", RANK_POINTS,
+                         ids=[f"{f}{n}-{p}" for f, n, p in RANK_POINTS])
+def test_catalog_rank_over_gf_p_is_at_most_the_rank_over_q(family, n,
+                                                           params):
+    special_c = _special_c(n, params) if family == "D" else None
+    over_q = _catalog_rank(family, n, QQ, params, special_c)
+    checked = 0
+    for p in PRIMES:
+        gf = PrimeField(p)
+        try:
+            over_p = _catalog_rank(family, n, gf, params,
+                                   None if special_c is None
+                                   else gf.coerce(special_c.v))
+        except InvalidParameters:
+            continue
+        assert over_p <= over_q, p
+        checked += 1
+    assert checked >= len(PRIMES) - 1
+
+
+def test_the_rank_bound_is_not_vacuous():
+    """D5 (4,8) has the catalog size as its rank over Q and 34 of 45
+    over GF(7)."""
+    special_c = _special_c(5, (4, 8))
+    gf7 = PrimeField(7)
+    assert _catalog_rank("D", 5, QQ, (4, 8), special_c) == 45
+    assert _catalog_rank("D", 5, gf7, (4, 8), gf7.coerce(special_c.v)) == 34
 
 
 def test_d7_4_8_is_refused_at_p_13():

@@ -26,8 +26,8 @@ F = PrimeField(DEFAULT_PRIME)
 @pytest.fixture(scope="module")
 def sl5():
     """sl_5 as the classical algebra of the A5 generators, and them."""
-    mats, extra = build_generators("A", 5, F)
-    return classical_algebra("A", F, mats, extra), mats
+    mats, _ = build_generators("A", 5, F)
+    return classical_algebra("A", F, mats), mats
 
 
 def test_generators_are_extremal(sl5):

@@ -56,6 +56,10 @@ def test_the_standard_form_is_the_form_of_the_generators(family, n, params):
                                        tuple(F(p) for p in params))
     want = standard_form(family, F, len(mats[0]))
     assert (want.dim, want.entries) == (form.dim, form.entries)
+    gram = classical_algebra(family, F, mats).gram
+    assert len(gram) == form.dim
+    assert {(i, j): F(g) for i, row in enumerate(gram)
+            for j, g in row.items()} == form.entries
 
 
 def test_invalid_parameters():
@@ -85,11 +89,11 @@ def test_d_needs_a_root_of_one_plus_beta_only_at_even_rank():
 def test_only_the_classical_algebra_has_a_form():
     """A generators-only context and a grown closure have no form; the
     classical algebra that holds them has a nonzero one."""
-    mats, extra = build_generators("D", 5, F, (F(2), F(3)))
+    mats, _ = build_generators("D", 5, F, (F(2), F(3)))
     for ctx in (MatrixLieAlgebra(F, len(mats[0]), [], mats),
                 lie_closure(mats, F)):
         assert not hasattr(ctx, "form")
-    classical = classical_algebra("D", F, mats, extra)
+    classical = classical_algebra("D", F, mats)
     assert not classical.form(mats[0], mats[1]).is_zero()
 
 
@@ -173,8 +177,8 @@ def test_symplectic_transvection_in_sp():
 
 
 def test_form_calibration_symmetric_and_associative():
-    mats, extra = build_generators("B", 5, F, (F(1),))
-    alg = classical_algebra("B", F, mats, extra)
+    mats, _ = build_generators("B", 5, F, (F(1),))
+    alg = classical_algebra("B", F, mats)
     rng = random.Random(2)
     for _ in range(5):
         a, b, c = (alg.from_coords([rng.randint(-2, 2)
@@ -226,8 +230,8 @@ def test_lie_closure_basis_is_deterministic():
 
 
 def test_from_coords_needs_one_coordinate_per_basis_element():
-    mats, extra = build_generators("A", 4, F)
-    alg = classical_algebra("A", F, mats, extra)
+    mats, _ = build_generators("A", 4, F)
+    alg = classical_algebra("A", F, mats)
     coords = [k % 5 - 2 for k in range(alg.dim)]
     want = [[F.zero] * 4 for _ in range(4)]
     for c, b in zip(coords, alg.basis()):
