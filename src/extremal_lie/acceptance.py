@@ -9,7 +9,11 @@ and is the single entry point used by both the command-line `selftest`
 and the test suite.
 
 All computation is exact; randomness is driven by a single seeded
-generator so every run with the same seed is bit-identical.
+generator so every run with the same seed is bit-identical.  A
+realization's closure is its classical algebra (`certify.catalog_closure`);
+the conjugated matches and the B parameter round trips use matrix
+contexts made from generators, which grow their closure on the first
+read of a basis, and read none.
 """
 
 import random
@@ -342,12 +346,11 @@ def criterion_9(rng, shared):
         a1, g1, _ = _closure(shared, family, n, ())
         conj = [exp_ad(a1, F(3), g1[0], g) for g in g1]
         conj = [exp_ad(a1, F(-2), g1[2], g) for g in conj]
-        # a match needs generators-only contexts, not closures
         N = a1.ambient_dim
         try:
             cert = certify.match_algebras(
-                MatrixLieAlgebra(F, N, [], g1), g1,
-                MatrixLieAlgebra(F, N, [], conj), conj, family)
+                MatrixLieAlgebra(F, N, g1), g1,
+                MatrixLieAlgebra(F, N, conj), conj, family)
             if cert.verdict != "pass":
                 bad.append(f"{family}{n} conjugated: {cert.verdict}")
         except certify.CertifyError as exc:
@@ -366,7 +369,7 @@ def criterion_10(rng, shared):
     for gamma in (1, 2, 3):
         mats, _ = build_generators("B", 6, F, (F(gamma),))
         ctx, g = certify.normalize_generators(
-            "B", MatrixLieAlgebra(F, len(mats[0]), [], mats), mats)
+            "B", MatrixLieAlgebra(F, len(mats[0]), mats), mats)
         f_long = certify.psi("B", ctx, g).values[-1]
         got = certify.solve_param_B(f_long, 6)
         if got != ctx.field(gamma):

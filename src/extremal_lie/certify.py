@@ -336,14 +336,6 @@ class ScaledContext:
             combo.append((FieldElement(base, r), a))
         return Scaled(lead, self.base.lincomb(combo))
 
-    def vanishes(self, terms):
-        """Whether sum c*x over the terms is zero, a bracket term
-        (1, (x, y)) standing for [x, y] (`linalg.is_pair`), formed
-        first."""
-        return self.is_zero(self.lincomb(
-            [(c, self.bracket(*x) if linalg.is_pair(x) else x)
-             for c, x in terms]))
-
     def is_zero(self, x):
         x = self.element(x)
         return x.c.is_zero() or self.base.is_zero(x.a)
@@ -862,8 +854,7 @@ def _rebuild_model(fld, target_psi, field):
                                        force_special_c=c[0] if c else None)
         except InvalidParameters:
             continue
-        # normalisation and psi need brackets and combinations only
-        ctx = MatrixLieAlgebra(field, len(mats[0]), [], mats)
+        ctx = MatrixLieAlgebra(field, len(mats[0]), mats)
         try:
             mctx, mg = normalize_generators(family, ctx, ctx.generators_list,
                                             fld)
@@ -1054,8 +1045,8 @@ def match_algebras(alg1, gens1, alg2, gens2, family):
     model's scalars through one ratio per generator, and the last field
     reached only rescales the glue into `basis_map`.
 
-    Either side may be a closure or hold generators only: side 2's
-    `catalog_closure` or pass proves the dimension, and the
+    A side is read through its generators alone, never its basis:
+    side 2's `catalog_closure` or pass proves the dimension, and the
     certificate's `dim` is the catalog size it proves."""
     n = len(gens1)
     if len(gens2) != n:

@@ -33,23 +33,21 @@ class LieContext(Protocol):
     FieldElement data in (an element passes unchanged, itself),
     `external` gives it out, and every member that takes an element
     accepts both.  `lincomb(terms)` is sum c*a over the terms (c, a), c
-    a FieldElement or an int, and `vanishes(terms)` whether it is zero,
-    where a term may also be a bracket term (1, (a, b)) standing for
-    [a, b]: a matrix context tests it on the packed sums
-    (`linalg.mat_vanishes`), the others form the brackets and test the
-    combination.
-    `vector(a)` gives the coordinates of a as a sparse payload vector
-    ``{index: payload}``, a new dict each call that the caller may
-    modify, in a space of dimension ``vector_dim``.  `basis()` spans
-    the algebra; `form` is the associative symmetric form, a
-    FieldElement (the zero form for the degenerate algebras
-    L(Gamma, 0)), which a matrix context has only as the
-    `realizations.ClassicalAlgebra` of a realization.  `extremal_value(x, y)` is the extremal form value
-    f_x(y) of `extremal_form_value`: the FieldElement with
-    [x, [x, y]] = f_x(y) x, NotExtremal when [x, [x, y]] is off the
-    line through x, ValueError for x = 0.  A context whose elements are
-    multiples of those of a base context (`certify.ScaledContext`)
-    holds generators only and needs no `vector`, `basis` or `form`."""
+    a FieldElement or an int.  `vector(a)` gives the coordinates of a
+    as a sparse payload vector ``{index: payload}``, a new dict each
+    call that the caller may modify, in a space of dimension
+    ``vector_dim``; `basis()` spans the algebra.  `extremal_value(x, y)`
+    is the extremal form value f_x(y) of `extremal_form_value`: the
+    FieldElement with [x, [x, y]] = f_x(y) x, NotExtremal when
+    [x, [x, y]] is off the line through x, ValueError for x = 0.  A
+    context of multiples of the elements of a base context
+    (`certify.ScaledContext`) holds generators only and needs no
+    `vector` or `basis`.  Only the identity checks (`check_premet`,
+    `certify.check_quartic_identities`), which run on a
+    `realizations.ClassicalAlgebra` alone, read `vanishes(terms)`,
+    whether the combination is zero, a term (1, (a, b)) standing for
+    [a, b] (`linalg.mat_vanishes`), which every matrix context has, and
+    `form`, the associative symmetric form, which only that one has."""
 
     field: object
     vector_dim: int

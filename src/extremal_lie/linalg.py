@@ -13,7 +13,10 @@ sets ``v -= c*row`` in place and deletes entries that become zero (see
 `mat_bracket`, the linear combination `mat_lincomb` and its zero test
 `mat_vanishes`, the trace form `trace_product` and the row-major
 flattening `mat_vector`;
-`bracket_closure` grows the Lie span of a set of elements.  A
+`bracket_closure` grows the Lie span of a set of elements: a matrix
+context, which is made from its generators, calls it the first time
+its basis is read (`MatrixLieAlgebra.basis`), and
+`extremal.subalgebra_closure_dim` on the elements it is given.  A
 square-zero matrix x also has rank factors x = U R (`Rows.factors`,
 kept on the `Rows` like its packed rows), and `sandwich` forms the
 r x r matrix R y U from which `MatrixLieAlgebra.extremal_value` reads

@@ -292,13 +292,6 @@ class GradedLieAlgebra:
             axpy(acc, neg(field(c).v), self.element(u))
         return acc
 
-    def vanishes(self, terms):
-        """Whether sum c*u over the terms is zero, a bracket term
-        (1, (u, v)) standing for [u, v], formed first."""
-        return self.is_zero(self.lincomb(
-            [(c, self.bracket(*u) if isinstance(u, tuple) else u)
-             for c, u in terms]))
-
     def is_zero(self, u):
         return not self.element(u)
 
@@ -306,10 +299,6 @@ class GradedLieAlgebra:
         """u as a new sparse payload vector, which the caller may
         modify."""
         return dict(self.element(u))
-
-    def form(self, u, v):
-        """The extremal form of L(Gamma, 0) is identically zero."""
-        return self.field.zero
 
     def extremal_value(self, x, y):
         """f_x(y) by its definition (`extremal.bracket_form_value`)."""

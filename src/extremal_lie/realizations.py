@@ -8,9 +8,9 @@ transvections and Siegel elements.
 * families "B"/"D": o_{2n-1} / o_{2n}, generated by Siegel elements
   T_{u,v}: w -> B(u,w) v - B(v,w) u attached to isotropic lines <u, v>.
 
-:func:`lie_closure` grows the Lie span of a generating set and wraps
-it in a :class:`MatrixLieAlgebra` context usable by the generic
-extremal machinery; no verdict of the package reads it.  A
+A :class:`MatrixLieAlgebra` is the Lie context of the matrices that
+generate it, and grows their closure the first time its basis is read
+(:func:`lie_closure`); no verdict of the package reads that closure.  A
 bilinear form is its nonzero Gram entries, and the builders make every
 generator and special vector from FieldElement vectors and the form's
 covectors B(u, .): a generator is a sum of outer products a b^T, built
@@ -396,26 +396,26 @@ def build_generators(family, n, field, params=()):
 # ---------------------------------------------------------------------------
 
 class MatrixLieAlgebra:
-    """The Lie span of a set of N x N matrices, as a Lie context.
+    """The Lie algebra generated by N x N matrices, as a Lie context.
 
     Elements are tuples of N sparse payload rows ``({col: payload}, ...)``
     (see :mod:`extremal_lie.linalg`), never modified once made; the
-    basis, the generators and every bracket and combination are
+    generators, the basis and every bracket and combination are
     `linalg.Rows`, which over GF(p) keep their packed rows.  `element`
-    takes FieldElement matrices in and `external` gives them out.  It
-    has no form: `ClassicalAlgebra`, the context of a realization's
-    closure, adds its fixed one.  A context made with an
-    empty basis holds generators only: it brackets and combines, which
-    is all `normalize_generators` and a match need.  Every basis
-    element and generator must be N x N (ValueError otherwise)."""
+    takes FieldElement matrices in and `external` gives them out.  A
+    context is its generators: it brackets and combines at once, which
+    is all `normalize_generators` and a match need, and grows the
+    closure of the generators the first time `basis` or `dim` is read.
+    It has no form: `ClassicalAlgebra`, the context of a realization's
+    closure, adds its fixed one.  Every generator must be N x N
+    (ValueError otherwise)."""
 
-    def __init__(self, field, ambient_dim, basis, generators):
+    def __init__(self, field, ambient_dim, generators):
         self.field = field
         self.ambient_dim = ambient_dim
         self.vector_dim = ambient_dim * ambient_dim
-        self._basis = [self._square(b) for b in basis]
         self.generators_list = [self._square(g) for g in generators]
-        self.dim = len(self._basis)
+        self._basis = None
 
     def _square(self, x):
         """x as a `linalg.Rows`, after checking that it is N x N."""
@@ -472,7 +472,16 @@ class MatrixLieAlgebra:
         return mat_vector(self.element(a))
 
     def basis(self):
+        """The closure of the generators, grown on the first call."""
+        if self._basis is None:
+            self._basis = linalg.bracket_closure(
+                self.field, self.generators_list, self.bracket, self.vector,
+                self.vector_dim)
         return self._basis
+
+    @property
+    def dim(self):
+        return len(self.basis())
 
     def extremal_value(self, x, y):
         """f_x(y), from the rank factors x = U R of a square-zero x
@@ -499,18 +508,11 @@ class MatrixLieAlgebra:
 
 
 def lie_closure(generators, field):
-    """Close a list of matrices over `field` (FieldElement matrices or
-    payload rows) under the bracket; returns a MatrixLieAlgebra whose
-    basis is the deterministic closure basis.  No command calls it: a
-    match needs generators-only contexts,
-    ``MatrixLieAlgebra(field, N, [], gens)``, and a family realization's
-    closure, a match's own-model side 2 included, is its classical
-    algebra (`certify.catalog_closure`)."""
-    n = len(generators[0])
-    gens = MatrixLieAlgebra(field, n, [], generators)
-    basis = linalg.bracket_closure(field, gens.generators_list, gens.bracket,
-                                   gens.vector, gens.vector_dim)
-    return MatrixLieAlgebra(field, n, basis, gens.generators_list)
+    """The context of N x N matrices over `field` (FieldElement matrices
+    or payload rows), N read off the first.  No command calls it: a
+    family realization's closure, a match's own-model side 2 included,
+    is its classical algebra (`certify.catalog_closure`)."""
+    return MatrixLieAlgebra(field, len(generators[0]), generators)
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +543,21 @@ class ClassicalAlgebra(MatrixLieAlgebra):
     every field here has (`PrimeField` refuses p = 2)."""
 
     def __init__(self, family, field, generators):
-        super().__init__(field, len(generators[0]), [], generators)
+        super().__init__(field, len(generators[0]), generators)
         self.family, self.gram = family, None
         n = self.ambient_dim
         if family != "A":
             self.gram = [{} for _ in range(n)]
             for (i, j), g in standard_form(family, field, n).entries.items():
                 self.gram[i][j] = g.v
-        self.dim = (n * n - 1 if family == "A" else
-                    n * (n + 1) // 2 if family == "C" else n * (n - 1) // 2)
+        self._dim = (n * n - 1 if family == "A" else
+                     n * (n + 1) // 2 if family == "C" else n * (n - 1) // 2)
         self.form_scale = field(FORM_SCALE[family])
         self._table = None      # `from_coords`' positions, once drawn
+
+    @property
+    def dim(self):
+        return self._dim
 
     def form(self, a, b):
         """The associative symmetric extremal form, c * trace(ab)."""

@@ -75,13 +75,12 @@ def lift_rows(field, rows, target):
 
 
 def lift_closure(alg, field):
-    """The closure `alg` over `field`, a quadratic-extension tower over
-    alg.field: its basis and generators lifted, in order."""
-    def lift(m):
-        return lift_rows(alg.field, m, field)
+    """The context `alg` over `field`, a quadratic-extension tower over
+    alg.field: its generators lifted, in order, so that the basis it
+    grows is alg's lifted."""
     return MatrixLieAlgebra(field, alg.ambient_dim,
-                            [lift(b) for b in alg.basis()],
-                            [lift(g) for g in alg.generators_list])
+                            [lift_rows(alg.field, g, field)
+                             for g in alg.generators_list])
 
 
 def form_outcome(value, ctx, x, y):

@@ -249,7 +249,7 @@ def test_genericity_read_off_psi_equals_the_bracket_flags(family, n, field,
         except InvalidParameters:
             continue
         built += 1
-        ctx = MatrixLieAlgebra(field, len(mats[0]), [], mats)
+        ctx = MatrixLieAlgebra(field, len(mats[0]), mats)
         vec = psi(family, ctx, mats)
         for given in (params, None):
             got = check_genericity(vec, params=given)
@@ -301,7 +301,7 @@ def test_d6_matches_over_gf7_raise_only_certify_errors(params1, params2):
     sides = []
     for params in (params1, params2):
         mats, _ = build_generators("D", 6, GF7, tuple(GF7(p) for p in params))
-        sides += [MatrixLieAlgebra(GF7, len(mats[0]), [], mats), mats]
+        sides += [MatrixLieAlgebra(GF7, len(mats[0]), mats), mats]
     try:
         cert = match_algebras(*sides, "D")
     except CertifyError:
@@ -317,7 +317,7 @@ def test_solve_params_d_keeps_the_open_set_and_the_branch_coordinate():
         alpha, beta = (F(p) for p in params)
         mats, _ = build_generators("D", 6, F, (alpha, beta))
         ctx, g = normalize_generators(
-            "D", MatrixLieAlgebra(F, 12, [], mats), mats)
+            "D", MatrixLieAlgebra(F, 12, mats), mats)
         vec = psi("D", ctx, g)
         cands = solve_params_D(vec.values[-1], vec.values[2], 6)
         for cand in cands:
@@ -431,17 +431,18 @@ def test_match_rejects_a_different_number_of_generators(b5):
 
 
 def test_a_closure_matches_a_generators_only_context(b5):
-    """The side tables prove the dimension, so a closure and a
-    generators-only context, in either order, give the certificate of
-    two generators-only contexts."""
+    """The side tables prove the dimension, so a context whose closure
+    is grown and one whose closure is not, in either order, give the
+    certificate of two contexts with none grown."""
     alg, mats = b5
     others, _ = build_generators("B", 5, F, (F(2),))
-    bare = [MatrixLieAlgebra(F, 9, [], m) for m in (mats, others)]
+    bare = [MatrixLieAlgebra(F, 9, m) for m in (mats, others)]
     want = match_algebras(bare[0], mats, bare[1], others, "B")
     assert want.verdict == "pass" and want.dim == alg.dim
     assert match_algebras(alg, mats, bare[1], others, "B") == want
-    assert match_algebras(bare[0], mats, lie_closure(others, F), others,
-                          "B") == want
+    grown = lie_closure(others, F)
+    assert grown.dim == alg.dim
+    assert match_algebras(bare[0], mats, grown, others, "B") == want
 
 
 def test_match_rejects_realizations_over_different_fields(b5):
@@ -583,13 +584,13 @@ def test_match_certificate_digests(name):
 ], ids=["D5", "B6"])
 def test_generators_only_contexts_give_the_closure_certificate(
         name, family, n, field, params):
-    """A match reads no basis: generators-only contexts give the
+    """A match reads no basis: contexts made from generators give the
     certificate of the closures, pinned above, dim included."""
     sides = []
     for p in params:
         mats, _ = build_generators(family, n, field,
                                    tuple(field(x) for x in p))
-        sides += [MatrixLieAlgebra(field, len(mats[0]), [], mats), mats]
+        sides += [MatrixLieAlgebra(field, len(mats[0]), mats), mats]
     cert = match_algebras(*sides, family)
     assert cert.dim == expected_catalog_size(family, n)
     text = json.dumps(dataclasses.asdict(cert), sort_keys=True)
@@ -766,7 +767,7 @@ def test_scaled_form_values_are_the_materialised_ones(d5):
     element, which is not extremal."""
     alg, mats = d5
     ctx = certify.ScaledContext(alg, GF2)
-    big = MatrixLieAlgebra(GF2, alg.ambient_dim, [], [])
+    big = MatrixLieAlgebra(GF2, alg.ambient_dim, [])
 
     def materialised(s):
         return big.lincomb([(lift_element(s.c, GF2),
@@ -951,7 +952,7 @@ def test_catalog_table_brackets_n_times_dim(d5, monkeypatch):
     alg, mats = d5
     n, dim = 5, expected_catalog_size("D", 5)
     labels = labels_of("D", 5)
-    model = MatrixLieAlgebra(F, alg.ambient_dim, [], mats)
+    model = MatrixLieAlgebra(F, alg.ambient_dim, mats)
     calls = {"side": 0, "model": 0}
 
     def counted(name, bracket):
@@ -1431,7 +1432,7 @@ def test_dependent_side_images_name_the_side():
     sides = []
     for params in ((0, 3), (1, 3)):
         mats, _ = build_generators("D", 6, gf5, tuple(gf5(p) for p in params))
-        sides += [MatrixLieAlgebra(gf5, len(mats[0]), [], mats), mats]
+        sides += [MatrixLieAlgebra(gf5, len(mats[0]), mats), mats]
     with pytest.raises(StructureMismatch,
                        match="^side 2: catalog images are dependent$"):
         match_algebras(*sides, "D")
@@ -1611,7 +1612,7 @@ def test_a_side_outside_the_standard_algebra_takes_the_membership_pass(
 
 def _materialised(ctx, gens, field):
     """The normal form (ctx, gens) as the matrices lambda_k y_k over
-    `field`: a generators-only context over it and its generators."""
+    `field`: the matrix context they make over it, and them."""
     up = tower_maps(ctx.base.field, field)[0]
     mul = field.mul
     mats = []
@@ -1619,7 +1620,7 @@ def _materialised(ctx, gens, field):
         c = lift_element(g.c, field).v
         mats.append(tuple({j: mul(c, up(x)) for j, x in row.items()}
                           for row in g.a))
-    return MatrixLieAlgebra(field, ctx.base.ambient_dim, [], mats), mats
+    return MatrixLieAlgebra(field, ctx.base.ambient_dim, mats), mats
 
 
 def _conjugated_sides(family, n, params):
@@ -1976,7 +1977,7 @@ def test_small_prime_matches_do_not_depend_on_the_classical_bound(
     for fam, params in SMALL_PRIME_SIDES[family, p]:
         mats, _ = build_generators(fam, 5, field,
                                    tuple(field(x) for x in params))
-        sides.append((MatrixLieAlgebra(field, len(mats[0]), [], mats), mats))
+        sides.append((MatrixLieAlgebra(field, len(mats[0]), mats), mats))
     kinds, proved = set(), 0
     for side1, side2 in itertools.product(sides, repeat=2):
         default, forced, count = _outcomes_with_and_without_bound(
@@ -2017,7 +2018,7 @@ def test_the_classical_bound_fails_when_a_condition_fails(name,
     monkeypatch.setattr(certify, "catalog", lambda *a: catalog(*a)[:-1])
     classical, span = certify.catalog_closure(family, field, ys)
     assert span.rank == classical.dim - 1
-    base = MatrixLieAlgebra(field, len(ys[0]), [], [])
+    base = MatrixLieAlgebra(field, len(ys[0]), [])
     one = field.one
     unit = tuple({i: one.v} for i in range(base.ambient_dim))
     for k, y in enumerate(ys):

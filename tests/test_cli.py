@@ -168,9 +168,9 @@ def test_realize_missing_parameter(capsys):
 
 
 def test_rational_literal_rejects_floats(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["realize", "--family", "B", "--n", "5", "--gamma", "0.5"])
-    assert info.value.code == 2
+    assert run(capsys, "realize", "--family", "B", "--n", "5", "--gamma",
+               "0.5") == (2, "", "error: --gamma: not an exact rational "
+                                 "literal: '0.5' (use p or p/q)\n")
 
 
 def test_field_flag_rejects_unknown(capsys):
@@ -332,6 +332,8 @@ def test_n_below_the_family_minimum_is_a_parameter_error(
 HUGE = "100000000000000000000"
 #: more digits than int() converts by default (sys.get_int_max_str_digits)
 VAST = "1" + "0" * 4999
+#: one digit more than a parameter may have
+LONG = "7" * (cli.MAX_PARAM_DIGITS + 1)
 
 
 @pytest.mark.parametrize("argv,what", [
@@ -372,16 +374,45 @@ def test_n_above_the_cap_is_refused_before_anything_is_built(
      f"got one of 5000"),
     (("certify", "--family", "A", "--n", f"-{VAST}"),
      f"--n -{VAST} is below -{cli.MAX_N}"),
-], ids=["field-gf", "negative-n"])
+    (("certify", "--family", "D", "--n", "5", "--alpha", "2" + "0" * 3000,
+      "--beta", "3"), "--alpha takes a rational of at most "
+     f"{cli.MAX_PARAM_DIGITS} digits, got one of 3001"),
+    (("certify", "--family", "B", "--n", "5", "--gamma", "1/" + "7" * 4400),
+     f"--gamma takes a rational of at most {cli.MAX_PARAM_DIGITS} digits, "
+     f"got one of 4401"),
+    (("realize", "--family", "D", "--n", "5", "--alpha", "2", "--beta",
+      f"-{LONG}"), f"--beta takes a rational of at most "
+     f"{cli.MAX_PARAM_DIGITS} digits, got one of {len(LONG)}"),
+    (("certify", "--family", "B", "--n", "5", "--gamma", "1",
+      "--match-against", f"gamma={VAST}x"), "--match-against gamma takes a "
+     f"rational of at most {cli.MAX_PARAM_DIGITS} digits, got one of 5000"),
+], ids=["field-gf", "negative-n", "alpha-3001-digits", "gamma-4401-digits",
+        "beta-past-the-cap", "match-against-5000-digits"])
 def test_numbers_too_long_for_int_are_parameter_errors(capsys, monkeypatch,
                                                        argv, message):
-    """A --field gf prime or an --n with more digits than int() converts
-    exits 2 with one line that names the flag, and certifies nothing."""
+    """A --field gf prime or an --n with more digits than int() converts,
+    or a parameter with more than cli.MAX_PARAM_DIGITS, well formed or
+    not, exits 2 with one line that names the flag and does not echo the
+    literal, and builds and certifies nothing."""
     monkeypatch.setattr(cli.certify, "certify_family",
                         lambda *a, **k: pytest.fail("certified"))
+    monkeypatch.setattr(cli, "build_generators",
+                        lambda *a, **k: pytest.fail("built"))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"parameter error: {message}\n"
+
+
+def test_a_parameter_at_the_cap_passes_the_digit_check(capsys, monkeypatch):
+    """cli.MAX_PARAM_DIGITS digits are taken: the command gets past the
+    check to the certification, stubbed here."""
+    def stop(*args, **kwargs):
+        raise cli.certify.CertifyError("stub")
+
+    monkeypatch.setattr(cli.certify, "certify_family", stop)
+    code, out, err = run(capsys, "certify", "--family", "B", "--n", "5",
+                         "--gamma", "1/" + LONG[2:])
+    assert (code, out, err) == (1, "", "certification failed: stub\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,14 +495,15 @@ FLAG_VALUES = {
     "--n": [[str(n)] for n in (*range(8), 5, 6, 7, 6)]
            + [["-1"], ["x"], ["1e3"]],
     "--field": [["rationals"], ["gf", "4"], ["gf", "7"], ["gf"], ["reals"]],
-    "--alpha": [["2"], ["4"], ["1/2"], ["-2"], ["0.5"], ["x"]],
-    "--beta": [["3"], ["8"], ["-1"], ["0"], ["1/0"]],
-    "--gamma": [["1"], ["2"], ["-1"], ["0"], ["x"]],
+    "--alpha": [["2"], ["4"], ["1/2"], ["-2"], ["0.5"], ["x"], [LONG]],
+    "--beta": [["3"], ["8"], ["-1"], ["0"], ["1/0"], [f"1/{LONG}"]],
+    "--gamma": [["1"], ["2"], ["-1"], ["0"], ["x"], [f"{LONG}.5"]],
     "--seed": [["0"], ["7"], ["x"]],
     "--format": [["text"], ["json"], ["xml"]],
     "--edges": [["1-2"], ["1-2,2-3"], ["1-1"], ["2-5"], ["x"], [""]],
     "--match-against": [["alpha=4,beta=8"], ["gamma=2"], ["gamma=x"],
-                        ["bad"]],
+                        ["bad"], [f"alpha={LONG},beta=8"],
+                        [f"gamma=-{LONG}"]],
     "--structure": [["{out}"], ["{missing}"]],
     "--output": [["{out}"], ["{missing}"]],
 }

@@ -6,7 +6,9 @@ from above.  The
 closure's dimension is the catalog rank, and its context is that
 classical algebra, on passing and failing points alike; generators
 the classical bound refuses are refused.  No closure is grown:
-`lie_closure` is only the reference these tests compare with."""
+`lie_closure` is only the reference these tests compare with.  A
+matrix context grows the closure of its generators once, the first
+time its basis is read, and a match reads none."""
 
 import hashlib
 import os
@@ -17,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from extremal_lie import linalg
-from extremal_lie.certify import catalog_closure, certify_family
-from extremal_lie.extremal import is_extremal
+from extremal_lie.certify import (catalog_closure, certify_family,
+                                  match_algebras)
+from extremal_lie.extremal import exp_ad, is_extremal
 from extremal_lie.fields import DEFAULT_PRIME, PrimeField, QQ
 from extremal_lie.graphs import expected_catalog_size
 from extremal_lie.realizations import (ClassicalAlgebra, MatrixLieAlgebra,
@@ -44,7 +47,7 @@ def realization(family, n, field=F, params=()):
     """The generators of the family realization as payload rows."""
     mats, _ = build_generators(family, n, field,
                                tuple(field(p) for p in params))
-    return MatrixLieAlgebra(field, len(mats[0]), [], mats).generators_list
+    return MatrixLieAlgebra(field, len(mats[0]), mats).generators_list
 
 
 def with_entry(m, i, j, value):
@@ -74,16 +77,65 @@ def test_catalog_closure_is_lie_closure(family, n, params, field,
     closure, span = catalog_closure(family, field, mats)
     assert not closures and isinstance(closure, ClassicalAlgebra)
     grown = lie_closure(mats, field)
-    assert len(closures) == 1
+    assert not closures
     assert closure.dim == grown.dim == span.rank == expected_catalog_size(
         family, n)
     assert all(span.contains(grown.vector(b)) for b in grown.basis())
     assert all(span.contains(closure.vector(b)) for b in closure.basis())
+    assert len(closures) == 1
+
+
+CONTEXTS = [("A", 5, ()), ("C", 6, ()), ("B", 5, (1,)), ("D", 5, (2, 3))]
+
+
+@pytest.mark.parametrize("family,n,params", CONTEXTS,
+                         ids=[f"{f}{n}" for f, n, _ in CONTEXTS])
+def test_a_matrix_context_grows_its_closure_once_on_first_read(
+        family, n, params, closures):
+    """A context made from generators grows nothing until its basis is
+    read; its basis is then `linalg.bracket_closure` of the generators,
+    element for element, and a second read grows nothing."""
+    rows = realization(family, n, params=params)
+    ref = MatrixLieAlgebra(F, len(rows[0]), rows)
+    want = linalg.bracket_closure(F, ref.generators_list, ref.bracket,
+                                  ref.vector, ref.vector_dim)
+    ctx = MatrixLieAlgebra(F, len(rows[0]), rows)
+    assert len(closures) == 1
+    assert ctx.basis() == want and ctx.dim == len(want)
+    assert ctx.basis() is ctx.basis() and len(closures) == 2
+
+
+def test_a_context_of_generators_sweeps_its_closure():
+    """`is_extremal` on a context made from the A5 generators sweeps the
+    24 elements of their closure: each generator has a certificate of
+    24 values, and x1 + x3 is refused."""
+    rows = realization("A", 5)
+    ctx = MatrixLieAlgebra(F, 5, rows)
+    for g in rows:
+        flag, cert = is_extremal(ctx, g)
+        assert flag and len(cert.values) == 24
+    assert is_extremal(ctx, ctx.lincomb([(1, rows[0]), (1, rows[2])])) == (
+        False, None)
 
 
 def test_passing_certify_family_grows_no_closure(closures):
     report = certify_family("D", 5, (2, 3), F)
     assert report.verdict == "pass" and report.dim == 45
+    assert not closures
+
+
+def test_a_match_of_lie_closure_sides_grows_no_closure(closures):
+    """A5 against a conjugate and B5 gamma 1 against gamma 2, every side
+    made by `lie_closure`: a match reads no basis, so it grows none."""
+    mats, _ = build_generators("A", 5, F)
+    alg = lie_closure(mats, F)
+    conj = [exp_ad(alg, F(3), mats[0], g) for g in mats]
+    conj = [exp_ad(alg, F(-2), mats[2], g) for g in conj]
+    cert = match_algebras(alg, mats, lie_closure(conj, F), conj, "A")
+    assert cert.verdict == "pass"
+    b1, b2 = (build_generators("B", 5, F, (F(g),))[0] for g in (1, 2))
+    cert = match_algebras(lie_closure(b1, F), b1, lie_closure(b2, F), b2, "B")
+    assert cert.verdict == "pass"
     assert not closures
 
 

@@ -15,7 +15,7 @@ refuses, its open conditions failing mod p, is skipped.
 
 import pytest
 
-from extremal_lie.certify import catalog_closure, psi
+from extremal_lie.certify import catalog_closure, check_genericity, psi
 from extremal_lie.fields import PrimeField, QQ
 from extremal_lie.graphs import FAMILY_MIN_N, build_family_graph
 from extremal_lie.presentation import build_L0
@@ -42,10 +42,17 @@ def _raw_generators(family, n, field, params, special_c=None):
 
 
 def _raw_psi(family, n, field, params, special_c=None):
-    """psi of the raw generators, read in a generators-only context."""
+    """psi of the raw generators, read in their matrix context."""
     mats = _raw_generators(family, n, field, params, special_c)
-    return psi(family, MatrixLieAlgebra(field, len(mats[0]), [], mats),
-               mats).values
+    return psi(family, MatrixLieAlgebra(field, len(mats[0]), mats), mats)
+
+
+def _flags(family, n, field, params, special_c=None):
+    """`check_genericity` of the raw generators' psi and the parameters,
+    as `certify_family` reads it."""
+    return check_genericity(
+        _raw_psi(family, n, field, params, special_c),
+        params=[field(x) for x in params] or None)
 
 
 def _catalog_rank(family, n, field, params, special_c=None):
@@ -65,18 +72,50 @@ def _special_c(n, params):
                          ids=[f"{f}{n}-{p}" for f, n, p in POINTS])
 def test_psi_over_gf_p_is_psi_over_q_reduced(family, n, params):
     special_c = _special_c(n, params) if family == "D" else None
-    over_q = _raw_psi(family, n, QQ, params, special_c)
+    over_q = _raw_psi(family, n, QQ, params, special_c).values
     checked = 0
     for p in PRIMES:
         gf = PrimeField(p)
         try:
             over_p = _raw_psi(family, n, gf, params, None if special_c is None
-                              else gf.coerce(special_c.v))
+                              else gf.coerce(special_c.v)).values
         except InvalidParameters:
             continue
         assert [v.v for v in over_p] == [gf.coerce(v.v) for v in over_q], p
         checked += 1
     assert checked >= len(PRIMES) - 1
+
+
+@pytest.mark.parametrize("family,n,params", POINTS,
+                         ids=[f"{f}{n}-{p}" for f, n, p in POINTS])
+def test_a_genericity_flag_false_over_q_is_false_over_gf_p(family, n,
+                                                           params):
+    """A flag is a polynomial condition on psi and the parameters that
+    fails where the polynomial vanishes, and the values over GF(p) are
+    those over Q reduced, so a polynomial that vanishes over Q vanishes
+    mod p.  D stays at odd rank: at even rank lambda_open takes a square
+    root of 1 + beta, whose sign each field picks on its own."""
+    special_c = _special_c(n, params) if family == "D" else None
+    false_over_q = [k for k, v in _flags(family, n, QQ, params,
+                                         special_c).items() if not v]
+    checked = 0
+    for p in PRIMES:
+        gf = PrimeField(p)
+        try:
+            over_p = _flags(family, n, gf, params, None if special_c is None
+                            else gf.coerce(special_c.v))
+        except InvalidParameters:
+            continue
+        assert not any(over_p[k] for k in false_over_q), p
+        checked += 1
+    assert checked >= len(PRIMES) - 1
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_the_flag_check_is_not_vacuous(n):
+    """long_generic is False over Q at D5 and D7 (2,3)."""
+    flags = _flags("D", n, QQ, (2, 3), _special_c(n, (2, 3)))
+    assert flags["long_generic"] is False
 
 
 #: `POINTS`, then D points of even rank and points whose rank over Q is

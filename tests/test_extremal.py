@@ -81,7 +81,7 @@ def _outcome(fn, *args):
 
 def test_proportionality_matches_reference(kernel_field):
     K, n = kernel_field, 3
-    ctx = MatrixLieAlgebra(K, n, [], [])
+    ctx = MatrixLieAlgebra(K, n, [])
     rng = random.Random(29)
     for _ in range(40):
         x = [random_vector(K, rng, n) for _ in range(n)]

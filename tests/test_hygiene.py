@@ -219,3 +219,31 @@ def test_only_realizations_names_lie_closure():
     names = sorted(path.name for path in MODULES
                    if "lie_closure" in path.read_text())
     assert names == ["realizations.py"], names
+
+
+def _functions(tree):
+    """(name, node) of each module-level function and of each method of
+    a module-level class, the latter named Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_only_a_basis_read_grows_a_closure():
+    """No command grows a closure except by reading a basis: besides
+    `linalg`, which defines `bracket_closure`, only `realizations`
+    (`MatrixLieAlgebra.basis`) and `extremal` (`subalgebra_closure_dim`)
+    name it, and only there do they read it."""
+    names = sorted(path.name for path in MODULES
+                   if "bracket_closure" in path.read_text())
+    assert names == ["extremal.py", "linalg.py", "realizations.py"], names
+    readers = sorted(f"{path.stem}.{name}" for path in MODULES
+                     if path.name != "linalg.py"
+                     for name, node in _functions(_tree(path))
+                     if "bracket_closure" in _reads(node))
+    assert readers == ["extremal.subalgebra_closure_dim",
+                       "realizations.MatrixLieAlgebra.basis"], readers

@@ -201,7 +201,7 @@ def test_mixed_fields_raise(F):
     b = [[G(1), G(0)], [G(3), G(1)]]
     # the payload kernels (bracket, trace form) take matrices in through
     # a context's `element`, which checks every entry
-    ctx = MatrixLieAlgebra(F, 2, [], [])
+    ctx = MatrixLieAlgebra(F, 2, [])
     with pytest.raises(DescriptorMismatch):
         ctx.bracket(a, b)
     with pytest.raises(DescriptorMismatch):
@@ -708,7 +708,7 @@ def test_matrix_context_edge_property(name, data):
     flattening."""
     K = PROPERTY_FIELDS[name]
     n, (a,) = data.draw(payload_matrices(K, 1))
-    ctx = MatrixLieAlgebra(K, n, [], [])
+    ctx = MatrixLieAlgebra(K, n, [])
     m = _matrix(K, a)
     assert ctx.element(m) == a
     assert ctx.external(ctx.element(m)) == m
@@ -925,7 +925,7 @@ def test_a_gf_p_matrix_is_packed_once(F, monkeypatch):
     already packed, make no `_pack` call: each element keeps its packed
     rows.  The context's generators are elements from the start."""
     mats, _ = build_generators("D", 5, F, (F(2), F(3)))
-    ctx = MatrixLieAlgebra(F, 10, [], mats)
+    ctx = MatrixLieAlgebra(F, 10, mats)
     x, y = ctx.generators_list[:2]
     assert all(isinstance(g, linalg.Rows) for g in ctx.generators_list)
     packs = []

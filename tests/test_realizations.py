@@ -41,7 +41,7 @@ def test_integral_rational_payloads_are_ints(n, params):
     (1,8) generator entries); as payload rows every integral entry is
     an int, so the brackets of a realization run in int arithmetic."""
     mats, _ = build_generators("D", n, QQ, tuple(QQ(p) for p in params))
-    ctx = MatrixLieAlgebra(QQ, len(mats[0]), [], mats)
+    ctx = MatrixLieAlgebra(QQ, len(mats[0]), mats)
     assert not [v for g in ctx.generators_list for row in g
                 for v in row.values()
                 if type(v) is not int and v.denominator == 1]
@@ -87,11 +87,12 @@ def test_d_needs_a_root_of_one_plus_beta_only_at_even_rank():
 
 
 def test_only_the_classical_algebra_has_a_form():
-    """A generators-only context and a grown closure have no form; the
-    classical algebra that holds them has a nonzero one."""
+    """A matrix context, its closure grown or not, has no form; the
+    classical algebra that holds its generators has a nonzero one."""
     mats, _ = build_generators("D", 5, F, (F(2), F(3)))
-    for ctx in (MatrixLieAlgebra(F, len(mats[0]), [], mats),
-                lie_closure(mats, F)):
+    grown = lie_closure(mats, F)
+    grown.basis()
+    for ctx in (MatrixLieAlgebra(F, len(mats[0]), mats), grown):
         assert not hasattr(ctx, "form")
     classical = classical_algebra("D", F, mats)
     assert not classical.form(mats[0], mats[1]).is_zero()
@@ -254,13 +255,10 @@ def test_lie_closure_of_payload_generators_needs_the_field():
 
 def test_matrix_context_refuses_matrices_of_the_wrong_size():
     mats, _ = build_generators("D", 5, F, (F(2), F(3)))
-    rows = MatrixLieAlgebra(F, 10, [], mats).generators_list
+    rows = MatrixLieAlgebra(F, 10, mats).generators_list
     # 10 x 10, as FieldElement matrices and as payload rows; 5 rows of
-    # 10 columns, in both forms; a wrong basis element
-    for basis, gens in (([], mats), ([], rows),
-                        ([], [m[:5] for m in mats]),
-                        ([], [m[:5] for m in rows]),
-                        (rows[:1], [])):
+    # 10 columns, in both forms
+    for gens in (mats, rows, [m[:5] for m in mats], [m[:5] for m in rows]):
         with pytest.raises(ValueError, match="not 5 x 5"):
-            MatrixLieAlgebra(F, 5, basis, gens)
-    assert MatrixLieAlgebra(F, 5, [], []).generators_list == []
+            MatrixLieAlgebra(F, 5, gens)
+    assert MatrixLieAlgebra(F, 5, []).generators_list == []
